@@ -139,12 +139,14 @@ type RunOptions struct {
 	// implies Stats.
 	Trace int
 	// MonitorAddr, when non-empty, serves live monitoring for the run on
-	// this TCP address (host:port; port 0 picks a free one): /metrics
-	// Prometheus scrapes, /stats and /series JSON, an SSE /trace stream
-	// and /healthz. Implies Stats; the server starts before the run and
-	// shuts down after the final snapshot is taken, so a last scrape
-	// reconciles exactly with Report.Stats. See internal/monitor and
-	// docs/OBSERVABILITY.md.
+	// this TCP address (host:port; port 0 picks a free one). The run is
+	// served as the one session "s1" of a fleet, by the same server the
+	// cinnamond daemon uses: /metrics Prometheus scrapes, /series and
+	// /sessions JSON, /sessions/s1/stats, /sessions/s1/governor, an SSE
+	// /trace stream and /healthz. Implies Stats; the server starts
+	// before the run and shuts down after the final snapshot is taken,
+	// so a last scrape reconciles exactly with Report.Stats. See
+	// internal/monitor and docs/OBSERVABILITY.md.
 	MonitorAddr string
 	// Interval is the monitor's time-series sampling period (default 1s;
 	// only meaningful with MonitorAddr).
@@ -173,8 +175,8 @@ type RunOptions struct {
 	// and downsamples — ultimately ejects — the most expensive probes
 	// to keep attributed overhead under the budget; its replayable
 	// decision log lands in Report.Stats.Governor (and on the monitor's
-	// /governor endpoint when MonitorAddr is set). Implies Stats. See
-	// docs/ADAPTIVE.md.
+	// /sessions/s1/governor endpoint when MonitorAddr is set). Implies
+	// Stats. See docs/ADAPTIVE.md.
 	Budget string
 	// GovernorWindow overrides the governor's evaluation cadence in
 	// machine cycle units (0 = governor.DefaultWindow; only meaningful
@@ -215,7 +217,7 @@ type Report struct {
 
 // Run instruments the target with the tool under the named backend and
 // executes it.
-func (t *Tool) Run(target *Target, backendName string, opts RunOptions) (*Report, error) {
+func (t *Tool) Run(target *Target, backendName string, opts RunOptions) (rep *Report, err error) {
 	var buf bytes.Buffer
 	out := opts.ToolOut
 	captured := false
@@ -242,24 +244,12 @@ func (t *Tool) Run(target *Target, backendName string, opts RunOptions) (*Report
 		}
 	}
 	if opts.MonitorAddr != "" {
-		mon := monitor.NewServer(monitor.Config{
-			Collector: col,
-			Backend:   backendName,
-			Interval:  opts.Interval,
-			Governor:  gov,
-		})
-		addr, err := mon.Start(opts.MonitorAddr)
-		if err != nil {
-			return nil, fmt.Errorf("cinnamon: %w", err)
+		settle, serr := serve(opts, target, backendName, col, gov)
+		if serr != nil {
+			return nil, fmt.Errorf("cinnamon: %w", serr)
 		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = mon.Shutdown(ctx)
-		}()
-		if opts.OnMonitor != nil {
-			opts.OnMonitor(addr)
-		}
+		// Settle with Run's own results, after the final snapshot.
+		defer func() { settle(rep, err) }()
 	}
 	bopts := backend.Options{
 		Out:              out,
@@ -282,7 +272,7 @@ func (t *Tool) Run(target *Target, backendName string, opts RunOptions) (*Report
 	if err != nil {
 		return nil, fmt.Errorf("cinnamon: run on %s: %w", backendName, err)
 	}
-	rep := &Report{
+	rep = &Report{
 		Backend:  backendName,
 		Cycles:   res.Cycles,
 		Insts:    res.Insts,
@@ -298,6 +288,50 @@ func (t *Tool) Run(target *Target, backendName string, opts RunOptions) (*Report
 		rep.ToolOutput = buf.String()
 	}
 	return rep, nil
+}
+
+// serve registers a monitored run as session s1 of a fleet of one and
+// serves it with the fleet server, announcing the bound address through
+// opts.OnMonitor. The victim label is the executable module's name. The
+// returned settle finishes the session with the run's outcome and shuts
+// the server down; call it after the final snapshot, so a last scrape
+// reconciles exactly with Report.Stats.
+func serve(opts RunOptions, target *Target, backendName string, col *obs.Collector, gov *governor.Governor) (settle func(*Report, error), err error) {
+	victim := target.Prog.Obj.Executable().Name
+	if monitor.ValidateLabelValue("victim", victim) != nil {
+		victim = "a.out" // the assembler's name for an unnamed module
+	}
+	labels := monitor.SessionLabels{Session: "s1", Tool: "inline", Victim: victim, Backend: backendName}
+	fleet := monitor.NewFleet()
+	srv := monitor.NewFleetServer(monitor.FleetConfig{Fleet: fleet})
+	addr, err := srv.Start(opts.MonitorAddr)
+	if err != nil {
+		return nil, err
+	}
+	shutdown := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}
+	series := obs.NewSeries(col, backendName, obs.SeriesOptions{Interval: opts.Interval})
+	sess, err := fleet.Add(labels, col, series)
+	if err != nil {
+		shutdown()
+		return nil, err
+	}
+	sess.SetGovernor(gov)
+	sess.Start()
+	if opts.OnMonitor != nil {
+		opts.OnMonitor(addr)
+	}
+	return func(rep *Report, err error) {
+		if rep != nil {
+			sess.Finish(monitor.SessionDone, rep.Cycles, rep.Insts, "")
+		} else {
+			sess.Finish(monitor.SessionFailed, 0, 0, fmt.Sprint(err))
+		}
+		shutdown()
+	}, nil
 }
 
 // BaselineRun executes the target without any instrumentation and reports

@@ -14,11 +14,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestLiveMonitoredSession is the acceptance path of the live-monitoring
-// work: a use-after-free monitor instruments a looped victim with the
-// monitor server attached, the "operator" scrapes /metrics and /stats
-// while the victim is still running, and the scrapes must be monotone
-// and bounded by the final report, which must reconcile exactly.
+// TestLiveMonitoredSession is the acceptance path of live monitoring: a
+// use-after-free monitor instruments a looped victim with the monitor
+// attached — the run served as session s1 of a fleet of one — the
+// "operator" scrapes /metrics and /sessions/s1/stats while the victim is
+// still running, and the session-labelled scrapes must be monotone and
+// bounded by the final report, which must reconcile exactly.
 func TestLiveMonitoredSession(t *testing.T) {
 	src, err := progs.Source(progs.UseAfterFree)
 	if err != nil {
@@ -86,8 +87,8 @@ func TestLiveMonitoredSession(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		var probing Stats
-		if err := json.Unmarshal([]byte(httpGet("/stats")), &probing); err != nil {
-			t.Fatalf("/stats: %v", err)
+		if err := json.Unmarshal([]byte(httpGet("/sessions/s1/stats")), &probing); err != nil {
+			t.Fatalf("/sessions/s1/stats: %v", err)
 		}
 		if probing.TotalFires > 0 {
 			break
@@ -116,8 +117,8 @@ func TestLiveMonitoredSession(t *testing.T) {
 	}
 	scrape1 := parse(httpGet("/metrics"))
 	var live Stats
-	if err := json.Unmarshal([]byte(httpGet("/stats")), &live); err != nil {
-		t.Fatalf("/stats: %v", err)
+	if err := json.Unmarshal([]byte(httpGet("/sessions/s1/stats")), &live); err != nil {
+		t.Fatalf("/sessions/s1/stats: %v", err)
 	}
 	scrape2 := parse(httpGet("/metrics"))
 	for key, v1 := range scrape1 {
@@ -126,7 +127,14 @@ func TestLiveMonitoredSession(t *testing.T) {
 		}
 	}
 	if live.Backend != Pin || len(live.Probes) == 0 {
-		t.Fatalf("mid-run /stats = %+v", live)
+		t.Fatalf("mid-run /sessions/s1/stats = %+v", live)
+	}
+	// Every series is labelled with the run's session identity; the
+	// victim label is the executable module's name.
+	const session = `session="s1",tool="inline",victim="uaf_bug",backend="pin"`
+	sessionFires := `cinnamon_session_fires_total{` + session + `}`
+	if scrape2[sessionFires] != scrape2["cinnamon_fleet_fires_total"] {
+		t.Errorf("%s = %v, fleet rollup %v", sessionFires, scrape2[sessionFires], scrape2["cinnamon_fleet_fires_total"])
 	}
 
 	res := <-done
@@ -142,7 +150,7 @@ func TestLiveMonitoredSession(t *testing.T) {
 	// strictly dominates them; and it reconciles exactly internally.
 	fireKeys := 0
 	for key, v := range scrape2 {
-		if !strings.HasPrefix(key, "cinnamon_probe_fires_total{") {
+		if !strings.HasPrefix(key, "cinnamon_probe_fires_total{"+session+",") {
 			continue
 		}
 		fireKeys++
@@ -153,8 +161,9 @@ func TestLiveMonitoredSession(t *testing.T) {
 	if fireKeys == 0 {
 		t.Error("no per-probe fire series in the mid-run scrape")
 	}
-	if live.TotalFires > final.TotalFires {
-		t.Errorf("mid-run total %d > final %d", live.TotalFires, final.TotalFires)
+	if live.TotalFires > final.TotalFires || uint64(scrape2[sessionFires]) > final.TotalFires {
+		t.Errorf("mid-run totals %d (stats), %v (metrics) exceed final %d",
+			live.TotalFires, scrape2[sessionFires], final.TotalFires)
 	}
 	var sum uint64
 	for _, p := range final.Probes {

@@ -51,7 +51,7 @@ var (
 	statsJSON = reg.Bool(groupObservability, "stats-json", false, "print the observability report as JSON to stdout")
 	trace     = reg.Int(groupObservability, "trace", 0, "<n>", "record the last N probe firings in the report's trace ring (implies -stats)")
 
-	listen   = reg.String(groupMonitoring, "listen", "", "<addr>", "serve live monitoring on this address (host:port; :0 picks a port): /metrics, /stats, /series, /trace (SSE), /governor, /healthz")
+	listen   = reg.String(groupMonitoring, "listen", "", "<addr>", "serve live monitoring on this address (host:port; :0 picks a port) as session s1 of a fleet of one, with cinnamond's endpoints: /metrics, /series, /sessions, /sessions/s1/stats, /sessions/s1/governor, /trace (SSE), /healthz")
 	interval = reg.Duration(groupMonitoring, "interval", time.Second, "<dur>", "monitor time-series sampling period (with -listen)")
 
 	budget    = reg.String(groupGovernor, "budget", "", "<frac>", "attach the overhead governor with this probe-overhead budget (\"5%\" or \"0.05\"); it downsamples and ejects the most expensive probes to stay under it (implies -stats; see docs/ADAPTIVE.md)")

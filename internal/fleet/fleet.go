@@ -321,7 +321,6 @@ func (s *Scheduler) Submit(spec JobSpec) (*monitor.FleetSession, error) {
 	}
 	s.tasks = append(s.tasks, t)
 	s.mu.Unlock()
-	series.Start()
 	return sess, nil
 }
 
@@ -368,15 +367,14 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// settle moves a task to a terminal state and stops its sampler (after
-// a final point, so the series covers the whole run).
+// settle moves a task to a terminal state (Finish also stops its
+// series, after a final point, so the series covers the whole run).
 func (s *Scheduler) settle(t *task, state monitor.SessionState, res *vm.Result, msg string) {
 	var cycles, insts uint64
 	if res != nil {
 		cycles, insts = res.Cycles, res.Insts
 	}
 	t.sess.Finish(state, cycles, insts, msg)
-	t.sess.Series().Stop()
 }
 
 // requeue returns a failed attempt to the queue (restart-on-failure).

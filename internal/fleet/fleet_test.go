@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -188,6 +189,47 @@ func TestSchedulerDrainCancels(t *testing.T) {
 	for i, sess := range all {
 		if st := sess.State(); st != monitor.SessionCanceled {
 			t.Fatalf("session %d: state %s, want canceled", i+1, st)
+		}
+	}
+}
+
+// Sessions admitted concurrently and settled at once must each stop a
+// series that has started. The registry owns the series' lifecycle —
+// Fleet.Add starts it under the scheduler's admission lock, before the
+// session is queued, and FleetSession.Finish stops it — so a worker
+// that settles a one-iteration session before its submitter has
+// returned from Submit cannot stop a series that never started (a data
+// race under -race, and otherwise a close of a nil channel or a hang).
+// Contended submitters make that interleaving common: a handoff of the
+// admission lock yields the submitter right after it has queued.
+func TestShortSessionsRacingSubmit(t *testing.T) {
+	const rounds, submitters, each = 4, 32, 8
+	for r := 0; r < rounds; r++ {
+		s := NewScheduler(Config{Workers: 4, Queue: submitters * each, Interval: 5 * time.Millisecond})
+		var wg sync.WaitGroup
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					if _, err := s.Submit(JobSpec{Tool: "instcount_basic", Victim: "spin", Loop: 1}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		waitAll(t, s, 60*time.Second)
+		drain(t, s)
+		for _, sess := range s.Fleet().Sessions() {
+			if st := sess.State(); st != monitor.SessionDone {
+				t.Fatalf("session %s: state %s, want done", sess.Labels().Session, st)
+			}
+			// Finish stopped the series after its final sample.
+			if len(sess.Series().Points()) == 0 {
+				t.Fatalf("session %s settled without its final series point", sess.Labels().Session)
+			}
 		}
 	}
 }

@@ -32,9 +32,9 @@
 // log.
 //
 // Ejected probes are not gone: re-arm commands (from the monitor
-// server's /governor endpoint, or Enqueue directly) are mailboxed and
-// applied at the next pace point, on the run goroutine, where control
-// mutations are legal.
+// server's /sessions/{id}/governor endpoint, or Enqueue directly) are
+// mailboxed and applied at the next pace point, on the run goroutine,
+// where control mutations are legal.
 package governor
 
 import (
@@ -113,7 +113,8 @@ type ProbeState struct {
 }
 
 // State is a snapshot of the governor, JSON-shaped for the monitor
-// server (/stats embeds it, /governor serves it).
+// server (/sessions/{id}/stats embeds it, /sessions/{id}/governor
+// serves it).
 type State struct {
 	// Budget and Window echo the configuration.
 	Budget    float64 `json:"budget"`

@@ -1,3 +1,30 @@
+// Package monitor serves live observability for instrumented sessions
+// over HTTP, backed by the concurrent-safe read path of internal/obs so
+// a run never blocks on an observer. One server, FleetServer, serves
+// both the cinnamond daemon's sessions and a single `cinnamon -listen`
+// run, which registers itself as the one session "s1" of a Fleet:
+//
+//	GET  /metrics                 session-labelled exposition + exact rollups
+//	GET  /series                  every session's interval series + last rates
+//	GET  /sessions                lifecycle of every session (?session=ID)
+//	POST /sessions                submit a job (405 without a scheduler)
+//	GET  /sessions/{id}/stats     the session's obs.Stats, governor embedded
+//	GET  /sessions/{id}/governor  the session's overhead-governor state
+//	POST /sessions/{id}/governor  a control command, applied at the next pace
+//	GET  /trace                   session-tagged SSE of firing events; slow
+//	                              clients lose events, never stall a run
+//	GET  /healthz[/live]          liveness
+//	GET  /healthz/ready           readiness: 503 while draining
+//
+// The Fleet registry (this file) is the read path the endpoints
+// snapshot. Every session owns its sharded obs.Collector — its
+// generation-tagged ProbeIDs send cross-collector firings to the
+// untracked bucket, never another session's slots — plus an interval
+// Series and, optionally, an overhead governor. The registry's writers
+// (the scheduler in internal/fleet, or cinnamon.Run) advance each
+// session through the queued → running → done/failed/canceled
+// lifecycle. fleetmetrics.go renders the exposition, fleetserver.go
+// serves HTTP.
 package monitor
 
 import (
@@ -9,17 +36,6 @@ import (
 	"repro/internal/governor"
 	"repro/internal/obs"
 )
-
-// The fleet registry: the aggregation layer a long-lived daemon
-// (cmd/cinnamond) serves many concurrent victim×tool sessions through.
-// Every session owns its own sharded obs.Collector — generation-tagged
-// ProbeIDs make cross-collector firings land in the untracked bucket,
-// never in another session's slots — plus its own interval Series and,
-// optionally, an overhead governor. The Fleet is the read path the
-// aggregated endpoints (fleet /metrics, /series, /sessions, /trace)
-// snapshot; the scheduler (internal/fleet) is its write path, advancing
-// each session through the queued → running → done/failed/canceled
-// lifecycle.
 
 // SessionLabels identify one session in fleet exposition: every metric
 // of the session carries all four as Prometheus labels.
@@ -104,6 +120,9 @@ type FleetSession struct {
 	base   string
 	col    *obs.Collector
 	series *obs.Series
+	// stopSeries makes the first Finish the only one that stops the
+	// series.
+	stopSeries sync.Once
 
 	mu       sync.Mutex
 	state    SessionState
@@ -179,8 +198,15 @@ func (s *FleetSession) Requeue(errMsg string) {
 }
 
 // Finish settles the session in a terminal state with the machine
-// result of its last attempt.
+// result of its last attempt. The session's series takes its final
+// sample and stops first, so a reader that sees the terminal state also
+// sees the tail of the run in the series.
 func (s *FleetSession) Finish(state SessionState, cycles, insts uint64, errMsg string) {
+	s.stopSeries.Do(func() {
+		if s.series != nil {
+			s.series.Stop()
+		}
+	})
 	s.mu.Lock()
 	s.state = state
 	s.cycles = cycles
@@ -268,7 +294,9 @@ func NewFleet() *Fleet {
 
 // Add registers a session. Labels are validated and the session ID must
 // be fleet-unique. The collector is required; series may be nil (the
-// session then contributes nothing to /series).
+// session then contributes nothing to /series). The registry owns a
+// series' lifecycle: Add starts it and the session's Finish stops it,
+// so no caller can stop a series before it has started.
 func (f *Fleet) Add(labels SessionLabels, col *obs.Collector, series *obs.Series) (*FleetSession, error) {
 	if err := labels.Validate(); err != nil {
 		return nil, err
@@ -288,6 +316,9 @@ func (f *Fleet) Add(labels SessionLabels, col *obs.Collector, series *obs.Series
 	defer f.mu.Unlock()
 	if _, dup := f.byID[labels.Session]; dup {
 		return nil, fmt.Errorf("monitor: duplicate session ID %q", labels.Session)
+	}
+	if series != nil {
+		series.Start()
 	}
 	f.sessions = append(f.sessions, s)
 	f.byID[labels.Session] = s

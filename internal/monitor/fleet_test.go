@@ -26,6 +26,7 @@ func fleetSession(t *testing.T, f *Fleet, id, tool, victim, backendName string) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sess.Finish(SessionDone, 0, 0, "") }) // stops the series
 	probe := col.RegisterProbe(obs.ProbeMeta{Label: "before inst", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall})
 	return sess, col, probe
 }
@@ -34,7 +35,7 @@ func fleetSession(t *testing.T, f *Fleet, id, tool, victim, backendName string) 
 func fleetScrape(t *testing.T, f *Fleet) (string, map[string]float64) {
 	t.Helper()
 	var b strings.Builder
-	writeFleetMetrics(&b, f)
+	WriteFleetMetrics(&b, f)
 	return b.String(), checkExposition(t, b.String())
 }
 

@@ -14,14 +14,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Fleet exposition: the per-probe, untracked, trace and governor
-// families of the single-run writer, re-rendered with session/tool/
-// victim/backend labels for every registered session, plus the
-// cinnamon_fleet_* rollups. The rollups are computed from the very same
-// per-session snapshots the labelled series are rendered from — one
-// snapshot per session per scrape — so the fleet totals are exactly the
-// sum of the per-session series, never an approximation from a second
-// read.
+// The Prometheus text-exposition writer (format version 0.0.4),
+// hand-rolled so the repo stays dependency-free: HELP/TYPE headers
+// precede each family's samples, label values are escaped per the
+// spec, and counter families end in _total. Every session's families
+// carry its session/tool/victim/backend labels, and the
+// cinnamon_fleet_* rollups are computed from the very same per-session
+// snapshots the labelled series are rendered from — one snapshot per
+// session per scrape — so the fleet totals are exactly the sum of the
+// per-session series, never an approximation from a second read, and a
+// scrape is internally consistent and monotone across scrapes.
 //
 // The scrape path is built for fleets of dozens of sessions at
 // sub-second scrape intervals: per-session snapshot+aggregation work
@@ -29,6 +31,32 @@ import (
 // allocations (snapshot probe tables, aggregation rows, rendered label
 // strings, the output buffer) are pooled and reused across scrapes, so
 // a steady-state scrape allocates almost nothing.
+
+// escapeLabel escapes a label value per the exposition format:
+// backslash, double-quote and newline.
+func escapeLabel(v string) string {
+	var b strings.Builder
+	for _, r := range v {
+		switch r {
+		case '\\':
+			b.WriteString(`\\`)
+		case '"':
+			b.WriteString(`\"`)
+		case '\n':
+			b.WriteString(`\n`)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
+}
+
+// probeKey aggregates per-probe samples the same way Stats.WriteTable
+// groups its rows: one series per (label, trigger, mechanism) — a
+// multi-site action is one series, not one per placement site.
+type probeKey struct {
+	label, trigger, mech string
+}
 
 // sessionBase renders the identifying label set of a session.
 func sessionBase(l SessionLabels) string {
@@ -173,9 +201,8 @@ func (ss *sessScrape) prep(s *FleetSession) {
 	}
 }
 
-// Exposition rendering helpers over the pooled byte buffer. They keep
-// the output byte-identical to the previous fmt-based writer while
-// avoiding per-sample formatting allocations.
+// Exposition rendering helpers over the pooled byte buffer, free of
+// per-sample formatting allocations.
 
 func appendHeader(b []byte, name, help, typ string) []byte {
 	b = append(b, "# HELP "...)
@@ -216,13 +243,61 @@ func appendSampleFloat(b []byte, name, labels string, v float64) []byte {
 	return b
 }
 
-// WriteFleetMetrics renders the whole fleet as one exposition document
-// — the body of the fleet /metrics endpoint, exported so the scheduler's
-// soak tests and the load harness can render scrapes without a listener.
-func WriteFleetMetrics(w io.Writer, f *Fleet) { writeFleetMetrics(w, f) }
+// The family tables, in render order. Per-probe families have one
+// sample per aggregated probe row, per-session families one per
+// session, governor families one per governed session.
 
-// writeFleetMetrics renders the whole fleet as one exposition document.
-func writeFleetMetrics(w io.Writer, f *Fleet) {
+var probeFamilies = []struct {
+	name, help string
+	get        func(*scrapeRow) uint64
+}{
+	{"cinnamon_probe_fires_total", "Probe firings, by session, probe label, trigger and dispatch mechanism.", func(r *scrapeRow) uint64 { return r.fires }},
+	{"cinnamon_probe_skips_total", "Sampled-probe hits swallowed by the sampling gate.", func(r *scrapeRow) uint64 { return r.skips }},
+	{"cinnamon_probe_cycles_total", "Instrumentation cycle units attributed to probe firings.", func(r *scrapeRow) uint64 { return r.cycles }},
+}
+
+var sessionFamilies = []struct {
+	name, help, typ string
+	get             func(*sessScrape) uint64
+}{
+	{"cinnamon_untracked_fires_total", "Firings of probes not registered with the session's collector.", "counter", func(s *sessScrape) uint64 { return s.snap.UntrackedFires }},
+	{"cinnamon_untracked_cycles_total", "Cycle units of untracked firings.", "counter", func(s *sessScrape) uint64 { return s.snap.UntrackedCycles }},
+	{"cinnamon_untracked_skips_total", "Sampling-gate skips of untracked probes.", "counter", func(s *sessScrape) uint64 { return s.snap.UntrackedSkips }},
+	{"cinnamon_session_fires_total", "All probe firings of the session, untracked included.", "counter", func(s *sessScrape) uint64 { return s.snap.TotalFires }},
+	{"cinnamon_session_skips_total", "All sampling-gate skips of the session, untracked included.", "counter", func(s *sessScrape) uint64 { return s.snap.TotalSkips }},
+	{"cinnamon_session_cycles_total", "All instrumentation cycle units of the session, untracked included.", "counter", func(s *sessScrape) uint64 { return s.snap.ProbeCycles }},
+	{"cinnamon_session_attempts_total", "Scheduler attempts of the session (restarts count).", "counter", func(s *sessScrape) uint64 { return uint64(s.attempts) }},
+	{"cinnamon_build_actions_placed", "Compiled actions handed to the backend placer.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.ActionsPlaced) }},
+	{"cinnamon_build_static_filtered", "Placements skipped by static where-constraints.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.StaticFiltered) }},
+	{"cinnamon_build_rules_emitted", "Janus rewrite rules produced by the static analyzer.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.RulesEmitted) }},
+	{"cinnamon_build_clean_calls", "Clean-call insertions by the dynamic frameworks.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.CleanCalls) }},
+	{"cinnamon_build_inlined_calls", "Inlined-call insertions by the dynamic frameworks.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.InlinedCalls) }},
+	{"cinnamon_build_snippets", "Dyninst snippet insertions.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.Snippets) }},
+	{"cinnamon_translated_blocks_total", "Just-in-time block translations.", "counter", func(s *sessScrape) uint64 { return uint64(s.snap.Build.BlocksTranslated) }},
+	{"cinnamon_translation_cycles_total", "Cycle units charged to just-in-time block translation.", "counter", func(s *sessScrape) uint64 { return s.snap.Build.TranslationCycles }},
+	{"cinnamon_trace_dropped_total", "Trace-ring events overwritten by wraparound.", "counter", func(s *sessScrape) uint64 { return s.trDropped }},
+	{"cinnamon_trace_subscribers", "Live SSE/trace subscriptions on the session's collector.", "gauge", func(s *sessScrape) uint64 { return uint64(s.subs) }},
+	{"cinnamon_trace_subscriber_dropped_total", "Events dropped across the session's trace subscriptions (live and retired).", "counter", func(s *sessScrape) uint64 { return s.subDropped }},
+}
+
+// governorFamilies render either an integer (getU) or a float (getF).
+var governorFamilies = []struct {
+	name, help, typ string
+	getU            func(*sessScrape) uint64
+	getF            func(*sessScrape) float64
+}{
+	{"cinnamon_governor_budget", "Configured probe-overhead budget (fraction of machine cycles).", "gauge", nil, func(s *sessScrape) float64 { return s.govState.Budget }},
+	{"cinnamon_governor_paces_total", "Governor evaluation points so far.", "counter", func(s *sessScrape) uint64 { return s.govState.Paces }, nil},
+	{"cinnamon_governor_overhead", "Attributed probe overhead of the most recent governor window.", "gauge", nil, func(s *sessScrape) float64 { return s.govState.LastOverhead }},
+	{"cinnamon_governor_cum_overhead", "Attributed probe overhead of the run so far.", "gauge", nil, func(s *sessScrape) float64 { return s.govState.CumOverhead }},
+	{"cinnamon_governor_decisions_total", "Control decisions taken (downsample, eject, rearm, stride).", "counter", func(s *sessScrape) uint64 { return uint64(len(s.govState.Decisions)) }, nil},
+	{"cinnamon_governor_ejected_probes", "Probes currently ejected by the governor.", "gauge", func(s *sessScrape) uint64 { return uint64(s.govEjected) }, nil},
+}
+
+// WriteFleetMetrics renders the whole fleet as one exposition document:
+// the body of the /metrics endpoint, exported so the scheduler's soak
+// tests and the load harness can render scrapes without a listener.
+func WriteFleetMetrics(w io.Writer, f *Fleet) {
 	sessions := f.Sessions()
 
 	st := scrapePool.Get().(*scrapeState)
@@ -257,25 +332,15 @@ func writeFleetMetrics(w io.Writer, f *Fleet) {
 
 	// Render phase: a straight sequential walk over the prepped slots,
 	// in the fixed family order. Families with no samples are skipped
-	// entirely (no HELP/TYPE), matching the single-run writer.
+	// entirely (no HELP/TYPE).
 	b := st.buf[:0]
-	anyRows := false
+	anyRows, anyGov := false, false
 	for i := range st.slots {
-		if len(st.slots[i].rows) > 0 {
-			anyRows = true
-			break
-		}
-	}
-	perProbe := []struct {
-		name, help string
-		get        func(*scrapeRow) uint64
-	}{
-		{"cinnamon_probe_fires_total", "Probe firings, by session, probe label, trigger and dispatch mechanism.", func(r *scrapeRow) uint64 { return r.fires }},
-		{"cinnamon_probe_skips_total", "Sampled-probe hits swallowed by the sampling gate.", func(r *scrapeRow) uint64 { return r.skips }},
-		{"cinnamon_probe_cycles_total", "Instrumentation cycle units attributed to probe firings.", func(r *scrapeRow) uint64 { return r.cycles }},
+		anyRows = anyRows || len(st.slots[i].rows) > 0
+		anyGov = anyGov || st.slots[i].gov != nil
 	}
 	if anyRows {
-		for _, fam := range perProbe {
+		for _, fam := range probeFamilies {
 			b = appendHeader(b, fam.name, fam.help, "counter")
 			for i := range st.slots {
 				for j := range st.slots[i].rows {
@@ -285,24 +350,8 @@ func writeFleetMetrics(w io.Writer, f *Fleet) {
 			}
 		}
 	}
-
-	perSession := []struct {
-		name, help, typ string
-		get             func(*sessScrape) uint64
-	}{
-		{"cinnamon_untracked_fires_total", "Firings of probes not registered with the session's collector.", "counter", func(s *sessScrape) uint64 { return s.snap.UntrackedFires }},
-		{"cinnamon_untracked_cycles_total", "Cycle units of untracked firings.", "counter", func(s *sessScrape) uint64 { return s.snap.UntrackedCycles }},
-		{"cinnamon_untracked_skips_total", "Sampling-gate skips of untracked probes.", "counter", func(s *sessScrape) uint64 { return s.snap.UntrackedSkips }},
-		{"cinnamon_session_fires_total", "All probe firings of the session, untracked included.", "counter", func(s *sessScrape) uint64 { return s.snap.TotalFires }},
-		{"cinnamon_session_skips_total", "All sampling-gate skips of the session, untracked included.", "counter", func(s *sessScrape) uint64 { return s.snap.TotalSkips }},
-		{"cinnamon_session_cycles_total", "All instrumentation cycle units of the session, untracked included.", "counter", func(s *sessScrape) uint64 { return s.snap.ProbeCycles }},
-		{"cinnamon_session_attempts_total", "Scheduler attempts of the session (restarts count).", "counter", func(s *sessScrape) uint64 { return uint64(s.attempts) }},
-		{"cinnamon_trace_dropped_total", "Trace-ring events overwritten by wraparound.", "counter", func(s *sessScrape) uint64 { return s.trDropped }},
-		{"cinnamon_trace_subscribers", "Live SSE/trace subscriptions on the session's collector.", "gauge", func(s *sessScrape) uint64 { return uint64(s.subs) }},
-		{"cinnamon_trace_subscriber_dropped_total", "Events dropped across the session's trace subscriptions (live and retired).", "counter", func(s *sessScrape) uint64 { return s.subDropped }},
-	}
 	if len(st.slots) > 0 {
-		for _, fam := range perSession {
+		for _, fam := range sessionFamilies {
 			b = appendHeader(b, fam.name, fam.help, fam.typ)
 			for i := range st.slots {
 				b = appendSample(b, fam.name, st.slots[i].base, fam.get(&st.slots[i]))
@@ -359,37 +408,18 @@ func writeFleetMetrics(w io.Writer, f *Fleet) {
 		b = append(b, '\n')
 	}
 
-	// Governor families, for governed sessions. The per-session subset
-	// of writeGovernorMetrics: budget, cumulative overhead, ejections
-	// (full decision history stays on the per-run /governor endpoint).
-	anyGov := false
-	for i := range st.slots {
-		if st.slots[i].gov != nil {
-			anyGov = true
-			break
-		}
-	}
+	// Governor families, for governed sessions (the full decision log
+	// is served by /sessions/{id}/governor).
 	if anyGov {
-		govFams := []struct {
-			name, help string
-			float      bool
-			getF       func(*sessScrape) float64
-			getU       func(*sessScrape) uint64
-		}{
-			{"cinnamon_governor_budget", "Configured probe-overhead budget (fraction of machine cycles).", true, func(s *sessScrape) float64 { return s.govState.Budget }, nil},
-			{"cinnamon_governor_cum_overhead", "Attributed probe overhead of the run so far.", true, func(s *sessScrape) float64 { return s.govState.CumOverhead }, nil},
-			{"cinnamon_governor_ejected_probes", "Probes currently ejected by the governor.", false, nil, func(s *sessScrape) uint64 { return uint64(s.govEjected) }},
-		}
-		for _, fam := range govFams {
-			b = appendHeader(b, fam.name, fam.help, "gauge")
+		for _, fam := range governorFamilies {
+			b = appendHeader(b, fam.name, fam.help, fam.typ)
 			for i := range st.slots {
 				ss := &st.slots[i]
-				if ss.gov == nil {
-					continue
-				}
-				if fam.float {
+				switch {
+				case ss.gov == nil:
+				case fam.getF != nil:
 					b = appendSampleFloat(b, fam.name, ss.base, fam.getF(ss))
-				} else {
+				default:
 					b = appendSample(b, fam.name, ss.base, fam.getU(ss))
 				}
 			}

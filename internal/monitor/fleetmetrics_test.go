@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/governor"
 	"repro/internal/obs"
 )
 
@@ -81,13 +82,26 @@ func checkExposition(t *testing.T, text string) map[string]float64 {
 	return series
 }
 
-func scrape(t *testing.T, snap *obs.Stats, col *obs.Collector) (string, map[string]float64) {
+// single registers the collector as session s1 of a one-session fleet,
+// the shape a `cinnamon -listen` run is served in.
+func single(t *testing.T, col *obs.Collector, backendName string) (*Fleet, *FleetSession) {
 	t.Helper()
-	var b strings.Builder
-	writeMetrics(&b, snap, col)
-	return b.String(), checkExposition(t, b.String())
+	f := NewFleet()
+	sess, err := f.Add(SessionLabels{Session: "s1", Tool: "inline", Victim: "v", Backend: backendName}, col, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, sess
 }
 
+// s1 renders session s1's label set for the given backend.
+func s1(backendName string) string {
+	return `session="s1",tool="inline",victim="v",backend="` + backendName + `"`
+}
+
+// Every family a scraper of one run reads — per-probe counters, the
+// untracked bucket, build statistics, translation, trace and governor
+// families — is conformant exposition under the session's labels.
 func TestMetricsExpositionConformance(t *testing.T) {
 	col := obs.New(obs.Options{TraceCap: 2})
 	a := col.RegisterProbe(obs.ProbeMeta{Label: "before inst @7:3", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall})
@@ -98,26 +112,45 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	col.Fire(b, 10, 0x104)
 	col.Fire(e, 4, 0x200)
 	col.Fire(obs.NoProbe, 7, 0x300)
+	f, sess := single(t, col, "pin")
+	g, err := governor.New(governor.Config{Budget: 0.05, Collector: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.SetGovernor(g)
 
-	text, series := scrape(t, col.Snapshot("pin"), col)
+	text, series := fleetScrape(t, f)
 
 	// Same-label placements aggregate into one series.
-	key := `cinnamon_probe_fires_total{backend="pin",probe="before inst @7:3",trigger="before",mechanism="clean-call"}`
+	key := `cinnamon_probe_fires_total{` + s1("pin") + `,probe="before inst @7:3",trigger="before",mechanism="clean-call"}`
 	if series[key] != 2 {
 		t.Fatalf("aggregated fires = %v, want 2\n%s", series[key], text)
 	}
-	if series[`cinnamon_probe_cycles_total{backend="pin",probe="edge check",trigger="edge",mechanism="inlined-call"}`] != 4 {
+	if series[`cinnamon_probe_cycles_total{`+s1("pin")+`,probe="edge check",trigger="edge",mechanism="inlined-call"}`] != 4 {
 		t.Fatalf("edge cycles missing\n%s", text)
 	}
-	if series[`cinnamon_untracked_fires_total{backend="pin"}`] != 1 ||
-		series[`cinnamon_untracked_cycles_total{backend="pin"}`] != 7 {
+	if series[`cinnamon_untracked_fires_total{`+s1("pin")+`}`] != 1 ||
+		series[`cinnamon_untracked_cycles_total{`+s1("pin")+`}`] != 7 {
 		t.Fatalf("untracked bucket not exported\n%s", text)
 	}
-	if series[`cinnamon_build_clean_calls{backend="pin"}`] != 2 {
+	if series[`cinnamon_build_clean_calls{`+s1("pin")+`}`] != 2 {
 		t.Fatalf("build stats not exported\n%s", text)
 	}
-	if _, ok := series[`cinnamon_trace_subscribers{backend="pin"}`]; !ok {
-		t.Fatalf("subscriber gauge missing\n%s", text)
+	if series[`cinnamon_governor_budget{`+s1("pin")+`}`] != 0.05 {
+		t.Fatalf("governor budget not exported\n%s", text)
+	}
+	for _, name := range []string{
+		"cinnamon_untracked_skips_total",
+		"cinnamon_build_actions_placed", "cinnamon_build_static_filtered", "cinnamon_build_rules_emitted",
+		"cinnamon_build_inlined_calls", "cinnamon_build_snippets",
+		"cinnamon_translated_blocks_total", "cinnamon_translation_cycles_total",
+		"cinnamon_trace_dropped_total", "cinnamon_trace_subscribers", "cinnamon_trace_subscriber_dropped_total",
+		"cinnamon_governor_paces_total", "cinnamon_governor_overhead", "cinnamon_governor_cum_overhead",
+		"cinnamon_governor_decisions_total", "cinnamon_governor_ejected_probes",
+	} {
+		if _, ok := series[name+"{"+s1("pin")+"}"]; !ok {
+			t.Errorf("family %s missing for session s1\n%s", name, text)
+		}
 	}
 }
 
@@ -129,10 +162,11 @@ func TestMetricsLabelEscaping(t *testing.T) {
 		Mechanism: obs.MechSnippet,
 	})
 	col.Fire(id, 1, 0)
+	f, _ := single(t, col, "dyninst")
 
-	text, series := scrape(t, col.Snapshot("dyninst"), col)
+	text, series := fleetScrape(t, f)
 
-	want := `cinnamon_probe_fires_total{backend="dyninst",probe="odd\"label\\with\nnewline",trigger="before",mechanism="snippet"}`
+	want := `cinnamon_probe_fires_total{` + s1("dyninst") + `,probe="odd\"label\\with\nnewline",trigger="before",mechanism="snippet"}`
 	if series[want] != 1 {
 		t.Fatalf("escaped series not found; exposition:\n%s", text)
 	}
@@ -144,15 +178,16 @@ func TestMetricsLabelEscaping(t *testing.T) {
 func TestMetricsMonotoneAcrossScrapes(t *testing.T) {
 	col := obs.New(obs.Options{TraceCap: 2})
 	id := col.RegisterProbe(obs.ProbeMeta{Label: "hot", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall})
+	f, _ := single(t, col, "vm")
 
 	col.Fire(id, 3, 0x10)
-	_, first := scrape(t, col.Snapshot("vm"), col)
+	_, first := fleetScrape(t, f)
 
 	for i := 0; i < 100; i++ {
 		col.Fire(id, 3, 0x10)
 	}
 	col.NoteTranslation(50)
-	_, second := scrape(t, col.Snapshot("vm"), col)
+	_, second := fleetScrape(t, f)
 
 	for key, v1 := range first {
 		if !strings.Contains(key, "_total") {
@@ -162,11 +197,11 @@ func TestMetricsMonotoneAcrossScrapes(t *testing.T) {
 			t.Errorf("counter %s went %v -> %v (missing or decreased)", key, v1, v2)
 		}
 	}
-	key := `cinnamon_probe_fires_total{backend="vm",probe="hot",trigger="before",mechanism="clean-call"}`
+	key := `cinnamon_probe_fires_total{` + s1("vm") + `,probe="hot",trigger="before",mechanism="clean-call"}`
 	if first[key] != 1 || second[key] != 101 {
 		t.Fatalf("fires %v -> %v, want 1 -> 101", first[key], second[key])
 	}
-	if second[`cinnamon_translated_blocks_total{backend="vm"}`] != 1 {
+	if second[`cinnamon_translated_blocks_total{`+s1("vm")+`}`] != 1 {
 		t.Fatalf("translation counter not exported")
 	}
 }

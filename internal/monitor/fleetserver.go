@@ -10,8 +10,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/governor"
 	"repro/internal/obs"
 )
+
+// maxBodyBytes bounds every request body the server reads.
+const maxBodyBytes = 1 << 20
 
 // FleetConfig parameterizes a FleetServer.
 type FleetConfig struct {
@@ -38,17 +42,8 @@ type FleetConfig struct {
 	Artifacts func() ArtifactStats
 }
 
-// FleetServer serves the aggregated fleet view over HTTP:
-//
-//	GET  /metrics        per-session-labelled exposition + fleet rollups
-//	GET  /series         every session's interval series + merged last rates
-//	GET  /sessions       lifecycle of every session (?session=ID for one)
-//	POST /sessions       submit a job to the scheduler
-//	GET  /trace          multiplexed SSE of all sessions' firing events,
-//	                     each tagged with its session label
-//	GET  /healthz        liveness (alias of /healthz/live)
-//	GET  /healthz/live   liveness
-//	GET  /healthz/ready  readiness: 503 while draining
+// FleetServer serves a Fleet over HTTP: the endpoints listed in the
+// package documentation.
 type FleetServer struct {
 	cfg  FleetConfig
 	srv  *http.Server
@@ -73,6 +68,8 @@ func (s *FleetServer) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/series", s.handleSeries)
 	mux.HandleFunc("/sessions", s.handleSessions)
+	mux.HandleFunc("GET /sessions/{id}/stats", s.handleSessionStats)
+	mux.HandleFunc("/sessions/{id}/governor", s.handleSessionGovernor)
 	mux.HandleFunc("/trace", s.handleTrace)
 	mux.HandleFunc("/healthz", s.handleLive)
 	mux.HandleFunc("/healthz/live", s.handleLive)
@@ -103,7 +100,7 @@ func (s *FleetServer) Shutdown(ctx context.Context) error {
 
 func (s *FleetServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	writeFleetMetrics(w, s.cfg.Fleet)
+	WriteFleetMetrics(w, s.cfg.Fleet)
 	if s.cfg.Artifacts != nil {
 		writeArtifactMetrics(w, s.cfg.Artifacts())
 	}
@@ -145,10 +142,16 @@ func (s *FleetServer) handleSeries(w http.ResponseWriter, r *http.Request) {
 			dump.Last.CyclesPerSec += p.Total.CyclesPerSec
 		}
 	}
+	writeJSON(w, http.StatusOK, dump)
+}
+
+// writeJSON answers with an indented JSON document.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(dump)
+	_ = enc.Encode(v)
 }
 
 // handleSessions serves the lifecycle view (GET; ?session=ID narrows to
@@ -156,23 +159,17 @@ func (s *FleetServer) handleSeries(w http.ResponseWriter, r *http.Request) {
 func (s *FleetServer) handleSessions(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
 		if id := r.URL.Query().Get("session"); id != "" {
-			sess, ok := s.cfg.Fleet.Get(id)
-			if !ok {
-				http.Error(w, fmt.Sprintf("no session %q", id), http.StatusNotFound)
-				return
+			if sess, ok := s.session(w, id); ok {
+				writeJSON(w, http.StatusOK, sess.Info())
 			}
-			_ = enc.Encode(sess.Info())
 			return
 		}
 		infos := []SessionInfo{}
 		for _, sess := range s.cfg.Fleet.Sessions() {
 			infos = append(infos, sess.Info())
 		}
-		_ = enc.Encode(infos)
+		writeJSON(w, http.StatusOK, infos)
 	case http.MethodPost:
 		if s.cfg.Submit == nil {
 			http.Error(w, "session submission disabled", http.StatusMethodNotAllowed)
@@ -182,7 +179,7 @@ func (s *FleetServer) handleSessions(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "draining: not accepting sessions", http.StatusServiceUnavailable)
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad body: %v", err), http.StatusBadRequest)
 			return
@@ -192,11 +189,77 @@ func (s *FleetServer) handleSessions(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(resp)
+		writeJSON(w, http.StatusAccepted, resp)
+	default:
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	}
+}
+
+// session looks a session up by ID, answering 404 when no such session
+// is registered.
+func (s *FleetServer) session(w http.ResponseWriter, id string) (*FleetSession, bool) {
+	sess, ok := s.cfg.Fleet.Get(id)
+	if !ok {
+		http.Error(w, fmt.Sprintf("no session %q", id), http.StatusNotFound)
+	}
+	return sess, ok
+}
+
+// handleSessionStats serves one session's full obs.Stats snapshot, with
+// its governor's state embedded when it has one.
+func (s *FleetServer) handleSessionStats(w http.ResponseWriter, r *http.Request) {
+	sess, ok := s.session(w, r.PathValue("id"))
+	if !ok {
+		return
+	}
+	snap := sess.Collector().Snapshot(sess.Labels().Backend)
+	if g := sess.Governor(); g != nil {
+		snap.Governor = g.State()
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = snap.WriteJSON(w)
+}
+
+// handleSessionGovernor serves one session's overhead governor. GET
+// returns its state (budget, window overheads, per-probe strides and
+// the replayable decision log). POST mailboxes a control command; the
+// governor applies it at its next pace point, on the run goroutine,
+// where adaptive-probe control is legal. Only a running session takes
+// commands: a settled governor never paces again, so its mailbox would
+// only grow.
+func (s *FleetServer) handleSessionGovernor(w http.ResponseWriter, r *http.Request) {
+	sess, ok := s.session(w, r.PathValue("id"))
+	if !ok {
+		return
+	}
+	g := sess.Governor()
+	if g == nil {
+		http.Error(w, fmt.Sprintf("session %s has no governor (run it with a budget)", sess.Labels().Session), http.StatusNotFound)
+		return
+	}
+	switch r.Method {
+	case http.MethodGet:
+		writeJSON(w, http.StatusOK, g.State())
+	case http.MethodPost:
+		var cmd governor.Command
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&cmd); err != nil {
+			http.Error(w, fmt.Sprintf("bad command: %v", err), http.StatusBadRequest)
+			return
+		}
+		switch cmd.Action {
+		case "rearm", "eject", "stride":
+		default:
+			http.Error(w, fmt.Sprintf("bad action %q (want rearm, eject or stride)", cmd.Action), http.StatusBadRequest)
+			return
+		}
+		if st := sess.State(); st != SessionRunning {
+			http.Error(w, fmt.Sprintf("session %s is %s, not running", sess.Labels().Session, st), http.StatusConflict)
+			return
+		}
+		g.Enqueue(cmd)
+		writeJSON(w, http.StatusOK, map[string]string{"status": "queued"})
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}

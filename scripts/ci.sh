@@ -25,15 +25,17 @@
 #   governor   one reduced-scale run of the overhead-budget experiment
 #              (experiments -exp=governor): the governor must bring
 #              three action-heavy tools under 5% and 1% budgets
-#   monitor    live-monitoring smoke (scripts/monitorsmoke): a looping
-#              victim with -listen, scraped over real HTTP (/healthz,
-#              /metrics, one SSE event), then killed cleanly
-#   fleet      fleet-daemon smoke (scripts/fleetsmoke): cinnamond booted
-#              on an ephemeral port, 8 sessions submitted over the real
-#              POST /sessions API, /metrics scraped and the
-#              cinnamon_fleet_* rollups asserted exactly equal to the
-#              per-session sums, then SIGTERM and a clean drain; plus
-#              the fleet perf gates (internal/bench/fleet_test.go): 32
+#   fleet      monitoring smoke (scripts/fleetsmoke) over the real
+#              binaries: a looping `cinnamon -listen` run, served as
+#              session s1 of a fleet of one, scraped over real HTTP
+#              (/healthz, a session-labelled /metrics series, one SSE
+#              fire event, /sessions/s1/stats, /sessions/s1/governor),
+#              then killed cleanly; and cinnamond booted on an ephemeral
+#              port, 8 sessions submitted over the real POST /sessions
+#              API, /metrics scraped and the cinnamon_fleet_* rollups
+#              asserted exactly equal to the per-session sums, then
+#              SIGTERM and a clean drain; plus the fleet perf gates
+#              (internal/bench/fleet_test.go): 32
 #              live sessions must sustain millions of probe fires/sec
 #              with the /metrics p99 under budget, and a session
 #              joining a warm fleet (primed artifact cache) must start
@@ -94,10 +96,7 @@ CINNAMON_PERF_GATE=1 go test -run TestIROptDispatchSpeedup -count=1 ./internal/c
 echo "==> governor bench smoke (budget sweep)"
 go run ./cmd/experiments -exp=governor -benchmark=mcf -scale=0.2 >/dev/null
 
-echo "==> live-monitoring smoke"
-go run ./scripts/monitorsmoke
-
-echo "==> fleet-daemon smoke"
+echo "==> monitoring smoke (cinnamon -listen, cinnamond)"
 go run ./scripts/fleetsmoke
 
 echo "==> fleet snapshot-latency perf gate"

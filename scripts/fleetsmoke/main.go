@@ -1,14 +1,20 @@
-// Command fleetsmoke is the CI smoke test for the fleet daemon: it
-// builds cinnamond, boots it on an ephemeral port, submits 8 sessions
-// over the real POST /sessions API, waits for them to settle, scrapes
-// /metrics and asserts the fleet rollups are exactly the sum of the
-// per-session series, checks the lifecycle and readiness endpoints,
-// asserts the shared artifact cache surfaced hits/misses in /metrics
-// and cold/warm build sources in /sessions, and finally SIGTERMs the
-// daemon and verifies it drains and exits cleanly.
-// Like monitorsmoke, it exercises the operator path — real binary, real
-// flags, real HTTP — so a wiring regression in cmd/cinnamond fails CI
-// even if every package test passes.
+// Command fleetsmoke is the CI smoke test for the monitoring server,
+// run over the real binaries, real flags and real HTTP, so a wiring
+// regression in cmd/cinnamon or cmd/cinnamond fails CI even if every
+// package test passes. It has two phases:
+//
+//   - cinnamon -listen: a single looping run, served as session s1 of a
+//     fleet of one. It checks /healthz, a session-labelled
+//     cinnamon_probe_fires_total series, one SSE fire event,
+//     /sessions/s1/stats and, since the run has a -budget,
+//     /sessions/s1/governor; then it kills the run and verifies it
+//     exits.
+//   - cinnamond: the daemon on an ephemeral port takes 8 sessions over
+//     the real POST /sessions API; once they settle, /metrics must show
+//     fleet rollups exactly equal to the sum of the per-session series,
+//     the shared artifact cache's hits and misses, and /sessions the
+//     cold/warm build sources; finally SIGTERM must drain the daemon
+//     to a clean exit.
 //
 // Run from the repository root (scripts/ci.sh does):
 //
@@ -47,28 +53,107 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	bin := filepath.Join(tmp, "cinnamond")
-
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/cinnamond").CombinedOutput(); err != nil {
-		return fmt.Errorf("build cinnamond: %v\n%s", err, out)
+	for _, name := range []string{"cinnamon", "cinnamond"} {
+		if out, err := exec.Command("go", "build", "-o", filepath.Join(tmp, name), "./cmd/"+name).CombinedOutput(); err != nil {
+			return fmt.Errorf("build %s: %v\n%s", name, err, out)
+		}
 	}
+	if err := listenPhase(filepath.Join(tmp, "cinnamon")); err != nil {
+		return fmt.Errorf("cinnamon -listen: %w", err)
+	}
+	if err := daemonPhase(filepath.Join(tmp, "cinnamond")); err != nil {
+		return fmt.Errorf("cinnamond: %w", err)
+	}
+	return nil
+}
 
-	cmd := exec.Command(bin, "-listen=127.0.0.1:0", "-workers=4", "-interval=100ms", "-drain-timeout=10s")
-	cmd.Stdout = io.Discard
-	stderr, err := cmd.StderrPipe()
+// listenPhase drives one `cinnamon -listen` run. The victim loops far
+// longer than the checks take, and the budget is loose enough that the
+// governor is attached without ever silencing the probes.
+func listenPhase(bin string) error {
+	cmd, base, err := launch(bin, "-backend=pin", "-target=victim:uaf_bug",
+		"-listen=127.0.0.1:0", "-interval=100ms", "-loop=2000000", "-budget=50%", "@useafterfree")
 	if err != nil {
-		return err
-	}
-	if err := cmd.Start(); err != nil {
 		return err
 	}
 	defer cmd.Process.Kill()
 
-	addr, err := scanAddr(stderr)
+	if err := expectStatus(base+"/healthz", http.StatusOK); err != nil {
+		return err
+	}
+	// The server comes up before the run places its probes, so the
+	// first scrapes may predate them; poll until the run is firing.
+	const fires = `cinnamon_probe_fires_total{session="s1",tool="inline",victim="uaf_bug",backend="pin",`
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		metrics, err := get(base + "/metrics")
+		if err != nil {
+			return err
+		}
+		if strings.Contains(metrics, fires) {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("/metrics never showed a session-labelled probe-fire series:\n%s", metrics)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if err := readFireEvent(base + "/trace"); err != nil {
+		return err
+	}
+
+	type governor struct {
+		Budget float64 `json:"budget"`
+		Paces  uint64  `json:"paces"`
+	}
+	var stats struct {
+		Backend    string    `json:"backend"`
+		TotalFires uint64    `json:"total_fires"`
+		Governor   *governor `json:"governor"`
+	}
+	if err := getJSON(base+"/sessions/s1/stats", &stats); err != nil {
+		return err
+	}
+	if stats.Backend != "pin" || stats.TotalFires == 0 || stats.Governor == nil {
+		return fmt.Errorf("/sessions/s1/stats = %+v, want pin, fires and the governor's state", stats)
+	}
+	var gov governor
+	if err := getJSON(base+"/sessions/s1/governor", &gov); err != nil {
+		return err
+	}
+	if gov.Budget != 0.5 || gov.Paces == 0 {
+		return fmt.Errorf("/sessions/s1/governor = %+v, want budget 0.5 and paces", gov)
+	}
+	resp, err := http.Post(base+"/sessions/s1/governor", "application/json", strings.NewReader(`{"probe":1,"action":"rearm"}`))
 	if err != nil {
 		return err
 	}
-	base := "http://" + addr
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("POST /sessions/s1/governor: status %d, want 200", resp.StatusCode)
+	}
+
+	// The run must die on the kill, not hang on the server.
+	if err := cmd.Process.Kill(); err != nil {
+		return err
+	}
+	done := make(chan struct{})
+	go func() { cmd.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		return fmt.Errorf("run did not exit within 10s of kill")
+	}
+	return nil
+}
+
+// daemonPhase drives cinnamond through a churn of sessions and a drain.
+func daemonPhase(bin string) error {
+	cmd, base, err := launch(bin, "-listen=127.0.0.1:0", "-workers=4", "-interval=100ms", "-drain-timeout=10s")
+	if err != nil {
+		return err
+	}
+	defer cmd.Process.Kill()
 
 	if err := expectStatus(base+"/healthz/live", http.StatusOK); err != nil {
 		return err
@@ -242,15 +327,21 @@ type sessionInfo struct {
 }
 
 func getSessions(base string) ([]sessionInfo, error) {
-	body, err := get(base + "/sessions")
-	if err != nil {
-		return nil, err
-	}
 	var infos []sessionInfo
-	if err := json.Unmarshal([]byte(body), &infos); err != nil {
-		return nil, fmt.Errorf("GET /sessions: %v (%s)", err, body)
+	err := getJSON(base+"/sessions", &infos)
+	return infos, err
+}
+
+// getJSON decodes the JSON document served at url into v.
+func getJSON(url string, v any) error {
+	body, err := get(url)
+	if err != nil {
+		return err
 	}
-	return infos, nil
+	if err := json.Unmarshal([]byte(body), v); err != nil {
+		return fmt.Errorf("GET %s: %v (%s)", url, err, body)
+	}
+	return nil
 }
 
 // parseSamples extracts series -> value from text exposition (the same
@@ -273,10 +364,31 @@ func parseSamples(text string) map[string]float64 {
 	return out
 }
 
-// scanAddr reads the daemon's stderr until it announces its bound
-// address.
+// launch starts a binary and returns it with the base URL its server
+// announces on stderr. The caller kills it.
+func launch(bin string, args ...string) (*exec.Cmd, string, error) {
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout = io.Discard
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		return nil, "", err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, "", err
+	}
+	addr, err := scanAddr(stderr)
+	if err != nil {
+		cmd.Process.Kill()
+		return nil, "", err
+	}
+	return cmd, "http://" + addr, nil
+}
+
+// scanAddr reads a binary's stderr until it announces its bound
+// address ("cinnamon: monitor listening on http://..." or
+// "cinnamond: fleet monitor listening on http://...").
 func scanAddr(stderr io.Reader) (string, error) {
-	const marker = "fleet monitor listening on http://"
+	const marker = "monitor listening on http://"
 	type res struct {
 		addr string
 		err  error
@@ -288,19 +400,19 @@ func scanAddr(stderr io.Reader) (string, error) {
 			line := sc.Text()
 			if i := strings.Index(line, marker); i >= 0 {
 				ch <- res{addr: strings.TrimSpace(line[i+len(marker):])}
-				// Keep draining so the daemon never blocks on stderr.
+				// Keep draining so the binary never blocks on stderr.
 				for sc.Scan() {
 				}
 				return
 			}
 		}
-		ch <- res{err: fmt.Errorf("fleet address never announced (stderr closed)")}
+		ch <- res{err: fmt.Errorf("monitor address never announced (stderr closed)")}
 	}()
 	select {
 	case r := <-ch:
 		return r.addr, r.err
 	case <-time.After(30 * time.Second):
-		return "", fmt.Errorf("timed out waiting for the fleet address")
+		return "", fmt.Errorf("timed out waiting for the monitor address")
 	}
 }
 
@@ -332,4 +444,31 @@ func expectStatus(url string, want int) error {
 		return fmt.Errorf("GET %s: status %d, want %d", url, resp.StatusCode, want)
 	}
 	return nil
+}
+
+// readFireEvent connects to the SSE stream and waits for one fire event
+// (heartbeats are skipped), which must be tagged with session s1.
+func readFireEvent(url string) error {
+	client := &http.Client{Timeout: 15 * time.Second}
+	resp, err := client.Get(url)
+	if err != nil {
+		return fmt.Errorf("GET %s: %w", url, err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		return fmt.Errorf("%s: Content-Type %q, want text/event-stream", url, ct)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	for fire := false; sc.Scan(); {
+		switch line := sc.Text(); {
+		case strings.HasPrefix(line, "event: "):
+			fire = line == "event: fire"
+		case fire && strings.HasPrefix(line, "data: "):
+			if !strings.Contains(line, `"session":"s1"`) {
+				return fmt.Errorf("fire event not tagged with session s1: %s", line)
+			}
+			return nil
+		}
+	}
+	return fmt.Errorf("%s: no SSE fire event within 15s (%v)", url, sc.Err())
 }
