@@ -19,7 +19,7 @@ import (
 func init() { register("dyninst", "useafterfree", dyninstUseAfterFree) }
 
 func dyninstUseAfterFree(prog *cfg.Program, out io.Writer, fuel uint64) (*vm.Result, error) {
-	be, err := dyninst.OpenBinary(prog, dyninst.Config{Fuel: fuel})
+	be, err := dyninst.OpenBinary(prog, vm.Config{Fuel: fuel})
 	if err != nil {
 		return nil, err
 	}

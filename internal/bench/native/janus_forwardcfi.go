@@ -48,5 +48,5 @@ func janusForwardCFI(prog *cfg.Program, out io.Writer, fuel uint64) (*vm.Result,
 			},
 		},
 	}
-	return janus.Run(prog, tool, janus.Config{Fuel: fuel})
+	return janus.Run(prog, tool, vm.Config{Fuel: fuel})
 }

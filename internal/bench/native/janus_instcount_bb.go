@@ -57,5 +57,5 @@ func janusInstCountBB(prog *cfg.Program, out io.Writer, fuel uint64) (*vm.Result
 			},
 		},
 	}
-	return janus.Run(prog, tool, janus.Config{Fuel: fuel})
+	return janus.Run(prog, tool, vm.Config{Fuel: fuel})
 }

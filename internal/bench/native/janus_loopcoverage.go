@@ -92,5 +92,5 @@ func janusLoopCoverage(prog *cfg.Program, out io.Writer, fuel uint64) (*vm.Resul
 			},
 		},
 	}
-	return janus.Run(prog, tool, janus.Config{Fuel: fuel})
+	return janus.Run(prog, tool, vm.Config{Fuel: fuel})
 }

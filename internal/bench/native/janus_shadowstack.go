@@ -63,5 +63,5 @@ func janusShadowStack(prog *cfg.Program, out io.Writer, fuel uint64) (*vm.Result
 			},
 		},
 	}
-	return janus.Run(prog, tool, janus.Config{Fuel: fuel})
+	return janus.Run(prog, tool, vm.Config{Fuel: fuel})
 }

@@ -90,5 +90,5 @@ func janusUseAfterFree(prog *cfg.Program, out io.Writer, fuel uint64) (*vm.Resul
 			},
 		},
 	}
-	return janus.Run(prog, tool, janus.Config{Fuel: fuel})
+	return janus.Run(prog, tool, vm.Config{Fuel: fuel})
 }

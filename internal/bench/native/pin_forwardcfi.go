@@ -19,7 +19,7 @@ import (
 func init() { register("pin", "forwardcfi", pinForwardCFI) }
 
 func pinForwardCFI(prog *cfg.Program, out io.Writer, fuel uint64) (*vm.Result, error) {
-	p := pin.New(prog, pin.Config{Fuel: fuel})
+	p := pin.New(prog, vm.Config{Fuel: fuel})
 	valid := make(map[uint64]bool)
 	p.RTNAddInstrumentFunction(func(r pin.RTN) {
 		valid[r.Address()] = true

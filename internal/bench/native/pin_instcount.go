@@ -15,7 +15,7 @@ import (
 func init() { register("pin", "instcount", pinInstCount) }
 
 func pinInstCount(prog *cfg.Program, out io.Writer, fuel uint64) (*vm.Result, error) {
-	p := pin.New(prog, pin.Config{Fuel: fuel})
+	p := pin.New(prog, vm.Config{Fuel: fuel})
 	var instCount uint64
 	countLoad := pin.Routine{
 		Fn:        func([]uint64) { instCount++ },

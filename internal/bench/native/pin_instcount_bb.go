@@ -16,7 +16,7 @@ import (
 func init() { register("pin", "instcount_bb", pinInstCountBB) }
 
 func pinInstCountBB(prog *cfg.Program, out io.Writer, fuel uint64) (*vm.Result, error) {
-	p := pin.New(prog, pin.Config{Fuel: fuel})
+	p := pin.New(prog, vm.Config{Fuel: fuel})
 	var instCount uint64
 	p.TraceAddInstrumentFunction(func(tr pin.TRACE) {
 		for _, bbl := range tr.BBLs() {

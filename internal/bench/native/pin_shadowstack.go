@@ -15,7 +15,7 @@ import (
 func init() { register("pin", "shadowstack", pinShadowStack) }
 
 func pinShadowStack(prog *cfg.Program, out io.Writer, fuel uint64) (*vm.Result, error) {
-	p := pin.New(prog, pin.Config{Fuel: fuel})
+	p := pin.New(prog, vm.Config{Fuel: fuel})
 	var shadow []uint64
 
 	push := pin.Routine{

@@ -17,7 +17,7 @@ import (
 func init() { register("pin", "useafterfree", pinUseAfterFree) }
 
 func pinUseAfterFree(prog *cfg.Program, out io.Writer, fuel uint64) (*vm.Result, error) {
-	p := pin.New(prog, pin.Config{Fuel: fuel})
+	p := pin.New(prog, vm.Config{Fuel: fuel})
 	freed := make(map[uint64]bool)
 	baseTable := make(map[uint64]uint64)
 	var size uint64

@@ -69,10 +69,10 @@ type progGen struct {
 // always rendered to source and reparsed before compilation, so real
 // positions (and with them unique action labels) come from the parser.
 
-func vid(name string) ast.Expr  { return &ast.Ident{Name: name} }
-func num(v int64) ast.Expr      { return &ast.IntLit{Val: v} }
-func str(s string) ast.Expr     { return &ast.StringLit{Val: s} }
-func opcode(n string) ast.Expr  { return &ast.OpcodeLit{Name: n} }
+func vid(name string) ast.Expr { return &ast.Ident{Name: name} }
+func num(v int64) ast.Expr     { return &ast.IntLit{Val: v} }
+func str(s string) ast.Expr    { return &ast.StringLit{Val: s} }
+func opcode(n string) ast.Expr { return &ast.OpcodeLit{Name: n} }
 func cfeAttr(v, a string) ast.Expr {
 	return &ast.FieldExpr{X: vid(v), Name: a}
 }

@@ -122,6 +122,16 @@ type Options struct {
 	Artifacts *artifacts.Cache
 }
 
+// vmConfig maps the run options onto the configuration of the machine the
+// framework runs on.
+func (opts Options) vmConfig() vm.Config {
+	return vm.Config{
+		Fuel: opts.Fuel, AppOut: opts.AppOut, Obs: opts.Obs,
+		ExecMode: opts.VMMode, NoInline: opts.VMNoInline, Adaptive: opts.Adaptive,
+		OnMachine: opts.OnMachine, Stop: opts.Stop,
+	}
+}
+
 // engineOptions maps the run options onto the instrumentation stage.
 func engineOptions(opts Options) engine.Options {
 	return engine.Options{
@@ -205,20 +215,15 @@ func Run(tool *engine.CompiledTool, prog *cfg.Program, backendName string, opts 
 // onto the backend fails here. The fleet benchmark times it to compare
 // cold and warm session startup.
 func Prepare(tool *engine.CompiledTool, prog *cfg.Program, backendName string, opts Options) error {
+	// Nothing runs here, so no controller attaches: Pin builds its
+	// machine in New, and that machine must not reach the hook.
+	opts.OnMachine = nil
 	switch backendName {
 	case Pin:
-		p := pin.New(prog, pin.Config{Fuel: opts.Fuel, AppOut: opts.AppOut, Obs: opts.Obs, ExecMode: opts.VMMode, NoInline: opts.VMNoInline, Adaptive: opts.Adaptive, Stop: opts.Stop})
-		pl := &pinPlacer{
-			p: p, prog: prog,
-			loopDetection: opts.PinLoopDetection,
-			before:        make(map[uint64][]pinPlacement),
-			after:         make(map[uint64][]pinPlacement),
-			blocks:        make(map[uint64][]pinPlacement),
-		}
-		_, err := instrument(tool, prog, pl, opts)
+		_, err := instrument(tool, prog, newPinPlacer(prog, opts), opts)
 		return err
 	case Dyninst:
-		be, err := dyninst.OpenBinary(prog, dyninst.Config{Fuel: opts.Fuel, AppOut: opts.AppOut, Obs: opts.Obs, ExecMode: opts.VMMode, NoInline: opts.VMNoInline, Adaptive: opts.Adaptive, Stop: opts.Stop})
+		be, err := dyninst.OpenBinary(prog, opts.vmConfig())
 		if err != nil {
 			return err
 		}
@@ -265,6 +270,18 @@ type pinEdge struct {
 type pinPlacement struct {
 	routine pin.Routine
 	args    []pin.Arg
+}
+
+// newPinPlacer opens a Pin session on the program and wraps it in an
+// empty placer.
+func newPinPlacer(prog *cfg.Program, opts Options) *pinPlacer {
+	return &pinPlacer{
+		p: pin.New(prog, opts.vmConfig()), prog: prog,
+		loopDetection: opts.PinLoopDetection,
+		before:        make(map[uint64][]pinPlacement),
+		after:         make(map[uint64][]pinPlacement),
+		blocks:        make(map[uint64][]pinPlacement),
+	}
 }
 
 func (pl *pinPlacer) Name() string           { return Pin }
@@ -376,14 +393,8 @@ func (pl *pinPlacer) Lower(rs *placement.RuleSet) error {
 }
 
 func runPin(tool *engine.CompiledTool, prog *cfg.Program, opts Options) (*vm.Result, error) {
-	p := pin.New(prog, pin.Config{Fuel: opts.Fuel, AppOut: opts.AppOut, Obs: opts.Obs, ExecMode: opts.VMMode, NoInline: opts.VMNoInline, Adaptive: opts.Adaptive, OnMachine: opts.OnMachine, Stop: opts.Stop})
-	pl := &pinPlacer{
-		p: p, prog: prog,
-		loopDetection: opts.PinLoopDetection,
-		before:        make(map[uint64][]pinPlacement),
-		after:         make(map[uint64][]pinPlacement),
-		blocks:        make(map[uint64][]pinPlacement),
-	}
+	pl := newPinPlacer(prog, opts)
+	p := pl.p
 	inst, err := instrument(tool, prog, pl, opts)
 	if err != nil {
 		return nil, err
@@ -415,53 +426,40 @@ func runPin(tool *engine.CompiledTool, prog *cfg.Program, opts Options) (*vm.Res
 	// The loop-detection extension realizes loop trigger points through
 	// edge instrumentation on the machine underneath Pin.
 	for _, e := range pl.edges {
-		e := e
 		r := e.p.routine
 		words := make([]uint64, len(e.p.args))
-		var spec *vm.ProbeSpec
+		pr := vm.Probe{Fn: func(*vm.Ctx) { r.Fn(words) }}
 		if r.CounterFlush != nil {
-			spec = &vm.ProbeSpec{Counter: true, Delta: r.CounterDelta, Flush: r.CounterFlush}
+			pr.Spec = &vm.ProbeSpec{Counter: true, Delta: r.CounterDelta, Flush: r.CounterFlush}
 		} else if r.FastFn != nil {
 			fast := r.FastFn
-			spec = &vm.ProbeSpec{Fn: func(c *vm.Ctx) { fast(words) }}
+			pr.Spec = &vm.ProbeSpec{Fn: func(*vm.Ctx) { fast(words) }}
 		}
-		if len(r.Merged) > 0 {
-			shares := make([]vm.Share, len(r.Merged))
-			for i, part := range r.Merged {
-				pc := pin.CleanCallCost + part.Cost
-				id := obs.NoProbe
-				if opts.Obs != nil {
-					opts.Obs.MutateBuild(func(b *obs.BuildStats) { b.CleanCalls++ })
-					id = opts.Obs.RegisterProbe(obs.ProbeMeta{
-						Label:        part.Label,
-						Trigger:      obs.TriggerEdge,
-						Mechanism:    obs.MechCleanCall,
-						Addr:         e.to,
-						DispatchCost: pc,
-					})
-				}
-				shares[i] = vm.Share{ID: id, Cost: pc}
+		register := func(label string, cost uint64) obs.ProbeID {
+			if opts.Obs == nil {
+				return obs.NoProbe
 			}
-			record(p.VM().AddEdgeCoalesced(e.from, e.to, shares, func(c *vm.Ctx) {
-				r.Fn(words)
-			}, spec))
-			continue
-		}
-		cost := pin.CleanCallCost + r.Cost + uint64(len(e.p.args))*pin.ArgCost
-		id := obs.NoProbe
-		if opts.Obs != nil {
 			opts.Obs.MutateBuild(func(b *obs.BuildStats) { b.CleanCalls++ })
-			id = opts.Obs.RegisterProbe(obs.ProbeMeta{
-				Label:        r.Label,
+			return opts.Obs.RegisterProbe(obs.ProbeMeta{
+				Label:        label,
 				Trigger:      obs.TriggerEdge,
 				Mechanism:    obs.MechCleanCall,
 				Addr:         e.to,
 				DispatchCost: cost,
 			})
 		}
-		record(p.VM().AddEdgeSampled(e.from, e.to, cost, id, func(c *vm.Ctx) {
-			r.Fn(words)
-		}, spec, r.Sample))
+		if len(r.Merged) > 0 {
+			pr.Shares = make([]vm.Share, len(r.Merged))
+			for i, part := range r.Merged {
+				pc := pin.CleanCallCost + part.Cost
+				pr.Shares[i] = vm.Share{ID: register(part.Label, pc), Cost: pc}
+			}
+		} else {
+			pr.Cost = pin.CleanCallCost + r.Cost + uint64(len(e.p.args))*pin.ArgCost
+			pr.ID = register(r.Label, pr.Cost)
+			pr.Stride = r.Sample
+		}
+		record(p.VM().Add(vm.Site{When: vm.AtEdge, Addr: e.to, From: e.from}, pr))
 	}
 	res, err := p.Run()
 	if err != nil {
@@ -582,7 +580,7 @@ func (pl *dyninstPlacer) Lower(rs *placement.RuleSet) error {
 }
 
 func runDyninst(tool *engine.CompiledTool, prog *cfg.Program, opts Options) (*vm.Result, error) {
-	be, err := dyninst.OpenBinary(prog, dyninst.Config{Fuel: opts.Fuel, AppOut: opts.AppOut, Obs: opts.Obs, ExecMode: opts.VMMode, NoInline: opts.VMNoInline, Adaptive: opts.Adaptive, OnMachine: opts.OnMachine, Stop: opts.Stop})
+	be, err := dyninst.OpenBinary(prog, opts.vmConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -642,8 +640,8 @@ func runJanus(tool *engine.CompiledTool, prog *cfg.Program, opts Options) (*vm.R
 	if err != nil {
 		return nil, err
 	}
-	jt := &janus.Tool{Name: "cinnamon", Rules: pl.rs}
-	res, err := janus.Run(prog, jt, janus.Config{Fuel: opts.Fuel, AppOut: opts.AppOut, Obs: opts.Obs, ExecMode: opts.VMMode, NoInline: opts.VMNoInline, Adaptive: opts.Adaptive, OnMachine: opts.OnMachine, Stop: opts.Stop, Glue: JanusGlue})
+	jt := &janus.Tool{Name: "cinnamon", Rules: pl.rs, Glue: JanusGlue}
+	res, err := janus.Run(prog, jt, opts.vmConfig())
 	if err != nil {
 		return nil, err
 	}

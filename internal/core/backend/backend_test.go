@@ -90,6 +90,30 @@ head:
 buf: .quad 1, 2
 `
 
+// Prepare builds the instrumentation without running it, so no adaptive
+// controller attaches: the OnMachine hook stays out even where the
+// framework builds its machine up front (Pin), while Run calls it once.
+func TestPrepareLeavesOnMachineOut(t *testing.T) {
+	tool := compile(t, "instcount_basic")
+	prog := loadVictim(t, "loopy")
+	for _, b := range Backends() {
+		calls := 0
+		opts := Options{Out: new(bytes.Buffer), OnMachine: func(*vm.VM) { calls++ }}
+		if err := Prepare(tool, prog, b, opts); err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		if calls != 0 {
+			t.Errorf("%s: Prepare called OnMachine %d times", b, calls)
+		}
+		if _, err := Run(tool, prog, b, opts); err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		if calls != 1 {
+			t.Errorf("%s: Prepare+Run called OnMachine %d times, want 1", b, calls)
+		}
+	}
+}
+
 func TestInstCountConsistencyAcrossBackends(t *testing.T) {
 	// Figure 12's headline property: the same Cinnamon program reports
 	// the same counts on every backend (absent shared libraries).
@@ -260,7 +284,7 @@ func TestBenchmarkCountsAgreeOnSuite(t *testing.T) {
 				for _, blk := range f.Blocks {
 					for _, in := range blk.Insts {
 						if in.Op == isa.Load {
-							if err := machine.AddBefore(in.Addr, 0, func(*vm.Ctx) { truth++ }); err != nil {
+							if err := machine.Add(vm.Site{When: vm.BeforeInst, Addr: in.Addr}, vm.Probe{Fn: func(*vm.Ctx) { truth++ }}); err != nil {
 								t.Fatal(err)
 							}
 						}

@@ -18,13 +18,13 @@ func FuzzSem(f *testing.F) {
 		f.Add(progs.MustSource(name))
 	}
 	for _, s := range []string{
-		"inst I { func F { } }",                    // upward nesting
-		"uint64 n = 0; init { n = I.addr; }",       // CFE attr outside command
-		"inst I { n = I.memaddr; }",                // dynamic attr in analysis code
-		"inst I { after I { x = I.rtnval; } }",     // rtnval is after-only
+		"inst I { func F { } }",                             // upward nesting
+		"uint64 n = 0; init { n = I.addr; }",                // CFE attr outside command
+		"inst I { n = I.memaddr; }",                         // dynamic attr in analysis code
+		"inst I { after I { x = I.rtnval; } }",              // rtnval is after-only
 		"loop L { iter L { } } basicblock B { iter B { } }", // iter off loops
-		"dict<int,int> d; exit { d = 1; }",         // container assignment
-		"int a[4]; exit { a[9] = 1; }",             // array indexing
+		"dict<int,int> d; exit { d = 1; }",                  // container assignment
+		"int a[4]; exit { a[9] = 1; }",                      // array indexing
 		"file f(\"x\"); exit { print(f.getline()); }",
 	} {
 		f.Add(s)

@@ -20,8 +20,6 @@ package dyninst
 
 import (
 	"fmt"
-	"io"
-	"sync/atomic"
 
 	"repro/internal/cfg"
 	"repro/internal/isa"
@@ -401,50 +399,18 @@ type BinaryEdit struct {
 	prog       *cfg.Program
 	exe        *cfg.Module
 	insertions []insertion
-	fuel       uint64
-	appOut     io.Writer
-	obs        *obs.Collector
-	execMode   vm.ExecMode
-	noInline   bool
-	adaptive   bool
-	onMachine  func(*vm.VM)
-	stop       *atomic.Bool
-	initFns    []func()
-	finiFns    []func()
+	// machine configures the machine the rewritten binary runs on.
+	machine vm.Config
+	initFns []func()
+	finiFns []func()
 }
 
-// Config parameterizes OpenBinary.
-type Config struct {
-	// Fuel bounds application instructions when the rewritten binary is
-	// run (0 = default).
-	Fuel uint64
-	// AppOut receives the application's output (discarded if nil).
-	AppOut io.Writer
-	// Obs, when non-nil, collects per-probe attribution and rewrite-time
-	// statistics for the session.
-	Obs *obs.Collector
-	// ExecMode selects the VM execution tier the rewritten binary runs
-	// under (see vm.Config).
-	ExecMode vm.ExecMode
-	// NoInline disables the VM's action-inlining layer (see vm.Config).
-	NoInline bool
-	// Adaptive allocates a control block for every inserted snippet so
-	// probes can be sampled, ejected and re-armed mid-run (see
-	// vm.Config.Adaptive).
-	Adaptive bool
-	// OnMachine, when non-nil, is called with the rewritten binary's
-	// machine before execution starts — the hook adaptive controllers
-	// (the overhead governor) attach through.
-	OnMachine func(*vm.VM)
-	// Stop, when non-nil, is the cooperative cancellation flag handed to
-	// the machine (see vm.Config.Stop).
-	Stop *atomic.Bool
-}
-
-// OpenBinary parses the program's executable for rewriting. It fails,
-// like real Dyninst on several SPEC benchmarks, when control-flow
-// recovery is incomplete (unresolvable indirect jumps).
-func OpenBinary(prog *cfg.Program, c Config) (*BinaryEdit, error) {
+// OpenBinary parses the program's executable for rewriting; Run executes
+// the rewritten binary on a machine configured by c (c.OnMachine sees the
+// machine before the insertions are baked in). It fails, like real
+// Dyninst on several SPEC benchmarks, when control-flow recovery is
+// incomplete (unresolvable indirect jumps).
+func OpenBinary(prog *cfg.Program, c vm.Config) (*BinaryEdit, error) {
 	exe := prog.Modules[0]
 	if exe.Loaded.HasUnrecoverableControlFlow() {
 		return nil, fmt.Errorf("dyninst: %s: control-flow recovery failed (unresolvable indirect jumps)", exe.Name())
@@ -454,7 +420,7 @@ func OpenBinary(prog *cfg.Program, c Config) (*BinaryEdit, error) {
 			return nil, fmt.Errorf("dyninst: %s: imprecise control flow in %s", exe.Name(), f.Name)
 		}
 	}
-	return &BinaryEdit{prog: prog, exe: exe, fuel: c.Fuel, appOut: c.AppOut, obs: c.Obs, execMode: c.ExecMode, noInline: c.NoInline, adaptive: c.Adaptive, onMachine: c.OnMachine, stop: c.Stop}, nil
+	return &BinaryEdit{prog: prog, exe: exe, machine: c}, nil
 }
 
 // Image returns the parsed image.
@@ -550,86 +516,51 @@ func snippetSample(s Snippet) uint64 {
 // are baked in before the first instruction runs, and no translation cost
 // is paid at run time.
 func (be *BinaryEdit) Run() (*vm.Result, error) {
-	machine := vm.New(be.prog, vm.Config{Fuel: be.fuel, AppOut: be.appOut, Obs: be.obs, ExecMode: be.execMode, NoInline: be.noInline, Adaptive: be.adaptive, Stop: be.stop})
-	if be.onMachine != nil {
-		be.onMachine(machine)
+	machine := vm.New(be.prog, be.machine)
+	col := be.machine.Obs
+	// register records one trampoline with the attached collector.
+	register := func(label, trigger string, addr, cost uint64) obs.ProbeID {
+		if col == nil {
+			return obs.NoProbe
+		}
+		col.MutateBuild(func(b *obs.BuildStats) { b.Snippets++ })
+		return col.RegisterProbe(obs.ProbeMeta{
+			Label:        label,
+			Trigger:      trigger,
+			Mechanism:    obs.MechSnippet,
+			Addr:         addr,
+			DispatchCost: cost,
+		})
 	}
 	for _, ins := range be.insertions {
 		s := ins.snippet
-		cost := SnippetCost + s.cost()
-		sample := snippetSample(s)
-		fn := func(c *vm.Ctx) { s.eval(c) }
-		spec := snippetSpec(s)
+		pr := vm.Probe{Fn: func(c *vm.Ctx) { s.eval(c) }, Spec: snippetSpec(s)}
+		var site vm.Site
 		var trigger string
-		var addr uint64
 		switch {
 		case ins.point.isEdge:
-			trigger, addr = obs.TriggerEdge, ins.point.edge[1]
+			site, trigger = vm.Site{When: vm.AtEdge, Addr: ins.point.edge[1], From: ins.point.edge[0]}, obs.TriggerEdge
 		case ins.point.blockAddr != 0:
-			trigger, addr = obs.TriggerBlockEntry, ins.point.blockAddr
+			site, trigger = vm.Site{When: vm.AtBlockEntry, Addr: ins.point.blockAddr}, obs.TriggerBlockEntry
 		case ins.when == CallBefore:
-			trigger, addr = obs.TriggerBefore, ins.point.instAddr
+			site, trigger = vm.Site{When: vm.BeforeInst, Addr: ins.point.instAddr}, obs.TriggerBefore
 		default:
-			trigger, addr = obs.TriggerAfter, ins.point.instAddr
+			site, trigger = vm.Site{When: vm.AfterInst, Addr: ins.point.instAddr}, obs.TriggerAfter
 		}
 		if e, ok := s.(FuncCallExpr); ok && len(e.Merged) > 0 {
 			// Coalesced call: one trampoline, one attribution row per
 			// constituent part.
-			shares := make([]vm.Share, len(e.Merged))
+			pr.Shares = make([]vm.Share, len(e.Merged))
 			for i, part := range e.Merged {
 				pc := uint64(SnippetCost) + part.Cost
-				pid := obs.NoProbe
-				if be.obs != nil {
-					be.obs.MutateBuild(func(b *obs.BuildStats) { b.Snippets++ })
-					pid = be.obs.RegisterProbe(obs.ProbeMeta{
-						Label:        part.Label,
-						Trigger:      trigger,
-						Mechanism:    obs.MechSnippet,
-						Addr:         addr,
-						DispatchCost: pc,
-					})
-				}
-				shares[i] = vm.Share{ID: pid, Cost: pc}
+				pr.Shares[i] = vm.Share{ID: register(part.Label, trigger, site.Addr, pc), Cost: pc}
 			}
-			var err error
-			switch {
-			case ins.point.isEdge:
-				err = machine.AddEdgeCoalesced(ins.point.edge[0], ins.point.edge[1], shares, fn, spec)
-			case ins.point.blockAddr != 0:
-				err = machine.AddBlockEntryCoalesced(ins.point.blockAddr, shares, fn, spec)
-			case ins.when == CallBefore:
-				err = machine.AddBeforeCoalesced(ins.point.instAddr, shares, fn, spec)
-			default:
-				err = machine.AddAfterCoalesced(ins.point.instAddr, shares, fn, spec)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("dyninst: %w", err)
-			}
-			continue
+		} else {
+			pr.Cost = SnippetCost + s.cost()
+			pr.ID = register(snippetLabel(s), trigger, site.Addr, pr.Cost)
+			pr.Stride = snippetSample(s)
 		}
-		id := obs.NoProbe
-		if be.obs != nil {
-			be.obs.MutateBuild(func(b *obs.BuildStats) { b.Snippets++ })
-			id = be.obs.RegisterProbe(obs.ProbeMeta{
-				Label:        snippetLabel(s),
-				Trigger:      trigger,
-				Mechanism:    obs.MechSnippet,
-				Addr:         addr,
-				DispatchCost: cost,
-			})
-		}
-		var err error
-		switch {
-		case ins.point.isEdge:
-			err = machine.AddEdgeSampled(ins.point.edge[0], ins.point.edge[1], cost, id, fn, spec, sample)
-		case ins.point.blockAddr != 0:
-			err = machine.AddBlockEntrySampled(ins.point.blockAddr, cost, id, fn, spec, sample)
-		case ins.when == CallBefore:
-			err = machine.AddBeforeSampled(ins.point.instAddr, cost, id, fn, spec, sample)
-		default:
-			err = machine.AddAfterSampled(ins.point.instAddr, cost, id, fn, spec, sample)
-		}
-		if err != nil {
+		if err := machine.Add(site, pr); err != nil {
 			return nil, fmt.Errorf("dyninst: %w", err)
 		}
 	}

@@ -53,7 +53,7 @@ buf: .quad 1, 2
 
 func TestStaticInstrumentation(t *testing.T) {
 	prog := build(t, loadsSrc)
-	be, err := OpenBinary(prog, Config{})
+	be, err := OpenBinary(prog, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ alt:
   ret
 `
 	prog := build(t, src)
-	be, err := OpenBinary(prog, Config{})
+	be, err := OpenBinary(prog, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ head:
   halt
 `
 	prog := build(t, src)
-	be, err := OpenBinary(prog, Config{})
+	be, err := OpenBinary(prog, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestSnippetExpressions(t *testing.T) {
   halt
 `
 	prog := build(t, src)
-	be, err := OpenBinary(prog, Config{})
+	be, err := OpenBinary(prog, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestRefusesImpreciseControlFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenBinary(prog, Config{}); err == nil {
+	if _, err := OpenBinary(prog, vm.Config{}); err == nil {
 		t.Fatal("OpenBinary accepted unrecoverable control flow")
 	} else if !strings.Contains(err.Error(), "control-flow recovery failed") {
 		t.Errorf("unexpected error: %v", err)
@@ -319,14 +319,14 @@ func TestAcceptsRecoverableJumpTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenBinary(prog, Config{}); err != nil {
+	if _, err := OpenBinary(prog, vm.Config{}); err != nil {
 		t.Fatalf("OpenBinary rejected recoverable control flow: %v", err)
 	}
 }
 
 func TestInsertSnippetErrors(t *testing.T) {
 	prog := build(t, loadsSrc)
-	be, err := OpenBinary(prog, Config{})
+	be, err := OpenBinary(prog, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

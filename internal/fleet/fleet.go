@@ -62,11 +62,18 @@ type JobSpec struct {
 	// with that probe-overhead budget to the session.
 	Budget string `json:"budget,omitempty"`
 	// Restarts bounds restart-on-failure: a session whose run errors is
-	// re-queued up to this many times before it settles failed.
+	// re-queued up to this many times (at most MaxRestarts) before it
+	// settles failed.
 	Restarts int `json:"restarts,omitempty"`
 	// Fuel bounds the session's instruction count (0 = the VM default).
 	Fuel uint64 `json:"fuel,omitempty"`
 }
+
+// MaxRestarts caps JobSpec.Restarts at admission. Every attempt
+// registers the tool's probes again on the session's collector, so the
+// bound also bounds the session's probe table and the cost of each
+// snapshot of it.
+const MaxRestarts = 10
 
 // Manifest is the boot-manifest document: the jobs cinnamond submits
 // before it starts serving.
@@ -235,6 +242,9 @@ func (s *Scheduler) Submit(spec JobSpec) (*monitor.FleetSession, error) {
 	}
 	if spec.Restarts < 0 {
 		return nil, fmt.Errorf("fleet: negative restart bound")
+	}
+	if spec.Restarts > MaxRestarts {
+		return nil, fmt.Errorf("fleet: restart bound %d above the maximum of %d", spec.Restarts, MaxRestarts)
 	}
 
 	toolLabel := spec.Tool

@@ -251,6 +251,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown backend", JobSpec{Tool: "instcount_basic", Victim: "spin", Backend: "qemu"}},
 		{"bad budget", JobSpec{Tool: "instcount_basic", Victim: "spin", Budget: "lots"}},
 		{"bad tool source", JobSpec{ToolSrc: "this is not cinnamon", Victim: "spin"}},
+		{"negative restarts", JobSpec{Tool: "instcount_basic", Victim: "spin", Restarts: -1}},
+		{"restarts above bound", JobSpec{Tool: "instcount_basic", Victim: "spin", Restarts: MaxRestarts + 1}},
 	}
 	for _, c := range cases {
 		if _, err := s.Submit(c.spec); err == nil {

@@ -28,8 +28,6 @@ package janus
 
 import (
 	"fmt"
-	"io"
-	"sync/atomic"
 
 	"repro/internal/cfg"
 	"repro/internal/core/placement"
@@ -248,36 +246,10 @@ type Tool struct {
 	// directly instead of running StaticPass (the Cinnamon engine
 	// produces it; init/fini code rides in its Inits/Finis).
 	Rules *placement.RuleSet
-}
-
-// Config parameterizes a Janus run.
-type Config struct {
-	// Fuel bounds application instructions (0 = default).
-	Fuel uint64
-	// AppOut receives the application's output (discarded if nil).
-	AppOut io.Writer
-	// Obs, when non-nil, collects per-probe attribution, rule counts and
-	// translation statistics for the run.
-	Obs *obs.Collector
-	// ExecMode selects the underlying VM execution tier (see vm.Config).
-	ExecMode vm.ExecMode
-	// NoInline disables the VM's action-inlining layer (see vm.Config).
-	NoInline bool
-	// Adaptive allocates a control block for every applied rule so
-	// probes can be sampled, ejected and re-armed mid-run (see
-	// vm.Config.Adaptive).
-	Adaptive bool
-	// OnMachine, when non-nil, is called with the run's machine before
-	// execution starts — the hook adaptive controllers (the overhead
-	// governor) attach through.
-	OnMachine func(*vm.VM)
-	// Stop, when non-nil, is the cooperative cancellation flag handed to
-	// the machine (see vm.Config.Stop).
-	Stop *atomic.Bool
 	// Glue is the per-dispatch marshalling surcharge added on top of
 	// the clean-call/inlined base and the handler body cost. Native
 	// tools leave it 0 (their Handler.Cost already prices the whole
-	// body); the Cinnamon backend passes its Janus glue constant.
+	// body); the Cinnamon backend sets its Janus glue constant.
 	Glue uint64
 }
 
@@ -314,9 +286,9 @@ func triggerName(t placement.Trigger) string {
 // Run executes the program under Janus: the tool's static pass runs
 // first (unless a pre-built placement table is supplied), producing
 // the shared rule table; then the dynamic instrumenter executes the
-// program, translating blocks on first execution and instrumenting
-// them according to their rules.
-func Run(prog *cfg.Program, tool *Tool, c Config) (*vm.Result, error) {
+// program on a machine configured by c, translating blocks on first
+// execution and instrumenting them according to their rules.
+func Run(prog *cfg.Program, tool *Tool, c vm.Config) (*vm.Result, error) {
 	rs := tool.Rules
 	var global []globalRule
 	emitted := 0
@@ -340,10 +312,7 @@ func Run(prog *cfg.Program, tool *Tool, c Config) (*vm.Result, error) {
 		c.Obs.MutateBuild(func(b *obs.BuildStats) { b.RulesEmitted = emitted })
 	}
 
-	machine := vm.New(prog, vm.Config{Fuel: c.Fuel, AppOut: c.AppOut, Obs: c.Obs, ExecMode: c.ExecMode, NoInline: c.NoInline, Adaptive: c.Adaptive, Stop: c.Stop})
-	if c.OnMachine != nil {
-		c.OnMachine(machine)
-	}
+	machine := vm.New(prog, c)
 	// register records one applied placement with the attached collector
 	// (cold path: block-translation time only).
 	register := func(a *placement.Action, trigger string, addr, cost uint64) obs.ProbeID {
@@ -376,49 +345,37 @@ func Run(prog *cfg.Program, tool *Tool, c Config) (*vm.Result, error) {
 			c.Obs.NoteTranslation(BlockTranslationCost)
 		}
 		for _, r := range rs.ByBlock(b) {
+			var site vm.Site
+			switch r.Trigger {
+			case placement.Before:
+				site = vm.Site{When: vm.BeforeInst, Addr: r.Inst.Addr}
+			case placement.After:
+				site = vm.Site{When: vm.AfterInst, Addr: r.Inst.Addr}
+			case placement.BlockEntry:
+				site = vm.Site{When: vm.AtBlockEntry, Addr: r.Block.Start}
+			case placement.Edge:
+				site = vm.Site{When: vm.AtEdge, Addr: r.Block.Start, From: r.From.Start}
+			}
 			addr := r.SiteAddr()
 			trig := triggerName(r.Trigger)
-			fn := r.Action.CtxExec()
-			spec := r.Spec()
-			var ierr error
+			pr := vm.Probe{Fn: r.Action.CtxExec(), Spec: r.Spec()}
 			if parts := r.Merged; len(parts) > 0 {
 				// One merged probe, one attribution share per
 				// constituent — the report stays row-for-row identical
 				// to separate installation.
-				shares := make([]vm.Share, len(parts))
+				pr.Shares = make([]vm.Share, len(parts))
 				for i, p := range parts {
-					pc := dispatchCost(p.Action, c.Glue)
-					shares[i] = vm.Share{ID: register(p.Action, trig, addr, pc), Cost: pc}
-				}
-				switch r.Trigger {
-				case placement.Before:
-					ierr = machine.AddBeforeCoalesced(r.Inst.Addr, shares, fn, spec)
-				case placement.After:
-					ierr = machine.AddAfterCoalesced(r.Inst.Addr, shares, fn, spec)
-				case placement.BlockEntry:
-					ierr = machine.AddBlockEntryCoalesced(r.Block.Start, shares, fn, spec)
-				case placement.Edge:
-					ierr = machine.AddEdgeCoalesced(r.From.Start, r.Block.Start, shares, fn, spec)
+					pc := dispatchCost(p.Action, tool.Glue)
+					pr.Shares[i] = vm.Share{ID: register(p.Action, trig, addr, pc), Cost: pc}
 				}
 			} else {
-				cost := dispatchCost(r.Action, c.Glue)
-				id := register(r.Action, trig, addr, cost)
-				switch r.Trigger {
-				case placement.Before:
-					ierr = machine.AddBeforeSampled(r.Inst.Addr, cost, id, fn, spec, r.Action.Sample)
-				case placement.After:
-					ierr = machine.AddAfterSampled(r.Inst.Addr, cost, id, fn, spec, r.Action.Sample)
-				case placement.BlockEntry:
-					ierr = machine.AddBlockEntrySampled(r.Block.Start, cost, id, fn, spec, r.Action.Sample)
-				case placement.Edge:
-					ierr = machine.AddEdgeSampled(r.From.Start, r.Block.Start, cost, id, fn, spec, r.Action.Sample)
-				}
+				pr.Cost = dispatchCost(r.Action, tool.Glue)
+				pr.ID = register(r.Action, trig, addr, pr.Cost)
+				pr.Stride = r.Action.Sample
 			}
-			if ierr != nil {
-				// Rules that cannot be applied are skipped, as the
-				// dynamic side of real Janus does with stale rules.
-				continue
-			}
+			// Rules that cannot be applied are skipped, as the dynamic
+			// side of real Janus does with stale rules.
+			_ = machine.Add(site, pr)
 		}
 	})
 	if err != nil {

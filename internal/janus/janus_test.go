@@ -82,7 +82,7 @@ func loadCounter(count *uint64) *Tool {
 func TestLoadCounting(t *testing.T) {
 	prog := build(t, loadsSrc)
 	var count uint64
-	res, err := Run(prog, loadCounter(&count), Config{})
+	res, err := Run(prog, loadCounter(&count), vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ buf: .quad 1
 	if rt.NumPlacements() != 1 {
 		t.Errorf("rules = %d, want 1 (main-module load only)", rt.NumPlacements())
 	}
-	if _, err := Run(prog, tool, Config{}); err != nil {
+	if _, err := Run(prog, tool, vm.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	// The two shared-library loads execute uninstrumented.
@@ -156,7 +156,7 @@ func TestRulePayloadReachesHandler(t *testing.T) {
 			hData: {Fn: func(_ *vm.Ctx, data []uint64) { got = append([]uint64(nil), data...) }},
 		},
 	}
-	if _, err := Run(prog, tool, Config{}); err != nil {
+	if _, err := Run(prog, tool, vm.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	f := prog.Modules[0].Funcs[0]
@@ -215,7 +215,7 @@ func TestTriggers(t *testing.T) {
 		sa.EmitRule(Rule{Trigger: TriggerFini, Handler: hFini})
 		inner(sa)
 	}
-	if _, err := Run(prog, tool, Config{}); err != nil {
+	if _, err := Run(prog, tool, vm.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if entries != 1 || iters != 9 {
@@ -239,7 +239,7 @@ func TestUnknownHandlerIgnored(t *testing.T) {
 		},
 		Handlers: map[HandlerID]Handler{},
 	}
-	if _, err := Run(prog, tool, Config{}); err != nil {
+	if _, err := Run(prog, tool, vm.Config{}); err != nil {
 		t.Fatalf("unknown handler should be skipped, got %v", err)
 	}
 }
@@ -252,7 +252,7 @@ func TestInliningCostOrdering(t *testing.T) {
 		h := tool.Handlers[hCount]
 		h.Inlinable = inlinable
 		tool.Handlers[hCount] = h
-		res, err := Run(prog, tool, Config{})
+		res, err := Run(prog, tool, vm.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func TestDynamicContextInHandler(t *testing.T) {
 			}},
 		},
 	}
-	if _, err := Run(prog, tool, Config{}); err != nil {
+	if _, err := Run(prog, tool, vm.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(eas) != 11 {

@@ -24,8 +24,6 @@ package pin
 
 import (
 	"fmt"
-	"io"
-	"sync/atomic"
 
 	"repro/internal/cfg"
 	"repro/internal/isa"
@@ -355,40 +353,11 @@ type Pin struct {
 	runErr error
 }
 
-// Config parameterizes a Pin session.
-type Config struct {
-	// Fuel bounds application instructions (0 = default).
-	Fuel uint64
-	// AppOut receives the application's output (discarded if nil).
-	AppOut io.Writer
-	// Obs, when non-nil, collects per-probe attribution and
-	// instrumentation-time statistics for the session.
-	Obs *obs.Collector
-	// ExecMode selects the underlying VM execution tier (see vm.Config).
-	ExecMode vm.ExecMode
-	// NoInline disables the VM's action-inlining layer (see vm.Config).
-	NoInline bool
-	// Adaptive allocates a control block for every inserted call so
-	// probes can be sampled, ejected and re-armed mid-run (see
-	// vm.Config.Adaptive).
-	Adaptive bool
-	// OnMachine, when non-nil, is called with the session's machine
-	// before any instrumentation is installed — the hook adaptive
-	// controllers (the overhead governor) attach through.
-	OnMachine func(*vm.VM)
-	// Stop, when non-nil, is the cooperative cancellation flag handed to
-	// the machine (see vm.Config.Stop).
-	Stop *atomic.Bool
-}
-
-// New creates a Pin session for the program.
-func New(prog *cfg.Program, c Config) *Pin {
-	p := &Pin{prog: prog, obs: c.Obs}
-	p.vm = vm.New(prog, vm.Config{Fuel: c.Fuel, AppOut: c.AppOut, Obs: c.Obs, ExecMode: c.ExecMode, NoInline: c.NoInline, Adaptive: c.Adaptive, Stop: c.Stop})
-	if c.OnMachine != nil {
-		c.OnMachine(p.vm)
-	}
-	return p
+// New creates a Pin session for the program, running it on a machine
+// configured by c (c.OnMachine sees the machine before any
+// instrumentation is installed).
+func New(prog *cfg.Program, c vm.Config) *Pin {
+	return &Pin{prog: prog, vm: vm.New(prog, c), obs: c.Obs}
 }
 
 // VM exposes the underlying machine (for tools that need raw memory
@@ -508,37 +477,32 @@ func (p *Pin) mergedShares(r Routine, trigger string, addr uint64) []vm.Share {
 }
 
 func (p *Pin) insertCall(inst *isa.Inst, point IPoint, r Routine, args []Arg) error {
-	if len(r.Merged) > 0 {
-		fn := p.analysisCall(r.Fn, args)
-		spec := p.routineSpec(r, args)
-		switch point {
-		case IPointBefore:
-			return p.vm.AddBeforeCoalesced(inst.Addr, p.mergedShares(r, obs.TriggerBefore, inst.Addr), fn, spec)
-		case IPointAfter:
-			return p.vm.AddAfterCoalesced(inst.Addr, p.mergedShares(r, obs.TriggerAfter, inst.Addr), fn, spec)
-		}
-		return fmt.Errorf("pin: invalid insertion point %d", point)
-	}
-	cost := r.dispatchCost() + uint64(len(args))*ArgCost
-	fn := p.analysisCall(r.Fn, args)
-	spec := p.routineSpec(r, args)
 	switch point {
 	case IPointBefore:
-		return p.vm.AddBeforeSampled(inst.Addr, cost, p.register(r, obs.TriggerBefore, inst.Addr, cost), fn, spec, r.Sample)
+		return p.vm.Add(vm.Site{When: vm.BeforeInst, Addr: inst.Addr}, p.probe(r, args, obs.TriggerBefore, inst.Addr))
 	case IPointAfter:
-		return p.vm.AddAfterSampled(inst.Addr, cost, p.register(r, obs.TriggerAfter, inst.Addr, cost), fn, spec, r.Sample)
+		return p.vm.Add(vm.Site{When: vm.AfterInst, Addr: inst.Addr}, p.probe(r, args, obs.TriggerAfter, inst.Addr))
 	}
 	return fmt.Errorf("pin: invalid insertion point %d", point)
 }
 
 func (p *Pin) insertBlockCall(block *cfg.Block, r Routine, args []Arg) error {
+	return p.vm.Add(vm.Site{When: vm.AtBlockEntry, Addr: block.Start}, p.probe(r, args, obs.TriggerBlockEntry, block.Start))
+}
+
+// probe builds the machine probe for one insertion of the routine and
+// registers it with the attached collector — a merged routine once per
+// part, as attribution shares of one coalesced probe.
+func (p *Pin) probe(r Routine, args []Arg, trigger string, addr uint64) vm.Probe {
+	pr := vm.Probe{Fn: p.analysisCall(r.Fn, args), Spec: p.routineSpec(r, args)}
 	if len(r.Merged) > 0 {
-		shares := p.mergedShares(r, obs.TriggerBlockEntry, block.Start)
-		return p.vm.AddBlockEntryCoalesced(block.Start, shares, p.analysisCall(r.Fn, args), p.routineSpec(r, args))
+		pr.Shares = p.mergedShares(r, trigger, addr)
+		return pr
 	}
-	cost := r.dispatchCost() + uint64(len(args))*ArgCost
-	id := p.register(r, obs.TriggerBlockEntry, block.Start, cost)
-	return p.vm.AddBlockEntrySampled(block.Start, cost, id, p.analysisCall(r.Fn, args), p.routineSpec(r, args), r.Sample)
+	pr.Cost = r.dispatchCost() + uint64(len(args))*ArgCost
+	pr.ID = p.register(r, trigger, addr, pr.Cost)
+	pr.Stride = r.Sample
+	return pr
 }
 
 // Run starts the application under Pin. Image and routine callbacks fire

@@ -53,7 +53,7 @@ buf: .quad 1, 2
 
 func TestInstructionCounting(t *testing.T) {
 	prog := build(t, loadsSrc)
-	p := New(prog, Config{})
+	p := New(prog, vm.Config{})
 	var count uint64
 	p.INSAddInstrumentFunction(func(ins INS) {
 		if ins.IsMemoryRead() {
@@ -77,7 +77,7 @@ func TestInstructionCounting(t *testing.T) {
 
 func TestTraceModeBlockCounting(t *testing.T) {
 	prog := build(t, loadsSrc)
-	p := New(prog, Config{})
+	p := New(prog, vm.Config{})
 	var blocks uint64
 	p.TraceAddInstrumentFunction(func(tr TRACE) {
 		for _, bbl := range tr.BBLs() {
@@ -115,7 +115,7 @@ const callSrc = `
 
 func TestRTNMode(t *testing.T) {
 	prog := build(t, callSrc)
-	p := New(prog, Config{})
+	p := New(prog, vm.Config{})
 	entries := map[string]int{}
 	exits := map[string]int{}
 	var helperRet uint64
@@ -162,7 +162,7 @@ func TestIMGMode(t *testing.T) {
   halt
 `
 	prog := build(t, main, lib)
-	p := New(prog, Config{})
+	p := New(prog, vm.Config{})
 	var imgs []string
 	var mainExe int
 	p.IMGAddInstrumentFunction(func(img IMG) {
@@ -208,7 +208,7 @@ libbuf: .quad 5, 6
   halt
 `
 	prog := build(t, main, lib)
-	p := New(prog, Config{})
+	p := New(prog, vm.Config{})
 	var loads uint64
 	p.INSAddInstrumentFunction(func(ins INS) {
 		if ins.IsMemoryRead() {
@@ -229,7 +229,7 @@ libbuf: .quad 5, 6
 
 func TestIARGMaterialization(t *testing.T) {
 	prog := build(t, callSrc)
-	p := New(prog, Config{})
+	p := New(prog, vm.Config{})
 	var got []uint64
 	var callInst *isa.Inst
 	p.INSAddInstrumentFunction(func(ins INS) {
@@ -275,7 +275,7 @@ func TestIARGMaterialization(t *testing.T) {
 
 func TestMemoryEAArg(t *testing.T) {
 	prog := build(t, loadsSrc)
-	p := New(prog, Config{})
+	p := New(prog, vm.Config{})
 	var eas []uint64
 	p.INSAddInstrumentFunction(func(ins INS) {
 		if ins.IsMemoryRead() {
@@ -309,7 +309,7 @@ func TestMemoryEAArg(t *testing.T) {
 func TestCleanCallCostsMoreThanInlined(t *testing.T) {
 	costOf := func(inlinable bool) uint64 {
 		prog := build(t, loadsSrc)
-		p := New(prog, Config{})
+		p := New(prog, vm.Config{})
 		p.INSAddInstrumentFunction(func(ins INS) {
 			if ins.IsMemoryRead() {
 				if err := ins.InsertCall(IPointBefore, Routine{Fn: func([]uint64) {}, Cost: 10, Inlinable: inlinable}); err != nil {
@@ -334,7 +334,7 @@ func TestCleanCallCostsMoreThanInlined(t *testing.T) {
 
 func TestInsertErrors(t *testing.T) {
 	prog := build(t, loadsSrc)
-	p := New(prog, Config{})
+	p := New(prog, vm.Config{})
 	p.INSAddInstrumentFunction(func(ins INS) {
 		if ins.IsBranch() {
 			if err := ins.InsertCall(IPointAfter, Routine{Fn: func([]uint64) {}}); err == nil {

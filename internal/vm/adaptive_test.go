@@ -42,7 +42,7 @@ func TestSamplingStrideExactness(t *testing.T) {
 		addr := instByOp(t, prog, isa.Add, 0).Addr
 		id := col.RegisterProbe(obs.ProbeMeta{Label: "sampled", Trigger: obs.TriggerBefore, DispatchCost: dispatchCost})
 		fires := uint64(0)
-		if err := v.AddBeforeSampled(addr, dispatchCost, id, func(c *Ctx) { fires++ }, nil, 3); err != nil {
+		if err := v.Add(Site{When: BeforeInst, Addr: addr}, Probe{Cost: dispatchCost, ID: id, Stride: 3, Fn: func(c *Ctx) { fires++ }}); err != nil {
 			t.Fatal(err)
 		}
 		res, err := v.Run()
@@ -101,12 +101,12 @@ func TestSampledCallAfter(t *testing.T) {
 		addr := instByOp(t, prog, isa.Call, 0).Addr
 		id := col.RegisterProbe(obs.ProbeMeta{Label: "after-call", Trigger: obs.TriggerAfter, DispatchCost: 30})
 		fires := uint64(0)
-		if err := v.AddAfterSampled(addr, 30, id, func(c *Ctx) {
+		if err := v.Add(Site{When: AfterInst, Addr: addr}, Probe{Cost: 30, ID: id, Stride: 2, Fn: func(c *Ctx) {
 			fires++
 			if c.RetVal() != 7 {
 				t.Errorf("%s: retval = %d, want 7", m.name, c.RetVal())
 			}
-		}, nil, 2); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 		res, err := v.Run()
@@ -162,20 +162,20 @@ func TestDisableSuppressesPendingCallAfter(t *testing.T) {
 			retAddr := instByOp(t, prog, isa.Return, 0).Addr
 			id := col.RegisterProbe(obs.ProbeMeta{Label: "after-call", Trigger: obs.TriggerAfter, DispatchCost: 30})
 			fires := uint64(0)
-			if err := v.AddAfterSampled(callAddr, 30, id, func(c *Ctx) { fires++ }, nil, 0); err != nil {
+			if err := v.Add(Site{When: AfterInst, Addr: callAddr}, Probe{Cost: 30, ID: id, Fn: func(c *Ctx) { fires++ }}); err != nil {
 				t.Fatal(err)
 			}
-			if err := v.AddBefore(movAddr, 0, func(c *Ctx) {
+			if err := v.Add(Site{When: BeforeInst, Addr: movAddr}, Probe{Fn: func(c *Ctx) {
 				if !v.SetProbeEnabled(id, false) {
 					t.Errorf("%s: after-call probe not adaptive", m.name)
 				}
-			}); err != nil {
+			}}); err != nil {
 				t.Fatal(err)
 			}
 			if rearm {
-				if err := v.AddBefore(retAddr, 0, func(c *Ctx) {
+				if err := v.Add(Site{When: BeforeInst, Addr: retAddr}, Probe{Fn: func(c *Ctx) {
 					v.SetProbeEnabled(id, true)
-				}); err != nil {
+				}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -212,11 +212,11 @@ func TestMidRunEjectAndRearmInLoop(t *testing.T) {
 		ctl := instByOp(t, prog, isa.Add, 1).Addr    // same block, after target
 		id := col.RegisterProbe(obs.ProbeMeta{Label: "target", Trigger: obs.TriggerBefore, DispatchCost: 26})
 		fires := uint64(0)
-		if err := v.AddBeforeSampled(target, 26, id, func(c *Ctx) { fires++ }, nil, 0); err != nil {
+		if err := v.Add(Site{When: BeforeInst, Addr: target}, Probe{Cost: 26, ID: id, Fn: func(c *Ctx) { fires++ }}); err != nil {
 			t.Fatal(err)
 		}
 		iter := 0
-		if err := v.AddBefore(ctl, 0, func(c *Ctx) {
+		if err := v.Add(Site{When: BeforeInst, Addr: ctl}, Probe{Fn: func(c *Ctx) {
 			iter++
 			switch iter {
 			case 3:
@@ -224,7 +224,7 @@ func TestMidRunEjectAndRearmInLoop(t *testing.T) {
 			case 7:
 				v.SetProbeEnabled(id, true)
 			}
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 		res, err := v.Run()
@@ -256,7 +256,7 @@ func TestAdaptiveProbesAndStrideControl(t *testing.T) {
 	addr := instByOp(t, prog, isa.Add, 0).Addr
 	id := col.RegisterProbe(obs.ProbeMeta{Label: "p", DispatchCost: 26})
 	fires := 0
-	if err := v.AddBeforeSampled(addr, 26, id, func(c *Ctx) { fires++ }, nil, 4); err != nil {
+	if err := v.Add(Site{When: BeforeInst, Addr: addr}, Probe{Cost: 26, ID: id, Stride: 4, Fn: func(c *Ctx) { fires++ }}); err != nil {
 		t.Fatal(err)
 	}
 	infos := v.AdaptiveProbes()

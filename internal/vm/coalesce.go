@@ -1,12 +1,6 @@
 package vm
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/isa"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Share attributes one constituent placement of a coalesced probe: a
 // merged probe fires once but reports one row per constituent, each
@@ -29,111 +23,4 @@ func (p *probe) fireObs(o *obs.Collector, pc uint64) {
 	for _, s := range p.shares {
 		o.Fire(s.ID, s.Cost, pc)
 	}
-}
-
-// coalescedProbe builds the merged probe: cost is the share sum, the
-// primary id is the first share (used only when no collector is
-// attached), and there is no control block — coalesced probes are
-// always-on by construction (unsampled constituents, adaptive mode
-// rejected at install).
-func coalescedProbe(shares []Share, fn ProbeFn, spec *ProbeSpec) probe {
-	var cost uint64
-	for _, s := range shares {
-		cost += s.Cost
-	}
-	id := obs.NoProbe
-	if len(shares) > 0 {
-		id = shares[0].ID
-	}
-	return probe{fn: fn, cost: cost, id: id, spec: spec, shares: shares}
-}
-
-func (v *VM) coalescedOK(shares []Share) error {
-	if len(shares) == 0 {
-		return errors.New("vm: coalesced probe needs at least one share")
-	}
-	if v.adaptive {
-		return errors.New("vm: coalesced probes have no control block and cannot run in adaptive mode")
-	}
-	return nil
-}
-
-// AddBeforeCoalesced installs one merged probe before the instruction
-// at addr, attributing each firing across shares (see Share).
-func (v *VM) AddBeforeCoalesced(addr uint64, shares []Share, fn ProbeFn, spec *ProbeSpec) error {
-	if err := v.coalescedOK(shares); err != nil {
-		return err
-	}
-	m := v.modFor(addr)
-	if m == nil || m.insts[addr-m.base] == nil {
-		return fmt.Errorf("vm: no instruction at %#x", addr)
-	}
-	p := m.probesAt(addr - m.base)
-	p.before = append(p.before, coalescedProbe(shares, fn, spec))
-	m.flags[addr-m.base] |= flagBefore
-	m.invalidate(addr - m.base)
-	return nil
-}
-
-// AddAfterCoalesced installs one merged after-probe at addr (invalid
-// on branches, returns and halts, as for AddAfterSampled).
-func (v *VM) AddAfterCoalesced(addr uint64, shares []Share, fn ProbeFn, spec *ProbeSpec) error {
-	if err := v.coalescedOK(shares); err != nil {
-		return err
-	}
-	m := v.modFor(addr)
-	if m == nil || m.insts[addr-m.base] == nil {
-		return fmt.Errorf("vm: no instruction at %#x", addr)
-	}
-	switch m.insts[addr-m.base].Op {
-	case isa.Branch, isa.Return, isa.Halt:
-		return fmt.Errorf("vm: after-probe invalid on %s at %#x", m.insts[addr-m.base].Op, addr)
-	}
-	p := m.probesAt(addr - m.base)
-	p.after = append(p.after, coalescedProbe(shares, fn, spec))
-	m.flags[addr-m.base] |= flagAfter
-	m.invalidate(addr - m.base)
-	return nil
-}
-
-// AddBlockEntryCoalesced installs one merged probe at the entry of the
-// basic block starting at addr.
-func (v *VM) AddBlockEntryCoalesced(addr uint64, shares []Share, fn ProbeFn, spec *ProbeSpec) error {
-	if err := v.coalescedOK(shares); err != nil {
-		return err
-	}
-	m := v.modFor(addr)
-	if m == nil || m.blocks[addr-m.base] == nil {
-		return fmt.Errorf("vm: no basic block starting at %#x", addr)
-	}
-	p := m.probesAt(addr - m.base)
-	p.entry = append(p.entry, coalescedProbe(shares, fn, spec))
-	m.flags[addr-m.base] |= flagBlockEntry
-	return nil
-}
-
-// AddEdgeCoalesced installs one merged probe on the from→to edge.
-func (v *VM) AddEdgeCoalesced(from, to uint64, shares []Share, fn ProbeFn, spec *ProbeSpec) error {
-	if err := v.coalescedOK(shares); err != nil {
-		return err
-	}
-	m := v.modFor(to)
-	if m == nil || m.blocks[to-m.base] == nil {
-		return fmt.Errorf("vm: no basic block starting at %#x", to)
-	}
-	if mf := v.modFor(from); mf == nil || mf.blocks[from-mf.base] == nil {
-		return fmt.Errorf("vm: no basic block starting at %#x", from)
-	}
-	p := m.probesAt(to - m.base)
-	np := coalescedProbe(shares, fn, spec)
-	for i := range p.edgeIn {
-		if p.edgeIn[i].from == from {
-			p.edgeIn[i].probes = append(p.edgeIn[i].probes, np)
-			m.flags[to-m.base] |= flagEdgeTo
-			return nil
-		}
-	}
-	p.edgeIn = append(p.edgeIn, edgeProbes{from: from, probes: []probe{np}})
-	m.flags[to-m.base] |= flagEdgeTo
-	return nil
 }

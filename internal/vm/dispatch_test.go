@@ -37,9 +37,9 @@ func buildTB(tb testing.TB, srcs ...string) *cfg.Program {
 
 func TestModForManyModules(t *testing.T) {
 	// Four modules: execution bounces across all of them, and probes are
-	// installed in every module, so both the Run loop and the Add*
-	// installers exercise modFor beyond the two-module case the MRU cache
-	// alone would cover.
+	// installed in every module, so both the Run loop and the installer
+	// exercise modFor beyond the two-module case the MRU cache alone
+	// would cover.
 	lib := func(name, fn string, inc int) string {
 		return fmt.Sprintf(`
 .module %s
@@ -106,7 +106,7 @@ head:
 	for _, mod := range prog.Modules {
 		mod := mod
 		in := mod.Funcs[0].Blocks[0].Insts[0]
-		if err := v.AddBefore(in.Addr, 0, func(*Ctx) { fired[mod.Name()]++ }); err != nil {
+		if err := v.Add(Site{When: BeforeInst, Addr: in.Addr}, Probe{Fn: func(*Ctx) { fired[mod.Name()]++ }}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +234,7 @@ func BenchmarkProbeFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v := New(prog, Config{})
 		for _, a := range addrs {
-			if err := v.AddBefore(a, 1, func(*Ctx) { count++ }); err != nil {
+			if err := v.Add(Site{When: BeforeInst, Addr: a}, Probe{Cost: 1, Fn: func(*Ctx) { count++ }}); err != nil {
 				b.Fatal(err)
 			}
 		}

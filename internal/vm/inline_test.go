@@ -87,29 +87,29 @@ func specProbes(t *testing.T, prog *cfg.Program) func(v *VM, fires map[string]in
 			}
 		}
 		fn, sp := counterSpec(fires, "add-count", 2)
-		must(v.AddBeforeSpec(add.Addr, 3, obs.NoProbe, fn, sp))
-		must(v.AddBefore(add.Addr, 1, func(c *Ctx) {
+		must(v.Add(Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 3, Spec: sp, Fn: fn}))
+		must(v.Add(Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 1, Fn: func(c *Ctx) {
 			// Generic body on the same list: a full observation point —
 			// it reads the promoted cell, which must be flushed by now.
 			fires["add-generic-saw"] = fires["add-count"]
 			fires["add-generic"]++
-		}))
+		}}))
 		fn, sp = fastSpec(fires, "add-after")
-		must(v.AddAfterSpec(add.Addr, 2, obs.NoProbe, fn, sp))
+		must(v.Add(Site{When: AfterInst, Addr: add.Addr}, Probe{Cost: 2, Spec: sp, Fn: fn}))
 		if store != nil {
 			fn, sp = counterSpec(fires, "store-count", 1)
-			must(v.AddBeforeSpec(store.Addr, 2, obs.NoProbe, fn, sp))
+			must(v.Add(Site{When: BeforeInst, Addr: store.Addr}, Probe{Cost: 2, Spec: sp, Fn: fn}))
 			fn, sp = fastSpec(fires, "store-after")
-			must(v.AddAfterSpec(store.Addr, 1, obs.NoProbe, fn, sp))
+			must(v.Add(Site{When: AfterInst, Addr: store.Addr}, Probe{Cost: 1, Spec: sp, Fn: fn}))
 		}
 		if call != nil {
-			must(v.AddAfter(call.Addr, 4, func(c *Ctx) { fires["call-after"]++ }))
+			must(v.Add(Site{When: AfterInst, Addr: call.Addr}, Probe{Cost: 4, Fn: func(c *Ctx) { fires["call-after"]++ }}))
 		}
 		fn, sp = counterSpec(fires, "entry-count", 1)
-		must(v.AddBlockEntrySpec(blk.Start, 1, obs.NoProbe, fn, sp))
+		must(v.Add(Site{When: AtBlockEntry, Addr: blk.Start}, Probe{Cost: 1, Spec: sp, Fn: fn}))
 		for _, pred := range blk.Preds {
 			fn, sp := fastSpec(fires, fmt.Sprintf("edge-%x", pred.Start))
-			must(v.AddEdgeSpec(pred.Start, blk.Start, 1, obs.NoProbe, fn, sp))
+			must(v.Add(Site{When: AtEdge, Addr: blk.Start, From: pred.Start}, Probe{Cost: 1, Spec: sp, Fn: fn}))
 		}
 		v.OnEnd(func(c *Ctx) {
 			// End hooks run after the final flush: the promoted cells
@@ -186,20 +186,20 @@ func TestInlineMidRunInvalidation(t *testing.T) {
 				return
 			}
 			fn, sp := counterSpec(fires, "own-before", 1)
-			if err := v.AddBeforeSpec(nop.Addr, 2, obs.NoProbe, fn, sp); err != nil {
+			if err := v.Add(Site{When: BeforeInst, Addr: nop.Addr}, Probe{Cost: 2, Spec: sp, Fn: fn}); err != nil {
 				t.Error(err)
 			}
 			fn, sp = counterSpec(fires, "head-before", 1)
-			if err := v.AddBeforeSpec(add.Addr, 3, obs.NoProbe, fn, sp); err != nil {
+			if err := v.Add(Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 3, Spec: sp, Fn: fn}); err != nil {
 				t.Error(err)
 			}
 			fn, sp = fastSpec(fires, "head-after")
-			if err := v.AddAfterSpec(add.Addr, 1, obs.NoProbe, fn, sp); err != nil {
+			if err := v.Add(Site{When: AfterInst, Addr: add.Addr}, Probe{Cost: 1, Spec: sp, Fn: fn}); err != nil {
 				t.Error(err)
 			}
 			for _, pred := range headBlk.Preds {
 				fn, sp := fastSpec(fires, "head-edge")
-				if err := v.AddEdgeSpec(pred.Start, headBlk.Start, 1, obs.NoProbe, fn, sp); err != nil {
+				if err := v.Add(Site{When: AtEdge, Addr: headBlk.Start, From: pred.Start}, Probe{Cost: 1, Spec: sp, Fn: fn}); err != nil {
 					t.Error(err)
 				}
 			}
@@ -242,17 +242,17 @@ func TestInlineMidBlockInstall(t *testing.T) {
 
 	setup := func(v *VM, fires map[string]int) {
 		installed := false
-		if err := v.AddBefore(mul.Addr, 2, func(c *Ctx) {
+		if err := v.Add(Site{When: BeforeInst, Addr: mul.Addr}, Probe{Cost: 2, Fn: func(c *Ctx) {
 			fires["mul-before"]++
 			if installed {
 				return
 			}
 			installed = true
 			fn, sp := counterSpec(fires, "store-after", 1)
-			if err := v.AddAfterSpec(store.Addr, 1, obs.NoProbe, fn, sp); err != nil {
+			if err := v.Add(Site{When: AfterInst, Addr: store.Addr}, Probe{Cost: 1, Spec: sp, Fn: fn}); err != nil {
 				t.Error(err)
 			}
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,14 +289,14 @@ func TestInlineObsIdentical(t *testing.T) {
 		v := New(prog, Config{ExecMode: cell.mode, NoInline: cell.noInline, Obs: col})
 		fires := map[string]int{}
 		fn, sp := counterSpec(fires, "cnt", 1)
-		if err := v.AddBeforeSpec(add.Addr, 3, cnt, fn, sp); err != nil {
+		if err := v.Add(Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 3, ID: cnt, Spec: sp, Fn: fn}); err != nil {
 			t.Fatal(err)
 		}
 		fn, sp = fastSpec(fires, "fast")
-		if err := v.AddAfterSpec(store.Addr, 2, fst, fn, sp); err != nil {
+		if err := v.Add(Site{When: AfterInst, Addr: store.Addr}, Probe{Cost: 2, ID: fst, Spec: sp, Fn: fn}); err != nil {
 			t.Fatal(err)
 		}
-		if err := v.AddBeforeObs(store.Addr, 5, gen, func(c *Ctx) {}); err != nil {
+		if err := v.Add(Site{When: BeforeInst, Addr: store.Addr}, Probe{Cost: 5, ID: gen, Fn: func(c *Ctx) {}}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := v.Run(); err != nil {

@@ -10,7 +10,7 @@ import (
 
 // TestObsAttribution installs tagged and untagged probes on the same VM
 // and checks that firings and cycle costs land on the right collector
-// slots: registered probes by ID, legacy Add* probes in the untracked
+// slots: registered probes by ID, probes without an ID in the untracked
 // bucket, with totals reconciling against the extra cycles charged.
 func TestObsAttribution(t *testing.T) {
 	prog := build(t, sumSrc)
@@ -29,14 +29,14 @@ func TestObsAttribution(t *testing.T) {
 	after := col.RegisterProbe(obs.ProbeMeta{Label: "test after", Trigger: obs.TriggerAfter, Mechanism: obs.MechInlinedCall, Addr: addInst.Addr})
 
 	v := New(prog, Config{Obs: col})
-	if err := v.AddBeforeObs(addInst.Addr, 5, before, func(c *Ctx) {}); err != nil {
+	if err := v.Add(Site{When: BeforeInst, Addr: addInst.Addr}, Probe{Cost: 5, ID: before, Fn: func(c *Ctx) {}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.AddAfterObs(addInst.Addr, 7, after, func(c *Ctx) {}); err != nil {
+	if err := v.Add(Site{When: AfterInst, Addr: addInst.Addr}, Probe{Cost: 7, ID: after, Fn: func(c *Ctx) {}}); err != nil {
 		t.Fatal(err)
 	}
-	// Untagged legacy API: counted, but in the untracked bucket.
-	if err := v.AddBefore(addInst.Addr, 2, func(c *Ctx) {}); err != nil {
+	// No ID: counted, but in the untracked bucket.
+	if err := v.Add(Site{When: BeforeInst, Addr: addInst.Addr}, Probe{Cost: 2, Fn: func(c *Ctx) {}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Run(); err != nil {
@@ -226,11 +226,11 @@ func TestObsEnabledDispatchOverhead(t *testing.T) {
 	baseline := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			v := New(prog, Config{})
-			if err := v.AddBefore(addAddr, 3, func(c *Ctx) {
+			if err := v.Add(Site{When: BeforeInst, Addr: addAddr}, Probe{Cost: 3, Fn: func(c *Ctx) {
 				toolWork(c)
 				plainFires++
 				plainCycles += 3
-			}); err != nil {
+			}}); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := v.Run(); err != nil {
@@ -243,7 +243,7 @@ func TestObsEnabledDispatchOverhead(t *testing.T) {
 			col := obs.New(obs.Options{})
 			id := col.RegisterProbe(obs.ProbeMeta{Label: "gate", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall, Addr: addAddr, DispatchCost: 3})
 			v := New(prog, Config{Obs: col})
-			if err := v.AddBeforeObs(addAddr, 3, id, toolWork); err != nil {
+			if err := v.Add(Site{When: BeforeInst, Addr: addAddr}, Probe{Cost: 3, ID: id, Fn: toolWork}); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := v.Run(); err != nil {

@@ -45,20 +45,20 @@ func TestNestedAfterCallProbes(t *testing.T) {
 	}
 	v := New(prog, Config{})
 	var order []string
-	if err := v.AddAfter(callMid.Addr, 0, func(c *Ctx) {
+	if err := v.Add(Site{When: AfterInst, Addr: callMid.Addr}, Probe{Fn: func(c *Ctx) {
 		order = append(order, "mid")
 		if c.RetVal() != 11 {
 			t.Errorf("after mid: retval = %d, want 11", c.RetVal())
 		}
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.AddAfter(callInner.Addr, 0, func(c *Ctx) {
+	if err := v.Add(Site{When: AfterInst, Addr: callInner.Addr}, Probe{Fn: func(c *Ctx) {
 		order = append(order, "inner")
 		if c.RetVal() != 10 {
 			t.Errorf("after inner: retval = %d, want 10", c.RetVal())
 		}
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Run(); err != nil {
@@ -101,7 +101,7 @@ base:
 	}
 	v := New(prog, Config{})
 	fires := 0
-	if err := v.AddAfter(rec.Addr, 0, func(c *Ctx) { fires++ }); err != nil {
+	if err := v.Add(Site{When: AfterInst, Addr: rec.Addr}, Probe{Fn: func(c *Ctx) { fires++ }}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Run(); err != nil {
@@ -142,7 +142,7 @@ head:
 	v := New(prog, Config{})
 	iters := 0
 	for _, e := range loop.Backs {
-		if err := v.AddEdge(e.From.Start, e.To.Start, 0, func(*Ctx) { iters++ }); err != nil {
+		if err := v.Add(Site{When: AtEdge, Addr: e.To.Start, From: e.From.Start}, Probe{Fn: func(*Ctx) { iters++ }}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ join:
 	join := main.Blocks[1]
 	v := New(prog, Config{})
 	crossings := 0
-	if err := v.AddEdge(entry.Start, join.Start, 0, func(*Ctx) { crossings++ }); err != nil {
+	if err := v.Add(Site{When: AtEdge, Addr: join.Start, From: entry.Start}, Probe{Fn: func(*Ctx) { crossings++ }}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Run(); err != nil {
@@ -212,11 +212,11 @@ func TestProbeOrderingAtSamePoint(t *testing.T) {
 	var order []int
 	for i := 1; i <= 3; i++ {
 		i := i
-		if err := v.AddBefore(addInst.Addr, 0, func(*Ctx) {
+		if err := v.Add(Site{When: BeforeInst, Addr: addInst.Addr}, Probe{Fn: func(*Ctx) {
 			if len(order) < 3 {
 				order = append(order, i)
 			}
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestAfterProbeOnIntrinsicCall(t *testing.T) {
 	}
 	v := New(prog, Config{})
 	var got uint64
-	if err := v.AddAfter(call.Addr, 0, func(c *Ctx) { got = c.RetVal() }); err != nil {
+	if err := v.Add(Site{When: AfterInst, Addr: call.Addr}, Probe{Fn: func(c *Ctx) { got = c.RetVal() }}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Run(); err != nil {
@@ -267,7 +267,7 @@ func TestCtxContextFields(t *testing.T) {
 	main := prog.FuncByName("main")
 	v := New(prog, Config{})
 	checked := false
-	if err := v.AddBlockEntry(main.Blocks[1].Start, 0, func(c *Ctx) {
+	if err := v.Add(Site{When: AtBlockEntry, Addr: main.Blocks[1].Start}, Probe{Fn: func(c *Ctx) {
 		if checked {
 			return
 		}
@@ -291,7 +291,7 @@ func TestCtxContextFields(t *testing.T) {
 		if c.When() != AtBlockEntry {
 			t.Errorf("When = %v", c.When())
 		}
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Run(); err != nil {

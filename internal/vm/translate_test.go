@@ -189,25 +189,25 @@ func TestExecModesBitIdentical(t *testing.T) {
 		call := findInst(prog, isa.Call, 0)
 		blk := blockOf(t, prog, add.Addr)
 		return func(v *VM, fires map[string]int) {
-			if err := v.AddBefore(add.Addr, 3, func(c *Ctx) { fires["before"]++ }); err != nil {
+			if err := v.Add(Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 3, Fn: func(c *Ctx) { fires["before"]++ }}); err != nil {
 				t.Fatal(err)
 			}
-			if err := v.AddAfter(add.Addr, 2, func(c *Ctx) { fires["after"]++ }); err != nil {
+			if err := v.Add(Site{When: AfterInst, Addr: add.Addr}, Probe{Cost: 2, Fn: func(c *Ctx) { fires["after"]++ }}); err != nil {
 				t.Fatal(err)
 			}
 			if call != nil {
-				if err := v.AddAfter(call.Addr, 4, func(c *Ctx) { fires["call-after"]++ }); err != nil {
+				if err := v.Add(Site{When: AfterInst, Addr: call.Addr}, Probe{Cost: 4, Fn: func(c *Ctx) { fires["call-after"]++ }}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := v.AddBlockEntry(blk.Start, 1, func(c *Ctx) { fires["entry"]++ }); err != nil {
+			if err := v.Add(Site{When: AtBlockEntry, Addr: blk.Start}, Probe{Cost: 1, Fn: func(c *Ctx) { fires["entry"]++ }}); err != nil {
 				t.Fatal(err)
 			}
 			for _, pred := range blk.Preds {
 				pred := pred
-				if err := v.AddEdge(pred.Start, blk.Start, 1, func(c *Ctx) {
+				if err := v.Add(Site{When: AtEdge, Addr: blk.Start, From: pred.Start}, Probe{Cost: 1, Fn: func(c *Ctx) {
 					fires[fmt.Sprintf("edge-%x", pred.Start)]++
-				}); err != nil {
+				}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -300,20 +300,20 @@ func TestMidRunCacheInvalidation(t *testing.T) {
 				return
 			}
 			// Own block: fused when this hook runs at block entry.
-			if err := v.AddBefore(nop.Addr, 2, func(c *Ctx) { fires["own-before"]++ }); err != nil {
+			if err := v.Add(Site{When: BeforeInst, Addr: nop.Addr}, Probe{Cost: 2, Fn: func(c *Ctx) { fires["own-before"]++ }}); err != nil {
 				t.Error(err)
 			}
 			// Already-executed, already-translated block: must be
 			// invalidated and retranslated with the probes fused.
-			if err := v.AddBefore(add.Addr, 3, func(c *Ctx) { fires["head-before"]++ }); err != nil {
+			if err := v.Add(Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 3, Fn: func(c *Ctx) { fires["head-before"]++ }}); err != nil {
 				t.Error(err)
 			}
-			if err := v.AddAfter(add.Addr, 1, func(c *Ctx) { fires["head-after"]++ }); err != nil {
+			if err := v.Add(Site{When: AfterInst, Addr: add.Addr}, Probe{Cost: 1, Fn: func(c *Ctx) { fires["head-after"]++ }}); err != nil {
 				t.Error(err)
 			}
 			for _, pred := range headBlk.Preds {
 				pred := pred
-				if err := v.AddEdge(pred.Start, headBlk.Start, 1, func(c *Ctx) { fires["head-edge"]++ }); err != nil {
+				if err := v.Add(Site{When: AtEdge, Addr: headBlk.Start, From: pred.Start}, Probe{Cost: 1, Fn: func(c *Ctx) { fires["head-edge"]++ }}); err != nil {
 					t.Error(err)
 				}
 			}
@@ -351,16 +351,16 @@ func TestMidBlockProbeInstall(t *testing.T) {
 
 	setup := func(v *VM, fires map[string]int) {
 		installed := false
-		if err := v.AddBefore(mul.Addr, 2, func(c *Ctx) {
+		if err := v.Add(Site{When: BeforeInst, Addr: mul.Addr}, Probe{Cost: 2, Fn: func(c *Ctx) {
 			fires["mul-before"]++
 			if installed {
 				return
 			}
 			installed = true
-			if err := v.AddAfter(store.Addr, 1, func(c *Ctx) { fires["store-after"]++ }); err != nil {
+			if err := v.Add(Site{When: AfterInst, Addr: store.Addr}, Probe{Cost: 1, Fn: func(c *Ctx) { fires["store-after"]++ }}); err != nil {
 				t.Error(err)
 			}
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -409,13 +409,13 @@ func TestCallAfterCtxBlock(t *testing.T) {
 			}
 			v := New(prog, Config{ExecMode: mode})
 			var got, entryBlk *cfg.Block
-			if err := v.AddAfter(call.Addr, 1, func(c *Ctx) { got = c.Block() }); err != nil {
+			if err := v.Add(Site{When: AfterInst, Addr: call.Addr}, Probe{Cost: 1, Fn: func(c *Ctx) { got = c.Block() }}); err != nil {
 				t.Fatal(err)
 			}
 			// The fall-through block's entry fire runs in the same
 			// dispatch as the pending call-after drain; neither context
 			// may leak into the other.
-			if err := v.AddBlockEntry(fallBlk.Start, 1, func(c *Ctx) { entryBlk = c.Block() }); err != nil {
+			if err := v.Add(Site{When: AtBlockEntry, Addr: fallBlk.Start}, Probe{Cost: 1, Fn: func(c *Ctx) { entryBlk = c.Block() }}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := v.Run(); err != nil {

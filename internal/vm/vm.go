@@ -18,12 +18,15 @@
 // execute; dynamic frameworks (Pin, Janus's DynamoRIO side) use it to
 // instrument code just in time, paying a per-block translation cost.
 //
-// Every probe carries a dispatch cost in cycle units, charged when it
-// fires; this is how the frameworks' differing instrumentation mechanisms
-// (clean calls, inlined clean calls, trampoline snippets) are priced.
+// Probes are installed through one entry point, VM.Add, which takes the
+// trigger point (Site) and the probe's callback, price and options
+// (Probe). Every probe carries a dispatch cost in cycle units, charged
+// when it fires; this is how the frameworks' differing instrumentation
+// mechanisms (clean calls, inlined clean calls, trampoline snippets) are
+// priced.
 //
-// Probes may additionally be tagged with an observability ID (the
-// Add*Obs variants): when a Collector is attached via Config.Obs, every
+// Probes may additionally be tagged with an observability ID
+// (Probe.ID): when a Collector is attached via Config.Obs, every
 // firing is attributed to its probe — count and cycles — on pre-sized
 // slots. With no collector attached the dispatch loop pays exactly one
 // predictable nil-check branch per probe batch.
@@ -226,6 +229,10 @@ type Config struct {
 	// schedulers (internal/fleet) use it to cancel long-running sessions
 	// on drain. Nil keeps the dispatch loop free of the check.
 	Stop *atomic.Bool
+	// OnMachine, when non-nil, is called by New with the finished
+	// machine, before any probe is installed — the hook adaptive
+	// controllers (internal/governor) attach through.
+	OnMachine func(*VM)
 }
 
 // ErrStopped is returned by Run when the machine was cancelled through
@@ -371,6 +378,9 @@ func New(prog *cfg.Program, cfgv Config) *VM {
 	v.regs[isa.SP] = obj.StackTop
 	v.regs[isa.FP] = obj.StackTop
 	v.pc = prog.Obj.Entry()
+	if cfgv.OnMachine != nil {
+		cfgv.OnMachine(v)
+	}
 	return v
 }
 
@@ -391,156 +401,122 @@ func (v *VM) modFor(addr uint64) *modExec {
 	return nil
 }
 
-// AddBefore installs a probe fired before the instruction at addr
-// executes. cost is charged on each firing.
-func (v *VM) AddBefore(addr uint64, cost uint64, fn ProbeFn) error {
-	return v.AddBeforeObs(addr, cost, obs.NoProbe, fn)
+// Site names where a probe fires. When selects the trigger point:
+// BeforeInst and AfterInst take the instruction at Addr (after-probes on
+// calls fire at the fall-through, once the callee returns; there is no
+// well-defined "after" point on branches, returns and halts, matching
+// the restrictions real frameworks impose); AtBlockEntry takes the basic
+// block starting at Addr; AtEdge takes the intraprocedural edge from the
+// block starting at From to the block starting at Addr. Program start
+// and end are hooked through OnStart/OnEnd, not installed as probes.
+type Site struct {
+	When       When
+	Addr, From uint64
 }
 
-// AddBeforeObs is AddBefore with an observability tag: firings are
-// attributed to id on the collector attached via Config.Obs.
-func (v *VM) AddBeforeObs(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn) error {
-	return v.AddBeforeSpec(addr, cost, id, fn, nil)
+// Probe describes one probe installation.
+type Probe struct {
+	// Fn is the callback run on each firing.
+	Fn ProbeFn
+	// Cost is charged on each firing (cycle units).
+	Cost uint64
+	// ID attributes firings on the collector attached via Config.Obs
+	// (obs.NoProbe = untracked).
+	ID obs.ProbeID
+	// Spec, when non-nil, is the probe's inline specialization (see
+	// ProbeSpec for the contract).
+	Spec *ProbeSpec
+	// Stride samples the probe: it fires on every Stride-th hit (0 and 1
+	// mean every hit). A stride above 1 — or Config.Adaptive — attaches
+	// a control block, making the probe governable
+	// (SetProbeStride/SetProbeEnabled).
+	Stride uint64
+	// Shares, when non-empty, makes this one coalesced probe attributed
+	// across its constituent placements (see Share): its cost is the sum
+	// of the shares' costs and its ID the first share's, so Cost and ID
+	// are ignored. Coalesced probes have no control block: they cannot be
+	// sampled and cannot run on an adaptive machine.
+	Shares []Share
 }
 
-// AddBeforeSpec is AddBeforeObs with an inline specialization (spec may
-// be nil; see ProbeSpec for the contract).
-func (v *VM) AddBeforeSpec(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec) error {
-	return v.AddBeforeSampled(addr, cost, id, fn, spec, 0)
-}
-
-// AddBeforeSampled is AddBeforeSpec with a sampling stride: the probe
-// fires on every stride-th hit (0 and 1 mean every hit). A stride above 1
-// — or Config.Adaptive — attaches a control block, making the probe
-// governable (SetProbeStride/SetProbeEnabled).
-func (v *VM) AddBeforeSampled(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec, stride uint64) error {
-	m := v.modFor(addr)
-	if m == nil || m.insts[addr-m.base] == nil {
-		return fmt.Errorf("vm: no instruction at %#x", addr)
-	}
-	p := m.probesAt(addr - m.base)
-	ct := v.newCtl(id, stride)
-	if ct != nil {
-		ct.sites = append(ct.sites, ctlSite{m: m, off: addr - m.base})
-	}
-	p.before = append(p.before, probe{fn: fn, cost: cost, id: id, spec: spec, ctl: ct})
-	m.flags[addr-m.base] |= flagBefore
-	m.invalidate(addr - m.base)
-	return nil
-}
-
-// AddAfter installs a probe fired after the instruction at addr executes.
-// For calls the probe fires at the fall-through, once the callee returns.
-// After-probes are invalid on branches, returns and halts (there is no
-// well-defined "after" point), matching the restrictions real frameworks
-// impose.
-func (v *VM) AddAfter(addr uint64, cost uint64, fn ProbeFn) error {
-	return v.AddAfterObs(addr, cost, obs.NoProbe, fn)
-}
-
-// AddAfterObs is AddAfter with an observability tag.
-func (v *VM) AddAfterObs(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn) error {
-	return v.AddAfterSpec(addr, cost, id, fn, nil)
-}
-
-// AddAfterSpec is AddAfterObs with an inline specialization (spec may be
-// nil; see ProbeSpec for the contract).
-func (v *VM) AddAfterSpec(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec) error {
-	return v.AddAfterSampled(addr, cost, id, fn, spec, 0)
-}
-
-// AddAfterSampled is AddAfterSpec with a sampling stride (see
-// AddBeforeSampled).
-func (v *VM) AddAfterSampled(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec, stride uint64) error {
-	m := v.modFor(addr)
-	if m == nil || m.insts[addr-m.base] == nil {
-		return fmt.Errorf("vm: no instruction at %#x", addr)
-	}
-	switch m.insts[addr-m.base].Op {
-	case isa.Branch, isa.Return, isa.Halt:
-		return fmt.Errorf("vm: after-probe invalid on %s at %#x", m.insts[addr-m.base].Op, addr)
-	}
-	p := m.probesAt(addr - m.base)
-	ct := v.newCtl(id, stride)
-	if ct != nil {
-		ct.sites = append(ct.sites, ctlSite{m: m, off: addr - m.base})
-	}
-	p.after = append(p.after, probe{fn: fn, cost: cost, id: id, spec: spec, ctl: ct})
-	m.flags[addr-m.base] |= flagAfter
-	m.invalidate(addr - m.base)
-	return nil
-}
-
-// AddBlockEntry installs a probe fired whenever execution enters the basic
-// block starting at addr.
-func (v *VM) AddBlockEntry(addr uint64, cost uint64, fn ProbeFn) error {
-	return v.AddBlockEntryObs(addr, cost, obs.NoProbe, fn)
-}
-
-// AddBlockEntryObs is AddBlockEntry with an observability tag.
-func (v *VM) AddBlockEntryObs(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn) error {
-	return v.AddBlockEntrySpec(addr, cost, id, fn, nil)
-}
-
-// AddBlockEntrySpec is AddBlockEntryObs with an inline specialization
-// (spec may be nil; see ProbeSpec for the contract).
-func (v *VM) AddBlockEntrySpec(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec) error {
-	return v.AddBlockEntrySampled(addr, cost, id, fn, spec, 0)
-}
-
-// AddBlockEntrySampled is AddBlockEntrySpec with a sampling stride (see
-// AddBeforeSampled). Entry lists are read live at dispatch, so control
-// changes need no block invalidation.
-func (v *VM) AddBlockEntrySampled(addr uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec, stride uint64) error {
-	m := v.modFor(addr)
-	if m == nil || m.blocks[addr-m.base] == nil {
-		return fmt.Errorf("vm: no basic block starting at %#x", addr)
-	}
-	p := m.probesAt(addr - m.base)
-	p.entry = append(p.entry, probe{fn: fn, cost: cost, id: id, spec: spec, ctl: v.newCtl(id, stride)})
-	m.flags[addr-m.base] |= flagBlockEntry
-	return nil
-}
-
-// AddEdge installs a probe fired when the intraprocedural edge from the
-// block starting at `from` to the block starting at `to` is traversed.
-func (v *VM) AddEdge(from, to uint64, cost uint64, fn ProbeFn) error {
-	return v.AddEdgeObs(from, to, cost, obs.NoProbe, fn)
-}
-
-// AddEdgeObs is AddEdge with an observability tag.
-func (v *VM) AddEdgeObs(from, to uint64, cost uint64, id obs.ProbeID, fn ProbeFn) error {
-	return v.AddEdgeSpec(from, to, cost, id, fn, nil)
-}
-
-// AddEdgeSpec is AddEdgeObs with an inline specialization (spec may be
-// nil; see ProbeSpec for the contract).
-func (v *VM) AddEdgeSpec(from, to uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec) error {
-	return v.AddEdgeSampled(from, to, cost, id, fn, spec, 0)
-}
-
-// AddEdgeSampled is AddEdgeSpec with a sampling stride (see
-// AddBeforeSampled). Edge lists are read live at dispatch, so control
-// changes need no block invalidation.
-func (v *VM) AddEdgeSampled(from, to uint64, cost uint64, id obs.ProbeID, fn ProbeFn, spec *ProbeSpec, stride uint64) error {
-	m := v.modFor(to)
-	if m == nil || m.blocks[to-m.base] == nil {
-		return fmt.Errorf("vm: no basic block starting at %#x", to)
-	}
-	if mf := v.modFor(from); mf == nil || mf.blocks[from-mf.base] == nil {
-		return fmt.Errorf("vm: no basic block starting at %#x", from)
-	}
-	p := m.probesAt(to - m.base)
-	np := probe{fn: fn, cost: cost, id: id, spec: spec, ctl: v.newCtl(id, stride)}
-	for i := range p.edgeIn {
-		if p.edgeIn[i].from == from {
-			p.edgeIn[i].probes = append(p.edgeIn[i].probes, np)
-			m.flags[to-m.base] |= flagEdgeTo
-			return nil
+// Add installs probe p at site s. It fails, installing nothing, when the
+// site names no instruction or block of the program, when an after-probe
+// would sit on a branch, return or halt, or when a coalesced probe is
+// sampled or installed on an adaptive machine.
+func (v *VM) Add(s Site, p Probe) error {
+	if len(p.Shares) > 0 {
+		if v.adaptive {
+			return errors.New("vm: coalesced probes have no control block and cannot run in adaptive mode")
+		}
+		if p.Stride > 1 {
+			return errors.New("vm: coalesced probes have no control block and cannot be sampled")
 		}
 	}
-	p.edgeIn = append(p.edgeIn, edgeProbes{from: from, probes: []probe{np}})
-	m.flags[to-m.base] |= flagEdgeTo
+	var m *modExec
+	switch s.When {
+	case BeforeInst, AfterInst:
+		if m = v.modFor(s.Addr); m == nil || m.insts[s.Addr-m.base] == nil {
+			return fmt.Errorf("vm: no instruction at %#x", s.Addr)
+		}
+		if s.When == AfterInst {
+			switch op := m.insts[s.Addr-m.base].Op; op {
+			case isa.Branch, isa.Return, isa.Halt:
+				return fmt.Errorf("vm: after-probe invalid on %s at %#x", op, s.Addr)
+			}
+		}
+	case AtBlockEntry, AtEdge:
+		if m = v.modFor(s.Addr); m == nil || m.blocks[s.Addr-m.base] == nil {
+			return fmt.Errorf("vm: no basic block starting at %#x", s.Addr)
+		}
+		if s.When == AtEdge {
+			if mf := v.modFor(s.From); mf == nil || mf.blocks[s.From-mf.base] == nil {
+				return fmt.Errorf("vm: no basic block starting at %#x", s.From)
+			}
+		}
+	default:
+		return fmt.Errorf("vm: no probe site at trigger %d (hook program start and end with OnStart/OnEnd)", s.When)
+	}
+	off := s.Addr - m.base
+	np := probe{fn: p.Fn, cost: p.Cost, id: p.ID, spec: p.Spec}
+	if len(p.Shares) > 0 {
+		np.cost, np.id, np.shares = 0, p.Shares[0].ID, p.Shares
+		for _, sh := range p.Shares {
+			np.cost += sh.Cost
+		}
+	} else {
+		np.ctl = v.newCtl(p.ID, p.Stride)
+	}
+	ps := m.probesAt(off)
+	switch s.When {
+	case BeforeInst, AfterInst:
+		// Before/after probes are fused into translated blocks: drop the
+		// cached block, and let control changes find it again.
+		if np.ctl != nil {
+			np.ctl.sites = append(np.ctl.sites, ctlSite{m: m, off: off})
+		}
+		if s.When == BeforeInst {
+			ps.before = append(ps.before, np)
+			m.flags[off] |= flagBefore
+		} else {
+			ps.after = append(ps.after, np)
+			m.flags[off] |= flagAfter
+		}
+		m.invalidate(off)
+	case AtBlockEntry:
+		// Entry and edge lists are read live at dispatch, so neither
+		// installation nor control changes need block invalidation.
+		ps.entry = append(ps.entry, np)
+		m.flags[off] |= flagBlockEntry
+	case AtEdge:
+		m.flags[off] |= flagEdgeTo
+		for i := range ps.edgeIn {
+			if ps.edgeIn[i].from == s.From {
+				ps.edgeIn[i].probes = append(ps.edgeIn[i].probes, np)
+				return nil
+			}
+		}
+		ps.edgeIn = append(ps.edgeIn, edgeProbes{from: s.From, probes: []probe{np}})
+	}
 	return nil
 }
 

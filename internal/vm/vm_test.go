@@ -12,6 +12,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/isa"
 	"repro/internal/obj"
+	"repro/internal/obs"
 )
 
 func build(t *testing.T, srcs ...string) *cfg.Program {
@@ -305,15 +306,15 @@ func TestBeforeAfterProbes(t *testing.T) {
 	}
 	v := New(prog, Config{})
 	var before, after int
-	if err := v.AddBefore(addInst.Addr, 5, func(c *Ctx) {
+	if err := v.Add(Site{When: BeforeInst, Addr: addInst.Addr}, Probe{Cost: 5, Fn: func(c *Ctx) {
 		before++
 		if c.Inst() != addInst || c.When() != BeforeInst {
 			t.Error("bad ctx in before probe")
 		}
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.AddAfter(addInst.Addr, 5, func(c *Ctx) { after++ }); err != nil {
+	if err := v.Add(Site{When: AfterInst, Addr: addInst.Addr}, Probe{Cost: 5, Fn: func(c *Ctx) { after++ }}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := v.Run()
@@ -358,7 +359,7 @@ func TestAfterCallSeesReturnValue(t *testing.T) {
 	v := New(prog, Config{})
 	var sawBefore, sawAfter uint64
 	sawBefore, sawAfter = 1, 1
-	if err := v.AddBefore(callInst.Addr, 0, func(c *Ctx) {
+	if err := v.Add(Site{When: BeforeInst, Addr: callInst.Addr}, Probe{Fn: func(c *Ctx) {
 		sawBefore = c.RetVal()
 		if c.CallArg(1) != 32 {
 			t.Errorf("CallArg(1) = %d, want 32", c.CallArg(1))
@@ -366,15 +367,15 @@ func TestAfterCallSeesReturnValue(t *testing.T) {
 		if got := c.TargetName(); got != "malloc" {
 			t.Errorf("TargetName = %q, want malloc", got)
 		}
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.AddAfter(callInst.Addr, 0, func(c *Ctx) {
+	if err := v.Add(Site{When: AfterInst, Addr: callInst.Addr}, Probe{Fn: func(c *Ctx) {
 		sawAfter = c.RetVal()
 		if c.Inst() != callInst {
 			t.Error("after-probe inst mismatch")
 		}
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Run(); err != nil {
@@ -411,7 +412,7 @@ func TestAfterRealCallFiresAfterReturn(t *testing.T) {
 	}
 	v := New(prog, Config{})
 	var got uint64
-	if err := v.AddAfter(callInst.Addr, 0, func(c *Ctx) { got = c.RetVal() }); err != nil {
+	if err := v.Add(Site{When: AfterInst, Addr: callInst.Addr}, Probe{Fn: func(c *Ctx) { got = c.RetVal() }}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Run(); err != nil {
@@ -431,26 +432,26 @@ func TestBlockEntryAndEdgeProbes(t *testing.T) {
 	loop := f.Loops[0]
 	v := New(prog, Config{})
 	var headEntries, iters, entries, exits int
-	if err := v.AddBlockEntry(loop.Header.Start, 0, func(c *Ctx) {
+	if err := v.Add(Site{When: AtBlockEntry, Addr: loop.Header.Start}, Probe{Fn: func(c *Ctx) {
 		headEntries++
 		if c.Block() != loop.Header {
 			t.Error("block ctx mismatch")
 		}
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range loop.Backs {
-		if err := v.AddEdge(e.From.Start, e.To.Start, 0, func(c *Ctx) { iters++ }); err != nil {
+		if err := v.Add(Site{When: AtEdge, Addr: e.To.Start, From: e.From.Start}, Probe{Fn: func(c *Ctx) { iters++ }}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, e := range loop.Entries {
-		if err := v.AddEdge(e.From.Start, e.To.Start, 0, func(c *Ctx) { entries++ }); err != nil {
+		if err := v.Add(Site{When: AtEdge, Addr: e.To.Start, From: e.From.Start}, Probe{Fn: func(c *Ctx) { entries++ }}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, e := range loop.Exits {
-		if err := v.AddEdge(e.From.Start, e.To.Start, 0, func(c *Ctx) { exits++ }); err != nil {
+		if err := v.Add(Site{When: AtEdge, Addr: e.To.Start, From: e.From.Start}, Probe{Fn: func(c *Ctx) { exits++ }}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -497,7 +498,7 @@ func TestTranslatorCanInstrument(t *testing.T) {
 	v := New(prog, Config{})
 	execBlocks := 0
 	if err := v.SetTranslator(func(b *cfg.Block) {
-		if err := v.AddBlockEntry(b.Start, 0, func(c *Ctx) { execBlocks++ }); err != nil {
+		if err := v.Add(Site{When: AtBlockEntry, Addr: b.Start}, Probe{Fn: func(c *Ctx) { execBlocks++ }}); err != nil {
 			t.Error(err)
 		}
 	}); err != nil {
@@ -526,30 +527,109 @@ func TestStartEndHooks(t *testing.T) {
 	}
 }
 
+// TestProbeRegistrationErrors drives the one installer through a table:
+// every site or probe Add cannot honour is rejected and leaves the run
+// untouched (no firing, no charge, no control block), and a coalesced
+// probe on each trigger reports one attribution row per share while
+// charging the shares' sum per firing.
 func TestProbeRegistrationErrors(t *testing.T) {
-	prog := build(t, sumSrc)
-	f := prog.FuncByName("main")
-	var branch *isa.Inst
-	for _, b := range f.Blocks {
-		if b.Last().Op == isa.Branch {
-			branch = b.Last()
+	const src = `
+.module a.out
+.executable
+.entry main
+.func main
+  mov r1, 0
+  mov r2, 0
+  mov r3, 10
+head:
+  add r1, r1, r2
+  add r2, r2, 1
+  blt r2, r3, head
+  call leaf
+  halt
+.func leaf
+  ret
+`
+	prog := build(t, src)
+	bare, err := New(prog, Config{}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := instByOp(t, prog, isa.Add, 0)
+	head := blockOf(t, prog, add.Addr).Start
+	mid := instByOp(t, prog, isa.Add, 1).Addr // inside the loop block
+	const bad = 0x3                           // no instruction or block starts here
+	shareCosts := []uint64{5, 7}
+
+	cases := []struct {
+		name      string
+		adaptive  bool
+		site      Site
+		coalesced bool
+		stride    uint64
+		fires     uint64 // 0: Add must reject the probe
+	}{
+		{"no instruction", false, Site{When: BeforeInst, Addr: bad}, false, 0, 0},
+		{"after on branch", false, Site{When: AfterInst, Addr: instByOp(t, prog, isa.Branch, 0).Addr}, false, 0, 0},
+		{"after on return", false, Site{When: AfterInst, Addr: instByOp(t, prog, isa.Return, 0).Addr}, false, 0, 0},
+		{"after on halt", false, Site{When: AfterInst, Addr: instByOp(t, prog, isa.Halt, 0).Addr}, false, 0, 0},
+		{"entry at nowhere", false, Site{When: AtBlockEntry, Addr: bad}, false, 0, 0},
+		{"entry mid-block", false, Site{When: AtBlockEntry, Addr: mid}, false, 0, 0},
+		{"edge to nowhere", false, Site{When: AtEdge, Addr: bad, From: head}, false, 0, 0},
+		{"edge to mid-block", false, Site{When: AtEdge, Addr: mid, From: head}, false, 0, 0},
+		{"edge from mid-block", false, Site{When: AtEdge, Addr: head, From: mid}, false, 0, 0},
+		{"edge from nowhere", false, Site{When: AtEdge, Addr: head, From: bad}, false, 0, 0},
+		{"program start", false, Site{When: AtStart}, false, 0, 0},
+		{"program end", false, Site{When: AtEnd}, false, 0, 0},
+		{"coalesced on adaptive machine", true, Site{When: BeforeInst, Addr: add.Addr}, true, 0, 0},
+		{"sampled coalesced", false, Site{When: BeforeInst, Addr: add.Addr}, true, 2, 0},
+		{"coalesced before", false, Site{When: BeforeInst, Addr: add.Addr}, true, 0, 10},
+		{"coalesced after", false, Site{When: AfterInst, Addr: add.Addr}, true, 0, 10},
+		{"coalesced entry", false, Site{When: AtBlockEntry, Addr: head}, true, 0, 10},
+		{"coalesced back edge", false, Site{When: AtEdge, Addr: head, From: head}, true, 0, 9},
+	}
+	for _, c := range cases {
+		col := obs.New(obs.Options{})
+		v := New(prog, Config{Obs: col, Adaptive: c.adaptive})
+		fires := uint64(0)
+		p := Probe{Cost: 3, Stride: c.stride, Fn: func(*Ctx) { fires++ }}
+		perFire := p.Cost
+		if c.coalesced {
+			perFire = 0
+			for _, cost := range shareCosts {
+				p.Shares = append(p.Shares, Share{ID: col.RegisterProbe(obs.ProbeMeta{DispatchCost: cost}), Cost: cost})
+				perFire += cost
+			}
+		} else {
+			p.ID = col.RegisterProbe(obs.ProbeMeta{DispatchCost: p.Cost})
 		}
-	}
-	v := New(prog, Config{})
-	if err := v.AddBefore(0x3, 0, func(*Ctx) {}); err == nil {
-		t.Error("AddBefore on bad addr succeeded")
-	}
-	if err := v.AddAfter(branch.Addr, 0, func(*Ctx) {}); err == nil {
-		t.Error("AddAfter on branch succeeded")
-	}
-	if err := v.AddBlockEntry(branch.Addr, 0, func(*Ctx) {}); err == nil {
-		t.Error("AddBlockEntry mid-block succeeded")
-	}
-	if err := v.AddEdge(0x3, f.Blocks[0].Start, 0, func(*Ctx) {}); err == nil {
-		t.Error("AddEdge bad from succeeded")
-	}
-	if err := v.AddEdge(f.Blocks[0].Start, 0x3, 0, func(*Ctx) {}); err == nil {
-		t.Error("AddEdge bad to succeeded")
+		if err := v.Add(c.site, p); (err != nil) != (c.fires == 0) {
+			t.Errorf("%s: Add error = %v, want rejection %v", c.name, err, c.fires == 0)
+			continue
+		}
+		if c.fires == 0 && len(v.AdaptiveProbes()) != 0 {
+			t.Errorf("%s: rejected probe left a control block", c.name)
+		}
+		res, err := v.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if fires != c.fires || res.Cycles-bare.Cycles != c.fires*perFire {
+			t.Errorf("%s: %d fires charging %d cycles, want %d charging %d", c.name, fires, res.Cycles-bare.Cycles, c.fires, c.fires*perFire)
+		}
+		s := col.Snapshot("")
+		if s.UntrackedFires != 0 {
+			t.Errorf("%s: %d untracked fires", c.name, s.UntrackedFires)
+		}
+		for i, row := range s.Probes {
+			want := uint64(0)
+			if c.coalesced {
+				want = c.fires
+			}
+			if row.Fires != want || row.Cycles != want*row.DispatchCost {
+				t.Errorf("%s: row %d = %d fires, %d cycles; want %d, %d", c.name, i, row.Fires, row.Cycles, want, want*row.DispatchCost)
+			}
+		}
 	}
 }
 
@@ -588,9 +668,9 @@ func TestReturnAddressOnStackIsObservable(t *testing.T) {
 	var out bytes.Buffer
 	v.appOut = &out
 	var observed uint64
-	if err := v.AddBefore(retInst.Addr, 0, func(c *Ctx) {
+	if err := v.Add(Site{When: BeforeInst, Addr: retInst.Addr}, Probe{Fn: func(c *Ctx) {
 		observed, _ = c.Target()
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Run(); err != nil {

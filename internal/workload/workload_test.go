@@ -166,7 +166,7 @@ func TestSharedLibCodeExecutes(t *testing.T) {
 		for _, b := range f.Blocks {
 			for _, in := range b.Insts {
 				if in.Op == isa.Load {
-					if err := machine.AddBefore(in.Addr, 0, func(c *vm.Ctx) { libLoads++ }); err != nil {
+					if err := machine.Add(vm.Site{When: vm.BeforeInst, Addr: in.Addr}, vm.Probe{Fn: func(c *vm.Ctx) { libLoads++ }}); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -2,6 +2,11 @@
 # Tier-1 gate: everything must pass before a change lands.
 #
 #   vet        static checks
+#   gofmt      every tracked .go file is gofmt-clean (tracked files only,
+#              so build outputs such as .bench_build/ are not scanned)
+#   perfbench  the benchmark harness (perfbench/, its own module, which
+#              the root ./... patterns never reach) still compiles and
+#              vets against the repo's current API
 #   build      every package compiles
 #   race test  full suite under the race detector (the bench sweeps run
 #              their (benchmark x framework) cells on a worker pool, so
@@ -52,6 +57,17 @@ cd "$(dirname "$0")/.."
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l (tracked .go files)"
+unformatted=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$unformatted" ]; then
+	echo "not gofmt-clean:"
+	echo "$unformatted"
+	exit 1
+fi
+
+echo "==> perfbench compile gate (go vet, its own module)"
+(cd perfbench && GOWORK=off go vet ./...)
 
 echo "==> go build ./..."
 go build ./...
