@@ -55,15 +55,19 @@ type DispatchRow struct {
 const dispatchReps = 3
 
 // dispatchCases are the tools measured by Dispatch: the five Table I
-// use cases plus the opcode-mix profiler — an action-heavy workload
-// (four per-instruction counter probes over disjoint opcode classes)
-// that exercises the translated tier's probe+op superinstructions.
+// use cases, the opcode-mix profiler — an action-heavy workload (four
+// per-instruction counter probes over disjoint opcode classes) that
+// exercises the translated tier's probe+op superinstructions — and
+// Figure 5b's per-block instruction count, the tool behind the paper's
+// Figure 13.
 var dispatchCases = func() []struct{ label, prog string } {
-	cases := make([]struct{ label, prog string }, 0, len(table1Cases)+1)
+	cases := make([]struct{ label, prog string }, 0, len(table1Cases)+2)
 	for _, c := range table1Cases {
 		cases = append(cases, struct{ label, prog string }{c.label, c.prog})
 	}
-	return append(cases, struct{ label, prog string }{"Opcode mix", progs.OpcodeMix})
+	return append(cases,
+		struct{ label, prog string }{"Opcode mix", progs.OpcodeMix},
+		struct{ label, prog string }{"Inst count (Fig. 5b)", progs.InstCountBB})
 }()
 
 // Dispatch measures both VM tiers on the named benchmark: a probe-free

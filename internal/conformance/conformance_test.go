@@ -75,6 +75,9 @@ func TestDifferentialSweep(t *testing.T) {
 	if res.SamplingChecks == 0 {
 		t.Error("sweep never exercised the sampling-legality oracle")
 	}
+	if res.CountersPromoted == 0 {
+		t.Error("sweep never ran a counter-promoted placement")
+	}
 }
 
 // The sampling oracle's arithmetic checker must flag every violation

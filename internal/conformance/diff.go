@@ -73,6 +73,10 @@ type RunResult struct {
 	ExitCode   uint64
 	Fires      map[string]uint64
 	TotalFires uint64
+	// CountersPromoted is the run's BuildStats.CountersPromoted: how
+	// many placements ran as promoted counters. Not an observable the
+	// oracle compares (it is 0 with the passes off).
+	CountersPromoted int
 }
 
 // Traits are the structural properties of a (program, victim) pair the
@@ -315,6 +319,7 @@ func runCell(tool *engine.CompiledTool, prog *cfg.Program, cell Cell, cache *art
 		rr.Fires[ps.Label] += ps.Fires
 	}
 	rr.TotalFires = stats.TotalFires
+	rr.CountersPromoted = stats.Build.CountersPromoted
 	return rr
 }
 

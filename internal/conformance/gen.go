@@ -289,6 +289,10 @@ func (g *progGen) instBody(v, op string, after bool) []ast.Stmt {
 		pool = append(pool, func() ast.Stmt {
 			i := bin(token.PERCENT, cfeAttr(v, "id"), num(arrayLen))
 			return assign(index("a0", i), bin(token.PLUS, index("a0", i), num(1)))
+		}, func() ast.Stmt {
+			// A constant-index bump: promotable to a counter.
+			i := num(int64(g.r.Intn(arrayLen)))
+			return assign(index("a0", i), bin(token.PLUS, index("a0", i), num(int64(1+g.r.Intn(3)))))
 		})
 	}
 	switch op {

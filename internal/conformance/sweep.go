@@ -27,6 +27,9 @@ type SweepResult struct {
 	// SamplingChecks counts sampled placements verified against their
 	// unsampled twins across the sweep.
 	SamplingChecks int
+	// CountersPromoted counts the placements that ran as promoted
+	// counters, summed over every cell of the sweep.
+	CountersPromoted int
 	// Failures lists every pair with an illegal divergence.
 	Failures []*PairResult
 	// Errors lists pairs that could not be set up at all (generator
@@ -39,8 +42,8 @@ type SweepResult struct {
 // Summary renders a stable one-line-per-class digest.
 func (s *SweepResult) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d seeds, %d cells, %d sampled placements, %d illegal, %d errors\n",
-		s.Seeds, s.Cells, s.SamplingChecks, len(s.Failures), len(s.Errors))
+	fmt.Fprintf(&b, "%d seeds, %d cells, %d sampled placements, %d counter-promoted placements, %d illegal, %d errors\n",
+		s.Seeds, s.Cells, s.SamplingChecks, s.CountersPromoted, len(s.Failures), len(s.Errors))
 	classes := make([]string, 0, len(s.Legal))
 	for c := range s.Legal {
 		classes = append(classes, c)
@@ -70,6 +73,9 @@ func Sweep(start, n uint64, deadline time.Time) *SweepResult {
 		res.Seeds++
 		res.Cells += len(pr.Results)
 		res.SamplingChecks += pr.SamplingChecks
+		for _, r := range pr.Results {
+			res.CountersPromoted += r.CountersPromoted
+		}
 		for _, d := range pr.Divergences {
 			if d.Legal {
 				res.Legal[d.Class]++

@@ -336,8 +336,7 @@ func pinRoutine(r *placement.Rule) (pinPlacement, error) {
 	}
 	switch r.Mechanism {
 	case placement.MechCounter:
-		il := a.Inline
-		routine.CounterDelta, routine.CounterFlush = il.Delta, il.Flush
+		routine.CounterFlush = a.Inline.Flush
 	case placement.MechFast:
 		fbuf := make([]value.Value, len(a.DynAttrs))
 		fast := a.Inline.Exec
@@ -430,7 +429,7 @@ func runPin(tool *engine.CompiledTool, prog *cfg.Program, opts Options) (*vm.Res
 		words := make([]uint64, len(e.p.args))
 		pr := vm.Probe{Fn: func(*vm.Ctx) { r.Fn(words) }}
 		if r.CounterFlush != nil {
-			pr.Spec = &vm.ProbeSpec{Counter: true, Delta: r.CounterDelta, Flush: r.CounterFlush}
+			pr.Spec = &vm.ProbeSpec{Counter: true, Flush: r.CounterFlush}
 		} else if r.FastFn != nil {
 			fast := r.FastFn
 			pr.Spec = &vm.ProbeSpec{Fn: func(*vm.Ctx) { fast(words) }}
@@ -525,8 +524,7 @@ func dyninstSnippet(r *placement.Rule) (dyninst.Snippet, error) {
 	}
 	switch r.Mechanism {
 	case placement.MechCounter:
-		il := a.Inline
-		call.CounterDelta, call.CounterFlush = il.Delta, il.Flush
+		call.CounterFlush = a.Inline.Flush
 	case placement.MechFast:
 		fbuf := make([]value.Value, len(a.DynAttrs))
 		fast := a.Inline.Exec

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/core/ast"
 	"repro/internal/core/sem"
+	"repro/internal/core/types"
 	"repro/internal/core/value"
 )
 
@@ -200,35 +201,34 @@ func (b *Bound) FastExec() func(dyn []value.Value) error {
 	}
 }
 
-// CounterShape reports whether the bound body is a pure counter bump —
-// no guard, exactly `x = x ± k` on a captured or global cell — and, if
-// so, returns the per-firing delta and a flush function such that n
-// consecutive firings leave every observable equal to one flush(n*delta)
-// call: each generic firing rewrites the cell to KInt(AsInt(cell)+delta),
-// so the composition is exactly additive.
-func (b *Bound) CounterShape() (delta int64, flush func(n int64), ok bool) {
+// CounterShape reports whether the bound body is additive (see
+// classifyCounter) and, if so, returns a flush function such that n
+// consecutive firings leave every observable equal to one flush(n) call:
+// each bump's target gains n times its addend. A captured addend is read
+// at flush time, which is safe because it is private to this placement
+// and the body never assigns it.
+func (b *Bound) CounterShape() (flush func(n int64), ok bool) {
 	fb := b.body.fast
-	if fb == nil || !fb.counter {
-		return 0, nil, false
+	if fb == nil || fb.counter == nil {
+		return nil, false
 	}
-	cell := b.fastFr.cells[fb.counterCell]
-	return fb.counterDelta, func(n int64) {
-		*cell = value.Value{Kind: value.KInt, Int: asIntRef(cell) + n}
+	cells, terms := b.fastFr.cells, fb.counter
+	return func(n int64) {
+		for _, t := range terms {
+			k := t.k
+			if t.kCell >= 0 {
+				k = asIntRef(cells[t.kCell])
+			}
+			if t.neg {
+				k = -k
+			}
+			c := cells[t.cell]
+			if t.elem >= 0 {
+				c = &c.Arr.Elems[t.elem]
+			}
+			*c = value.Value{Kind: value.KInt, Int: asIntRef(c) + n*k}
+		}
 	}, true
-}
-
-// CounterCell returns the storage cell a counter-shaped body bumps
-// (nil when CounterShape is false). Global counters resolve to the
-// shared interpreter slot, so two bodies bumping the same global
-// return the same pointer — the identity the placement coalescing
-// pass merges on. Captured locals bind fresh per-placement cells and
-// therefore never alias.
-func (b *Bound) CounterCell() *value.Value {
-	fb := b.body.fast
-	if fb == nil || !fb.counter {
-		return nil
-	}
-	return b.fastFr.cells[fb.counterCell]
 }
 
 // Program is the compiled form of a whole tool: one Body per action and per
@@ -245,6 +245,7 @@ type Program struct {
 // prog must have passed sem.Check with the given info.
 func Compile(prog *ast.Program, info *sem.Info) (*Program, error) {
 	cp := &Program{Actions: make(map[*ast.Action]*Body)}
+	rebound := arrayRebinds(prog, info)
 	// All globals are visible to every body: the engine declares them
 	// before anything executes, so even a body placed earlier in source
 	// order resolves a later global. Command-scope names, by contrast,
@@ -258,24 +259,77 @@ func Compile(prog *ast.Program, info *sem.Info) (*Program, error) {
 	for _, item := range prog.Items {
 		switch it := item.(type) {
 		case *ast.InitBlock:
-			b, err := compileBody(info, nil, it.Body, nil, globals)
+			b, err := compileBody(info, nil, it.Body, nil, globals, rebound)
 			if err != nil {
 				return nil, err
 			}
 			cp.Inits = append(cp.Inits, b)
 		case *ast.ExitBlock:
-			b, err := compileBody(info, nil, it.Body, nil, globals)
+			b, err := compileBody(info, nil, it.Body, nil, globals, rebound)
 			if err != nil {
 				return nil, err
 			}
 			cp.Exits = append(cp.Exits, b)
 		case *ast.Command:
-			if err := cp.compileCommand(info, it, globals); err != nil {
+			if err := cp.compileCommand(info, it, globals, rebound); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return cp, nil
+}
+
+// arrayRebinds names every variable that some statement of the program
+// binds to a whole array value: an array assignment or an initialized
+// array declaration. Only such a binding can change an array's length,
+// so a constant index in range of any other array's declared length
+// stays in range for good. Names are matched without scoping, which
+// errs towards listing too many.
+func arrayRebinds(prog *ast.Program, info *sem.Info) map[string]bool {
+	names := make(map[string]bool)
+	decl := func(d *ast.VarDecl) {
+		if t := info.DeclTypes[d]; t != nil && t.Kind == types.Array && d.Init != nil {
+			names[d.Name] = true
+		}
+	}
+	visit := func(s ast.Stmt) {
+		switch st := s.(type) {
+		case *ast.DeclStmt:
+			decl(st.Decl)
+		case *ast.AssignStmt:
+			if t := info.Types[st.LHS]; t != nil && t.Kind == types.Array {
+				if id, ok := st.LHS.(*ast.Ident); ok {
+					names[id.Name] = true
+				}
+			}
+		}
+	}
+	var walkCmd func(items []ast.CmdItem)
+	walkCmd = func(items []ast.CmdItem) {
+		for _, it := range items {
+			switch x := it.(type) {
+			case *ast.Command:
+				walkCmd(x.Body)
+			case *ast.Action:
+				ast.WalkStmts(x.Body, visit, nil)
+			default:
+				ast.WalkStmts([]ast.Stmt{x}, visit, nil)
+			}
+		}
+	}
+	for _, item := range prog.Items {
+		switch it := item.(type) {
+		case *ast.VarDecl:
+			decl(it)
+		case *ast.InitBlock:
+			ast.WalkStmts(it.Body, visit, nil)
+		case *ast.ExitBlock:
+			ast.WalkStmts(it.Body, visit, nil)
+		case *ast.Command:
+			walkCmd(it.Body)
+		}
+	}
+	return names
 }
 
 // outerScope is a compile-time scope outside the body being compiled: the
@@ -295,12 +349,12 @@ func (s *outerScope) resolve(name string) (CellRef, bool) {
 	return CellRef{}, false
 }
 
-func (cp *Program) compileCommand(info *sem.Info, cmd *ast.Command, parent *outerScope) error {
+func (cp *Program) compileCommand(info *sem.Info, cmd *ast.Command, parent *outerScope, rebound map[string]bool) error {
 	scope := &outerScope{parent: parent, names: map[string]bool{cmd.Var: true}}
 	for _, item := range cmd.Body {
 		switch it := item.(type) {
 		case *ast.Command:
-			if err := cp.compileCommand(info, it, scope); err != nil {
+			if err := cp.compileCommand(info, it, scope, rebound); err != nil {
 				return err
 			}
 		case *ast.Action:
@@ -312,7 +366,7 @@ func (cp *Program) compileCommand(info *sem.Info, cmd *ast.Command, parent *oute
 			if ai.WhereDynamic {
 				guard = it.Where
 			}
-			b, err := compileBody(info, ai.DynAttrs, it.Body, guard, scope)
+			b, err := compileBody(info, ai.DynAttrs, it.Body, guard, scope, rebound)
 			if err != nil {
 				return err
 			}
@@ -339,6 +393,9 @@ type compiler struct {
 
 	nLocals int
 	scope   *localScope
+
+	// rebound names the arrays the program rebinds (fast pass only).
+	rebound map[string]bool
 }
 
 // localScope is a body-local lexical scope (if/for bodies open new ones).
@@ -347,7 +404,7 @@ type localScope struct {
 	names  map[string]int
 }
 
-func compileBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard ast.Expr, outer *outerScope) (*Body, error) {
+func compileBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard ast.Expr, outer *outerScope, rebound map[string]bool) (*Body, error) {
 	c := &compiler{info: info, outer: outer, cellIdx: make(map[string]int), dyn: dyn}
 	c.pushScope()
 	b := &Body{DynAttrs: dyn}
@@ -359,7 +416,7 @@ func compileBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard ast.E
 	b.stmts = c.compileStmts(body)
 	b.Cells = c.cells
 	b.NumLocals = c.nLocals
-	b.fast = compileFastBody(info, dyn, body, guard, outer)
+	b.fast = compileFastBody(info, dyn, body, guard, outer, rebound)
 	return b, nil
 }
 

@@ -20,10 +20,10 @@ package compile
 // any construct in the body cannot meet that bar, and the caller keeps
 // only the generic lowering.
 //
-// The fast pass also classifies the single most common body shape — a
-// lone `x = x + k` bump of a captured or global counter — so the VM can
-// promote the counter to an accumulator and flush it additively (see
-// Bound.CounterShape and internal/vm's register-promoted counters).
+// The fast pass also classifies additive bodies — every statement a
+// `c = c ± k` bump — so the VM can count their firings in an accumulator
+// and apply all bumps at once when it flushes (see Bound.CounterShape and
+// internal/vm's register-promoted counters).
 
 import (
 	"fmt"
@@ -56,17 +56,30 @@ type fastBody struct {
 	guard   fastBool
 	stmts   []fastStmt
 
-	// counter-shape classification: body is exactly one `x = x ± k`
-	// bump of cell counterCell with constant nonzero delta.
-	counter      bool
-	counterCell  int
-	counterDelta int64
+	// counter lists the bumps of an additive body in statement order
+	// (nil when the body is not additive; see classifyCounter).
+	counter []counterTerm
+}
+
+// counterTerm is one `c = c ± k` statement of an additive body, in
+// fast-frame cell indices.
+type counterTerm struct {
+	// cell holds c — or, when elem >= 0, the array whose element elem
+	// is c.
+	cell, elem int
+	// k is the literal addend; when kCell >= 0 the addend is that
+	// captured cell instead. neg subtracts the addend.
+	k     int64
+	kCell int
+	neg   bool
 }
 
 // compileFastBody attempts the whole-body fast lowering; nil means some
-// construct has no fast path and the body stays generic-only.
-func compileFastBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard ast.Expr, outer *outerScope) *fastBody {
-	c := &compiler{info: info, outer: outer, cellIdx: make(map[string]int), dyn: dyn}
+// construct has no fast path and the body stays generic-only. rebound
+// names the arrays some statement of the program rebinds (see
+// arrayRebinds).
+func compileFastBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard ast.Expr, outer *outerScope, rebound map[string]bool) *fastBody {
+	c := &compiler{info: info, outer: outer, cellIdx: make(map[string]int), dyn: dyn, rebound: rebound}
 	c.pushScope()
 	fb := &fastBody{}
 	if guard != nil {
@@ -78,10 +91,10 @@ func compileFastBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard a
 	if !ok {
 		return nil
 	}
+	c.classifyCounter(fb, body, guard)
 	fb.stmts = stmts
 	fb.cells = c.cells
 	fb.nLocals = c.nLocals
-	c.classifyCounter(fb, body, guard)
 	return fb
 }
 
@@ -107,53 +120,123 @@ func identNamed(e ast.Expr, name string) bool {
 	return ok && id.Name == name
 }
 
-// classifyCounter recognizes the pure counter bump: no guard, exactly one
-// statement, `x = x + k` / `x = k + x` / `x = x - k` on a non-local
-// numeric cell with constant nonzero delta. The VM relies on the
-// classified shape being exactly additive: n generic firings from any
-// start value leave the cell at KInt(AsInt(start) + n*delta), which is
-// what a single Flush(n*delta) produces.
+// classifyCounter recognizes an additive body: no guard, and every
+// statement `c = c + k`, `c = k + c` or `c = c - k`, where
+//
+//   - c is a numeric global or captured scalar, or A[i] for a global or
+//     captured static array A of numeric elements that the program never
+//     rebinds, with i an integer literal in [0, len(A)) — an
+//     out-of-range literal stays generic so its runtime error is still
+//     recorded;
+//   - k is an integer literal, or a captured numeric scalar that no
+//     statement of the body assigns. Captured cells are private to their
+//     placement, so nothing else can change such a k between firings. A
+//     global k never qualifies: another action may write it between
+//     firings, and a deferred flush would read the later value.
+//
+// n generic firings from any start state then leave each c at
+// KInt(AsInt(c) + n*k) per statement (int64 arithmetic wraps), which is
+// exactly what one Flush(n) produces.
 func (c *compiler) classifyCounter(fb *fastBody, body []ast.Stmt, guard ast.Expr) {
-	if guard != nil || len(body) != 1 {
+	if guard != nil || len(body) == 0 {
 		return
 	}
-	as, ok := body[0].(*ast.AssignStmt)
-	if !ok {
-		return
+	terms := make([]counterTerm, len(body))
+	assigned := make(map[int]bool)
+	for i, s := range body {
+		t, ok := c.counterStmt(s)
+		if !ok {
+			return
+		}
+		if t.elem < 0 {
+			assigned[t.cell] = true
+		}
+		terms[i] = t
 	}
-	lhs, ok := as.LHS.(*ast.Ident)
+	for _, t := range terms {
+		if t.kCell >= 0 && assigned[t.kCell] {
+			return
+		}
+	}
+	fb.counter = terms
+}
+
+// counterStmt matches one statement of an additive body.
+func (c *compiler) counterStmt(s ast.Stmt) (counterTerm, bool) {
+	as, ok := s.(*ast.AssignStmt)
 	if !ok {
-		return
+		return counterTerm{}, false
 	}
 	bin, ok := as.RHS.(*ast.BinaryExpr)
 	if !ok {
-		return
+		return counterTerm{}, false
 	}
-	var delta int64
-	if k, ok := litInt(bin.Y); ok && identNamed(bin.X, lhs.Name) {
-		switch bin.Op {
-		case token.PLUS:
-			delta = k
-		case token.MINUS:
-			delta = -k
-		default:
-			return
+	t := counterTerm{elem: -1, kCell: -1}
+	var k ast.Expr
+	switch {
+	case (bin.Op == token.PLUS || bin.Op == token.MINUS) && sameTarget(bin.X, as.LHS):
+		k, t.neg = bin.Y, bin.Op == token.MINUS
+	case bin.Op == token.PLUS && sameTarget(bin.Y, as.LHS):
+		k = bin.X
+	default:
+		return counterTerm{}, false
+	}
+	switch lhs := as.LHS.(type) {
+	case *ast.Ident:
+		sl, ok := c.resolve(lhs.Name)
+		if ty := c.info.Types[lhs]; !ok || sl.local || ty == nil || !ty.IsNumeric() {
+			return counterTerm{}, false
 		}
-	} else if k, ok := litInt(bin.X); ok && bin.Op == token.PLUS && identNamed(bin.Y, lhs.Name) {
-		delta = k
-	} else {
-		return
+		t.cell = sl.idx
+	case *ast.IndexExpr:
+		id := lhs.X.(*ast.Ident) // sameTarget matched an identifier base
+		ty := c.info.Types[lhs.X]
+		if ty == nil || ty.Kind != types.Array || !ty.Elem.IsNumeric() || c.rebound[id.Name] {
+			return counterTerm{}, false
+		}
+		i, _ := litInt(lhs.Index)
+		sl, ok := c.resolve(id.Name)
+		if !ok || sl.local || i < 0 || i >= int64(ty.Len) {
+			return counterTerm{}, false
+		}
+		t.cell, t.elem = sl.idx, int(i)
 	}
-	if delta == 0 {
-		return
+	if n, ok := litInt(k); ok {
+		t.k = n
+		return t, true
 	}
-	sl, ok := c.resolve(lhs.Name)
-	if !ok || sl.local {
-		return
+	id, ok := k.(*ast.Ident)
+	if !ok {
+		return counterTerm{}, false
 	}
-	fb.counter = true
-	fb.counterCell = sl.idx
-	fb.counterDelta = delta
+	sl, ok := c.resolve(id.Name)
+	if ty := c.info.Types[k]; !ok || sl.local || c.cells[sl.idx].Global || ty == nil || !ty.IsNumeric() {
+		return counterTerm{}, false
+	}
+	t.kCell = sl.idx
+	return t, true
+}
+
+// sameTarget reports whether e reads exactly the storage lhs names: the
+// same identifier, or the same identifier indexed by the same literal.
+func sameTarget(e, lhs ast.Expr) bool {
+	switch l := lhs.(type) {
+	case *ast.Ident:
+		return identNamed(e, l.Name)
+	case *ast.IndexExpr:
+		x, ok := e.(*ast.IndexExpr)
+		if !ok {
+			return false
+		}
+		base, ok := l.X.(*ast.Ident)
+		if !ok || !identNamed(x.X, base.Name) {
+			return false
+		}
+		i, ok := litInt(l.Index)
+		j, ok2 := litInt(x.Index)
+		return ok && ok2 && i == j
+	}
+	return false
 }
 
 func (c *compiler) fastStmts(stmts []ast.Stmt) ([]fastStmt, bool) {

@@ -672,21 +672,27 @@ func (e *engineRun) compiledExec(act *ast.Action, env *interp.Env, a *placement.
 		e.rec.actions[a] = &actionRec{act: act, caps: caps}
 	}
 	inst := e.inst
-	var inline *placement.InlineInfo
-	if fast := bound.FastExec(); fast != nil {
-		inline = &placement.InlineInfo{Exec: func(dyn []value.Value) {
-			if err := fast(dyn); err != nil {
-				inst.record(err)
-			}
-		}}
-		if delta, flush, ok := bound.CounterShape(); ok {
-			inline.Counter, inline.Delta, inline.Flush = true, delta, flush
-			inline.Cell = bound.CounterCell()
-		}
-	}
 	return func(dyn []value.Value) {
 		if err := bound.Exec(dyn); err != nil {
 			inst.record(err)
 		}
-	}, inline, nil
+	}, inlineInfo(bound, inst), nil
+}
+
+// inlineInfo exposes a bound body's fast lowering to the placement IR,
+// recording its runtime errors into inst: the fast executor, and the
+// flush of an additive body (see compile.Bound.CounterShape). Nil when
+// the body has no fast lowering.
+func inlineInfo(b *compile.Bound, inst *Instance) *placement.InlineInfo {
+	fast := b.FastExec()
+	if fast == nil {
+		return nil
+	}
+	il := &placement.InlineInfo{Exec: func(dyn []value.Value) {
+		if err := fast(dyn); err != nil {
+			inst.record(err)
+		}
+	}}
+	il.Flush, il.Counter = b.CounterShape()
+	return il
 }

@@ -353,17 +353,7 @@ func (t *Template) bindAction(proto *placement.Action, ar *actionRec, glob *inte
 		Sample:      proto.Sample,
 		DynAttrs:    proto.DynAttrs,
 		NumCaptured: proto.NumCaptured,
-	}
-	if fast := b.FastExec(); fast != nil {
-		a.Inline = &placement.InlineInfo{Exec: func(dyn []value.Value) {
-			if err := fast(dyn); err != nil {
-				inst.record(err)
-			}
-		}}
-		if delta, flush, ok := b.CounterShape(); ok {
-			a.Inline.Counter, a.Inline.Delta, a.Inline.Flush = true, delta, flush
-			a.Inline.Cell = b.CounterCell()
-		}
+		Inline:      inlineInfo(b, inst),
 	}
 	a.Exec = func(dyn []value.Value) {
 		if err := b.Exec(dyn); err != nil {

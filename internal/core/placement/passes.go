@@ -90,8 +90,8 @@ func hoist(rs *RuleSet, o *obs.Collector) error {
 }
 
 // promote sets each rule's dispatch mechanism from its action's fast
-// lowering: a compiled fast thunk upgrades to MechFast, and a pure
-// counter bump with no dynamic attributes to MechCounter. This feeds
+// lowering: a compiled fast thunk upgrades to MechFast, and an
+// additive body with no dynamic attributes to MechCounter. This feeds
 // the VM's existing InlineInfo fast path from the IR instead of
 // per-backend plumbing.
 func promote(rs *RuleSet, o *obs.Collector) {
@@ -138,10 +138,8 @@ type siteKey struct {
 // reorder that site's observable execution.
 //
 // The merged probe attributes per-constituent through vm.Share rows,
-// so the report is row-for-row identical to the unmerged table. When
-// every constituent bumps the same storage cell the merged probe
-// keeps a Counter spec with the summed delta; otherwise it falls back
-// to a pure Fn spec applying each constituent's flush in order.
+// so the report is row-for-row identical to the unmerged table, and
+// stays a counter (see MergeRun).
 func coalesce(rs *RuleSet, o *obs.Collector) {
 	open := make(map[siteKey][]int)
 	var runs [][]int
@@ -199,7 +197,7 @@ func coalesce(rs *RuleSet, o *obs.Collector) {
 }
 
 // coalescable reports whether a rule may join a merged run: an
-// unmerged, unsampled pure counter.
+// unmerged, unsampled counter.
 func coalescable(r *Rule) bool {
 	return len(r.Merged) == 0 &&
 		r.Mechanism == MechCounter &&
@@ -210,47 +208,21 @@ func coalescable(r *Rule) bool {
 		r.Action.Inline.Flush != nil
 }
 
-// MergeRun fuses a same-site run into one rule whose execution is the
-// constituents' executions in order. Exported for the engine's rule
+// MergeRun fuses a same-site run of counters into one counter rule
+// whose execution is the constituents' executions in order; its
+// Flush(n) runs each constituent's Flush(n) in order, so n firings of
+// the run still equal one flush. Exported for the engine's rule
 // templates, which re-fuse a recorded merged rule after rebinding its
 // constituents to a new session's cells.
 func MergeRun(parts []*Rule) *Rule {
 	first := parts[0]
-	fulls := make([]func(), len(parts))
+	execs := make([]func([]value.Value), len(parts))
 	flushes := make([]func(int64), len(parts))
-	deltas := make([]int64, len(parts))
 	var cost uint64
-	sameCell := first.Action.Inline.Cell != nil
-	cell := first.Action.Inline.Cell
 	for i, p := range parts {
-		exec := p.Action.Exec
-		fulls[i] = func() { exec(nil) }
+		execs[i] = p.Action.Exec
 		flushes[i] = p.Action.Inline.Flush
-		deltas[i] = p.Action.Inline.Delta
 		cost += p.Action.Cost
-		if p.Action.Inline.Cell == nil || p.Action.Inline.Cell != cell {
-			sameCell = false
-		}
-	}
-	fused := func(dyn []value.Value) {
-		for _, f := range fulls {
-			f()
-		}
-	}
-	fastFused := func(dyn []value.Value) {
-		for i, f := range flushes {
-			f(deltas[i])
-		}
-	}
-	il := &InlineInfo{Exec: fastFused}
-	mech := MechFast
-	if sameCell {
-		var delta int64
-		for _, d := range deltas {
-			delta += d
-		}
-		il.Counter, il.Delta, il.Flush, il.Cell = true, delta, first.Action.Inline.Flush, cell
-		mech = MechCounter
 	}
 	return &Rule{
 		Trigger: first.Trigger,
@@ -261,10 +233,18 @@ func MergeRun(parts []*Rule) *Rule {
 			Label:  first.Action.Label,
 			Cost:   cost,
 			Simple: first.Action.Simple,
-			Exec:   fused,
-			Inline: il,
+			Exec: func([]value.Value) {
+				for _, exec := range execs {
+					exec(nil)
+				}
+			},
+			Inline: &InlineInfo{Counter: true, Flush: func(n int64) {
+				for _, flush := range flushes {
+					flush(n)
+				}
+			}},
 		},
-		Mechanism: mech,
+		Mechanism: MechCounter,
 		Merged:    parts,
 	}
 }

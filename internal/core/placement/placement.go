@@ -74,9 +74,9 @@ const (
 	MechGeneric Mechanism = iota
 	// MechFast dispatches through the compiled fast thunk.
 	MechFast
-	// MechCounter is a pure counter bump: each firing is equivalent,
-	// in every observable, to Flush(Delta), so the VM may accumulate
-	// block-locally and flush at observation points.
+	// MechCounter is an additive body: n firings are equivalent, in
+	// every observable, to Flush(n), so the VM may count firings and
+	// flush at observation points.
 	MechCounter
 )
 
@@ -101,18 +101,11 @@ type InlineInfo struct {
 	// RawFast is a pre-bound native fast path (janus native tools
 	// supply it; Cinnamon actions leave it nil and Exec is wrapped).
 	RawFast vm.ProbeFn
-	// Counter marks a pure counter-bump body: each firing is
-	// equivalent, in every observable, to Flush(Delta). Counter
-	// actions read no dynamic attributes and cannot fail.
+	// Counter marks an additive body: n firings are equivalent, in
+	// every observable, to Flush(n). Counter actions read no dynamic
+	// attributes and cannot fail.
 	Counter bool
-	Delta   int64
 	Flush   func(n int64)
-	// Cell identifies the counter's storage when the bump targets a
-	// shared global slot (nil for captured-local counters, which are
-	// private per placement). Two rules with the same non-nil Cell
-	// bump the same storage, which is what lets the coalescing pass
-	// merge them into one accumulated Counter spec.
-	Cell *value.Value
 }
 
 // Action is a compiled action instance ready for placement: an
@@ -270,8 +263,7 @@ type Rule struct {
 func (r *Rule) Spec() *vm.ProbeSpec {
 	switch r.Mechanism {
 	case MechCounter:
-		il := r.Action.Inline
-		return &vm.ProbeSpec{Counter: true, Delta: il.Delta, Flush: il.Flush}
+		return &vm.ProbeSpec{Counter: true, Flush: r.Action.Inline.Flush}
 	case MechFast:
 		return &vm.ProbeSpec{Fn: r.Action.fastCtx()}
 	}

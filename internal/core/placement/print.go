@@ -42,9 +42,6 @@ func (r *Rule) line() string {
 	fmt.Fprintf(&b, " mech=%s", r.Mechanism)
 	if len(r.Merged) > 0 {
 		fmt.Fprintf(&b, " merged=%d", len(r.Merged))
-		if r.Action != nil && r.Action.Inline != nil && r.Action.Inline.Counter {
-			fmt.Fprintf(&b, " delta=%d", r.Action.Inline.Delta)
-		}
 		return b.String()
 	}
 	if a := r.Action; a != nil {
@@ -64,9 +61,6 @@ func (r *Rule) line() string {
 				attrs[i] = da.Var + "." + da.Attr
 			}
 			fmt.Fprintf(&b, " dyn=[%s]", strings.Join(attrs, ","))
-		}
-		if a.Inline != nil && a.Inline.Counter {
-			fmt.Fprintf(&b, " delta=%d", a.Inline.Delta)
 		}
 		fmt.Fprintf(&b, " %q", a.Label)
 	}

@@ -135,11 +135,10 @@ type FuncCallExpr struct {
 	// purity contract (never inserts snippets, never reads cycle
 	// counts). The rewriter hands it to the VM's action-inlining layer.
 	FastFn func(args []uint64)
-	// CounterFlush, when non-nil, asserts that every invocation of the
-	// call — for any argument values — is equivalent in all observables
-	// to CounterFlush(CounterDelta). Such snippets are promoted to
+	// CounterFlush, when non-nil, asserts that n invocations of the
+	// call — for any argument values — are equivalent in all
+	// observables to CounterFlush(n). Such snippets are promoted to
 	// block-local accumulators by the inline tier.
-	CounterDelta int64
 	CounterFlush func(n int64)
 	// Sample, when > 1, arms each insertion of the snippet with a
 	// sampling countdown baked into the trampoline: the call fires on
@@ -466,7 +465,7 @@ func snippetSpec(s Snippet) *vm.ProbeSpec {
 		return nil
 	}
 	if e.CounterFlush != nil {
-		return &vm.ProbeSpec{Counter: true, Delta: e.CounterDelta, Flush: e.CounterFlush}
+		return &vm.ProbeSpec{Counter: true, Flush: e.CounterFlush}
 	}
 	if e.FastFn == nil {
 		return nil

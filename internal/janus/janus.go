@@ -113,11 +113,10 @@ type Handler struct {
 	// never installs rules or probes and never reads cycle counts. The
 	// dynamic instrumenter hands it to the VM's action-inlining layer.
 	FastFn HandlerFn
-	// CounterFlush, when non-nil, asserts that every invocation of the
-	// handler — for any rule payload — is equivalent in all observables
-	// to CounterFlush(CounterDelta). Such handlers are promoted to
+	// CounterFlush, when non-nil, asserts that n invocations of the
+	// handler — for any rule payload — are equivalent in all
+	// observables to CounterFlush(n). Such handlers are promoted to
 	// block-local accumulators by the inline tier.
-	CounterDelta int64
 	CounterFlush func(n int64)
 	// Sample, when > 1, arms each rule applying the handler with a
 	// sampling countdown: the handler fires on every Sample-th hit of
@@ -223,7 +222,7 @@ func (h Handler) action(data []uint64) (*placement.Action, placement.Mechanism) 
 	}
 	mech := placement.MechGeneric
 	if h.CounterFlush != nil {
-		a.Inline = &placement.InlineInfo{Counter: true, Delta: h.CounterDelta, Flush: h.CounterFlush}
+		a.Inline = &placement.InlineInfo{Counter: true, Flush: h.CounterFlush}
 		mech = placement.MechCounter
 	} else if h.FastFn != nil {
 		fast := h.FastFn

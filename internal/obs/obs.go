@@ -179,7 +179,7 @@ type BuildStats struct {
 	// WheresHoisted, CountersPromoted and ProbesCoalesced count the
 	// effects of the placement-IR optimization passes (see
 	// internal/core/placement): statically-decided where clauses
-	// evaluated at instrumentation time, rules promoted to the pure
+	// evaluated at instrumentation time, rules promoted to the
 	// counter mechanism, and probes eliminated by same-site merging.
 	// All zero with -ir-opt=false; the attribution rows themselves
 	// are invariant under the passes.

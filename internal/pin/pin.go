@@ -148,11 +148,10 @@ type Routine struct {
 	// purity contract (never inserts calls, never reads cycle counts).
 	// Pin hands it to the VM's action-inlining layer.
 	FastFn AnalysisFn
-	// CounterFlush, when non-nil, asserts that every invocation of the
-	// routine — for any argument values — is equivalent in all
-	// observables to CounterFlush(CounterDelta). Such routines are
-	// promoted to block-local accumulators by the inline tier.
-	CounterDelta int64
+	// CounterFlush, when non-nil, asserts that n invocations of the
+	// routine — for any argument values — are equivalent in all
+	// observables to CounterFlush(n). Such routines are promoted to
+	// block-local accumulators by the inline tier.
 	CounterFlush func(n int64)
 	// Sample, when > 1, arms each insertion of the routine with a
 	// sampling countdown: the call fires on every Sample-th hit of that
@@ -452,7 +451,7 @@ func (p *Pin) analysisCall(fn AnalysisFn, args []Arg) vm.ProbeFn {
 // when the routine has no inline surface.
 func (p *Pin) routineSpec(r Routine, args []Arg) *vm.ProbeSpec {
 	if r.CounterFlush != nil {
-		return &vm.ProbeSpec{Counter: true, Delta: r.CounterDelta, Flush: r.CounterFlush}
+		return &vm.ProbeSpec{Counter: true, Flush: r.CounterFlush}
 	}
 	if r.FastFn == nil {
 		return nil

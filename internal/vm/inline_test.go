@@ -53,12 +53,12 @@ func runInlineCell(t *testing.T, prog *cfg.Program, cell inlineCell, fuel uint64
 }
 
 // counterSpec returns a generic body and its promoted-counter spec: the
-// body bumps the cell by delta per fire, the spec's Flush applies n
-// accumulated bumps at once. Observably identical by the ProbeSpec
+// body bumps the cell by delta per fire, the spec's Flush applies the
+// bumps of n firings at once. Observably identical by the ProbeSpec
 // contract.
 func counterSpec(fires map[string]int, key string, delta int64) (ProbeFn, *ProbeSpec) {
 	return func(c *Ctx) { fires[key] += int(delta) },
-		&ProbeSpec{Counter: true, Delta: delta, Flush: func(n int64) { fires[key] += int(n) }}
+		&ProbeSpec{Counter: true, Flush: func(n int64) { fires[key] += int(n * delta) }}
 }
 
 // fastSpec returns a body used both generically and as the specialized

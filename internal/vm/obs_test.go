@@ -89,72 +89,132 @@ func TestObsDisabledIdenticalRun(t *testing.T) {
 }
 
 // TestObsDisabledDispatchOverhead is the perf regression gate for the
-// tentpole's zero-cost-when-disabled promise: with no collector attached,
-// probe dispatch must stay within 3% of the pre-observability loop.
-// Benchmark comparisons are noisy under -race and on loaded CI machines,
-// so the gate only runs when CINNAMON_PERF_GATE is set (scripts/ci.sh
-// sets it for the dedicated non-race invocation).
+// zero-cost-when-disabled promise: with no collector attached, each of
+// the VM's two fire loops must stay within 3% of an obs-free replica of
+// the same loop — VM.fire on a Config.NoInline machine (which includes
+// fire's per-batch collector and inlining branches) against the generic
+// loop as it was before observability existed, and fireInline (the
+// default tier's loop) against the same loop with no attribution code.
+// Each attempt alternates the two sides five times and keeps each
+// side's best, so host drift during the attempt hits both alike. Benchmark comparisons
+// are noisy under -race and on loaded CI machines, so the gate only runs
+// when CINNAMON_PERF_GATE is set (scripts/ci.sh sets it for the
+// dedicated non-race invocation).
 func TestObsDisabledDispatchOverhead(t *testing.T) {
 	if os.Getenv("CINNAMON_PERF_GATE") == "" {
 		t.Skip("set CINNAMON_PERF_GATE=1 to run the disabled-path perf gate")
 	}
 
 	prog := build(t, sumSrc)
-	v := New(prog, Config{})
-	var sink uint64
-	ps := make([]probe, 4)
-	for i := range ps {
-		ps[i] = probe{fn: func(c *Ctx) { sink++ }, cost: 3}
-	}
 	in := &isa.Inst{}
+	var sink uint64
+	body := func(c *Ctx) { sink++ }
 
-	// Replica of the dispatch loop as it was before the observability
-	// branch was added: the baseline the current disabled path is held to.
-	baseline := func(b *testing.B) {
-		c := &v.ctx
-		for i := 0; i < b.N; i++ {
-			saveInst, saveWhen := c.inst, c.when
-			c.inst, c.when = in, BeforeInst
-			for _, p := range ps {
-				v.cycles += p.cost
+	gate := func(t *testing.T, baseline, current func(*testing.B)) {
+		nsPerOp := func(f func(*testing.B)) float64 {
+			r := testing.Benchmark(f)
+			return float64(r.T.Nanoseconds()) / float64(r.N)
+		}
+		const limit = 1.03
+		// Noise tolerance: accept the first of three attempts under the limit.
+		var ratio float64
+		for attempt := 0; attempt < 3; attempt++ {
+			base, cur := 0.0, 0.0
+			for i := 0; i < 5; i++ {
+				if ns := nsPerOp(baseline); base == 0 || ns < base {
+					base = ns
+				}
+				if ns := nsPerOp(current); cur == 0 || ns < cur {
+					cur = ns
+				}
+			}
+			ratio = cur / base
+			t.Logf("attempt %d: baseline %.2f ns/op, current %.2f ns/op, ratio %.4f", attempt, base, cur, ratio)
+			if ratio <= limit {
+				return
+			}
+		}
+		t.Errorf("disabled-path dispatch is %.2f%% slower than its obs-free replica (limit 3%%)",
+			(ratio-1)*100)
+	}
+
+	t.Run("generic", func(t *testing.T) {
+		v := New(prog, Config{NoInline: true})
+		ps := make([]probe, 4)
+		for i := range ps {
+			ps[i] = probe{fn: body, cost: 3}
+		}
+		// Replica of the generic loop as it was before the observability
+		// branch was added.
+		baseline := func(b *testing.B) {
+			c := &v.ctx
+			for i := 0; i < b.N; i++ {
+				saveInst, saveWhen := c.inst, c.when
+				c.inst, c.when = in, BeforeInst
+				for _, p := range ps {
+					v.cycles += p.cost
+					p.fn(c)
+				}
+				c.inst, c.when = saveInst, saveWhen
+			}
+		}
+		gate(t, baseline, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				v.fire(ps, in, BeforeInst)
+			}
+		})
+	})
+
+	t.Run("inline", func(t *testing.T) {
+		v := New(prog, Config{})
+		// One probe of every fireInline shape: two promoted counters, a
+		// specialized callback (which flushes them) and a generic body.
+		flush := func(n int64) { sink += uint64(n) }
+		ps := []probe{
+			{fn: body, cost: 3, spec: &ProbeSpec{Counter: true, Flush: flush}},
+			{fn: body, cost: 3, spec: &ProbeSpec{Counter: true, Flush: flush}},
+			{fn: body, cost: 3, spec: &ProbeSpec{Fn: body}},
+			{fn: body, cost: 3},
+		}
+		gate(t, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				fireInlineNoObs(v, ps, in, BeforeInst)
+			}
+		}, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				v.fireInline(ps, in, BeforeInst)
+			}
+		})
+	})
+	_ = sink
+}
+
+// fireInlineNoObs replicates VM.fireInline with no attribution code:
+// the baseline the inline fire loop is held to.
+func fireInlineNoObs(v *VM, ps []probe, in *isa.Inst, when When) {
+	c := &v.ctx
+	saveInst, saveWhen, saveBlock := c.inst, c.when, c.block
+	c.inst, c.when = in, when
+	for i := range ps {
+		p := &ps[i]
+		if v.anyCtl && p.ctl != nil && !p.ctl.gate(v) {
+			continue
+		}
+		v.cycles += p.cost
+		if sp := p.spec; sp != nil && sp.Counter {
+			v.count(sp)
+		} else {
+			if len(v.dirty) > 0 {
+				v.flushCounters()
+			}
+			if sp != nil {
+				sp.Fn(c)
+			} else {
 				p.fn(c)
 			}
-			c.inst, c.when = saveInst, saveWhen
 		}
 	}
-	current := func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			v.fire(ps, in, BeforeInst)
-		}
-	}
-
-	measure := func(f func(*testing.B)) float64 {
-		best := 0.0
-		for i := 0; i < 5; i++ {
-			r := testing.Benchmark(f)
-			nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
-			if best == 0 || nsPerOp < best {
-				best = nsPerOp
-			}
-		}
-		return best
-	}
-
-	const limit = 1.03
-	// Noise tolerance: accept the first of three attempts under the limit.
-	var ratio float64
-	for attempt := 0; attempt < 3; attempt++ {
-		base := measure(baseline)
-		cur := measure(current)
-		ratio = cur / base
-		t.Logf("attempt %d: baseline %.2f ns/op, current %.2f ns/op, ratio %.4f", attempt, base, cur, ratio)
-		if ratio <= limit {
-			return
-		}
-	}
-	t.Errorf("disabled-path dispatch is %.2f%% slower than the pre-observability loop (limit 3%%)",
-		(ratio-1)*100)
-	_ = sink
+	c.inst, c.when, c.block = saveInst, saveWhen, saveBlock
 }
 
 // hotLoopSrc is a 2000-iteration loop whose body is ~18 instructions

@@ -252,10 +252,7 @@ func (v *VM) fusedFireAlways(p *probe, in *isa.Inst, when When, pc uint64) func(
 		if obsC := v.obsC; obsC != nil {
 			if shares != nil {
 				return func(v *VM) {
-					if sp.acc == 0 {
-						v.dirty = append(v.dirty, sp)
-					}
-					sp.acc += sp.Delta
+					v.count(sp)
 					v.cycles += cost
 					for _, s := range shares {
 						obsC.Fire(s.ID, s.Cost, pc)
@@ -263,19 +260,13 @@ func (v *VM) fusedFireAlways(p *probe, in *isa.Inst, when When, pc uint64) func(
 				}
 			}
 			return func(v *VM) {
-				if sp.acc == 0 {
-					v.dirty = append(v.dirty, sp)
-				}
-				sp.acc += sp.Delta
+				v.count(sp)
 				v.cycles += cost
 				obsC.Fire(id, cost, pc)
 			}
 		}
 		return func(v *VM) {
-			if sp.acc == 0 {
-				v.dirty = append(v.dirty, sp)
-			}
-			sp.acc += sp.Delta
+			v.count(sp)
 			v.cycles += cost
 		}
 	}

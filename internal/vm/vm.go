@@ -82,7 +82,7 @@ type ProbeFn func(*Ctx)
 //     never reads Cycles(), and depends on no Ctx state beyond what the
 //     firing trigger defines (instruction, when);
 //   - if Counter is true, n consecutive firings are equivalent — in
-//     every observable — to a single Flush(n*Delta) call.
+//     every observable — to a single Flush(n) call.
 //
 // A ProbeSpec must be used for exactly one probe installation: the VM
 // owns its accumulator state.
@@ -90,13 +90,12 @@ type ProbeSpec struct {
 	// Fn is the specialized callback (required unless Counter is set;
 	// counter probes are dispatched through Flush and never call Fn).
 	Fn ProbeFn
-	// Counter marks a pure counter bump of Delta per firing; Flush(n)
-	// applies n accumulated delta units to the underlying cell.
+	// Counter marks a promoted counter; Flush(n) applies the effect of
+	// n firings.
 	Counter bool
-	Delta   int64
 	Flush   func(n int64)
 
-	// acc is the promoted, not-yet-flushed delta sum (VM-owned).
+	// acc counts the promoted, not-yet-flushed firings (VM-owned).
 	acc int64
 }
 
@@ -477,7 +476,11 @@ func (v *VM) Add(s Site, p Probe) error {
 		return fmt.Errorf("vm: no probe site at trigger %d (hook program start and end with OnStart/OnEnd)", s.When)
 	}
 	off := s.Addr - m.base
-	np := probe{fn: p.Fn, cost: p.Cost, id: p.ID, spec: p.Spec}
+	np := probe{fn: p.Fn, cost: p.Cost, id: p.ID}
+	if v.inline {
+		// Only the inlining layer reads specs.
+		np.spec = p.Spec
+	}
 	if len(p.Shares) > 0 {
 		np.cost, np.id, np.shares = 0, p.Shares[0].ID, p.Shares
 		for _, sh := range p.Shares {
@@ -569,10 +572,9 @@ func (v *VM) trap(format string, args ...any) error {
 	return &TrapError{PC: v.pc, Msg: fmt.Sprintf(format, args...)}
 }
 
-// flushCounters applies every promoted counter accumulator to its cell
-// (see ProbeSpec.Flush) and empties the dirty list. Flushes are additive
-// reads-modify-writes of independent accumulators, so drain order does
-// not affect the result.
+// flushCounters applies every promoted counter's firing count (see
+// ProbeSpec.Flush) and empties the dirty list. Flushes are additive
+// read-modify-writes, so drain order does not affect the result.
 func (v *VM) flushCounters() {
 	for _, sp := range v.dirty {
 		sp.Flush(sp.acc)
@@ -582,6 +584,13 @@ func (v *VM) flushCounters() {
 }
 
 func (v *VM) fire(ps []probe, in *isa.Inst, when When) {
+	// One predictable branch per feature decides the whole batch: a
+	// machine with no collector, no inlining layer and no control blocks
+	// runs the exact loop the VM always ran.
+	if v.obsC != nil {
+		v.fireObserved(ps, in, when)
+		return
+	}
 	if v.inline {
 		v.fireInline(ps, in, when)
 		return
@@ -589,29 +598,7 @@ func (v *VM) fire(ps []probe, in *isa.Inst, when When) {
 	c := &v.ctx
 	saveInst, saveWhen, saveBlock := c.inst, c.when, c.block
 	c.inst, c.when = in, when
-	// Two predictable branches decide the whole batch: a machine with no
-	// control blocks and no collector runs the exact loop the VM always
-	// ran, with zero per-probe overhead for either feature.
-	if obsC := v.obsC; obsC != nil {
-		if v.anyCtl {
-			for i := range ps {
-				p := &ps[i]
-				if p.ctl != nil && !p.ctl.gate(v) {
-					continue
-				}
-				v.cycles += p.cost
-				p.fn(c)
-				p.fireObs(obsC, v.pc)
-			}
-		} else {
-			for i := range ps {
-				p := &ps[i]
-				v.cycles += p.cost
-				p.fn(c)
-				p.fireObs(obsC, v.pc)
-			}
-		}
-	} else if v.anyCtl {
+	if v.anyCtl {
 		for i := range ps {
 			p := &ps[i]
 			if p.ctl != nil && !p.ctl.gate(v) {
@@ -631,54 +618,74 @@ func (v *VM) fire(ps []probe, in *isa.Inst, when When) {
 
 // fireInline is the fire loop of the action-inlining layer: probes with
 // an inline spec run their specialized callbacks — counter-shaped ones
-// only bump their promoted accumulator — while unspecialized probes see
-// every promoted counter flushed first (their bodies may read any cell,
-// install probes, or observe Cycles, so they are full observation
-// points). Cycle charges and obs attribution stay per-firing and in
-// firing order, identical to the generic loop.
+// only count the firing in their promoted accumulator — while the
+// others see every promoted counter flushed first (their bodies may read
+// any cell, install probes, or observe Cycles, so they are full
+// observation points). Cycle charges stay per-firing and in firing
+// order, identical to the generic loop.
 func (v *VM) fireInline(ps []probe, in *isa.Inst, when When) {
 	c := &v.ctx
 	saveInst, saveWhen, saveBlock := c.inst, c.when, c.block
 	c.inst, c.when = in, when
-	obsC := v.obsC
-	anyCtl := v.anyCtl
 	for i := range ps {
 		p := &ps[i]
-		if anyCtl && p.ctl != nil && !p.ctl.gate(v) {
+		if v.anyCtl && p.ctl != nil && !p.ctl.gate(v) {
 			continue
 		}
-		if sp := p.spec; sp != nil {
-			if sp.Counter {
-				if sp.acc == 0 {
-					v.dirty = append(v.dirty, sp)
-				}
-				sp.acc += sp.Delta
-				v.cycles += p.cost
-				if obsC != nil {
-					p.fireObs(obsC, v.pc)
-				}
-				continue
-			}
+		v.cycles += p.cost
+		if sp := p.spec; sp != nil && sp.Counter {
+			v.count(sp)
+		} else {
 			if len(v.dirty) > 0 {
 				v.flushCounters()
 			}
-			v.cycles += p.cost
-			sp.Fn(c)
-			if obsC != nil {
-				p.fireObs(obsC, v.pc)
+			if sp != nil {
+				sp.Fn(c)
+			} else {
+				p.fn(c)
 			}
-			continue
-		}
-		if len(v.dirty) > 0 {
-			v.flushCounters()
-		}
-		v.cycles += p.cost
-		p.fn(c)
-		if obsC != nil {
-			p.fireObs(obsC, v.pc)
 		}
 	}
 	c.inst, c.when, c.block = saveInst, saveWhen, saveBlock
+}
+
+// fireObserved is the fire loop of a machine with a collector attached:
+// fireInline's loop, attributing each firing after its body. On a
+// machine without the inlining layer no probe carries a spec (see Add),
+// so it runs every generic body in turn.
+func (v *VM) fireObserved(ps []probe, in *isa.Inst, when When) {
+	c := &v.ctx
+	saveInst, saveWhen, saveBlock := c.inst, c.when, c.block
+	c.inst, c.when = in, when
+	for i := range ps {
+		p := &ps[i]
+		if v.anyCtl && p.ctl != nil && !p.ctl.gate(v) {
+			continue
+		}
+		v.cycles += p.cost
+		if sp := p.spec; sp != nil && sp.Counter {
+			v.count(sp)
+		} else {
+			if len(v.dirty) > 0 {
+				v.flushCounters()
+			}
+			if sp != nil {
+				sp.Fn(c)
+			} else {
+				p.fn(c)
+			}
+		}
+		p.fireObs(v.obsC, v.pc)
+	}
+	c.inst, c.when, c.block = saveInst, saveWhen, saveBlock
+}
+
+// count records one firing of a promoted counter.
+func (v *VM) count(sp *ProbeSpec) {
+	if sp.acc == 0 {
+		v.dirty = append(v.dirty, sp)
+	}
+	sp.acc++
 }
 
 // fireCallAfter fires a drained call-after batch at the call's
