@@ -15,13 +15,30 @@ import (
 )
 
 // TestLiveMonitoredSession is the acceptance path of live monitoring: a
-// use-after-free monitor instruments a looped victim with the monitor
-// attached — the run served as session s1 of a fleet of one — the
-// "operator" scrapes /metrics and /sessions/s1/stats while the victim is
-// still running, and the session-labelled scrapes must be monotone and
-// bounded by the final report, which must reconcile exactly.
+// tool instruments a looped victim with the monitor attached — the run
+// served as session s1 of a fleet of one — the "operator" scrapes
+// /metrics and /sessions/s1/stats while the victim is still running, and
+// the session-labelled scrapes must be monotone, must keep moving and
+// must be bounded by the final report, which must reconcile exactly. The
+// use-after-free monitor fires generic probes, attributed per firing;
+// opcodemix is counters only, attributed when their accumulators flush,
+// so its rows move mid-run only through the machine's periodic flush.
 func TestLiveMonitoredSession(t *testing.T) {
-	src, err := progs.Source(progs.UseAfterFree)
+	cases := []struct {
+		tool, victim string
+		loop         int
+	}{
+		{progs.UseAfterFree, "uaf_bug", 15_000},
+		// About half a second of counting on an unloaded host.
+		{progs.OpcodeMix, "spin", 200_000},
+	}
+	for _, c := range cases {
+		t.Run(c.tool, func(t *testing.T) { liveMonitoredSession(t, c.tool, c.victim, c.loop) })
+	}
+}
+
+func liveMonitoredSession(t *testing.T, toolName, victim string, loop int) {
+	src, err := progs.Source(toolName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +46,7 @@ func TestLiveMonitoredSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := workload.LoopedVictim("uaf_bug", 15_000)
+	m, err := workload.LoopedVictim(victim, loop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +148,30 @@ func TestLiveMonitoredSession(t *testing.T) {
 	}
 	// Every series is labelled with the run's session identity; the
 	// victim label is the executable module's name.
-	const session = `session="s1",tool="inline",victim="uaf_bug",backend="pin"`
+	session := `session="s1",tool="inline",victim="` + victim + `",backend="pin"`
 	sessionFires := `cinnamon_session_fires_total{` + session + `}`
 	if scrape2[sessionFires] != scrape2["cinnamon_fleet_fires_total"] {
 		t.Errorf("%s = %v, fleet rollup %v", sessionFires, scrape2[sessionFires], scrape2["cinnamon_fleet_fires_total"])
+	}
+
+	// The rows keep moving while the run goes on.
+	for {
+		select {
+		case res := <-done:
+			t.Fatalf("run ended (err %v) before its fires moved past %d mid-run", res.err, live.TotalFires)
+		default:
+		}
+		var later Stats
+		if err := json.Unmarshal([]byte(httpGet("/sessions/s1/stats")), &later); err != nil {
+			t.Fatalf("/sessions/s1/stats: %v", err)
+		}
+		if later.TotalFires < live.TotalFires {
+			t.Fatalf("session fires went %d -> %d", live.TotalFires, later.TotalFires)
+		}
+		if later.TotalFires > live.TotalFires {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	res := <-done
@@ -173,10 +210,10 @@ func TestLiveMonitoredSession(t *testing.T) {
 		t.Errorf("final report does not reconcile: %d + %d != %d",
 			sum, final.UntrackedFires, final.TotalFires)
 	}
-	// The victim loops 15k times and mallocs each iteration, so the
-	// malloc probe fired at least that often.
-	if final.TotalFires < 15_000 {
-		t.Errorf("final fires = %d, want >= 15000", final.TotalFires)
+	// Each loop iteration fires at least once: a malloc, or the
+	// instructions opcodemix counts.
+	if final.TotalFires < uint64(loop) {
+		t.Errorf("final fires = %d, want >= %d", final.TotalFires, loop)
 	}
 
 	// The monitor shut down with the run.

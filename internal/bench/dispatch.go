@@ -41,9 +41,13 @@ type DispatchRow struct {
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 	// Fires is the total number of probe firings in the run (identical
 	// across tiers, like the cycle counters; 0 for the probe-free
-	// baseline). Measured on a separate observability-attached run so
-	// the timed runs carry no collection overhead.
+	// baseline). Counted on the observed runs behind ObsNsPerInst, so
+	// the rows' own timed runs carry no collection overhead.
 	Fires uint64 `json:"fires"`
+	// ObsNsPerInst is NsPerInst for the same cell run with a collector
+	// attached, as every monitored session runs (translated tool rows
+	// only; 0 elsewhere).
+	ObsNsPerInst float64 `json:"obs_ns_per_inst,omitempty"`
 	// AllocsPerFire is the fewest heap allocations any timed repetition
 	// performed, divided by Fires (0 when Fires is 0) — the steady-state
 	// allocation cost of one probe dispatch.
@@ -102,13 +106,22 @@ func Dispatch(benchmark string, scale float64) ([]DispatchRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		fires, err := countToolFires(tool, prog)
+		// The translated tier once more with a collector attached. Firing
+		// counts, like the cycle counters, are deterministic and identical
+		// across tiers, so the last observed run's total serves every row
+		// of the cell.
+		var col *obs.Collector
+		observed, _, err := timeCell(c.label, vm.ExecTranslated, func() (*vm.Result, error) {
+			col = obs.New(obs.Options{})
+			return runToolCell(tool, prog, vm.ExecTranslated, col)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", c.label, err)
+			return nil, err
 		}
+		fires := col.Snapshot(backend.Janus).FiresWhere(func(obs.ProbeStats) bool { return true })
 		for _, mode := range modes {
 			row, mallocs, err := timeCell(c.label, mode, func() (*vm.Result, error) {
-				return runToolCell(tool, prog, mode)
+				return runToolCell(tool, prog, mode, nil)
 			})
 			if err != nil {
 				return nil, err
@@ -117,34 +130,21 @@ func Dispatch(benchmark string, scale float64) ([]DispatchRow, error) {
 			if fires > 0 {
 				row.AllocsPerFire = float64(mallocs) / float64(fires)
 			}
+			if mode == vm.ExecTranslated {
+				row.ObsNsPerInst = observed.NsPerInst
+			}
 			rows = append(rows, row)
 		}
 	}
 	return rows, nil
 }
 
-func runToolCell(tool *engine.CompiledTool, prog *cfg.Program, mode vm.ExecMode) (*vm.Result, error) {
+func runToolCell(tool *engine.CompiledTool, prog *cfg.Program, mode vm.ExecMode, col *obs.Collector) (*vm.Result, error) {
 	return backend.Run(tool, prog, backend.Janus, backend.Options{
 		Out:    io.Discard,
 		VMMode: mode,
-	})
-}
-
-// countToolFires runs the cell once with a collector attached and
-// totals probe firings. Firing counts, like the cycle counters, are
-// deterministic and identical across tiers, so one untimed run serves
-// every row of the cell.
-func countToolFires(tool *engine.CompiledTool, prog *cfg.Program) (uint64, error) {
-	col := obs.New(obs.Options{})
-	_, err := backend.Run(tool, prog, backend.Janus, backend.Options{
-		Out:    io.Discard,
-		VMMode: vm.ExecTranslated,
 		Obs:    col,
 	})
-	if err != nil {
-		return 0, err
-	}
-	return col.Snapshot(backend.Janus).FiresWhere(func(obs.ProbeStats) bool { return true }), nil
 }
 
 func timeCell(label string, mode vm.ExecMode, run func() (*vm.Result, error)) (DispatchRow, uint64, error) {
@@ -191,10 +191,11 @@ func timeCell(label string, mode vm.ExecMode, run func() (*vm.Result, error)) (D
 }
 
 // FormatDispatch renders the tier comparison, pairing each use case's
-// translated and interpreted rows with the resulting speedup.
+// translated and interpreted rows with the resulting speedup, and each
+// translated tool row with its observed ns/inst.
 func FormatDispatch(w io.Writer, rows []DispatchRow) {
-	fmt.Fprintf(w, "%-20s %-12s %14s %12s %12s %12s %12s %9s\n",
-		"Use case", "VM tier", "cycles", "insts", "fires", "ns/inst", "allocs/fire", "speedup")
+	fmt.Fprintf(w, "%-20s %-12s %14s %12s %12s %12s %12s %12s %9s\n",
+		"Use case", "VM tier", "cycles", "insts", "fires", "ns/inst", "obs ns/inst", "allocs/fire", "speedup")
 	byKey := map[string]DispatchRow{}
 	for _, r := range rows {
 		byKey[r.UseCase+"/"+r.Mode] = r
@@ -206,7 +207,11 @@ func FormatDispatch(w io.Writer, rows []DispatchRow) {
 				speedup = fmt.Sprintf("%.2fx", float64(o.WallNs)/float64(r.WallNs))
 			}
 		}
-		fmt.Fprintf(w, "%-20s %-12s %14d %12d %12d %12.2f %12.3f %9s\n",
-			r.UseCase, r.Mode, r.Cycles, r.Insts, r.Fires, r.NsPerInst, r.AllocsPerFire, speedup)
+		obsNs := "-"
+		if r.ObsNsPerInst > 0 {
+			obsNs = fmt.Sprintf("%.2f", r.ObsNsPerInst)
+		}
+		fmt.Fprintf(w, "%-20s %-12s %14d %12d %12d %12.2f %12s %12.3f %9s\n",
+			r.UseCase, r.Mode, r.Cycles, r.Insts, r.Fires, r.NsPerInst, obsNs, r.AllocsPerFire, speedup)
 	}
 }

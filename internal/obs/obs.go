@@ -15,19 +15,23 @@
 // The design mirrors the VM's de-mapped probe dispatch: counters live in
 // pre-sized slots indexed by the ProbeID's slot index, so the hot path
 // (Collector.Fire) is two uncontended atomic adds — no map lookups, no
-// allocation, no locks. Registration (RegisterProbe) happens on cold
-// paths only: ahead of execution for the static frameworks, at
-// block-translation time for the dynamic ones. When no Collector is
-// attached the only cost to the execution substrate is one predictable
-// nil-check branch per probe dispatch batch.
+// allocation, no locks. Fire splits into a count half (FireN, which
+// also counts n firings at once) and an event half (Event, guarded by
+// the inlinable Listening check), so a machine that batches a promoted
+// counter's attribution still publishes one event per firing.
+// Registration (RegisterProbe) happens on cold paths only: ahead of
+// execution for the static frameworks, at block-translation time for the
+// dynamic ones. When no Collector is attached the only cost to the
+// execution substrate is one predictable nil-check branch per probe
+// dispatch batch.
 //
 // # Concurrency model
 //
 // A Collector has exactly one writer and any number of readers:
 //
-//   - The run goroutine calls RegisterProbe, Fire, MutateBuild and
-//     NoteTranslation. These must not be called concurrently with each
-//     other.
+//   - The run goroutine calls RegisterProbe, Fire, FireN, Event, Skip,
+//     MutateBuild and NoteTranslation. These must not be called
+//     concurrently with each other.
 //   - Any goroutine may call Snapshot, Subscribe, Unsubscribe,
 //     NumProbes, SubscriberDrops and Subscribers at any time, including
 //     while the run is executing. This is what makes live monitoring
@@ -36,11 +40,12 @@
 //
 // Counters are read and written with atomic operations, so a mid-run
 // Snapshot is race-free and every counter in it is monotonically
-// non-decreasing across consecutive snapshots. Fire updates a probe's
-// fire and cycle counters with two separate atomic adds, so a snapshot
-// taken between them can observe the fire without its cycles; the skew
-// is bounded by one firing per probe and vanishes once the run is over —
-// the final snapshot reconciles exactly.
+// non-decreasing across consecutive snapshots. Fire and FireN update a
+// probe's fire and cycle counters with two separate atomic adds, so a
+// snapshot taken between them can observe fires without their cycles.
+// A promoted counter's row lags the machine by at most one flush period
+// (the VM attributes its firings when it flushes the counter's
+// accumulator), and the final snapshot is exact.
 //
 // # Cross-collector attribution
 //
@@ -267,23 +272,68 @@ func (c *Collector) RegisterProbe(m ProbeMeta) ProbeID {
 // program counter pc. Hot path — two uncontended atomic adds on a
 // pre-sized slot, no locks. Firings of untagged probes (NoProbe, or an
 // ID minted by a different collector) fall into the untracked bucket
-// rather than being lost, so totals always reconcile. Run goroutine
-// only; concurrent Snapshot calls observe the counters atomically.
+// rather than being lost, so totals always reconcile. Fire is its two
+// halves, FireN(id, 1, cost) and Event(id, cost, pc), with the event
+// half skipped when nobody is Listening. Run goroutine only; concurrent
+// Snapshot calls observe the counters atomically.
 func (c *Collector) Fire(id ProbeID, cost, pc uint64) {
-	idx := 0
+	idx := c.slotIndex(id)
+	c.count(idx, 1, cost)
+	if c.Listening() {
+		c.publish(idx, cost, pc)
+	}
+}
+
+// FireN is Fire's count half for n firings at once: n fires and n×cost
+// cycles attributed to id in one pair of atomic adds, with no trace
+// events. A machine that batches the attribution of a promoted counter
+// calls it once per flush, after publishing each firing's Event as it
+// happened. Run goroutine only.
+func (c *Collector) FireN(id ProbeID, n, cost uint64) {
+	c.count(c.slotIndex(id), n, n*cost)
+}
+
+// Event is Fire's event half: it publishes one firing to the trace
+// ring and the live taps without counting it (the firing's FireN
+// follows). Callers check Listening first; with nobody listening Event
+// does nothing. Run goroutine only.
+func (c *Collector) Event(id ProbeID, cost, pc uint64) {
+	c.publish(c.slotIndex(id), cost, pc)
+}
+
+// Listening reports whether firing events have anyone to go to: a trace
+// ring or at least one Subscribe tap. It is nil-safe and inlinable, so a
+// hot path can guard Event with it at the price of a nil check on a
+// machine without a collector.
+func (c *Collector) Listening() bool {
+	return c != nil && (c.trace != nil || c.subs.Load() != nil)
+}
+
+// slotIndex normalizes id to its 1-based slot index on this collector,
+// or 0 (the untracked bucket) for an untagged or foreign ID.
+func (c *Collector) slotIndex(id ProbeID) int {
 	if uint32(id)>>probeIndexBits&probeGenMask == c.gen {
 		if i := int(uint32(id) & probeIndexMask); i >= 1 && i <= len(c.slots) {
-			idx = i
+			return i
 		}
 	}
+	return 0
+}
+
+// count adds fires and cycles to slot idx (0: the untracked bucket).
+func (c *Collector) count(idx int, fires, cycles uint64) {
 	if idx != 0 {
 		s := &c.slots[idx-1]
-		s.fires.Add(1)
-		s.cycles.Add(cost)
+		s.fires.Add(fires)
+		s.cycles.Add(cycles)
 	} else {
-		c.untrackedFires.Add(1)
-		c.untrackedCycles.Add(cost)
+		c.untrackedFires.Add(fires)
+		c.untrackedCycles.Add(cycles)
 	}
+}
+
+// publish sends one firing's event to the trace ring and every tap.
+func (c *Collector) publish(idx int, cost, pc uint64) {
 	tr, subs := c.trace, c.subs.Load()
 	if tr == nil && subs == nil {
 		return
@@ -318,13 +368,11 @@ func (c *Collector) Fire(id ProbeID, cost, pc uint64) {
 // fires x dispatch cost + skips x gate cost. Hot path, same discipline
 // as Fire (no locks, untracked fallback). Run goroutine only.
 func (c *Collector) Skip(id ProbeID, cost uint64) {
-	if uint32(id)>>probeIndexBits&probeGenMask == c.gen {
-		if i := int(uint32(id) & probeIndexMask); i >= 1 && i <= len(c.slots) {
-			s := &c.slots[i-1]
-			s.skips.Add(1)
-			s.cycles.Add(cost)
-			return
-		}
+	if i := c.slotIndex(id); i != 0 {
+		s := &c.slots[i-1]
+		s.skips.Add(1)
+		s.cycles.Add(cost)
+		return
 	}
 	c.untrackedSkips.Add(1)
 	c.untrackedCycles.Add(cost)

@@ -180,7 +180,39 @@ func (v *VM) SetPacer(every uint64, fn func()) {
 	}
 	v.paceEvery = every
 	v.nextPace = every
+	v.nextTick = min(v.nextPace, v.nextFlush)
 	v.pacer = fn
+}
+
+// never is the schedule slot of a block-start event the machine does
+// not have.
+const never = ^uint64(0)
+
+// counterFlushPeriod is how many cycle units an observed inlining
+// machine lets pass between block-start flushes of its promoted
+// counters, so live snapshots see counter rows move even when no other
+// observation point flushes them. A flush costs one Flush and one
+// batched attribution per counter that fired since the last one, so the
+// period must span many firings of each hot site: at 2^16 units opcode
+// mix on leela, which counts at every executed instruction, still ran
+// about 25% slower observed than unobserved; at 2^22 the gap is inside
+// the run-to-run noise, and at the translated tier's 2–5 G units/s the
+// period is still only one or two milliseconds of run time.
+const counterFlushPeriod = 1 << 22
+
+// tick runs whatever is due on the block-start schedule — the pace
+// hook, which flushes as an observation point, else the periodic
+// counter flush — and schedules the next tick.
+func (v *VM) tick() {
+	if v.cycles >= v.nextPace {
+		v.pace()
+	} else if len(v.dirty) > 0 {
+		v.flushCounters()
+	}
+	if v.nextFlush != never {
+		v.nextFlush = v.cycles + counterFlushPeriod
+	}
+	v.nextTick = min(v.nextPace, v.nextFlush)
 }
 
 // pace runs the pacer at an observation point and schedules the next

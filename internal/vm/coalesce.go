@@ -24,3 +24,29 @@ func (p *probe) fireObs(o *obs.Collector, pc uint64) {
 		o.Fire(s.ID, s.Cost, pc)
 	}
 }
+
+// publish sends one promoted-counter firing's trace events, one per
+// share for a coalesced probe, without counting the firing: its
+// attribution waits in the accumulator for attribute.
+func (sp *ProbeSpec) publish(o *obs.Collector, pc uint64) {
+	if sp.shares == nil {
+		o.Event(sp.id, sp.cost, pc)
+		return
+	}
+	for _, s := range sp.shares {
+		o.Event(s.ID, s.Cost, pc)
+	}
+}
+
+// attribute counts the accumulator's pending firings in one batch: one
+// FireN per row, so each share is charged its own cost per firing.
+func (sp *ProbeSpec) attribute(o *obs.Collector) {
+	n := uint64(sp.acc)
+	if sp.shares == nil {
+		o.FireN(sp.id, n, sp.cost)
+		return
+	}
+	for _, s := range sp.shares {
+		o.FireN(s.ID, n, s.Cost)
+	}
+}

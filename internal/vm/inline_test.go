@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cfg"
@@ -271,53 +272,117 @@ func TestInlineMidBlockInstall(t *testing.T) {
 	}
 }
 
-// TestInlineObsIdentical attaches a collector with a trace ring and
-// compares the full observability report — per-probe fires and cycles,
-// totals, and the event trace with its sequence numbers, PCs and costs
-// — across the three cells. Promoted counters and fused thunks must
-// attribute per-firing, in firing order, exactly like the generic loop.
+// TestInlineObsIdentical attaches a collector with a trace ring and a
+// live Subscribe tap and compares the final observability report —
+// per-probe fires and cycles, totals, and the trace ring with its
+// sequence numbers, PCs and costs — and every tapped event across the
+// three cells. Promoted counters attribute in one batch per flush
+// instead of per firing, yet their events must still reach the ring and
+// the tap one per firing, in firing order, and the batched totals must
+// match the per-firing ones. The counter cases run the hot loop long
+// enough to cross periodic flushes.
 func TestInlineObsIdentical(t *testing.T) {
-	run := func(cell inlineCell) *obs.Stats {
-		prog := build(t, tierCallSrc)
-		add := instByOp(t, prog, isa.Add, 0)
-		store := instByOp(t, prog, isa.Store, 0)
-		col := obs.New(obs.Options{TraceCap: 16})
-		cnt := col.RegisterProbe(obs.ProbeMeta{Label: "counter", Trigger: obs.TriggerBefore, Mechanism: obs.MechInlinedCall, Addr: add.Addr, DispatchCost: 3})
-		fst := col.RegisterProbe(obs.ProbeMeta{Label: "fast", Trigger: obs.TriggerAfter, Mechanism: obs.MechInlinedCall, Addr: store.Addr, DispatchCost: 2})
-		gen := col.RegisterProbe(obs.ProbeMeta{Label: "generic", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall, Addr: store.Addr, DispatchCost: 5})
-
-		v := New(prog, Config{ExecMode: cell.mode, NoInline: cell.noInline, Obs: col})
-		fires := map[string]int{}
-		fn, sp := counterSpec(fires, "cnt", 1)
-		if err := v.Add(Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 3, ID: cnt, Spec: sp, Fn: fn}); err != nil {
-			t.Fatal(err)
-		}
-		fn, sp = fastSpec(fires, "fast")
-		if err := v.Add(Site{When: AfterInst, Addr: store.Addr}, Probe{Cost: 2, ID: fst, Spec: sp, Fn: fn}); err != nil {
-			t.Fatal(err)
-		}
-		if err := v.Add(Site{When: BeforeInst, Addr: store.Addr}, Probe{Cost: 5, ID: gen, Fn: func(c *Ctx) {}}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := v.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return col.Snapshot("test")
+	longLoopSrc := strings.Replace(hotLoopSrc, "mov r3, 2000", "mov r3, 50000", 1)
+	cases := []struct {
+		name   string
+		src    string
+		probes func(t *testing.T, prog *cfg.Program, v *VM, col *obs.Collector)
+	}{
+		{"mixed", tierCallSrc, func(t *testing.T, prog *cfg.Program, v *VM, col *obs.Collector) {
+			add := instByOp(t, prog, isa.Add, 0)
+			store := instByOp(t, prog, isa.Store, 0)
+			cnt := col.RegisterProbe(obs.ProbeMeta{Label: "counter", Trigger: obs.TriggerBefore, Mechanism: obs.MechInlinedCall, Addr: add.Addr, DispatchCost: 3})
+			fst := col.RegisterProbe(obs.ProbeMeta{Label: "fast", Trigger: obs.TriggerAfter, Mechanism: obs.MechInlinedCall, Addr: store.Addr, DispatchCost: 2})
+			gen := col.RegisterProbe(obs.ProbeMeta{Label: "generic", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall, Addr: store.Addr, DispatchCost: 5})
+			fires := map[string]int{}
+			fn, sp := counterSpec(fires, "cnt", 1)
+			mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 3, ID: cnt, Spec: sp, Fn: fn})
+			fn, sp = fastSpec(fires, "fast")
+			mustAdd(t, v, Site{When: AfterInst, Addr: store.Addr}, Probe{Cost: 2, ID: fst, Spec: sp, Fn: fn})
+			mustAdd(t, v, Site{When: BeforeInst, Addr: store.Addr}, Probe{Cost: 5, ID: gen, Fn: func(c *Ctx) {}})
+		}},
+		// A promoted counter fused into the mul's step and one at block
+		// entry, which the observed fire loop dispatches.
+		{"counter", longLoopSrc, func(t *testing.T, prog *cfg.Program, v *VM, col *obs.Collector) {
+			mul := instByOp(t, prog, isa.Mul, 0)
+			head := blockOf(t, prog, mul.Addr)
+			fires := map[string]int{}
+			for _, s := range []Site{{When: BeforeInst, Addr: mul.Addr}, {When: AtBlockEntry, Addr: head.Start}} {
+				id := col.RegisterProbe(obs.ProbeMeta{Label: fmt.Sprintf("counter %d", s.When), Addr: s.Addr, DispatchCost: 3})
+				fn, sp := counterSpec(fires, fmt.Sprint(s.When), 1)
+				mustAdd(t, v, s, Probe{Cost: 3, ID: id, Spec: sp, Fn: fn})
+			}
+		}},
+		// The same two sites, each a coalesced counter of two shares.
+		{"coalesced counter", longLoopSrc, func(t *testing.T, prog *cfg.Program, v *VM, col *obs.Collector) {
+			mul := instByOp(t, prog, isa.Mul, 0)
+			head := blockOf(t, prog, mul.Addr)
+			fires := map[string]int{}
+			for _, s := range []Site{{When: BeforeInst, Addr: mul.Addr}, {When: AtBlockEntry, Addr: head.Start}} {
+				shares := []Share{
+					{ID: col.RegisterProbe(obs.ProbeMeta{Label: fmt.Sprintf("share a %d", s.When), Addr: s.Addr, DispatchCost: 2}), Cost: 2},
+					{ID: col.RegisterProbe(obs.ProbeMeta{Label: fmt.Sprintf("share b %d", s.When), Addr: s.Addr, DispatchCost: 5}), Cost: 5},
+				}
+				fn, sp := counterSpec(fires, fmt.Sprint(s.When), 2)
+				mustAdd(t, v, s, Probe{Shares: shares, Spec: sp, Fn: fn})
+			}
+		}},
 	}
-	ref := run(inlineCells[len(inlineCells)-1])
-	for _, cell := range inlineCells[:len(inlineCells)-1] {
-		got := run(cell)
-		if !reflect.DeepEqual(got.Probes, ref.Probes) {
-			t.Errorf("%s: probe stats %+v vs interpreted %+v", cell.name, got.Probes, ref.Probes)
-		}
-		if got.TotalFires != ref.TotalFires || got.ProbeCycles != ref.ProbeCycles ||
-			got.UntrackedFires != ref.UntrackedFires || got.UntrackedCycles != ref.UntrackedCycles {
-			t.Errorf("%s: totals fires=%d/%d cycles=%d/%d untracked=%d/%d",
-				cell.name, got.TotalFires, ref.TotalFires, got.ProbeCycles, ref.ProbeCycles,
-				got.UntrackedFires, ref.UntrackedFires)
-		}
-		if !reflect.DeepEqual(got.Trace, ref.Trace) {
-			t.Errorf("%s: trace ring diverges:\n  got  %+v\n  want %+v", cell.name, got.Trace, ref.Trace)
-		}
+	type obsRun struct {
+		stats  *obs.Stats
+		events []obs.TraceEvent
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(cell inlineCell) obsRun {
+				prog := build(t, tc.src)
+				col := obs.New(obs.Options{TraceCap: 16})
+				// Sized past every case's firing count: the tap must not drop.
+				tap := make(chan obs.TraceEvent, 1<<18)
+				sub := col.Subscribe(tap)
+				v := New(prog, Config{ExecMode: cell.mode, NoInline: cell.noInline, Obs: col})
+				tc.probes(t, prog, v, col)
+				res, err := v.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.src == longLoopSrc && res.Cycles < 2*counterFlushPeriod {
+					t.Fatalf("%d cycles cross no periodic flush", res.Cycles)
+				}
+				col.Unsubscribe(sub)
+				if n := sub.Dropped(); n != 0 {
+					t.Fatalf("%s: tap dropped %d events", cell.name, n)
+				}
+				close(tap)
+				r := obsRun{stats: col.Snapshot("test")}
+				for ev := range tap {
+					r.events = append(r.events, ev)
+				}
+				if uint64(len(r.events)) != r.stats.TotalFires {
+					t.Errorf("%s: tap saw %d events, snapshot has %d fires", cell.name, len(r.events), r.stats.TotalFires)
+				}
+				return r
+			}
+			ref := run(inlineCells[len(inlineCells)-1])
+			if ref.stats.TotalFires == 0 {
+				t.Fatal("no probe fired")
+			}
+			for _, cell := range inlineCells[:len(inlineCells)-1] {
+				got := run(cell)
+				if !reflect.DeepEqual(got.stats, ref.stats) {
+					t.Errorf("%s: snapshot diverges:\n  got  %+v\n  want %+v", cell.name, got.stats, ref.stats)
+				}
+				if !reflect.DeepEqual(got.events, ref.events) {
+					t.Errorf("%s: tapped events diverge (%d vs %d events)", cell.name, len(got.events), len(ref.events))
+				}
+			}
+		})
+	}
+}
+
+func mustAdd(t *testing.T, v *VM, s Site, p Probe) {
+	t.Helper()
+	if err := v.Add(s, p); err != nil {
+		t.Fatal(err)
 	}
 }

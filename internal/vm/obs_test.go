@@ -2,7 +2,9 @@ package vm
 
 import (
 	"os"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -250,15 +252,27 @@ head:
   halt
 `
 
-// TestObsEnabledDispatchOverhead is the perf gate for the live-monitoring
-// rework of the *enabled* path: moving the per-probe counters from plain
-// uint64 adds to atomics (so a /metrics scrape can read them mid-run)
-// must cost no more than 5% of whole-run throughput with a probe on the
-// hottest instruction. The baseline is a collector-less VM whose probe
-// body does the same tool work plus a plain-counter replica of the
-// pre-atomic accounting; the current side runs the real enabled path
-// (collector attached, atomic Fire). Gated like the disabled-path test:
-// only runs when CINNAMON_PERF_GATE is set.
+// TestObsEnabledDispatchOverhead is the perf gate for the *enabled*
+// path: with a probe on the hottest instruction, a collector-attached
+// run must cost no more than 5% over a collector-free replica. Two
+// probe shapes are held to it:
+//
+//   - generic: a clean-call body, attributed per firing by Collector.Fire
+//     with atomic adds (so a /metrics scrape can read them mid-run). The
+//     baseline's body does the same tool work plus a plain-counter
+//     replica of the pre-atomic accounting; each side's best of five
+//     benchmark runs is compared.
+//   - counter: a promoted counter (ProbeSpec.Counter), whose firings ride
+//     the accumulator and are attributed in one batch per flush. The
+//     baseline is the identical probe on a machine without a collector.
+//     The subtest alternates single whole runs of the two sides,
+//     swapping which goes first, and compares their median wall times:
+//     a run takes a few hundred microseconds, so host drift hits both
+//     sides alike, and the median shrugs off the runs a GC cycle or a
+//     preemption lands in.
+//
+// Gated like the disabled-path test: only runs when CINNAMON_PERF_GATE
+// is set.
 func TestObsEnabledDispatchOverhead(t *testing.T) {
 	if os.Getenv("CINNAMON_PERF_GATE") == "" {
 		t.Skip("set CINNAMON_PERF_GATE=1 to run the enabled-path perf gate")
@@ -279,64 +293,117 @@ func TestObsEnabledDispatchOverhead(t *testing.T) {
 
 	var sink uint64
 	toolWork := func(c *Ctx) { sink++ }
-
-	// Pre-atomic accounting replica: what the enabled path cost before
-	// counters became scrapeable.
-	var plainFires, plainCycles uint64
-	baseline := func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			v := New(prog, Config{})
-			if err := v.Add(Site{When: BeforeInst, Addr: addAddr}, Probe{Cost: 3, Fn: func(c *Ctx) {
-				toolWork(c)
-				plainFires++
-				plainCycles += 3
-			}}); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := v.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	current := func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			col := obs.New(obs.Options{})
-			id := col.RegisterProbe(obs.ProbeMeta{Label: "gate", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall, Addr: addAddr, DispatchCost: 3})
-			v := New(prog, Config{Obs: col})
-			if err := v.Add(Site{When: BeforeInst, Addr: addAddr}, Probe{Cost: 3, ID: id, Fn: toolWork}); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := v.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	measure := func(f func(*testing.B)) float64 {
-		best := 0.0
-		for i := 0; i < 5; i++ {
-			r := testing.Benchmark(f)
-			nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
-			if best == 0 || nsPerOp < best {
-				best = nsPerOp
-			}
-		}
-		return best
-	}
-
 	const limit = 1.05
-	var ratio float64
-	for attempt := 0; attempt < 3; attempt++ {
-		base := measure(baseline)
-		cur := measure(current)
-		ratio = cur / base
-		t.Logf("attempt %d: baseline %.0f ns/run, current %.0f ns/run, ratio %.4f", attempt, base, cur, ratio)
-		if ratio <= limit {
-			return
+
+	t.Run("generic", func(t *testing.T) {
+		// Pre-atomic accounting replica: what the enabled path cost
+		// before counters became scrapeable.
+		var plainFires, plainCycles uint64
+		baseline := func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				v := New(prog, Config{})
+				if err := v.Add(Site{When: BeforeInst, Addr: addAddr}, Probe{Cost: 3, Fn: func(c *Ctx) {
+					toolWork(c)
+					plainFires++
+					plainCycles += 3
+				}}); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := v.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
-	}
-	t.Errorf("enabled-path run is %.2f%% slower than plain-counter accounting (limit 5%%)",
-		(ratio-1)*100)
+		current := func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				col := obs.New(obs.Options{})
+				id := col.RegisterProbe(obs.ProbeMeta{Label: "gate", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall, Addr: addAddr, DispatchCost: 3})
+				v := New(prog, Config{Obs: col})
+				if err := v.Add(Site{When: BeforeInst, Addr: addAddr}, Probe{Cost: 3, ID: id, Fn: toolWork}); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := v.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+
+		measure := func(f func(*testing.B)) float64 {
+			best := 0.0
+			for i := 0; i < 5; i++ {
+				r := testing.Benchmark(f)
+				nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
+				if best == 0 || nsPerOp < best {
+					best = nsPerOp
+				}
+			}
+			return best
+		}
+
+		var ratio float64
+		for attempt := 0; attempt < 3; attempt++ {
+			base := measure(baseline)
+			cur := measure(current)
+			ratio = cur / base
+			t.Logf("attempt %d: baseline %.0f ns/run, current %.0f ns/run, ratio %.4f", attempt, base, cur, ratio)
+			if ratio <= limit {
+				return
+			}
+		}
+		t.Errorf("enabled-path run is %.2f%% slower than plain-counter accounting (limit 5%%)",
+			(ratio-1)*100)
+		_, _ = plainFires, plainCycles
+	})
+
+	t.Run("counter", func(t *testing.T) {
+		// run builds and runs one machine with a promoted counter on the
+		// mul, registered on a fresh collector when observed, and returns
+		// its wall time.
+		run := func(observed bool) time.Duration {
+			start := time.Now()
+			cfg := Config{}
+			p := Probe{Cost: 3, Fn: toolWork, Spec: &ProbeSpec{
+				Counter: true,
+				Flush:   func(n int64) { sink += uint64(n) },
+			}}
+			if observed {
+				cfg.Obs = obs.New(obs.Options{})
+				p.ID = cfg.Obs.RegisterProbe(obs.ProbeMeta{Label: "gate", Trigger: obs.TriggerBefore, Mechanism: obs.MechInlinedCall, Addr: addAddr, DispatchCost: 3})
+			}
+			v := New(prog, cfg)
+			if err := v.Add(Site{When: BeforeInst, Addr: addAddr}, p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return time.Since(start)
+		}
+		median := func(d []time.Duration) float64 {
+			sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+			return float64(d[len(d)/2].Nanoseconds())
+		}
+
+		const pairs = 1001
+		var ratio float64
+		for attempt := 0; attempt < 3; attempt++ {
+			bs, cs := make([]time.Duration, pairs), make([]time.Duration, pairs)
+			for i := 0; i < pairs; i++ {
+				if i%2 == 0 {
+					bs[i], cs[i] = run(false), run(true)
+				} else {
+					cs[i], bs[i] = run(true), run(false)
+				}
+			}
+			base, cur := median(bs), median(cs)
+			ratio = cur / base
+			t.Logf("attempt %d: baseline %.0f ns/run, current %.0f ns/run, ratio %.4f", attempt, base, cur, ratio)
+			if ratio <= limit {
+				return
+			}
+		}
+		t.Errorf("observed promoted counter run is %.2f%% slower than the same run without a collector (limit 5%%)",
+			(ratio-1)*100)
+	})
 	_ = sink
-	_, _ = plainFires, plainCycles
 }

@@ -221,8 +221,11 @@ func liveProbes(ps []probe) []probe {
 // fusedFire builds the specialized thunk for one spec'd probe firing:
 // trigger constants (instruction, when, attribution PC) and the obs
 // branch are pre-folded at translation time, and counter-shaped probes
-// reduce to an accumulator bump. Before any non-counter body runs,
-// promoted counters flush — the body may read the cells they cover.
+// reduce to an accumulator bump — on an observed machine too, where the
+// bump carries the firing's attribution to the next flush and only its
+// trace event, if anyone listens, goes out here. Before any non-counter
+// body runs, promoted counters flush — the body may read the cells they
+// cover.
 // The fire sets the ctx trigger fields but does not restore them:
 // every observation of ctx (a fire, a hook) re-establishes them first.
 // Adaptive probes get the sampling gate folded in front of the fire,
@@ -249,25 +252,12 @@ func (v *VM) fusedFireAlways(p *probe, in *isa.Inst, when When, pc uint64) func(
 	cost, id := p.cost, p.id
 	shares := p.shares
 	if sp.Counter {
-		if obsC := v.obsC; obsC != nil {
-			if shares != nil {
-				return func(v *VM) {
-					v.count(sp)
-					v.cycles += cost
-					for _, s := range shares {
-						obsC.Fire(s.ID, s.Cost, pc)
-					}
-				}
-			}
-			return func(v *VM) {
-				v.count(sp)
-				v.cycles += cost
-				obsC.Fire(id, cost, pc)
-			}
-		}
 		return func(v *VM) {
 			v.count(sp)
 			v.cycles += cost
+			if v.obsC.Listening() {
+				sp.publish(v.obsC, pc)
+			}
 		}
 	}
 	fn := sp.Fn
@@ -418,8 +408,8 @@ func (v *VM) runTranslated() error {
 			if v.stop != nil && v.stop.Load() {
 				return v.stopErr()
 			}
-			if v.pacer != nil && v.cycles >= v.nextPace {
-				v.pace()
+			if v.cycles >= v.nextTick {
+				v.tick()
 			}
 			if v.translator != nil && m.flags[off]&flagTranslated == 0 {
 				m.flags[off] |= flagTranslated

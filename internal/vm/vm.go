@@ -28,8 +28,10 @@
 // Probes may additionally be tagged with an observability ID
 // (Probe.ID): when a Collector is attached via Config.Obs, every
 // firing is attributed to its probe — count and cycles — on pre-sized
-// slots. With no collector attached the dispatch loop pays exactly one
-// predictable nil-check branch per probe batch.
+// slots; a promoted counter's firings are attributed in one batch when
+// its accumulator flushes (see ProbeSpec). With no collector attached
+// the dispatch loop pays exactly one predictable nil-check branch per
+// probe batch.
 package vm
 
 import (
@@ -84,8 +86,20 @@ type ProbeFn func(*Ctx)
 //   - if Counter is true, n consecutive firings are equivalent — in
 //     every observable — to a single Flush(n) call.
 //
+// The VM extends the last clause to attribution: on a machine with a
+// collector a promoted counter's firing only bumps its accumulator (and
+// publishes its trace event when anyone is listening), and the flush
+// attributes the n pending firings in one batch — n fires and n times
+// the probe's cost, per share for a coalesced probe. Flushes happen at
+// every observation point (a non-counter fire, the translator and pace
+// hooks, traps, stop and end) and, on an observed machine, at
+// block-start dispatch once counterFlushPeriod cycle units have passed,
+// so a mid-run snapshot lags by at most one flush period and the final
+// one is exact.
+//
 // A ProbeSpec must be used for exactly one probe installation: the VM
-// owns its accumulator state.
+// owns its accumulator state and records the installation's
+// attribution on it.
 type ProbeSpec struct {
 	// Fn is the specialized callback (required unless Counter is set;
 	// counter probes are dispatched through Flush and never call Fn).
@@ -95,8 +109,13 @@ type ProbeSpec struct {
 	Counter bool
 	Flush   func(n int64)
 
-	// acc counts the promoted, not-yet-flushed firings (VM-owned).
-	acc int64
+	// VM-owned: acc counts the promoted, not-yet-flushed firings; id,
+	// cost and shares are the installed probe's attribution, recorded
+	// by Add.
+	acc    int64
+	id     obs.ProbeID
+	cost   uint64
+	shares []Share
 }
 
 type probe struct {
@@ -293,7 +312,11 @@ type VM struct {
 
 	pacer     func()
 	paceEvery uint64
-	nextPace  uint64
+	// The block-start schedule: nextPace and nextFlush are the cycle
+	// counts at which the pace hook and the periodic counter flush are
+	// next due (never when the machine has none), and nextTick is the
+	// earlier of the two, so block-start dispatch makes one compare.
+	nextPace, nextFlush, nextTick uint64
 	// stop is the cooperative cancellation flag (Config.Stop); checked
 	// at block-start dispatch only when non-nil.
 	stop *atomic.Bool
@@ -338,7 +361,14 @@ func New(prog *cfg.Program, cfgv Config) *VM {
 		suppressEdge: true,
 		adaptive:     cfgv.Adaptive,
 		stop:         cfgv.Stop,
+		nextPace:     never,
+		nextFlush:    never,
 	}
+	if v.inline && v.obsC != nil {
+		// Only an observed inlining machine defers attribution.
+		v.nextFlush = counterFlushPeriod
+	}
+	v.nextTick = min(v.nextPace, v.nextFlush)
 	v.ctx.vm = v
 	for _, m := range prog.Modules {
 		l := m.Loaded
@@ -477,10 +507,6 @@ func (v *VM) Add(s Site, p Probe) error {
 	}
 	off := s.Addr - m.base
 	np := probe{fn: p.Fn, cost: p.Cost, id: p.ID}
-	if v.inline {
-		// Only the inlining layer reads specs.
-		np.spec = p.Spec
-	}
 	if len(p.Shares) > 0 {
 		np.cost, np.id, np.shares = 0, p.Shares[0].ID, p.Shares
 		for _, sh := range p.Shares {
@@ -488,6 +514,12 @@ func (v *VM) Add(s Site, p Probe) error {
 		}
 	} else {
 		np.ctl = v.newCtl(p.ID, p.Stride)
+	}
+	if v.inline && p.Spec != nil {
+		// Only the inlining layer reads specs; a promoted counter's
+		// flush attributes its batched firings from this record.
+		np.spec = p.Spec
+		np.spec.id, np.spec.cost, np.spec.shares = np.id, np.cost, np.shares
 	}
 	ps := m.probesAt(off)
 	switch s.When {
@@ -573,11 +605,15 @@ func (v *VM) trap(format string, args ...any) error {
 }
 
 // flushCounters applies every promoted counter's firing count (see
-// ProbeSpec.Flush) and empties the dirty list. Flushes are additive
-// read-modify-writes, so drain order does not affect the result.
+// ProbeSpec.Flush), attributes the firings on the collector when one is
+// attached, and empties the dirty list. Flushes and attributions are
+// additive, so drain order does not affect the result.
 func (v *VM) flushCounters() {
 	for _, sp := range v.dirty {
 		sp.Flush(sp.acc)
+		if v.obsC != nil {
+			sp.attribute(v.obsC)
+		}
 		sp.acc = 0
 	}
 	v.dirty = v.dirty[:0]
@@ -650,9 +686,11 @@ func (v *VM) fireInline(ps []probe, in *isa.Inst, when When) {
 }
 
 // fireObserved is the fire loop of a machine with a collector attached:
-// fireInline's loop, attributing each firing after its body. On a
-// machine without the inlining layer no probe carries a spec (see Add),
-// so it runs every generic body in turn.
+// fireInline's loop, attributing each firing after its body — except a
+// promoted counter's, which rides its accumulator to the next flush and
+// only publishes its event here. On a machine without the inlining
+// layer no probe carries a spec (see Add), so it runs every generic
+// body in turn.
 func (v *VM) fireObserved(ps []probe, in *isa.Inst, when When) {
 	c := &v.ctx
 	saveInst, saveWhen, saveBlock := c.inst, c.when, c.block
@@ -665,22 +703,27 @@ func (v *VM) fireObserved(ps []probe, in *isa.Inst, when When) {
 		v.cycles += p.cost
 		if sp := p.spec; sp != nil && sp.Counter {
 			v.count(sp)
+			if v.obsC.Listening() {
+				sp.publish(v.obsC, v.pc)
+			}
+			continue
+		}
+		if len(v.dirty) > 0 {
+			v.flushCounters()
+		}
+		if sp := p.spec; sp != nil {
+			sp.Fn(c)
 		} else {
-			if len(v.dirty) > 0 {
-				v.flushCounters()
-			}
-			if sp != nil {
-				sp.Fn(c)
-			} else {
-				p.fn(c)
-			}
+			p.fn(c)
 		}
 		p.fireObs(v.obsC, v.pc)
 	}
 	c.inst, c.when, c.block = saveInst, saveWhen, saveBlock
 }
 
-// count records one firing of a promoted counter.
+// count records one firing of a promoted counter: the accumulator bump
+// that stands in for its body and, on an observed machine, for its
+// attribution.
 func (v *VM) count(sp *ProbeSpec) {
 	if sp.acc == 0 {
 		v.dirty = append(v.dirty, sp)
@@ -773,8 +816,8 @@ func (v *VM) runInterp() error {
 			if v.stop != nil && v.stop.Load() {
 				return v.stopErr()
 			}
-			if v.pacer != nil && v.cycles >= v.nextPace {
-				v.pace()
+			if v.cycles >= v.nextTick {
+				v.tick()
 			}
 			if v.translator != nil && m.flags[off]&flagTranslated == 0 {
 				m.flags[off] |= flagTranslated

@@ -21,9 +21,11 @@
 #              one -stats CLI smoke run, and the probe-dispatch perf
 #              gates (non-race; see internal/vm/obs_test.go and
 #              translate_test.go): disabled path vs the
-#              pre-observability loop, enabled path vs plain-counter
-#              accounting, the translated VM tier vs the
-#              interpreter on the probe-free hot-block workload, and
+#              pre-observability loop, enabled path (a generic probe vs
+#              plain-counter accounting, and a promoted counter with a
+#              collector vs the same counter without one), the
+#              translated VM tier vs the interpreter on the probe-free
+#              hot-block workload, and
 #              the action-inlining layer vs the no-inline translated
 #              tier on an action-heavy workload
 #              (internal/bench/inline_test.go)
@@ -97,7 +99,7 @@ go run ./cmd/cinnamon -backend=janus -target=victim:uaf_bug \
 echo "==> disabled-path dispatch perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestObsDisabledDispatchOverhead -count=1 ./internal/vm/
 
-echo "==> enabled-path dispatch perf gate"
+echo "==> enabled-path dispatch perf gate (generic probe, promoted counter)"
 CINNAMON_PERF_GATE=1 go test -run TestObsEnabledDispatchOverhead -count=1 ./internal/vm/
 
 echo "==> translated-tier dispatch perf gate"
