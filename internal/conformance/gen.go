@@ -101,6 +101,21 @@ func index(name string, i ast.Expr) ast.Expr {
 	return &ast.IndexExpr{X: vid(name), Index: i}
 }
 
+// intDecl builds `int name = init;`.
+func intDecl(name string, init ast.Expr) ast.Stmt {
+	return &ast.DeclStmt{Decl: &ast.VarDecl{Type: &ast.TypeSpec{Kind: token.TINT}, Name: name, Init: init}}
+}
+
+// forUpTo builds `for (int i = 0; i < bound; i = i + 1) { body }`.
+func forUpTo(bound ast.Expr, body ...ast.Stmt) ast.Stmt {
+	return &ast.ForStmt{
+		Init: intDecl("i", num(0)),
+		Cond: bin(token.LT, vid("i"), bound),
+		Post: incBy("i", num(1)),
+		Body: body,
+	}
+}
+
 // incBy builds `name = name + delta;`.
 func incBy(name string, delta ast.Expr) ast.Stmt {
 	return assign(vid(name), bin(token.PLUS, vid(name), delta))
@@ -163,6 +178,13 @@ func (g *progGen) genExit() {
 	}
 	for _, d := range g.dicts {
 		body = append(body, printStmt(str(d), methodCall(d, "size")))
+		if len(g.vectors) > 0 {
+			// Sum d0 over v0, so the values loopBump leaves are observed.
+			body = append(body,
+				intDecl("sum", num(0)),
+				forUpTo(methodCall("v0", "size"), incBy("sum", index(d, index("v0", vid("i"))))),
+				printStmt(str(d+"v0"), vid("sum")))
+		}
 	}
 	for _, v := range g.vectors {
 		body = append(body, printStmt(str(v), methodCall(v, "size")))
@@ -170,14 +192,7 @@ func (g *progGen) genExit() {
 	for _, a := range g.arrays {
 		i := int64(g.r.Intn(arrayLen))
 		body = append(body, printStmt(str(a), index(a, num(i))))
-		body = append(body, &ast.ForStmt{
-			Init: &ast.DeclStmt{Decl: &ast.VarDecl{
-				Type: &ast.TypeSpec{Kind: token.TINT}, Name: "i", Init: num(0),
-			}},
-			Cond: bin(token.LT, vid("i"), num(arrayLen)),
-			Post: assign(vid("i"), bin(token.PLUS, vid("i"), num(1))),
-			Body: []ast.Stmt{incBy(g.counters[0], index(a, vid("i")))},
-		})
+		body = append(body, forUpTo(num(arrayLen), incBy(g.counters[0], index(a, vid("i")))))
 	}
 	g.items = append(g.items, &ast.ExitBlock{Body: body})
 }
@@ -271,19 +286,13 @@ func (g *progGen) instBody(v, op string, after bool) []ast.Stmt {
 		func() ast.Stmt { return g.condInc() },
 	)
 	if len(g.dicts) > 0 {
-		pool = append(pool, func() ast.Stmt {
-			key := cfeAttr(v, "addr")
-			return assign(index("d0", key), bin(token.PLUS, index("d0", key), num(1)))
-		})
+		pool = append(pool, func() ast.Stmt { return dictBump(cfeAttr(v, "addr")) })
 	}
 	if len(g.vectors) > 0 {
-		pool = append(pool, func() ast.Stmt {
-			has := methodCall("v0", "has", cfeAttr(v, "addr"))
-			return &ast.IfStmt{
-				Cond: &ast.UnaryExpr{Op: token.NOT, X: has},
-				Then: []ast.Stmt{callStmt(&ast.FieldExpr{X: vid("v0"), Name: "add"}, cfeAttr(v, "addr"))},
-			}
-		})
+		pool = append(pool, func() ast.Stmt { return addOnce(cfeAttr(v, "addr")) })
+	}
+	if len(g.dicts) > 0 && len(g.vectors) > 0 {
+		pool = append(pool, loopBump)
 	}
 	if len(g.arrays) > 0 {
 		pool = append(pool, func() ast.Stmt {
@@ -322,6 +331,36 @@ func (g *progGen) instBody(v, op string, after bool) []ast.Stmt {
 	return body
 }
 
+// dictBump builds `d0[key] = d0[key] + 1;`.
+func dictBump(key ast.Expr) ast.Stmt {
+	return assign(index("d0", key), bin(token.PLUS, index("d0", key), num(1)))
+}
+
+// addOnce builds `if (!v0.has(x)) { v0.add(x); }`.
+func addOnce(x ast.Expr) ast.Stmt {
+	return &ast.IfStmt{
+		Cond: &ast.UnaryExpr{Op: token.NOT, X: methodCall("v0", "has", x)},
+		Then: []ast.Stmt{callStmt(&ast.FieldExpr{X: vid("v0"), Name: "add"}, x)},
+	}
+}
+
+// loopBump is the loop-coverage shape (Figure 6), whose int locals the
+// fast tier keeps in registers and whose d0 reads and writes go through
+// the dict's int64 map:
+//
+//	for (int i = 0; i < v0.size(); i = i + 1) {
+//	  int id = v0[i];
+//	  if (d0[id] == 1) { d0[id] = d0[id] + 1; }
+//	}
+func loopBump() ast.Stmt {
+	return forUpTo(methodCall("v0", "size"),
+		intDecl("id", index("v0", vid("i"))),
+		&ast.IfStmt{
+			Cond: bin(token.EQ, index("d0", vid("id")), num(1)),
+			Then: []ast.Stmt{dictBump(vid("id"))},
+		})
+}
+
 // condInc builds `if (cA % k == 0) { cB = cB + 1; } else { cB = cB + 2; }`.
 func (g *progGen) condInc() ast.Stmt {
 	ca, cb := g.counter(), g.counter()
@@ -349,12 +388,25 @@ func (g *progGen) blockCmd() *ast.Command {
 	if g.r.Intn(100) < 30 {
 		act.Body = append(act.Body, incBy(g.counter(), cfeAttr(v, "ninsts")))
 	}
+	cmd.Body = []ast.CmdItem{act}
+	if len(g.dicts) > 0 && len(g.vectors) > 0 && g.r.Intn(100) < 50 {
+		// Loop coverage's own placement: the action records its block
+		// (static attributes and v0.add keep it on the generic
+		// lowering), and an action at the block's other end walks
+		// everything recorded so far on the fast tier.
+		id := cfeAttr(v, "id")
+		act.Body = append(act.Body, addOnce(id), dictBump(id))
+		other := ast.Exit
+		if trigger == ast.Exit {
+			other = ast.Entry
+		}
+		cmd.Body = append(cmd.Body, &ast.Action{Trigger: other, Target: v, Body: []ast.Stmt{loopBump()}})
+	}
 	if g.r.Intn(100) < 30 {
 		// Static action constraint, filtered at instrumentation time.
 		act.Where = bin(token.LE, cfeAttr(v, "ninsts"), num(64))
 	}
 	g.maybeSample(act)
-	cmd.Body = []ast.CmdItem{act}
 	return cmd
 }
 

@@ -13,7 +13,8 @@
 // dynamic frameworks Cinnamon targets:
 //
 //   - a resolver pass walks each body once and assigns every identifier a
-//     slot: body-locals become indices into a flat []value.Value frame,
+//     slot: body-locals become indices into a flat []value.Value frame
+//     (an []int64 register slice in the whole-body fast tier, fast.go),
 //     free variables become cells (captured analysis data, copied by value
 //     at placement time, or shared tool globals), and dynamic attributes
 //     become indices into the probe's materialized attribute slots;
@@ -67,11 +68,13 @@ type Body struct {
 }
 
 // frame is the execution state of one body invocation: bound cells, the
-// local slot frame, the probe's materialized dynamic attributes, and the
+// local slot frame (the generic lowering's Values, or the fast tier's
+// int64 registers), the probe's materialized dynamic attributes, and the
 // tool output writer.
 type frame struct {
 	cells  []*value.Value
 	locals []value.Value
+	regs   []int64
 	dyn    []value.Value
 	out    io.Writer
 }
@@ -140,7 +143,7 @@ func (b *Body) Bind(resolve CellResolver, out io.Writer) (*Bound, error) {
 			}
 		}
 		if fb.nLocals > 0 {
-			ff.locals = make([]value.Value, fb.nLocals)
+			ff.regs = make([]int64, fb.nLocals)
 		}
 		bd.fastFr = ff
 	}

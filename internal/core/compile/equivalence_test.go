@@ -170,3 +170,55 @@ func TestRuntimeErrorEquivalence(t *testing.T) {
 		t.Errorf("output diverged: interp=%q compiled=%q", iOut, cOut)
 	}
 }
+
+// keyConvSrc indexes dicts with a line and with NULL from compiled
+// actions: every access converts its key to the declared key type, so
+// d[l] and d[16] bump one entry and s[eof] and s[NULL] address "".
+const keyConvSrc = `
+file f("keys.txt");
+dict<int,int> d;
+dict<string,int> s;
+line l;
+line eof;
+init {
+  writeToFile(f, 16);
+  l = f.getline();
+  eof = f.getline();
+}
+inst I where (I.opcode == Load) {
+  before I {
+    d[l] = d[l] + 1;
+    s[eof] = s[NULL] + 1;
+  }
+  after I {
+    d[16] = d[16] + 1;
+  }
+}
+exit {
+  print(d.size(), d[16], d.has(l));
+  print(s.size(), s[""]);
+}
+`
+
+func TestDictKeyConversionEquivalence(t *testing.T) {
+	// loadsTarget runs 11 loads.
+	const want = "1 22 true\n1 11\n"
+	for _, bk := range backend.Backends() {
+		for _, interpret := range []bool{true, false} {
+			tool, err := engine.Compile(keyConvSrc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if _, err := backend.Run(tool, buildTargetTB(t, "src:loads"), bk, backend.Options{
+				Out:       &out,
+				Interpret: interpret,
+			}); err != nil {
+				t.Fatalf("%s interpret=%v: %v", bk, interpret, err)
+			}
+			if out.String() != want {
+				t.Errorf("%s interpret=%v: output = %q, want %q", bk, interpret, out.String(), want)
+			}
+		}
+	}
+}

@@ -3,22 +3,28 @@ package compile
 // The whole-body fast tier. lower_int.go removes Value copies from
 // individual scalar subtrees; this file goes further and lowers entire
 // action bodies — statements included — into closures that keep every
-// intermediate value an unboxed int64, boxing only at stores. The VM's
-// inline tier (internal/vm) invokes these bodies from specialized probe
-// thunks, so the whole fire costs a few direct calls instead of a chain
-// of Value-copying closure boundaries.
+// intermediate value an unboxed int64, boxing only at stores to cells.
+// Body locals, which are always numeric here, live in an int64 register
+// slice on the fast frame instead of Value slots; numeric-keyed dicts
+// with numeric elements are read and written through their int64 map
+// (value.DictVal.Ints); and every comparison and arithmetic operator
+// gets its own closure, so an evaluation makes no indirect call beyond
+// its operands'. The VM's inline tier (internal/vm) invokes these bodies
+// from specialized probe thunks, so the whole fire costs a few direct
+// calls instead of a chain of Value-copying closure boundaries.
 //
 // The contract mirrors lower_int.go's, strengthened in one way: a fast
 // lowering of expression e returns AsInt() (or AsBool()) of the value the
 // generic lowering would produce, with identical evaluation order, side
 // effects, runtime error messages and positions, AND the generic value is
 // guaranteed to be integer-shaped (KInt or KNull) wherever the result
-// feeds a dict key, a comparison, or a truth test — which is what makes
-// the unboxed comparisons and int-keyed map accesses below bit-identical
-// to the generic path (value.Equal and value.KeyOf coincide with plain
-// int64 semantics on such values). compileFastBody returns nil whenever
-// any construct in the body cannot meet that bar, and the caller keeps
-// only the generic lowering.
+// feeds a comparison or a truth test — which is what makes the unboxed
+// comparisons below bit-identical to the generic path (value.Equal
+// coincides with plain int64 comparison on such values). A dict converts
+// every key to its key type, AsInt for a numeric one, so an int64 key
+// needs no such guarantee. compileFastBody returns nil whenever any
+// construct in the body cannot meet that bar, and the caller keeps only
+// the generic lowering.
 //
 // The fast pass also classifies additive bodies — every statement a
 // `c = c ± k` bump — so the VM can count their firings in an accumulator
@@ -98,14 +104,14 @@ func compileFastBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard a
 	return fb
 }
 
-// loadSlot resolves a slot to a pointer accessor, avoiding the Value copy
-// of the generic Ident lowering.
-func loadSlot(sl slot) func(fr *frame) *value.Value {
-	idx := sl.idx
-	if sl.local {
-		return func(fr *frame) *value.Value { return &fr.locals[idx] }
+// cellSlot resolves a name that must be a cell: the fast tier's locals
+// are int64 registers, so a container or bool is always a cell.
+func (c *compiler) cellSlot(name string) (int, bool) {
+	sl, ok := c.resolve(name)
+	if !ok || sl.local {
+		return 0, false
 	}
-	return func(fr *frame) *value.Value { return fr.cells[idx] }
+	return sl.idx, true
 }
 
 func litInt(e ast.Expr) (int64, bool) {
@@ -299,7 +305,7 @@ func (c *compiler) fastStmt(s ast.Stmt) fastStmt {
 		}
 	case *ast.ForStmt:
 		// Scope structure mirrors the generic lowering: header scope, one
-		// body scope (slots are re-initialized by their declarations).
+		// body scope (registers are re-initialized by their declarations).
 		c.pushScope()
 		defer c.popScope()
 		var init fastStmt
@@ -378,7 +384,7 @@ func (c *compiler) fastDecl(d *ast.VarDecl) fastStmt {
 	idx := c.defineLocal(d.Name)
 	if ifn == nil {
 		return func(fr *frame) error {
-			fr.locals[idx] = value.Value{Kind: value.KInt}
+			fr.regs[idx] = 0
 			return nil
 		}
 	}
@@ -387,7 +393,7 @@ func (c *compiler) fastDecl(d *ast.VarDecl) fastStmt {
 		if err != nil {
 			return err
 		}
-		fr.locals[idx] = value.Value{Kind: value.KInt, Int: n}
+		fr.regs[idx] = n
 		return nil
 	}
 }
@@ -407,13 +413,23 @@ func (c *compiler) fastAssign(st *ast.AssignStmt) fastStmt {
 		if ifn == nil {
 			return nil
 		}
-		store := loadSlot(sl)
+		idx := sl.idx
+		if sl.local {
+			return func(fr *frame) error {
+				n, err := ifn(fr)
+				if err != nil {
+					return err
+				}
+				fr.regs[idx] = n
+				return nil
+			}
+		}
 		return func(fr *frame) error {
 			n, err := ifn(fr)
 			if err != nil {
 				return err
 			}
-			*store(fr) = value.Value{Kind: value.KInt, Int: n}
+			*fr.cells[idx] = value.Value{Kind: value.KInt, Int: n}
 			return nil
 		}
 	case *ast.IndexExpr:
@@ -433,7 +449,7 @@ func (c *compiler) fastAssign(st *ast.AssignStmt) fastStmt {
 		if rhsFn == nil {
 			return nil
 		}
-		sl, ok := c.resolve(id.Name)
+		idx, ok := c.cellSlot(id.Name)
 		if !ok {
 			return nil
 		}
@@ -441,7 +457,6 @@ func (c *compiler) fastAssign(st *ast.AssignStmt) fastStmt {
 		if idxFn == nil {
 			return nil
 		}
-		load := loadSlot(sl)
 		pos := lhs.P
 		switch t.Kind {
 		case types.Dict:
@@ -450,7 +465,7 @@ func (c *compiler) fastAssign(st *ast.AssignStmt) fastStmt {
 				if err != nil {
 					return err
 				}
-				bv := load(fr)
+				bv := fr.cells[idx]
 				k, err := idxFn(fr)
 				if err != nil {
 					return err
@@ -458,7 +473,13 @@ func (c *compiler) fastAssign(st *ast.AssignStmt) fastStmt {
 				if bv.Kind != value.KDict {
 					return errf(pos, "value is not indexable")
 				}
-				bv.Dict.M[value.DictKey{I: k}] = value.Value{Kind: value.KInt, Int: n}
+				if m := bv.Dict.Ints; m != nil {
+					m[k] = n
+					return nil
+				}
+				// A dict<K,line> assigned to this variable keeps its
+				// boxed layout.
+				bv.Dict.Set(value.IntVal(k), value.IntVal(n))
 				return nil
 			}
 		case types.Array:
@@ -467,7 +488,7 @@ func (c *compiler) fastAssign(st *ast.AssignStmt) fastStmt {
 				if err != nil {
 					return err
 				}
-				bv := load(fr)
+				bv := fr.cells[idx]
 				i, err := idxFn(fr)
 				if err != nil {
 					return err
@@ -487,7 +508,7 @@ func (c *compiler) fastAssign(st *ast.AssignStmt) fastStmt {
 				if err != nil {
 					return err
 				}
-				bv := load(fr)
+				bv := fr.cells[idx]
 				i, err := idxFn(fr)
 				if err != nil {
 					return err
@@ -568,7 +589,7 @@ func (c *compiler) fastVecGetStr(x *ast.IndexExpr) fastStr {
 	if t == nil || t.Kind != types.Vector || t.Elem == nil || !t.Elem.IsNumeric() {
 		return nil
 	}
-	sl, ok := c.resolve(id.Name)
+	idx, ok := c.cellSlot(id.Name)
 	if !ok {
 		return nil
 	}
@@ -576,10 +597,9 @@ func (c *compiler) fastVecGetStr(x *ast.IndexExpr) fastStr {
 	if idxFn == nil {
 		return nil
 	}
-	load := loadSlot(sl)
 	pos := x.P
 	return func(fr *frame) (string, error) {
-		bv := load(fr)
+		bv := fr.cells[idx]
 		i, err := idxFn(fr)
 		if err != nil {
 			return "", err
@@ -608,12 +628,13 @@ func (c *compiler) fastIntExpr(e ast.Expr) intFn {
 		return func(*frame) (int64, error) { return n, nil }
 	case *ast.NullLit:
 		// NULL coerces to 0 under every integer consumer (AsInt, Equal
-		// against integer-shaped values, KeyOf, AsBool).
+		// against integer-shaped values, a numeric dict key, AsBool).
 		return func(*frame) (int64, error) { return 0, nil }
 	case *ast.Ident:
-		// Numeric-typed slots only: such slots always hold KInt (every
-		// store goes through Convert or ZeroValue), keeping the result
-		// integer-shaped — unlike lower_int.go's any-type Ident rule.
+		// Numeric-typed names only: registers are int64, and numeric
+		// cells always hold KInt (every store goes through Convert or
+		// ZeroValue), keeping the result integer-shaped — unlike
+		// lower_int.go's any-type Ident rule.
 		t := c.info.Types[e]
 		if t == nil || !t.IsNumeric() {
 			return nil
@@ -622,8 +643,11 @@ func (c *compiler) fastIntExpr(e ast.Expr) intFn {
 		if !ok {
 			return nil
 		}
-		load := loadSlot(sl)
-		return func(fr *frame) (int64, error) { return asIntRef(load(fr)), nil }
+		idx := sl.idx
+		if sl.local {
+			return func(fr *frame) (int64, error) { return fr.regs[idx], nil }
+		}
+		return func(fr *frame) (int64, error) { return asIntRef(fr.cells[idx]), nil }
 	case *ast.FieldExpr:
 		// Dynamic attributes materialize as integer words (UintVal).
 		if !c.info.DynamicExprs[x] {
@@ -650,85 +674,14 @@ func (c *compiler) fastIntExpr(e ast.Expr) intFn {
 			return -n, nil
 		}
 	case *ast.BinaryExpr:
-		return c.fastIntBinary(x)
+		return intBinary(x, c.fastIntExpr)
 	}
 	return nil
 }
 
-func (c *compiler) fastIntBinary(x *ast.BinaryExpr) intFn {
-	var op func(a, b int64) int64
-	switch x.Op {
-	case token.PLUS:
-		op = func(a, b int64) int64 { return a + b }
-	case token.MINUS:
-		op = func(a, b int64) int64 { return a - b }
-	case token.STAR:
-		op = func(a, b int64) int64 { return a * b }
-	case token.AMP:
-		op = func(a, b int64) int64 { return a & b }
-	case token.PIPE:
-		op = func(a, b int64) int64 { return a | b }
-	case token.CARET:
-		op = func(a, b int64) int64 { return a ^ b }
-	case token.SHL:
-		op = func(a, b int64) int64 { return a << (uint64(b) & 63) }
-	case token.SHR:
-		op = func(a, b int64) int64 { return int64(uint64(a) >> (uint64(b) & 63)) }
-	case token.SLASH, token.PERCENT:
-		l := c.fastIntExpr(x.X)
-		if l == nil {
-			return nil
-		}
-		r := c.fastIntExpr(x.Y)
-		if r == nil {
-			return nil
-		}
-		mod := x.Op == token.PERCENT
-		pos := x.P
-		return func(fr *frame) (int64, error) {
-			a, err := l(fr)
-			if err != nil {
-				return 0, err
-			}
-			b, err := r(fr)
-			if err != nil {
-				return 0, err
-			}
-			if b == 0 {
-				return 0, errf(pos, "division by zero")
-			}
-			if mod {
-				return a % b, nil
-			}
-			return a / b, nil
-		}
-	default:
-		return nil
-	}
-	l := c.fastIntExpr(x.X)
-	if l == nil {
-		return nil
-	}
-	r := c.fastIntExpr(x.Y)
-	if r == nil {
-		return nil
-	}
-	return func(fr *frame) (int64, error) {
-		a, err := l(fr)
-		if err != nil {
-			return 0, err
-		}
-		b, err := r(fr)
-		if err != nil {
-			return 0, err
-		}
-		return op(a, b), nil
-	}
-}
-
 // fastIndexGet lowers a container read on a directly-named base with
-// numeric elements (and, for dicts, a numeric key type, so value.KeyOf of
-// the generic index value coincides with the unboxed int64 key).
+// numeric elements (and, for dicts, a numeric key type, whose key
+// conversion is AsInt — the unboxed int64 key).
 func (c *compiler) fastIndexGet(x *ast.IndexExpr) intFn {
 	id, ok := x.X.(*ast.Ident)
 	if !ok {
@@ -741,7 +694,7 @@ func (c *compiler) fastIndexGet(x *ast.IndexExpr) intFn {
 	if t.Kind == types.Dict && (t.Key == nil || !t.Key.IsNumeric()) {
 		return nil
 	}
-	sl, ok := c.resolve(id.Name)
+	idx, ok := c.cellSlot(id.Name)
 	if !ok {
 		return nil
 	}
@@ -749,12 +702,11 @@ func (c *compiler) fastIndexGet(x *ast.IndexExpr) intFn {
 	if idxFn == nil {
 		return nil
 	}
-	load := loadSlot(sl)
 	pos := x.P
 	switch t.Kind {
 	case types.Dict:
 		return func(fr *frame) (int64, error) {
-			bv := load(fr)
+			bv := fr.cells[idx]
 			k, err := idxFn(fr)
 			if err != nil {
 				return 0, err
@@ -762,15 +714,16 @@ func (c *compiler) fastIndexGet(x *ast.IndexExpr) intFn {
 			if bv.Kind != value.KDict {
 				return 0, errf(pos, "value is not indexable")
 			}
-			if e, ok := bv.Dict.M[value.DictKey{I: k}]; ok {
-				return asIntRef(&e), nil
+			if m := bv.Dict.Ints; m != nil {
+				return m[k], nil // a missing key reads 0
 			}
-			return asIntRef(&bv.Dict.ElemZero), nil
+			e := bv.Dict.Get(value.IntVal(k))
+			return asIntRef(&e), nil
 		}
 	case types.Vector:
 		// Out of range yields NULL generically, which is 0 here.
 		return func(fr *frame) (int64, error) {
-			bv := load(fr)
+			bv := fr.cells[idx]
 			i, err := idxFn(fr)
 			if err != nil {
 				return 0, err
@@ -785,7 +738,7 @@ func (c *compiler) fastIndexGet(x *ast.IndexExpr) intFn {
 		}
 	case types.Array:
 		return func(fr *frame) (int64, error) {
-			bv := load(fr)
+			bv := fr.cells[idx]
 			i, err := idxFn(fr)
 			if err != nil {
 				return 0, err
@@ -816,14 +769,13 @@ func (c *compiler) fastSize(x *ast.CallExpr) intFn {
 	if t == nil || (t.Kind != types.Vector && t.Kind != types.Dict) {
 		return nil
 	}
-	sl, ok := c.resolve(id.Name)
+	idx, ok := c.cellSlot(id.Name)
 	if !ok {
 		return nil
 	}
-	load := loadSlot(sl)
 	pos, name := x.P, fun.Name
 	return func(fr *frame) (int64, error) {
-		rv := load(fr)
+		rv := fr.cells[idx]
 		switch rv.Kind {
 		case value.KVector:
 			return int64(len(rv.Vec.Elems)), nil
@@ -843,12 +795,15 @@ func (c *compiler) fastBoolExpr(e ast.Expr) fastBool {
 		return func(*frame) (bool, error) { return b, nil }
 	case *ast.Ident:
 		if t := c.info.Types[e]; t != nil && t.Kind == types.Bool {
-			sl, ok := c.resolve(x.Name)
+			idx, ok := c.cellSlot(x.Name)
 			if !ok {
 				return nil
 			}
-			load := loadSlot(sl)
-			return func(fr *frame) (bool, error) { return load(fr).AsBool(), nil }
+			return func(fr *frame) (bool, error) { return fr.cells[idx].AsBool(), nil }
+		}
+	case *ast.CallExpr:
+		if f := c.fastHas(x); f != nil {
+			return f
 		}
 	case *ast.UnaryExpr:
 		if x.Op == token.NOT {
@@ -900,32 +855,7 @@ func (c *compiler) fastBoolExpr(e ast.Expr) fastBool {
 			if r == nil {
 				return nil
 			}
-			var cmp func(a, b int64) bool
-			switch x.Op {
-			case token.EQ:
-				cmp = func(a, b int64) bool { return a == b }
-			case token.NEQ:
-				cmp = func(a, b int64) bool { return a != b }
-			case token.LT:
-				cmp = func(a, b int64) bool { return a < b }
-			case token.LE:
-				cmp = func(a, b int64) bool { return a <= b }
-			case token.GT:
-				cmp = func(a, b int64) bool { return a > b }
-			case token.GE:
-				cmp = func(a, b int64) bool { return a >= b }
-			}
-			return func(fr *frame) (bool, error) {
-				a, err := l(fr)
-				if err != nil {
-					return false, err
-				}
-				b, err := r(fr)
-				if err != nil {
-					return false, err
-				}
-				return cmp(a, b), nil
-			}
+			return intCompare(x.Op, l, r)
 		}
 	}
 	// Any other integer-shaped scalar consumed as a condition: AsBool of
@@ -934,6 +864,111 @@ func (c *compiler) fastBoolExpr(e ast.Expr) fastBool {
 		return func(fr *frame) (bool, error) {
 			n, err := ifn(fr)
 			return n != 0, err
+		}
+	}
+	return nil
+}
+
+// fastHas lowers d.has(k) on a directly-named dict with a numeric key
+// type.
+func (c *compiler) fastHas(x *ast.CallExpr) fastBool {
+	fun, ok := x.Fun.(*ast.FieldExpr)
+	if !ok || fun.Name != "has" || len(x.Args) != 1 {
+		return nil
+	}
+	id, ok := fun.X.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	t := c.info.Types[fun.X]
+	if t == nil || t.Kind != types.Dict || t.Key == nil || !t.Key.IsNumeric() {
+		return nil
+	}
+	idx, ok := c.cellSlot(id.Name)
+	if !ok {
+		return nil
+	}
+	arg := c.fastIntExpr(x.Args[0])
+	if arg == nil {
+		return nil
+	}
+	pos, name := x.P, fun.Name
+	return func(fr *frame) (bool, error) {
+		// Generic order: the receiver's kind is checked before the
+		// argument is evaluated.
+		rv := fr.cells[idx]
+		if rv.Kind != value.KDict {
+			return false, errf(pos, "invalid method %q", name)
+		}
+		k, err := arg(fr)
+		if err != nil {
+			return false, err
+		}
+		if m := rv.Dict.Ints; m != nil {
+			_, ok := m[k]
+			return ok, nil
+		}
+		return rv.Dict.Has(value.IntVal(k)), nil
+	}
+}
+
+// intCompare returns the closure for l op r on unboxed operands, one per
+// comparison operator.
+func intCompare(op token.Kind, l, r intFn) fastBool {
+	switch op {
+	case token.EQ:
+		return func(fr *frame) (bool, error) {
+			a, err := l(fr)
+			if err != nil {
+				return false, err
+			}
+			b, err := r(fr)
+			return a == b, err
+		}
+	case token.NEQ:
+		return func(fr *frame) (bool, error) {
+			a, err := l(fr)
+			if err != nil {
+				return false, err
+			}
+			b, err := r(fr)
+			return a != b, err
+		}
+	case token.LT:
+		return func(fr *frame) (bool, error) {
+			a, err := l(fr)
+			if err != nil {
+				return false, err
+			}
+			b, err := r(fr)
+			return a < b, err
+		}
+	case token.LE:
+		return func(fr *frame) (bool, error) {
+			a, err := l(fr)
+			if err != nil {
+				return false, err
+			}
+			b, err := r(fr)
+			return a <= b, err
+		}
+	case token.GT:
+		return func(fr *frame) (bool, error) {
+			a, err := l(fr)
+			if err != nil {
+				return false, err
+			}
+			b, err := r(fr)
+			return a > b, err
+		}
+	case token.GE:
+		return func(fr *frame) (bool, error) {
+			a, err := l(fr)
+			if err != nil {
+				return false, err
+			}
+			b, err := r(fr)
+			return a >= b, err
 		}
 	}
 	return nil

@@ -94,43 +94,118 @@ func (c *compiler) compileIntExpr(e ast.Expr) intFn {
 			return -n, nil
 		}
 	case *ast.BinaryExpr:
-		return c.compileIntBinary(x)
+		return intBinary(x, c.compileIntExpr)
 	}
 	return nil
 }
 
-// compileIntBinary lowers the arithmetic operators, whose generic result
-// is always IntVal(f(l.AsInt(), r.AsInt())).
-func (c *compiler) compileIntBinary(x *ast.BinaryExpr) intFn {
-	var op func(a, b int64) int64
-	switch x.Op {
+// intBinary lowers an arithmetic operator, whose generic result is always
+// IntVal(f(l.AsInt(), r.AsInt())), over operands lowered by sub — this
+// tier's compileIntExpr or the fast tier's fastIntExpr; nil when either
+// operand has no such lowering.
+func intBinary(x *ast.BinaryExpr, sub func(ast.Expr) intFn) intFn {
+	if !isArith(x.Op) {
+		return nil
+	}
+	l := sub(x.X)
+	if l == nil {
+		return nil
+	}
+	r := sub(x.Y)
+	if r == nil {
+		return nil
+	}
+	return intArith(x.Op, x.P, l, r)
+}
+
+func isArith(op token.Kind) bool {
+	switch op {
+	case token.PLUS, token.MINUS, token.STAR, token.SLASH, token.PERCENT,
+		token.AMP, token.PIPE, token.CARET, token.SHL, token.SHR:
+		return true
+	}
+	return false
+}
+
+// intArith returns the closure for l op r on the scalar tier, one per
+// arithmetic operator, so an evaluation makes no indirect call beyond its
+// operands'. A division by zero is reported at pos.
+func intArith(op token.Kind, pos token.Pos, l, r intFn) intFn {
+	switch op {
 	case token.PLUS:
-		op = func(a, b int64) int64 { return a + b }
+		return func(fr *frame) (int64, error) {
+			a, err := l(fr)
+			if err != nil {
+				return 0, err
+			}
+			b, err := r(fr)
+			return a + b, err
+		}
 	case token.MINUS:
-		op = func(a, b int64) int64 { return a - b }
+		return func(fr *frame) (int64, error) {
+			a, err := l(fr)
+			if err != nil {
+				return 0, err
+			}
+			b, err := r(fr)
+			return a - b, err
+		}
 	case token.STAR:
-		op = func(a, b int64) int64 { return a * b }
+		return func(fr *frame) (int64, error) {
+			a, err := l(fr)
+			if err != nil {
+				return 0, err
+			}
+			b, err := r(fr)
+			return a * b, err
+		}
 	case token.AMP:
-		op = func(a, b int64) int64 { return a & b }
+		return func(fr *frame) (int64, error) {
+			a, err := l(fr)
+			if err != nil {
+				return 0, err
+			}
+			b, err := r(fr)
+			return a & b, err
+		}
 	case token.PIPE:
-		op = func(a, b int64) int64 { return a | b }
+		return func(fr *frame) (int64, error) {
+			a, err := l(fr)
+			if err != nil {
+				return 0, err
+			}
+			b, err := r(fr)
+			return a | b, err
+		}
 	case token.CARET:
-		op = func(a, b int64) int64 { return a ^ b }
+		return func(fr *frame) (int64, error) {
+			a, err := l(fr)
+			if err != nil {
+				return 0, err
+			}
+			b, err := r(fr)
+			return a ^ b, err
+		}
 	case token.SHL:
-		op = func(a, b int64) int64 { return a << (uint64(b) & 63) }
+		return func(fr *frame) (int64, error) {
+			a, err := l(fr)
+			if err != nil {
+				return 0, err
+			}
+			b, err := r(fr)
+			return a << (uint64(b) & 63), err
+		}
 	case token.SHR:
-		op = func(a, b int64) int64 { return int64(uint64(a) >> (uint64(b) & 63)) }
+		return func(fr *frame) (int64, error) {
+			a, err := l(fr)
+			if err != nil {
+				return 0, err
+			}
+			b, err := r(fr)
+			return int64(uint64(a) >> (uint64(b) & 63)), err
+		}
 	case token.SLASH, token.PERCENT:
-		l := c.compileIntExpr(x.X)
-		if l == nil {
-			return nil
-		}
-		r := c.compileIntExpr(x.Y)
-		if r == nil {
-			return nil
-		}
-		mod := x.Op == token.PERCENT
-		pos := x.P
+		mod := op == token.PERCENT
 		return func(fr *frame) (int64, error) {
 			a, err := l(fr)
 			if err != nil {
@@ -148,26 +223,6 @@ func (c *compiler) compileIntBinary(x *ast.BinaryExpr) intFn {
 			}
 			return a / b, nil
 		}
-	default:
-		return nil
 	}
-	l := c.compileIntExpr(x.X)
-	if l == nil {
-		return nil
-	}
-	r := c.compileIntExpr(x.Y)
-	if r == nil {
-		return nil
-	}
-	return func(fr *frame) (int64, error) {
-		a, err := l(fr)
-		if err != nil {
-			return 0, err
-		}
-		b, err := r(fr)
-		if err != nil {
-			return 0, err
-		}
-		return op(a, b), nil
-	}
+	return nil
 }

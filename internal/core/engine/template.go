@@ -214,7 +214,14 @@ func shareableValue(v value.Value) bool {
 	case value.KFile:
 		return false
 	case value.KDict:
-		for _, e := range v.Dict.M {
+		// Numeric elements are stored unboxed; only the Value layouts
+		// can hold a container.
+		for _, e := range v.Dict.IntVals {
+			if !deep(e) {
+				return false
+			}
+		}
+		for _, e := range v.Dict.StrVals {
 			if !deep(e) {
 				return false
 			}

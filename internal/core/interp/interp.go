@@ -199,7 +199,7 @@ func ZeroValue(t *types.Type) value.Value {
 	case types.String, types.Line:
 		return value.StrVal("")
 	case types.Dict:
-		return value.Value{Kind: value.KDict, Dict: value.NewDict(ZeroValue(t.Elem))}
+		return value.Value{Kind: value.KDict, Dict: value.NewDict(t.Key.Kind == types.String, ZeroValue(t.Elem))}
 	case types.Vector:
 		return value.Value{Kind: value.KVector, Vec: &value.VectorVal{}}
 	case types.Array:

@@ -98,6 +98,30 @@ init {
 	if out != want {
 		t.Errorf("output = %q, want %q", out, want)
 	}
+	// Index reads, index stores and has convert the key to the declared
+	// key type: a line addresses the number it parses to, and NULL
+	// addresses "" in a string-keyed dict (NULL equals "").
+	out = runProgram(t, `
+file f("keys.txt");
+dict<int,int> d;
+dict<string,int> s;
+init {
+  writeToFile(f, 16);
+  line l = f.getline();
+  d[l] = 7;
+  print(d[16], d.has(l));
+  d[16] = 9;
+  print(d[l], d.size());
+  line eof = f.getline();
+  s[eof] = 3;
+  s[NULL] = s[NULL] + 1;
+  print(s[""], s.has(NULL), s.has(""), s.size());
+}
+`)
+	want = "7 true\n9 1\n4 true true 1\n"
+	if out != want {
+		t.Errorf("key conversion: output = %q, want %q", out, want)
+	}
 }
 
 func TestVectorAndArray(t *testing.T) {
@@ -202,7 +226,7 @@ func TestSnapshotCapturesByValue(t *testing.T) {
 		t.Error("globals were copied, want shared")
 	}
 	// Containers are deep-copied.
-	d := value.NewDict(value.IntVal(0))
+	d := value.NewDict(false, value.IntVal(0))
 	d.Set(value.IntVal(1), value.IntVal(2))
 	local2 := NewEnv(globals)
 	local2.Define("m", value.Value{Kind: value.KDict, Dict: d})
@@ -298,8 +322,12 @@ func TestZeroValues(t *testing.T) {
 	}
 	dt := &types.Type{Kind: types.Dict, Key: types.Basic(types.Addr), Elem: types.Basic(types.Addr)}
 	dv := ZeroValue(dt)
-	if dv.Dict == nil || dv.Dict.ElemZero.AsInt() != 0 {
+	if dv.Dict == nil || dv.Dict.Ints == nil || dv.Dict.Get(value.Null).Kind != value.KInt {
 		t.Errorf("zero dict = %+v", dv)
+	}
+	st := &types.Type{Kind: types.Dict, Key: types.Basic(types.String), Elem: types.Basic(types.Line)}
+	if sv := ZeroValue(st); sv.Dict.StrVals == nil || sv.Dict.Get(value.Null).Kind != value.KString {
+		t.Errorf("zero dict<string,line> = %+v", sv)
 	}
 }
 

@@ -3,10 +3,18 @@
 // stage (instrumented actions): numbers, booleans, strings/lines, opcode
 // and operand handles, NULL, dicts, vectors, static arrays, file handles,
 // and control-flow-element references.
+//
+// A dict's storage follows its declared types, as the emitted C++ does
+// (std::map<int64_t, int64_t> for a dict<int,int>): numeric keys key the
+// Go map by int64 and string keys by string, numeric elements are stored
+// as bare int64 and every other element type as a Value. Only Get boxes
+// an element back into a Value; compiled action bodies read and write a
+// numeric dict's map[int64]int64 directly.
 package value
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 
 	"repro/internal/cfg"
@@ -171,50 +179,111 @@ func Equal(a, b Value) bool {
 	}
 }
 
-// DictKey is a comparable dict key.
-type DictKey struct {
-	I     int64
-	S     string
-	IsStr bool
-}
-
-// KeyOf converts a value into a dict key.
-func KeyOf(v Value) DictKey {
-	if v.Kind == KString {
-		return DictKey{S: v.Str, IsStr: true}
-	}
-	return DictKey{I: v.AsInt()}
-}
-
-// DictVal is a dictionary. Lookups of missing keys return the zero value
-// of the element type (NULL-comparable), matching the paper's usage.
+// DictVal is a dictionary laid out by its declared types: a numeric key
+// type keys the Go map by int64 and a string key type by string; numeric
+// elements are stored as bare int64, every other element type as a Value.
+// Exactly one of the four maps is non-nil. Every access converts its key
+// to the key type — a line "16" addresses the numeric key 16, NULL
+// addresses 0 or "" (NULL equals "" in Cinnamon) — and a missing key
+// reads as the element type's zero value (NULL-comparable), matching the
+// paper's usage.
 type DictVal struct {
-	M map[DictKey]Value
-	// ElemZero is returned for missing keys.
-	ElemZero Value
+	// Ints is the layout of dict<numeric,numeric>, which compiled action
+	// bodies read and write directly.
+	Ints    map[int64]int64
+	IntVals map[int64]Value
+	StrInts map[string]int64
+	StrVals map[string]Value
+	// zero is what a missing key reads as.
+	zero Value
 }
 
-// NewDict returns an empty dict whose missing-key value is zero.
-func NewDict(elemZero Value) *DictVal {
-	return &DictVal{M: make(map[DictKey]Value), ElemZero: elemZero}
+// NewDict returns an empty dict for a key type that is a string (strKeys)
+// or numeric, and an element type whose zero value is elemZero. A numeric
+// zero — the zero value of exactly the numeric types — stores elements as
+// int64.
+func NewDict(strKeys bool, elemZero Value) *DictVal {
+	d := &DictVal{zero: elemZero}
+	ints := elemZero.Kind == KInt
+	switch {
+	case !strKeys && ints:
+		d.Ints = make(map[int64]int64)
+	case !strKeys:
+		d.IntVals = make(map[int64]Value)
+	case ints:
+		d.StrInts = make(map[string]int64)
+	default:
+		d.StrVals = make(map[string]Value)
+	}
+	return d
 }
 
-// Get returns the value for the key (zero element if missing).
-func (d *DictVal) Get(k Value) Value {
-	if v, ok := d.M[KeyOf(k)]; ok {
+// strKey converts a key to a string key type.
+func strKey(k Value) string {
+	switch k.Kind {
+	case KString:
+		return k.Str
+	case KNull:
+		return ""
+	}
+	return k.String()
+}
+
+func lookup[K comparable](m map[K]Value, k K, zero Value) Value {
+	if v, ok := m[k]; ok {
 		return v
 	}
-	return d.ElemZero
+	return zero
 }
 
-// Set stores a value under the key.
-func (d *DictVal) Set(k, v Value) { d.M[KeyOf(k)] = v }
+// Get returns the value for the key (the zero element if missing).
+func (d *DictVal) Get(k Value) Value {
+	switch {
+	case d.Ints != nil:
+		return IntVal(d.Ints[k.AsInt()])
+	case d.IntVals != nil:
+		return lookup(d.IntVals, k.AsInt(), d.zero)
+	case d.StrInts != nil:
+		return IntVal(d.StrInts[strKey(k)])
+	}
+	return lookup(d.StrVals, strKey(k), d.zero)
+}
+
+// Set stores a value, already converted to the element type, under the
+// key.
+func (d *DictVal) Set(k, v Value) {
+	switch {
+	case d.Ints != nil:
+		d.Ints[k.AsInt()] = v.AsInt()
+	case d.IntVals != nil:
+		d.IntVals[k.AsInt()] = v
+	case d.StrInts != nil:
+		d.StrInts[strKey(k)] = v.AsInt()
+	default:
+		d.StrVals[strKey(k)] = v
+	}
+}
 
 // Has reports whether the key is present.
-func (d *DictVal) Has(k Value) bool { _, ok := d.M[KeyOf(k)]; return ok }
+func (d *DictVal) Has(k Value) bool {
+	var ok bool
+	switch {
+	case d.Ints != nil:
+		_, ok = d.Ints[k.AsInt()]
+	case d.IntVals != nil:
+		_, ok = d.IntVals[k.AsInt()]
+	case d.StrInts != nil:
+		_, ok = d.StrInts[strKey(k)]
+	default:
+		_, ok = d.StrVals[strKey(k)]
+	}
+	return ok
+}
 
 // Len returns the entry count.
-func (d *DictVal) Len() int { return len(d.M) }
+func (d *DictVal) Len() int {
+	return len(d.Ints) + len(d.IntVals) + len(d.StrInts) + len(d.StrVals)
+}
 
 // VectorVal is a growable vector.
 type VectorVal struct {
@@ -309,9 +378,11 @@ func CFEVal(r *CFERef) Value { return Value{Kind: KCFE, CFE: r} }
 func Copy(v Value) Value {
 	switch v.Kind {
 	case KDict:
-		nd := NewDict(v.Dict.ElemZero)
-		for k, e := range v.Dict.M {
-			nd.M[k] = e
+		d := v.Dict
+		nd := &DictVal{
+			Ints: maps.Clone(d.Ints), IntVals: maps.Clone(d.IntVals),
+			StrInts: maps.Clone(d.StrInts), StrVals: maps.Clone(d.StrVals),
+			zero: d.zero,
 		}
 		return Value{Kind: KDict, Dict: nd}
 	case KVector:

@@ -66,7 +66,7 @@ func TestEqualNullSemantics(t *testing.T) {
 }
 
 func TestDictSemantics(t *testing.T) {
-	d := NewDict(IntVal(0))
+	d := NewDict(false, IntVal(0))
 	if d.Has(IntVal(1)) || d.Len() != 0 {
 		t.Error("fresh dict not empty")
 	}
@@ -81,21 +81,40 @@ func TestDictSemantics(t *testing.T) {
 	if !d.Has(IntVal(9)) || d.Len() != 1 {
 		t.Error("has/len wrong")
 	}
-	// String keys coexist with numeric ones.
+	// A numeric key type converts every key to a number: lines parse,
+	// unparseable text and NULL address 0.
+	if d.Get(StrVal("9")).Int != 42 || !d.Has(StrVal("0x9")) {
+		t.Error("line keys not converted to numbers")
+	}
 	d.Set(StrVal("k"), IntVal(7))
-	if d.Get(StrVal("k")).Int != 7 || d.Len() != 2 {
-		t.Error("string keys broken")
+	if d.Get(IntVal(0)).Int != 7 || d.Get(Null).Int != 7 || d.Len() != 2 {
+		t.Error("unparseable/NULL keys not converted to 0")
 	}
 	// Numeric keys compare by value regardless of original kind.
 	d.Set(UintVal(100), IntVal(1))
 	if d.Get(IntVal(100)).Int != 1 {
 		t.Error("key normalization broken")
 	}
+	if d.Ints == nil || d.IntVals != nil {
+		t.Error("dict<int,int> not stored as map[int64]int64")
+	}
+	// A string key type: NULL addresses "", since NULL equals "".
+	s := NewDict(true, BoolVal(false))
+	s.Set(Null, BoolVal(true))
+	if !s.Get(StrVal("")).Bool || !s.Has(Null) || s.Len() != 1 {
+		t.Error("NULL key on a string-keyed dict does not address \"\"")
+	}
+	if got := s.Get(StrVal("nope")); got.Kind != KBool || got.Bool {
+		t.Errorf("missing boxed key = %v, want false", got)
+	}
+	if s.StrVals == nil || s.StrInts != nil {
+		t.Error("dict<string,bool> not stored as map[string]Value")
+	}
 }
 
 func TestQuickDictMatchesGoMap(t *testing.T) {
 	f := func(keys []int64, vals []int64) bool {
-		d := NewDict(IntVal(0))
+		d := NewDict(false, IntVal(0))
 		ref := map[int64]int64{}
 		for i, k := range keys {
 			v := int64(i)
@@ -158,13 +177,21 @@ func TestFile(t *testing.T) {
 }
 
 func TestCopySemantics(t *testing.T) {
-	d := NewDict(IntVal(0))
+	d := NewDict(false, IntVal(0))
 	d.Set(IntVal(1), IntVal(2))
 	orig := Value{Kind: KDict, Dict: d}
 	cp := Copy(orig)
 	d.Set(IntVal(1), IntVal(99))
 	if cp.Dict.Get(IntVal(1)).Int != 2 {
 		t.Error("dict copy not deep")
+	}
+	// Every layout copies deeply and keeps its layout.
+	sd := NewDict(true, StrVal(""))
+	sd.Set(StrVal("a"), StrVal("x"))
+	cps := Copy(Value{Kind: KDict, Dict: sd})
+	sd.Set(StrVal("a"), StrVal("y"))
+	if cps.Dict.StrVals == nil || cps.Dict.Get(StrVal("a")).Str != "x" {
+		t.Error("dict<string,string> copy not deep")
 	}
 	vec := &VectorVal{Elems: []Value{IntVal(1)}}
 	cpv := Copy(Value{Kind: KVector, Vec: vec})

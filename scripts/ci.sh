@@ -27,7 +27,9 @@
 #              translated VM tier vs the interpreter on the probe-free
 #              hot-block workload, and
 #              the action-inlining layer vs the no-inline translated
-#              tier on an action-heavy workload
+#              tier on two action-heavy workloads, opcodemix (>=1.5x)
+#              and loopcoverage (>=2.5x; the fast tier's register
+#              locals and int64 dict maps)
 #              (internal/bench/inline_test.go)
 #   governor   one reduced-scale run of the overhead-budget experiment
 #              (experiments -exp=governor): the governor must bring
