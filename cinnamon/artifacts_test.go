@@ -11,7 +11,7 @@ import (
 
 // The artifact cache must be invisible in results: for every case
 // study × victim × backend cell, a cold run (empty process cache), a
-// warm run (template replayed from the cache) and a cache-disabled run
+// warm run (template replayed from the cache) and a cache-ablated run
 // must agree byte for byte on tool output, machine counters and the
 // per-probe stats table. This is the cold/warm differential gate for
 // the shared-artifact fast path.
@@ -46,14 +46,14 @@ func TestArtifactCacheRunsBitIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", p.victim, err)
 		}
 		for _, b := range Backends() {
-			run := func(noCache bool) string {
+			run := func(ablate string) string {
 				rep, err := tool.Run(target, b, RunOptions{
 					Stats:            true,
 					PinLoopDetection: p.pinLoops,
-					NoArtifactCache:  noCache,
+					Ablate:           ablate,
 				})
 				if err != nil {
-					t.Fatalf("%s on %s via %s (cache=%v): %v", p.prog, p.victim, b, !noCache, err)
+					t.Fatalf("%s on %s via %s (ablate=%q): %v", p.prog, p.victim, b, ablate, err)
 				}
 				var sb strings.Builder
 				sb.WriteString(rep.ToolOutput)
@@ -61,10 +61,10 @@ func TestArtifactCacheRunsBitIdentical(t *testing.T) {
 				rep.Stats.WriteTable(&sb)
 				return sb.String()
 			}
-			ref := run(true)    // cache disabled: the plain build path
-			cold := run(false)  // populates (or reuses) the shared cache
-			warm1 := run(false) // replays the cached template
-			warm2 := run(false)
+			ref := run("cache") // cache ablated: the plain build path
+			cold := run("")     // populates (or reuses) the shared cache
+			warm1 := run("")    // replays the cached template
+			warm2 := run("")
 			if cold != ref || warm1 != ref || warm2 != ref {
 				t.Errorf("%s on %s via %s: cached runs diverge from the uncached reference\nref:\n%s\ncold:\n%s\nwarm:\n%s",
 					p.prog, p.victim, b, ref, cold, warm1)

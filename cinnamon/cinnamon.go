@@ -154,21 +154,14 @@ type RunOptions struct {
 	// OnMonitor, if set, is called with the monitor's bound address once
 	// it is serving (before the run starts). Useful with port 0.
 	OnMonitor func(addr string)
-	// VMMode selects the machine's execution tier: "translated" (or
-	// empty, the default) runs cached block programs with fused probe
-	// schedules; "interpreted" runs the reference per-instruction loop.
-	// The tiers are bit-identical in every observable — cycles, output,
-	// attribution — so this only affects wall-clock speed.
-	VMMode string
-	// VMNoInline disables the translated tier's action-inlining layer
-	// (specialized probe thunks, register-promoted counters, probe+op
-	// superinstructions). Bit-identical either way; escape hatch only.
-	VMNoInline bool
-	// NoIROpt disables the placement-IR optimization passes
-	// (where-clause hoisting, counter promotion, redundant-probe
-	// coalescing) that run over the shared rule table before backend
-	// lowering. Bit-identical either way; escape hatch only.
-	NoIROpt bool
+	// Ablate switches speed layers off, as a comma-separated list of
+	// "compile" (closure-compiled actions), "translate" (translated
+	// blocks), "inline" (action inlining), "ir-opt" (the placement-IR
+	// passes) and "cache" (the artifact cache's instrumentation
+	// templates). Every layer is bit-identical in every observable —
+	// cycles, output, attribution — so this only affects wall-clock
+	// speed.
+	Ablate string
 	// Budget, when non-empty, attaches the live overhead governor: a
 	// maximum fraction of machine cycles the run may spend in probes,
 	// as "5%" or "0.05". The governor watches live cycle attribution
@@ -182,12 +175,6 @@ type RunOptions struct {
 	// machine cycle units (0 = governor.DefaultWindow; only meaningful
 	// with Budget).
 	GovernorWindow uint64
-	// NoArtifactCache disables the process-wide artifact cache for this
-	// run. By default repeated runs of the same tool against the same
-	// target reuse the recorded instrumentation build (rebinding all
-	// per-run state), which is observably identical to rebuilding —
-	// cycles, output and attribution are bit-equal. Escape hatch only.
-	NoArtifactCache bool
 }
 
 // Stats is the observability report of a run: per-probe firing counters
@@ -224,7 +211,7 @@ func (t *Tool) Run(target *Target, backendName string, opts RunOptions) (rep *Re
 	if out == nil {
 		out, captured = &buf, true
 	}
-	mode, err := vm.ParseExecMode(opts.VMMode)
+	ablate, err := backend.ParseAblation(opts.Ablate)
 	if err != nil {
 		return nil, fmt.Errorf("cinnamon: %w", err)
 	}
@@ -257,12 +244,8 @@ func (t *Tool) Run(target *Target, backendName string, opts RunOptions) (rep *Re
 		AppOut:           opts.AppOut,
 		PinLoopDetection: opts.PinLoopDetection,
 		Obs:              col,
-		VMMode:           mode,
-		VMNoInline:       opts.VMNoInline,
-		NoIROpt:          opts.NoIROpt,
-	}
-	if !opts.NoArtifactCache {
-		bopts.Artifacts = artifacts.Shared()
+		Ablate:           ablate,
+		Artifacts:        artifacts.Shared(),
 	}
 	if gov != nil {
 		bopts.Adaptive = true
@@ -337,11 +320,11 @@ func serve(opts RunOptions, target *Target, backendName string, col *obs.Collect
 // BaselineRun executes the target without any instrumentation and reports
 // its cost — the uninstrumented baseline for overhead measurements.
 func BaselineRun(target *Target, opts RunOptions) (*Report, error) {
-	mode, err := vm.ParseExecMode(opts.VMMode)
+	ablate, err := backend.ParseAblation(opts.Ablate)
 	if err != nil {
 		return nil, fmt.Errorf("cinnamon: %w", err)
 	}
-	machine := vm.New(target.Prog, vm.Config{Fuel: opts.Fuel, AppOut: opts.AppOut, ExecMode: mode})
+	machine := vm.New(target.Prog, vm.Config{Fuel: opts.Fuel, AppOut: opts.AppOut, ExecMode: ablate.ExecMode()})
 	res, err := machine.Run()
 	if err != nil {
 		return nil, err

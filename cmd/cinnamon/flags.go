@@ -42,10 +42,7 @@ var (
 	loop        = reg.Int(groupExecution, "loop", 0, "<n>", "loop a victim target this many times (long-running session; default 500000 with -listen)")
 	list        = reg.Bool(groupExecution, "list-programs", false, "list built-in case-study programs and exit")
 	pinLoops    = reg.Bool(groupExecution, "pin-loops", false, "enable the Pin loop-detection extension (paper section VI-E)")
-	vmMode      = reg.String(groupExecution, "vm-mode", "", "<tier>", "VM execution tier: translated (default) or interpreted; both are bit-identical")
-	vmInline    = reg.Bool(groupExecution, "vm-inline", true, "inline compiled actions into translated blocks (bit-identical; disable to measure or bisect)")
-	irOpt       = reg.Bool(groupExecution, "ir-opt", true, "run the placement-IR optimization passes (hoisting, counter promotion, probe coalescing; bit-identical; disable to measure or bisect)")
-	artCache    = reg.Bool(groupExecution, "artifact-cache", true, "reuse compiled tools and instrumentation-build templates across runs in this process (bit-identical; disable to measure or bisect)")
+	ablate      = reg.String(groupExecution, "ablate", "", "<layers>", "switch bit-identical speed layers off, comma-separated, to measure or bisect: compile (closure-compiled actions), translate (translated blocks), inline (action inlining), ir-opt (placement-IR passes), cache (artifact-cache templates)")
 
 	stats     = reg.Bool(groupObservability, "stats", false, "print the observability report (per-probe firing and cycle attribution) to stderr")
 	statsJSON = reg.Bool(groupObservability, "stats-json", false, "print the observability report as JSON to stdout")

@@ -88,10 +88,7 @@ func main() {
 		Trace:            *trace,
 		MonitorAddr:      *listen,
 		Interval:         *interval,
-		VMMode:           *vmMode,
-		VMNoInline:       !*vmInline,
-		NoIROpt:          !*irOpt,
-		NoArtifactCache:  !*artCache,
+		Ablate:           *ablate,
 		Budget:           *budget,
 		GovernorWindow:   *govWindow,
 		OnMonitor: func(addr string) {

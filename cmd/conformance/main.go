@@ -1,8 +1,8 @@
 // Command conformance runs the differential conformance sweep: seeded
 // generated Cinnamon programs and victims cross-checked over all three
-// backends and both execution tiers, with the paper's legal divergences
-// (Pin sees shared libraries, Dyninst CFG-skip, Pin has no loops)
-// classified by the structured oracle rather than masked.
+// backends and every speed-layer ablation, with the paper's legal
+// divergences (Pin sees shared libraries, Dyninst CFG-skip, Pin has no
+// loops) classified by the structured oracle rather than masked.
 //
 // Usage:
 //

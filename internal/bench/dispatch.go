@@ -89,12 +89,13 @@ func Dispatch(benchmark string, scale float64) ([]DispatchRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	modes := []vm.ExecMode{vm.ExecTranslated, vm.ExecInterpreted}
+	// The interpreted tier is the translate ablation.
+	tiers := []backend.Ablation{0, backend.AblateTranslate}
 
 	var rows []DispatchRow
-	for _, mode := range modes {
-		row, _, err := timeCell("baseline (no tool)", mode, func() (*vm.Result, error) {
-			return vm.New(prog, vm.Config{ExecMode: mode}).Run()
+	for _, tier := range tiers {
+		row, _, err := timeCell("baseline (no tool)", tier, func() (*vm.Result, error) {
+			return vm.New(prog, vm.Config{ExecMode: tier.ExecMode()}).Run()
 		})
 		if err != nil {
 			return nil, err
@@ -111,17 +112,17 @@ func Dispatch(benchmark string, scale float64) ([]DispatchRow, error) {
 		// across tiers, so the last observed run's total serves every row
 		// of the cell.
 		var col *obs.Collector
-		observed, _, err := timeCell(c.label, vm.ExecTranslated, func() (*vm.Result, error) {
+		observed, _, err := timeCell(c.label, 0, func() (*vm.Result, error) {
 			col = obs.New(obs.Options{})
-			return runToolCell(tool, prog, vm.ExecTranslated, col)
+			return runToolCell(tool, prog, 0, col)
 		})
 		if err != nil {
 			return nil, err
 		}
 		fires := col.Snapshot(backend.Janus).FiresWhere(func(obs.ProbeStats) bool { return true })
-		for _, mode := range modes {
-			row, mallocs, err := timeCell(c.label, mode, func() (*vm.Result, error) {
-				return runToolCell(tool, prog, mode, nil)
+		for _, tier := range tiers {
+			row, mallocs, err := timeCell(c.label, tier, func() (*vm.Result, error) {
+				return runToolCell(tool, prog, tier, nil)
 			})
 			if err != nil {
 				return nil, err
@@ -130,7 +131,7 @@ func Dispatch(benchmark string, scale float64) ([]DispatchRow, error) {
 			if fires > 0 {
 				row.AllocsPerFire = float64(mallocs) / float64(fires)
 			}
-			if mode == vm.ExecTranslated {
+			if tier == 0 {
 				row.ObsNsPerInst = observed.NsPerInst
 			}
 			rows = append(rows, row)
@@ -139,15 +140,16 @@ func Dispatch(benchmark string, scale float64) ([]DispatchRow, error) {
 	return rows, nil
 }
 
-func runToolCell(tool *engine.CompiledTool, prog *cfg.Program, mode vm.ExecMode, col *obs.Collector) (*vm.Result, error) {
+func runToolCell(tool *engine.CompiledTool, prog *cfg.Program, tier backend.Ablation, col *obs.Collector) (*vm.Result, error) {
 	return backend.Run(tool, prog, backend.Janus, backend.Options{
 		Out:    io.Discard,
-		VMMode: mode,
+		Ablate: tier,
 		Obs:    col,
 	})
 }
 
-func timeCell(label string, mode vm.ExecMode, run func() (*vm.Result, error)) (DispatchRow, uint64, error) {
+func timeCell(label string, tier backend.Ablation, run func() (*vm.Result, error)) (DispatchRow, uint64, error) {
+	mode := tier.ExecMode()
 	var res *vm.Result
 	var ms runtime.MemStats
 	best := int64(0)

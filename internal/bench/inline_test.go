@@ -51,13 +51,12 @@ func TestInlinedActionSpeedup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bench := func(noInline bool) func(b *testing.B) {
+			bench := func(ablate backend.Ablation) func(b *testing.B) {
 				return func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						_, err := backend.Run(tool, prog, backend.Janus, backend.Options{
-							Out:        io.Discard,
-							VMMode:     vm.ExecTranslated,
-							VMNoInline: noInline,
+							Out:    io.Discard,
+							Ablate: ablate,
 						})
 						if err != nil {
 							b.Fatal(err)
@@ -78,8 +77,8 @@ func TestInlinedActionSpeedup(t *testing.T) {
 			}
 			var speedup float64
 			for attempt := 0; attempt < 3; attempt++ {
-				plain := measure(bench(true))
-				inlined := measure(bench(false))
+				plain := measure(bench(backend.AblateInline))
+				inlined := measure(bench(0))
 				speedup = plain / inlined
 				t.Logf("attempt %d: no-inline %.0f ns/op, inlined %.0f ns/op, speedup %.2fx",
 					attempt, plain, inlined, speedup)
@@ -113,12 +112,12 @@ func TestAttributionResidualZeroNoInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, noInline := range []bool{false, true} {
+	for _, ablate := range []backend.Ablation{0, backend.AblateInline} {
 		col := obs.New(obs.Options{})
 		res, err := backend.Run(tool, prog, backend.Janus, backend.Options{
-			Out:        io.Discard,
-			Obs:        col,
-			VMNoInline: noInline,
+			Out:    io.Discard,
+			Obs:    col,
+			Ablate: ablate,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -126,8 +125,8 @@ func TestAttributionResidualZeroNoInline(t *testing.T) {
 		s := col.Snapshot(backend.Janus)
 		residual := int64(res.Cycles-base.Cycles) - int64(s.ProbeCycles) - int64(s.Build.TranslationCycles)
 		if residual != 0 {
-			t.Errorf("noInline=%v: residual = %d cycles unattributed (total=%d app=%d probes=%d translation=%d)",
-				noInline, residual, res.Cycles, base.Cycles, s.ProbeCycles, s.Build.TranslationCycles)
+			t.Errorf("ablate=%q: residual = %d cycles unattributed (total=%d app=%d probes=%d translation=%d)",
+				ablate, residual, res.Cycles, base.Cycles, s.ProbeCycles, s.Build.TranslationCycles)
 		}
 	}
 }

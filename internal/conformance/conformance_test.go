@@ -175,10 +175,10 @@ func TestSweepDeterministic(t *testing.T) {
 	}
 }
 
-// Oracle classification on fabricated results: a tampered output in one
-// tier must be an illegal tier-mismatch, and a Pin undercount on a
-// multi-module victim must be illegal (dominance is required, not just
-// "any difference is Pin being Pin").
+// Oracle classification on fabricated results: a tampered output in any
+// ablated cell must be exactly one illegal ablation-mismatch naming that
+// cell, and a Pin undercount on a multi-module victim must be illegal
+// (dominance is required, not just "any difference is Pin being Pin").
 func TestOracleFlagsTamperedResults(t *testing.T) {
 	mk := func(cell Cell) RunResult {
 		return RunResult{
@@ -196,17 +196,23 @@ func TestOracleFlagsTamperedResults(t *testing.T) {
 		t.Fatalf("identical results produced divergences: %v", divs)
 	}
 
-	// Tamper the interpreted Janus tier.
-	tampered := make([]RunResult, len(results))
-	copy(tampered, results)
-	for i := range tampered {
-		if tampered[i].Cell == (Cell{Backend: backend.Janus, Interpret: true}) {
-			tampered[i].Output = "c0 8\n"
+	// Tamper each ablated cell in turn.
+	tampers := 0
+	for i, c := range cells {
+		if c.Ablate == 0 {
+			continue
+		}
+		tampers++
+		tampered := make([]RunResult, len(results))
+		copy(tampered, results)
+		tampered[i].Output = "c0 8\n"
+		divs := Compare(tampered, Traits{})
+		if len(divs) != 1 || divs[0].Class != ClassAblation || divs[0].Legal || divs[0].Cells[1] != c {
+			t.Errorf("tampered %s not flagged as one illegal ablation-mismatch: %v", c, divs)
 		}
 	}
-	divs := Compare(tampered, Traits{})
-	if len(divs) != 1 || divs[0].Class != ClassTier || divs[0].Legal {
-		t.Fatalf("tampered tier not flagged as illegal tier-mismatch: %v", divs)
+	if want := 3 * (len(backend.Ablations()) + 1); tampers != want {
+		t.Fatalf("tampered %d ablated cells, want %d", tampers, want)
 	}
 
 	// Pin undercounting on a multi-module victim is illegal even though
@@ -218,7 +224,7 @@ func TestOracleFlagsTamperedResults(t *testing.T) {
 			under[i].Fires = map[string]uint64{"before inst @3:3": 30}
 		}
 	}
-	divs = Compare(under, Traits{MultiModule: true})
+	divs := Compare(under, Traits{MultiModule: true})
 	found := false
 	for _, d := range divs {
 		if d.Class == ClassBackend && !d.Legal && strings.Contains(d.Detail, "undercounts") {

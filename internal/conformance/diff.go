@@ -18,44 +18,22 @@ import (
 	"repro/internal/vm"
 )
 
-// Cell identifies one run configuration in the differential matrix:
-// a backend crossed with an action execution tier (compiled closures vs
-// the tree-walking interpreter) and a machine execution tier (translated
-// block programs vs the per-instruction reference loop), plus the Pin
-// loop-detection extension.
+// Cell identifies one run configuration in the differential matrix: a
+// backend (Pin optionally with the loop-detection extension) with a set
+// of bit-identical speed layers switched off.
 type Cell struct {
 	Backend       string
-	Interpret     bool
 	LoopDetection bool
-	// VMInterp runs the machine's interpreted tier instead of the
-	// translated default (vm.ExecInterpreted).
-	VMInterp bool
-	// NoInline runs the translated tier with the action-inlining layer
-	// (specialized thunks, promoted counters, probe+op fusion) disabled.
-	NoInline bool
-	// NoIROpt runs with the placement-IR optimization passes
-	// (where-clause hoisting, counter promotion, probe coalescing)
-	// disabled.
-	NoIROpt bool
+	Ablate        backend.Ablation
 }
 
 func (c Cell) String() string {
-	tier := "compiled"
-	if c.Interpret {
-		tier = "interp"
-	}
-	s := fmt.Sprintf("%s/%s", c.Backend, tier)
+	s := c.Backend
 	if c.LoopDetection {
-		s = fmt.Sprintf("%s+loopdet/%s", c.Backend, tier)
+		s += "+loopdet"
 	}
-	if c.VMInterp {
-		s += "/vm-interp"
-	}
-	if c.NoInline {
-		s += "/no-inline"
-	}
-	if c.NoIROpt {
-		s += "/no-ir-opt"
+	if c.Ablate != 0 {
+		s += "/ablate=" + c.Ablate.String()
 	}
 	return s
 }
@@ -99,17 +77,10 @@ type Traits struct {
 // Divergence classes. The legal ones encode the paper's Figure 12
 // footnotes; everything else is a conformance failure.
 const (
-	// ClassTier: compiled and interpreted tiers of the same backend
-	// disagree. Never legal — the tiers must be indistinguishable.
-	ClassTier = "tier-mismatch"
-	// ClassInline: the translated tier with and without the
-	// action-inlining layer disagree. Never legal — inlining must be
-	// invisible in every observable.
-	ClassInline = "inline-mismatch"
-	// ClassIROpt: runs with and without the placement-IR optimization
-	// passes disagree. Never legal — hoisting, counter promotion and
-	// probe coalescing must be invisible in every observable.
-	ClassIROpt = "ir-opt-mismatch"
+	// ClassAblation: a cell with speed layers switched off disagrees
+	// with the same backend's default cell. Never legal — every layer
+	// must be invisible in every observable.
+	ClassAblation = "ablation-mismatch"
 	// ClassRef: the reference backend (Janus) itself failed.
 	ClassRef = "reference-failed"
 	// ClassPinLoops: plain Pin refused a loop command. Legal.
@@ -227,37 +198,23 @@ func usesLoops(items []ast.TopItem) bool {
 	return false
 }
 
-// Cells returns the differential matrix for the traits: every backend in
-// both action tiers plus the machine's interpreted tier and the
-// translated tier with action inlining disabled, and Pin with the
-// loop-detection extension when the tool has loop commands (so Pin
-// still participates in the cross-check instead of only being skipped).
+// Cells returns the differential matrix for the traits: every backend's
+// default cell, one cell per single-layer ablation and one with every
+// layer off, plus the same for Pin with the loop-detection extension
+// when the tool has loop commands (so Pin still participates in the
+// cross-check instead of only being skipped).
 func Cells(t Traits) []Cell {
-	cells := []Cell{
-		{Backend: backend.Janus},
-		{Backend: backend.Janus, Interpret: true},
-		{Backend: backend.Janus, VMInterp: true},
-		{Backend: backend.Janus, NoInline: true},
-		{Backend: backend.Janus, NoIROpt: true},
-		{Backend: backend.Dyninst},
-		{Backend: backend.Dyninst, Interpret: true},
-		{Backend: backend.Dyninst, VMInterp: true},
-		{Backend: backend.Dyninst, NoInline: true},
-		{Backend: backend.Dyninst, NoIROpt: true},
-		{Backend: backend.Pin},
-		{Backend: backend.Pin, Interpret: true},
-		{Backend: backend.Pin, VMInterp: true},
-		{Backend: backend.Pin, NoInline: true},
-		{Backend: backend.Pin, NoIROpt: true},
-	}
+	bases := []Cell{{Backend: backend.Janus}, {Backend: backend.Dyninst}, {Backend: backend.Pin}}
 	if t.UsesLoops {
-		cells = append(cells,
-			Cell{Backend: backend.Pin, LoopDetection: true},
-			Cell{Backend: backend.Pin, Interpret: true, LoopDetection: true},
-			Cell{Backend: backend.Pin, LoopDetection: true, VMInterp: true},
-			Cell{Backend: backend.Pin, LoopDetection: true, NoInline: true},
-			Cell{Backend: backend.Pin, LoopDetection: true, NoIROpt: true},
-		)
+		bases = append(bases, Cell{Backend: backend.Pin, LoopDetection: true})
+	}
+	var cells []Cell
+	for _, c := range bases {
+		cells = append(cells, c)
+		for _, a := range append(backend.Ablations(), backend.AblateAll) {
+			c.Ablate = a
+			cells = append(cells, c)
+		}
 	}
 	return cells
 }
@@ -267,8 +224,9 @@ func Cells(t Traits) []Cell {
 // set up at all (tool fails to compile, victim fails to assemble) —
 // generator invariants, not conformance findings. The cells share one
 // artifact cache, the production default, so cells that differ only in
-// execution tier replay a cached instrumentation-build template — any
-// state the template failed to rebind would surface as a divergence.
+// machine layers replay the template their backend's default cell
+// recorded — any state the template failed to rebind would surface as
+// a divergence from that cell.
 func RunPair(p *Program, v *Victim) (*PairResult, error) {
 	tool, err := engine.Compile(p.Source)
 	if err != nil {
@@ -294,18 +252,11 @@ func RunPair(p *Program, v *Victim) (*PairResult, error) {
 func runCell(tool *engine.CompiledTool, prog *cfg.Program, cell Cell, cache *artifacts.Cache) RunResult {
 	var out bytes.Buffer
 	col := obs.New(obs.Options{})
-	mode := vm.ExecTranslated
-	if cell.VMInterp {
-		mode = vm.ExecInterpreted
-	}
 	res, err := backend.Run(tool, prog, cell.Backend, backend.Options{
 		Out:              &out,
-		Interpret:        cell.Interpret,
 		PinLoopDetection: cell.LoopDetection,
 		Obs:              col,
-		VMMode:           mode,
-		VMNoInline:       cell.NoInline,
-		NoIROpt:          cell.NoIROpt,
+		Ablate:           cell.Ablate,
 		Artifacts:        cache,
 	})
 	rr := RunResult{Cell: cell, Output: out.String(), Fires: map[string]uint64{}}
@@ -324,7 +275,7 @@ func runCell(tool *engine.CompiledTool, prog *cfg.Program, cell Cell, cache *art
 }
 
 // Compare classifies every disagreement in the result matrix against
-// the structured oracle. The reference cell is Janus/compiled: Janus
+// the structured oracle. The reference cell is Janus's default: Janus
 // instruments only the executable (like Dyninst) and supports every
 // trigger kind, so the legal rules radiate from it.
 func Compare(results []RunResult, traits Traits) []Divergence {
@@ -334,51 +285,21 @@ func Compare(results []RunResult, traits Traits) []Divergence {
 		byCell[r.Cell] = r
 	}
 
-	// Rule 1: execution tiers are indistinguishable — the action tier
-	// (compiled closures vs tree-walking interpreter), the machine tier
-	// (translated block programs vs the per-instruction loop), the
-	// translated tier's action-inlining layer, and the placement-IR
-	// optimization passes. For every backend configuration, every tier
-	// variant present must match its base cell exactly: error text,
-	// cycle totals and per-probe fires byte-identical.
-	seen := map[Cell]bool{}
+	// Rule 1: ablations are invisible. Every speed layer is
+	// bit-identical, so each ablated cell must match its backend's
+	// default cell exactly: error text, output, cycle totals and
+	// per-probe fires.
 	for _, r := range results {
 		base := r.Cell
-		base.Interpret = false
-		base.VMInterp = false
-		base.NoInline = false
-		base.NoIROpt = false
-		if seen[base] {
+		base.Ablate = 0
+		a, ok := byCell[base]
+		if r.Cell.Ablate == 0 || !ok {
 			continue
 		}
-		seen[base] = true
-		a, okA := byCell[base]
-		if !okA {
-			continue
-		}
-		for _, variant := range []Cell{
-			{Backend: base.Backend, LoopDetection: base.LoopDetection, Interpret: true},
-			{Backend: base.Backend, LoopDetection: base.LoopDetection, VMInterp: true},
-			{Backend: base.Backend, LoopDetection: base.LoopDetection, Interpret: true, VMInterp: true},
-			{Backend: base.Backend, LoopDetection: base.LoopDetection, NoInline: true},
-			{Backend: base.Backend, LoopDetection: base.LoopDetection, NoIROpt: true},
-		} {
-			b, okB := byCell[variant]
-			if !okB {
-				continue
-			}
-			if d := diffExact(a, b, true); d != "" {
-				class := ClassTier
-				switch {
-				case variant.NoInline:
-					class = ClassInline
-				case variant.NoIROpt:
-					class = ClassIROpt
-				}
-				divs = append(divs, Divergence{
-					Class: class, Cells: [2]Cell{base, variant}, Detail: d,
-				})
-			}
+		if d := diffExact(a, r, true); d != "" {
+			divs = append(divs, Divergence{
+				Class: ClassAblation, Cells: [2]Cell{base, r.Cell}, Detail: d,
+			})
 		}
 	}
 
@@ -495,7 +416,7 @@ func Compare(results []RunResult, traits Traits) []Divergence {
 
 // diffExact compares two results field by field and describes the first
 // few differences (empty string when identical). Cycles are compared
-// only across tiers (withCycles): different backends price dispatch
+// only between cells of one backend (withCycles): backends price dispatch
 // differently by design, so cross-backend cycle totals never match.
 func diffExact(a, b RunResult, withCycles bool) string {
 	var out []string

@@ -1,10 +1,11 @@
 // Package conformance implements the differential conformance harness:
 // a seeded, deterministic generator of valid Cinnamon programs and of
 // victim workloads, a differential runner that executes every generated
-// (program, victim) pair through all three backends and both execution
-// tiers, and a structured oracle that encodes the paper's legal
-// divergences (Figure 12) — Pin sees shared libraries, Dyninst skips
-// binaries with unrecoverable control flow — instead of blind equality.
+// (program, victim) pair through all three backends, each with every
+// speed layer on and ablated, and a structured oracle that encodes the
+// paper's legal divergences (Figure 12) — Pin sees shared libraries,
+// Dyninst skips binaries with unrecoverable control flow — instead of
+// blind equality.
 // Mismatches shrink to a minimal reproducing program and are persisted
 // to a checked-in regression corpus replayed by ordinary `go test`.
 package conformance

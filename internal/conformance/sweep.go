@@ -20,7 +20,7 @@ type SweepResult struct {
 	// Seeds is how many seeds actually ran (the budget may cut the
 	// sweep short).
 	Seeds int
-	// Cells is how many backend x tier runs executed.
+	// Cells is how many backend x ablation runs executed.
 	Cells int
 	// Legal counts legal divergences by oracle class.
 	Legal map[string]int

@@ -75,29 +75,19 @@ type Options struct {
 	// realized as edge instrumentation derived from the detected loops,
 	// at clean-call cost plus a per-firing detection surcharge.
 	PinLoopDetection bool
-	// Interpret runs action bodies with the tree-walking interpreter
-	// instead of the closure-compiled path (see engine.Options).
-	Interpret bool
+	// Ablate switches bit-identical speed layers off (see Ablation):
+	// the action compiler, block translation, action inlining, the
+	// placement-IR passes and the artifact cache.
+	Ablate Ablation
 	// Obs, when non-nil, collects per-probe firing attribution and
 	// instrumentation-time statistics across the engine, the framework
 	// and the machine (see internal/obs).
 	Obs *obs.Collector
-	// VMMode selects the machine's execution tier: vm.ExecTranslated
-	// (default) runs cached block programs, vm.ExecInterpreted the
-	// reference per-instruction loop. The tiers are bit-identical in
-	// every observable; the conformance harness cross-checks them.
+	// VMMode set to vm.ExecInterpreted is the same switch as the
+	// AblateTranslate member of Ablate. It stays only because the
+	// repository benchmark (perfbench/) sets it; remove it at the next
+	// change to the benchmark.
 	VMMode vm.ExecMode
-	// VMNoInline disables the machine's action-inlining layer
-	// (specialized thunks, promoted counters, probe+op fusion) on the
-	// translated tier. The layer is bit-identical in every observable;
-	// this is the escape hatch (and the baseline for perf comparisons).
-	VMNoInline bool
-	// NoIROpt disables the placement-IR optimization passes
-	// (where-clause hoisting, counter promotion, probe coalescing; see
-	// internal/core/placement). The passes are bit-identical in every
-	// observable; this is the escape hatch (and the baseline the
-	// differential placement-equivalence tests compare against).
-	NoIROpt bool
 	// Adaptive allocates an adaptive control block for every placed
 	// probe, so probes can be ejected and re-armed mid-run even when no
 	// action carries a `sample` clause (the overhead governor needs
@@ -117,17 +107,22 @@ type Options struct {
 	// Artifacts, when non-nil, is the shared artifact cache consulted
 	// for the instrumentation rule template: a hit replays the recorded
 	// build (rebinding per-session state) instead of re-walking the CFE
-	// hierarchy. Interpreted runs and runs with a caller-supplied FS
-	// bypass the cache (their builds are not shareable).
+	// hierarchy. Runs ablating the cache or the action compiler, and
+	// runs with a caller-supplied FS, bypass it (the last two builds are
+	// not shareable).
 	Artifacts *artifacts.Cache
 }
 
 // vmConfig maps the run options onto the configuration of the machine the
 // framework runs on.
 func (opts Options) vmConfig() vm.Config {
+	ablate := opts.Ablate
+	if opts.VMMode == vm.ExecInterpreted {
+		ablate |= AblateTranslate
+	}
 	return vm.Config{
 		Fuel: opts.Fuel, AppOut: opts.AppOut, Obs: opts.Obs,
-		ExecMode: opts.VMMode, NoInline: opts.VMNoInline, Adaptive: opts.Adaptive,
+		ExecMode: ablate.ExecMode(), NoInline: ablate&AblateInline != 0, Adaptive: opts.Adaptive,
 		OnMachine: opts.OnMachine, Stop: opts.Stop,
 	}
 }
@@ -135,8 +130,8 @@ func (opts Options) vmConfig() vm.Config {
 // engineOptions maps the run options onto the instrumentation stage.
 func engineOptions(opts Options) engine.Options {
 	return engine.Options{
-		Out: opts.Out, FS: opts.FS, Interpret: opts.Interpret, Obs: opts.Obs,
-		NoIROpt: opts.NoIROpt, Adaptive: opts.Adaptive,
+		Out: opts.Out, FS: opts.FS, Interpret: opts.Ablate&AblateCompile != 0, Obs: opts.Obs,
+		NoIROpt: opts.Ablate&AblateIROpt != 0, Adaptive: opts.Adaptive,
 	}
 }
 
@@ -149,13 +144,13 @@ func engineOptions(opts Options) engine.Options {
 func instrument(tool *engine.CompiledTool, prog *cfg.Program, pl engine.Placer, opts Options) (*engine.Instance, error) {
 	eopts := engineOptions(opts)
 	cache := opts.Artifacts
-	if cache == nil || opts.Interpret || opts.FS != nil {
+	if cache == nil || opts.Ablate&(AblateCache|AblateCompile) != 0 || opts.FS != nil {
 		return engine.Instrument(tool, prog, pl, eopts)
 	}
 	key := artifacts.TemplateKey{
 		Tool: tool, Prog: prog, Backend: pl.Name(),
 		PinLoopDetection: opts.PinLoopDetection,
-		NoIROpt:          opts.NoIROpt,
+		NoIROpt:          eopts.NoIROpt,
 		Adaptive:         opts.Adaptive,
 	}
 	if tmpl, ok := cache.Template(key); ok {

@@ -2,7 +2,7 @@ package compile_test
 
 // Observational-equivalence tests for the closure-compiled execution
 // path: every case-study tool, on every backend, must behave identically
-// under Options.Interpret (the tree-walking reference) and under the
+// with the compile layer ablated (the tree-walking reference) and under the
 // compiled closures — same tool output, same cycle and instruction
 // counts, and the same recorded runtime-error state.
 
@@ -84,7 +84,7 @@ func buildTargetTB(tb testing.TB, target string) *cfg.Program {
 
 // runMode runs a tool on a freshly built target under one backend and
 // execution mode, returning everything observable about the run.
-func runMode(t *testing.T, toolName, target, backendName string, interpret bool) (string, *vm.Result, error) {
+func runMode(t *testing.T, toolName, target, backendName string, ablate backend.Ablation) (string, *vm.Result, error) {
 	t.Helper()
 	tool, err := engine.Compile(progs.MustSource(toolName))
 	if err != nil {
@@ -92,8 +92,8 @@ func runMode(t *testing.T, toolName, target, backendName string, interpret bool)
 	}
 	var out bytes.Buffer
 	res, err := backend.Run(tool, buildTargetTB(t, target), backendName, backend.Options{
-		Out:       &out,
-		Interpret: interpret,
+		Out:    &out,
+		Ablate: ablate,
 	})
 	return out.String(), res, err
 }
@@ -106,8 +106,8 @@ func TestInterpCompiledEquivalence(t *testing.T) {
 		}
 		for _, target := range targets {
 			for _, bk := range backend.Backends() {
-				iOut, iRes, iErr := runMode(t, toolName, target, bk, true)
-				cOut, cRes, cErr := runMode(t, toolName, target, bk, false)
+				iOut, iRes, iErr := runMode(t, toolName, target, bk, backend.AblateCompile)
+				cOut, cRes, cErr := runMode(t, toolName, target, bk, 0)
 				name := toolName + "/" + target + "/" + bk
 				if iOut != cOut {
 					t.Errorf("%s: output diverged:\ninterp:   %q\ncompiled: %q", name, iOut, cOut)
@@ -146,20 +146,20 @@ exit { print(n); }
 `
 
 func TestRuntimeErrorEquivalence(t *testing.T) {
-	run := func(interpret bool) (string, error) {
+	run := func(ablate backend.Ablation) (string, error) {
 		tool, err := engine.Compile(faultySrc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out bytes.Buffer
 		_, err = backend.Run(tool, buildTargetTB(t, "src:loads"), backend.Pin, backend.Options{
-			Out:       &out,
-			Interpret: interpret,
+			Out:    &out,
+			Ablate: ablate,
 		})
 		return out.String(), err
 	}
-	iOut, iErr := run(true)
-	cOut, cErr := run(false)
+	iOut, iErr := run(backend.AblateCompile)
+	cOut, cErr := run(0)
 	if iErr == nil || cErr == nil {
 		t.Fatalf("both modes must fail: interp=%v compiled=%v", iErr, cErr)
 	}
@@ -204,20 +204,20 @@ func TestDictKeyConversionEquivalence(t *testing.T) {
 	// loadsTarget runs 11 loads.
 	const want = "1 22 true\n1 11\n"
 	for _, bk := range backend.Backends() {
-		for _, interpret := range []bool{true, false} {
+		for _, ablate := range []backend.Ablation{backend.AblateCompile, 0} {
 			tool, err := engine.Compile(keyConvSrc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var out bytes.Buffer
 			if _, err := backend.Run(tool, buildTargetTB(t, "src:loads"), bk, backend.Options{
-				Out:       &out,
-				Interpret: interpret,
+				Out:    &out,
+				Ablate: ablate,
 			}); err != nil {
-				t.Fatalf("%s interpret=%v: %v", bk, interpret, err)
+				t.Fatalf("%s ablate=%q: %v", bk, ablate, err)
 			}
 			if out.String() != want {
-				t.Errorf("%s interpret=%v: output = %q, want %q", bk, interpret, out.String(), want)
+				t.Errorf("%s ablate=%q: output = %q, want %q", bk, ablate, out.String(), want)
 			}
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core/placement"
 	"repro/internal/obs"
 	"repro/internal/progs"
-	"repro/internal/vm"
 )
 
 // counterVictim interleaves loads and stores in a 40-iteration loop,
@@ -223,11 +222,10 @@ type counterRun struct {
 	fires    map[string]uint64
 }
 
-func runCounterCell(tool *engine.CompiledTool, prog *cfg.Program, opts backend.Options) counterRun {
+func runCounterCell(tool *engine.CompiledTool, prog *cfg.Program, ablate backend.Ablation) counterRun {
 	var out strings.Builder
 	col := obs.New(obs.Options{})
-	opts.Out, opts.Obs = &out, col
-	res, err := backend.Run(tool, prog, backend.Janus, opts)
+	res, err := backend.Run(tool, prog, backend.Janus, backend.Options{Out: &out, Obs: col, Ablate: ablate})
 	r := counterRun{out: out.String(), fires: map[string]uint64{}}
 	if err != nil {
 		r.err = err.Error()
@@ -267,8 +265,8 @@ func TestCounterClassification(t *testing.T) {
 			if placed == 0 {
 				t.Fatalf("%s was never placed", label)
 			}
-			inline := runCounterCell(tool, prog, backend.Options{VMMode: vm.ExecTranslated})
-			ref := runCounterCell(tool, prog, backend.Options{VMMode: vm.ExecInterpreted, Interpret: true})
+			inline := runCounterCell(tool, prog, 0)
+			ref := runCounterCell(tool, prog, backend.AblateCompile|backend.AblateTranslate)
 			if !reflect.DeepEqual(inline, ref) {
 				t.Errorf("translated+inline run differs from the interpreters:\n  inline: %s\n  ref:    %s", fmtRun(inline), fmtRun(ref))
 			}

@@ -4,12 +4,13 @@
 // redundant-probe coalescing) claim to be bit-identical in every
 // observable. TestIROptEquivalence holds them to it: every case-study
 // tool crossed with generated victims, all three backends and both VM
-// tiers, -ir-opt on vs off, comparing output, cycles, instruction
-// counts, exit codes and the per-row attribution table. TestRuleIRGolden
-// pins the optimized and unoptimized tables for the case-study tools as
-// checked-in goldens, FuzzRuleIR fuzzes pass idempotence and placement
-// preservation over generated tools, and TestIROptDispatchSpeedup is
-// the perf gate that proves the passes actually buy wall-clock time.
+// tiers, the ir-opt layer on vs ablated, comparing output, cycles,
+// instruction counts, exit codes and the per-row attribution table.
+// TestRuleIRGolden pins the optimized and unoptimized tables for the
+// case-study tools as checked-in goldens, FuzzRuleIR fuzzes pass
+// idempotence and placement preservation over generated tools, and
+// TestIROptDispatchSpeedup is the perf gate that proves the passes
+// actually buy wall-clock time.
 package placement_test
 
 import (
@@ -30,7 +31,6 @@ import (
 	"repro/internal/core/placement"
 	"repro/internal/obs"
 	"repro/internal/progs"
-	"repro/internal/vm"
 )
 
 var update = flag.Bool("update", false, "rewrite golden rule-IR dumps")
@@ -88,17 +88,16 @@ type outcome struct {
 	rows                map[rowKey]rowVal
 }
 
-// runOnce executes one (tool, victim, backend, tier, ir-opt) cell with
-// a fresh collector and reduces it to comparable facts.
-func runOnce(tool *engine.CompiledTool, prog *cfg.Program, backendName string, mode vm.ExecMode, loopDetect, noIROpt bool) outcome {
+// runOnce executes one (tool, victim, backend, ablation) cell with a
+// fresh collector and reduces it to comparable facts.
+func runOnce(tool *engine.CompiledTool, prog *cfg.Program, backendName string, ablate backend.Ablation, loopDetect bool) outcome {
 	col := obs.New(obs.Options{})
 	var buf strings.Builder
 	res, err := backend.Run(tool, prog, backendName, backend.Options{
 		Out:              &buf,
 		PinLoopDetection: loopDetect,
 		Obs:              col,
-		VMMode:           mode,
-		NoIROpt:          noIROpt,
+		Ablate:           ablate,
 	})
 	if err != nil {
 		return outcome{err: err.Error()}
@@ -190,22 +189,16 @@ func TestIROptEquivalence(t *testing.T) {
 		{"pin", backend.Pin, false},
 		{"pin+loops", backend.Pin, true},
 	}
-	modes := []struct {
-		name string
-		mode vm.ExecMode
-	}{
-		{"translated", vm.ExecTranslated},
-		{"interpreted", vm.ExecInterpreted},
-	}
+	tiers := []backend.Ablation{0, backend.AblateTranslate}
 	for _, name := range progs.Names() {
 		tool := compileTool(t, progs.MustSource(name))
 		for _, seed := range seeds {
 			prog := loadVictim(t, conformance.GenVictim(seed).Srcs)
 			for _, c := range cells {
-				for _, m := range modes {
-					t.Run(fmt.Sprintf("%s/v%d/%s/%s", name, seed, c.name, m.name), func(t *testing.T) {
-						opt := runOnce(tool, prog, c.backend, m.mode, c.loopDetect, false)
-						raw := runOnce(tool, prog, c.backend, m.mode, c.loopDetect, true)
+				for _, tier := range tiers {
+					t.Run(fmt.Sprintf("%s/v%d/%s/%s", name, seed, c.name, tier.ExecMode()), func(t *testing.T) {
+						opt := runOnce(tool, prog, c.backend, tier, c.loopDetect)
+						raw := runOnce(tool, prog, c.backend, tier|backend.AblateIROpt, c.loopDetect)
 						if d := diffOutcomes(opt, raw); d != "" {
 							t.Error(d)
 						}
@@ -542,14 +535,14 @@ inner:
   halt
 `
 
-func benchRedundantRun(tb testing.TB, noIROpt bool) func(b *testing.B) {
+func benchRedundantRun(tb testing.TB, ablate backend.Ablation) func(b *testing.B) {
 	tool := compileTool(tb, redundantTool)
 	prog := loadVictim(tb, []string{hotVictim})
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := backend.Run(tool, prog, backend.Janus, backend.Options{
-				Out:     io.Discard,
-				NoIROpt: noIROpt,
+				Out:    io.Discard,
+				Ablate: ablate,
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -577,8 +570,8 @@ func TestIROptDispatchSpeedup(t *testing.T) {
 		}
 		return best
 	}
-	on := measure(benchRedundantRun(t, false))
-	off := measure(benchRedundantRun(t, true))
+	on := measure(benchRedundantRun(t, 0))
+	off := measure(benchRedundantRun(t, backend.AblateIROpt))
 	speedup := off / on
 	t.Logf("ir-opt on: %.0f ns/op, off: %.0f ns/op, speedup %.2fx", on, off, speedup)
 	if speedup < 1.1 {
@@ -589,8 +582,8 @@ func TestIROptDispatchSpeedup(t *testing.T) {
 // BenchmarkIROptRun measures the whole instrumented run in both pass
 // settings — the number TestIROptDispatchSpeedup gates on.
 func BenchmarkIROptRun(b *testing.B) {
-	b.Run("opt", benchRedundantRun(b, false))
-	b.Run("noopt", benchRedundantRun(b, true))
+	b.Run("opt", benchRedundantRun(b, 0))
+	b.Run("noopt", benchRedundantRun(b, backend.AblateIROpt))
 }
 
 // BenchmarkApplyPasses isolates the pass pipeline itself: table build

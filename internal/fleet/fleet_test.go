@@ -250,6 +250,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"non-loopable victim", JobSpec{Tool: "instcount_basic", Victim: "stack_smash"}},
 		{"unknown backend", JobSpec{Tool: "instcount_basic", Victim: "spin", Backend: "qemu"}},
 		{"bad budget", JobSpec{Tool: "instcount_basic", Victim: "spin", Budget: "lots"}},
+		{"NaN budget", JobSpec{Tool: "instcount_basic", Victim: "spin", Budget: "NaN"}},
 		{"bad tool source", JobSpec{ToolSrc: "this is not cinnamon", Victim: "spin"}},
 		{"negative restarts", JobSpec{Tool: "instcount_basic", Victim: "spin", Restarts: -1}},
 		{"restarts above bound", JobSpec{Tool: "instcount_basic", Victim: "spin", Restarts: MaxRestarts + 1}},

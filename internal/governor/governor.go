@@ -172,7 +172,7 @@ type Governor struct {
 // New creates a Governor. Budget must be positive and Collector
 // non-nil.
 func New(c Config) (*Governor, error) {
-	if c.Budget <= 0 {
+	if !(c.Budget > 0) {
 		return nil, fmt.Errorf("governor: budget must be positive, got %v", c.Budget)
 	}
 	if c.Collector == nil {
@@ -425,7 +425,7 @@ func ParseBudget(s string) (float64, error) {
 	if pct {
 		v /= 100
 	}
-	if v <= 0 || v >= 1 {
+	if !(v > 0 && v < 1) { // also rejects NaN, which fails every comparison
 		return 0, fmt.Errorf("governor: budget %q out of range (need 0 < budget < 1)", s)
 	}
 	return v, nil

@@ -93,25 +93,20 @@ func TestBudgetEnforcement(t *testing.T) {
 }
 
 // TestTierDeterminism checks the governed run — cycle counts, tool
-// output and the full decision log — is identical across the machine's
-// execution tiers: pace points hit the same machine states everywhere.
+// output and the full decision log — is identical with every speed
+// layer on, with each one switched off and with all of them off: pace
+// points hit the same machine states everywhere.
 func TestTierDeterminism(t *testing.T) {
 	tool := compile(t, progs.InstCountBasic)
 	tgt := target(t)
 
-	type run struct {
-		mode     string
-		noInline bool
-	}
-	runs := []run{{"translated", false}, {"translated", true}, {"interpreted", false}}
 	var base *cinnamon.Report
 	var baseSt governor.State
-	for _, r := range runs {
-		rep, err := tool.Run(tgt, cinnamon.Janus, cinnamon.RunOptions{
-			Budget: "5%", VMMode: r.mode, VMNoInline: r.noInline,
-		})
+	for _, a := range append([]backend.Ablation{0, backend.AblateAll}, backend.Ablations()...) {
+		r := a.String()
+		rep, err := tool.Run(tgt, cinnamon.Janus, cinnamon.RunOptions{Budget: "5%", Ablate: r})
 		if err != nil {
-			t.Fatalf("%v: %v", r, err)
+			t.Fatalf("ablate=%q: %v", r, err)
 		}
 		st := rep.Stats.Governor.(governor.State)
 		if base == nil {
@@ -122,13 +117,13 @@ func TestTierDeterminism(t *testing.T) {
 			continue
 		}
 		if rep.Cycles != base.Cycles {
-			t.Errorf("%v: cycles %d != %d", r, rep.Cycles, base.Cycles)
+			t.Errorf("ablate=%q: cycles %d != %d", r, rep.Cycles, base.Cycles)
 		}
 		if rep.ToolOutput != base.ToolOutput {
-			t.Errorf("%v: tool output diverges", r)
+			t.Errorf("ablate=%q: tool output diverges", r)
 		}
 		if !reflect.DeepEqual(st.Decisions, baseSt.Decisions) {
-			t.Errorf("%v: decision log diverges:\n%+v\nvs\n%+v", r, st.Decisions, baseSt.Decisions)
+			t.Errorf("ablate=%q: decision log diverges:\n%+v\nvs\n%+v", r, st.Decisions, baseSt.Decisions)
 		}
 	}
 }
@@ -185,6 +180,8 @@ func TestParseBudget(t *testing.T) {
 		{"150%", 0, true},
 		{"-3%", 0, true},
 		{"zap", 0, true},
+		{"NaN", 0, true},
+		{"nan%", 0, true},
 	}
 	for _, c := range cases {
 		got, err := governor.ParseBudget(c.in)

@@ -186,7 +186,7 @@ type BuildStats struct {
 	// internal/core/placement): statically-decided where clauses
 	// evaluated at instrumentation time, rules promoted to the
 	// counter mechanism, and probes eliminated by same-site merging.
-	// All zero with -ir-opt=false; the attribution rows themselves
+	// All zero with -ablate=ir-opt; the attribution rows themselves
 	// are invariant under the passes.
 	WheresHoisted    int `json:"wheres_hoisted,omitempty"`
 	CountersPromoted int `json:"counters_promoted,omitempty"`

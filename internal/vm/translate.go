@@ -52,7 +52,7 @@ const (
 	ExecInterpreted
 )
 
-// String returns the mode's command-line spelling.
+// String returns the mode's name, as the dispatch bench records it.
 func (m ExecMode) String() string {
 	switch m {
 	case ExecTranslated:
@@ -61,18 +61,6 @@ func (m ExecMode) String() string {
 		return "interpreted"
 	}
 	return fmt.Sprintf("execmode?%d", uint8(m))
-}
-
-// ParseExecMode parses a command-line exec-mode string. The empty string
-// selects the default (translated) tier.
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "", "translated":
-		return ExecTranslated, nil
-	case "interpreted", "interp":
-		return ExecInterpreted, nil
-	}
-	return 0, fmt.Errorf("vm: unknown exec mode %q (want translated or interpreted)", s)
 }
 
 // stepRes is a thunk's control-flow outcome.

@@ -14,27 +14,7 @@ import (
 	"repro/internal/isa"
 )
 
-func TestParseExecMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		want ExecMode
-		ok   bool
-	}{
-		{"", ExecTranslated, true},
-		{"translated", ExecTranslated, true},
-		{"interpreted", ExecInterpreted, true},
-		{"interp", ExecInterpreted, true},
-		{"jit", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseExecMode(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("ParseExecMode(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("ParseExecMode(%q) succeeded, want error", c.in)
-		}
-	}
+func TestExecModeString(t *testing.T) {
 	if ExecTranslated.String() != "translated" || ExecInterpreted.String() != "interpreted" {
 		t.Errorf("String() = %q, %q", ExecTranslated.String(), ExecInterpreted.String())
 	}

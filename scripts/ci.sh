@@ -26,11 +26,17 @@
 #              collector vs the same counter without one), the
 #              translated VM tier vs the interpreter on the probe-free
 #              hot-block workload, and
-#              the action-inlining layer vs the no-inline translated
+#              the action-inlining layer vs the inline-ablated translated
 #              tier on two action-heavy workloads, opcodemix (>=1.5x)
 #              and loopcoverage (>=2.5x; the fast tier's register
 #              locals and int64 dict maps)
 #              (internal/bench/inline_test.go)
+#   ablate     CLI ablation smoke over one built cinnamon binary: a
+#              -stats loop-coverage run with every speed layer on and
+#              one with -ablate=compile,translate,inline,ir-opt,cache
+#              must print identical stdout and an identical first
+#              stderr line (backend, insts, cycles, exit); an unknown
+#              layer (-ablate=jit) must be rejected
 #   governor   one reduced-scale run of the overhead-budget experiment
 #              (experiments -exp=governor): the governor must bring
 #              three action-heavy tools under 5% and 1% budgets
@@ -51,7 +57,8 @@
 #              >=5x faster than a cold one
 #   conform    differential conformance sweep (cmd/conformance): 200
 #              seeded generated (program, victim) pairs cross-checked
-#              over all three backends and both execution tiers; any
+#              over all three backends, each with every single-layer
+#              ablation and with every layer off; any
 #              divergence the oracle cannot classify as one of the
 #              paper's legal divergences fails the gate. The checked-in
 #              regression corpus replays inside `go test` above.
@@ -112,6 +119,34 @@ CINNAMON_PERF_GATE=1 go test -run TestInlinedActionSpeedup -count=1 ./internal/b
 
 echo "==> placement-IR perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestIROptDispatchSpeedup -count=1 ./internal/core/placement/
+
+echo "==> CLI ablation smoke (-ablate: every layer off vs none)"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/cinnamon" ./cmd/cinnamon
+smoke() {
+	"$tmp/cinnamon" -backend=janus -target=victim:spin -loop=2000 -stats "$@" @loopcoverage
+}
+smoke >"$tmp/plain.out" 2>"$tmp/plain.err"
+smoke -ablate=compile,translate,inline,ir-opt,cache >"$tmp/ablated.out" 2>"$tmp/ablated.err"
+cmp "$tmp/plain.out" "$tmp/ablated.out"
+plain=$(head -n 1 "$tmp/plain.err")
+ablated=$(head -n 1 "$tmp/ablated.err")
+case $plain in
+backend=janus\ insts=*) ;;
+*)
+	echo "unexpected -stats line: $plain"
+	exit 1
+	;;
+esac
+if [ "$plain" != "$ablated" ]; then
+	echo "ablated run differs: $ablated (want $plain)"
+	exit 1
+fi
+if "$tmp/cinnamon" -backend=janus -target=victim:spin -ablate=jit @loopcoverage 2>/dev/null; then
+	echo "-ablate=jit was accepted"
+	exit 1
+fi
 
 echo "==> governor bench smoke (budget sweep)"
 go run ./cmd/experiments -exp=governor -benchmark=mcf -scale=0.2 >/dev/null
