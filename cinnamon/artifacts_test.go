@@ -14,7 +14,11 @@ import (
 // warm run (template replayed from the cache) and a cache-ablated run
 // must agree byte for byte on tool output, machine counters and the
 // per-probe stats table. This is the cold/warm differential gate for
-// the shared-artifact fast path.
+// the shared-artifact fast path. Every warm run must be a cache hit —
+// Forward CFI included, whose analysis writes the tool file its init
+// block reads — and two warm sessions of one template must each read
+// that file from the start: a shared read cursor would leave the
+// second session's vtable empty and flag every call.
 func TestArtifactCacheRunsBitIdentical(t *testing.T) {
 	pairs := []struct {
 		prog, victim string
@@ -46,7 +50,7 @@ func TestArtifactCacheRunsBitIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", p.victim, err)
 		}
 		for _, b := range Backends() {
-			run := func(ablate string) string {
+			run := func(ablate string) (string, int) {
 				rep, err := tool.Run(target, b, RunOptions{
 					Stats:            true,
 					PinLoopDetection: p.pinLoops,
@@ -59,15 +63,23 @@ func TestArtifactCacheRunsBitIdentical(t *testing.T) {
 				sb.WriteString(rep.ToolOutput)
 				sb.WriteString("|")
 				rep.Stats.WriteTable(&sb)
-				return sb.String()
+				return sb.String(), rep.Stats.Build.ArtifactHits
 			}
-			ref := run("cache") // cache ablated: the plain build path
-			cold := run("")     // populates (or reuses) the shared cache
-			warm1 := run("")    // replays the cached template
-			warm2 := run("")
-			if cold != ref || warm1 != ref || warm2 != ref {
+			ref, _ := run("cache")  // cache ablated: the plain build path
+			cold, _ := run("")      // populates (or reuses) the shared cache
+			warm1, hits1 := run("") // replays the cached template
+			warm2, hits2 := run("")
+			if cold != ref || warm1 != ref {
 				t.Errorf("%s on %s via %s: cached runs diverge from the uncached reference\nref:\n%s\ncold:\n%s\nwarm:\n%s",
 					p.prog, p.victim, b, ref, cold, warm1)
+			}
+			if warm2 != ref {
+				t.Errorf("%s on %s via %s: the second session of one template diverges (shared tool-file state?)\nref:\n%s\nwarm:\n%s",
+					p.prog, p.victim, b, ref, warm2)
+			}
+			if hits1 != 1 || hits2 != 1 {
+				t.Errorf("%s on %s via %s: warm runs hit the artifact cache %d and %d times, want 1 each",
+					p.prog, p.victim, b, hits1, hits2)
 			}
 		}
 	}

@@ -290,7 +290,7 @@ func (g *progGen) instBody(v, op string, after bool) []ast.Stmt {
 		pool = append(pool, func() ast.Stmt { return dictBump(cfeAttr(v, "addr")) })
 	}
 	if len(g.vectors) > 0 {
-		pool = append(pool, func() ast.Stmt { return addOnce(cfeAttr(v, "addr")) })
+		pool = append(pool, func() ast.Stmt { return addOnce(cfeAttr(v, "addr")) }, guardedGrow, g.strideWalk)
 	}
 	if len(g.dicts) > 0 && len(g.vectors) > 0 {
 		pool = append(pool, loopBump)
@@ -362,6 +362,32 @@ func loopBump() ast.Stmt {
 		})
 }
 
+// guardedGrow is a counted walk whose body grows the vector it walks,
+// under a bound, so the walk sees elements added mid-loop:
+//
+//	for (int i = 0; i < v0.size(); i = i + 1) {
+//	  if (v0.size() < 8) { v0.add(i); }
+//	}
+func guardedGrow() ast.Stmt {
+	return forUpTo(methodCall("v0", "size"), &ast.IfStmt{
+		Cond: bin(token.LT, methodCall("v0", "size"), num(8)),
+		Then: []ast.Stmt{callStmt(&ast.FieldExpr{X: vid("v0"), Name: "add"}, vid("i"))},
+	})
+}
+
+// strideWalk is a walk whose body assigns its counter, which keeps it a
+// plain loop rather than a counted one:
+//
+//	for (int i = 0; i < v0.size(); i = i + 1) {
+//	  cN = cN + v0[i] % 5;
+//	  i = i + 1;
+//	}
+func (g *progGen) strideWalk() ast.Stmt {
+	return forUpTo(methodCall("v0", "size"),
+		incBy(g.counter(), bin(token.PERCENT, index("v0", vid("i")), num(5))),
+		incBy("i", num(1)))
+}
+
 // condInc builds `if (cA % k == 0) { cB = cB + 1; } else { cB = cB + 2; }`.
 func (g *progGen) condInc() ast.Stmt {
 	ca, cb := g.counter(), g.counter()
@@ -392,9 +418,8 @@ func (g *progGen) blockCmd() *ast.Command {
 	cmd.Body = []ast.CmdItem{act}
 	if len(g.dicts) > 0 && len(g.vectors) > 0 && g.r.Intn(100) < 50 {
 		// Loop coverage's own placement: the action records its block
-		// (static attributes and v0.add keep it on the generic
-		// lowering), and an action at the block's other end walks
-		// everything recorded so far on the fast tier.
+		// (its static id a bind-time constant), and an action at the
+		// block's other end walks everything recorded so far.
 		id := cfeAttr(v, "id")
 		act.Body = append(act.Body, addOnce(id), dictBump(id))
 		other := ast.Exit

@@ -1,0 +1,66 @@
+package backend
+
+import (
+	"testing"
+
+	"repro/internal/core/engine"
+	"repro/internal/core/placement"
+	"repro/internal/dyninst"
+	"repro/internal/progs"
+)
+
+// TestCaseStudiesOnFastTier pins that every action of every case study
+// runs on the whole-body fast tier: under default options, each rule
+// each accepted backend places — merged constituents included — is
+// dispatched as MechFast or MechCounter, never through the generic
+// lowering.
+func TestCaseStudiesOnFastTier(t *testing.T) {
+	victims := map[string]string{
+		progs.InstCountBasic: "loopy",
+		progs.InstCountBB:    "loopy",
+		progs.OpcodeMix:      "loopy",
+		progs.LoopCoverage:   "loopy",
+		progs.UseAfterFree:   "uaf_bug",
+		progs.ShadowStack:    "stack_smash",
+		progs.ForwardCFI:     "indirect_attack",
+	}
+	for _, name := range progs.Names() {
+		victim, ok := victims[name]
+		if !ok {
+			t.Fatalf("no victim for case study %s", name)
+		}
+		prog := loadVictim(t, victim)
+		tool := compile(t, name)
+		for _, b := range Backends() {
+			var pl engine.Placer
+			switch b {
+			case Pin:
+				pl = newPinPlacer(prog, Options{})
+			case Dyninst:
+				be, err := dyninst.OpenBinary(prog, Options{}.vmConfig())
+				if err != nil {
+					continue // not accepted
+				}
+				pl = &dyninstPlacer{be: be, prog: prog}
+			case Janus:
+				pl = &janusPlacer{prog: prog}
+			}
+			rs, _, err := engine.BuildRules(tool, prog, pl, engineOptions(Options{}))
+			if err != nil {
+				continue // not accepted (loop coverage on plain Pin)
+			}
+			placed := 0
+			for _, r := range rs.Rules() {
+				for _, p := range append([]*placement.Rule{r}, r.Merged...) {
+					placed++
+					if p.Mechanism != placement.MechFast && p.Mechanism != placement.MechCounter {
+						t.Errorf("%s on %s: %q at %#x dispatches mech=%s", name, b, p.Action.Label, p.SiteAddr(), p.Mechanism)
+					}
+				}
+			}
+			if placed == 0 {
+				t.Errorf("%s on %s placed no rules", name, b)
+			}
+		}
+	}
+}

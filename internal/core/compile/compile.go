@@ -16,11 +16,15 @@
 //     slot: body-locals become indices into a flat []value.Value frame
 //     (an []int64 register slice in the whole-body fast tier, fast.go),
 //     free variables become cells (captured analysis data, copied by value
-//     at placement time, or shared tool globals), and dynamic attributes
-//     become indices into the probe's materialized attribute slots;
+//     at placement time, or shared tool globals), dynamic attributes
+//     become indices into the probe's materialized attribute slots, and,
+//     in the fast tier, numeric static attributes of the command's CFE
+//     become bind-time constants that Bind fills into registers;
 //   - a lowering pass turns every statement and expression node into a
 //     pre-bound closure, so executing a body is a chain of direct calls
-//     with no AST dispatch, no map lookups, and no per-firing allocation.
+//     with no AST dispatch, no map lookups, and no per-firing allocation;
+//     leaf operands (literals, registers, cells, dynamic attributes) are
+//     descriptors their consumer reads in place rather than closures.
 //
 // Compiled bodies must be observationally identical to the interpreter —
 // same output, same runtime errors (message and position), same cost-model
@@ -30,6 +34,7 @@ package compile
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/core/ast"
 	"repro/internal/core/sem"
@@ -95,9 +100,11 @@ type CellResolver func(ref CellRef) (*value.Value, error)
 // A Bound is not safe for concurrent use; probes of one VM fire
 // sequentially, which is the only way the engine calls it.
 type Bound struct {
-	body   *Body
-	fr     frame
-	fastFr *frame
+	body *Body
+	fr   frame
+	// fastFr is the fast lowering's frame, valid when hasFast.
+	fastFr  frame
+	hasFast bool
 }
 
 // Bind resolves the body's cells against a placement scope and allocates
@@ -121,18 +128,16 @@ func (b *Body) Bind(resolve CellResolver, out io.Writer) (*Bound, error) {
 		// The fast frame aliases the cells the generic frame resolved —
 		// captures must not be copied twice — so both lowerings observe
 		// identical state. The fast pass only resolves names the generic
-		// pass also resolved, so every ref is found by name; the resolver
-		// fallback covers cells shared by reference (globals) anyway.
-		ff := &frame{out: out}
+		// pass also resolved, so every ref has a generic slot; the
+		// resolver fallback covers cells shared by reference (globals)
+		// anyway.
+		ff := &bd.fastFr
+		ff.out = out
 		if n := len(fb.cells); n > 0 {
-			byRef := make(map[CellRef]*value.Value, len(b.Cells))
-			for i, c := range b.Cells {
-				byRef[c] = bd.fr.cells[i]
-			}
 			ff.cells = make([]*value.Value, n)
 			for i, ref := range fb.cells {
-				if cell := byRef[ref]; cell != nil {
-					ff.cells[i] = cell
+				if j := fb.alias[i]; j >= 0 {
+					ff.cells[i] = bd.fr.cells[j]
 					continue
 				}
 				cell, err := resolve(ref)
@@ -145,7 +150,7 @@ func (b *Body) Bind(resolve CellResolver, out io.Writer) (*Bound, error) {
 		if fb.nLocals > 0 {
 			ff.regs = make([]int64, fb.nLocals)
 		}
-		bd.fastFr = ff
+		bd.hasFast = fb.bindConsts(ff)
 	}
 	return bd, nil
 }
@@ -173,15 +178,16 @@ func (b *Bound) Exec(dyn []value.Value) error {
 }
 
 // FastExec returns the bound whole-body fast lowering, or nil when the
-// body has none. The returned closure is observationally identical to
-// Exec — same stores, same output, same errors in the same order — and
-// subject to the same sequential-use contract.
+// body has none or this placement's bind-time constants did not
+// resolve. The returned closure is observationally identical to Exec —
+// same stores, same output, same errors in the same order — and subject
+// to the same sequential-use contract.
 func (b *Bound) FastExec() func(dyn []value.Value) error {
 	fb := b.body.fast
-	if fb == nil {
+	if fb == nil || !b.hasFast {
 		return nil
 	}
-	fr := b.fastFr
+	fr := &b.fastFr
 	guard := fb.guard
 	stmts := fb.stmts
 	return func(dyn []value.Value) error {
@@ -212,15 +218,18 @@ func (b *Bound) FastExec() func(dyn []value.Value) error {
 // and the body never assigns it.
 func (b *Bound) CounterShape() (flush func(n int64), ok bool) {
 	fb := b.body.fast
-	if fb == nil || fb.counter == nil {
+	if fb == nil || fb.counter == nil || !b.hasFast {
 		return nil, false
 	}
-	cells, terms := b.fastFr.cells, fb.counter
+	cells, regs, terms := b.fastFr.cells, b.fastFr.regs, fb.counter
 	return func(n int64) {
 		for _, t := range terms {
 			k := t.k
-			if t.kCell >= 0 {
+			switch {
+			case t.kCell >= 0:
 				k = asIntRef(cells[t.kCell])
+			case t.kReg >= 0:
+				k = regs[t.kReg]
 			}
 			if t.neg {
 				k = -k
@@ -397,8 +406,10 @@ type compiler struct {
 	nLocals int
 	scope   *localScope
 
-	// rebound names the arrays the program rebinds (fast pass only).
+	// rebound names the arrays the program rebinds, and consts collects
+	// the body's bind-time constants (fast pass only).
 	rebound map[string]bool
+	consts  []bindConst
 }
 
 // localScope is a body-local lexical scope (if/for bodies open new ones).
@@ -419,7 +430,13 @@ func compileBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard ast.E
 	b.stmts = c.compileStmts(body)
 	b.Cells = c.cells
 	b.NumLocals = c.nLocals
-	b.fast = compileFastBody(info, dyn, body, guard, outer, rebound)
+	if fb := compileFastBody(info, dyn, body, guard, outer, rebound); fb != nil {
+		fb.alias = make([]int, len(fb.cells))
+		for i, ref := range fb.cells {
+			fb.alias[i] = slices.Index(b.Cells, ref)
+		}
+		b.fast = fb
+	}
 	return b, nil
 }
 

@@ -7,11 +7,31 @@ package compile
 // Body locals, which are always numeric here, live in an int64 register
 // slice on the fast frame instead of Value slots; numeric-keyed dicts
 // with numeric elements are read and written through their int64 map
-// (value.DictVal.Ints); and every comparison and arithmetic operator
-// gets its own closure, so an evaluation makes no indirect call beyond
-// its operands'. The VM's inline tier (internal/vm) invokes these bodies
-// from specialized probe thunks, so the whole fire costs a few direct
-// calls instead of a chain of Value-copying closure boundaries.
+// (value.DictVal.Ints); numeric vectors are scanned and appended as
+// int64s; and every comparison and arithmetic operator gets its own
+// closure. The VM's inline tier (internal/vm) invokes these bodies from
+// specialized probe thunks, so the whole fire costs a few direct calls
+// instead of a chain of Value-copying closure boundaries.
+//
+// Operands are specialized twice:
+//
+//   - Leaf operands. A literal, a register, a numeric cell or a dynamic
+//     attribute is a leaf: an operand descriptor (lower_int.go) that the
+//     consuming operator, index, store or has closure reads in place.
+//     Only a non-leaf operand costs a closure call.
+//   - Bind-time constants. A numeric static attribute of a CFE variable
+//     (I.nextaddr, L.id, B.ninsts) is fixed for its placement: CFE
+//     variables cannot be assigned. The fast pass gives each one a
+//     register that Bind fills from the placement's CFE, so it is a
+//     register leaf wherever a literal may stand, including as a counter
+//     addend. A placement whose attribute does not resolve to an integer
+//     keeps only the generic lowering.
+//
+// Two statement shapes get their own closures: the dict bump
+// `d[k] = d[k] ± e` with a leaf k on a numeric dict is one `m[k] ± e`
+// map update, and the counted loop
+// `for (int i = c; i < v.size(); i = i + 1)` whose body never assigns i
+// runs as a native Go loop over its register.
 //
 // The contract mirrors lower_int.go's, strengthened in one way: a fast
 // lowering of expression e returns AsInt() (or AsBool()) of the value the
@@ -22,9 +42,10 @@ package compile
 // comparisons below bit-identical to the generic path (value.Equal
 // coincides with plain int64 comparison on such values). A dict converts
 // every key to its key type, AsInt for a numeric one, so an int64 key
-// needs no such guarantee. compileFastBody returns nil whenever any
-// construct in the body cannot meet that bar, and the caller keeps only
-// the generic lowering.
+// needs no such guarantee; nor does the argument of a numeric vector's
+// has or add, which the generic path converts to IntVal(AsInt) first.
+// compileFastBody returns nil whenever any construct in the body cannot
+// meet that bar, and the caller keeps only the generic lowering.
 //
 // The fast pass also classifies additive bodies — every statement a
 // `c = c ± k` bump — so the VM can count their firings in an accumulator
@@ -57,14 +78,28 @@ type fastStr func(fr *frame) (string, error)
 // frame layout (the fast pass re-resolves slots independently of the
 // generic pass; Bind aliases both frames onto the same cells).
 type fastBody struct {
-	cells   []CellRef
+	cells []CellRef
+	// alias maps each fast-frame cell to the generic frame's slot for
+	// the same ref (-1 if the generic pass has none).
+	alias   []int
 	nLocals int
-	guard   fastBool
-	stmts   []fastStmt
+	// consts are the body's bind-time constants, filled into their
+	// registers by Bind.
+	consts []bindConst
+	guard  fastBool
+	stmts  []fastStmt
 
 	// counter lists the bumps of an additive body in statement order
 	// (nil when the body is not additive; see classifyCounter).
 	counter []counterTerm
+}
+
+// bindConst is one bind-time constant: static attribute attr of the CFE
+// held in fast-frame cell, stored in register reg.
+type bindConst struct {
+	cell int
+	attr string
+	reg  int
 }
 
 // counterTerm is one `c = c ± k` statement of an additive body, in
@@ -74,10 +109,11 @@ type counterTerm struct {
 	// is c.
 	cell, elem int
 	// k is the literal addend; when kCell >= 0 the addend is that
-	// captured cell instead. neg subtracts the addend.
-	k     int64
-	kCell int
-	neg   bool
+	// captured cell instead, and when kReg >= 0 that bind-time constant.
+	// neg subtracts the addend.
+	k           int64
+	kCell, kReg int
+	neg         bool
 }
 
 // compileFastBody attempts the whole-body fast lowering; nil means some
@@ -101,7 +137,26 @@ func compileFastBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard a
 	fb.stmts = stmts
 	fb.cells = c.cells
 	fb.nLocals = c.nLocals
+	fb.consts = c.consts
 	return fb
+}
+
+// bindConsts fills the bind-time constant registers from the placement's
+// cells; false when some attribute does not resolve to an integer, which
+// leaves the placement generic-only.
+func (fb *fastBody) bindConsts(fr *frame) bool {
+	for _, k := range fb.consts {
+		cv := fr.cells[k.cell]
+		if cv.Kind != value.KCFE {
+			return false
+		}
+		v, err := interp.StaticAttr(cv.CFE, k.attr)
+		if err != nil || v.Kind != value.KInt {
+			return false
+		}
+		fr.regs[k.reg] = v.Int
+	}
+	return true
 }
 
 // cellSlot resolves a name that must be a cell: the fast tier's locals
@@ -134,11 +189,12 @@ func identNamed(e ast.Expr, name string) bool {
 //     rebinds, with i an integer literal in [0, len(A)) — an
 //     out-of-range literal stays generic so its runtime error is still
 //     recorded;
-//   - k is an integer literal, or a captured numeric scalar that no
-//     statement of the body assigns. Captured cells are private to their
-//     placement, so nothing else can change such a k between firings. A
-//     global k never qualifies: another action may write it between
-//     firings, and a deferred flush would read the later value.
+//   - k is an integer literal, a bind-time constant, or a captured
+//     numeric scalar that no statement of the body assigns. Captured
+//     cells are private to their placement, so nothing else can change
+//     such a k between firings. A global k never qualifies: another
+//     action may write it between firings, and a deferred flush would
+//     read the later value.
 //
 // n generic firings from any start state then leave each c at
 // KInt(AsInt(c) + n*k) per statement (int64 arithmetic wraps), which is
@@ -177,7 +233,7 @@ func (c *compiler) counterStmt(s ast.Stmt) (counterTerm, bool) {
 	if !ok {
 		return counterTerm{}, false
 	}
-	t := counterTerm{elem: -1, kCell: -1}
+	t := counterTerm{elem: -1, kCell: -1, kReg: -1}
 	var k ast.Expr
 	switch {
 	case (bin.Op == token.PLUS || bin.Op == token.MINUS) && sameTarget(bin.X, as.LHS):
@@ -210,6 +266,11 @@ func (c *compiler) counterStmt(s ast.Stmt) (counterTerm, bool) {
 	if n, ok := litInt(k); ok {
 		t.k = n
 		return t, true
+	}
+	if f, ok := k.(*ast.FieldExpr); ok {
+		o := c.constOperand(f)
+		t.kReg = o.idx
+		return t, o.kind == leafReg
 	}
 	id, ok := k.(*ast.Ident)
 	if !ok {
@@ -265,8 +326,15 @@ func (c *compiler) fastStmt(s ast.Stmt) fastStmt {
 		return c.fastAssign(st)
 	case *ast.ExprStmt:
 		if call, ok := st.X.(*ast.CallExpr); ok {
-			if fun, ok := call.Fun.(*ast.Ident); ok && fun.Name == "print" {
-				return c.fastPrint(call)
+			switch fun := call.Fun.(type) {
+			case *ast.Ident:
+				if fun.Name == "print" {
+					return c.fastPrint(call)
+				}
+			case *ast.FieldExpr:
+				if fun.Name == "add" {
+					return c.fastVecAdd(call, fun)
+				}
 			}
 		}
 		return nil
@@ -313,6 +381,9 @@ func (c *compiler) fastStmt(s ast.Stmt) fastStmt {
 			if init = c.fastStmt(st.Init); init == nil {
 				return nil
 			}
+		}
+		if f, ok := c.countedLoop(st, init); ok {
+			return f
 		}
 		var cond fastBool
 		if st.Cond != nil {
@@ -368,6 +439,95 @@ func (c *compiler) fastStmt(s ast.Stmt) fastStmt {
 	return nil
 }
 
+// countedLoop lowers `for (int i = c; i < v.size(); i = i + 1)`, whose
+// body never assigns i, to a native Go loop: i lives in a Go local that
+// is copied into its register for the body to read, the size test reads
+// v's length in place, and no closure runs outside the body. v is
+// re-read every iteration, as the generic condition does, so a body that
+// grows it is still seen. ok is false when st does not have the shape
+// (the caller lowers it as a plain loop); f is nil with ok true when the
+// body has no fast lowering (the whole body then stays generic). init
+// is the lowered header declaration; the caller has opened the header
+// scope.
+func (c *compiler) countedLoop(st *ast.ForStmt, init fastStmt) (f fastStmt, ok bool) {
+	d, _ := st.Init.(*ast.DeclStmt)
+	cond, _ := st.Cond.(*ast.BinaryExpr)
+	if d == nil || init == nil || cond == nil || cond.Op != token.LT || !identNamed(cond.X, d.Decl.Name) {
+		return nil, false
+	}
+	name := d.Decl.Name
+	if !isIncrement(st.Post, name) || assignsName(st.Body, name) {
+		return nil, false
+	}
+	call, _ := cond.Y.(*ast.CallExpr)
+	if call == nil || c.fastSize(call) == nil {
+		return nil, false
+	}
+	recv, _ := c.cellSlot(call.Fun.(*ast.FieldExpr).X.(*ast.Ident).Name)
+	sl, _ := c.resolve(name)
+	if !sl.local {
+		return nil, false
+	}
+	reg := sl.idx
+	c.pushScope()
+	body, bodyOK := c.fastStmts(st.Body)
+	c.popScope()
+	if !bodyOK {
+		return nil, true
+	}
+	pos, sizePos := st.P, call.P
+	return func(fr *frame) error {
+		if err := init(fr); err != nil {
+			return err
+		}
+		for i, iters := fr.regs[reg], 0; ; i, iters = i+1, iters+1 {
+			if iters >= interp.MaxLoopIters {
+				return errf(pos, "for statement exceeded %d iterations", interp.MaxLoopIters)
+			}
+			n, ok := sizeOf(fr.cells[recv])
+			if !ok {
+				return errf(sizePos, "invalid method %q", "size")
+			}
+			if i >= n {
+				return nil
+			}
+			fr.regs[reg] = i
+			for _, f := range body {
+				if err := f(fr); err != nil {
+					return err
+				}
+			}
+		}
+	}, true
+}
+
+// isIncrement reports whether s is `name = name + 1`.
+func isIncrement(s ast.Stmt, name string) bool {
+	as, ok := s.(*ast.AssignStmt)
+	if !ok || !identNamed(as.LHS, name) {
+		return false
+	}
+	bin, ok := as.RHS.(*ast.BinaryExpr)
+	if !ok || bin.Op != token.PLUS || !identNamed(bin.X, name) {
+		return false
+	}
+	one, ok := litInt(bin.Y)
+	return ok && one == 1
+}
+
+// assignsName reports whether any statement in stmts, at any depth,
+// assigns an identifier called name. Shadowing declarations are not told
+// apart, which errs towards a plain loop.
+func assignsName(stmts []ast.Stmt, name string) bool {
+	found := false
+	ast.WalkStmts(stmts, func(s ast.Stmt) {
+		if as, ok := s.(*ast.AssignStmt); ok && identNamed(as.LHS, name) {
+			found = true
+		}
+	}, nil)
+	return found
+}
+
 func (c *compiler) fastDecl(d *ast.VarDecl) fastStmt {
 	t := c.info.DeclTypes[d]
 	if t == nil || !t.IsNumeric() {
@@ -375,23 +535,26 @@ func (c *compiler) fastDecl(d *ast.VarDecl) fastStmt {
 	}
 	// As in the generic pass, the initializer resolves before the name is
 	// defined.
-	var ifn intFn
+	var init operand
 	if d.Init != nil {
-		if ifn = c.fastIntExpr(d.Init); ifn == nil {
+		if init = c.fastOperand(d.Init); !init.ok() {
 			return nil
 		}
 	}
 	idx := c.defineLocal(d.Name)
-	if ifn == nil {
+	if d.Init == nil {
 		return func(fr *frame) error {
 			fr.regs[idx] = 0
 			return nil
 		}
 	}
 	return func(fr *frame) error {
-		n, err := ifn(fr)
-		if err != nil {
-			return err
+		n, ok := init.leaf(fr)
+		if !ok {
+			var err error
+			if n, err = init.fn(fr); err != nil {
+				return err
+			}
 		}
 		fr.regs[idx] = n
 		return nil
@@ -409,25 +572,31 @@ func (c *compiler) fastAssign(st *ast.AssignStmt) fastStmt {
 		if !ok {
 			return nil
 		}
-		ifn := c.fastIntExpr(st.RHS)
-		if ifn == nil {
+		rhs := c.fastOperand(st.RHS)
+		if !rhs.ok() {
 			return nil
 		}
 		idx := sl.idx
 		if sl.local {
 			return func(fr *frame) error {
-				n, err := ifn(fr)
-				if err != nil {
-					return err
+				n, ok := rhs.leaf(fr)
+				if !ok {
+					var err error
+					if n, err = rhs.fn(fr); err != nil {
+						return err
+					}
 				}
 				fr.regs[idx] = n
 				return nil
 			}
 		}
 		return func(fr *frame) error {
-			n, err := ifn(fr)
-			if err != nil {
-				return err
+			n, ok := rhs.leaf(fr)
+			if !ok {
+				var err error
+				if n, err = rhs.fn(fr); err != nil {
+					return err
+				}
 			}
 			*fr.cells[idx] = value.Value{Kind: value.KInt, Int: n}
 			return nil
@@ -444,29 +613,34 @@ func (c *compiler) fastAssign(st *ast.AssignStmt) fastStmt {
 		if t.Kind == types.Dict && (t.Key == nil || !t.Key.IsNumeric()) {
 			return nil
 		}
+		if t.Kind == types.Dict {
+			if f := c.fastDictBump(st, lhs, id); f != nil {
+				return f
+			}
+		}
 		// Generic order: RHS, then base, then index.
-		rhsFn := c.fastIntExpr(st.RHS)
-		if rhsFn == nil {
+		rhs := c.fastOperand(st.RHS)
+		if !rhs.ok() {
 			return nil
 		}
 		idx, ok := c.cellSlot(id.Name)
 		if !ok {
 			return nil
 		}
-		idxFn := c.fastIntExpr(lhs.Index)
-		if idxFn == nil {
+		key := c.fastOperand(lhs.Index)
+		if !key.ok() {
 			return nil
 		}
 		pos := lhs.P
 		switch t.Kind {
 		case types.Dict:
 			return func(fr *frame) error {
-				n, err := rhsFn(fr)
+				n, err := rhs.get(fr)
 				if err != nil {
 					return err
 				}
 				bv := fr.cells[idx]
-				k, err := idxFn(fr)
+				k, err := key.get(fr)
 				if err != nil {
 					return err
 				}
@@ -484,12 +658,12 @@ func (c *compiler) fastAssign(st *ast.AssignStmt) fastStmt {
 			}
 		case types.Array:
 			return func(fr *frame) error {
-				n, err := rhsFn(fr)
+				n, err := rhs.get(fr)
 				if err != nil {
 					return err
 				}
 				bv := fr.cells[idx]
-				i, err := idxFn(fr)
+				i, err := key.get(fr)
 				if err != nil {
 					return err
 				}
@@ -504,12 +678,12 @@ func (c *compiler) fastAssign(st *ast.AssignStmt) fastStmt {
 			}
 		case types.Vector:
 			return func(fr *frame) error {
-				n, err := rhsFn(fr)
+				n, err := rhs.get(fr)
 				if err != nil {
 					return err
 				}
 				bv := fr.cells[idx]
-				i, err := idxFn(fr)
+				i, err := key.get(fr)
 				if err != nil {
 					return err
 				}
@@ -526,6 +700,65 @@ func (c *compiler) fastAssign(st *ast.AssignStmt) fastStmt {
 		return nil
 	}
 	return nil
+}
+
+// fastDictBump lowers `d[k] = d[k] ± e` on a numeric dict d, with k a
+// leaf, to one map update. The generic path reads d[k] (kind check at
+// the read), evaluates e, then stores; e cannot write d or k, so reading
+// the element after e, as the update does, sees the same value, and an
+// error in e still leaves d untouched. nil when st has another shape.
+func (c *compiler) fastDictBump(st *ast.AssignStmt, lhs *ast.IndexExpr, base *ast.Ident) fastStmt {
+	bin, ok := st.RHS.(*ast.BinaryExpr)
+	if !ok || (bin.Op != token.PLUS && bin.Op != token.MINUS) {
+		return nil
+	}
+	read, ok := bin.X.(*ast.IndexExpr)
+	if !ok || !identNamed(read.X, base.Name) {
+		return nil
+	}
+	idx, ok := c.cellSlot(base.Name)
+	if !ok {
+		return nil
+	}
+	key := c.fastOperand(read.Index)
+	if !sameLeaf(key, c.fastOperand(lhs.Index)) {
+		return nil
+	}
+	e := c.fastOperand(bin.Y)
+	if !e.ok() {
+		return nil
+	}
+	neg, pos := bin.Op == token.MINUS, read.P
+	return func(fr *frame) error {
+		bv := fr.cells[idx]
+		k, ok := key.leaf(fr)
+		if !ok {
+			var err error
+			if k, err = key.fn(fr); err != nil {
+				return err
+			}
+		}
+		if bv.Kind != value.KDict {
+			return errf(pos, "value is not indexable")
+		}
+		n, ok := e.leaf(fr)
+		if !ok {
+			var err error
+			if n, err = e.fn(fr); err != nil {
+				return err
+			}
+		}
+		if neg {
+			n = -n
+		}
+		if m := bv.Dict.Ints; m != nil {
+			m[k] += n
+			return nil
+		}
+		old := bv.Dict.Get(value.IntVal(k))
+		bv.Dict.Set(value.IntVal(k), value.IntVal(asIntRef(&old)+n))
+		return nil
+	}
 }
 
 func (c *compiler) fastPrint(x *ast.CallExpr) fastStmt {
@@ -565,12 +798,12 @@ func (c *compiler) fastStrArg(e ast.Expr) fastStr {
 			return c.fastVecGetStr(x)
 		}
 	}
-	ifn := c.fastIntExpr(e)
-	if ifn == nil {
+	o := c.fastOperand(e)
+	if !o.ok() {
 		return nil
 	}
 	return func(fr *frame) (string, error) {
-		n, err := ifn(fr)
+		n, err := o.get(fr)
 		if err != nil {
 			return "", err
 		}
@@ -593,14 +826,14 @@ func (c *compiler) fastVecGetStr(x *ast.IndexExpr) fastStr {
 	if !ok {
 		return nil
 	}
-	idxFn := c.fastIntExpr(x.Index)
-	if idxFn == nil {
+	key := c.fastOperand(x.Index)
+	if !key.ok() {
 		return nil
 	}
 	pos := x.P
 	return func(fr *frame) (string, error) {
 		bv := fr.cells[idx]
-		i, err := idxFn(fr)
+		i, err := key.get(fr)
 		if err != nil {
 			return "", err
 		}
@@ -614,69 +847,108 @@ func (c *compiler) fastVecGetStr(x *ast.IndexExpr) fastStr {
 	}
 }
 
-// fastIntExpr lowers e to an unboxed scalar whose generic value is
-// guaranteed integer-shaped (KInt or KNull); nil when no such lowering
-// exists. It extends compileIntExpr's productions with container reads
-// and re-recurses through itself so the extensions compose.
-func (c *compiler) fastIntExpr(e ast.Expr) intFn {
+// fastOperand lowers e to an unboxed scalar operand whose generic value
+// is guaranteed integer-shaped (KInt or KNull); no lowering (a nil fn)
+// when none exists. It extends intOperand's productions with registers,
+// bind-time constants and container reads, and re-recurses through
+// itself so the extensions compose.
+func (c *compiler) fastOperand(e ast.Expr) operand {
 	switch x := e.(type) {
 	case *ast.IntLit:
-		n := x.Val
-		return func(*frame) (int64, error) { return n, nil }
+		return litOperand(x.Val)
 	case *ast.CharLit:
-		n := int64(x.Val)
-		return func(*frame) (int64, error) { return n, nil }
+		return litOperand(int64(x.Val))
 	case *ast.NullLit:
 		// NULL coerces to 0 under every integer consumer (AsInt, Equal
 		// against integer-shaped values, a numeric dict key, AsBool).
-		return func(*frame) (int64, error) { return 0, nil }
+		return litOperand(0)
 	case *ast.Ident:
 		// Numeric-typed names only: registers are int64, and numeric
 		// cells always hold KInt (every store goes through Convert or
 		// ZeroValue), keeping the result integer-shaped — unlike
-		// lower_int.go's any-type Ident rule.
+		// intOperand's any-type Ident rule.
 		t := c.info.Types[e]
 		if t == nil || !t.IsNumeric() {
-			return nil
+			return operand{}
 		}
 		sl, ok := c.resolve(x.Name)
 		if !ok {
-			return nil
+			return operand{}
 		}
-		idx := sl.idx
 		if sl.local {
-			return func(fr *frame) (int64, error) { return fr.regs[idx], nil }
+			return regOperand(sl.idx)
 		}
-		return func(fr *frame) (int64, error) { return asIntRef(fr.cells[idx]), nil }
+		return cellOperand(sl.idx)
 	case *ast.FieldExpr:
-		// Dynamic attributes materialize as integer words (UintVal).
-		if !c.info.DynamicExprs[x] {
-			return nil
+		if c.info.DynamicExprs[x] {
+			return c.dynOperand(x)
 		}
-		return c.compileIntExpr(e)
+		return c.constOperand(x)
 	case *ast.IndexExpr:
-		return c.fastIndexGet(x)
+		return exprOperand(c.fastIndexGet(x))
 	case *ast.CallExpr:
-		return c.fastSize(x)
+		return exprOperand(c.fastSize(x))
 	case *ast.UnaryExpr:
-		if x.Op != token.MINUS {
-			return nil
-		}
-		sub := c.fastIntExpr(x.X)
-		if sub == nil {
-			return nil
-		}
-		return func(fr *frame) (int64, error) {
-			n, err := sub(fr)
-			if err != nil {
-				return 0, err
-			}
-			return -n, nil
-		}
+		return negOperand(x, c.fastOperand)
 	case *ast.BinaryExpr:
-		return intBinary(x, c.fastIntExpr)
+		return exprOperand(intBinary(x, c.fastOperand))
 	}
-	return nil
+	return operand{}
+}
+
+// sameLeaf reports whether a and b are the same leaf.
+func sameLeaf(a, b operand) bool {
+	return a.kind != notLeaf && a.kind == b.kind && a.idx == b.idx && a.n == b.n
+}
+
+func regOperand(idx int) operand {
+	return operand{kind: leafReg, idx: idx, fn: func(fr *frame) (int64, error) { return fr.regs[idx], nil }}
+}
+
+// constOperand lowers a numeric static attribute of a CFE variable to
+// its bind-time constant register, shared by every use in the body; no
+// lowering for any other static attribute.
+func (c *compiler) constOperand(x *ast.FieldExpr) operand {
+	id, ok := x.X.(*ast.Ident)
+	if !ok || c.info.DynamicExprs[x] {
+		return operand{}
+	}
+	if t := c.info.Types[x.X]; t == nil || t.Kind != types.CFE {
+		return operand{}
+	}
+	if t := c.info.Types[x]; t == nil || !t.IsNumeric() {
+		return operand{}
+	}
+	cell, ok := c.cellSlot(id.Name)
+	if !ok {
+		return operand{}
+	}
+	attr := strings.ToLower(x.Name)
+	for _, k := range c.consts {
+		if k.cell == cell && k.attr == attr {
+			return regOperand(k.reg)
+		}
+	}
+	reg := c.nLocals
+	c.nLocals++
+	c.consts = append(c.consts, bindConst{cell: cell, attr: attr, reg: reg})
+	return regOperand(reg)
+}
+
+// vecArgOperand lowers the argument of a numeric vector's has or add,
+// which the generic path converts to IntVal(AsInt(arg)) before use, so
+// besides fastOperand's productions a line-typed cell qualifies (AsInt
+// parses it).
+func (c *compiler) vecArgOperand(e ast.Expr) operand {
+	if id, ok := e.(*ast.Ident); ok {
+		if t := c.info.Types[e]; t != nil && t.Kind == types.Line {
+			if idx, ok := c.cellSlot(id.Name); ok {
+				return cellOperand(idx)
+			}
+			return operand{}
+		}
+	}
+	return c.fastOperand(e)
 }
 
 // fastIndexGet lowers a container read on a directly-named base with
@@ -698,8 +970,8 @@ func (c *compiler) fastIndexGet(x *ast.IndexExpr) intFn {
 	if !ok {
 		return nil
 	}
-	idxFn := c.fastIntExpr(x.Index)
-	if idxFn == nil {
+	key := c.fastOperand(x.Index)
+	if !key.ok() {
 		return nil
 	}
 	pos := x.P
@@ -707,9 +979,12 @@ func (c *compiler) fastIndexGet(x *ast.IndexExpr) intFn {
 	case types.Dict:
 		return func(fr *frame) (int64, error) {
 			bv := fr.cells[idx]
-			k, err := idxFn(fr)
-			if err != nil {
-				return 0, err
+			k, ok := key.leaf(fr)
+			if !ok {
+				var err error
+				if k, err = key.fn(fr); err != nil {
+					return 0, err
+				}
 			}
 			if bv.Kind != value.KDict {
 				return 0, errf(pos, "value is not indexable")
@@ -724,9 +999,12 @@ func (c *compiler) fastIndexGet(x *ast.IndexExpr) intFn {
 		// Out of range yields NULL generically, which is 0 here.
 		return func(fr *frame) (int64, error) {
 			bv := fr.cells[idx]
-			i, err := idxFn(fr)
-			if err != nil {
-				return 0, err
+			i, ok := key.leaf(fr)
+			if !ok {
+				var err error
+				if i, err = key.fn(fr); err != nil {
+					return 0, err
+				}
 			}
 			if bv.Kind != value.KVector {
 				return 0, errf(pos, "value is not indexable")
@@ -739,7 +1017,7 @@ func (c *compiler) fastIndexGet(x *ast.IndexExpr) intFn {
 	case types.Array:
 		return func(fr *frame) (int64, error) {
 			bv := fr.cells[idx]
-			i, err := idxFn(fr)
+			i, err := key.get(fr)
 			if err != nil {
 				return 0, err
 			}
@@ -753,6 +1031,18 @@ func (c *compiler) fastIndexGet(x *ast.IndexExpr) intFn {
 		}
 	}
 	return nil
+}
+
+// sizeOf is recv.size() on a vector or dict value; false for any other
+// kind (the generic path's invalid-method error).
+func sizeOf(rv *value.Value) (int64, bool) {
+	switch rv.Kind {
+	case value.KVector:
+		return int64(len(rv.Vec.Elems)), true
+	case value.KDict:
+		return int64(rv.Dict.Len()), true
+	}
+	return 0, false
 }
 
 // fastSize lowers recv.size() on a directly-named vector or dict.
@@ -775,14 +1065,56 @@ func (c *compiler) fastSize(x *ast.CallExpr) intFn {
 	}
 	pos, name := x.P, fun.Name
 	return func(fr *frame) (int64, error) {
-		rv := fr.cells[idx]
-		switch rv.Kind {
-		case value.KVector:
-			return int64(len(rv.Vec.Elems)), nil
-		case value.KDict:
-			return int64(rv.Dict.Len()), nil
+		if n, ok := sizeOf(fr.cells[idx]); ok {
+			return n, nil
 		}
 		return 0, errf(pos, "invalid method %q", name)
+	}
+}
+
+// numericVector resolves the receiver of a method call on a
+// directly-named vector with numeric elements to its cell.
+func (c *compiler) numericVector(fun *ast.FieldExpr) (int, bool) {
+	id, ok := fun.X.(*ast.Ident)
+	if !ok {
+		return 0, false
+	}
+	t := c.info.Types[fun.X]
+	if t == nil || t.Kind != types.Vector || t.Elem == nil || !t.Elem.IsNumeric() {
+		return 0, false
+	}
+	return c.cellSlot(id.Name)
+}
+
+// fastVecAdd lowers the statement v.add(x) on a numeric vector: the
+// generic path appends Convert(x, elem), which is IntVal(AsInt(x)) (so
+// NULL appends 0).
+func (c *compiler) fastVecAdd(x *ast.CallExpr, fun *ast.FieldExpr) fastStmt {
+	if len(x.Args) != 1 {
+		return nil
+	}
+	idx, ok := c.numericVector(fun)
+	if !ok {
+		return nil
+	}
+	arg := c.vecArgOperand(x.Args[0])
+	if !arg.ok() {
+		return nil
+	}
+	pos, name := x.P, fun.Name
+	return func(fr *frame) error {
+		// Generic order: the receiver's kind is checked before the
+		// argument is evaluated.
+		rv := fr.cells[idx]
+		if rv.Kind != value.KVector {
+			return errf(pos, "invalid method %q", name)
+		}
+		n, err := arg.get(fr)
+		if err != nil {
+			return err
+		}
+		rv.Vec.Elems = append(rv.Vec.Elems, value.Value{Kind: value.KInt, Int: n})
+		return nil
 	}
 }
 
@@ -847,12 +1179,12 @@ func (c *compiler) fastBoolExpr(e ast.Expr) fastBool {
 			// On integer-shaped operands, value.Equal and the ordered
 			// comparison both reduce to plain int64 comparison of the
 			// AsInt coercions (neither side can be a string).
-			l := c.fastIntExpr(x.X)
-			if l == nil {
+			l := c.fastOperand(x.X)
+			if !l.ok() {
 				return nil
 			}
-			r := c.fastIntExpr(x.Y)
-			if r == nil {
+			r := c.fastOperand(x.Y)
+			if !r.ok() {
 				return nil
 			}
 			return intCompare(x.Op, l, r)
@@ -860,21 +1192,46 @@ func (c *compiler) fastBoolExpr(e ast.Expr) fastBool {
 	}
 	// Any other integer-shaped scalar consumed as a condition: AsBool of
 	// KInt n is n != 0, of KNull is false — both are n != 0 here.
-	if ifn := c.fastIntExpr(e); ifn != nil {
+	if o := c.fastOperand(e); o.ok() {
 		return func(fr *frame) (bool, error) {
-			n, err := ifn(fr)
+			n, err := o.get(fr)
 			return n != 0, err
 		}
 	}
 	return nil
 }
 
-// fastHas lowers d.has(k) on a directly-named dict with a numeric key
-// type.
+// fastHas lowers r.has(k) on a directly-named dict with a numeric key
+// type or vector with numeric elements.
 func (c *compiler) fastHas(x *ast.CallExpr) fastBool {
 	fun, ok := x.Fun.(*ast.FieldExpr)
 	if !ok || fun.Name != "has" || len(x.Args) != 1 {
 		return nil
+	}
+	pos, name := x.P, fun.Name
+	if idx, ok := c.numericVector(fun); ok {
+		arg := c.vecArgOperand(x.Args[0])
+		if !arg.ok() {
+			return nil
+		}
+		return func(fr *frame) (bool, error) {
+			rv := fr.cells[idx]
+			if rv.Kind != value.KVector {
+				return false, errf(pos, "invalid method %q", name)
+			}
+			k, err := arg.get(fr)
+			if err != nil {
+				return false, err
+			}
+			// value.Equal(e, IntVal(k)) is AsInt(e) == k for every
+			// element kind (NULL included: AsInt(NULL) is 0).
+			for i := range rv.Vec.Elems {
+				if asIntRef(&rv.Vec.Elems[i]) == k {
+					return true, nil
+				}
+			}
+			return false, nil
+		}
 	}
 	id, ok := fun.X.(*ast.Ident)
 	if !ok {
@@ -888,11 +1245,10 @@ func (c *compiler) fastHas(x *ast.CallExpr) fastBool {
 	if !ok {
 		return nil
 	}
-	arg := c.fastIntExpr(x.Args[0])
-	if arg == nil {
+	arg := c.fastOperand(x.Args[0])
+	if !arg.ok() {
 		return nil
 	}
-	pos, name := x.P, fun.Name
 	return func(fr *frame) (bool, error) {
 		// Generic order: the receiver's kind is checked before the
 		// argument is evaluated.
@@ -900,7 +1256,7 @@ func (c *compiler) fastHas(x *ast.CallExpr) fastBool {
 		if rv.Kind != value.KDict {
 			return false, errf(pos, "invalid method %q", name)
 		}
-		k, err := arg(fr)
+		k, err := arg.get(fr)
 		if err != nil {
 			return false, err
 		}
@@ -914,60 +1270,36 @@ func (c *compiler) fastHas(x *ast.CallExpr) fastBool {
 
 // intCompare returns the closure for l op r on unboxed operands, one per
 // comparison operator.
-func intCompare(op token.Kind, l, r intFn) fastBool {
+func intCompare(op token.Kind, l, r operand) fastBool {
 	switch op {
 	case token.EQ:
 		return func(fr *frame) (bool, error) {
-			a, err := l(fr)
-			if err != nil {
-				return false, err
-			}
-			b, err := r(fr)
+			a, b, err := operands(fr, l, r)
 			return a == b, err
 		}
 	case token.NEQ:
 		return func(fr *frame) (bool, error) {
-			a, err := l(fr)
-			if err != nil {
-				return false, err
-			}
-			b, err := r(fr)
+			a, b, err := operands(fr, l, r)
 			return a != b, err
 		}
 	case token.LT:
 		return func(fr *frame) (bool, error) {
-			a, err := l(fr)
-			if err != nil {
-				return false, err
-			}
-			b, err := r(fr)
+			a, b, err := operands(fr, l, r)
 			return a < b, err
 		}
 	case token.LE:
 		return func(fr *frame) (bool, error) {
-			a, err := l(fr)
-			if err != nil {
-				return false, err
-			}
-			b, err := r(fr)
+			a, b, err := operands(fr, l, r)
 			return a <= b, err
 		}
 	case token.GT:
 		return func(fr *frame) (bool, error) {
-			a, err := l(fr)
-			if err != nil {
-				return false, err
-			}
-			b, err := r(fr)
+			a, b, err := operands(fr, l, r)
 			return a > b, err
 		}
 	case token.GE:
 		return func(fr *frame) (bool, error) {
-			a, err := l(fr)
-			if err != nil {
-				return false, err
-			}
-			b, err := r(fr)
+			a, b, err := operands(fr, l, r)
 			return a >= b, err
 		}
 	}

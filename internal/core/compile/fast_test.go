@@ -5,19 +5,23 @@ package compile_test
 // globals through Bound.Exec, through FastExec, and — as the reference
 // both lowerings answer to — through the tree-walking interpreter. All
 // three must leave equal cells, print the same output and record the
-// same runtime error (message and position).
+// same runtime error (message and position). An additive body is also
+// flushed through Bound.CounterShape. The action's CFE variable I is
+// bound to a fixed instruction, so static attributes resolve.
 
 import (
 	"bytes"
 	"reflect"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/core/ast"
 	"repro/internal/core/compile"
 	"repro/internal/core/interp"
 	"repro/internal/core/parser"
 	"repro/internal/core/sem"
 	"repro/internal/core/value"
+	"repro/internal/isa"
 )
 
 // fastCase is a tool whose first action is fired directly.
@@ -28,6 +32,13 @@ type fastCase struct {
 	// wantErr is the expected error text after the last firing ("" for
 	// none), which pins the position every path must report.
 	wantErr string
+	// file holds the lines of the tool file "in.txt".
+	file []string
+	// counter marks an additive body, which is also flushed.
+	counter bool
+	// fastOnly skips the reference paths, which would take seconds to
+	// count to interp.MaxLoopIters; wantErr pins the result instead.
+	fastOnly bool
 }
 
 var fastCases = []fastCase{
@@ -115,6 +126,120 @@ var fastCases = []fastCase{
     c = a[i + 1];`,
 		wantErr: "cinnamon: 6:10: array index 4 out of range [0,4)",
 	},
+	{
+		name:    "static attributes as operands and dict keys",
+		globals: "dict<int,int> d; int c; vector<addr> v;",
+		body: `
+    addr n = I.nextaddr;
+    d[I.addr] = d[I.addr] + I.size;
+    d[I.size] = I.numops;
+    c = c + n - I.addr + d[I.addr];
+    if (I.size > 2 && !v.has(I.nextaddr)) { v.add(I.nextaddr); }
+    print(I.nextaddr, I.id, v[0]);`,
+		wantOut: "16405 16400 16405\n16405 16400 16405\n",
+	},
+	{
+		name:    "static attributes as counter addends",
+		globals: "int c; uint64 x = 7;",
+		body: `
+    c = c + I.size;
+    x = x - I.nextaddr;
+    c = I.numops + c;`,
+		counter: true,
+	},
+	{
+		name:    "has and add on numeric vectors with NULL and line arguments",
+		globals: `vector<int> v; vector<addr> w; file in("in.txt"); line l = in.getline(); line e = in.getline(); line none = in.getline(); int c;`,
+		file:    []string{"0x10", ""},
+		body: `
+    if (!v.has(l)) { v.add(l); }
+    if (!w.has(NULL)) { w.add(NULL); }
+    if (w.has(0)) { c = c + 1; }
+    if (v.has(16)) { c = c + 10; }
+    if (v.has(e) || v.has(none)) { c = c + 100; }
+    v.add(e);
+    w.add(c);
+    if (w.has(c) && v.has(0)) { c = c + 1000; }
+    print(v.size(), w.size(), c);`,
+		wantOut: "2 2 1011\n3 3 2122\n",
+	},
+	{
+		name:    "dict bump with register, literal and bound-constant keys",
+		globals: "dict<int,int> d; dict<addr,uint64> e; int c;",
+		body: `
+    int k = c % 3;
+    d[k] = d[k] + 2;
+    d[7] = d[7] - 1;
+    d[I.size] = d[I.size] + d[I.size] * 2 + 1;
+    d[c] = d[c] + c;
+    e[I.addr] = e[I.addr] - d[k];
+    c = c + 1;`,
+	},
+	{
+		name:    "dict bump on a boxed dict",
+		globals: "dict<int,line> b; dict<int,int> d = b; int c;",
+		body: `
+    d[c] = d[c] + 5;
+    d[c] = d[c] - 1;
+    c = c + d[0];`,
+	},
+	{
+		name:    "dict bump whose addend fails leaves the dict alone",
+		globals: "dict<int,int> d; int c;",
+		body: `
+    d[1] = d[1] + 1;
+    d[1] = d[1] + 1 / c;`,
+		wantErr: "cinnamon: 5:21: division by zero",
+	},
+	{
+		name:    "counted loop whose body grows the vector",
+		globals: "vector<int> v; int c;",
+		body: `
+    v.add(1);
+    for (int i = 0; i < v.size(); i = i + 1) {
+      if (v.size() < 6) { v.add(i * 2); }
+      c = c + v[i] * 10 + i;
+    }
+    print(c, v.size());`,
+		wantOut: "225 6\n466 7\n",
+	},
+	{
+		name:    "loop whose body assigns its counter stays plain",
+		globals: "vector<int> v; int c;",
+		body: `
+    v.add(c + 1);
+    v.add(c + 10);
+    for (int i = 0; i < v.size(); i = i + 1) {
+      c = c + v[i];
+      i = i + 1;
+    }
+    print(c);`,
+		wantOut: "1\n4\n",
+	},
+	{
+		name:    "counted loop over a dict nested in a loop that shadows its counter",
+		globals: "dict<int,int> d; int c;",
+		body: `
+    d[c] = 1;
+    d[c + 7] = 2;
+    for (int i = 0; i < d.size(); i = i + 1) {
+      int j = i;
+      for (int i = j; i < d.size(); i = i + 1) { c = c + i; }
+    }
+    print(c);`,
+		wantOut: "2\n22\n",
+	},
+	{
+		name:    "counted loop exceeding MaxLoopIters",
+		globals: "vector<int> v; int c;",
+		body: `
+    v.add(1);
+    for (int i = -50000001; i < v.size(); i = i + 1) {
+    }
+    c = c + 1;`,
+		wantErr:  "cinnamon: 5:5: for statement exceeded 50000000 iterations",
+		fastOnly: true,
+	},
 }
 
 // Execution paths of one case.
@@ -122,7 +247,12 @@ const (
 	viaInterp = iota
 	viaGeneric
 	viaFast
+	viaCounter
 )
+
+// caseInst is the instruction the action's I is bound to: at 0x4010,
+// 5 bytes long, with two operands.
+var caseInst = &isa.Inst{Addr: 0x4010, Size: 5, Op: isa.Load, Ops: make([]isa.Operand, 2)}
 
 // fire runs the case's action twice on freshly declared globals through
 // one execution path.
@@ -147,8 +277,11 @@ inst I where (I.opcode == Load) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	in := interp.New(info, &out, nil)
+	fs := interp.NewFS()
+	fs.Open("in.txt").Lines = fc.file
+	in := interp.New(info, &out, fs)
 	globals := interp.NewEnv(nil)
+	globals.Define("I", value.Value{Kind: value.KCFE, CFE: &value.CFERef{Kind: ast.Inst, Inst: caseInst, Prog: &cfg.Program{}}})
 	for _, d := range info.Globals {
 		if err := in.DeclareGlobal(globals, d); err != nil {
 			t.Fatal(err)
@@ -169,13 +302,24 @@ inst I where (I.opcode == Load) {
 		if exec = b.FastExec(); exec == nil {
 			t.Fatal("body has no fast lowering")
 		}
+	case viaCounter:
+		flush, ok := b.CounterShape()
+		if !ok {
+			t.Fatal("body is not additive")
+		}
+		exec = func([]value.Value) error {
+			flush(1)
+			return nil
+		}
 	}
 	for i := 0; i < 2 && err == nil; i++ {
 		err = exec(nil)
 	}
 	cells := make(map[string]value.Value)
 	for _, d := range info.Globals {
-		cells[d.Name] = *globals.Lookup(d.Name)
+		if v := *globals.Lookup(d.Name); v.Kind != value.KFile {
+			cells[d.Name] = v
+		}
 	}
 	return cells, out.String(), err
 }
@@ -189,6 +333,12 @@ func TestFastTierMatchesGeneric(t *testing.T) {
 	}
 	for _, fc := range fastCases {
 		t.Run(fc.name, func(t *testing.T) {
+			if fc.fastOnly {
+				if _, _, err := fc.fire(t, viaFast); errText(err) != fc.wantErr {
+					t.Errorf("fast error = %q, want %q", errText(err), fc.wantErr)
+				}
+				return
+			}
 			iCells, iOut, iErr := fc.fire(t, viaInterp)
 			if fc.wantOut != "" && iOut != fc.wantOut {
 				t.Errorf("interpreter output = %q, want %q", iOut, fc.wantOut)
@@ -196,8 +346,12 @@ func TestFastTierMatchesGeneric(t *testing.T) {
 			if errText(iErr) != fc.wantErr {
 				t.Errorf("interpreter error = %q, want %q", errText(iErr), fc.wantErr)
 			}
-			for _, via := range []int{viaGeneric, viaFast} {
-				name := map[int]string{viaGeneric: "generic", viaFast: "fast"}[via]
+			vias := []int{viaGeneric, viaFast}
+			if fc.counter {
+				vias = append(vias, viaCounter)
+			}
+			for _, via := range vias {
+				name := map[int]string{viaGeneric: "generic", viaFast: "fast", viaCounter: "counter"}[via]
 				cells, out, err := fc.fire(t, via)
 				if !reflect.DeepEqual(cells, iCells) {
 					t.Errorf("%s cells diverged:\ngot:  %+v\nwant: %+v", name, cells, iCells)
@@ -210,5 +364,50 @@ func TestFastTierMatchesGeneric(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUnresolvedBindConstantStaysGeneric binds I to a basic block, whose
+// attributes do not include nextaddr: the placement keeps only the
+// generic lowering, which reports the failed lookup.
+func TestUnresolvedBindConstantStaysGeneric(t *testing.T) {
+	src := `
+int c;
+inst I where (I.opcode == Load) {
+  before I { c = c + I.nextaddr; }
+}
+`
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := sem.Check(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := compile.Compile(prog, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := value.Value{Kind: value.KCFE, CFE: &value.CFERef{Kind: ast.BasicBlock, Block: &cfg.Block{}}}
+	c := value.IntVal(0)
+	act := info.Commands[0].Body[0].(*ast.Action)
+	b, err := cp.Actions[act].Bind(func(ref compile.CellRef) (*value.Value, error) {
+		if ref.Name == "I" {
+			return &block, nil
+		}
+		return &c, nil
+	}, &bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.FastExec() != nil {
+		t.Error("FastExec is set for a placement whose constant did not resolve")
+	}
+	if _, ok := b.CounterShape(); ok {
+		t.Error("CounterShape is set for a placement whose constant did not resolve")
+	}
+	if err := b.Exec(nil); err == nil {
+		t.Error("generic lowering read a missing static attribute without error")
 	}
 }

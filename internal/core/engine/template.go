@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/core/ast"
@@ -33,11 +34,17 @@ import (
 // walk's cost. Per-session mutable state (probe IDs, counters, VM
 // memory) lives in the collector and VM exactly as on the cold path.
 //
+// Tool files are session state too: analysis code may write them
+// (Figure 9 records every function entry for its init block to read), so
+// the template records each file's lines and read cursor, and every
+// instantiation gets a fresh file system holding copies, with file
+// globals and captures rebound to the fresh handles by name.
+//
 // Not every build is shareable: the interpreter path, caller-provided
-// file systems, analysis code that touches the tool FS, and captured or
-// global values whose one-level copy would alias nested mutable state
-// (nested containers, file handles) all disable recording. BuildTemplate
-// then returns a nil Template and the build is simply not cached.
+// file systems, and captured or global values whose one-level copy would
+// alias nested mutable state (nested containers, files held in
+// containers) all disable recording. BuildTemplate then returns a nil
+// Template and the build is simply not cached.
 
 // templateRec accumulates recording state during one buildRules walk.
 type templateRec struct {
@@ -83,12 +90,20 @@ type globalRec struct {
 	val  value.Value
 }
 
+// fileRec is one tool file's analysis-time contents and read cursor.
+type fileRec struct {
+	name    string
+	lines   []string
+	readPos int
+}
+
 // Template is a recorded instrumentation build, shareable read-only
 // across sessions. Instantiate may be called concurrently.
 type Template struct {
 	tool    *CompiledTool
 	prog    *cfg.Program
 	globals []globalRec
+	files   []fileRec
 	out     []byte
 	stats   obs.BuildStats
 	actions map[*placement.Action]*actionRec
@@ -99,7 +114,7 @@ type Template struct {
 // It returns the cold build's own RuleSet and Instance — identical to
 // what BuildRules would have produced — plus the Template, or a nil
 // Template when the build is not shareable (interpreter path, external
-// or touched file system, unshareable captured values). The RuleSet
+// file system, unshareable captured values). The RuleSet
 // must still be lowered and used by the calling session as usual.
 func BuildTemplate(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Options) (*Template, *placement.RuleSet, *Instance, error) {
 	if opts.Interpret || tool.Code == nil || opts.FS != nil {
@@ -136,11 +151,6 @@ func addBuildDeltas(b *obs.BuildStats, d obs.BuildStats) {
 // finalizeTemplate checks shareability and freezes the recording, or
 // returns nil when the build must stay session-private.
 func finalizeTemplate(tool *CompiledTool, prog *cfg.Program, rec *templateRec, rs *placement.RuleSet, inst *Instance, stats obs.BuildStats) *Template {
-	// Analysis code that touched the tool file system wrote state a
-	// later session would not rebuild (file contents, read cursors).
-	if len(inst.interp.FS.Names()) > 0 {
-		return nil
-	}
 	t := &Template{
 		tool:    tool,
 		prog:    prog,
@@ -148,18 +158,29 @@ func finalizeTemplate(tool *CompiledTool, prog *cfg.Program, rec *templateRec, r
 		stats:   stats,
 		actions: rec.actions,
 	}
+	fs := inst.interp.FS
+	for _, name := range fs.Names() {
+		f := fs.Open(name)
+		t.files = append(t.files, fileRec{name: name, lines: slices.Clone(f.Lines), readPos: f.ReadPos})
+	}
 	for _, d := range tool.Info.Globals {
 		slot := inst.globals.Lookup(d.Name)
-		if slot == nil || !shareableValue(*slot) {
+		if slot == nil {
 			return nil
 		}
-		t.globals = append(t.globals, globalRec{name: d.Name, val: value.Copy(*slot)})
+		v, ok := recordValue(*slot)
+		if !ok {
+			return nil
+		}
+		t.globals = append(t.globals, globalRec{name: d.Name, val: v})
 	}
 	for _, ar := range rec.actions {
-		for _, v := range ar.caps {
-			if !shareableValue(v) {
+		for name, v := range ar.caps {
+			rv, ok := recordValue(v)
+			if !ok {
 				return nil
 			}
+			ar.caps[name] = rv
 		}
 	}
 	for _, r := range rs.Rules() {
@@ -197,11 +218,35 @@ func recordRule(r *placement.Rule, rec *templateRec) (ruleRec, bool) {
 	return rr, true
 }
 
-// shareableValue reports whether a snapshot of v is safely private
-// after one value.Copy: scalars, strings, opcodes and CFE references
-// are immutable or read-only shared; flat containers copy; nested
-// containers and file handles would alias mutable state across
-// sessions.
+// recordValue snapshots one global or captured value for the template:
+// a file handle becomes a detached handle naming its file (instantiation
+// rebinds it to the session's copy), anything else a private copy;
+// false when v cannot be shared.
+func recordValue(v value.Value) (value.Value, bool) {
+	if v.Kind == value.KFile {
+		return value.Value{Kind: value.KFile, File: &value.FileVal{Name: v.File.Name}}, true
+	}
+	if !shareableValue(v) {
+		return value.Value{}, false
+	}
+	return value.Copy(v), true
+}
+
+// instantiateValue is recordValue's inverse for one session: a file
+// handle resolves by name in the session's file system, anything else
+// is copied.
+func instantiateValue(v value.Value, fs *interp.FS) value.Value {
+	if v.Kind == value.KFile {
+		return value.Value{Kind: value.KFile, File: fs.Open(v.File.Name)}
+	}
+	return value.Copy(v)
+}
+
+// shareableValue reports whether a snapshot of a value other than a
+// file handle is safely private after one value.Copy: scalars, strings,
+// opcodes and CFE references are immutable or read-only shared; flat
+// containers copy; nested containers, and file handles held inside
+// one, would alias mutable state across sessions.
 func shareableValue(v value.Value) bool {
 	deep := func(e value.Value) bool {
 		switch e.Kind {
@@ -211,8 +256,6 @@ func shareableValue(v value.Value) bool {
 		return true
 	}
 	switch v.Kind {
-	case value.KFile:
-		return false
 	case value.KDict:
 		// Numeric elements are stored unboxed; only the Value layouts
 		// can hold a container.
@@ -242,23 +285,34 @@ func shareableValue(v value.Value) bool {
 	return true
 }
 
-// Instantiate rebinds the template for one session: fresh global and
-// captured cells initialized from the recorded snapshots, fresh action
-// closures writing to opts.Out and recording into a fresh Instance,
-// recorded analysis output replayed, and the recorded build-stat deltas
-// credited to opts.Obs. The returned RuleSet is private to the caller
-// and ready for Placer.Lower; runtime options (Out, Obs) are honoured,
-// build options (Interpret, NoIROpt, Adaptive) must match the ones the
-// template was built with — callers key their cache on them.
+// Instantiate rebinds the template for one session: a fresh file
+// system holding copies of the recorded files, fresh global and captured
+// cells initialized from the recorded snapshots, fresh action closures
+// writing to opts.Out and recording into a fresh Instance, recorded
+// analysis output replayed, and the recorded build-stat deltas credited
+// to opts.Obs. The returned RuleSet is private to the caller and ready
+// for Placer.Lower; runtime options (Out, Obs) are honoured, build
+// options (Interpret, NoIROpt, Adaptive) must match the ones the
+// template was built with — callers key their cache on them. A
+// caller-supplied FS is an error: such builds are never recorded.
 func (t *Template) Instantiate(opts Options) (*placement.RuleSet, *Instance, error) {
+	if opts.FS != nil {
+		return nil, nil, fmt.Errorf("cinnamon: internal: template instantiated with a caller-supplied file system")
+	}
 	out := opts.Out
 	if out == nil {
 		out = io.Discard
 	}
-	it := interp.New(t.tool.Info, out, opts.FS)
+	fs := interp.NewFS()
+	for _, f := range t.files {
+		h := fs.Open(f.name)
+		h.Lines = slices.Clone(f.lines)
+		h.ReadPos = f.readPos
+	}
+	it := interp.New(t.tool.Info, out, fs)
 	glob := interp.NewEnv(nil)
 	for _, g := range t.globals {
-		glob.Define(g.name, value.Copy(g.val))
+		glob.Define(g.name, instantiateValue(g.val, fs))
 	}
 	inst := &Instance{interp: it, globals: glob}
 	if len(t.out) > 0 {
@@ -346,7 +400,7 @@ func (t *Template) bindAction(proto *placement.Action, ar *actionRec, glob *inte
 			return nil, fmt.Errorf("cinnamon: internal: unrecorded capture %q at %s", ref.Name, ar.act.Pos())
 		}
 		cell := new(value.Value)
-		*cell = value.Copy(v)
+		*cell = instantiateValue(v, inst.interp.FS)
 		return cell, nil
 	}
 	b, err := body.Bind(resolve, out)

@@ -95,6 +95,17 @@ inst I where (I.opcode == Load) {
 }
 exit { print(hist[3]); }
 `},
+	{"bind-time constant addends", true, `
+uint64 c = 0;
+int hist[2];
+basicblock B {
+  entry B {
+    c = c + B.ninsts;
+    hist[1] = hist[1] - B.startaddr;
+  }
+}
+exit { print(c, hist[1]); }
+`},
 	{"global addend written between firings", false, `
 uint64 k = 1;
 uint64 c = 0;

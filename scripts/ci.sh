@@ -21,20 +21,28 @@
 #              one -stats CLI smoke run, and the probe-dispatch perf
 #              gates (non-race; see internal/vm/obs_test.go and
 #              translate_test.go): disabled path vs the
-#              pre-observability loop, enabled path (a generic probe vs
-#              plain-counter accounting, and a promoted counter with a
-#              collector vs the same counter without one), the
+#              pre-observability loop (timed as alternating single runs
+#              compared by median) and the inline fire loop vs a copy
+#              with no attribution code, enabled path (a generic probe
+#              vs plain-counter accounting, and a promoted counter with
+#              a collector vs the same counter without one), the
 #              translated VM tier vs the interpreter on the probe-free
 #              hot-block workload, and
 #              the action-inlining layer vs the inline-ablated translated
-#              tier on two action-heavy workloads, opcodemix (>=1.5x)
-#              and loopcoverage (>=2.5x; the fast tier's register
-#              locals and int64 dict maps)
+#              tier on four action-heavy workloads, opcodemix (>=1.5x),
+#              loopcoverage (>=2.5x; the fast tier's register locals,
+#              int64 dict maps, native counted loop and fused dict
+#              bump), forwardcfi (>=1.45x; a numeric vector's has) and
+#              shadowstack (>=1.55x; a bind-time constant)
 #              (internal/bench/inline_test.go)
 #   ablate     CLI ablation smoke over one built cinnamon binary: a
 #              -stats loop-coverage run with every speed layer on and
-#              one with -ablate=compile,translate,inline,ir-opt,cache
-#              must print identical stdout and an identical first
+#              one with -ablate=compile,translate,inline,ir-opt,cache,
+#              and a Forward CFI run on victim:indirect_attack and a
+#              Shadow stack run on victim:stack_smash each with and
+#              without -ablate=inline (their actions reach the fast tier
+#              only through bind-time constants and numeric vector
+#              ops), must print identical stdout and an identical first
 #              stderr line (backend, insts, cycles, exit); an unknown
 #              layer (-ablate=jit) must be rejected
 #   governor   one reduced-scale run of the overhead-budget experiment
@@ -124,25 +132,31 @@ echo "==> CLI ablation smoke (-ablate: every layer off vs none)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/cinnamon" ./cmd/cinnamon
-smoke() {
-	"$tmp/cinnamon" -backend=janus -target=victim:spin -loop=2000 -stats "$@" @loopcoverage
+# same_run LAYERS ARGS...: a -stats run with every layer on and one with
+# the LAYERS ablated must agree on stdout and the first stderr line.
+same_run() {
+	layers=$1
+	shift
+	"$tmp/cinnamon" -backend=janus -stats "$@" >"$tmp/plain.out" 2>"$tmp/plain.err"
+	"$tmp/cinnamon" -backend=janus -stats -ablate="$layers" "$@" >"$tmp/ablated.out" 2>"$tmp/ablated.err"
+	cmp "$tmp/plain.out" "$tmp/ablated.out"
+	plain=$(head -n 1 "$tmp/plain.err")
+	ablated=$(head -n 1 "$tmp/ablated.err")
+	case $plain in
+	backend=janus\ insts=*) ;;
+	*)
+		echo "unexpected -stats line for $*: $plain"
+		exit 1
+		;;
+	esac
+	if [ "$plain" != "$ablated" ]; then
+		echo "$* with -ablate=$layers differs: $ablated (want $plain)"
+		exit 1
+	fi
 }
-smoke >"$tmp/plain.out" 2>"$tmp/plain.err"
-smoke -ablate=compile,translate,inline,ir-opt,cache >"$tmp/ablated.out" 2>"$tmp/ablated.err"
-cmp "$tmp/plain.out" "$tmp/ablated.out"
-plain=$(head -n 1 "$tmp/plain.err")
-ablated=$(head -n 1 "$tmp/ablated.err")
-case $plain in
-backend=janus\ insts=*) ;;
-*)
-	echo "unexpected -stats line: $plain"
-	exit 1
-	;;
-esac
-if [ "$plain" != "$ablated" ]; then
-	echo "ablated run differs: $ablated (want $plain)"
-	exit 1
-fi
+same_run compile,translate,inline,ir-opt,cache -target=victim:spin -loop=2000 @loopcoverage
+same_run inline -target=victim:indirect_attack @forwardcfi
+same_run inline -target=victim:stack_smash @shadowstack
 if "$tmp/cinnamon" -backend=janus -target=victim:spin -ablate=jit @loopcoverage 2>/dev/null; then
 	echo "-ablate=jit was accepted"
 	exit 1
