@@ -273,12 +273,8 @@ func (c *Cache) Template(k TemplateKey) (*engine.Template, bool) {
 }
 
 // PutTemplate stores a freshly built template and returns how many
-// entries its insert evicted. Nil templates (unshareable builds) are
-// ignored.
+// entries its insert evicted.
 func (c *Cache) PutTemplate(k TemplateKey, t *engine.Template) int {
-	if t == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ev := c.templates.put(k, t)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core/engine"
 	"repro/internal/progs"
 )
 
@@ -127,11 +128,15 @@ func TestTemplateKeyOptionsDoNotShare(t *testing.T) {
 			t.Fatalf("variant %d hit an empty cache", i)
 		}
 	}
-	if ev := c.PutTemplate(base, nil); ev != 0 {
-		t.Fatalf("nil template insert evicted %d", ev)
+	sentinel := new(engine.Template)
+	c.PutTemplate(base, sentinel)
+	if got, ok := c.Template(base); !ok || got != sentinel {
+		t.Fatalf("stored template not found under its key")
 	}
-	if _, ok := c.Template(base); ok {
-		t.Fatalf("nil template was stored")
+	for i, k := range variants[1:] {
+		if _, ok := c.Template(k); ok {
+			t.Fatalf("variant %d hit the template stored under the base key", i+1)
+		}
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core/artifacts"
 	"repro/internal/core/engine"
-	"repro/internal/core/interp"
 	"repro/internal/core/placement"
 	"repro/internal/core/sem"
 	"repro/internal/core/value"
@@ -63,8 +62,6 @@ func Backends() []string { return []string{Pin, Dyninst, Janus} }
 type Options struct {
 	// Out receives the tool's print() output.
 	Out io.Writer
-	// FS is the tool's file system (fresh in-memory FS if nil).
-	FS *interp.FS
 	// Fuel bounds application instructions (0 = default).
 	Fuel uint64
 	// AppOut receives the application's output (discarded if nil).
@@ -107,9 +104,8 @@ type Options struct {
 	// Artifacts, when non-nil, is the shared artifact cache consulted
 	// for the instrumentation rule template: a hit replays the recorded
 	// build (rebinding per-session state) instead of re-walking the CFE
-	// hierarchy. Runs ablating the cache or the action compiler, and
-	// runs with a caller-supplied FS, bypass it (the last two builds are
-	// not shareable).
+	// hierarchy, and a miss records one. Runs ablating the cache or the
+	// action compiler bypass it; every other build is recorded.
 	Artifacts *artifacts.Cache
 }
 
@@ -130,7 +126,7 @@ func (opts Options) vmConfig() vm.Config {
 // engineOptions maps the run options onto the instrumentation stage.
 func engineOptions(opts Options) engine.Options {
 	return engine.Options{
-		Out: opts.Out, FS: opts.FS, Interpret: opts.Ablate&AblateCompile != 0, Obs: opts.Obs,
+		Out: opts.Out, Interpret: opts.Ablate&AblateCompile != 0, Obs: opts.Obs,
 		NoIROpt: opts.Ablate&AblateIROpt != 0, Adaptive: opts.Adaptive,
 	}
 }
@@ -144,7 +140,7 @@ func engineOptions(opts Options) engine.Options {
 func instrument(tool *engine.CompiledTool, prog *cfg.Program, pl engine.Placer, opts Options) (*engine.Instance, error) {
 	eopts := engineOptions(opts)
 	cache := opts.Artifacts
-	if cache == nil || opts.Ablate&(AblateCache|AblateCompile) != 0 || opts.FS != nil {
+	if cache == nil || opts.Ablate&(AblateCache|AblateCompile) != 0 {
 		return engine.Instrument(tool, prog, pl, eopts)
 	}
 	key := artifacts.TemplateKey{

@@ -9,6 +9,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cfg"
 	"repro/internal/core/engine"
+	"repro/internal/dyninst"
 	"repro/internal/isa"
 	"repro/internal/obj"
 	"repro/internal/progs"
@@ -58,6 +59,42 @@ func compile(t *testing.T, name string) *engine.CompiledTool {
 		t.Fatal(err)
 	}
 	return tool
+}
+
+// caseStudyVictim loads the victim each case study is exercised on.
+func caseStudyVictim(t *testing.T, name string) *cfg.Program {
+	t.Helper()
+	victim, ok := map[string]string{
+		progs.InstCountBasic: "loopy",
+		progs.InstCountBB:    "loopy",
+		progs.OpcodeMix:      "loopy",
+		progs.LoopCoverage:   "loopy",
+		progs.UseAfterFree:   "uaf_bug",
+		progs.ShadowStack:    "stack_smash",
+		progs.ForwardCFI:     "indirect_attack",
+	}[name]
+	if !ok {
+		t.Fatalf("no victim for case study %s", name)
+	}
+	return loadVictim(t, victim)
+}
+
+// placerFor opens the named backend on prog as Run would, or returns
+// nil when the backend refuses the binary.
+func placerFor(b string, prog *cfg.Program, opts Options) engine.Placer {
+	switch b {
+	case Pin:
+		return newPinPlacer(prog, opts)
+	case Dyninst:
+		be, err := dyninst.OpenBinary(prog, opts.vmConfig())
+		if err != nil {
+			return nil
+		}
+		return &dyninstPlacer{be: be, prog: prog}
+	case Janus:
+		return &janusPlacer{prog: prog}
+	}
+	return nil
 }
 
 // runTool runs a case-study tool on a program under a backend and

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core/engine"
 	"repro/internal/core/placement"
-	"repro/internal/dyninst"
 	"repro/internal/progs"
 )
 
@@ -15,35 +14,13 @@ import (
 // dispatched as MechFast or MechCounter, never through the generic
 // lowering.
 func TestCaseStudiesOnFastTier(t *testing.T) {
-	victims := map[string]string{
-		progs.InstCountBasic: "loopy",
-		progs.InstCountBB:    "loopy",
-		progs.OpcodeMix:      "loopy",
-		progs.LoopCoverage:   "loopy",
-		progs.UseAfterFree:   "uaf_bug",
-		progs.ShadowStack:    "stack_smash",
-		progs.ForwardCFI:     "indirect_attack",
-	}
 	for _, name := range progs.Names() {
-		victim, ok := victims[name]
-		if !ok {
-			t.Fatalf("no victim for case study %s", name)
-		}
-		prog := loadVictim(t, victim)
+		prog := caseStudyVictim(t, name)
 		tool := compile(t, name)
 		for _, b := range Backends() {
-			var pl engine.Placer
-			switch b {
-			case Pin:
-				pl = newPinPlacer(prog, Options{})
-			case Dyninst:
-				be, err := dyninst.OpenBinary(prog, Options{}.vmConfig())
-				if err != nil {
-					continue // not accepted
-				}
-				pl = &dyninstPlacer{be: be, prog: prog}
-			case Janus:
-				pl = &janusPlacer{prog: prog}
+			pl := placerFor(b, prog, Options{})
+			if pl == nil {
+				continue // not accepted
 			}
 			rs, _, err := engine.BuildRules(tool, prog, pl, engineOptions(Options{}))
 			if err != nil {

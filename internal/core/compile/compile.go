@@ -34,6 +34,7 @@ package compile
 import (
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 
 	"repro/internal/core/ast"
@@ -67,13 +68,13 @@ type Body struct {
 	stmts []stmtFn
 
 	// fast is the whole-body fast lowering (nil when some construct has
-	// no fast path); see fast.go. It has its own frame layout, aliased
-	// onto the same cells at Bind time.
+	// no fast path); see fast.go. It runs on the same frame, its cells
+	// resolved against the same table.
 	fast *fastBody
 }
 
 // frame is the execution state of one body invocation: bound cells, the
-// local slot frame (the generic lowering's Values, or the fast tier's
+// local slot frames (the generic lowering's Values and the fast tier's
 // int64 registers), the probe's materialized dynamic attributes, and the
 // tool output writer.
 type frame struct {
@@ -102,8 +103,8 @@ type CellResolver func(ref CellRef) (*value.Value, error)
 type Bound struct {
 	body *Body
 	fr   frame
-	// fastFr is the fast lowering's frame, valid when hasFast.
-	fastFr  frame
+	// hasFast is set when the body has a fast lowering and this
+	// placement's bind-time constants resolved.
 	hasFast bool
 }
 
@@ -125,32 +126,10 @@ func (b *Body) Bind(resolve CellResolver, out io.Writer) (*Bound, error) {
 		bd.fr.locals = make([]value.Value, b.NumLocals)
 	}
 	if fb := b.fast; fb != nil {
-		// The fast frame aliases the cells the generic frame resolved —
-		// captures must not be copied twice — so both lowerings observe
-		// identical state. The fast pass only resolves names the generic
-		// pass also resolved, so every ref has a generic slot; the
-		// resolver fallback covers cells shared by reference (globals)
-		// anyway.
-		ff := &bd.fastFr
-		ff.out = out
-		if n := len(fb.cells); n > 0 {
-			ff.cells = make([]*value.Value, n)
-			for i, ref := range fb.cells {
-				if j := fb.alias[i]; j >= 0 {
-					ff.cells[i] = bd.fr.cells[j]
-					continue
-				}
-				cell, err := resolve(ref)
-				if err != nil {
-					return nil, err
-				}
-				ff.cells[i] = cell
-			}
-		}
 		if fb.nLocals > 0 {
-			ff.regs = make([]int64, fb.nLocals)
+			bd.fr.regs = make([]int64, fb.nLocals)
 		}
-		bd.hasFast = fb.bindConsts(ff)
+		bd.hasFast = fb.bindConsts(&bd.fr)
 	}
 	return bd, nil
 }
@@ -187,7 +166,7 @@ func (b *Bound) FastExec() func(dyn []value.Value) error {
 	if fb == nil || !b.hasFast {
 		return nil
 	}
-	fr := &b.fastFr
+	fr := &b.fr
 	guard := fb.guard
 	stmts := fb.stmts
 	return func(dyn []value.Value) error {
@@ -221,7 +200,7 @@ func (b *Bound) CounterShape() (flush func(n int64), ok bool) {
 	if fb == nil || fb.counter == nil || !b.hasFast {
 		return nil, false
 	}
-	cells, regs, terms := b.fastFr.cells, b.fastFr.regs, fb.counter
+	cells, regs, terms := b.fr.cells, b.fr.regs, fb.counter
 	return func(n int64) {
 		for _, t := range terms {
 			k := t.k
@@ -428,15 +407,15 @@ func compileBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard ast.E
 		b.guard = c.compileExpr(guard)
 	}
 	b.stmts = c.compileStmts(body)
-	b.Cells = c.cells
 	b.NumLocals = c.nLocals
-	if fb := compileFastBody(info, dyn, body, guard, outer, rebound); fb != nil {
-		fb.alias = make([]int, len(fb.cells))
-		for i, ref := range fb.cells {
-			fb.alias[i] = slices.Index(b.Cells, ref)
-		}
-		b.fast = fb
+	// The fast pass resolves its cells against this pass's table, so the
+	// two lowerings share one frame; a cell only the fast pass reads is
+	// appended to the table.
+	fc := &compiler{info: info, outer: outer, cells: slices.Clone(c.cells), cellIdx: maps.Clone(c.cellIdx), dyn: dyn, rebound: rebound}
+	if b.fast = fc.compileFastBody(body, guard); b.fast != nil {
+		c.cells = fc.cells
 	}
+	b.Cells = c.cells
 	return b, nil
 }
 

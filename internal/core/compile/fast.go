@@ -5,9 +5,11 @@ package compile
 // action bodies — statements included — into closures that keep every
 // intermediate value an unboxed int64, boxing only at stores to cells.
 // Body locals, which are always numeric here, live in an int64 register
-// slice on the fast frame instead of Value slots; numeric-keyed dicts
-// with numeric elements are read and written through their int64 map
-// (value.DictVal.Ints); numeric vectors are scanned and appended as
+// slice on the frame instead of Value slots; numeric-keyed dicts with
+// numeric elements are read and written through their int64 map
+// (value.DictVal.Ints), which every such dict has because a container
+// is assignable only from one of matching key and element types
+// (types.AssignableTo); numeric vectors are scanned and appended as
 // int64s; and every comparison and arithmetic operator gets its own
 // closure. The VM's inline tier (internal/vm) invokes these bodies from
 // specialized probe thunks, so the whole fire costs a few direct calls
@@ -59,7 +61,6 @@ import (
 
 	"repro/internal/core/ast"
 	"repro/internal/core/interp"
-	"repro/internal/core/sem"
 	"repro/internal/core/token"
 	"repro/internal/core/types"
 	"repro/internal/core/value"
@@ -74,14 +75,9 @@ type fastBool func(fr *frame) (bool, error)
 // fastStr renders one print() argument exactly as Value.String would.
 type fastStr func(fr *frame) (string, error)
 
-// fastBody is the whole-body fast lowering of one action, with its own
-// frame layout (the fast pass re-resolves slots independently of the
-// generic pass; Bind aliases both frames onto the same cells).
+// fastBody is the whole-body fast lowering of one action. It shares the
+// generic lowering's cells; its locals are the registers.
 type fastBody struct {
-	cells []CellRef
-	// alias maps each fast-frame cell to the generic frame's slot for
-	// the same ref (-1 if the generic pass has none).
-	alias   []int
 	nLocals int
 	// consts are the body's bind-time constants, filled into their
 	// registers by Bind.
@@ -95,7 +91,7 @@ type fastBody struct {
 }
 
 // bindConst is one bind-time constant: static attribute attr of the CFE
-// held in fast-frame cell, stored in register reg.
+// held in cell, stored in register reg.
 type bindConst struct {
 	cell int
 	attr string
@@ -103,7 +99,7 @@ type bindConst struct {
 }
 
 // counterTerm is one `c = c ± k` statement of an additive body, in
-// fast-frame cell indices.
+// cell indices.
 type counterTerm struct {
 	// cell holds c — or, when elem >= 0, the array whose element elem
 	// is c.
@@ -117,11 +113,8 @@ type counterTerm struct {
 }
 
 // compileFastBody attempts the whole-body fast lowering; nil means some
-// construct has no fast path and the body stays generic-only. rebound
-// names the arrays some statement of the program rebinds (see
-// arrayRebinds).
-func compileFastBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard ast.Expr, outer *outerScope, rebound map[string]bool) *fastBody {
-	c := &compiler{info: info, outer: outer, cellIdx: make(map[string]int), dyn: dyn, rebound: rebound}
+// construct has no fast path and the body stays generic-only.
+func (c *compiler) compileFastBody(body []ast.Stmt, guard ast.Expr) *fastBody {
 	c.pushScope()
 	fb := &fastBody{}
 	if guard != nil {
@@ -135,7 +128,6 @@ func compileFastBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard a
 	}
 	c.classifyCounter(fb, body, guard)
 	fb.stmts = stmts
-	fb.cells = c.cells
 	fb.nLocals = c.nLocals
 	fb.consts = c.consts
 	return fb
@@ -647,13 +639,7 @@ func (c *compiler) fastAssign(st *ast.AssignStmt) fastStmt {
 				if bv.Kind != value.KDict {
 					return errf(pos, "value is not indexable")
 				}
-				if m := bv.Dict.Ints; m != nil {
-					m[k] = n
-					return nil
-				}
-				// A dict<K,line> assigned to this variable keeps its
-				// boxed layout.
-				bv.Dict.Set(value.IntVal(k), value.IntVal(n))
+				bv.Dict.Ints[k] = n
 				return nil
 			}
 		case types.Array:
@@ -751,12 +737,7 @@ func (c *compiler) fastDictBump(st *ast.AssignStmt, lhs *ast.IndexExpr, base *as
 		if neg {
 			n = -n
 		}
-		if m := bv.Dict.Ints; m != nil {
-			m[k] += n
-			return nil
-		}
-		old := bv.Dict.Get(value.IntVal(k))
-		bv.Dict.Set(value.IntVal(k), value.IntVal(asIntRef(&old)+n))
+		bv.Dict.Ints[k] += n
 		return nil
 	}
 }
@@ -989,11 +970,7 @@ func (c *compiler) fastIndexGet(x *ast.IndexExpr) intFn {
 			if bv.Kind != value.KDict {
 				return 0, errf(pos, "value is not indexable")
 			}
-			if m := bv.Dict.Ints; m != nil {
-				return m[k], nil // a missing key reads 0
-			}
-			e := bv.Dict.Get(value.IntVal(k))
-			return asIntRef(&e), nil
+			return bv.Dict.Ints[k], nil // a missing key reads 0
 		}
 	case types.Vector:
 		// Out of range yields NULL generically, which is 0 here.
@@ -1201,8 +1178,8 @@ func (c *compiler) fastBoolExpr(e ast.Expr) fastBool {
 	return nil
 }
 
-// fastHas lowers r.has(k) on a directly-named dict with a numeric key
-// type or vector with numeric elements.
+// fastHas lowers r.has(k) on a directly-named dict with numeric key and
+// element types, or vector with numeric elements.
 func (c *compiler) fastHas(x *ast.CallExpr) fastBool {
 	fun, ok := x.Fun.(*ast.FieldExpr)
 	if !ok || fun.Name != "has" || len(x.Args) != 1 {
@@ -1238,7 +1215,7 @@ func (c *compiler) fastHas(x *ast.CallExpr) fastBool {
 		return nil
 	}
 	t := c.info.Types[fun.X]
-	if t == nil || t.Kind != types.Dict || t.Key == nil || !t.Key.IsNumeric() {
+	if t == nil || t.Kind != types.Dict || !t.Key.IsNumeric() || !t.Elem.IsNumeric() {
 		return nil
 	}
 	idx, ok := c.cellSlot(id.Name)
@@ -1260,11 +1237,8 @@ func (c *compiler) fastHas(x *ast.CallExpr) fastBool {
 		if err != nil {
 			return false, err
 		}
-		if m := rv.Dict.Ints; m != nil {
-			_, ok := m[k]
-			return ok, nil
-		}
-		return rv.Dict.Has(value.IntVal(k)), nil
+		_, ok := rv.Dict.Ints[k]
+		return ok, nil
 	}
 }
 

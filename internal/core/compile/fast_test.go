@@ -39,6 +39,9 @@ type fastCase struct {
 	// fastOnly skips the reference paths, which would take seconds to
 	// count to interp.MaxLoopIters; wantErr pins the result instead.
 	fastOnly bool
+	// compileErr, when set, is the error sem.Check must reject the tool
+	// with; nothing is fired.
+	compileErr string
 }
 
 var fastCases = []fastCase{
@@ -80,6 +83,7 @@ var fastCases = []fastCase{
 		body: `
     d[1] = d[1] + 5;
     if (d.has(1)) { c = c + d[1] + d.size(); }`,
+		compileErr: "cinnamon: 1:19: cannot initialize d (dict<int,int>) with dict<int,line>",
 	},
 	{
 		name:    "nested loops shadow and reuse an int local",
@@ -182,6 +186,7 @@ var fastCases = []fastCase{
     d[c] = d[c] + 5;
     d[c] = d[c] - 1;
     c = c + d[0];`,
+		compileErr: "cinnamon: 1:19: cannot initialize d (dict<int,int>) with dict<int,line>",
 	},
 	{
 		name:    "dict bump whose addend fails leaves the dict alone",
@@ -254,9 +259,8 @@ const (
 // 5 bytes long, with two operands.
 var caseInst = &isa.Inst{Addr: 0x4010, Size: 5, Op: isa.Load, Ops: make([]isa.Operand, 2)}
 
-// fire runs the case's action twice on freshly declared globals through
-// one execution path.
-func (fc fastCase) fire(t *testing.T, via int) (map[string]value.Value, string, error) {
+// check parses and checks the case's tool.
+func (fc fastCase) check(t *testing.T) (*ast.Program, *sem.Info, error) {
 	t.Helper()
 	src := fc.globals + `
 inst I where (I.opcode == Load) {
@@ -269,6 +273,14 @@ inst I where (I.opcode == Load) {
 		t.Fatal(err)
 	}
 	info, err := sem.Check(prog)
+	return prog, info, err
+}
+
+// fire runs the case's action twice on freshly declared globals through
+// one execution path.
+func (fc fastCase) fire(t *testing.T, via int) (map[string]value.Value, string, error) {
+	t.Helper()
+	prog, info, err := fc.check(t)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,6 +345,12 @@ func TestFastTierMatchesGeneric(t *testing.T) {
 	}
 	for _, fc := range fastCases {
 		t.Run(fc.name, func(t *testing.T) {
+			if fc.compileErr != "" {
+				if _, _, err := fc.check(t); errText(err) != fc.compileErr {
+					t.Errorf("compile error = %q, want %q", errText(err), fc.compileErr)
+				}
+				return
+			}
 			if fc.fastOnly {
 				if _, _, err := fc.fire(t, viaFast); errText(err) != fc.wantErr {
 					t.Errorf("fast error = %q, want %q", errText(err), fc.wantErr)

@@ -86,8 +86,6 @@ type Placer interface {
 type Options struct {
 	// Out receives the tool's print() output.
 	Out io.Writer
-	// FS is the tool file system (fresh in-memory FS if nil).
-	FS *interp.FS
 	// Interpret executes action and init/exit bodies with the
 	// tree-walking interpreter instead of the closure-compiled code —
 	// the reference path the equivalence tests compare against.
@@ -128,19 +126,17 @@ func (i *Instance) record(err error) {
 }
 
 type engineRun struct {
+	// binder binds the compiled bodies into the session. Its writer
+	// equals the interpreter's analysis-time writer except under
+	// template recording, where analysis output is teed into the
+	// template but runtime output must not be.
+	binder
 	tool      *CompiledTool
 	placer    Placer
 	prog      *cfg.Program
 	in        *interp.Interp
-	glob      *interp.Env
-	inst      *Instance
 	interpret bool
 	obs       *obs.Collector
-	// bindOut is the writer runtime bodies (actions, init/exit blocks)
-	// bind against. It equals the interpreter's analysis-time writer
-	// except under template recording, where analysis output is teed
-	// into the template but runtime output must not be.
-	bindOut io.Writer
 	// rec, when non-nil, records the session-independent build products
 	// for a reusable Template (see template.go).
 	rec *templateRec
@@ -219,7 +215,7 @@ func buildRules(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Optio
 		}
 		buildObs = rec.col
 	}
-	it := interp.New(tool.Info, analysisOut, opts.FS)
+	it := interp.New(tool.Info, analysisOut, nil)
 	glob := interp.NewEnv(nil)
 	for _, d := range tool.Info.Globals {
 		if err := it.DeclareGlobal(glob, d); err != nil {
@@ -227,7 +223,6 @@ func buildRules(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Optio
 		}
 	}
 	inst := &Instance{interp: it, globals: glob}
-	interpret := opts.Interpret || tool.Code == nil
 	bindOut := io.Writer(it.Out)
 	if rec != nil {
 		bindOut = opts.Out
@@ -237,9 +232,9 @@ func buildRules(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Optio
 	}
 	e := &engineRun{
 		tool: tool, placer: placer, prog: prog,
-		in: it, glob: glob, inst: inst, interpret: interpret,
-		obs: buildObs, bindOut: bindOut, rec: rec,
+		in: it, interpret: opts.Interpret, obs: buildObs, rec: rec,
 		rs: &placement.RuleSet{}, optimize: !opts.NoIROpt,
+		binder: binder{glob: glob, out: bindOut, inst: inst},
 	}
 
 	// Commands map in program order; within a command, per-module in
@@ -251,23 +246,21 @@ func buildRules(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Optio
 			}
 		}
 	}
-	var codeInits, codeExits []*compile.Body
-	if tool.Code != nil {
-		codeInits, codeExits = tool.Code.Inits, tool.Code.Exits
-	}
-	for i, b := range tool.Info.Inits {
-		fn, err := e.blockExec(b.Body, codeInits, i)
-		if err != nil {
+	if e.interpret {
+		for _, b := range tool.Info.Inits {
+			e.rs.Inits = append(e.rs.Inits, e.interpBlock(b.Body))
+		}
+		for _, b := range tool.Info.Exits {
+			e.rs.Finis = append(e.rs.Finis, e.interpBlock(b.Body))
+		}
+	} else {
+		var err error
+		if e.rs.Inits, err = e.blocks(tool.Code.Inits); err != nil {
 			return nil, nil, err
 		}
-		e.rs.Inits = append(e.rs.Inits, fn)
-	}
-	for i, b := range tool.Info.Exits {
-		fn, err := e.blockExec(b.Body, codeExits, i)
-		if err != nil {
+		if e.rs.Finis, err = e.blocks(tool.Code.Exits); err != nil {
 			return nil, nil, err
 		}
-		e.rs.Finis = append(e.rs.Finis, fn)
 	}
 	if err := placement.Apply(e.rs, placement.Config{
 		Optimize: e.optimize,
@@ -279,29 +272,13 @@ func buildRules(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Optio
 	return e.rs, inst, nil
 }
 
-// blockExec builds the runnable form of one init/exit block: the bound
-// compiled body, or the interpreter fallback under Options.Interpret.
-func (e *engineRun) blockExec(body []ast.Stmt, compiled []*compile.Body, i int) (func(), error) {
+// interpBlock runs one init/exit block on the tree-walking path, under
+// Options.Interpret.
+func (e *engineRun) interpBlock(body []ast.Stmt) func() {
 	it, glob, inst := e.in, e.glob, e.inst
-	if e.interpret {
-		return func() {
-			inst.record(it.ExecStmts(interp.NewEnv(glob), body))
-		}, nil
+	return func() {
+		inst.record(it.ExecStmts(interp.NewEnv(glob), body))
 	}
-	bound, err := compiled[i].Bind(e.resolveGlobal, e.bindOut)
-	if err != nil {
-		return nil, err
-	}
-	return func() { inst.record(bound.Exec(nil)) }, nil
-}
-
-// resolveGlobal binds a compiled body's global cell to the shared slot the
-// interpreter declared for it.
-func (e *engineRun) resolveGlobal(ref compile.CellRef) (*value.Value, error) {
-	if v := e.glob.Lookup(ref.Name); v != nil {
-		return v, nil
-	}
-	return nil, fmt.Errorf("cinnamon: internal: unresolved global %q", ref.Name)
 }
 
 // domain is the iteration space of a command: a whole module for
@@ -480,13 +457,8 @@ func (e *engineRun) placeAction(act *ast.Action, env *interp.Env) error {
 	}
 	if e.interpret {
 		a.Exec = e.interpExec(act, ai, env)
-	} else {
-		exec, inline, err := e.compiledExec(act, env, a)
-		if err != nil {
-			return err
-		}
-		a.Exec = exec
-		a.Inline = inline
+	} else if err := e.bindAction(act, env, a); err != nil {
+		return err
 	}
 	emit := func(r *placement.Rule) {
 		r.Action, r.Group, r.Where = a, group, whereExpr
@@ -634,65 +606,99 @@ func (e *engineRun) interpExec(act *ast.Action, ai *sem.ActionInfo, env *interp.
 	}
 }
 
-// compiledExec builds an action executor on the closure-compiled path:
-// the pre-lowered body is bound once per placement — captures copied by
-// value, globals shared — and every firing runs the closure chain on the
-// reused frame. Under template recording, the captured values are
-// additionally snapshotted against the placed Action so Instantiate can
-// rebind the same body with equal captures for another session.
-func (e *engineRun) compiledExec(act *ast.Action, env *interp.Env, a *placement.Action) (func(dyn []value.Value), *placement.InlineInfo, error) {
+// bindAction binds the action's compiled body for this placement, with
+// each capture copied by value out of the walk's scope. Under template
+// recording the captures are also recorded against the placed Action,
+// so Instantiate can rebind the same body with equal captures for
+// another session.
+func (e *engineRun) bindAction(act *ast.Action, env *interp.Env, a *placement.Action) error {
 	body := e.tool.Code.Actions[act]
 	if body == nil {
-		return nil, nil, fmt.Errorf("cinnamon: internal: uncompiled action at %s", act.Pos())
+		return fmt.Errorf("cinnamon: internal: uncompiled action at %s", act.Pos())
 	}
 	var caps map[string]value.Value
 	if e.rec != nil {
 		caps = make(map[string]value.Value)
+		e.rec.actions[a] = &actionRec{body: body, caps: caps}
 	}
-	resolve := func(ref compile.CellRef) (*value.Value, error) {
-		if ref.Global {
-			return e.resolveGlobal(ref)
-		}
-		slot := env.Lookup(ref.Name)
+	return e.action(a, body, func(name string) (value.Value, bool) {
+		slot := env.Lookup(name)
 		if slot == nil {
-			return nil, fmt.Errorf("cinnamon: internal: unresolved capture %q at %s", ref.Name, act.Pos())
+			return value.Value{}, false
 		}
-		cell := new(value.Value)
-		*cell = value.Copy(*slot)
 		if caps != nil {
-			caps[ref.Name] = value.Copy(*slot)
+			caps[name] = recordValue(*slot)
 		}
-		return cell, nil
-	}
-	bound, err := body.Bind(resolve, e.bindOut)
+		return value.Copy(*slot), true
+	})
+}
+
+// binder binds compiled bodies into one session, cold or instantiated
+// from a Template: globals resolve to the session's shared slots, each
+// capture to a fresh cell, print() output goes to out and runtime errors
+// are recorded into inst. The two callers differ only in where a
+// capture's value comes from.
+type binder struct {
+	glob *interp.Env
+	out  io.Writer
+	inst *Instance
+}
+
+// bind binds one compiled body; capture returns the private value of
+// each captured variable's fresh cell, false when it has none.
+func (b binder) bind(body *compile.Body, capture func(name string) (value.Value, bool)) (*compile.Bound, error) {
+	return body.Bind(func(ref compile.CellRef) (*value.Value, error) {
+		if ref.Global {
+			if v := b.glob.Lookup(ref.Name); v != nil {
+				return v, nil
+			}
+			return nil, fmt.Errorf("cinnamon: internal: unresolved global %q", ref.Name)
+		}
+		v, ok := capture(ref.Name)
+		if !ok {
+			return nil, fmt.Errorf("cinnamon: internal: unresolved capture %q", ref.Name)
+		}
+		return &v, nil
+	}, b.out)
+}
+
+// action binds an action body as a's executors: Exec, and the fast
+// lowering the placement IR promotes (Inline; nil when the placement
+// has none). Every firing runs the closure chain on the reused frame.
+func (b binder) action(a *placement.Action, body *compile.Body, capture func(name string) (value.Value, bool)) error {
+	bound, err := b.bind(body, capture)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	if e.rec != nil {
-		e.rec.actions[a] = &actionRec{act: act, caps: caps}
+	inst := b.inst
+	var il *placement.InlineInfo
+	if fast := bound.FastExec(); fast != nil {
+		il = &placement.InlineInfo{Exec: func(dyn []value.Value) {
+			if err := fast(dyn); err != nil {
+				inst.record(err)
+			}
+		}}
+		il.Flush, _ = bound.CounterShape()
 	}
-	inst := e.inst
-	return func(dyn []value.Value) {
+	a.Exec = func(dyn []value.Value) {
 		if err := bound.Exec(dyn); err != nil {
 			inst.record(err)
 		}
-	}, inlineInfo(bound, inst), nil
+	}
+	a.Inline = il
+	return nil
 }
 
-// inlineInfo exposes a bound body's fast lowering to the placement IR,
-// recording its runtime errors into inst: the fast executor, and the
-// flush of an additive body (see compile.Bound.CounterShape). Nil when
-// the body has no fast lowering.
-func inlineInfo(b *compile.Bound, inst *Instance) *placement.InlineInfo {
-	fast := b.FastExec()
-	if fast == nil {
-		return nil
-	}
-	il := &placement.InlineInfo{Exec: func(dyn []value.Value) {
-		if err := fast(dyn); err != nil {
-			inst.record(err)
+// blocks binds the init or exit bodies, which capture nothing.
+func (b binder) blocks(bodies []*compile.Body) ([]func(), error) {
+	var fns []func()
+	for _, body := range bodies {
+		bound, err := b.bind(body, func(string) (value.Value, bool) { return value.Value{}, false })
+		if err != nil {
+			return nil, err
 		}
-	}}
-	il.Flush, il.Counter = b.CounterShape()
-	return il
+		inst := b.inst
+		fns = append(fns, func() { inst.record(bound.Exec(nil)) })
+	}
+	return fns, nil
 }

@@ -2,17 +2,14 @@ package engine
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"slices"
 
 	"repro/internal/cfg"
-	"repro/internal/core/ast"
 	"repro/internal/core/compile"
 	"repro/internal/core/interp"
 	"repro/internal/core/placement"
 	"repro/internal/core/value"
-	"repro/internal/isa"
 	"repro/internal/obs"
 )
 
@@ -40,11 +37,10 @@ import (
 // instantiation gets a fresh file system holding copies, with file
 // globals and captures rebound to the fresh handles by name.
 //
-// Not every build is shareable: the interpreter path, caller-provided
-// file systems, and captured or global values whose one-level copy would
-// alias nested mutable state (nested containers, files held in
-// containers) all disable recording. BuildTemplate then returns a nil
-// Template and the build is simply not cached.
+// Every compiled build records a template; only the interpreter path
+// (Options.Interpret) has no compiled bodies to rebind and records none.
+// A recorded value needs one value.Copy to be private: the language has
+// no containers of containers, and files are rebound by name.
 
 // templateRec accumulates recording state during one buildRules walk.
 type templateRec struct {
@@ -55,33 +51,18 @@ type templateRec struct {
 	col *obs.Collector
 	// analysisOut tees the analysis-time tool output.
 	analysisOut bytes.Buffer
-	// actions maps each placed Action to its AST node and captured
+	// actions maps each placed Action to its compiled body and captured
 	// values.
 	actions map[*placement.Action]*actionRec
 }
 
 // actionRec is one placed action's rebind record.
 type actionRec struct {
-	act *ast.Action
+	body *compile.Body
 	// caps holds the non-global free variables of the compiled body,
-	// by name, snapshotted at the cold bind. Never handed out directly:
-	// Instantiate copies per session.
+	// by name, recorded at the cold bind (see recordValue). Never handed
+	// out directly: Instantiate copies per session.
 	caps map[string]value.Value
-}
-
-// ruleRec is one post-pass rule in table order. A merged rule records
-// its constituents and is re-fused at instantiation so the fused
-// closures bind to the new session's cells.
-type ruleRec struct {
-	trigger placement.Trigger
-	inst    *isa.Inst
-	block   *cfg.Block
-	from    *cfg.Block
-	action  *placement.Action // proto action (metadata key into Template.actions)
-	mech    placement.Mechanism
-	where   ast.Expr
-	group   *placement.WhereGroup
-	merged  []ruleRec
 }
 
 // globalRec is one global's final analysis-time value.
@@ -107,17 +88,19 @@ type Template struct {
 	out     []byte
 	stats   obs.BuildStats
 	actions map[*placement.Action]*actionRec
-	rules   []ruleRec
+	// rules are the cold build's post-pass rules in table order; nothing
+	// mutates a rule after placement.Apply. Their actions are the cold
+	// session's and key actions.
+	rules []*placement.Rule
 }
 
 // BuildTemplate runs BuildRules while recording a reusable Template.
 // It returns the cold build's own RuleSet and Instance — identical to
-// what BuildRules would have produced — plus the Template, or a nil
-// Template when the build is not shareable (interpreter path, external
-// file system, unshareable captured values). The RuleSet
-// must still be lowered and used by the calling session as usual.
+// what BuildRules would have produced — plus the Template, which is nil
+// only under Options.Interpret. The RuleSet must still be lowered and
+// used by the calling session as usual.
 func BuildTemplate(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Options) (*Template, *placement.RuleSet, *Instance, error) {
-	if opts.Interpret || tool.Code == nil || opts.FS != nil {
+	if opts.Interpret {
 		rs, inst, err := buildRules(tool, prog, placer, opts, nil)
 		return nil, rs, inst, err
 	}
@@ -135,7 +118,23 @@ func BuildTemplate(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Op
 	if opts.Obs != nil {
 		opts.Obs.MutateBuild(func(b *obs.BuildStats) { addBuildDeltas(b, stats) })
 	}
-	return finalizeTemplate(tool, prog, rec, rs, inst, stats), rs, inst, nil
+	t := &Template{
+		tool:    tool,
+		prog:    prog,
+		out:     rec.analysisOut.Bytes(),
+		stats:   stats,
+		actions: rec.actions,
+		rules:   slices.Clone(rs.Rules()),
+	}
+	fs := inst.interp.FS
+	for _, name := range fs.Names() {
+		f := fs.Open(name)
+		t.files = append(t.files, fileRec{name: name, lines: slices.Clone(f.Lines), readPos: f.ReadPos})
+	}
+	for _, d := range tool.Info.Globals {
+		t.globals = append(t.globals, globalRec{name: d.Name, val: recordValue(*inst.globals.Lookup(d.Name))})
+	}
+	return t, rs, inst, nil
 }
 
 // addBuildDeltas adds the instrumentation-stage build stats a template
@@ -148,88 +147,14 @@ func addBuildDeltas(b *obs.BuildStats, d obs.BuildStats) {
 	b.ProbesCoalesced += d.ProbesCoalesced
 }
 
-// finalizeTemplate checks shareability and freezes the recording, or
-// returns nil when the build must stay session-private.
-func finalizeTemplate(tool *CompiledTool, prog *cfg.Program, rec *templateRec, rs *placement.RuleSet, inst *Instance, stats obs.BuildStats) *Template {
-	t := &Template{
-		tool:    tool,
-		prog:    prog,
-		out:     rec.analysisOut.Bytes(),
-		stats:   stats,
-		actions: rec.actions,
-	}
-	fs := inst.interp.FS
-	for _, name := range fs.Names() {
-		f := fs.Open(name)
-		t.files = append(t.files, fileRec{name: name, lines: slices.Clone(f.Lines), readPos: f.ReadPos})
-	}
-	for _, d := range tool.Info.Globals {
-		slot := inst.globals.Lookup(d.Name)
-		if slot == nil {
-			return nil
-		}
-		v, ok := recordValue(*slot)
-		if !ok {
-			return nil
-		}
-		t.globals = append(t.globals, globalRec{name: d.Name, val: v})
-	}
-	for _, ar := range rec.actions {
-		for name, v := range ar.caps {
-			rv, ok := recordValue(v)
-			if !ok {
-				return nil
-			}
-			ar.caps[name] = rv
-		}
-	}
-	for _, r := range rs.Rules() {
-		rr, ok := recordRule(r, rec)
-		if !ok {
-			return nil
-		}
-		t.rules = append(t.rules, rr)
-	}
-	return t
-}
-
-// recordRule freezes one post-pass rule (recursing one level into the
-// constituents of a merged rule).
-func recordRule(r *placement.Rule, rec *templateRec) (ruleRec, bool) {
-	rr := ruleRec{
-		trigger: r.Trigger, inst: r.Inst, block: r.Block, from: r.From,
-		mech: r.Mechanism, where: r.Where, group: r.Group,
-	}
-	if parts := r.Merged; len(parts) > 0 {
-		for _, p := range parts {
-			pr, ok := recordRule(p, rec)
-			if !ok || len(pr.merged) > 0 {
-				return ruleRec{}, false
-			}
-			rr.merged = append(rr.merged, pr)
-		}
-		return rr, true
-	}
-	if r.Action == nil || rec.actions[r.Action] == nil {
-		// An action the walk did not record (native/raw placements).
-		return ruleRec{}, false
-	}
-	rr.action = r.Action
-	return rr, true
-}
-
 // recordValue snapshots one global or captured value for the template:
 // a file handle becomes a detached handle naming its file (instantiation
-// rebinds it to the session's copy), anything else a private copy;
-// false when v cannot be shared.
-func recordValue(v value.Value) (value.Value, bool) {
+// rebinds it to the session's copy), anything else a private copy.
+func recordValue(v value.Value) value.Value {
 	if v.Kind == value.KFile {
-		return value.Value{Kind: value.KFile, File: &value.FileVal{Name: v.File.Name}}, true
+		return value.Value{Kind: value.KFile, File: &value.FileVal{Name: v.File.Name}}
 	}
-	if !shareableValue(v) {
-		return value.Value{}, false
-	}
-	return value.Copy(v), true
+	return value.Copy(v)
 }
 
 // instantiateValue is recordValue's inverse for one session: a file
@@ -242,49 +167,6 @@ func instantiateValue(v value.Value, fs *interp.FS) value.Value {
 	return value.Copy(v)
 }
 
-// shareableValue reports whether a snapshot of a value other than a
-// file handle is safely private after one value.Copy: scalars, strings,
-// opcodes and CFE references are immutable or read-only shared; flat
-// containers copy; nested containers, and file handles held inside
-// one, would alias mutable state across sessions.
-func shareableValue(v value.Value) bool {
-	deep := func(e value.Value) bool {
-		switch e.Kind {
-		case value.KDict, value.KVector, value.KArray, value.KFile:
-			return false
-		}
-		return true
-	}
-	switch v.Kind {
-	case value.KDict:
-		// Numeric elements are stored unboxed; only the Value layouts
-		// can hold a container.
-		for _, e := range v.Dict.IntVals {
-			if !deep(e) {
-				return false
-			}
-		}
-		for _, e := range v.Dict.StrVals {
-			if !deep(e) {
-				return false
-			}
-		}
-	case value.KVector:
-		for _, e := range v.Vec.Elems {
-			if !deep(e) {
-				return false
-			}
-		}
-	case value.KArray:
-		for _, e := range v.Arr.Elems {
-			if !deep(e) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Instantiate rebinds the template for one session: a fresh file
 // system holding copies of the recorded files, fresh global and captured
 // cells initialized from the recorded snapshots, fresh action closures
@@ -293,12 +175,8 @@ func shareableValue(v value.Value) bool {
 // to opts.Obs. The returned RuleSet is private to the caller and ready
 // for Placer.Lower; runtime options (Out, Obs) are honoured, build
 // options (Interpret, NoIROpt, Adaptive) must match the ones the
-// template was built with — callers key their cache on them. A
-// caller-supplied FS is an error: such builds are never recorded.
+// template was built with — callers key their cache on them.
 func (t *Template) Instantiate(opts Options) (*placement.RuleSet, *Instance, error) {
-	if opts.FS != nil {
-		return nil, nil, fmt.Errorf("cinnamon: internal: template instantiated with a caller-supplied file system")
-	}
 	out := opts.Out
 	if out == nil {
 		out = io.Discard
@@ -325,101 +203,56 @@ func (t *Template) Instantiate(opts Options) (*placement.RuleSet, *Instance, err
 		opts.Obs.MutateBuild(func(b *obs.BuildStats) { addBuildDeltas(b, stats) })
 	}
 
+	// Each rule is copied with its action rebound; an action placed by
+	// several rules is bound once.
+	bd := binder{glob: glob, out: out, inst: inst}
 	bound := make(map[*placement.Action]*placement.Action, len(t.actions))
-	for proto, ar := range t.actions {
-		na, err := t.bindAction(proto, ar, glob, out, inst)
-		if err != nil {
-			return nil, nil, err
-		}
-		bound[proto] = na
-	}
-
-	rs := &placement.RuleSet{}
-	for _, rr := range t.rules {
-		if len(rr.merged) > 0 {
-			parts := make([]*placement.Rule, len(rr.merged))
-			for i, pr := range rr.merged {
-				parts[i] = pr.build(bound)
+	rebind := func(r *placement.Rule) (*placement.Rule, error) {
+		a := bound[r.Action]
+		if a == nil {
+			ar := t.actions[r.Action]
+			na := *r.Action
+			a = &na
+			if err := bd.action(a, ar.body, func(name string) (value.Value, bool) {
+				v, ok := ar.caps[name]
+				return instantiateValue(v, fs), ok
+			}); err != nil {
+				return nil, err
 			}
-			rs.Add(placement.MergeRun(parts))
+			bound[r.Action] = a
+		}
+		nr := *r
+		nr.Action = a
+		return &nr, nil
+	}
+	rs := &placement.RuleSet{}
+	for _, r := range t.rules {
+		if len(r.Merged) == 0 {
+			nr, err := rebind(r)
+			if err != nil {
+				return nil, nil, err
+			}
+			rs.Add(nr)
 			continue
 		}
-		rs.Add(rr.build(bound))
-	}
-
-	resolveGlobal := func(ref compile.CellRef) (*value.Value, error) {
-		if v := glob.Lookup(ref.Name); v != nil {
-			return v, nil
+		// A merged rule is re-fused from its rebound constituents, so
+		// the fused closures bind to this session's cells.
+		parts := make([]*placement.Rule, len(r.Merged))
+		for i, p := range r.Merged {
+			np, err := rebind(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			parts[i] = np
 		}
-		return nil, fmt.Errorf("cinnamon: internal: unresolved global %q", ref.Name)
+		rs.Add(placement.MergeRun(parts))
 	}
-	for _, body := range t.tool.Code.Inits {
-		b, err := body.Bind(resolveGlobal, out)
-		if err != nil {
-			return nil, nil, err
-		}
-		rs.Inits = append(rs.Inits, func() { inst.record(b.Exec(nil)) })
+	var err error
+	if rs.Inits, err = bd.blocks(t.tool.Code.Inits); err != nil {
+		return nil, nil, err
 	}
-	for _, body := range t.tool.Code.Exits {
-		b, err := body.Bind(resolveGlobal, out)
-		if err != nil {
-			return nil, nil, err
-		}
-		rs.Finis = append(rs.Finis, func() { inst.record(b.Exec(nil)) })
+	if rs.Finis, err = bd.blocks(t.tool.Code.Exits); err != nil {
+		return nil, nil, err
 	}
 	return rs, inst, nil
-}
-
-// build materializes one recorded rule against the session's rebound
-// actions.
-func (rr ruleRec) build(bound map[*placement.Action]*placement.Action) *placement.Rule {
-	return &placement.Rule{
-		Trigger: rr.trigger, Inst: rr.inst, Block: rr.block, From: rr.from,
-		Action: bound[rr.action], Mechanism: rr.mech,
-		Where: rr.where, Group: rr.group,
-	}
-}
-
-// bindAction replays compiledExec for one recorded action: same body,
-// equal captured values in fresh cells, globals resolved to the new
-// session's shared slots.
-func (t *Template) bindAction(proto *placement.Action, ar *actionRec, glob *interp.Env, out io.Writer, inst *Instance) (*placement.Action, error) {
-	body := t.tool.Code.Actions[ar.act]
-	if body == nil {
-		return nil, fmt.Errorf("cinnamon: internal: uncompiled action at %s", ar.act.Pos())
-	}
-	resolve := func(ref compile.CellRef) (*value.Value, error) {
-		if ref.Global {
-			if v := glob.Lookup(ref.Name); v != nil {
-				return v, nil
-			}
-			return nil, fmt.Errorf("cinnamon: internal: unresolved global %q", ref.Name)
-		}
-		v, ok := ar.caps[ref.Name]
-		if !ok {
-			return nil, fmt.Errorf("cinnamon: internal: unrecorded capture %q at %s", ref.Name, ar.act.Pos())
-		}
-		cell := new(value.Value)
-		*cell = instantiateValue(v, inst.interp.FS)
-		return cell, nil
-	}
-	b, err := body.Bind(resolve, out)
-	if err != nil {
-		return nil, err
-	}
-	a := &placement.Action{
-		Label:       proto.Label,
-		Cost:        proto.Cost,
-		Simple:      proto.Simple,
-		Sample:      proto.Sample,
-		DynAttrs:    proto.DynAttrs,
-		NumCaptured: proto.NumCaptured,
-		Inline:      inlineInfo(b, inst),
-	}
-	a.Exec = func(dyn []value.Value) {
-		if err := b.Exec(dyn); err != nil {
-			inst.record(err)
-		}
-	}
-	return a, nil
 }

@@ -105,7 +105,7 @@ func promote(rs *RuleSet, o *obs.Collector) {
 			continue
 		}
 		want := MechFast
-		if il.Counter && len(r.Action.DynAttrs) == 0 {
+		if il.Flush != nil && len(r.Action.DynAttrs) == 0 {
 			want = MechCounter
 		}
 		if want != r.Mechanism {
@@ -199,13 +199,7 @@ func coalesce(rs *RuleSet, o *obs.Collector) {
 // coalescable reports whether a rule may join a merged run: an
 // unmerged, unsampled counter.
 func coalescable(r *Rule) bool {
-	return len(r.Merged) == 0 &&
-		r.Mechanism == MechCounter &&
-		r.Action != nil &&
-		r.Action.Sample <= 1 &&
-		r.Action.Inline != nil &&
-		r.Action.Inline.Counter &&
-		r.Action.Inline.Flush != nil
+	return len(r.Merged) == 0 && r.Mechanism == MechCounter && r.Action.Sample <= 1
 }
 
 // MergeRun fuses a same-site run of counters into one counter rule
@@ -238,7 +232,7 @@ func MergeRun(parts []*Rule) *Rule {
 					exec(nil)
 				}
 			},
-			Inline: &InlineInfo{Counter: true, Flush: func(n int64) {
+			Inline: &InlineInfo{Flush: func(n int64) {
 				for _, flush := range flushes {
 					flush(n)
 				}

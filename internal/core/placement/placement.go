@@ -98,14 +98,10 @@ type InlineInfo struct {
 	// Exec is the specialized executor: observably identical to
 	// Action.Exec — same stores, same output, same error recording.
 	Exec func(dyn []value.Value)
-	// RawFast is a pre-bound native fast path (janus native tools
-	// supply it; Cinnamon actions leave it nil and Exec is wrapped).
-	RawFast vm.ProbeFn
-	// Counter marks an additive body: n firings are equivalent, in
-	// every observable, to Flush(n). Counter actions read no dynamic
-	// attributes and cannot fail.
-	Counter bool
-	Flush   func(n int64)
+	// Flush, when non-nil, marks an additive body: n firings are
+	// equivalent, in every observable, to Flush(n). Such bodies read no
+	// dynamic attributes and cannot fail.
+	Flush func(n int64)
 }
 
 // Action is a compiled action instance ready for placement: an
@@ -169,11 +165,7 @@ func (a *Action) CtxExec() vm.ProbeFn {
 // fastCtx adapts the action's fast thunk to a machine-context probe
 // function (the vm.ProbeSpec callback).
 func (a *Action) fastCtx() vm.ProbeFn {
-	il := a.Inline
-	if il.RawFast != nil {
-		return il.RawFast
-	}
-	exec := il.Exec
+	exec := a.Inline.Exec
 	if len(a.DynAttrs) == 0 {
 		return func(c *vm.Ctx) { exec(nil) }
 	}

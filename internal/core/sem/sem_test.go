@@ -193,6 +193,8 @@ func TestSemanticErrors(t *testing.T) {
 		{"dict of files", `dict<int,file> d;`, "invalid dict value"},
 		{"dict key file", `dict<file,int> d;`, "invalid dict key"},
 		{"assign mismatched", `vector<int> v; init { v = 3; }`, "cannot assign"},
+		{"vector from line vector", `vector<line> ls; vector<int> v; init { v = ls; }`, "cannot assign vector<line> to vector<int>"},
+		{"dict from line dict", `dict<int,line> e; dict<int,int> d = e;`, "cannot initialize d (dict<int,int>) with dict<int,line>"},
 		{"if cond type", `init { if (1) { } }`, "must be bool"},
 		{"for cond type", `init { for (int i = 0; i; ) { } }`, "must be bool"},
 		{"call attr", `inst I { before I { I.addr(); } }`, "cannot be called"},
@@ -243,6 +245,13 @@ inst I {
 }
 `)
 	checkErr(t, `init { int y = 1; int y = 2; }`, "redeclared")
+}
+
+// TestNumericContainersInterassign pins that containers whose key and
+// element types are all numeric share one layout and may be assigned to
+// one another.
+func TestNumericContainersInterassign(t *testing.T) {
+	check(t, `dict<int,int> a; dict<addr,uint64> b = a; vector<char> v; vector<addr> w; init { b = a; w = v; }`)
 }
 
 func TestLineCoercions(t *testing.T) {

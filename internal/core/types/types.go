@@ -147,9 +147,17 @@ func (t *Type) AssignableTo(dst *Type) bool {
 	case t.Kind == Bool && dst.Kind == Bool:
 		return true
 	case (t.Kind == Dict || t.Kind == Vector || t.Kind == Array) && t.Kind == dst.Kind:
-		return t.Elem.AssignableTo(dst.Elem) && (t.Kind != Dict || t.Key.AssignableTo(dst.Key))
+		// Assignment shares the container without converting its
+		// elements, so its key and element types must already match.
+		return sameScalar(t.Elem, dst.Elem) && (t.Kind != Dict || sameScalar(t.Key, dst.Key))
 	}
 	return false
+}
+
+// sameScalar reports whether two container key or element types are the
+// same type, every numeric type counting as one.
+func sameScalar(a, b *Type) bool {
+	return a.Kind == b.Kind || a.IsNumeric() && b.IsNumeric()
 }
 
 // ComparableWith reports whether ==/!= is defined between the types.

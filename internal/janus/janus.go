@@ -107,17 +107,6 @@ type Handler struct {
 	// Label identifies the handler in observability reports (optional;
 	// the Cinnamon backend sets it to the originating action).
 	Label string
-	// FastFn, when non-nil, is a specialized variant of Fn with
-	// identical observable behavior (same stores, same output, same
-	// failures) that satisfies the vm.ProbeSpec purity contract: it
-	// never installs rules or probes and never reads cycle counts. The
-	// dynamic instrumenter hands it to the VM's action-inlining layer.
-	FastFn HandlerFn
-	// CounterFlush, when non-nil, asserts that n invocations of the
-	// handler — for any rule payload — are equivalent in all
-	// observables to CounterFlush(n). Such handlers are promoted to
-	// block-local accumulators by the inline tier.
-	CounterFlush func(n int64)
 	// Sample, when > 1, arms each rule applying the handler with a
 	// sampling countdown: the handler fires on every Sample-th hit of
 	// that placement; swallowed hits cost only the inlined gate (see
@@ -177,8 +166,7 @@ func convert(prog *cfg.Program, rules []Rule, handlers map[HandlerID]Handler) (*
 			global = append(global, globalRule{h: h, data: r.Data, fini: r.Trigger == TriggerFini})
 			continue
 		}
-		a, mech := h.action(r.Data)
-		pr := &placement.Rule{Action: a, Mechanism: mech}
+		pr := &placement.Rule{Action: h.action(r.Data)}
 		switch r.Trigger {
 		case TriggerBefore, TriggerAfter:
 			pr.Inst, pr.Block = insts[r.InstAddr], instBlock[r.InstAddr]
@@ -207,12 +195,11 @@ type globalRule struct {
 }
 
 // action adapts a handler application to the shared placement Action,
-// pre-binding the rule payload. The native fast surfaces map directly
-// onto the IR's mechanism tiers, so the one translator path below
-// serves native and Cinnamon tools alike.
-func (h Handler) action(data []uint64) (*placement.Action, placement.Mechanism) {
+// pre-binding the rule payload, so the one translator path below serves
+// native and Cinnamon tools alike. Native handlers dispatch generically.
+func (h Handler) action(data []uint64) *placement.Action {
 	fn := h.Fn
-	a := &placement.Action{
+	return &placement.Action{
 		Label:       h.Label,
 		Cost:        h.Cost,
 		Simple:      h.Inlinable,
@@ -220,16 +207,6 @@ func (h Handler) action(data []uint64) (*placement.Action, placement.Mechanism) 
 		NumCaptured: len(data),
 		Raw:         func(c *vm.Ctx) { fn(c, data) },
 	}
-	mech := placement.MechGeneric
-	if h.CounterFlush != nil {
-		a.Inline = &placement.InlineInfo{Counter: true, Flush: h.CounterFlush}
-		mech = placement.MechCounter
-	} else if h.FastFn != nil {
-		fast := h.FastFn
-		a.Inline = &placement.InlineInfo{RawFast: func(c *vm.Ctx) { fast(c, data) }}
-		mech = placement.MechFast
-	}
-	return a, mech
 }
 
 // Tool is a complete Janus tool: a static pass plus dynamic handlers,

@@ -274,6 +274,9 @@ type VM struct {
 	// and promoted counters (translated tier only, see Config.NoInline).
 	// Fixed for the whole run.
 	inline bool
+	// fireLoop is the fire loop of this machine's tier, fixed in New:
+	// fireObserved with a collector, else fireInline or fireGeneric.
+	fireLoop func(v *VM, ps []probe, in *isa.Inst, when When)
 	// dirty lists counter specs with a nonzero promoted accumulator, in
 	// first-bump order; flushCounters drains it at observation points.
 	dirty []*ProbeSpec
@@ -363,6 +366,14 @@ func New(prog *cfg.Program, cfgv Config) *VM {
 		stop:         cfgv.Stop,
 		nextPace:     never,
 		nextFlush:    never,
+	}
+	switch {
+	case v.obsC != nil:
+		v.fireLoop = (*VM).fireObserved
+	case v.inline:
+		v.fireLoop = (*VM).fireInline
+	default:
+		v.fireLoop = (*VM).fireGeneric
 	}
 	if v.inline && v.obsC != nil {
 		// Only an observed inlining machine defers attribution.
@@ -619,18 +630,16 @@ func (v *VM) flushCounters() {
 	v.dirty = v.dirty[:0]
 }
 
+// fire runs a batch of probes through the machine's fire loop: one
+// indirect call, small enough to inline at every call site.
 func (v *VM) fire(ps []probe, in *isa.Inst, when When) {
-	// One predictable branch per feature decides the whole batch: a
-	// machine with no collector, no inlining layer and no control blocks
-	// runs the exact loop the VM always ran.
-	if v.obsC != nil {
-		v.fireObserved(ps, in, when)
-		return
-	}
-	if v.inline {
-		v.fireInline(ps, in, when)
-		return
-	}
+	v.fireLoop(v, ps, in, when)
+}
+
+// fireGeneric is the fire loop of a machine with no collector and no
+// inlining layer: with no control blocks it is the exact loop the VM
+// always ran.
+func (v *VM) fireGeneric(ps []probe, in *isa.Inst, when When) {
 	c := &v.ctx
 	saveInst, saveWhen, saveBlock := c.inst, c.when, c.block
 	c.inst, c.when = in, when

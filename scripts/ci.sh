@@ -21,9 +21,10 @@
 #              one -stats CLI smoke run, and the probe-dispatch perf
 #              gates (non-race; see internal/vm/obs_test.go and
 #              translate_test.go): disabled path vs the
-#              pre-observability loop (timed as alternating single runs
-#              compared by median) and the inline fire loop vs a copy
-#              with no attribution code, enabled path (a generic probe
+#              pre-observability loop and default-tier fire vs the
+#              inline fire loop it dispatches to, called directly (both
+#              timed as alternating single runs compared by median),
+#              enabled path (a generic probe
 #              vs plain-counter accounting, and a promoted counter with
 #              a collector vs the same counter without one), the
 #              translated VM tier vs the interpreter on the probe-free
