@@ -20,9 +20,11 @@
 //     a different source, loop count or victim yields different
 //     pointers and therefore a different key.
 //
-// Everything cached is immutable; per-session state (probe IDs,
-// counters, bound action closures, VM memory) is created per lookup by
-// engine.Template.Instantiate and vm.New exactly as on the cold path.
+// Everything cached is immutable and holds no session state; per-session
+// state (probe IDs, counters, bound action closures, VM memory) is
+// created by engine.Template.Instantiate and vm.New for every session,
+// on a hit exactly as on the cold path, which instantiates the template
+// it has just recorded.
 //
 // Each keyed store is bounded: inserts past the capacity evict the
 // least-recently-used entry, and evictions are counted so cache
@@ -84,7 +86,7 @@ type Victim struct {
 }
 
 // TemplateKey identifies one rule template: the build inputs plus every
-// engine/backend option that changes what BuildRules produces. Runtime
+// engine/backend option that changes what BuildTemplate records. Runtime
 // options (fuel, writers, collectors, VM tier) are deliberately absent —
 // they bind per session at Instantiate/run time.
 type TemplateKey struct {

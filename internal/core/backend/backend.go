@@ -102,10 +102,10 @@ type Options struct {
 	// (internal/fleet) use it to cancel sessions on drain.
 	Stop *atomic.Bool
 	// Artifacts, when non-nil, is the shared artifact cache consulted
-	// for the instrumentation rule template: a hit replays the recorded
-	// build (rebinding per-session state) instead of re-walking the CFE
-	// hierarchy, and a miss records one. Runs ablating the cache or the
-	// action compiler bypass it; every other build is recorded.
+	// for the instrumentation rule template: a hit skips the CFE walk,
+	// and a miss stores the template the walk recorded. Either way the
+	// session instantiates the template. Runs ablating the cache or the
+	// action compiler bypass it.
 	Artifacts *artifacts.Cache
 }
 
@@ -131,17 +131,37 @@ func engineOptions(opts Options) engine.Options {
 	}
 }
 
-// instrument builds the placement rule table and lowers it onto the
-// placer, going through the artifact cache when one is attached. On a
-// template hit the recorded build is replayed (rebinding per-session
-// state: globals, captures, probe registrations) instead of re-walking
-// the victim's CFE hierarchy; on a miss the build runs once in
-// recording mode and the template is published for later sessions.
+// instrument builds the session's placement rule table and lowers it
+// onto the placer: the build's template is instantiated for the session,
+// whether the attached artifact cache had it or it was recorded just now
+// (and then stored). Only an ablated action compiler takes the
+// interpreter walk, which has no template.
 func instrument(tool *engine.CompiledTool, prog *cfg.Program, pl engine.Placer, opts Options) (*engine.Instance, error) {
 	eopts := engineOptions(opts)
-	cache := opts.Artifacts
-	if cache == nil || opts.Ablate&(AblateCache|AblateCompile) != 0 {
+	if eopts.Interpret {
 		return engine.Instrument(tool, prog, pl, eopts)
+	}
+	tmpl, err := template(tool, prog, pl, opts, eopts)
+	if err != nil {
+		return nil, err
+	}
+	rs, inst, err := tmpl.Instantiate(eopts)
+	if err != nil {
+		return nil, err
+	}
+	if err := pl.Lower(rs); err != nil {
+		return nil, err
+	}
+	return inst, nil
+}
+
+// template returns the build's rule template: looked up in the
+// artifact cache when one is attached and not ablated, otherwise (and on
+// a miss) recorded, and stored when the cache is in use.
+func template(tool *engine.CompiledTool, prog *cfg.Program, pl engine.Placer, opts Options, eopts engine.Options) (*engine.Template, error) {
+	cache := opts.Artifacts
+	if opts.Ablate&AblateCache != 0 {
+		cache = nil
 	}
 	key := artifacts.TemplateKey{
 		Tool: tool, Prog: prog, Backend: pl.Name(),
@@ -149,22 +169,17 @@ func instrument(tool *engine.CompiledTool, prog *cfg.Program, pl engine.Placer, 
 		NoIROpt:          eopts.NoIROpt,
 		Adaptive:         opts.Adaptive,
 	}
-	if tmpl, ok := cache.Template(key); ok {
-		rs, inst, err := tmpl.Instantiate(eopts)
-		if err != nil {
-			return nil, err
+	if cache != nil {
+		if tmpl, ok := cache.Template(key); ok {
+			if opts.Obs != nil {
+				opts.Obs.MutateBuild(func(b *obs.BuildStats) { b.ArtifactHits++ })
+			}
+			return tmpl, nil
 		}
-		if opts.Obs != nil {
-			opts.Obs.MutateBuild(func(b *obs.BuildStats) { b.ArtifactHits++ })
-		}
-		if err := pl.Lower(rs); err != nil {
-			return nil, err
-		}
-		return inst, nil
 	}
-	tmpl, rs, inst, err := engine.BuildTemplate(tool, prog, pl, eopts)
-	if err != nil {
-		return nil, err
+	tmpl, err := engine.BuildTemplate(tool, prog, pl, eopts)
+	if err != nil || cache == nil {
+		return tmpl, err
 	}
 	evicted := cache.PutTemplate(key, tmpl)
 	if opts.Obs != nil {
@@ -173,10 +188,7 @@ func instrument(tool *engine.CompiledTool, prog *cfg.Program, pl engine.Placer, 
 			b.ArtifactEvictions += evicted
 		})
 	}
-	if err := pl.Lower(rs); err != nil {
-		return nil, err
-	}
-	return inst, nil
+	return tmpl, nil
 }
 
 // PinLoopDetectCost is the extra per-firing price of the Pin loop
@@ -416,40 +428,7 @@ func runPin(tool *engine.CompiledTool, prog *cfg.Program, opts Options) (*vm.Res
 	// The loop-detection extension realizes loop trigger points through
 	// edge instrumentation on the machine underneath Pin.
 	for _, e := range pl.edges {
-		r := e.p.routine
-		words := make([]uint64, len(e.p.args))
-		pr := vm.Probe{Fn: func(*vm.Ctx) { r.Fn(words) }}
-		if r.CounterFlush != nil {
-			pr.Spec = &vm.ProbeSpec{Counter: true, Flush: r.CounterFlush}
-		} else if r.FastFn != nil {
-			fast := r.FastFn
-			pr.Spec = &vm.ProbeSpec{Fn: func(*vm.Ctx) { fast(words) }}
-		}
-		register := func(label string, cost uint64) obs.ProbeID {
-			if opts.Obs == nil {
-				return obs.NoProbe
-			}
-			opts.Obs.MutateBuild(func(b *obs.BuildStats) { b.CleanCalls++ })
-			return opts.Obs.RegisterProbe(obs.ProbeMeta{
-				Label:        label,
-				Trigger:      obs.TriggerEdge,
-				Mechanism:    obs.MechCleanCall,
-				Addr:         e.to,
-				DispatchCost: cost,
-			})
-		}
-		if len(r.Merged) > 0 {
-			pr.Shares = make([]vm.Share, len(r.Merged))
-			for i, part := range r.Merged {
-				pc := pin.CleanCallCost + part.Cost
-				pr.Shares[i] = vm.Share{ID: register(part.Label, pc), Cost: pc}
-			}
-		} else {
-			pr.Cost = pin.CleanCallCost + r.Cost + uint64(len(e.p.args))*pin.ArgCost
-			pr.ID = register(r.Label, pr.Cost)
-			pr.Stride = r.Sample
-		}
-		record(p.VM().Add(vm.Site{When: vm.AtEdge, Addr: e.to, From: e.from}, pr))
+		record(p.InsertEdgeCall(e.from, e.to, e.p.routine, e.p.args...))
 	}
 	res, err := p.Run()
 	if err != nil {

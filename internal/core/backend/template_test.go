@@ -1,8 +1,10 @@
 package backend
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core/artifacts"
 	"repro/internal/core/engine"
@@ -12,13 +14,14 @@ import (
 	"repro/internal/progs"
 )
 
-// TestTemplateFidelity holds a recorded engine.Template to the cold build
-// it was recorded from, for every case study on every backend that
-// accepts it, with the placement-IR passes on and off: each
-// instantiation's rule table prints as the cold build's does, sessions
-// instantiated from the template run to the cold run's output, and two
-// instantiations share no cells — firing every action of one leaves the
-// other's output unchanged.
+// TestTemplateFidelity holds a recorded engine.Template to a fresh build
+// and to the interpreter walk (-ablate=compile), for every case study on
+// every backend that accepts it, with the placement-IR passes on and
+// off: each instantiation's rule table prints as a fresh build's does,
+// two instantiations share no cells — driving every action of one leaves
+// the other's output unchanged — and sessions run from a cache primed
+// with the template are template hits that print what the interpreted
+// run prints.
 func TestTemplateFidelity(t *testing.T) {
 	for _, name := range progs.Names() {
 		prog := caseStudyVictim(t, name)
@@ -31,11 +34,15 @@ func TestTemplateFidelity(t *testing.T) {
 					continue // not accepted
 				}
 				eopts := engineOptions(opts)
-				tmpl, rs, _, err := engine.BuildTemplate(tool, prog, pl, eopts)
+				tmpl, err := engine.BuildTemplate(tool, prog, pl, eopts)
 				if err != nil {
 					continue // not accepted (loop coverage on plain Pin)
 				}
 				cell := name + " on " + b + " ablate=" + ablate.String()
+				fresh, _, err := engine.BuildRules(tool, prog, placerFor(b, prog, opts), eopts)
+				if err != nil {
+					t.Fatalf("%s: fresh build: %v", cell, err)
+				}
 
 				var drives [2]string
 				for i := range drives {
@@ -45,8 +52,8 @@ func TestTemplateFidelity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: Instantiate: %v", cell, err)
 					}
-					if got, want := irs.String(), rs.String(); got != want {
-						t.Errorf("%s: instantiated rule table differs from the cold build's:\n--- got ---\n%s--- want ---\n%s", cell, got, want)
+					if got, want := irs.String(), fresh.String(); got != want {
+						t.Errorf("%s: instantiated rule table differs from a fresh build's:\n--- got ---\n%s--- want ---\n%s", cell, got, want)
 					}
 					drive(irs)
 					drives[i] = out.String()
@@ -55,9 +62,9 @@ func TestTemplateFidelity(t *testing.T) {
 					t.Errorf("%s: second instantiation saw the first's cells:\nfirst:  %q\nsecond: %q", cell, drives[0], drives[1])
 				}
 
-				var cold strings.Builder
-				if _, err := Run(tool, prog, b, Options{Out: &cold, Ablate: ablate}); err != nil {
-					t.Fatalf("%s: cold run: %v", cell, err)
+				var ref strings.Builder
+				if _, err := Run(tool, prog, b, Options{Out: &ref, Ablate: ablate | AblateCompile}); err != nil {
+					t.Fatalf("%s: interpreted run: %v", cell, err)
 				}
 				cache := artifacts.New(artifacts.Options{})
 				cache.PutTemplate(artifacts.TemplateKey{Tool: tool, Prog: prog, Backend: b, NoIROpt: eopts.NoIROpt}, tmpl)
@@ -70,10 +77,94 @@ func TestTemplateFidelity(t *testing.T) {
 					if hits := col.Snapshot(b).Build.ArtifactHits; hits != 1 {
 						t.Errorf("%s: session %d made %d template hits, want 1", cell, i, hits)
 					}
-					if out.String() != cold.String() {
-						t.Errorf("%s: session %d output differs from the cold run's:\ngot:  %q\nwant: %q", cell, i, out.String(), cold.String())
+					if out.String() != ref.String() {
+						t.Errorf("%s: session %d output differs from the interpreted run's:\ngot:  %q\nwant: %q", cell, i, out.String(), ref.String())
 					}
 				}
+			}
+		}
+	}
+}
+
+// finalWriter is a tool output writer whose collection is observable
+// through a finalizer.
+type finalWriter struct{ buf []byte }
+
+func (w *finalWriter) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}
+
+// TestCachedTemplateReleasesSession runs one session, with and without
+// an artifact cache, and requires its output writer to be collectable
+// once only the cache is left: a cached template must keep none of the
+// session's state (cells, frames, Instance, writer) reachable.
+func TestCachedTemplateReleasesSession(t *testing.T) {
+	for _, name := range []string{progs.OpcodeMix, progs.LoopCoverage} {
+		for _, cached := range []bool{false, true} {
+			prog := caseStudyVictim(t, name)
+			tool := compile(t, name)
+			cache := artifacts.New(artifacts.Options{})
+			freed := make(chan struct{})
+			func() {
+				w := &finalWriter{}
+				runtime.SetFinalizer(w, func(*finalWriter) { close(freed) })
+				opts := Options{Out: w}
+				if cached {
+					opts.Artifacts = cache
+				}
+				if _, err := Run(tool, prog, Janus, opts); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			collected := false
+			for i := 0; i < 5 && !collected; i++ {
+				runtime.GC()
+				select {
+				case <-freed:
+					collected = true
+				case <-time.After(20 * time.Millisecond):
+				}
+			}
+			if !collected {
+				t.Errorf("%s (cached=%v): the session's writer is still reachable after five collections", name, cached)
+			}
+			if cached && cache.Stats().Templates != 1 {
+				t.Errorf("%s: cache holds %d templates, want 1", name, cache.Stats().Templates)
+			}
+			runtime.KeepAlive(cache)
+		}
+	}
+}
+
+// TestAnalysisOutputBeforeErrorKept runs a tool whose analysis code
+// prints three times and then fails: every backend, compiled, uncached
+// and interpreted, must print those lines and report the error.
+func TestAnalysisOutputBeforeErrorKept(t *testing.T) {
+	const src = `uint64 n = 0;
+inst I {
+  print("seen");
+  n = n + 1;
+  uint64 z = 0;
+  if (n == 3) {
+    print(n / z);
+  }
+}
+`
+	tool, err := engine.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := loadVictim(t, "spin")
+	for _, b := range Backends() {
+		for _, ablate := range []Ablation{0, AblateCache, AblateCompile} {
+			var out strings.Builder
+			_, err := Run(tool, prog, b, Options{Out: &out, Ablate: ablate, Artifacts: artifacts.New(artifacts.Options{})})
+			if err == nil || err.Error() != "cinnamon: 7:13: division by zero" {
+				t.Errorf("%s ablate=%s: error = %v, want 7:13: division by zero", b, ablate, err)
+			}
+			if got := out.String(); got != "seen\nseen\nseen\n" {
+				t.Errorf("%s ablate=%s: output = %q, want three seen lines", b, ablate, got)
 			}
 		}
 	}

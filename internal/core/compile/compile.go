@@ -91,9 +91,6 @@ type stmtFn func(fr *frame) error
 // exprFn evaluates one compiled expression.
 type exprFn func(fr *frame) (value.Value, error)
 
-// CellResolver binds one free variable at placement time.
-type CellResolver func(ref CellRef) (*value.Value, error)
-
 // Bound is a placed body: cells resolved, local frame allocated. Exec may
 // be called many times (once per probe firing); the local frame is reused
 // across firings — every local is (re)declared before use, so no stale
@@ -108,20 +105,10 @@ type Bound struct {
 	hasFast bool
 }
 
-// Bind resolves the body's cells against a placement scope and allocates
-// its local frame. out receives print() output.
-func (b *Body) Bind(resolve CellResolver, out io.Writer) (*Bound, error) {
-	bd := &Bound{body: b, fr: frame{out: out}}
-	if n := len(b.Cells); n > 0 {
-		bd.fr.cells = make([]*value.Value, n)
-		for i, c := range b.Cells {
-			cell, err := resolve(c)
-			if err != nil {
-				return nil, err
-			}
-			bd.fr.cells[i] = cell
-		}
-	}
+// Bind places the body on its cells, one per Cells entry in that order,
+// and allocates its local frame. out receives print() output.
+func (b *Body) Bind(cells []*value.Value, out io.Writer) *Bound {
+	bd := &Bound{body: b, fr: frame{cells: cells, out: out}}
 	if b.NumLocals > 0 {
 		bd.fr.locals = make([]value.Value, b.NumLocals)
 	}
@@ -131,7 +118,24 @@ func (b *Body) Bind(resolve CellResolver, out io.Writer) (*Bound, error) {
 		}
 		bd.hasFast = fb.bindConsts(&bd.fr)
 	}
-	return bd, nil
+	return bd
+}
+
+// FastTier reports, without binding, which fast surfaces a placement
+// whose captured cells hold caps (aligned with Cells; global entries
+// are not read) gets from Bind: fast when FastExec will be non-nil, and
+// counter when CounterShape will succeed too.
+func (b *Body) FastTier(caps []value.Value) (fast, counter bool) {
+	fb := b.fast
+	if fb == nil {
+		return false, false
+	}
+	for _, k := range fb.consts {
+		if _, ok := k.resolve(&caps[k.cell]); !ok {
+			return false, false
+		}
+	}
+	return true, fb.counter != nil
 }
 
 // Exec runs the bound body with the probe's materialized dynamic attribute

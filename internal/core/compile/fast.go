@@ -138,17 +138,26 @@ func (c *compiler) compileFastBody(body []ast.Stmt, guard ast.Expr) *fastBody {
 // leaves the placement generic-only.
 func (fb *fastBody) bindConsts(fr *frame) bool {
 	for _, k := range fb.consts {
-		cv := fr.cells[k.cell]
-		if cv.Kind != value.KCFE {
+		v, ok := k.resolve(fr.cells[k.cell])
+		if !ok {
 			return false
 		}
-		v, err := interp.StaticAttr(cv.CFE, k.attr)
-		if err != nil || v.Kind != value.KInt {
-			return false
-		}
-		fr.regs[k.reg] = v.Int
+		fr.regs[k.reg] = v
 	}
 	return true
+}
+
+// resolve reads the constant from the value of its CFE cell; false when
+// the attribute does not resolve to an integer.
+func (k bindConst) resolve(cv *value.Value) (int64, bool) {
+	if cv.Kind != value.KCFE {
+		return 0, false
+	}
+	v, err := interp.StaticAttr(cv.CFE, k.attr)
+	if err != nil || v.Kind != value.KInt {
+		return 0, false
+	}
+	return v.Int, true
 }
 
 // cellSlot resolves a name that must be a cell: the fast tier's locals

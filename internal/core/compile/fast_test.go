@@ -300,11 +300,15 @@ func (fc fastCase) fire(t *testing.T, via int) (map[string]value.Value, string, 
 		}
 	}
 	act := info.Commands[0].Body[0].(*ast.Action)
-	b, err := cp.Actions[act].Bind(func(ref compile.CellRef) (*value.Value, error) {
-		return globals.Lookup(ref.Name), nil
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
+	body := cp.Actions[act]
+	slots := make([]*value.Value, len(body.Cells))
+	for i, c := range body.Cells {
+		slots[i] = globals.Lookup(c.Name)
+	}
+	b := body.Bind(slots, &out)
+	_, counter := b.CounterShape()
+	if fast, ctr := body.FastTier(values(slots)); fast != (b.FastExec() != nil) || ctr != counter {
+		t.Errorf("FastTier = %v, %v; the bound body has fast=%v, counter=%v", fast, ctr, b.FastExec() != nil, counter)
 	}
 	exec := func([]value.Value) error { return in.ExecStmts(interp.NewEnv(globals), act.Body) }
 	switch via {
@@ -334,6 +338,15 @@ func (fc fastCase) fire(t *testing.T, via int) (map[string]value.Value, string, 
 		}
 	}
 	return cells, out.String(), err
+}
+
+// values reads bound cells as the recorded values FastTier takes.
+func values(cells []*value.Value) []value.Value {
+	vals := make([]value.Value, len(cells))
+	for i, v := range cells {
+		vals[i] = *v
+	}
+	return vals
 }
 
 func TestFastTierMatchesGeneric(t *testing.T) {
@@ -410,14 +423,17 @@ inst I where (I.opcode == Load) {
 	block := value.Value{Kind: value.KCFE, CFE: &value.CFERef{Kind: ast.BasicBlock, Block: &cfg.Block{}}}
 	c := value.IntVal(0)
 	act := info.Commands[0].Body[0].(*ast.Action)
-	b, err := cp.Actions[act].Bind(func(ref compile.CellRef) (*value.Value, error) {
+	body := cp.Actions[act]
+	cells := make([]*value.Value, len(body.Cells))
+	for i, ref := range body.Cells {
+		cells[i] = &c
 		if ref.Name == "I" {
-			return &block, nil
+			cells[i] = &block
 		}
-		return &c, nil
-	}, &bytes.Buffer{})
-	if err != nil {
-		t.Fatal(err)
+	}
+	b := body.Bind(cells, &bytes.Buffer{})
+	if fast, counter := body.FastTier(values(cells)); fast || counter {
+		t.Errorf("FastTier = %v, %v for a placement whose constant does not resolve", fast, counter)
 	}
 	if b.FastExec() != nil {
 		t.Error("FastExec is set for a placement whose constant did not resolve")

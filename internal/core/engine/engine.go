@@ -11,6 +11,12 @@
 // analysis code", then emits the framework-specific instrumentation for
 // each action (rewrite rules for Janus, snippets for Dyninst, analysis
 // calls for Pin).
+//
+// The walk over compiled bodies only records: it yields a session-free
+// Template (template.go), and every compiled session gets its rules from
+// Template.Instantiate, the one place compiled bodies are bound. The
+// interpreter walk (Options.Interpret) binds as it goes; it is the
+// reference the compiled path is held to.
 package engine
 
 import (
@@ -38,6 +44,9 @@ type CompiledTool struct {
 	// default execution path; Options.Interpret bypasses it).
 	Code *compile.Program
 	Src  string
+	// labels holds each action's Label, formatted once per tool rather
+	// than once per placement.
+	labels map[*ast.Action]string
 }
 
 // Compile parses, checks and closure-compiles Cinnamon source.
@@ -54,7 +63,11 @@ func Compile(src string) (*CompiledTool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledTool{Prog: prog, Info: info, Code: code, Src: src}, nil
+	labels := make(map[*ast.Action]string, len(info.Actions))
+	for act, ai := range info.Actions {
+		labels[act] = Label(ai, act)
+	}
+	return &CompiledTool{Prog: prog, Info: info, Code: code, Src: src, labels: labels}, nil
 }
 
 // Label returns the action's backend-stable observability label:
@@ -103,43 +116,38 @@ type Options struct {
 	Adaptive bool
 }
 
-// Instance is the instrumented tool: its shared globals and any runtime
-// errors recorded by actions during execution.
+// Instance is the instrumented tool's record of the first runtime error
+// its actions and init/exit blocks raise during execution.
 type Instance struct {
-	interp  *interp.Interp
-	globals *interp.Env
-	errs    []error
+	err error
 }
 
 // Err returns the first runtime error an action recorded, if any.
-func (i *Instance) Err() error {
-	if len(i.errs) > 0 {
-		return i.errs[0]
-	}
-	return nil
-}
+func (i *Instance) Err() error { return i.err }
 
 func (i *Instance) record(err error) {
-	if err != nil {
-		i.errs = append(i.errs, err)
+	if i.err == nil {
+		i.err = err
 	}
 }
 
+// engineRun is one CFE walk. On the compiled path it binds nothing: each
+// placed action's captures are recorded for Template.Instantiate. Under
+// Options.Interpret it binds every action to the tree-walking
+// interpreter as it is placed, the reference the compiled path is held
+// to.
 type engineRun struct {
-	// binder binds the compiled bodies into the session. Its writer
-	// equals the interpreter's analysis-time writer except under
-	// template recording, where analysis output is teed into the
-	// template but runtime output must not be.
-	binder
-	tool      *CompiledTool
-	placer    Placer
-	prog      *cfg.Program
-	in        *interp.Interp
-	interpret bool
-	obs       *obs.Collector
-	// rec, when non-nil, records the session-independent build products
-	// for a reusable Template (see template.go).
-	rec *templateRec
+	tool *CompiledTool
+	prog *cfg.Program
+	in   *interp.Interp
+	glob *interp.Env
+	obs  *obs.Collector
+	// inst records the interpreted actions' runtime errors; nil on the
+	// compiled path.
+	inst *Instance
+	// actions maps each placed Action to its recorded compiled body and
+	// captures; nil under Options.Interpret.
+	actions map[*placement.Action]*actionRec
 	// rs accumulates the placement table the commands emit.
 	rs *placement.RuleSet
 	// optimize gates where-clause deferral (and, downstream, the
@@ -163,17 +171,30 @@ func Instrument(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Optio
 }
 
 // BuildRules is Instrument up to (but not including) backend lowering:
-// it returns the optimized placement table, ready for Lower. Exposed
-// for the rule-IR golden and differential tests.
+// it returns the optimized placement table, ready for Lower. A compiled
+// build records a Template and instantiates it, as every compiled
+// session does; under Options.Interpret the walk binds the interpreter
+// directly. Exposed for the rule-IR golden and differential tests.
 func BuildRules(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Options) (*placement.RuleSet, *Instance, error) {
-	return buildRules(tool, prog, placer, opts, nil)
+	if !opts.Interpret {
+		t, err := BuildTemplate(tool, prog, placer, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return t.Instantiate(opts)
+	}
+	e, err := walk(tool, prog, placer, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.rs, e.inst, nil
 }
 
-// buildRules is BuildRules with an optional template recorder attached:
-// when rec is non-nil the walk additionally captures everything a later
-// Instantiate needs (per-action capture snapshots, analysis output,
-// build-stat deltas), without changing what the build itself produces.
-func buildRules(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Options, rec *templateRec) (*placement.RuleSet, *Instance, error) {
+// walk runs the analysis stage: global initializers and command bodies
+// print to opts.Out, every command maps over its CFE instances emitting
+// rules, and the optimization passes rewrite the finished table, with
+// build statistics going to opts.Obs.
+func walk(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Options) (*engineRun, error) {
 	// Preflight: backends without loop support reject loop commands (the
 	// paper's loop-coverage tool "could not be translated to Pin in its
 	// original form").
@@ -197,44 +218,25 @@ func buildRules(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Optio
 		}
 		scan(tool.Info.Commands)
 		if loopErr != nil {
-			return nil, nil, loopErr
+			return nil, loopErr
 		}
 	}
 
-	// Under template recording, analysis-time output (global
-	// initializers, command-body prints) is teed into the template so a
-	// later Instantiate can replay it; runtime bodies bind against the
-	// plain session writer so their output is never recorded.
-	analysisOut := opts.Out
-	buildObs := opts.Obs
-	if rec != nil {
-		if analysisOut == nil {
-			analysisOut = &rec.analysisOut
-		} else {
-			analysisOut = io.MultiWriter(analysisOut, &rec.analysisOut)
-		}
-		buildObs = rec.col
-	}
-	it := interp.New(tool.Info, analysisOut, nil)
+	it := interp.New(tool.Info, opts.Out, nil)
 	glob := interp.NewEnv(nil)
 	for _, d := range tool.Info.Globals {
 		if err := it.DeclareGlobal(glob, d); err != nil {
-			return nil, nil, err
-		}
-	}
-	inst := &Instance{interp: it, globals: glob}
-	bindOut := io.Writer(it.Out)
-	if rec != nil {
-		bindOut = opts.Out
-		if bindOut == nil {
-			bindOut = io.Discard
+			return nil, err
 		}
 	}
 	e := &engineRun{
-		tool: tool, placer: placer, prog: prog,
-		in: it, interpret: opts.Interpret, obs: buildObs, rec: rec,
+		tool: tool, prog: prog, in: it, glob: glob, obs: opts.Obs,
 		rs: &placement.RuleSet{}, optimize: !opts.NoIROpt,
-		binder: binder{glob: glob, out: bindOut, inst: inst},
+	}
+	if opts.Interpret {
+		e.inst = &Instance{}
+	} else {
+		e.actions = make(map[*placement.Action]*actionRec)
 	}
 
 	// Commands map in program order; within a command, per-module in
@@ -242,34 +244,26 @@ func buildRules(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Optio
 	for _, cmd := range tool.Info.Commands {
 		for _, mod := range placer.Modules() {
 			if err := e.runCommand(cmd, domain{module: mod}, glob); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
-	if e.interpret {
+	if e.inst != nil {
 		for _, b := range tool.Info.Inits {
 			e.rs.Inits = append(e.rs.Inits, e.interpBlock(b.Body))
 		}
 		for _, b := range tool.Info.Exits {
 			e.rs.Finis = append(e.rs.Finis, e.interpBlock(b.Body))
 		}
-	} else {
-		var err error
-		if e.rs.Inits, err = e.blocks(tool.Code.Inits); err != nil {
-			return nil, nil, err
-		}
-		if e.rs.Finis, err = e.blocks(tool.Code.Exits); err != nil {
-			return nil, nil, err
-		}
 	}
 	if err := placement.Apply(e.rs, placement.Config{
 		Optimize: e.optimize,
 		Adaptive: opts.Adaptive,
-		Obs:      buildObs,
+		Obs:      opts.Obs,
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return e.rs, inst, nil
+	return e, nil
 }
 
 // interpBlock runs one init/exit block on the tree-walking path, under
@@ -448,16 +442,16 @@ func (e *engineRun) placeAction(act *ast.Action, env *interp.Env) error {
 	}
 
 	a := &placement.Action{
-		Label:       Label(ai, act),
+		Label:       e.tool.labels[act],
 		Cost:        ai.Cost,
 		Simple:      ai.Simple,
 		Sample:      ai.Sample,
 		DynAttrs:    ai.DynAttrs,
 		NumCaptured: env.NumVarsUntil(e.glob),
 	}
-	if e.interpret {
+	if e.inst != nil {
 		a.Exec = e.interpExec(act, ai, env)
-	} else if err := e.bindAction(act, env, a); err != nil {
+	} else if err := e.record(act, env, a); err != nil {
 		return err
 	}
 	emit := func(r *placement.Rule) {
@@ -606,99 +600,35 @@ func (e *engineRun) interpExec(act *ast.Action, ai *sem.ActionInfo, env *interp.
 	}
 }
 
-// bindAction binds the action's compiled body for this placement, with
-// each capture copied by value out of the walk's scope. Under template
-// recording the captures are also recorded against the placed Action,
-// so Instantiate can rebind the same body with equal captures for
-// another session.
-func (e *engineRun) bindAction(act *ast.Action, env *interp.Env, a *placement.Action) error {
+// record keeps what Template.Instantiate needs to bind the action's
+// compiled body at this placement: the value of each captured cell,
+// copied out of the walk's scope now, and the tier the body supports
+// with those values.
+func (e *engineRun) record(act *ast.Action, env *interp.Env, a *placement.Action) error {
 	body := e.tool.Code.Actions[act]
 	if body == nil {
 		return fmt.Errorf("cinnamon: internal: uncompiled action at %s", act.Pos())
 	}
-	var caps map[string]value.Value
-	if e.rec != nil {
-		caps = make(map[string]value.Value)
-		e.rec.actions[a] = &actionRec{body: body, caps: caps}
-	}
-	return e.action(a, body, func(name string) (value.Value, bool) {
-		slot := env.Lookup(name)
+	var caps []value.Value
+	for i, c := range body.Cells {
+		if c.Global {
+			continue
+		}
+		slot := env.Lookup(c.Name)
 		if slot == nil {
-			return value.Value{}, false
+			return fmt.Errorf("cinnamon: internal: unresolved capture %q", c.Name)
 		}
-		if caps != nil {
-			caps[name] = recordValue(*slot)
+		if caps == nil {
+			caps = make([]value.Value, len(body.Cells))
 		}
-		return value.Copy(*slot), true
-	})
-}
-
-// binder binds compiled bodies into one session, cold or instantiated
-// from a Template: globals resolve to the session's shared slots, each
-// capture to a fresh cell, print() output goes to out and runtime errors
-// are recorded into inst. The two callers differ only in where a
-// capture's value comes from.
-type binder struct {
-	glob *interp.Env
-	out  io.Writer
-	inst *Instance
-}
-
-// bind binds one compiled body; capture returns the private value of
-// each captured variable's fresh cell, false when it has none.
-func (b binder) bind(body *compile.Body, capture func(name string) (value.Value, bool)) (*compile.Bound, error) {
-	return body.Bind(func(ref compile.CellRef) (*value.Value, error) {
-		if ref.Global {
-			if v := b.glob.Lookup(ref.Name); v != nil {
-				return v, nil
-			}
-			return nil, fmt.Errorf("cinnamon: internal: unresolved global %q", ref.Name)
-		}
-		v, ok := capture(ref.Name)
-		if !ok {
-			return nil, fmt.Errorf("cinnamon: internal: unresolved capture %q", ref.Name)
-		}
-		return &v, nil
-	}, b.out)
-}
-
-// action binds an action body as a's executors: Exec, and the fast
-// lowering the placement IR promotes (Inline; nil when the placement
-// has none). Every firing runs the closure chain on the reused frame.
-func (b binder) action(a *placement.Action, body *compile.Body, capture func(name string) (value.Value, bool)) error {
-	bound, err := b.bind(body, capture)
-	if err != nil {
-		return err
+		caps[i] = recordValue(*slot)
 	}
-	inst := b.inst
-	var il *placement.InlineInfo
-	if fast := bound.FastExec(); fast != nil {
-		il = &placement.InlineInfo{Exec: func(dyn []value.Value) {
-			if err := fast(dyn); err != nil {
-				inst.record(err)
-			}
-		}}
-		il.Flush, _ = bound.CounterShape()
+	switch fast, counter := body.FastTier(caps); {
+	case counter:
+		a.Tier = placement.MechCounter
+	case fast:
+		a.Tier = placement.MechFast
 	}
-	a.Exec = func(dyn []value.Value) {
-		if err := bound.Exec(dyn); err != nil {
-			inst.record(err)
-		}
-	}
-	a.Inline = il
+	e.actions[a] = &actionRec{body: body, caps: caps}
 	return nil
-}
-
-// blocks binds the init or exit bodies, which capture nothing.
-func (b binder) blocks(bodies []*compile.Body) ([]func(), error) {
-	var fns []func()
-	for _, body := range bodies {
-		bound, err := b.bind(body, func(string) (value.Value, bool) { return value.Value{}, false })
-		if err != nil {
-			return nil, err
-		}
-		inst := b.inst
-		fns = append(fns, func() { inst.record(bound.Exec(nil)) })
-	}
-	return fns, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"slices"
 
@@ -14,22 +15,21 @@ import (
 )
 
 // The rule template: the session-independent half of an instrumentation
-// build, recorded once and instantiated per session.
+// build, recorded once and instantiated per session. It is the only way a
+// compiled build is made: the first session of a template instantiates
+// it right after recording, exactly as later ones do.
 //
-// BuildRules is deterministic for a given (tool, program, placer,
-// engine options) — the walk enumerates CFEs in a fixed order, static
-// where clauses resolve from by-value snapshots, and the optimization
-// passes are pure table rewrites. What makes a built RuleSet
-// session-bound is only the *binding*: action closures write to the
-// session's output, mutate the session's global and captured cells, and
-// record errors into the session's Instance. A Template therefore
-// records the structure (post-pass rule list, mechanisms, merge runs)
-// plus immutable snapshots of everything the bindings consumed (final
-// global values, per-action captured values, analysis-time output,
-// build-stat deltas), and Instantiate replays the binding step — fresh
-// cells, fresh closures, fresh Instance — in a fraction of the full
-// walk's cost. Per-session mutable state (probe IDs, counters, VM
-// memory) lives in the collector and VM exactly as on the cold path.
+// The walk is deterministic for a given (tool, program, placer, engine
+// options) — it enumerates CFEs in a fixed order, static where clauses
+// resolve from by-value snapshots, and the optimization passes are pure
+// table rewrites — and on the compiled path it binds nothing. A Template
+// holds the post-pass rule structure (mechanisms, merged runs, actions
+// without closures) plus immutable snapshots of everything a binding
+// consumes: final global values, each placed action's captured values,
+// analysis-time output and build-stat deltas. Instantiate makes the
+// session: fresh cells, fresh closures, a fresh Instance. Per-session
+// mutable state (probe IDs, counters, VM memory) lives in the collector
+// and VM.
 //
 // Tool files are session state too: analysis code may write them
 // (Figure 9 records every function entry for its init block to read), so
@@ -37,38 +37,19 @@ import (
 // instantiation gets a fresh file system holding copies, with file
 // globals and captures rebound to the fresh handles by name.
 //
-// Every compiled build records a template; only the interpreter path
-// (Options.Interpret) has no compiled bodies to rebind and records none.
 // A recorded value needs one value.Copy to be private: the language has
-// no containers of containers, and files are rebound by name.
+// no containers of containers, and files are rebound by name. Only the
+// interpreter path (Options.Interpret), the reference the compiled path
+// is held to, binds during its walk and has no template.
 
-// templateRec accumulates recording state during one buildRules walk.
-type templateRec struct {
-	// col is a private collector: the walk and the passes bump their
-	// build stats here so the template knows the exact deltas to replay
-	// per instantiation (the caller's collector gets them merged in
-	// afterwards).
-	col *obs.Collector
-	// analysisOut tees the analysis-time tool output.
-	analysisOut bytes.Buffer
-	// actions maps each placed Action to its compiled body and captured
-	// values.
-	actions map[*placement.Action]*actionRec
-}
-
-// actionRec is one placed action's rebind record.
+// actionRec is one placed action's binding record.
 type actionRec struct {
 	body *compile.Body
-	// caps holds the non-global free variables of the compiled body,
-	// by name, recorded at the cold bind (see recordValue). Never handed
-	// out directly: Instantiate copies per session.
-	caps map[string]value.Value
-}
-
-// globalRec is one global's final analysis-time value.
-type globalRec struct {
-	name string
-	val  value.Value
+	// caps holds the recorded value of each captured cell, aligned with
+	// body.Cells (global cells' entries are unused; see recordValue), or
+	// is nil when the body captures nothing. Never handed out directly:
+	// Instantiate copies per session.
+	caps []value.Value
 }
 
 // fileRec is one tool file's analysis-time contents and read cursor.
@@ -79,62 +60,57 @@ type fileRec struct {
 }
 
 // Template is a recorded instrumentation build, shareable read-only
-// across sessions. Instantiate may be called concurrently.
+// across sessions; it holds no session state. Instantiate may be called
+// concurrently.
 type Template struct {
-	tool    *CompiledTool
-	prog    *cfg.Program
-	globals []globalRec
+	tool *CompiledTool
+	// globals are the final analysis-time global values, aligned with
+	// tool.Info.Globals.
+	globals []value.Value
 	files   []fileRec
 	out     []byte
 	stats   obs.BuildStats
 	actions map[*placement.Action]*actionRec
-	// rules are the cold build's post-pass rules in table order; nothing
-	// mutates a rule after placement.Apply. Their actions are the cold
-	// session's and key actions.
+	// rules are the post-pass rules in table order; nothing mutates a
+	// rule after placement.Apply. Their actions carry no closures and
+	// key actions.
 	rules []*placement.Rule
 }
 
-// BuildTemplate runs BuildRules while recording a reusable Template.
-// It returns the cold build's own RuleSet and Instance — identical to
-// what BuildRules would have produced — plus the Template, which is nil
-// only under Options.Interpret. The RuleSet must still be lowered and
-// used by the calling session as usual.
-func BuildTemplate(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Options) (*Template, *placement.RuleSet, *Instance, error) {
-	if opts.Interpret {
-		rs, inst, err := buildRules(tool, prog, placer, opts, nil)
-		return nil, rs, inst, err
-	}
-	rec := &templateRec{
-		col:     obs.New(obs.Options{}),
-		actions: make(map[*placement.Action]*actionRec),
-	}
-	rs, inst, err := buildRules(tool, prog, placer, opts, rec)
+// BuildTemplate walks the program for the tool's compiled bodies,
+// recording a reusable Template; Options.Interpret is not consulted. The
+// walk's analysis output is recorded rather than written, and written to
+// opts.Out only when the walk fails; Instantiate writes it for each
+// session, as it credits the build-stat deltas to opts.Obs.
+func BuildTemplate(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Options) (*Template, error) {
+	var out bytes.Buffer
+	rec := opts
+	rec.Out, rec.Obs, rec.Interpret = &out, obs.New(obs.Options{}), false
+	e, err := walk(tool, prog, placer, rec)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	// The walk and passes bumped only the recorder's collector; merge
-	// the deltas into the session's so the cold report is unchanged.
-	stats := rec.col.Snapshot("").Build
-	if opts.Obs != nil {
-		opts.Obs.MutateBuild(func(b *obs.BuildStats) { addBuildDeltas(b, stats) })
+		if opts.Out != nil {
+			// The walk's error is the one to report.
+			_, _ = opts.Out.Write(out.Bytes())
+		}
+		return nil, err
 	}
 	t := &Template{
 		tool:    tool,
-		prog:    prog,
-		out:     rec.analysisOut.Bytes(),
-		stats:   stats,
-		actions: rec.actions,
-		rules:   slices.Clone(rs.Rules()),
+		out:     out.Bytes(),
+		stats:   rec.Obs.Snapshot("").Build,
+		actions: e.actions,
+		rules:   e.rs.Rules(),
 	}
-	fs := inst.interp.FS
+	fs := e.in.FS
 	for _, name := range fs.Names() {
 		f := fs.Open(name)
 		t.files = append(t.files, fileRec{name: name, lines: slices.Clone(f.Lines), readPos: f.ReadPos})
 	}
-	for _, d := range tool.Info.Globals {
-		t.globals = append(t.globals, globalRec{name: d.Name, val: recordValue(*inst.globals.Lookup(d.Name))})
+	t.globals = make([]value.Value, len(tool.Info.Globals))
+	for i, d := range tool.Info.Globals {
+		t.globals[i] = recordValue(*e.glob.Lookup(d.Name))
 	}
-	return t, rs, inst, nil
+	return t, nil
 }
 
 // addBuildDeltas adds the instrumentation-stage build stats a template
@@ -167,15 +143,15 @@ func instantiateValue(v value.Value, fs *interp.FS) value.Value {
 	return value.Copy(v)
 }
 
-// Instantiate rebinds the template for one session: a fresh file
-// system holding copies of the recorded files, fresh global and captured
-// cells initialized from the recorded snapshots, fresh action closures
-// writing to opts.Out and recording into a fresh Instance, recorded
-// analysis output replayed, and the recorded build-stat deltas credited
+// Instantiate binds the template for one session: a fresh file system
+// holding copies of the recorded files, fresh global and captured cells
+// initialized from the recorded snapshots, fresh action closures writing
+// to opts.Out and recording into a fresh Instance, recorded analysis
+// output written to opts.Out, and the recorded build-stat deltas credited
 // to opts.Obs. The returned RuleSet is private to the caller and ready
 // for Placer.Lower; runtime options (Out, Obs) are honoured, build
-// options (Interpret, NoIROpt, Adaptive) must match the ones the
-// template was built with — callers key their cache on them.
+// options (NoIROpt, Adaptive) must match the ones the template was built
+// with — callers key their cache on them.
 func (t *Template) Instantiate(opts Options) (*placement.RuleSet, *Instance, error) {
 	out := opts.Out
 	if out == nil {
@@ -187,12 +163,12 @@ func (t *Template) Instantiate(opts Options) (*placement.RuleSet, *Instance, err
 		h.Lines = slices.Clone(f.lines)
 		h.ReadPos = f.readPos
 	}
-	it := interp.New(t.tool.Info, out, fs)
-	glob := interp.NewEnv(nil)
-	for _, g := range t.globals {
-		glob.Define(g.name, instantiateValue(g.val, fs))
+	vals := make([]value.Value, len(t.globals))
+	glob := make(map[string]*value.Value, len(t.globals))
+	for i, d := range t.tool.Info.Globals {
+		vals[i] = instantiateValue(t.globals[i], fs)
+		glob[d.Name] = &vals[i]
 	}
-	inst := &Instance{interp: it, globals: glob}
 	if len(t.out) > 0 {
 		if _, err := out.Write(t.out); err != nil {
 			return nil, nil, err
@@ -203,20 +179,16 @@ func (t *Template) Instantiate(opts Options) (*placement.RuleSet, *Instance, err
 		opts.Obs.MutateBuild(func(b *obs.BuildStats) { addBuildDeltas(b, stats) })
 	}
 
-	// Each rule is copied with its action rebound; an action placed by
+	// Each rule is copied with its action bound; an action placed by
 	// several rules is bound once.
-	bd := binder{glob: glob, out: out, inst: inst}
+	s := session{glob: glob, fs: fs, out: out, inst: &Instance{}}
 	bound := make(map[*placement.Action]*placement.Action, len(t.actions))
-	rebind := func(r *placement.Rule) (*placement.Rule, error) {
+	bind := func(r *placement.Rule) (*placement.Rule, error) {
 		a := bound[r.Action]
 		if a == nil {
-			ar := t.actions[r.Action]
 			na := *r.Action
 			a = &na
-			if err := bd.action(a, ar.body, func(name string) (value.Value, bool) {
-				v, ok := ar.caps[name]
-				return instantiateValue(v, fs), ok
-			}); err != nil {
+			if err := s.action(a, t.actions[r.Action]); err != nil {
 				return nil, err
 			}
 			bound[r.Action] = a
@@ -228,18 +200,18 @@ func (t *Template) Instantiate(opts Options) (*placement.RuleSet, *Instance, err
 	rs := &placement.RuleSet{}
 	for _, r := range t.rules {
 		if len(r.Merged) == 0 {
-			nr, err := rebind(r)
+			nr, err := bind(r)
 			if err != nil {
 				return nil, nil, err
 			}
 			rs.Add(nr)
 			continue
 		}
-		// A merged rule is re-fused from its rebound constituents, so
-		// the fused closures bind to this session's cells.
+		// A merged rule is fused from its bound constituents, so the
+		// fused closures bind to this session's cells.
 		parts := make([]*placement.Rule, len(r.Merged))
 		for i, p := range r.Merged {
-			np, err := rebind(p)
+			np, err := bind(p)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -248,11 +220,83 @@ func (t *Template) Instantiate(opts Options) (*placement.RuleSet, *Instance, err
 		rs.Add(placement.MergeRun(parts))
 	}
 	var err error
-	if rs.Inits, err = bd.blocks(t.tool.Code.Inits); err != nil {
+	if rs.Inits, err = s.blocks(t.tool.Code.Inits); err != nil {
 		return nil, nil, err
 	}
-	if rs.Finis, err = bd.blocks(t.tool.Code.Exits); err != nil {
+	if rs.Finis, err = s.blocks(t.tool.Code.Exits); err != nil {
 		return nil, nil, err
 	}
-	return rs, inst, nil
+	return rs, s.inst, nil
+}
+
+// session binds compiled bodies into one instantiated session: globals
+// resolve to the session's shared slots, each capture to a fresh cell
+// holding a copy of its recorded value, print() output goes to out and
+// runtime errors are recorded into inst.
+type session struct {
+	glob map[string]*value.Value
+	fs   *interp.FS
+	out  io.Writer
+	inst *Instance
+}
+
+// bind binds one compiled body; caps holds its captures' recorded
+// values, aligned with body.Cells (nil for a body that captures nothing).
+func (s session) bind(body *compile.Body, caps []value.Value) (*compile.Bound, error) {
+	cells := make([]*value.Value, len(body.Cells))
+	for i, c := range body.Cells {
+		switch {
+		case c.Global:
+			if cells[i] = s.glob[c.Name]; cells[i] == nil {
+				return nil, fmt.Errorf("cinnamon: internal: unresolved global %q", c.Name)
+			}
+		case i < len(caps):
+			v := instantiateValue(caps[i], s.fs)
+			cells[i] = &v
+		default:
+			return nil, fmt.Errorf("cinnamon: internal: unresolved capture %q", c.Name)
+		}
+	}
+	return body.Bind(cells, s.out), nil
+}
+
+// action binds a recorded action body as a's executors: Exec, and the
+// fast lowering its Tier promises (Inline; nil when the placement has
+// none). Every firing runs the closure chain on the reused frame.
+func (s session) action(a *placement.Action, ar *actionRec) error {
+	bound, err := s.bind(ar.body, ar.caps)
+	if err != nil {
+		return err
+	}
+	inst := s.inst
+	var il *placement.InlineInfo
+	if fast := bound.FastExec(); fast != nil {
+		il = &placement.InlineInfo{Exec: func(dyn []value.Value) {
+			if err := fast(dyn); err != nil {
+				inst.record(err)
+			}
+		}}
+		il.Flush, _ = bound.CounterShape()
+	}
+	a.Exec = func(dyn []value.Value) {
+		if err := bound.Exec(dyn); err != nil {
+			inst.record(err)
+		}
+	}
+	a.Inline = il
+	return nil
+}
+
+// blocks binds the init or exit bodies, which capture nothing.
+func (s session) blocks(bodies []*compile.Body) ([]func(), error) {
+	var fns []func()
+	for _, body := range bodies {
+		bound, err := s.bind(body, nil)
+		if err != nil {
+			return nil, err
+		}
+		inst := s.inst
+		fns = append(fns, func() { inst.record(bound.Exec(nil)) })
+	}
+	return fns, nil
 }

@@ -45,9 +45,9 @@ func Apply(rs *RuleSet, cfg Config) error {
 // hoist resolves every deferred static where clause once per action
 // instance: a group that evaluates false drops all its rules (the
 // probe is never placed); one that evaluates true leaves them
-// unconditional. Group predicates close over by-value CFE snapshots
-// taken at emission time, so the outcome is exactly what eager
-// evaluation would have produced.
+// unconditional, with their Group cleared. Group predicates close over
+// by-value CFE snapshots taken at emission time, so the outcome is
+// exactly what eager evaluation would have produced.
 func hoist(rs *RuleSet, o *obs.Collector) error {
 	var hoisted, placed, filtered int
 	kept := rs.rules[:0]
@@ -71,6 +71,7 @@ func hoist(rs *RuleSet, o *obs.Collector) error {
 			}
 		}
 		if g.keep {
+			r.Group = nil
 			kept = append(kept, r)
 		}
 	}
@@ -89,24 +90,20 @@ func hoist(rs *RuleSet, o *obs.Collector) error {
 	return nil
 }
 
-// promote sets each rule's dispatch mechanism from its action's fast
-// lowering: a compiled fast thunk upgrades to MechFast, and an
-// additive body with no dynamic attributes to MechCounter. This feeds
-// the VM's existing InlineInfo fast path from the IR instead of
-// per-backend plumbing.
+// promote sets each rule's dispatch mechanism from its action's
+// recorded tier: a fast lowering upgrades to MechFast, and an additive
+// body with no dynamic attributes to MechCounter. This feeds the VM's
+// existing InlineInfo fast path from the IR instead of per-backend
+// plumbing.
 func promote(rs *RuleSet, o *obs.Collector) {
 	promoted := 0
 	for _, r := range rs.rules {
-		if len(r.Merged) > 0 || r.Action == nil {
+		if len(r.Merged) > 0 || r.Action == nil || r.Action.Tier == MechGeneric {
 			continue
 		}
-		il := r.Action.Inline
-		if il == nil {
-			continue
-		}
-		want := MechFast
-		if il.Flush != nil && len(r.Action.DynAttrs) == 0 {
-			want = MechCounter
+		want := r.Action.Tier
+		if len(r.Action.DynAttrs) > 0 {
+			want = MechFast
 		}
 		if want != r.Mechanism {
 			r.Mechanism = want
@@ -139,7 +136,8 @@ type siteKey struct {
 //
 // The merged probe attributes per-constituent through vm.Share rows,
 // so the report is row-for-row identical to the unmerged table, and
-// stays a counter (see MergeRun).
+// stays a counter. The pass builds only the merged rule's structure;
+// MergeRun fuses its closures once the constituents are bound.
 func coalesce(rs *RuleSet, o *obs.Collector) {
 	open := make(map[siteKey][]int)
 	var runs [][]int
@@ -177,7 +175,7 @@ func coalesce(rs *RuleSet, o *obs.Collector) {
 				drop[idx] = true
 			}
 		}
-		rs.rules[run[0]] = MergeRun(parts)
+		rs.rules[run[0]] = mergedRule(parts)
 		merged += len(run) - 1
 	}
 	kept := rs.rules[:0]
@@ -202,20 +200,13 @@ func coalescable(r *Rule) bool {
 	return len(r.Merged) == 0 && r.Mechanism == MechCounter && r.Action.Sample <= 1
 }
 
-// MergeRun fuses a same-site run of counters into one counter rule
-// whose execution is the constituents' executions in order; its
-// Flush(n) runs each constituent's Flush(n) in order, so n firings of
-// the run still equal one flush. Exported for the engine's rule
-// templates, which re-fuse a recorded merged rule after rebinding its
-// constituents to a new session's cells.
-func MergeRun(parts []*Rule) *Rule {
+// mergedRule is the structure of one counter probe standing for a
+// same-site run of counters: the first constituent's site and label,
+// their summed cost, and the constituents in execution order.
+func mergedRule(parts []*Rule) *Rule {
 	first := parts[0]
-	execs := make([]func([]value.Value), len(parts))
-	flushes := make([]func(int64), len(parts))
 	var cost uint64
-	for i, p := range parts {
-		execs[i] = p.Action.Exec
-		flushes[i] = p.Action.Inline.Flush
+	for _, p := range parts {
 		cost += p.Action.Cost
 	}
 	return &Rule{
@@ -227,18 +218,36 @@ func MergeRun(parts []*Rule) *Rule {
 			Label:  first.Action.Label,
 			Cost:   cost,
 			Simple: first.Action.Simple,
-			Exec: func([]value.Value) {
-				for _, exec := range execs {
-					exec(nil)
-				}
-			},
-			Inline: &InlineInfo{Flush: func(n int64) {
-				for _, flush := range flushes {
-					flush(n)
-				}
-			}},
+			Tier:   MechCounter,
 		},
 		Mechanism: MechCounter,
 		Merged:    parts,
 	}
+}
+
+// MergeRun fuses a same-site run of bound counters into one counter
+// rule whose execution is the constituents' executions in order; its
+// Flush(n) runs each constituent's Flush(n) in order, so n firings of
+// the run still equal one flush. The engine's Template.Instantiate calls
+// it for every merged rule of a recorded table once the constituents
+// are bound to the session's cells.
+func MergeRun(parts []*Rule) *Rule {
+	r := mergedRule(parts)
+	execs := make([]func([]value.Value), len(parts))
+	flushes := make([]func(int64), len(parts))
+	for i, p := range parts {
+		execs[i] = p.Action.Exec
+		flushes[i] = p.Action.Inline.Flush
+	}
+	r.Action.Exec = func([]value.Value) {
+		for _, exec := range execs {
+			exec(nil)
+		}
+	}
+	r.Action.Inline = &InlineInfo{Flush: func(n int64) {
+		for _, flush := range flushes {
+			flush(n)
+		}
+	}}
+	return r
 }

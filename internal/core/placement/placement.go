@@ -139,33 +139,28 @@ type Action struct {
 	Raw vm.ProbeFn
 	// Inline, when non-nil, describes the fast-lowering surface.
 	Inline *InlineInfo
+	// Tier is the fastest mechanism the action's body supports at this
+	// placement, recorded when the action is placed so the promotion
+	// pass needs no bound closures: MechFast when it has a fast lowering,
+	// MechCounter when that lowering is additive. A bound action's Inline
+	// provides the surfaces its Tier promises.
+	Tier Mechanism
 }
 
-// CtxExec adapts the action to a machine-context probe function,
-// materializing dynamic attributes through ResolveDynAttr into a
-// per-placement buffer reused across firings.
+// CtxExec adapts the action to a machine-context probe function (see
+// ctxCall).
 func (a *Action) CtxExec() vm.ProbeFn {
 	if a.Raw != nil {
 		return a.Raw
 	}
-	exec := a.Exec
-	if len(a.DynAttrs) == 0 {
-		return func(c *vm.Ctx) { exec(nil) }
-	}
-	attrs := a.DynAttrs
-	buf := make([]value.Value, len(attrs))
-	return func(c *vm.Ctx) {
-		for i, da := range attrs {
-			buf[i] = value.UintVal(ResolveDynAttr(c, da.Attr))
-		}
-		exec(buf)
-	}
+	return a.ctxCall(a.Exec)
 }
 
-// fastCtx adapts the action's fast thunk to a machine-context probe
-// function (the vm.ProbeSpec callback).
-func (a *Action) fastCtx() vm.ProbeFn {
-	exec := a.Inline.Exec
+// ctxCall adapts exec, the action's Exec or its fast thunk, to a
+// machine-context probe function, materializing dynamic attributes
+// through ResolveDynAttr into a per-placement buffer reused across
+// firings.
+func (a *Action) ctxCall(exec func(dyn []value.Value)) vm.ProbeFn {
 	if len(a.DynAttrs) == 0 {
 		return func(c *vm.Ctx) { exec(nil) }
 	}
@@ -206,7 +201,9 @@ func ResolveDynAttr(c *vm.Ctx, attr string) uint64 {
 // evaluates against a by-value snapshot of the CFE variables it
 // references, taken at emission time, so analysis-time mutation after
 // emission cannot change the outcome: hoisting is observably
-// identical to eager evaluation.
+// identical to eager evaluation. The hoisting pass detaches each group
+// from its rules once evaluated, so no applied table keeps the walk's
+// state alive through Eval.
 type WhereGroup struct {
 	// Eval runs the predicate once; the hoisting pass caches the
 	// outcome for the whole group.
@@ -240,7 +237,7 @@ type Rule struct {
 	// nil when the clause was evaluated eagerly or absent).
 	Where ast.Expr
 	// Group resolves the deferred where clause for this rule's action
-	// instance (nil when none).
+	// instance (nil when none, and after the hoisting pass).
 	Group *WhereGroup
 	// Merged holds the constituent rules of a coalesced probe, in
 	// execution order. Non-nil only on rules produced by the
@@ -257,7 +254,7 @@ func (r *Rule) Spec() *vm.ProbeSpec {
 	case MechCounter:
 		return &vm.ProbeSpec{Counter: true, Flush: r.Action.Inline.Flush}
 	case MechFast:
-		return &vm.ProbeSpec{Fn: r.Action.fastCtx()}
+		return &vm.ProbeSpec{Fn: r.Action.ctxCall(r.Action.Inline.Exec)}
 	}
 	return nil
 }

@@ -406,6 +406,45 @@ func TestRulesAtSharedLibVictim(t *testing.T) {
 	}
 }
 
+// TestAppliedTableHasNoGroups requires the hoisting pass to detach every
+// where group it resolves, so an applied table (and a template recorded
+// from one) keeps nothing of the walk reachable through WhereGroup.Eval.
+func TestAppliedTableHasNoGroups(t *testing.T) {
+	b := &cfg.Block{Start: 0x40, End: 0x48}
+	keep := &placement.WhereGroup{Eval: func() (bool, error) { return true, nil }}
+	drop := &placement.WhereGroup{Eval: func() (bool, error) { return false, nil }}
+	rs := &placement.RuleSet{}
+	for _, g := range []*placement.WhereGroup{keep, drop, keep, nil} {
+		rs.Add(&placement.Rule{Trigger: placement.BlockEntry, Block: b, Action: &placement.Action{Label: "a"}, Group: g})
+	}
+	if err := placement.Apply(rs, placement.Config{Optimize: true}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rs.Rules()); n != 3 {
+		t.Errorf("applied table has %d rules, want 3", n)
+	}
+
+	prog := loadVictim(t, []string{goldenVictim})
+	tool := compileTool(t, `
+uint64 c = 0;
+inst I {
+  before I where (I.opcode == Load) { c = c + 1; }
+}
+`)
+	deferred := 0
+	for _, r := range append(rs.Rules(), buildRules(t, tool, prog, false).Rules()...) {
+		if r.Group != nil {
+			t.Errorf("rule %q at %#x kept its where group", r.Action.Label, r.SiteAddr())
+		}
+		if r.Where != nil {
+			deferred++
+		}
+	}
+	if deferred == 0 {
+		t.Error("no rule of the where-clause tool had its clause deferred")
+	}
+}
+
 // --- Satellite: fuzzing the pass pipeline ----------------------------
 
 // placementKeys flattens the table to a multiset of concrete

@@ -306,6 +306,41 @@ func TestMemoryEAArg(t *testing.T) {
 	}
 }
 
+// TestEdgeCall fires an edge call once per loop back edge taken, passes
+// every argument as 0 and prices the call like any clean call.
+func TestEdgeCall(t *testing.T) {
+	run := func(edge bool) (uint64, [][]uint64) {
+		prog := build(t, loadsSrc)
+		p := New(prog, vm.Config{})
+		var calls [][]uint64
+		if edge {
+			back := prog.Modules[0].Funcs[0].Loops[0].Backs[0]
+			r := Routine{Fn: func(args []uint64) { calls = append(calls, append([]uint64(nil), args...)) }, Cost: 10}
+			if err := p.InsertEdgeCall(back.From.Start, back.To.Start, r, FuncArg(1), RegValue(isa.R2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := p.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Cycles, calls
+	}
+	base, _ := run(false)
+	cycles, calls := run(true)
+	if len(calls) != 9 {
+		t.Fatalf("edge calls = %d, want 9", len(calls))
+	}
+	for _, args := range calls {
+		if len(args) != 2 || args[0] != 0 || args[1] != 0 {
+			t.Errorf("edge call args = %v, want [0 0]", args)
+		}
+	}
+	if got, want := cycles-base, uint64(9*(CleanCallCost+10+2*ArgCost)); got != want {
+		t.Errorf("edge calls cost %d cycles, want %d", got, want)
+	}
+}
+
 func TestCleanCallCostsMoreThanInlined(t *testing.T) {
 	costOf := func(inlinable bool) uint64 {
 		prog := build(t, loadsSrc)
