@@ -20,9 +20,9 @@ import (
 // /metrics and /sessions/s1/stats while the victim is still running, and
 // the session-labelled scrapes must be monotone, must keep moving and
 // must be bounded by the final report, which must reconcile exactly. The
-// use-after-free monitor fires generic probes, attributed per firing;
-// opcodemix is counters only, attributed when their accumulators flush,
-// so its rows move mid-run only through the machine's periodic flush.
+// use-after-free monitor fires specialized probes and opcodemix only
+// promoted counters; the machine attributes both in batches when it
+// flushes, so their rows move mid-run through its periodic flush.
 func TestLiveMonitoredSession(t *testing.T) {
 	cases := []struct {
 		tool, victim string

@@ -428,7 +428,7 @@ func runPin(tool *engine.CompiledTool, prog *cfg.Program, opts Options) (*vm.Res
 	// The loop-detection extension realizes loop trigger points through
 	// edge instrumentation on the machine underneath Pin.
 	for _, e := range pl.edges {
-		record(p.InsertEdgeCall(e.from, e.to, e.p.routine, e.p.args...))
+		record(p.InsertEdgeCall(e.from, e.to, e.p.routine))
 	}
 	res, err := p.Run()
 	if err != nil {

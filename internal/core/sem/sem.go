@@ -587,14 +587,21 @@ func (c *checker) checkField(x *ast.FieldExpr, actx *actionCtx) (*types.Type, er
 			return nil, &Error{Pos: x.P, Msg: fmt.Sprintf(
 				"attribute %s.%s belongs to the dynamic context and is only available inside actions", base.EType, attr.Name)}
 		}
+		// The backends materialize a dynamic attribute from the firing
+		// of the action's own element; an enclosing action on a coarser
+		// element has no such firing to read it from.
+		id, ok := x.X.(*ast.Ident)
+		if !ok || id.Name != actx.action.Target {
+			return nil, &Error{Pos: x.P, Msg: fmt.Sprintf(
+				"dynamic attribute %s.%s is only available in actions on its own element, not in an action on %s",
+				base.EType, attr.Name, actx.action.Target)}
+		}
 		if attr.AfterOnly && actx.info.Canonical != ast.After {
 			return nil, &Error{Pos: x.P, Msg: fmt.Sprintf(
 				"attribute %s is only available in after-actions (the call must have returned)", attr.Name)}
 		}
 		c.info.DynamicExprs[x] = true
-		if id, ok := x.X.(*ast.Ident); ok {
-			actx.dynSeen[DynAttr{Var: id.Name, Attr: attr.Name}] = true
-		}
+		actx.dynSeen[DynAttr{Var: id.Name, Attr: attr.Name}] = true
 	}
 	return attr.Type, nil
 }

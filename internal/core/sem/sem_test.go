@@ -165,6 +165,7 @@ func TestSemanticErrors(t *testing.T) {
 		{"dynamic in command where", `inst I where (I.memaddr > 0) { }`, "only available inside actions"},
 		{"dynamic in init", `init { print(1); } inst I { before I { print(I.memaddr); } }`, ""},
 		{"rtnval in before", `inst I { before I { print(I.rtnval); } }`, "after-actions"},
+		{"dynamic of other element", `uint64 n = 0; loop L { inst I where (I.opcode == Call) { iter L { n = n + I.arg1; } } }`, "only available in actions on its own element"},
 		{"bad attr", `inst I { before I { print(I.frobnicate); } }`, "no attribute"},
 		{"iter on inst", `inst I { iter I { } }`, "invalid for instructions"},
 		{"iter on bb", `basicblock B { iter B { } }`, "invalid for basicblock"},

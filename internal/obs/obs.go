@@ -13,23 +13,24 @@
 // and a bounded ring-buffer trace of probe firings.
 //
 // The design mirrors the VM's de-mapped probe dispatch: counters live in
-// pre-sized slots indexed by the ProbeID's slot index, so the hot path
-// (Collector.Fire) is two uncontended atomic adds — no map lookups, no
-// allocation, no locks. Fire splits into a count half (FireN, which
-// also counts n firings at once) and an event half (Event, guarded by
-// the inlinable Listening check), so a machine that batches a promoted
-// counter's attribution still publishes one event per firing.
-// Registration (RegisterProbe) happens on cold paths only: ahead of
-// execution for the static frameworks, at block-translation time for the
-// dynamic ones. When no Collector is attached the only cost to the
-// execution substrate is one predictable nil-check branch per probe
-// dispatch batch.
+// pre-sized slots indexed by the ProbeID's slot index, so counting is
+// two uncontended atomic adds — no map lookups, no allocation, no
+// locks. The count and the event are separate calls: FireN counts n
+// firings at once and SkipN n swallowed sample hits, while Event
+// (guarded by the inlinable Listening check) publishes one firing. The
+// VM keeps each probe's pending fires and skips itself and calls FireN
+// and SkipN only when it flushes, while still publishing one event per
+// firing; Fire is one firing's FireN and Event together. Registration
+// (RegisterProbe) happens on cold paths only: ahead of execution for
+// the static frameworks, at block-translation time for the dynamic
+// ones. When no Collector is attached the execution substrate runs no
+// attribution code at all.
 //
 // # Concurrency model
 //
 // A Collector has exactly one writer and any number of readers:
 //
-//   - The run goroutine calls RegisterProbe, Fire, FireN, Event, Skip,
+//   - The run goroutine calls RegisterProbe, Fire, FireN, Event, SkipN,
 //     MutateBuild and NoteTranslation. These must not be called
 //     concurrently with each other.
 //   - Any goroutine may call Snapshot, Subscribe, Unsubscribe,
@@ -40,12 +41,11 @@
 //
 // Counters are read and written with atomic operations, so a mid-run
 // Snapshot is race-free and every counter in it is monotonically
-// non-decreasing across consecutive snapshots. Fire and FireN update a
-// probe's fire and cycle counters with two separate atomic adds, so a
-// snapshot taken between them can observe fires without their cycles.
-// A promoted counter's row lags the machine by at most one flush period
-// (the VM attributes its firings when it flushes the counter's
-// accumulator), and the final snapshot is exact.
+// non-decreasing across consecutive snapshots. FireN updates a probe's
+// fire and cycle counters with two separate atomic adds, so a snapshot
+// taken between them can observe fires without their cycles. A row lags
+// the machine by at most one flush period (the VM attributes firings
+// and skips when it flushes), and the final snapshot is exact.
 //
 // # Cross-collector attribution
 //
@@ -269,12 +269,12 @@ func (c *Collector) RegisterProbe(m ProbeMeta) ProbeID {
 }
 
 // Fire records one probe firing: cost cycle units attributed to id at
-// program counter pc. Hot path — two uncontended atomic adds on a
-// pre-sized slot, no locks. Firings of untagged probes (NoProbe, or an
-// ID minted by a different collector) fall into the untracked bucket
-// rather than being lost, so totals always reconcile. Fire is its two
-// halves, FireN(id, 1, cost) and Event(id, cost, pc), with the event
-// half skipped when nobody is Listening. Run goroutine only; concurrent
+// program counter pc — two uncontended atomic adds on a pre-sized slot,
+// no locks. Firings of untagged probes (NoProbe, or an ID minted by a
+// different collector) fall into the untracked bucket rather than being
+// lost, so totals always reconcile. Fire is its two halves,
+// FireN(id, 1, cost) and Event(id, cost, pc), with the event half
+// skipped when nobody is Listening. Run goroutine only; concurrent
 // Snapshot calls observe the counters atomically.
 func (c *Collector) Fire(id ProbeID, cost, pc uint64) {
 	idx := c.slotIndex(id)
@@ -286,8 +286,8 @@ func (c *Collector) Fire(id ProbeID, cost, pc uint64) {
 
 // FireN is Fire's count half for n firings at once: n fires and n×cost
 // cycles attributed to id in one pair of atomic adds, with no trace
-// events. A machine that batches the attribution of a promoted counter
-// calls it once per flush, after publishing each firing's Event as it
+// events. The VM batches every probe's attribution and calls it once
+// per row and flush, after publishing each firing's Event as it
 // happened. Run goroutine only.
 func (c *Collector) FireN(id ProbeID, n, cost uint64) {
 	c.count(c.slotIndex(id), n, n*cost)
@@ -361,21 +361,22 @@ func (c *Collector) publish(idx int, cost, pc uint64) {
 	}
 }
 
-// Skip records one swallowed hit of a sampled probe: the probe's gate
-// ran (cost cycle units, the decrement-and-branch) but suppressed the
-// firing. Skips attribute to the probe's own slot, preserving the
+// SkipN records n swallowed hits of a sampled probe: the probe's gate
+// ran (cost cycle units each, the decrement-and-branch) but suppressed
+// the firing. Skips attribute to the probe's own slot, preserving the
 // residual-zero invariant under sampling: a probe's cycles equal
-// fires x dispatch cost + skips x gate cost. Hot path, same discipline
-// as Fire (no locks, untracked fallback). Run goroutine only.
-func (c *Collector) Skip(id ProbeID, cost uint64) {
+// fires x dispatch cost + skips x gate cost. A machine that batches
+// attribution calls it once per flush. Same discipline as FireN (no
+// locks, untracked fallback). Run goroutine only.
+func (c *Collector) SkipN(id ProbeID, n, cost uint64) {
 	if i := c.slotIndex(id); i != 0 {
 		s := &c.slots[i-1]
-		s.skips.Add(1)
-		s.cycles.Add(cost)
+		s.skips.Add(n)
+		s.cycles.Add(n * cost)
 		return
 	}
-	c.untrackedSkips.Add(1)
-	c.untrackedCycles.Add(cost)
+	c.untrackedSkips.Add(n)
+	c.untrackedCycles.Add(n * cost)
 }
 
 // MutateBuild applies fn to the instrumentation-time counters under the

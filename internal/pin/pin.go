@@ -493,14 +493,10 @@ func (p *Pin) insertBlockCall(block *cfg.Block, r Routine, args []Arg) error {
 // the block at from to the block at to. Pin has no such insertion point;
 // it is the hook of the loop-detection extension (Section VI-E), which
 // realizes loop trigger points as edges on the machine underneath Pin.
-// An edge has no instruction for the descriptors to read, so every
-// argument is passed as 0, though still priced.
-func (p *Pin) InsertEdgeCall(from, to uint64, r Routine, args ...Arg) error {
-	zeros := make([]Arg, len(args))
-	for i := range zeros {
-		zeros[i] = Const(0)
-	}
-	return p.vm.Add(vm.Site{When: vm.AtEdge, Addr: to, From: from}, p.probe(r, zeros, obs.TriggerEdge, to))
+// An edge has no instruction for argument descriptors to read, so the
+// call takes none.
+func (p *Pin) InsertEdgeCall(from, to uint64, r Routine) error {
+	return p.vm.Add(vm.Site{When: vm.AtEdge, Addr: to, From: from}, p.probe(r, nil, obs.TriggerEdge, to))
 }
 
 // probe builds the machine probe for one insertion of the routine and

@@ -306,8 +306,8 @@ func TestMemoryEAArg(t *testing.T) {
 	}
 }
 
-// TestEdgeCall fires an edge call once per loop back edge taken, passes
-// every argument as 0 and prices the call like any clean call.
+// TestEdgeCall fires an edge call once per loop back edge taken, with no
+// arguments, and prices the call like any clean call.
 func TestEdgeCall(t *testing.T) {
 	run := func(edge bool) (uint64, [][]uint64) {
 		prog := build(t, loadsSrc)
@@ -316,7 +316,7 @@ func TestEdgeCall(t *testing.T) {
 		if edge {
 			back := prog.Modules[0].Funcs[0].Loops[0].Backs[0]
 			r := Routine{Fn: func(args []uint64) { calls = append(calls, append([]uint64(nil), args...)) }, Cost: 10}
-			if err := p.InsertEdgeCall(back.From.Start, back.To.Start, r, FuncArg(1), RegValue(isa.R2)); err != nil {
+			if err := p.InsertEdgeCall(back.From.Start, back.To.Start, r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -332,11 +332,11 @@ func TestEdgeCall(t *testing.T) {
 		t.Fatalf("edge calls = %d, want 9", len(calls))
 	}
 	for _, args := range calls {
-		if len(args) != 2 || args[0] != 0 || args[1] != 0 {
-			t.Errorf("edge call args = %v, want [0 0]", args)
+		if len(args) != 0 {
+			t.Errorf("edge call args = %v, want none", args)
 		}
 	}
-	if got, want := cycles-base, uint64(9*(CleanCallCost+10+2*ArgCost)); got != want {
+	if got, want := cycles-base, uint64(9*(CleanCallCost+10)); got != want {
 		t.Errorf("edge calls cost %d cycles, want %d", got, want)
 	}
 }

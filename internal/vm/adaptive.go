@@ -52,12 +52,19 @@ type probeCtl struct {
 	// `sample N`); re-arming restores it.
 	baseStride uint64
 	id         obs.ProbeID
-	sites      []ctlSite
+	// tal is the probe's attribution record, where an observed
+	// machine counts skips.
+	tal   *tally
+	sites []ctlSite
 }
 
 // gate decides one hit of an adaptive probe: true means fire. Disabled
 // probes skip at zero cost; swallowed sample hits charge SampleGateCost
-// and are attributed as skips.
+// and are attributed as skips at the next flush. It stays out of line:
+// inlined into VM.fire, it crowded the loop's path for ungated probes,
+// and the no-collector dispatch gate failed in a quarter of its runs.
+//
+//go:noinline
 func (ct *probeCtl) gate(v *VM) bool {
 	if !ct.enabled {
 		return false
@@ -72,7 +79,8 @@ func (ct *probeCtl) gate(v *VM) bool {
 	}
 	v.cycles += SampleGateCost
 	if v.obsC != nil {
-		v.obsC.Skip(ct.id, SampleGateCost)
+		v.queue(ct.tal)
+		ct.tal.skips++
 	}
 	return false
 }
@@ -81,15 +89,14 @@ func (ct *probeCtl) gate(v *VM) bool {
 // when the probe needs none (always-on, non-adaptive machine). The
 // countdown starts at the stride, so the probe first fires on hit N,
 // then 2N, ... — exactly floor(hits/N) fires.
-func (v *VM) newCtl(id obs.ProbeID, stride uint64) *probeCtl {
+func (v *VM) newCtl(id obs.ProbeID, stride uint64, tal *tally) *probeCtl {
 	if stride <= 1 && !v.adaptive {
 		return nil
 	}
 	if stride == 0 {
 		stride = 1
 	}
-	ct := &probeCtl{enabled: true, stride: stride, count: stride, baseStride: stride, id: id}
-	v.anyCtl = true
+	ct := &probeCtl{enabled: true, stride: stride, count: stride, baseStride: stride, id: id, tal: tal}
 	v.ctls = append(v.ctls, ct)
 	if id != obs.NoProbe {
 		if v.ctlByID == nil {
@@ -171,9 +178,10 @@ func (v *VM) SetProbeEnabled(id obs.ProbeID, enabled bool) bool {
 // least `every` cycle units have elapsed since the previous call. The
 // hook runs at the identical machine state on both execution tiers
 // (after the pending call-after drain, before the translator hook and
-// code-cache resolution, with promoted counters flushed), so decisions
-// it makes are deterministic and tier-independent. The overhead governor
-// is its intended user. Must be installed before Run.
+// code-cache resolution, with promoted counters and attribution
+// flushed), so decisions it makes are deterministic and
+// tier-independent, and a snapshot it takes is exact. The overhead
+// governor is its intended user. Must be installed before Run.
 func (v *VM) SetPacer(every uint64, fn func()) {
 	if every == 0 {
 		every = 1
@@ -188,26 +196,26 @@ func (v *VM) SetPacer(every uint64, fn func()) {
 // not have.
 const never = ^uint64(0)
 
-// counterFlushPeriod is how many cycle units an observed inlining
-// machine lets pass between block-start flushes of its promoted
-// counters, so live snapshots see counter rows move even when no other
-// observation point flushes them. A flush costs one Flush and one
-// batched attribution per counter that fired since the last one, so the
-// period must span many firings of each hot site: at 2^16 units opcode
-// mix on leela, which counts at every executed instruction, still ran
-// about 25% slower observed than unobserved; at 2^22 the gap is inside
-// the run-to-run noise, and at the translated tier's 2–5 G units/s the
-// period is still only one or two milliseconds of run time.
+// counterFlushPeriod is how many cycle units an observed machine lets
+// pass between block-start flushes, so live snapshots see attribution
+// rows move even when no other observation point flushes them. A flush
+// costs one Flush per promoted counter and one batched attribution per
+// probe that fired since the last one, so the period must span many
+// firings of each hot site: at 2^16 units opcode mix on leela, which
+// counts at every executed instruction, still ran about 25% slower
+// observed than unobserved; at 2^22 the gap is inside the run-to-run
+// noise, and at the translated tier's 2–5 G units/s the period is
+// still only one or two milliseconds of run time.
 const counterFlushPeriod = 1 << 22
 
 // tick runs whatever is due on the block-start schedule — the pace
 // hook, which flushes as an observation point, else the periodic
-// counter flush — and schedules the next tick.
+// flush — and schedules the next tick.
 func (v *VM) tick() {
 	if v.cycles >= v.nextPace {
 		v.pace()
-	} else if len(v.dirty) > 0 {
-		v.flushCounters()
+	} else {
+		v.flush()
 	}
 	if v.nextFlush != never {
 		v.nextFlush = v.cycles + counterFlushPeriod
@@ -218,9 +226,7 @@ func (v *VM) tick() {
 // pace runs the pacer at an observation point and schedules the next
 // one.
 func (v *VM) pace() {
-	if len(v.dirty) > 0 {
-		v.flushCounters()
-	}
+	v.flush()
 	v.pacer()
 	v.nextPace = v.cycles + v.paceEvery
 }

@@ -144,7 +144,7 @@ func (v *VM) translate(m *modExec, so uint64) *blockProg {
 		}
 		if v.inline {
 			if st.before != nil && allSpecs(st.before) {
-				st.run = v.fuseBefore(st.before, in, st.run)
+				st.run = fuseBefore(st.before, in, st.run)
 				st.before = nil
 			}
 			// After-fires fuse only when no generic before-probe remains
@@ -156,7 +156,7 @@ func (v *VM) translate(m *modExec, so uint64) *blockProg {
 			// after-fires stay generic: they fire at the fall-through via
 			// the pending mechanism, not here.
 			if st.after != nil && st.before == nil && !st.isCall && allSpecs(st.after) {
-				st.run = v.fuseAfter(st.after, in, st.run)
+				st.run = fuseAfter(st.after, in, st.run)
 				st.after = nil
 			}
 		}
@@ -175,7 +175,7 @@ func (v *VM) translate(m *modExec, so uint64) *blockProg {
 // spec (lists fuse whole or not at all).
 func allSpecs(ps []probe) bool {
 	for i := range ps {
-		if ps[i].spec == nil {
+		if !ps[i].spec {
 			return false
 		}
 	}
@@ -206,21 +206,18 @@ func liveProbes(ps []probe) []probe {
 	return ps
 }
 
-// fusedFire builds the specialized thunk for one spec'd probe firing:
-// trigger constants (instruction, when, attribution PC) and the obs
-// branch are pre-folded at translation time, and counter-shaped probes
-// reduce to an accumulator bump — on an observed machine too, where the
-// bump carries the firing's attribution to the next flush and only its
-// trace event, if anyone listens, goes out here. Before any non-counter
-// body runs, promoted counters flush — the body may read the cells they
-// cover.
+// fusedFire builds the specialized thunk for one spec'd probe firing,
+// with its trigger constants (instruction, when) pre-folded at
+// translation time. A promoted counter reduces to an accumulator bump,
+// on an observed machine too (see count); every other probe runs the
+// behaviour Add resolved for it (see resolve), as in fire.
 // The fire sets the ctx trigger fields but does not restore them:
 // every observation of ctx (a fire, a hook) re-establishes them first.
 // Adaptive probes get the sampling gate folded in front of the fire,
 // reading the shared control block live — the same decision sequence
 // the interpreter's fire loop makes.
-func (v *VM) fusedFire(p *probe, in *isa.Inst, when When, pc uint64) func(*VM) {
-	inner := v.fusedFireAlways(p, in, when, pc)
+func fusedFire(p *probe, in *isa.Inst, when When) func(*VM) {
+	inner := fusedFireAlways(p, in, when)
 	if ct := p.ctl; ct != nil {
 		return func(v *VM) {
 			if ct.gate(v) {
@@ -232,53 +229,20 @@ func (v *VM) fusedFire(p *probe, in *isa.Inst, when When, pc uint64) func(*VM) {
 }
 
 // fusedFireAlways is the unconditional fire thunk fusedFire gates.
-// Coalesced probes (p.shares non-nil) branch to share-attributing
-// variants at compile time; uncoalesced probes keep the exact
-// single-row closures.
-func (v *VM) fusedFireAlways(p *probe, in *isa.Inst, when When, pc uint64) func(*VM) {
-	sp := p.spec
-	cost, id := p.cost, p.id
-	shares := p.shares
-	if sp.Counter {
+func fusedFireAlways(p *probe, in *isa.Inst, when When) func(*VM) {
+	cost := p.cost
+	if p.fn == nil {
+		t := p.tal
 		return func(v *VM) {
-			v.count(sp)
 			v.cycles += cost
+			v.count(t)
 			if v.obsC.Listening() {
-				sp.publish(v.obsC, pc)
+				t.publish(v.obsC)
 			}
 		}
 	}
-	fn := sp.Fn
-	if obsC := v.obsC; obsC != nil {
-		if shares != nil {
-			return func(v *VM) {
-				if len(v.dirty) > 0 {
-					v.flushCounters()
-				}
-				c := &v.ctx
-				c.inst, c.when = in, when
-				v.cycles += cost
-				fn(c)
-				for _, s := range shares {
-					obsC.Fire(s.ID, s.Cost, pc)
-				}
-			}
-		}
-		return func(v *VM) {
-			if len(v.dirty) > 0 {
-				v.flushCounters()
-			}
-			c := &v.ctx
-			c.inst, c.when = in, when
-			v.cycles += cost
-			fn(c)
-			obsC.Fire(id, cost, pc)
-		}
-	}
+	fn := p.fn
 	return func(v *VM) {
-		if len(v.dirty) > 0 {
-			v.flushCounters()
-		}
 		c := &v.ctx
 		c.inst, c.when = in, when
 		v.cycles += cost
@@ -287,11 +251,10 @@ func (v *VM) fusedFireAlways(p *probe, in *isa.Inst, when When, pc uint64) func(
 }
 
 // fuseBefore chains spec'd before-fires ahead of the operation thunk:
-// the probe+op superinstruction. Attribution PC is the instruction's own
-// address, exactly what runSteps would set before a generic fire.
-func (v *VM) fuseBefore(ps []probe, in *isa.Inst, op func(*VM) (stepRes, error)) func(*VM) (stepRes, error) {
+// the probe+op superinstruction.
+func fuseBefore(ps []probe, in *isa.Inst, op func(*VM) (stepRes, error)) func(*VM) (stepRes, error) {
 	if len(ps) == 1 {
-		f := v.fusedFire(&ps[0], in, BeforeInst, in.Addr)
+		f := fusedFire(&ps[0], in, BeforeInst)
 		return func(v *VM) (stepRes, error) {
 			f(v)
 			return op(v)
@@ -299,7 +262,7 @@ func (v *VM) fuseBefore(ps []probe, in *isa.Inst, op func(*VM) (stepRes, error))
 	}
 	fires := make([]func(*VM), len(ps))
 	for i := range ps {
-		fires[i] = v.fusedFire(&ps[i], in, BeforeInst, in.Addr)
+		fires[i] = fusedFire(&ps[i], in, BeforeInst)
 	}
 	return func(v *VM) (stepRes, error) {
 		for _, f := range fires {
@@ -312,12 +275,10 @@ func (v *VM) fuseBefore(ps []probe, in *isa.Inst, op func(*VM) (stepRes, error))
 // fuseAfter chains spec'd after-fires behind the operation thunk: the
 // op+probe superinstruction. Fires run only when the operation succeeds
 // (an erroring step never reaches its after-probes) and before the
-// step-result branch, matching the generic order. Attribution PC is the
-// fall-through address, what runSteps sets before a generic after-fire.
-func (v *VM) fuseAfter(ps []probe, in *isa.Inst, op func(*VM) (stepRes, error)) func(*VM) (stepRes, error) {
-	next := in.Next()
+// step-result branch, matching the generic order.
+func fuseAfter(ps []probe, in *isa.Inst, op func(*VM) (stepRes, error)) func(*VM) (stepRes, error) {
 	if len(ps) == 1 {
-		f := v.fusedFire(&ps[0], in, AfterInst, next)
+		f := fusedFire(&ps[0], in, AfterInst)
 		return func(v *VM) (stepRes, error) {
 			res, err := op(v)
 			if err != nil {
@@ -329,7 +290,7 @@ func (v *VM) fuseAfter(ps []probe, in *isa.Inst, op func(*VM) (stepRes, error)) 
 	}
 	fires := make([]func(*VM), len(ps))
 	for i := range ps {
-		fires[i] = v.fusedFire(&ps[i], in, AfterInst, next)
+		fires[i] = fusedFire(&ps[i], in, AfterInst)
 	}
 	return func(v *VM) (stepRes, error) {
 		res, err := op(v)

@@ -27,11 +27,13 @@
 //
 // Probes may additionally be tagged with an observability ID
 // (Probe.ID): when a Collector is attached via Config.Obs, every
-// firing is attributed to its probe — count and cycles — on pre-sized
-// slots; a promoted counter's firings are attributed in one batch when
-// its accumulator flushes (see ProbeSpec). With no collector attached
-// the dispatch loop pays exactly one predictable nil-check branch per
-// probe batch.
+// firing is attributed to its probe — count and cycles. A firing only
+// bumps the probe's attribution record (see tally); the records reach
+// the collector in batches at the machine's flush points, so a mid-run
+// snapshot lags by at most one flush period and the final one is
+// exact. Add resolves each probe's per-firing behaviour once, so one
+// fire loop serves observed and unobserved machines alike, and a
+// machine without a collector runs no attribution code at all.
 package vm
 
 import (
@@ -86,20 +88,13 @@ type ProbeFn func(*Ctx)
 //   - if Counter is true, n consecutive firings are equivalent — in
 //     every observable — to a single Flush(n) call.
 //
-// The VM extends the last clause to attribution: on a machine with a
-// collector a promoted counter's firing only bumps its accumulator (and
-// publishes its trace event when anyone is listening), and the flush
-// attributes the n pending firings in one batch — n fires and n times
-// the probe's cost, per share for a coalesced probe. Flushes happen at
-// every observation point (a non-counter fire, the translator and pace
-// hooks, traps, stop and end) and, on an observed machine, at
-// block-start dispatch once counterFlushPeriod cycle units have passed,
-// so a mid-run snapshot lags by at most one flush period and the final
-// one is exact.
-//
-// A ProbeSpec must be used for exactly one probe installation: the VM
-// owns its accumulator state and records the installation's
-// attribution on it.
+// A promoted counter's accumulator is the pending-fire count of its
+// attribution record (see tally): a firing only bumps it (and publishes
+// its trace event when anyone is listening), and the flush applies
+// Flush(n) and, on an observed machine, attributes the n firings in
+// the same batch. Counters flush at every observation point (a
+// non-counter fire, the translator and pace hooks, traps, stop and end)
+// and with every periodic attribution flush.
 type ProbeSpec struct {
 	// Fn is the specialized callback (required unless Counter is set;
 	// counter probes are dispatched through Flush and never call Fn).
@@ -108,31 +103,24 @@ type ProbeSpec struct {
 	// n firings.
 	Counter bool
 	Flush   func(n int64)
-
-	// VM-owned: acc counts the promoted, not-yet-flushed firings; id,
-	// cost and shares are the installed probe's attribution, recorded
-	// by Add.
-	acc    int64
-	id     obs.ProbeID
-	cost   uint64
-	shares []Share
 }
 
 type probe struct {
+	// fn is the probe's per-firing behaviour, resolved once by Add (see
+	// resolve); nil for a promoted counter, whose firing only bumps tal.
 	fn   ProbeFn
 	cost uint64
-	// id attributes firings on the attached obs.Collector
-	// (obs.NoProbe = untracked).
-	id obs.ProbeID
-	// spec, when non-nil, is the probe's inline specialization.
-	spec *ProbeSpec
 	// ctl, when non-nil, is the probe's adaptive control block: the
 	// sampling countdown and the enable bit checked at fire time. Nil for
 	// always-on probes, which pay nothing for the feature.
 	ctl *probeCtl
-	// shares, when non-nil, attribute each firing of this coalesced
-	// probe to its constituent placements (cost is their sum).
-	shares []Share
+	// tal is the probe's attribution record, shared by every copy of
+	// the probe; nil on an unobserved machine unless the probe is a
+	// promoted counter.
+	tal *tally
+	// spec marks a probe that runs its inline specialization, which
+	// block translation may fuse into the operation thunk.
+	spec bool
 }
 
 // TrapError reports a machine fault (invalid code address, division by
@@ -219,8 +207,9 @@ type Config struct {
 	// AppOut receives the application's print output (default: discard).
 	AppOut io.Writer
 	// Obs, when non-nil, receives per-probe firing attribution (count,
-	// cycles, trace events). Nil disables observability at the price of
-	// one branch per probe dispatch batch.
+	// cycles, skips), batched at the machine's flush points, and one
+	// trace event per firing. Nil disables observability: no attribution
+	// code runs.
 	Obs *obs.Collector
 	// ExecMode selects the execution tier: ExecTranslated (default) runs
 	// cached block programs, ExecInterpreted the reference
@@ -274,12 +263,11 @@ type VM struct {
 	// and promoted counters (translated tier only, see Config.NoInline).
 	// Fixed for the whole run.
 	inline bool
-	// fireLoop is the fire loop of this machine's tier, fixed in New:
-	// fireObserved with a collector, else fireInline or fireGeneric.
-	fireLoop func(v *VM, ps []probe, in *isa.Inst, when When)
-	// dirty lists counter specs with a nonzero promoted accumulator, in
-	// first-bump order; flushCounters drains it at observation points.
-	dirty []*ProbeSpec
+	// dirty lists promoted counters with pending fires, in first-bump
+	// order; flushCounters drains it at observation points. pend lists
+	// the other tallies with unattributed fires or skips; flush drains
+	// both.
+	dirty, pend []*tally
 
 	cycles   uint64
 	insts    uint64
@@ -306,12 +294,8 @@ type VM struct {
 	// blocks of sampled/governable probes and the cycle-paced hook the
 	// governor runs from.
 	adaptive bool
-	// anyCtl hoists the per-probe control-block check out of the fire
-	// loop: a machine with no control blocks keeps the original lean
-	// dispatch.
-	anyCtl  bool
-	ctls    []*probeCtl
-	ctlByID map[obs.ProbeID]*probeCtl
+	ctls     []*probeCtl
+	ctlByID  map[obs.ProbeID]*probeCtl
 
 	pacer     func()
 	paceEvery uint64
@@ -367,16 +351,7 @@ func New(prog *cfg.Program, cfgv Config) *VM {
 		nextPace:     never,
 		nextFlush:    never,
 	}
-	switch {
-	case v.obsC != nil:
-		v.fireLoop = (*VM).fireObserved
-	case v.inline:
-		v.fireLoop = (*VM).fireInline
-	default:
-		v.fireLoop = (*VM).fireGeneric
-	}
-	if v.inline && v.obsC != nil {
-		// Only an observed inlining machine defers attribution.
+	if v.obsC != nil {
 		v.nextFlush = counterFlushPeriod
 	}
 	v.nextTick = min(v.nextPace, v.nextFlush)
@@ -517,20 +492,39 @@ func (v *VM) Add(s Site, p Probe) error {
 		return fmt.Errorf("vm: no probe site at trigger %d (hook program start and end with OnStart/OnEnd)", s.When)
 	}
 	off := s.Addr - m.base
-	np := probe{fn: p.Fn, cost: p.Cost, id: p.ID}
+	id, cost := p.ID, p.Cost
 	if len(p.Shares) > 0 {
-		np.cost, np.id, np.shares = 0, p.Shares[0].ID, p.Shares
+		id, cost = p.Shares[0].ID, 0
 		for _, sh := range p.Shares {
-			np.cost += sh.Cost
+			cost += sh.Cost
 		}
-	} else {
-		np.ctl = v.newCtl(p.ID, p.Stride)
 	}
-	if v.inline && p.Spec != nil {
-		// Only the inlining layer reads specs; a promoted counter's
-		// flush attributes its batched firings from this record.
-		np.spec = p.Spec
-		np.spec.id, np.spec.cost, np.spec.shares = np.id, np.cost, np.shares
+	np := probe{fn: p.Fn, cost: cost}
+	// Only the inlining layer reads specs.
+	sp := p.Spec
+	if !v.inline {
+		sp = nil
+	}
+	if v.obsC != nil || sp != nil && sp.Counter {
+		np.tal = &tally{id: id, cost: cost, shares: p.Shares, pc: s.Addr}
+		if s.When == AfterInst {
+			// An after-probe fires at the fall-through.
+			np.tal.pc = m.insts[off].Next()
+		}
+	}
+	if sp != nil {
+		np.spec = true
+		if sp.Counter {
+			np.fn, np.tal.counter = nil, sp.Flush
+		} else {
+			np.fn = sp.Fn
+		}
+	}
+	if np.fn != nil {
+		np.fn = v.resolve(np.fn, np.tal)
+	}
+	if len(p.Shares) == 0 {
+		np.ctl = v.newCtl(id, p.Stride, np.tal)
 	}
 	ps := m.probesAt(off)
 	switch s.When {
@@ -596,148 +590,68 @@ func (v *VM) Mem() *Memory { return v.mem }
 // Reg returns the current value of a register.
 func (v *VM) Reg(r isa.Reg) uint64 { return v.regs[r] }
 
-// stopErr finalizes a cooperative cancellation: like a trap it is an
-// observation point, so promoted counters flush before the error
-// surfaces.
-func (v *VM) stopErr() error {
-	if len(v.dirty) > 0 {
-		v.flushCounters()
+// resolve returns a non-counter probe's per-firing behaviour: its body
+// (the inline specialization, when it runs one), behind the
+// promoted-counter flush on an inlining machine — the body may read
+// any cell a counter covers, install probes or observe Cycles, so it
+// is a full observation point — and followed on an observed machine by
+// the bump of its tally. A machine with neither runs the body itself.
+func (v *VM) resolve(body ProbeFn, t *tally) ProbeFn {
+	if v.obsC != nil {
+		return func(c *Ctx) {
+			if len(v.dirty) > 0 {
+				v.flushCounters()
+			}
+			body(c)
+			v.fired(t)
+		}
 	}
+	if v.inline {
+		return func(c *Ctx) {
+			if len(v.dirty) > 0 {
+				v.flushCounters()
+			}
+			body(c)
+		}
+	}
+	return body
+}
+
+// stopErr finalizes a cooperative cancellation: like a trap it is an
+// observation point, so the machine flushes before the error surfaces.
+func (v *VM) stopErr() error {
+	v.flush()
 	return ErrStopped
 }
 
 func (v *VM) trap(format string, args ...any) error {
 	// Traps are observation points: promoted counters flush so the
-	// machine state behind the error matches the interpreter's exactly.
-	if len(v.dirty) > 0 {
-		v.flushCounters()
-	}
+	// machine state behind the error matches the interpreter's exactly,
+	// and attribution reaches the collector.
+	v.flush()
 	return &TrapError{PC: v.pc, Msg: fmt.Sprintf(format, args...)}
 }
 
-// flushCounters applies every promoted counter's firing count (see
-// ProbeSpec.Flush), attributes the firings on the collector when one is
-// attached, and empties the dirty list. Flushes and attributions are
-// additive, so drain order does not affect the result.
-func (v *VM) flushCounters() {
-	for _, sp := range v.dirty {
-		sp.Flush(sp.acc)
-		if v.obsC != nil {
-			sp.attribute(v.obsC)
-		}
-		sp.acc = 0
-	}
-	v.dirty = v.dirty[:0]
-}
-
-// fire runs a batch of probes through the machine's fire loop: one
-// indirect call, small enough to inline at every call site.
+// fire runs a batch of probes, each in turn: gate, charge, run. A
+// promoted counter's run is a bump of its accumulator; every other
+// probe runs the behaviour Add resolved for it.
 func (v *VM) fire(ps []probe, in *isa.Inst, when When) {
-	v.fireLoop(v, ps, in, when)
-}
-
-// fireGeneric is the fire loop of a machine with no collector and no
-// inlining layer: with no control blocks it is the exact loop the VM
-// always ran.
-func (v *VM) fireGeneric(ps []probe, in *isa.Inst, when When) {
-	c := &v.ctx
-	saveInst, saveWhen, saveBlock := c.inst, c.when, c.block
-	c.inst, c.when = in, when
-	if v.anyCtl {
-		for i := range ps {
-			p := &ps[i]
-			if p.ctl != nil && !p.ctl.gate(v) {
-				continue
-			}
-			v.cycles += p.cost
-			p.fn(c)
-		}
-	} else {
-		for _, p := range ps {
-			v.cycles += p.cost
-			p.fn(c)
-		}
-	}
-	c.inst, c.when, c.block = saveInst, saveWhen, saveBlock
-}
-
-// fireInline is the fire loop of the action-inlining layer: probes with
-// an inline spec run their specialized callbacks — counter-shaped ones
-// only count the firing in their promoted accumulator — while the
-// others see every promoted counter flushed first (their bodies may read
-// any cell, install probes, or observe Cycles, so they are full
-// observation points). Cycle charges stay per-firing and in firing
-// order, identical to the generic loop.
-func (v *VM) fireInline(ps []probe, in *isa.Inst, when When) {
 	c := &v.ctx
 	saveInst, saveWhen, saveBlock := c.inst, c.when, c.block
 	c.inst, c.when = in, when
 	for i := range ps {
 		p := &ps[i]
-		if v.anyCtl && p.ctl != nil && !p.ctl.gate(v) {
+		if p.ctl != nil && !p.ctl.gate(v) {
 			continue
 		}
 		v.cycles += p.cost
-		if sp := p.spec; sp != nil && sp.Counter {
-			v.count(sp)
-		} else {
-			if len(v.dirty) > 0 {
-				v.flushCounters()
-			}
-			if sp != nil {
-				sp.Fn(c)
-			} else {
-				p.fn(c)
-			}
-		}
-	}
-	c.inst, c.when, c.block = saveInst, saveWhen, saveBlock
-}
-
-// fireObserved is the fire loop of a machine with a collector attached:
-// fireInline's loop, attributing each firing after its body — except a
-// promoted counter's, which rides its accumulator to the next flush and
-// only publishes its event here. On a machine without the inlining
-// layer no probe carries a spec (see Add), so it runs every generic
-// body in turn.
-func (v *VM) fireObserved(ps []probe, in *isa.Inst, when When) {
-	c := &v.ctx
-	saveInst, saveWhen, saveBlock := c.inst, c.when, c.block
-	c.inst, c.when = in, when
-	for i := range ps {
-		p := &ps[i]
-		if v.anyCtl && p.ctl != nil && !p.ctl.gate(v) {
+		if p.fn == nil {
+			v.counted(p.tal)
 			continue
 		}
-		v.cycles += p.cost
-		if sp := p.spec; sp != nil && sp.Counter {
-			v.count(sp)
-			if v.obsC.Listening() {
-				sp.publish(v.obsC, v.pc)
-			}
-			continue
-		}
-		if len(v.dirty) > 0 {
-			v.flushCounters()
-		}
-		if sp := p.spec; sp != nil {
-			sp.Fn(c)
-		} else {
-			p.fn(c)
-		}
-		p.fireObs(v.obsC, v.pc)
+		p.fn(c)
 	}
 	c.inst, c.when, c.block = saveInst, saveWhen, saveBlock
-}
-
-// count records one firing of a promoted counter: the accumulator bump
-// that stands in for its body and, on an observed machine, for its
-// attribution.
-func (v *VM) count(sp *ProbeSpec) {
-	if sp.acc == 0 {
-		v.dirty = append(v.dirty, sp)
-	}
-	sp.acc++
 }
 
 // fireCallAfter fires a drained call-after batch at the call's
@@ -772,10 +686,8 @@ func (v *VM) Run() (*Result, error) {
 		return nil, err
 	}
 	// End hooks (and the caller's post-run reads) observe final tool
-	// state: flush any still-promoted counters first.
-	if len(v.dirty) > 0 {
-		v.flushCounters()
-	}
+	// state and final attribution: flush first.
+	v.flush()
 	for _, fn := range v.endHooks {
 		v.ctx.when = AtEnd
 		v.ctx.inst = nil

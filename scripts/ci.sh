@@ -20,15 +20,13 @@
 #              gate (every fenced .cin block in the docs compiles),
 #              one -stats CLI smoke run, and the probe-dispatch perf
 #              gates (non-race; see internal/vm/obs_test.go and
-#              translate_test.go): disabled path vs the
-#              pre-observability loop and default-tier fire vs the
-#              inline fire loop it dispatches to, called directly (both
-#              timed as alternating single runs compared by median),
-#              enabled path (a generic probe
-#              vs plain-counter accounting, and a promoted counter with
-#              a collector vs the same counter without one), the
-#              translated VM tier vs the interpreter on the probe-free
-#              hot-block workload, and
+#              translate_test.go): the fire loop with no collector vs
+#              the pre-observability loop, and the enabled path (a
+#              collector-attached run with a generic probe, or with a
+#              promoted counter, vs the same run without a collector),
+#              all timed as alternating single runs compared by median;
+#              the translated VM tier vs the interpreter on the
+#              probe-free hot-block workload, and
 #              the action-inlining layer vs the inline-ablated translated
 #              tier on four action-heavy workloads, opcodemix (>=1.5x),
 #              loopcoverage (>=2.5x; the fast tier's register locals,
