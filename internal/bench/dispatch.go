@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/cfg"
@@ -216,4 +217,25 @@ func FormatDispatch(w io.Writer, rows []DispatchRow) {
 		fmt.Fprintf(w, "%-20s %-12s %14d %12d %12d %12.2f %12s %12.3f %9s\n",
 			r.UseCase, r.Mode, r.Cycles, r.Insts, r.Fires, r.NsPerInst, obsNs, r.AllocsPerFire, speedup)
 	}
+}
+
+// MedianTimes is the method of the repository's perf gates: it times
+// pairs of alternating single runs of a and b, swapping which goes first
+// every pair so neither side always runs on a warmer cache, and returns
+// the median ns per run of each. Medians of many single runs steady a
+// ratio that a best-of-N measurement cannot on a shared host.
+func MedianTimes(pairs int, a, b func() time.Duration) (am, bm float64) {
+	as, bs := make([]time.Duration, pairs), make([]time.Duration, pairs)
+	for i := range pairs {
+		if i%2 == 0 {
+			as[i], bs[i] = a(), b()
+		} else {
+			bs[i], as[i] = b(), a()
+		}
+	}
+	median := func(d []time.Duration) float64 {
+		slices.Sort(d)
+		return float64(d[len(d)/2].Nanoseconds())
+	}
+	return median(as), median(bs)
 }

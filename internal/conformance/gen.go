@@ -59,6 +59,7 @@ type progGen struct {
 
 	counters []string // uint64 globals
 	dicts    []string // dict<int,int>
+	strDicts []string // dict<string,int>
 	vectors  []string // vector<int>
 	arrays   []string // int name[16]
 
@@ -154,6 +155,17 @@ func (g *progGen) genDecls() {
 		})
 	}
 	if g.r.Intn(100) < 40 {
+		g.strDicts = append(g.strDicts, "s0")
+		g.items = append(g.items, &ast.VarDecl{
+			Type: &ast.TypeSpec{
+				Kind: token.TDICT,
+				Key:  &ast.TypeSpec{Kind: token.TSTRING},
+				Elem: &ast.TypeSpec{Kind: token.TINT},
+			},
+			Name: "s0",
+		})
+	}
+	if g.r.Intn(100) < 40 {
 		g.arrays = append(g.arrays, "a0")
 		g.items = append(g.items, &ast.VarDecl{
 			Type: &ast.TypeSpec{Kind: token.TINT, ArrayLen: arrayLen},
@@ -189,6 +201,9 @@ func (g *progGen) genExit() {
 	}
 	for _, v := range g.vectors {
 		body = append(body, printStmt(str(v), methodCall(v, "size")))
+	}
+	for _, d := range g.strDicts {
+		body = append(body, printStmt(str(d), methodCall(d, "size"), index(d, str(""))))
 	}
 	for _, a := range g.arrays {
 		i := int64(g.r.Intn(arrayLen))
@@ -295,6 +310,14 @@ func (g *progGen) instBody(v, op string, after bool) []ast.Stmt {
 	if len(g.dicts) > 0 && len(g.vectors) > 0 {
 		pool = append(pool, loopBump)
 	}
+	if len(g.strDicts) > 0 {
+		// A bump keyed by the call target's name ("" off direct calls):
+		// boxed values beside the numeric ones.
+		pool = append(pool, func() ast.Stmt {
+			name := cfeAttr(v, "trgname")
+			return assign(index("s0", name), bin(token.PLUS, index("s0", name), num(1)))
+		})
+	}
 	if len(g.arrays) > 0 {
 		pool = append(pool, func() ast.Stmt {
 			i := bin(token.PERCENT, cfeAttr(v, "id"), num(arrayLen))
@@ -318,6 +341,7 @@ func (g *progGen) instBody(v, op string, after bool) []ast.Stmt {
 		pool = append(pool, func() ast.Stmt {
 			return incBy(g.counter(), bin(token.PERCENT, cfeAttr(v, "arg1"), num(9)))
 		})
+
 		if after {
 			pool = append(pool, func() ast.Stmt {
 				return incBy(g.counter(), bin(token.PERCENT, cfeAttr(v, "rtnval"), num(3)))
@@ -346,7 +370,7 @@ func addOnce(x ast.Expr) ast.Stmt {
 }
 
 // loopBump is the loop-coverage shape (Figure 6), whose int locals the
-// fast tier keeps in registers and whose d0 reads and writes go through
+// compiled frame keeps in registers and whose d0 reads and writes go through
 // the dict's int64 map:
 //
 //	for (int i = 0; i < v0.size(); i = i + 1) {
@@ -503,7 +527,8 @@ func (g *progGen) moduleCmd() *ast.Command {
 // nestedCmd mirrors the Figure 5b idiom: a block-local analysis counter
 // accumulated by a nested inst command and captured into the block's
 // entry action (exercising closure capture, NumCaptured, and static
-// action constraints over analysis state).
+// action constraints over analysis state). Sometimes the nested command
+// also places an action that reads the block's ninsts.
 func (g *progGen) nestedCmd() *ast.Command {
 	bv := g.freshVar("B")
 	iv := g.freshVar("I")
@@ -513,6 +538,13 @@ func (g *progGen) nestedCmd() *ast.Command {
 		EType: ast.Inst, Var: iv,
 		Where: bin(token.EQ, cfeAttr(iv, "opcode"), opcode(op)),
 		Body:  []ast.CmdItem{ast.Stmt(incBy(local, num(1)))},
+	}
+	if g.r.Intn(100) < 40 {
+		// An action of the nested command reading the outer block's
+		// static attribute: a bind-time constant from an outer cell.
+		inner.Body = append(inner.Body, &ast.Action{Trigger: ast.Before, Target: iv, Body: []ast.Stmt{
+			incBy(g.counter(), cfeAttr(bv, "ninsts")),
+		}})
 	}
 	act := &ast.Action{
 		Trigger: ast.Entry, Target: bv,

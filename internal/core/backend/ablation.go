@@ -23,8 +23,10 @@ const (
 	// AblateTranslate runs the machine's per-instruction reference loop
 	// instead of translated block programs.
 	AblateTranslate
-	// AblateInline runs translated blocks without action inlining
-	// (specialized thunks, promoted counters, probe+op fusion).
+	// AblateInline runs translated blocks without action inlining:
+	// each probe fires from a clean call instead of being fused into its
+	// block, and counters are not promoted. The action bodies run the
+	// same compiled executor either way.
 	AblateInline
 	// AblateIROpt skips the placement-IR passes (where-clause hoisting,
 	// counter promotion, probe coalescing).

@@ -339,11 +339,9 @@ func pinRoutine(r *placement.Rule) (pinPlacement, error) {
 	}
 	switch r.Mechanism {
 	case placement.MechCounter:
-		routine.CounterFlush = a.Inline.Flush
+		routine.CounterFlush = a.Flush
 	case placement.MechFast:
-		fbuf := make([]value.Value, len(a.DynAttrs))
-		fast := a.Inline.Exec
-		routine.FastFn = func(words []uint64) { fast(dynSlots(fbuf, words)) }
+		routine.FastFn = routine.Fn
 	}
 	if parts := r.Merged; len(parts) > 0 {
 		routine.Merged = make([]pin.Part, len(parts))
@@ -494,11 +492,9 @@ func dyninstSnippet(r *placement.Rule) (dyninst.Snippet, error) {
 	}
 	switch r.Mechanism {
 	case placement.MechCounter:
-		call.CounterFlush = a.Inline.Flush
+		call.CounterFlush = a.Flush
 	case placement.MechFast:
-		fbuf := make([]value.Value, len(a.DynAttrs))
-		fast := a.Inline.Exec
-		call.FastFn = func(words []uint64) { fast(dynSlots(fbuf, words)) }
+		call.FastFn = call.Fn
 	}
 	if parts := r.Merged; len(parts) > 0 {
 		call.Merged = make([]dyninst.Part, len(parts))

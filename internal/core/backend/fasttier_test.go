@@ -9,10 +9,10 @@ import (
 )
 
 // TestCaseStudiesOnFastTier pins that every action of every case study
-// runs on the whole-body fast tier: under default options, each rule
-// each accepted backend places — merged constituents included — is
-// dispatched as MechFast or MechCounter, never through the generic
-// lowering.
+// runs its compiled executor from a specialized probe: under default
+// options, each rule each accepted backend places — merged constituents
+// included — is dispatched as MechFast or MechCounter, never through a
+// generic clean call.
 func TestCaseStudiesOnFastTier(t *testing.T) {
 	for _, name := range progs.Names() {
 		prog := caseStudyVictim(t, name)

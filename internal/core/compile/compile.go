@@ -12,30 +12,36 @@
 // at tool-compile time, the same philosophy as the trace caches of the
 // dynamic frameworks Cinnamon targets:
 //
-//   - a resolver pass walks each body once and assigns every identifier a
-//     slot: body-locals become indices into a flat []value.Value frame
-//     (an []int64 register slice in the whole-body fast tier, fast.go),
-//     free variables become cells (captured analysis data, copied by value
-//     at placement time, or shared tool globals), dynamic attributes
-//     become indices into the probe's materialized attribute slots, and,
-//     in the fast tier, numeric static attributes of the command's CFE
-//     become bind-time constants that Bind fills into registers;
-//   - a lowering pass turns every statement and expression node into a
-//     pre-bound closure, so executing a body is a chain of direct calls
-//     with no AST dispatch, no map lookups, and no per-firing allocation;
-//     leaf operands (literals, registers, cells, dynamic attributes) are
-//     descriptors their consumer reads in place rather than closures.
+//   - a resolver pass assigns every identifier a slot: numeric body-locals
+//     become int64 registers and every other local a Value slot of the
+//     frame; free variables become cells (captured analysis data, copied by
+//     value at placement time, or shared tool globals); dynamic attributes
+//     become indices into the probe's materialized attribute slots; and
+//     numeric static attributes of a CFE variable become bind-time
+//     constants that Bind resolves once per placement;
+//   - one lowering pass turns every statement and expression into a
+//     pre-bound closure whose representation follows the expression's
+//     static type: a numeric expression is an unboxed int64 operand (a leaf
+//     its consumer reads in place — literal, register, constant, cell or
+//     dynamic attribute — or a closure), a condition a bool closure, and
+//     only strings, lines, opcodes, operands, CFEs, containers and files
+//     are Value closures; one boxing, AsInt or AsBool step joins two
+//     representations where they meet (lower.go, expr.go).
+//
+// Every compiled body therefore has one executor, Bound.Exec, with no AST
+// dispatch, no map lookups and no per-firing allocation on its numeric
+// paths. An additive body also gets a counter flush (Bound.CounterShape,
+// counter.go), which lets the VM apply n firings at once.
 //
 // Compiled bodies must be observationally identical to the interpreter —
 // same output, same runtime errors (message and position), same cost-model
-// numbers; the equivalence tests in internal/core/backend enforce this.
+// numbers; the equivalence tests in this package and internal/core/backend
+// enforce this.
 package compile
 
 import (
 	"fmt"
 	"io"
-	"maps"
-	"slices"
 
 	"repro/internal/core/ast"
 	"repro/internal/core/sem"
@@ -59,24 +65,26 @@ type Body struct {
 	// DynAttrs is the dynamic-attribute slot layout (the action's
 	// sem.ActionInfo.DynAttrs, in the same order the backends materialize).
 	DynAttrs []sem.DynAttr
-	// NumLocals is the body-local frame size.
-	NumLocals int
 
+	// nLocals and nRegs count the frame's Value slots and the int64
+	// registers of its numeric locals.
+	nLocals, nRegs int
+	// consts are the body's bind-time constants, which Bind resolves into
+	// the registers after the locals'.
+	consts []bindConst
 	// guard is the compiled dynamic constraint (nil if none); it runs
 	// before the body on every firing.
-	guard exprFn
+	guard boolFn
 	stmts []stmtFn
-
-	// fast is the whole-body fast lowering (nil when some construct has
-	// no fast path); see fast.go. It runs on the same frame, its cells
-	// resolved against the same table.
-	fast *fastBody
+	// counter lists the bumps of an additive body in statement order
+	// (nil when the body is not additive; see classifyCounter).
+	counter []counterTerm
 }
 
 // frame is the execution state of one body invocation: bound cells, the
-// local slot frames (the generic lowering's Values and the fast tier's
-// int64 registers), the probe's materialized dynamic attributes, and the
-// tool output writer.
+// local slots (Values for non-numeric locals, int64 registers for numeric
+// ones, followed by the bind-time constants), the probe's materialized
+// dynamic attributes, and the tool output writer.
 type frame struct {
 	cells  []*value.Value
 	locals []value.Value
@@ -88,123 +96,99 @@ type frame struct {
 // stmtFn executes one compiled statement.
 type stmtFn func(fr *frame) error
 
-// exprFn evaluates one compiled expression.
+// exprFn evaluates one compiled expression to a boxed value.
 type exprFn func(fr *frame) (value.Value, error)
 
-// Bound is a placed body: cells resolved, local frame allocated. Exec may
-// be called many times (once per probe firing); the local frame is reused
-// across firings — every local is (re)declared before use, so no stale
-// state is observable — which makes steady-state execution allocation-free.
-// A Bound is not safe for concurrent use; probes of one VM fire
-// sequentially, which is the only way the engine calls it.
+// boolFn evaluates a condition to its truth coercion.
+type boolFn func(fr *frame) (bool, error)
+
+// intFn evaluates a numeric expression to its integer coercion.
+type intFn func(fr *frame) (int64, error)
+
+// Bound is a placed body: cells resolved, constants filled, local frame
+// allocated. Exec may be called many times (once per probe firing); the
+// local frame is reused across firings — every local is (re)declared
+// before use, so no stale state is observable — which makes steady-state
+// execution allocation-free outside print. A Bound is not safe for concurrent use;
+// probes of one VM fire sequentially, which is the only way the engine
+// calls it.
 type Bound struct {
 	body *Body
 	fr   frame
-	// hasFast is set when the body has a fast lowering and this
-	// placement's bind-time constants resolved.
-	hasFast bool
 }
 
 // Bind places the body on its cells, one per Cells entry in that order,
-// and allocates its local frame. out receives print() output.
+// resolves its bind-time constants and allocates its local frame. out
+// receives print() output.
 func (b *Body) Bind(cells []*value.Value, out io.Writer) *Bound {
 	bd := &Bound{body: b, fr: frame{cells: cells, out: out}}
-	if b.NumLocals > 0 {
-		bd.fr.locals = make([]value.Value, b.NumLocals)
+	if b.nLocals > 0 {
+		bd.fr.locals = make([]value.Value, b.nLocals)
 	}
-	if fb := b.fast; fb != nil {
-		if fb.nLocals > 0 {
-			bd.fr.regs = make([]int64, fb.nLocals)
+	if n := b.nRegs + len(b.consts); n > 0 {
+		bd.fr.regs = make([]int64, n)
+	}
+	for i, k := range b.consts {
+		n, ok := k.resolve(cells[k.cell])
+		if !ok {
+			// Without its constant registers the body reads every
+			// constant through its attribute, which reports the failure.
+			bd.fr.regs = bd.fr.regs[:b.nRegs]
+			break
 		}
-		bd.hasFast = fb.bindConsts(&bd.fr)
+		bd.fr.regs[b.nRegs+i] = n
 	}
 	return bd
 }
 
-// FastTier reports, without binding, which fast surfaces a placement
-// whose captured cells hold caps (aligned with Cells; global entries
-// are not read) gets from Bind: fast when FastExec will be non-nil, and
-// counter when CounterShape will succeed too.
-func (b *Body) FastTier(caps []value.Value) (fast, counter bool) {
-	fb := b.fast
-	if fb == nil {
-		return false, false
+// Additive reports, without binding, whether a placement whose captured
+// cells hold caps (aligned with Cells; global entries are not read) gets
+// a counter flush from Bind: the body is additive and each of its
+// bind-time constants resolves.
+func (b *Body) Additive(caps []value.Value) bool {
+	if b.counter == nil {
+		return false
 	}
-	for _, k := range fb.consts {
+	for _, k := range b.consts {
 		if _, ok := k.resolve(&caps[k.cell]); !ok {
-			return false, false
+			return false
 		}
 	}
-	return true, fb.counter != nil
+	return true
 }
 
 // Exec runs the bound body with the probe's materialized dynamic attribute
 // values (indexed per Body.DynAttrs). The first runtime error aborts the
 // invocation and is returned.
 func (b *Bound) Exec(dyn []value.Value) error {
-	b.fr.dyn = dyn
-	if b.body.guard != nil {
-		v, err := b.body.guard(&b.fr)
-		if err != nil {
+	fr := &b.fr
+	fr.dyn = dyn
+	if g := b.body.guard; g != nil {
+		ok, err := g(fr)
+		if err != nil || !ok {
 			return err
-		}
-		if !v.AsBool() {
-			return nil
 		}
 	}
 	for _, st := range b.body.stmts {
-		if err := st(&b.fr); err != nil {
+		if err := st(fr); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// FastExec returns the bound whole-body fast lowering, or nil when the
-// body has none or this placement's bind-time constants did not
-// resolve. The returned closure is observationally identical to Exec —
-// same stores, same output, same errors in the same order — and subject
-// to the same sequential-use contract.
-func (b *Bound) FastExec() func(dyn []value.Value) error {
-	fb := b.body.fast
-	if fb == nil || !b.hasFast {
-		return nil
-	}
-	fr := &b.fr
-	guard := fb.guard
-	stmts := fb.stmts
-	return func(dyn []value.Value) error {
-		fr.dyn = dyn
-		if guard != nil {
-			ok, err := guard(fr)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-		for _, st := range stmts {
-			if err := st(fr); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
 // CounterShape reports whether the bound body is additive (see
-// classifyCounter) and, if so, returns a flush function such that n
-// consecutive firings leave every observable equal to one flush(n) call:
-// each bump's target gains n times its addend. A captured addend is read
-// at flush time, which is safe because it is private to this placement
-// and the body never assigns it.
+// classifyCounter) with its constants resolved and, if so, returns a flush
+// function such that n consecutive firings leave every observable equal to
+// one flush(n) call: each bump's target gains n times its addend. A
+// captured addend is read at flush time, which is safe because it is
+// private to this placement and the body never assigns it.
 func (b *Bound) CounterShape() (flush func(n int64), ok bool) {
-	fb := b.body.fast
-	if fb == nil || fb.counter == nil || !b.hasFast {
+	terms := b.body.counter
+	if terms == nil || len(b.fr.regs) < b.body.nRegs+len(b.body.consts) {
 		return nil, false
 	}
-	cells, regs, terms := b.fr.cells, b.fr.regs, fb.counter
+	cells, regs := b.fr.cells, b.fr.regs
 	return func(n int64) {
 		for _, t := range terms {
 			k := t.k
@@ -254,17 +238,9 @@ func Compile(prog *ast.Program, info *sem.Info) (*Program, error) {
 	for _, item := range prog.Items {
 		switch it := item.(type) {
 		case *ast.InitBlock:
-			b, err := compileBody(info, nil, it.Body, nil, globals, rebound)
-			if err != nil {
-				return nil, err
-			}
-			cp.Inits = append(cp.Inits, b)
+			cp.Inits = append(cp.Inits, compileBody(info, nil, it.Body, nil, globals, rebound))
 		case *ast.ExitBlock:
-			b, err := compileBody(info, nil, it.Body, nil, globals, rebound)
-			if err != nil {
-				return nil, err
-			}
-			cp.Exits = append(cp.Exits, b)
+			cp.Exits = append(cp.Exits, compileBody(info, nil, it.Body, nil, globals, rebound))
 		case *ast.Command:
 			if err := cp.compileCommand(info, it, globals, rebound); err != nil {
 				return nil, err
@@ -361,11 +337,7 @@ func (cp *Program) compileCommand(info *sem.Info, cmd *ast.Command, parent *oute
 			if ai.WhereDynamic {
 				guard = it.Where
 			}
-			b, err := compileBody(info, ai.DynAttrs, it.Body, guard, scope, rebound)
-			if err != nil {
-				return err
-			}
-			cp.Actions[it] = b
+			cp.Actions[it] = compileBody(info, ai.DynAttrs, it.Body, guard, scope, rebound)
 		case *ast.DeclStmt:
 			// Top-level analysis declarations join the command scope and
 			// are visible to (and captured by) later actions; declarations
@@ -386,11 +358,14 @@ type compiler struct {
 	cellIdx map[string]int
 	dyn     []sem.DynAttr
 
-	nLocals int
-	scope   *localScope
+	// nLocals counts the Value slots defined so far; nRegs is the number
+	// of numeric locals' registers, counted up front, and nextReg the
+	// next one to define.
+	nLocals, nRegs, nextReg int
+	scope                   *localScope
 
 	// rebound names the arrays the program rebinds, and consts collects
-	// the body's bind-time constants (fast pass only).
+	// the body's bind-time constants.
 	rebound map[string]bool
 	consts  []bindConst
 }
@@ -398,56 +373,73 @@ type compiler struct {
 // localScope is a body-local lexical scope (if/for bodies open new ones).
 type localScope struct {
 	parent *localScope
-	names  map[string]int
+	names  map[string]slot
 }
 
-func compileBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard ast.Expr, outer *outerScope, rebound map[string]bool) (*Body, error) {
-	c := &compiler{info: info, outer: outer, cellIdx: make(map[string]int), dyn: dyn}
+func compileBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard ast.Expr, outer *outerScope, rebound map[string]bool) *Body {
+	c := &compiler{info: info, outer: outer, cellIdx: make(map[string]int), dyn: dyn, rebound: rebound}
+	// Count the numeric locals' registers first: the constants' registers
+	// follow them.
+	ast.WalkStmts(body, func(s ast.Stmt) {
+		if d, ok := s.(*ast.DeclStmt); ok && c.info.DeclTypes[d.Decl] != nil && c.info.DeclTypes[d.Decl].IsNumeric() {
+			c.nRegs++
+		}
+	}, nil)
 	c.pushScope()
 	b := &Body{DynAttrs: dyn}
 	if guard != nil {
 		// The guard runs in the placement scope before any body locals
 		// exist; compiling it first keeps its resolution body-independent.
-		b.guard = c.compileExpr(guard)
+		b.guard = c.cond(guard)
 	}
-	b.stmts = c.compileStmts(body)
-	b.NumLocals = c.nLocals
-	// The fast pass resolves its cells against this pass's table, so the
-	// two lowerings share one frame; a cell only the fast pass reads is
-	// appended to the table.
-	fc := &compiler{info: info, outer: outer, cells: slices.Clone(c.cells), cellIdx: maps.Clone(c.cellIdx), dyn: dyn, rebound: rebound}
-	if b.fast = fc.compileFastBody(body, guard); b.fast != nil {
-		c.cells = fc.cells
+	b.stmts = c.stmts(body)
+	if guard == nil {
+		b.counter = c.classifyCounter(body)
 	}
-	b.Cells = c.cells
-	return b, nil
+	b.Cells, b.nLocals, b.nRegs, b.consts = c.cells, c.nLocals, c.nRegs, c.consts
+	return b
 }
 
 func (c *compiler) pushScope() {
-	c.scope = &localScope{parent: c.scope, names: make(map[string]int)}
+	c.scope = &localScope{parent: c.scope, names: make(map[string]slot)}
 }
 
 func (c *compiler) popScope() { c.scope = c.scope.parent }
 
-// defineLocal assigns a fresh slot for a body-local declaration; shadowed
-// names get distinct slots, matching the interpreter's nested frames.
-func (c *compiler) defineLocal(name string) int {
-	idx := c.nLocals
-	c.nLocals++
-	c.scope.names[name] = idx
-	return idx
+// slotKind says where a resolved identifier lives.
+type slotKind uint8
+
+const (
+	slotCell  slotKind = iota // a bound cell
+	slotLocal                 // a body-local Value slot
+	slotReg                   // a numeric body-local's int64 register
+)
+
+// slot is a resolved identifier: its storage and index there.
+type slot struct {
+	kind slotKind
+	idx  int
 }
 
-// slot is a resolved identifier: a body-local index or a cell index.
-type slot struct {
-	local bool
-	idx   int
+// defineLocal assigns a fresh slot for a body-local declaration of type
+// t: a register when t is numeric, a Value slot otherwise. Shadowed names
+// get distinct slots, matching the interpreter's nested frames.
+func (c *compiler) defineLocal(name string, t *types.Type) slot {
+	sl := slot{kind: slotLocal, idx: c.nLocals}
+	if t.IsNumeric() {
+		sl = slot{kind: slotReg, idx: c.nextReg}
+		c.nextReg++
+	} else {
+		c.nLocals++
+	}
+	c.scope.names[name] = sl
+	return sl
 }
 
 func (c *compiler) resolve(name string) (slot, bool) {
 	for s := c.scope; s != nil; s = s.parent {
-		if i, ok := s.names[name]; ok {
-			return slot{local: true, idx: i}, true
+		if sl, ok := s.names[name]; ok {
+			return sl, true
 		}
 	}
 	if ref, ok := c.outer.resolve(name); ok {
@@ -460,6 +452,28 @@ func (c *compiler) resolve(name string) (slot, bool) {
 		return slot{idx: i}, true
 	}
 	return slot{}, false
+}
+
+// cellOf resolves a directly-named cell — a container or CFE variable;
+// false for any other expression.
+func (c *compiler) cellOf(e ast.Expr) (int, bool) {
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return 0, false
+	}
+	sl, ok := c.resolve(id.Name)
+	return sl.idx, ok && sl.kind == slotCell
+}
+
+// untyped stands for the type of an expression sem left untyped.
+var untyped = &types.Type{Kind: types.Invalid}
+
+// typeOf is e's static type.
+func (c *compiler) typeOf(e ast.Expr) *types.Type {
+	if t := c.info.Types[e]; t != nil {
+		return t
+	}
+	return untyped
 }
 
 // dynSlot resolves a dynamic attribute use to its materialized-value slot.

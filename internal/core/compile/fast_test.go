@@ -1,13 +1,12 @@
 package compile_test
 
-// The whole-body fast tier against the generic lowering, statement by
-// statement: each case is one action body, fired on separately declared
-// globals through Bound.Exec, through FastExec, and — as the reference
-// both lowerings answer to — through the tree-walking interpreter. All
-// three must leave equal cells, print the same output and record the
-// same runtime error (message and position). An additive body is also
-// flushed through Bound.CounterShape. The action's CFE variable I is
-// bound to a fixed instruction, so static attributes resolve.
+// The compiled executor against the tree-walking interpreter, statement
+// by statement: each case is one action body, fired on separately
+// declared globals through Bound.Exec and, as the reference, through the
+// interpreter. Both must leave equal cells, print the same output and
+// record the same runtime error (message and position). An additive body
+// is also flushed through Bound.CounterShape. The action's CFE variable I
+// is bound to a fixed instruction, so static attributes resolve.
 
 import (
 	"bytes"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/core/compile"
 	"repro/internal/core/interp"
 	"repro/internal/core/parser"
+	"repro/internal/core/placement"
 	"repro/internal/core/sem"
 	"repro/internal/core/value"
 	"repro/internal/isa"
@@ -36,8 +36,8 @@ type fastCase struct {
 	file []string
 	// counter marks an additive body, which is also flushed.
 	counter bool
-	// fastOnly skips the reference paths, which would take seconds to
-	// count to interp.MaxLoopIters; wantErr pins the result instead.
+	// fastOnly skips the interpreter, which would take seconds to count
+	// to interp.MaxLoopIters; wantErr pins the result instead.
 	fastOnly bool
 	// compileErr, when set, is the error sem.Check must reject the tool
 	// with; nothing is fired.
@@ -235,6 +235,17 @@ var fastCases = []fastCase{
 		wantOut: "2\n22\n",
 	},
 	{
+		name:    "string print and string-keyed bump beside numeric work",
+		globals: "dict<string,int> calls; dict<int,int> d; int c; vector<addr> v;",
+		body: `
+    c = c + I.size;
+    calls[I.trgname] = calls[I.trgname] + 1;
+    d[I.addr] = d[I.addr] + c;
+    if (!v.has(I.nextaddr)) { v.add(I.nextaddr); }
+    print("at", I.addr, I.opcode, I.trgname, calls[""], calls.size(), d[I.addr], v[c]);`,
+		wantOut: "at 16400 load  1 1 5 NULL\nat 16400 load  2 1 15 NULL\n",
+	},
+	{
 		name:    "counted loop exceeding MaxLoopIters",
 		globals: "vector<int> v; int c;",
 		body: `
@@ -250,8 +261,7 @@ var fastCases = []fastCase{
 // Execution paths of one case.
 const (
 	viaInterp = iota
-	viaGeneric
-	viaFast
+	viaCompiled
 	viaCounter
 )
 
@@ -259,16 +269,20 @@ const (
 // 5 bytes long, with two operands.
 var caseInst = &isa.Inst{Addr: 0x4010, Size: 5, Op: isa.Load, Ops: make([]isa.Operand, 2)}
 
-// check parses and checks the case's tool.
-func (fc fastCase) check(t *testing.T) (*ast.Program, *sem.Info, error) {
-	t.Helper()
-	src := fc.globals + `
+// source is the case's tool.
+func (fc fastCase) source() string {
+	return fc.globals + `
 inst I where (I.opcode == Load) {
   before I {` + fc.body + `
   }
 }
 `
-	prog, err := parser.Parse(src)
+}
+
+// check parses and checks the case's tool.
+func (fc fastCase) check(t *testing.T) (*ast.Program, *sem.Info, error) {
+	t.Helper()
+	prog, err := parser.Parse(fc.source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,18 +320,13 @@ func (fc fastCase) fire(t *testing.T, via int) (map[string]value.Value, string, 
 		slots[i] = globals.Lookup(c.Name)
 	}
 	b := body.Bind(slots, &out)
-	_, counter := b.CounterShape()
-	if fast, ctr := body.FastTier(values(slots)); fast != (b.FastExec() != nil) || ctr != counter {
-		t.Errorf("FastTier = %v, %v; the bound body has fast=%v, counter=%v", fast, ctr, b.FastExec() != nil, counter)
+	if _, counter := b.CounterShape(); body.Additive(values(slots)) != counter || counter != fc.counter {
+		t.Errorf("Additive = %v, bound body counter = %v, want %v", body.Additive(values(slots)), counter, fc.counter)
 	}
 	exec := func([]value.Value) error { return in.ExecStmts(interp.NewEnv(globals), act.Body) }
 	switch via {
-	case viaGeneric:
+	case viaCompiled:
 		exec = b.Exec
-	case viaFast:
-		if exec = b.FastExec(); exec == nil {
-			t.Fatal("body has no fast lowering")
-		}
 	case viaCounter:
 		flush, ok := b.CounterShape()
 		if !ok {
@@ -340,7 +349,7 @@ func (fc fastCase) fire(t *testing.T, via int) (map[string]value.Value, string, 
 	return cells, out.String(), err
 }
 
-// values reads bound cells as the recorded values FastTier takes.
+// values reads bound cells as the recorded values Additive takes.
 func values(cells []*value.Value) []value.Value {
 	vals := make([]value.Value, len(cells))
 	for i, v := range cells {
@@ -349,6 +358,9 @@ func values(cells []*value.Value) []value.Value {
 	return vals
 }
 
+// TestFastTierMatchesGeneric fires every fastCases entry through the one
+// compiled executor and, when additive, its counter flush, against the
+// generic tree-walking interpreter.
 func TestFastTierMatchesGeneric(t *testing.T) {
 	errText := func(err error) string {
 		if err == nil {
@@ -365,8 +377,8 @@ func TestFastTierMatchesGeneric(t *testing.T) {
 				return
 			}
 			if fc.fastOnly {
-				if _, _, err := fc.fire(t, viaFast); errText(err) != fc.wantErr {
-					t.Errorf("fast error = %q, want %q", errText(err), fc.wantErr)
+				if _, _, err := fc.fire(t, viaCompiled); errText(err) != fc.wantErr {
+					t.Errorf("compiled error = %q, want %q", errText(err), fc.wantErr)
 				}
 				return
 			}
@@ -377,12 +389,12 @@ func TestFastTierMatchesGeneric(t *testing.T) {
 			if errText(iErr) != fc.wantErr {
 				t.Errorf("interpreter error = %q, want %q", errText(iErr), fc.wantErr)
 			}
-			vias := []int{viaGeneric, viaFast}
+			vias := []int{viaCompiled}
 			if fc.counter {
 				vias = append(vias, viaCounter)
 			}
 			for _, via := range vias {
-				name := map[int]string{viaGeneric: "generic", viaFast: "fast", viaCounter: "counter"}[via]
+				name := map[int]string{viaCompiled: "compiled", viaCounter: "counter"}[via]
 				cells, out, err := fc.fire(t, via)
 				if !reflect.DeepEqual(cells, iCells) {
 					t.Errorf("%s cells diverged:\ngot:  %+v\nwant: %+v", name, cells, iCells)
@@ -398,10 +410,33 @@ func TestFastTierMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestUnresolvedBindConstantStaysGeneric binds I to a basic block, whose
-// attributes do not include nextaddr: the placement keeps only the
-// generic lowering, which reports the failed lookup.
-func TestUnresolvedBindConstantStaysGeneric(t *testing.T) {
+// TestFastCasesPlacedOnFastTier places every fastCases tool: each
+// compiled action, whatever its statements, records MechFast, and an
+// additive one MechCounter.
+func TestFastCasesPlacedOnFastTier(t *testing.T) {
+	prog := buildTargetTB(t, "src:loads")
+	for _, fc := range fastCases {
+		if fc.compileErr != "" {
+			continue
+		}
+		want := placement.MechFast
+		if fc.counter {
+			want = placement.MechCounter
+		}
+		pl, _ := place(t, fc.source(), prog, false)
+		for _, r := range pl.rules {
+			if r.Mechanism != want {
+				t.Errorf("%s: %q at %#x dispatches mech=%s, want %s", fc.name, r.Action.Label, r.SiteAddr(), r.Mechanism, want)
+			}
+		}
+	}
+}
+
+// TestUnresolvedBindConstantReportsError binds I to a basic block, whose
+// attributes do not include nextaddr: the placement loses only its
+// counter flush, and the one executor reports the failed lookup when the
+// constant is read.
+func TestUnresolvedBindConstantReportsError(t *testing.T) {
 	src := `
 int c;
 inst I where (I.opcode == Load) {
@@ -432,16 +467,14 @@ inst I where (I.opcode == Load) {
 		}
 	}
 	b := body.Bind(cells, &bytes.Buffer{})
-	if fast, counter := body.FastTier(values(cells)); fast || counter {
-		t.Errorf("FastTier = %v, %v for a placement whose constant does not resolve", fast, counter)
-	}
-	if b.FastExec() != nil {
-		t.Error("FastExec is set for a placement whose constant did not resolve")
+	if body.Additive(values(cells)) {
+		t.Error("Additive is set for a placement whose constant does not resolve")
 	}
 	if _, ok := b.CounterShape(); ok {
 		t.Error("CounterShape is set for a placement whose constant did not resolve")
 	}
-	if err := b.Exec(nil); err == nil {
-		t.Error("generic lowering read a missing static attribute without error")
+	const want = `cinnamon: basicblock@0x0 has no static attribute "nextaddr"`
+	if err := b.Exec(nil); err == nil || err.Error() != want {
+		t.Errorf("Exec error = %v, want %q", err, want)
 	}
 }

@@ -1,12 +1,22 @@
 package compile
 
-// The lowering pass: every AST statement and expression becomes one
-// pre-bound closure. Lowering mirrors the tree-walking interpreter
-// (internal/core/interp) exactly — same evaluation order, same coercions,
-// same runtime error messages and positions — so that switching a tool
-// between execution paths is unobservable. Where the interpreter resolves
-// a name or a declared type per evaluation, lowering resolves it once and
-// bakes the slot index or *types.Type into the closure.
+// The lowering pass: every AST statement becomes one pre-bound closure,
+// each statement kind lowered once. Lowering mirrors the tree-walking
+// interpreter (internal/core/interp) exactly — same evaluation order,
+// same coercions, same runtime error messages and positions — so that
+// switching a tool between execution paths is unobservable. Where the
+// interpreter resolves a name or a declared type per evaluation, lowering
+// resolves it once and bakes the slot index or *types.Type into the
+// closure. Numeric locals live in int64 registers, and numeric containers
+// named by a cell are read and written unboxed: a dict of numeric key and
+// element types through its int64 map (value.DictVal.Ints), which every
+// such dict has because a container is assignable only from one of
+// matching key and element types (types.AssignableTo).
+//
+// Two statement shapes get their own closures: the dict bump
+// `d[k] = d[k] ± e` on a numeric dict is one `m[k] ± e` map update, and
+// the counted loop `for (int i = c; i < v.size(); i = i + 1)` whose body
+// never assigns i runs as a native Go loop over its register.
 
 import (
 	"fmt"
@@ -17,77 +27,88 @@ import (
 	"repro/internal/core/token"
 	"repro/internal/core/types"
 	"repro/internal/core/value"
-	"repro/internal/isa"
 )
 
 func errf(pos token.Pos, format string, args ...any) error {
 	return &interp.RuntimeError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (c *compiler) compileStmts(stmts []ast.Stmt) []stmtFn {
+func (c *compiler) stmts(stmts []ast.Stmt) []stmtFn {
 	out := make([]stmtFn, 0, len(stmts))
 	for _, s := range stmts {
-		out = append(out, c.compileStmt(s))
+		out = append(out, c.stmt(s))
 	}
 	return out
 }
 
-func (c *compiler) compileStmt(s ast.Stmt) stmtFn {
+// run executes a statement list, stopping at the first error.
+func run(fr *frame, stmts []stmtFn) error {
+	for _, f := range stmts {
+		if err := f(fr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (c *compiler) stmt(s ast.Stmt) stmtFn {
 	switch st := s.(type) {
 	case *ast.DeclStmt:
-		return c.compileDecl(st.Decl)
+		return c.decl(st.Decl)
 	case *ast.AssignStmt:
-		return c.compileAssign(st)
+		return c.assign(st)
 	case *ast.ExprStmt:
-		x := c.compileExpr(st.X)
+		if call, ok := st.X.(*ast.CallExpr); ok {
+			if f := c.callStmt(call); f != nil {
+				return f
+			}
+		}
+		x := c.val(st.X)
 		return func(fr *frame) error {
 			_, err := x(fr)
 			return err
 		}
 	case *ast.IfStmt:
-		cond := c.compileExpr(st.Cond)
+		cond := c.cond(st.Cond)
 		c.pushScope()
-		then := c.compileStmts(st.Then)
+		then := c.stmts(st.Then)
 		c.popScope()
 		c.pushScope()
-		els := c.compileStmts(st.Else)
+		els := c.stmts(st.Else)
 		c.popScope()
 		return func(fr *frame) error {
-			v, err := cond(fr)
+			b, err := cond(fr)
 			if err != nil {
 				return err
 			}
-			branch := then
-			if !v.AsBool() {
-				branch = els
+			if b {
+				return run(fr, then)
 			}
-			for _, f := range branch {
-				if err := f(fr); err != nil {
-					return err
-				}
-			}
-			return nil
+			return run(fr, els)
 		}
 	case *ast.ForStmt:
 		// The for header lives in its own scope; the body opens another
-		// one per iteration (re-declarations re-initialize their slots).
+		// one (re-declarations re-initialize their slots).
 		c.pushScope()
+		defer c.popScope()
 		var init stmtFn
 		if st.Init != nil {
-			init = c.compileStmt(st.Init)
+			init = c.stmt(st.Init)
 		}
-		var cond exprFn
+		if f := c.countedLoop(st, init); f != nil {
+			return f
+		}
+		var cond boolFn
 		if st.Cond != nil {
-			cond = c.compileExpr(st.Cond)
+			cond = c.cond(st.Cond)
 		}
 		c.pushScope()
-		body := c.compileStmts(st.Body)
+		body := c.stmts(st.Body)
 		c.popScope()
 		var post stmtFn
 		if st.Post != nil {
-			post = c.compileStmt(st.Post)
+			post = c.stmt(st.Post)
 		}
-		c.popScope()
 		pos := st.P
 		return func(fr *frame) error {
 			if init != nil {
@@ -100,18 +121,13 @@ func (c *compiler) compileStmt(s ast.Stmt) stmtFn {
 					return errf(pos, "for statement exceeded %d iterations", interp.MaxLoopIters)
 				}
 				if cond != nil {
-					v, err := cond(fr)
-					if err != nil {
+					b, err := cond(fr)
+					if err != nil || !b {
 						return err
-					}
-					if !v.AsBool() {
-						return nil
 					}
 				}
-				for _, f := range body {
-					if err := f(fr); err != nil {
-						return err
-					}
+				if err := run(fr, body); err != nil {
+					return err
 				}
 				if post != nil {
 					if err := post(fr); err != nil {
@@ -125,7 +141,105 @@ func (c *compiler) compileStmt(s ast.Stmt) stmtFn {
 	return func(*frame) error { return errf(pos, "invalid statement") }
 }
 
-func (c *compiler) compileDecl(d *ast.VarDecl) stmtFn {
+// countedLoop lowers `for (int i = c; i < v.size(); i = i + 1)` on a
+// container cell v, whose body never assigns i, to a native Go loop: i
+// lives in a Go local that is copied into its register for the body to
+// read, the size test reads v's length in place, and no closure runs
+// outside the body. v is re-read every iteration, as the plain condition
+// does, so a body that grows it is still seen. nil when st does not have
+// the shape. init is the lowered header declaration; the caller has
+// opened the header scope.
+func (c *compiler) countedLoop(st *ast.ForStmt, init stmtFn) stmtFn {
+	d, _ := st.Init.(*ast.DeclStmt)
+	cond, _ := st.Cond.(*ast.BinaryExpr)
+	if d == nil || cond == nil || cond.Op != token.LT || !identNamed(cond.X, d.Decl.Name) {
+		return nil
+	}
+	name := d.Decl.Name
+	if !isIncrement(st.Post, name) || assignsName(st.Body, name) {
+		return nil
+	}
+	call, _ := cond.Y.(*ast.CallExpr)
+	if call == nil {
+		return nil
+	}
+	fun, _ := call.Fun.(*ast.FieldExpr)
+	if fun == nil || fun.Name != "size" {
+		return nil
+	}
+	recv, ok := c.cellOf(fun.X)
+	sl, _ := c.resolve(name)
+	if !ok || sl.kind != slotReg {
+		return nil
+	}
+	reg := sl.idx
+	c.pushScope()
+	body := c.stmts(st.Body)
+	c.popScope()
+	pos, sizePos := st.P, call.P
+	return func(fr *frame) error {
+		if err := init(fr); err != nil {
+			return err
+		}
+		for i, iters := fr.regs[reg], 0; ; i, iters = i+1, iters+1 {
+			if iters >= interp.MaxLoopIters {
+				return errf(pos, "for statement exceeded %d iterations", interp.MaxLoopIters)
+			}
+			n, ok := sizeOf(fr.cells[recv])
+			if !ok {
+				return errf(sizePos, "invalid method %q", "size")
+			}
+			if i >= n {
+				return nil
+			}
+			fr.regs[reg] = i
+			if err := run(fr, body); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+func litInt(e ast.Expr) (int64, bool) {
+	if l, ok := e.(*ast.IntLit); ok {
+		return l.Val, true
+	}
+	return 0, false
+}
+
+func identNamed(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
+}
+
+// isIncrement reports whether s is `name = name + 1`.
+func isIncrement(s ast.Stmt, name string) bool {
+	as, ok := s.(*ast.AssignStmt)
+	if !ok || !identNamed(as.LHS, name) {
+		return false
+	}
+	bin, ok := as.RHS.(*ast.BinaryExpr)
+	if !ok || bin.Op != token.PLUS || !identNamed(bin.X, name) {
+		return false
+	}
+	one, ok := litInt(bin.Y)
+	return ok && one == 1
+}
+
+// assignsName reports whether any statement in stmts, at any depth,
+// assigns an identifier called name. Shadowing declarations are not told
+// apart, which errs towards a plain loop.
+func assignsName(stmts []ast.Stmt, name string) bool {
+	found := false
+	ast.WalkStmts(stmts, func(s ast.Stmt) {
+		if as, ok := s.(*ast.AssignStmt); ok && identNamed(as.LHS, name) {
+			found = true
+		}
+	}, nil)
+	return found
+}
+
+func (c *compiler) decl(d *ast.VarDecl) stmtFn {
 	t := c.info.DeclTypes[d]
 	if t == nil {
 		pos, name := d.P, d.Name
@@ -135,77 +249,83 @@ func (c *compiler) compileDecl(d *ast.VarDecl) stmtFn {
 	}
 	// The initializer is compiled before the name is defined: a
 	// declaration cannot reference itself, it sees the outer binding.
-	if d.Init != nil && t.IsNumeric() {
-		if ifn := c.compileIntExpr(d.Init); ifn != nil {
-			idx := c.defineLocal(d.Name)
-			return func(fr *frame) error {
-				n, err := ifn(fr)
-				if err != nil {
+	if t.IsNumeric() {
+		init := litOperand(0)
+		if d.Init != nil {
+			init = c.num(d.Init)
+		}
+		reg := c.defineLocal(d.Name, t).idx
+		return func(fr *frame) error {
+			n, ok := init.leaf(fr)
+			if !ok {
+				var err error
+				if n, err = init.fn(fr); err != nil {
 					return err
 				}
-				fr.locals[idx] = value.Value{Kind: value.KInt, Int: n}
-				return nil
 			}
+			fr.regs[reg] = n
+			return nil
 		}
 	}
-	var initFn exprFn
+	var init exprFn
 	if d.Init != nil {
-		initFn = c.compileExpr(d.Init)
+		init = c.val(d.Init)
 	}
-	idx := c.defineLocal(d.Name)
-	if initFn == nil {
+	idx := c.defineLocal(d.Name, t).idx
+	if init == nil {
 		return func(fr *frame) error {
 			fr.locals[idx] = interp.ZeroValue(t)
 			return nil
 		}
 	}
 	return func(fr *frame) error {
-		iv, err := initFn(fr)
+		v, err := init(fr)
 		if err != nil {
 			return err
 		}
-		fr.locals[idx] = interp.Convert(iv, t)
+		fr.locals[idx] = interp.Convert(v, t)
 		return nil
 	}
 }
 
-func (c *compiler) compileAssign(st *ast.AssignStmt) stmtFn {
-	// Numeric-typed scalar assignment is the hot statement of every
-	// counting tool; when the RHS lowers to the scalar tier, Convert
-	// (IntVal of AsInt for numeric types) collapses into boxing the
-	// already-coerced int64 straight into the slot.
-	if lhs, ok := st.LHS.(*ast.Ident); ok {
-		if t := c.info.Types[st.LHS]; t != nil && t.IsNumeric() {
-			if sl, ok := c.resolve(lhs.Name); ok {
-				if ifn := c.compileIntExpr(st.RHS); ifn != nil {
-					idx := sl.idx
-					if sl.local {
-						return func(fr *frame) error {
-							n, err := ifn(fr)
-							if err != nil {
-								return err
-							}
-							fr.locals[idx] = value.Value{Kind: value.KInt, Int: n}
-							return nil
-						}
-					}
-					return func(fr *frame) error {
-						n, err := ifn(fr)
-						if err != nil {
+func (c *compiler) assign(st *ast.AssignStmt) stmtFn {
+	switch lhs := st.LHS.(type) {
+	case *ast.Ident:
+		// The RHS evaluates before the target resolves, as in the
+		// interpreter; a numeric target stores its operand unboxed into a
+		// register or as a KInt into a cell (Convert for a numeric type).
+		t := c.typeOf(lhs)
+		if t.IsNumeric() {
+			rhs := c.num(st.RHS)
+			sl, ok := c.resolve(lhs.Name)
+			switch idx := sl.idx; {
+			case ok && sl.kind == slotReg:
+				return func(fr *frame) error {
+					n, ok := rhs.leaf(fr)
+					if !ok {
+						var err error
+						if n, err = rhs.fn(fr); err != nil {
 							return err
 						}
-						*fr.cells[idx] = value.Value{Kind: value.KInt, Int: n}
-						return nil
 					}
+					fr.regs[idx] = n
+					return nil
+				}
+			case ok && sl.kind == slotCell:
+				return func(fr *frame) error {
+					n, ok := rhs.leaf(fr)
+					if !ok {
+						var err error
+						if n, err = rhs.fn(fr); err != nil {
+							return err
+						}
+					}
+					*fr.cells[idx] = value.Value{Kind: value.KInt, Int: n}
+					return nil
 				}
 			}
 		}
-	}
-	// The RHS evaluates before the target resolves, as in the interpreter.
-	rhs := c.compileExpr(st.RHS)
-	switch lhs := st.LHS.(type) {
-	case *ast.Ident:
-		t := c.info.Types[st.LHS]
+		rhs := c.val(st.RHS)
 		sl, ok := c.resolve(lhs.Name)
 		if !ok {
 			pos, name := lhs.P, lhs.Name
@@ -216,48 +336,27 @@ func (c *compiler) compileAssign(st *ast.AssignStmt) stmtFn {
 				return errf(pos, "undefined: %s", name)
 			}
 		}
-		idx := sl.idx
-		switch {
-		case sl.local && t != nil:
-			return func(fr *frame) error {
-				v, err := rhs(fr)
-				if err != nil {
-					return err
-				}
+		idx, local := sl.idx, sl.kind == slotLocal
+		return func(fr *frame) error {
+			v, err := rhs(fr)
+			if err != nil {
+				return err
+			}
+			if local {
 				fr.locals[idx] = interp.Convert(v, t)
-				return nil
-			}
-		case sl.local:
-			return func(fr *frame) error {
-				v, err := rhs(fr)
-				if err != nil {
-					return err
-				}
-				fr.locals[idx] = v
-				return nil
-			}
-		case t != nil:
-			return func(fr *frame) error {
-				v, err := rhs(fr)
-				if err != nil {
-					return err
-				}
+			} else {
 				*fr.cells[idx] = interp.Convert(v, t)
-				return nil
 			}
-		default:
-			return func(fr *frame) error {
-				v, err := rhs(fr)
-				if err != nil {
-					return err
-				}
-				*fr.cells[idx] = v
-				return nil
-			}
+			return nil
 		}
 	case *ast.IndexExpr:
-		base := c.compileExpr(lhs.X)
-		index := c.compileExpr(lhs.Index)
+		if f := c.storeInt(st, lhs); f != nil {
+			return f
+		}
+		// The RHS evaluates first, then the base, then the index.
+		rhs := c.val(st.RHS)
+		base := c.val(lhs.X)
+		index := c.val(lhs.Index)
 		elemT := c.elemTypeOf(lhs.X)
 		pos := lhs.P
 		return func(fr *frame) error {
@@ -277,24 +376,19 @@ func (c *compiler) compileAssign(st *ast.AssignStmt) stmtFn {
 			case value.KDict:
 				bv.Dict.Set(iv, interp.Convert(rv, elemT))
 				return nil
-			case value.KArray:
+			case value.KArray, value.KVector:
+				elems, what := elemsOf(&bv)
 				i := iv.AsInt()
-				if i < 0 || i >= int64(len(bv.Arr.Elems)) {
-					return errf(pos, "array index %d out of range [0,%d)", i, len(bv.Arr.Elems))
+				if i < 0 || i >= int64(len(elems)) {
+					return errf(pos, "%s index %d out of range [0,%d)", what, i, len(elems))
 				}
-				bv.Arr.Elems[i] = interp.Convert(rv, elemT)
-				return nil
-			case value.KVector:
-				i := iv.AsInt()
-				if i < 0 || i >= int64(len(bv.Vec.Elems)) {
-					return errf(pos, "vector index %d out of range [0,%d)", i, len(bv.Vec.Elems))
-				}
-				bv.Vec.Elems[i] = interp.Convert(rv, elemT)
+				elems[i] = interp.Convert(rv, elemT)
 				return nil
 			}
 			return errf(pos, "value is not indexable")
 		}
 	}
+	rhs := c.val(st.RHS)
 	pos := st.P
 	return func(fr *frame) error {
 		if _, err := rhs(fr); err != nil {
@@ -304,474 +398,220 @@ func (c *compiler) compileAssign(st *ast.AssignStmt) stmtFn {
 	}
 }
 
-func (c *compiler) elemTypeOf(base ast.Expr) *types.Type {
-	if t := c.info.Types[base]; t != nil && t.Elem != nil {
-		return t.Elem
+// storeInt lowers `v[k] = e` into a container cell of numeric elements
+// (and, for a dict, numeric keys) unboxed, in the interpreter's order:
+// e, then the base, then k; nil for any other store.
+func (c *compiler) storeInt(st *ast.AssignStmt, lhs *ast.IndexExpr) stmtFn {
+	t := c.typeOf(lhs.X)
+	if t.Elem == nil || !t.Elem.IsNumeric() || t.Kind == types.Dict && !t.Key.IsNumeric() {
+		return nil
 	}
-	return types.Basic(types.Int)
-}
-
-func constFn(v value.Value) exprFn {
-	return func(*frame) (value.Value, error) { return v, nil }
-}
-
-func errFn(pos token.Pos, format string, args ...any) exprFn {
-	err := errf(pos, format, args...)
-	return func(*frame) (value.Value, error) { return value.Null, err }
-}
-
-func (c *compiler) compileExpr(e ast.Expr) exprFn {
-	switch x := e.(type) {
-	case *ast.IntLit:
-		return constFn(value.IntVal(x.Val))
-	case *ast.StringLit:
-		return constFn(value.StrVal(x.Val))
-	case *ast.CharLit:
-		return constFn(value.IntVal(int64(x.Val)))
-	case *ast.BoolLit:
-		return constFn(value.BoolVal(x.Val))
-	case *ast.NullLit:
-		return constFn(value.Null)
-	case *ast.OpcodeLit:
-		op, ok := interp.OpcodeFromName(x.Name)
-		if !ok {
-			return errFn(x.P, "unknown opcode %s", x.Name)
+	if t.Kind == types.Dict {
+		if f := c.dictBump(st, lhs); f != nil {
+			return f
 		}
-		return constFn(value.OpcodeVal(op))
-	case *ast.Ident:
-		sl, ok := c.resolve(x.Name)
-		if !ok {
-			return errFn(x.P, "undefined: %s", x.Name)
-		}
-		idx := sl.idx
-		if sl.local {
-			return func(fr *frame) (value.Value, error) { return fr.locals[idx], nil }
-		}
-		return func(fr *frame) (value.Value, error) { return *fr.cells[idx], nil }
-	case *ast.FieldExpr:
-		return c.compileField(x)
-	case *ast.IndexExpr:
-		base := c.compileExpr(x.X)
-		index := c.compileExpr(x.Index)
-		pos := x.P
-		return func(fr *frame) (value.Value, error) {
-			bv, err := base(fr)
+	}
+	idx, ok := c.cellOf(lhs.X)
+	if !ok {
+		return nil
+	}
+	rhs := c.num(st.RHS)
+	key := c.num(lhs.Index)
+	pos := lhs.P
+	switch t.Kind {
+	case types.Dict:
+		return func(fr *frame) error {
+			n, err := rhs.get(fr)
 			if err != nil {
-				return value.Null, err
+				return err
 			}
-			iv, err := index(fr)
+			bv := fr.cells[idx]
+			k, err := key.get(fr)
 			if err != nil {
-				return value.Null, err
+				return err
 			}
-			switch bv.Kind {
-			case value.KDict:
-				return bv.Dict.Get(iv), nil
-			case value.KVector:
-				return bv.Vec.Get(iv.AsInt()), nil
-			case value.KArray:
-				i := iv.AsInt()
-				if i < 0 || i >= int64(len(bv.Arr.Elems)) {
-					return value.Null, errf(pos, "array index %d out of range [0,%d)", i, len(bv.Arr.Elems))
-				}
-				return bv.Arr.Elems[i], nil
+			if bv.Kind != value.KDict {
+				return errf(pos, "value is not indexable")
 			}
-			return value.Null, errf(pos, "value is not indexable")
+			bv.Dict.Ints[k] = n
+			return nil
 		}
-	case *ast.CallExpr:
-		return c.compileCall(x)
-	case *ast.IsTypeExpr:
-		sub := c.compileExpr(x.X)
-		var want isa.OperandKind
-		switch x.OpType {
-		case token.KMEM:
-			want = isa.KindMem
-		case token.KREG:
-			want = isa.KindReg
-		case token.KCONST:
-			want = isa.KindImm
+	case types.Array, types.Vector:
+		kind := value.KArray
+		if t.Kind == types.Vector {
+			kind = value.KVector
 		}
-		pos := x.P
-		return func(fr *frame) (value.Value, error) {
-			v, err := sub(fr)
+		return func(fr *frame) error {
+			n, err := rhs.get(fr)
 			if err != nil {
-				return value.Null, err
+				return err
 			}
-			if v.Kind != value.KOperand {
-				return value.Null, errf(pos, "IsType requires an operand")
+			bv := fr.cells[idx]
+			i, err := key.get(fr)
+			if err != nil {
+				return err
 			}
-			return value.BoolVal(v.Opnd.Kind == want), nil
+			if bv.Kind != kind {
+				return errf(pos, "value is not indexable")
+			}
+			elems, what := elemsOf(bv)
+			if i < 0 || i >= int64(len(elems)) {
+				return errf(pos, "%s index %d out of range [0,%d)", what, i, len(elems))
+			}
+			elems[i] = value.Value{Kind: value.KInt, Int: n}
+			return nil
 		}
-	case *ast.UnaryExpr:
-		sub := c.compileExpr(x.X)
-		switch x.Op {
-		case token.NOT:
-			return func(fr *frame) (value.Value, error) {
-				v, err := sub(fr)
-				if err != nil {
-					return value.Null, err
-				}
-				return value.BoolVal(!v.AsBool()), nil
-			}
-		case token.MINUS:
-			return func(fr *frame) (value.Value, error) {
-				v, err := sub(fr)
-				if err != nil {
-					return value.Null, err
-				}
-				return value.IntVal(-v.AsInt()), nil
-			}
-		}
-		pos := x.P
-		return func(fr *frame) (value.Value, error) {
-			if _, err := sub(fr); err != nil {
-				return value.Null, err
-			}
-			return value.Null, errf(pos, "invalid unary operator")
-		}
-	case *ast.BinaryExpr:
-		return c.compileBinary(x)
 	}
-	return errFn(e.Pos(), "invalid expression")
+	return nil
 }
 
-func (c *compiler) compileField(x *ast.FieldExpr) exprFn {
-	if c.info.DynamicExprs[x] {
-		id, ok := x.X.(*ast.Ident)
-		if !ok {
-			return errFn(x.P, "internal: dynamic attribute on non-identifier")
-		}
-		attr := strings.ToLower(x.Name)
-		key := id.Name + "." + attr
-		idx, ok := c.dynSlot(id.Name, attr)
-		if !ok {
-			// No slot: the body has no probe context for this attribute
-			// (an init/exit block, or a mismatched CFE variable).
-			return errFn(x.P, "dynamic attribute %s not materialized (is this running outside a probe?)", key)
-		}
-		pos := x.P
-		return func(fr *frame) (value.Value, error) {
-			if idx >= len(fr.dyn) {
-				return value.Null, errf(pos, "dynamic attribute %s not materialized (is this running outside a probe?)", key)
-			}
-			return fr.dyn[idx], nil
-		}
+// elemsOf returns the elements of an array or vector value and its kind's
+// name for an out-of-range error.
+func elemsOf(bv *value.Value) ([]value.Value, string) {
+	if bv.Kind == value.KVector {
+		return bv.Vec.Elems, "vector"
 	}
-	base := c.compileExpr(x.X)
-	pos, name := x.P, x.Name
-	return func(fr *frame) (value.Value, error) {
-		bv, err := base(fr)
-		if err != nil {
-			return value.Null, err
+	return bv.Arr.Elems, "array"
+}
+
+// dictBump lowers `d[k] = d[k] ± e` on a numeric dict cell d, with k a
+// leaf, to one map update. The interpreter reads d[k] (kind check at the
+// read), evaluates e, then stores; e cannot write d or k, so reading the
+// element after e, as the update does, sees the same value, and an error
+// in e still leaves d untouched. nil when st has another shape.
+func (c *compiler) dictBump(st *ast.AssignStmt, lhs *ast.IndexExpr) stmtFn {
+	bin, ok := st.RHS.(*ast.BinaryExpr)
+	if !ok || (bin.Op != token.PLUS && bin.Op != token.MINUS) {
+		return nil
+	}
+	read, ok := bin.X.(*ast.IndexExpr)
+	base, _ := lhs.X.(*ast.Ident)
+	if !ok || base == nil || !identNamed(read.X, base.Name) {
+		return nil
+	}
+	idx, ok := c.cellOf(base)
+	if !ok {
+		return nil
+	}
+	key := c.num(read.Index)
+	if other := c.num(lhs.Index); key.kind == notLeaf || key.kind != other.kind || key.idx != other.idx || key.n != other.n {
+		return nil
+	}
+	e := c.num(bin.Y)
+	neg, pos := bin.Op == token.MINUS, read.P
+	return func(fr *frame) error {
+		bv := fr.cells[idx]
+		k, ok := key.leaf(fr)
+		if !ok {
+			var err error
+			if k, err = key.fn(fr); err != nil {
+				return err
+			}
 		}
-		if bv.Kind != value.KCFE {
-			return value.Null, errf(pos, "value has no attributes")
+		if bv.Kind != value.KDict {
+			return errf(pos, "value is not indexable")
 		}
-		return interp.StaticAttr(bv.CFE, name)
+		n, ok := e.leaf(fr)
+		if !ok {
+			var err error
+			if n, err = e.fn(fr); err != nil {
+				return err
+			}
+		}
+		if neg {
+			n = -n
+		}
+		bv.Dict.Ints[k] += n
+		return nil
 	}
 }
 
-func (c *compiler) compileCall(x *ast.CallExpr) exprFn {
+// callStmt lowers the calls that are statements — print, writeToFile
+// and a vector's add; nil for any other call.
+func (c *compiler) callStmt(x *ast.CallExpr) stmtFn {
 	switch fun := x.Fun.(type) {
 	case *ast.Ident:
 		switch fun.Name {
 		case "print":
 			args := make([]exprFn, len(x.Args))
 			for i, a := range x.Args {
-				args[i] = c.compileExpr(a)
+				args[i] = c.val(a)
 			}
-			return func(fr *frame) (value.Value, error) {
-				parts := make([]string, 0, len(args))
-				for _, a := range args {
+			return func(fr *frame) error {
+				parts := make([]string, len(args))
+				for i, a := range args {
 					v, err := a(fr)
 					if err != nil {
-						return value.Null, err
+						return err
 					}
-					parts = append(parts, v.String())
+					parts[i] = v.String()
 				}
 				fmt.Fprintln(fr.out, strings.Join(parts, " "))
-				return value.Value{}, nil
+				return nil
 			}
 		case "writeToFile":
-			file := c.compileExpr(x.Args[0])
-			val := c.compileExpr(x.Args[1])
+			file, val := c.val(x.Args[0]), c.val(x.Args[1])
 			pos := x.P
-			return func(fr *frame) (value.Value, error) {
+			return func(fr *frame) error {
 				fv, err := file(fr)
 				if err != nil {
-					return value.Null, err
+					return err
 				}
 				vv, err := val(fr)
 				if err != nil {
-					return value.Null, err
+					return err
 				}
 				if fv.Kind != value.KFile {
-					return value.Null, errf(pos, "writeToFile requires a file")
+					return errf(pos, "writeToFile requires a file")
 				}
 				fv.File.WriteLine(vv.String())
-				return value.Value{}, nil
+				return nil
 			}
 		}
-		return errFn(x.P, "unknown function %q", fun.Name)
 	case *ast.FieldExpr:
-		return c.compileMethod(x, fun)
+		if fun.Name == "add" {
+			return c.vecAdd(x, fun)
+		}
 	}
-	return errFn(x.P, "invalid call")
+	return nil
 }
 
-// compileMethod lowers recv.method(args). The method name is static, so
-// each name gets its own closure; the receiver's kind stays a runtime
-// dispatch, as in the interpreter.
-func (c *compiler) compileMethod(x *ast.CallExpr, fun *ast.FieldExpr) exprFn {
-	recv := c.compileExpr(fun.X)
+// vecAdd lowers v.add(x), which appends Convert(x, elem): on a numeric
+// vector cell that is IntVal(AsInt(x)), appended unboxed (so NULL
+// appends 0). The receiver's kind is checked before the argument is
+// evaluated.
+func (c *compiler) vecAdd(x *ast.CallExpr, fun *ast.FieldExpr) stmtFn {
 	pos, name := x.P, fun.Name
-	var arg0 exprFn
-	if len(x.Args) > 0 {
-		arg0 = c.compileExpr(x.Args[0])
-	}
 	elemT := c.elemTypeOf(fun.X)
-	switch name {
-	case "add":
-		return func(fr *frame) (value.Value, error) {
-			rv, err := recv(fr)
-			if err != nil {
-				return value.Null, err
-			}
+	if idx, ok := c.cellOf(fun.X); ok && c.typeOf(fun.X).Kind == types.Vector && elemT.IsNumeric() {
+		arg := c.num(x.Args[0])
+		return func(fr *frame) error {
+			rv := fr.cells[idx]
 			if rv.Kind != value.KVector {
-				return value.Null, errf(pos, "invalid method %q", name)
+				return errf(pos, "invalid method %q", name)
 			}
-			v, err := arg0(fr)
+			n, err := arg.get(fr)
 			if err != nil {
-				return value.Null, err
+				return err
 			}
-			rv.Vec.Add(interp.Convert(v, elemT))
-			return value.Value{}, nil
-		}
-	case "has":
-		return func(fr *frame) (value.Value, error) {
-			rv, err := recv(fr)
-			if err != nil {
-				return value.Null, err
-			}
-			switch rv.Kind {
-			case value.KVector:
-				v, err := arg0(fr)
-				if err != nil {
-					return value.Null, err
-				}
-				return value.BoolVal(rv.Vec.Has(interp.Convert(v, elemT))), nil
-			case value.KDict:
-				v, err := arg0(fr)
-				if err != nil {
-					return value.Null, err
-				}
-				return value.BoolVal(rv.Dict.Has(v)), nil
-			}
-			return value.Null, errf(pos, "invalid method %q", name)
-		}
-	case "size":
-		return func(fr *frame) (value.Value, error) {
-			rv, err := recv(fr)
-			if err != nil {
-				return value.Null, err
-			}
-			switch rv.Kind {
-			case value.KVector:
-				return value.IntVal(int64(len(rv.Vec.Elems))), nil
-			case value.KDict:
-				return value.IntVal(int64(rv.Dict.Len())), nil
-			}
-			return value.Null, errf(pos, "invalid method %q", name)
-		}
-	case "getline":
-		return func(fr *frame) (value.Value, error) {
-			rv, err := recv(fr)
-			if err != nil {
-				return value.Null, err
-			}
-			if rv.Kind != value.KFile {
-				return value.Null, errf(pos, "invalid method %q", name)
-			}
-			return rv.File.GetLine(), nil
+			rv.Vec.Elems = append(rv.Vec.Elems, value.Value{Kind: value.KInt, Int: n})
+			return nil
 		}
 	}
-	return func(fr *frame) (value.Value, error) {
-		if _, err := recv(fr); err != nil {
-			return value.Null, err
-		}
-		return value.Null, errf(pos, "invalid method %q", name)
-	}
-}
-
-func (c *compiler) compileBinary(x *ast.BinaryExpr) exprFn {
-	// Arithmetic results are IntVal(f(l.AsInt(), r.AsInt())) by
-	// definition, so when the whole subtree lowers to the scalar tier the
-	// generic consumer just boxes the final int64 (one Value instead of
-	// one per closure boundary).
-	if ifn := c.compileIntExpr(x); ifn != nil {
-		return func(fr *frame) (value.Value, error) {
-			n, err := ifn(fr)
-			if err != nil {
-				return value.Null, err
-			}
-			return value.IntVal(n), nil
-		}
-	}
-	l := c.compileExpr(x.X)
-	// Short-circuit logical operators compile the right operand but only
-	// evaluate it when the left doesn't decide.
-	if x.Op == token.LAND || x.Op == token.LOR {
-		r := c.compileExpr(x.Y)
-		if x.Op == token.LAND {
-			return func(fr *frame) (value.Value, error) {
-				lv, err := l(fr)
-				if err != nil {
-					return value.Null, err
-				}
-				if !lv.AsBool() {
-					return value.BoolVal(false), nil
-				}
-				rv, err := r(fr)
-				if err != nil {
-					return value.Null, err
-				}
-				return value.BoolVal(rv.AsBool()), nil
-			}
-		}
-		return func(fr *frame) (value.Value, error) {
-			lv, err := l(fr)
-			if err != nil {
-				return value.Null, err
-			}
-			if lv.AsBool() {
-				return value.BoolVal(true), nil
-			}
-			rv, err := r(fr)
-			if err != nil {
-				return value.Null, err
-			}
-			return value.BoolVal(rv.AsBool()), nil
-		}
-	}
-	r := c.compileExpr(x.Y)
-	pos := x.P
-	switch x.Op {
-	case token.EQ:
-		return func(fr *frame) (value.Value, error) {
-			lv, rv, err := evalPair(fr, l, r)
-			if err != nil {
-				return value.Null, err
-			}
-			return value.BoolVal(value.Equal(lv, rv)), nil
-		}
-	case token.NEQ:
-		return func(fr *frame) (value.Value, error) {
-			lv, rv, err := evalPair(fr, l, r)
-			if err != nil {
-				return value.Null, err
-			}
-			return value.BoolVal(!value.Equal(lv, rv)), nil
-		}
-	case token.LT, token.LE, token.GT, token.GE:
-		op := x.Op
-		return func(fr *frame) (value.Value, error) {
-			lv, rv, err := evalPair(fr, l, r)
-			if err != nil {
-				return value.Null, err
-			}
-			if lv.Kind == value.KString && rv.Kind == value.KString {
-				return value.BoolVal(orderedCmp(op, strings.Compare(lv.Str, rv.Str))), nil
-			}
-			a, b := lv.AsInt(), rv.AsInt()
-			switch {
-			case a < b:
-				return value.BoolVal(orderedCmp(op, -1)), nil
-			case a > b:
-				return value.BoolVal(orderedCmp(op, 1)), nil
-			default:
-				return value.BoolVal(orderedCmp(op, 0)), nil
-			}
-		}
-	case token.PLUS:
-		return intBinOp(l, r, func(a, b int64) value.Value { return value.IntVal(a + b) })
-	case token.MINUS:
-		return intBinOp(l, r, func(a, b int64) value.Value { return value.IntVal(a - b) })
-	case token.STAR:
-		return intBinOp(l, r, func(a, b int64) value.Value { return value.IntVal(a * b) })
-	case token.AMP:
-		return intBinOp(l, r, func(a, b int64) value.Value { return value.IntVal(a & b) })
-	case token.PIPE:
-		return intBinOp(l, r, func(a, b int64) value.Value { return value.IntVal(a | b) })
-	case token.CARET:
-		return intBinOp(l, r, func(a, b int64) value.Value { return value.IntVal(a ^ b) })
-	case token.SHL:
-		return intBinOp(l, r, func(a, b int64) value.Value { return value.IntVal(a << (uint64(b) & 63)) })
-	case token.SHR:
-		return intBinOp(l, r, func(a, b int64) value.Value { return value.IntVal(int64(uint64(a) >> (uint64(b) & 63))) })
-	case token.SLASH:
-		return func(fr *frame) (value.Value, error) {
-			lv, rv, err := evalPair(fr, l, r)
-			if err != nil {
-				return value.Null, err
-			}
-			a, b := lv.AsInt(), rv.AsInt()
-			if b == 0 {
-				return value.Null, errf(pos, "division by zero")
-			}
-			return value.IntVal(a / b), nil
-		}
-	case token.PERCENT:
-		return func(fr *frame) (value.Value, error) {
-			lv, rv, err := evalPair(fr, l, r)
-			if err != nil {
-				return value.Null, err
-			}
-			a, b := lv.AsInt(), rv.AsInt()
-			if b == 0 {
-				return value.Null, errf(pos, "division by zero")
-			}
-			return value.IntVal(a % b), nil
-		}
-	}
-	return func(fr *frame) (value.Value, error) {
-		if _, _, err := evalPair(fr, l, r); err != nil {
-			return value.Null, err
-		}
-		return value.Null, errf(pos, "invalid operator")
-	}
-}
-
-func evalPair(fr *frame, l, r exprFn) (value.Value, value.Value, error) {
-	lv, err := l(fr)
-	if err != nil {
-		return value.Null, value.Null, err
-	}
-	rv, err := r(fr)
-	if err != nil {
-		return value.Null, value.Null, err
-	}
-	return lv, rv, nil
-}
-
-func intBinOp(l, r exprFn, op func(a, b int64) value.Value) exprFn {
-	return func(fr *frame) (value.Value, error) {
-		lv, rv, err := evalPair(fr, l, r)
+	recv, arg := c.val(fun.X), c.val(x.Args[0])
+	return func(fr *frame) error {
+		rv, err := recv(fr)
 		if err != nil {
-			return value.Null, err
+			return err
 		}
-		return op(lv.AsInt(), rv.AsInt()), nil
+		if rv.Kind != value.KVector {
+			return errf(pos, "invalid method %q", name)
+		}
+		v, err := arg(fr)
+		if err != nil {
+			return err
+		}
+		rv.Vec.Add(interp.Convert(v, elemT))
+		return nil
 	}
-}
-
-func orderedCmp(op token.Kind, cmp int) bool {
-	switch op {
-	case token.LT:
-		return cmp < 0
-	case token.LE:
-		return cmp <= 0
-	case token.GT:
-		return cmp > 0
-	case token.GE:
-		return cmp >= 0
-	}
-	return false
 }

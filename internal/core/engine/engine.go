@@ -603,7 +603,8 @@ func (e *engineRun) interpExec(act *ast.Action, ai *sem.ActionInfo, env *interp.
 // record keeps what Template.Instantiate needs to bind the action's
 // compiled body at this placement: the value of each captured cell,
 // copied out of the walk's scope now, and the tier the body supports
-// with those values.
+// with those values — MechFast for every compiled body, which is pure
+// with respect to the machine, and MechCounter for an additive one.
 func (e *engineRun) record(act *ast.Action, env *interp.Env, a *placement.Action) error {
 	body := e.tool.Code.Actions[act]
 	if body == nil {
@@ -623,11 +624,9 @@ func (e *engineRun) record(act *ast.Action, env *interp.Env, a *placement.Action
 		}
 		caps[i] = recordValue(*slot)
 	}
-	switch fast, counter := body.FastTier(caps); {
-	case counter:
+	a.Tier = placement.MechFast
+	if body.Additive(caps) {
 		a.Tier = placement.MechCounter
-	case fast:
-		a.Tier = placement.MechFast
 	}
 	e.actions[a] = &actionRec{body: body, caps: caps}
 	return nil

@@ -260,30 +260,21 @@ func (s session) bind(body *compile.Body, caps []value.Value) (*compile.Bound, e
 	return body.Bind(cells, s.out), nil
 }
 
-// action binds a recorded action body as a's executors: Exec, and the
-// fast lowering its Tier promises (Inline; nil when the placement has
-// none). Every firing runs the closure chain on the reused frame.
+// action binds a recorded action body as a's executor, Exec, and the
+// counter flush its Tier promises (Flush; nil unless the placement is
+// additive). Every firing runs the closure chain on the reused frame.
 func (s session) action(a *placement.Action, ar *actionRec) error {
 	bound, err := s.bind(ar.body, ar.caps)
 	if err != nil {
 		return err
 	}
 	inst := s.inst
-	var il *placement.InlineInfo
-	if fast := bound.FastExec(); fast != nil {
-		il = &placement.InlineInfo{Exec: func(dyn []value.Value) {
-			if err := fast(dyn); err != nil {
-				inst.record(err)
-			}
-		}}
-		il.Flush, _ = bound.CounterShape()
-	}
 	a.Exec = func(dyn []value.Value) {
 		if err := bound.Exec(dyn); err != nil {
 			inst.record(err)
 		}
 	}
-	a.Inline = il
+	a.Flush, _ = bound.CounterShape()
 	return nil
 }
 

@@ -91,10 +91,9 @@ func hoist(rs *RuleSet, o *obs.Collector) error {
 }
 
 // promote sets each rule's dispatch mechanism from its action's
-// recorded tier: a fast lowering upgrades to MechFast, and an additive
+// recorded tier: a compiled body upgrades to MechFast, and an additive
 // body with no dynamic attributes to MechCounter. This feeds the VM's
-// existing InlineInfo fast path from the IR instead of per-backend
-// plumbing.
+// inline tier from the IR instead of per-backend plumbing.
 func promote(rs *RuleSet, o *obs.Collector) {
 	promoted := 0
 	for _, r := range rs.rules {
@@ -237,17 +236,17 @@ func MergeRun(parts []*Rule) *Rule {
 	flushes := make([]func(int64), len(parts))
 	for i, p := range parts {
 		execs[i] = p.Action.Exec
-		flushes[i] = p.Action.Inline.Flush
+		flushes[i] = p.Action.Flush
 	}
 	r.Action.Exec = func([]value.Value) {
 		for _, exec := range execs {
 			exec(nil)
 		}
 	}
-	r.Action.Inline = &InlineInfo{Flush: func(n int64) {
+	r.Action.Flush = func(n int64) {
 		for _, flush := range flushes {
 			flush(n)
 		}
-	}}
+	}
 	return r
 }

@@ -64,15 +64,17 @@ func (t Trigger) String() string {
 
 // Mechanism is the dispatch tier a rule has been promoted to. The
 // zero value is the fully generic clean-call path; the passes upgrade
-// rules whose actions expose a fast lowering. Backends must treat the
-// mechanism as a ceiling, not a demand: lowering a Counter rule
-// through the generic path is always observably correct.
+// rules whose actions are compiled, and so pure with respect to the
+// machine. Backends must treat the mechanism as a ceiling, not a
+// demand: lowering a Counter rule through the generic path is always
+// observably correct.
 type Mechanism uint8
 
 const (
-	// MechGeneric dispatches through the action's full executor.
+	// MechGeneric dispatches the action's executor from a clean call.
 	MechGeneric Mechanism = iota
-	// MechFast dispatches through the compiled fast thunk.
+	// MechFast dispatches the compiled executor from a specialized
+	// probe, which the VM may fuse into translated blocks.
 	MechFast
 	// MechCounter is an additive body: n firings are equivalent, in
 	// every observable, to Flush(n), so the VM may count firings and
@@ -90,18 +92,6 @@ func (m Mechanism) String() string {
 		return "counter"
 	}
 	return fmt.Sprintf("mechanism(%d)", uint8(m))
-}
-
-// InlineInfo describes an action's compiled fast path (see
-// internal/core/compile's whole-body fast tier).
-type InlineInfo struct {
-	// Exec is the specialized executor: observably identical to
-	// Action.Exec — same stores, same output, same error recording.
-	Exec func(dyn []value.Value)
-	// Flush, when non-nil, marks an additive body: n firings are
-	// equivalent, in every observable, to Flush(n). Such bodies read no
-	// dynamic attributes and cannot fail.
-	Flush func(n int64)
 }
 
 // Action is a compiled action instance ready for placement: an
@@ -137,30 +127,26 @@ type Action struct {
 	// takes precedence over Exec (janus native tools dispatch through
 	// it; Cinnamon actions leave it nil).
 	Raw vm.ProbeFn
-	// Inline, when non-nil, describes the fast-lowering surface.
-	Inline *InlineInfo
+	// Flush, when non-nil, marks an additive body: n firings are
+	// equivalent, in every observable, to Flush(n). Such bodies read no
+	// dynamic attributes and cannot fail.
+	Flush func(n int64)
 	// Tier is the fastest mechanism the action's body supports at this
 	// placement, recorded when the action is placed so the promotion
-	// pass needs no bound closures: MechFast when it has a fast lowering,
-	// MechCounter when that lowering is additive. A bound action's Inline
-	// provides the surfaces its Tier promises.
+	// pass needs no bound closures: MechFast for every compiled body,
+	// MechCounter when it is additive. A bound action's Flush provides
+	// the counter surface its Tier promises.
 	Tier Mechanism
 }
 
-// CtxExec adapts the action to a machine-context probe function (see
-// ctxCall).
+// CtxExec adapts the action to a machine-context probe function: Raw
+// when set, otherwise Exec with dynamic attributes materialized through
+// ResolveDynAttr into a per-placement buffer reused across firings.
 func (a *Action) CtxExec() vm.ProbeFn {
 	if a.Raw != nil {
 		return a.Raw
 	}
-	return a.ctxCall(a.Exec)
-}
-
-// ctxCall adapts exec, the action's Exec or its fast thunk, to a
-// machine-context probe function, materializing dynamic attributes
-// through ResolveDynAttr into a per-placement buffer reused across
-// firings.
-func (a *Action) ctxCall(exec func(dyn []value.Value)) vm.ProbeFn {
+	exec := a.Exec
 	if len(a.DynAttrs) == 0 {
 		return func(c *vm.Ctx) { exec(nil) }
 	}
@@ -252,9 +238,9 @@ type Rule struct {
 func (r *Rule) Spec() *vm.ProbeSpec {
 	switch r.Mechanism {
 	case MechCounter:
-		return &vm.ProbeSpec{Counter: true, Flush: r.Action.Inline.Flush}
+		return &vm.ProbeSpec{Counter: true, Flush: r.Action.Flush}
 	case MechFast:
-		return &vm.ProbeSpec{Fn: r.Action.ctxCall(r.Action.Inline.Exec)}
+		return &vm.ProbeSpec{Fn: r.Action.CtxExec()}
 	}
 	return nil
 }

@@ -26,24 +26,28 @@
 #              promoted counter, vs the same run without a collector),
 #              all timed as alternating single runs compared by median;
 #              the translated VM tier vs the interpreter on the
-#              probe-free hot-block workload, and
-#              the action-inlining layer vs the inline-ablated translated
-#              tier on four action-heavy workloads, opcodemix (>=1.5x),
-#              loopcoverage (>=2.5x; the fast tier's register locals,
+#              probe-free hot-block workload, the action-inlining layer
+#              vs the inline-ablated translated tier on opcodemix
+#              (>=1.5x; promoted counters plus fusion, timed as
+#              alternating whole sessions compared by median;
+#              internal/bench/inline_test.go), and the lowering of
+#              action bodies: case-study actions fired directly, compiled
+#              vs the interpreter, loopcoverage (>=12x; register locals,
 #              int64 dict maps, native counted loop and fused dict
-#              bump), forwardcfi (>=1.45x; a numeric vector's has) and
-#              shadowstack (>=1.55x; a bind-time constant)
-#              (internal/bench/inline_test.go)
+#              bump), forwardcfi (>=12x; a numeric vector's has) and
+#              shadowstack (>=10x; a bind-time constant), by the same
+#              median method (internal/core/compile/actionexec_test.go)
 #   ablate     CLI ablation smoke over one built cinnamon binary: a
 #              -stats loop-coverage run with every speed layer on and
 #              one with -ablate=compile,translate,inline,ir-opt,cache,
 #              and a Forward CFI run on victim:indirect_attack and a
 #              Shadow stack run on victim:stack_smash each with and
-#              without -ablate=inline (their actions reach the fast tier
-#              only through bind-time constants and numeric vector
-#              ops), must print identical stdout and an identical first
-#              stderr line (backend, insts, cycles, exit); an unknown
-#              layer (-ablate=jit) must be rejected
+#              without -ablate=inline and with and without
+#              -ablate=compile (their actions stay unboxed only through
+#              the compile layer's bind-time constants and numeric
+#              vector ops), must print identical stdout and an identical
+#              first stderr line (backend, insts, cycles, exit); an
+#              unknown layer (-ablate=jit) must be rejected
 #   governor   one reduced-scale run of the overhead-budget experiment
 #              (experiments -exp=governor): the governor must bring
 #              three action-heavy tools under 5% and 1% budgets
@@ -124,6 +128,9 @@ CINNAMON_PERF_GATE=1 go test -run TestTranslatedDispatchSpeedup -count=1 ./inter
 echo "==> action-inlining perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestInlinedActionSpeedup -count=1 ./internal/bench/
 
+echo "==> action-lowering perf gate"
+CINNAMON_PERF_GATE=1 go test -run TestCaseStudyLoweringSpeedup -count=1 ./internal/core/compile/
+
 echo "==> placement-IR perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestIROptDispatchSpeedup -count=1 ./internal/core/placement/
 
@@ -156,6 +163,8 @@ same_run() {
 same_run compile,translate,inline,ir-opt,cache -target=victim:spin -loop=2000 @loopcoverage
 same_run inline -target=victim:indirect_attack @forwardcfi
 same_run inline -target=victim:stack_smash @shadowstack
+same_run compile -target=victim:indirect_attack @forwardcfi
+same_run compile -target=victim:stack_smash @shadowstack
 if "$tmp/cinnamon" -backend=janus -target=victim:spin -ablate=jit @loopcoverage 2>/dev/null; then
 	echo "-ablate=jit was accepted"
 	exit 1
