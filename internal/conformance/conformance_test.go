@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +30,37 @@ func TestGeneratedProgramsCompileAndAreCanonical(t *testing.T) {
 		if got := ast.Print(prog); got != p.Source {
 			t.Fatalf("seed %d: print/parse is not a fixed point:\n--- generated ---\n%s\n--- reprinted ---\n%s",
 				seed, p.Source, got)
+		}
+	}
+}
+
+// The generator emits every construct of the compiled instrumentation
+// walk, so the ablation-mismatch oracle holds each to the interpreter
+// walk: opcode disjunctions, call-target name comparisons, a nested
+// command's constraint over the outer local and the outer element, a
+// defer-safe static action constraint on an instruction, and analysis
+// code that prints and declares a local in an if.
+func TestGeneratorCoversWalkShapes(t *testing.T) {
+	shapes := map[string]*regexp.Regexp{
+		"opcode disjunction":       regexp.MustCompile(`\.opcode == \w+ \|\| \w+\.opcode ==`),
+		"trgname compare":          regexp.MustCompile(`\.trgname [!=]= "`),
+		"nested where on outer":    regexp.MustCompile(`where \(.*n(B\d+) \* 2 < (B\d+)\.ninsts\)`),
+		"defer-safe action where":  regexp.MustCompile(`(before|after) I\d+ where \(I\d+\.(size >= 1|addr % 3 != 0)\)`),
+		"analysis print":           regexp.MustCompile(`(?m)^  print\(`),
+		"analysis if with a local": regexp.MustCompile(`(?m)^    int w = `),
+	}
+	seen := make(map[string]bool)
+	for seed := uint64(0); seed < 200; seed++ {
+		src := GenProgram(seed).Source
+		for name, re := range shapes {
+			if re.MatchString(src) {
+				seen[name] = true
+			}
+		}
+	}
+	for name := range shapes {
+		if !seen[name] {
+			t.Errorf("no program of seeds 0-199 has a %s", name)
 		}
 	}
 }

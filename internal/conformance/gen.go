@@ -257,17 +257,43 @@ var afterSafe = []string{"Load", "Store", "Mov", "Add", "Sub", "Mul", "Call"}
 // whereOpcodes adds Branch/Return for before-only constraints.
 var whereOpcodes = append([]string{"Branch", "Return"}, afterSafe...)
 
-// instCmd builds `inst I where (I.opcode == Op [&& ...]) { trigger I { body } }`.
+// otherOp picks an opcode of ops other than ops[i].
+func (g *progGen) otherOp(ops []string, i int) string {
+	return ops[(i+1+g.r.Intn(len(ops)-1))%len(ops)]
+}
+
+// callTargets lists names the generated victims call directly (workers,
+// the allocator pair, the shared-library function), for trgname
+// constraints.
+var callTargets = []string{"f0", "f1", "malloc", "free", "libfn"}
+
+// instCmd builds `inst I where (I.opcode == Op [...]) { trigger I { body } }`.
+// The constraint is sometimes a disjunction of two opcodes — whose body
+// then reads no opcode-specific dynamic attribute — or, on calls, a
+// comparison of the call's target name; the action sometimes carries a
+// static constraint that reads only I, which the hoisting pass decides.
 func (g *progGen) instCmd() *ast.Command {
 	v := g.freshVar("I")
 	after := g.r.Intn(100) < 40
-	var op string
+	ops := whereOpcodes
 	if after {
-		op = afterSafe[g.r.Intn(len(afterSafe))]
-	} else {
-		op = whereOpcodes[g.r.Intn(len(whereOpcodes))]
+		ops = afterSafe
 	}
+	i := g.r.Intn(len(ops))
+	op := ops[i]
 	where := bin(token.EQ, cfeAttr(v, "opcode"), opcode(op))
+	bodyOp := op
+	switch r := g.r.Intn(100); {
+	case r < 20:
+		where = bin(token.LOR, where, bin(token.EQ, cfeAttr(v, "opcode"), opcode(g.otherOp(ops, i))))
+		bodyOp = ""
+	case r < 40 && op == "Call":
+		cmp := token.EQ
+		if g.r.Intn(2) == 0 {
+			cmp = token.NEQ
+		}
+		where = bin(token.LAND, where, bin(cmp, cfeAttr(v, "trgname"), str(callTargets[g.r.Intn(len(callTargets))])))
+	}
 	if g.r.Intn(100) < 30 {
 		where = bin(token.LAND, where, bin(token.GE, cfeAttr(v, "size"), num(1)))
 	}
@@ -275,15 +301,22 @@ func (g *progGen) instCmd() *ast.Command {
 	if after {
 		trigger = ast.After
 	}
-	act := &ast.Action{Trigger: trigger, Target: v, Body: g.instBody(v, op, after)}
+	act := &ast.Action{Trigger: trigger, Target: v, Body: g.instBody(v, bodyOp, after)}
 	// Dynamic action constraint: a runtime guard over a dynamic
 	// attribute, compiled into the probe body.
 	if g.r.Intn(100) < 25 {
-		switch op {
+		switch bodyOp {
 		case "Load":
 			act.Where = bin(token.EQ, bin(token.PERCENT, cfeAttr(v, "memaddr"), num(2)), num(0))
 		case "Call":
 			act.Where = bin(token.GE, cfeAttr(v, "trgaddr"), num(1))
+		}
+	}
+	if act.Where == nil && g.r.Intn(100) < 25 {
+		// Defer-safe static action constraint.
+		act.Where = bin(token.GE, cfeAttr(v, "size"), num(1))
+		if g.r.Intn(2) == 0 {
+			act.Where = bin(token.NEQ, bin(token.PERCENT, cfeAttr(v, "addr"), num(3)), num(0))
 		}
 	}
 	g.maybeSample(act)
@@ -466,6 +499,19 @@ func (g *progGen) funcCmd() *ast.Command {
 	if g.r.Intn(100) < 40 {
 		cmd.Where = bin(token.GE, cfeAttr(v, "nblocks"), num(1))
 	}
+	if g.r.Intn(100) < 30 {
+		// Analysis code: a print, and an if whose body declares a local
+		// and folds it into a global at instrumentation time.
+		cmd.Body = append(cmd.Body,
+			ast.Stmt(printStmt(str("an"), cfeAttr(v, "name"), cfeAttr(v, "ninsts"))),
+			ast.Stmt(&ast.IfStmt{
+				Cond: bin(token.GT, cfeAttr(v, "ninsts"), num(int64(2+g.r.Intn(6)))),
+				Then: []ast.Stmt{
+					intDecl("w", bin(token.PERCENT, cfeAttr(v, "ninsts"), num(5))),
+					incBy(g.counter(), vid("w")),
+				},
+			}))
+	}
 	entry := &ast.Action{Trigger: ast.Entry, Target: v, Body: []ast.Stmt{
 		incBy(g.counter(), num(1)),
 	}}
@@ -473,7 +519,7 @@ func (g *progGen) funcCmd() *ast.Command {
 		entry.Body = append(entry.Body, printStmt(str("fn"), cfeAttr(v, "name")))
 	}
 	g.maybeSample(entry)
-	cmd.Body = []ast.CmdItem{entry}
+	cmd.Body = append(cmd.Body, entry)
 	if g.r.Intn(100) < 60 {
 		exit := &ast.Action{Trigger: ast.Exit, Target: v, Body: []ast.Stmt{
 			incBy(g.counter(), num(2)),
@@ -527,17 +573,27 @@ func (g *progGen) moduleCmd() *ast.Command {
 // nestedCmd mirrors the Figure 5b idiom: a block-local analysis counter
 // accumulated by a nested inst command and captured into the block's
 // entry action (exercising closure capture, NumCaptured, and static
-// action constraints over analysis state). Sometimes the nested command
-// also places an action that reads the block's ninsts.
+// action constraints over analysis state). The nested command's
+// constraint is an opcode, a disjunction of two, or an opcode and a
+// bound that reads the outer analysis local and the outer block's
+// static attribute, which the nested command's own analysis code moves.
+// Sometimes the nested command also places an action that reads the
+// block's ninsts, and the block prints its count at analysis time.
 func (g *progGen) nestedCmd() *ast.Command {
 	bv := g.freshVar("B")
 	iv := g.freshVar("I")
-	op := whereOpcodes[g.r.Intn(len(whereOpcodes))]
+	i := g.r.Intn(len(whereOpcodes))
 	local := fmt.Sprintf("n%s", bv)
+	where := bin(token.EQ, cfeAttr(iv, "opcode"), opcode(whereOpcodes[i]))
+	switch g.r.Intn(3) {
+	case 1:
+		where = bin(token.LOR, where, bin(token.EQ, cfeAttr(iv, "opcode"), opcode(g.otherOp(whereOpcodes, i))))
+	case 2:
+		where = bin(token.LAND, where, bin(token.LT, bin(token.STAR, vid(local), num(2)), cfeAttr(bv, "ninsts")))
+	}
 	inner := &ast.Command{
-		EType: ast.Inst, Var: iv,
-		Where: bin(token.EQ, cfeAttr(iv, "opcode"), opcode(op)),
-		Body:  []ast.CmdItem{ast.Stmt(incBy(local, num(1)))},
+		EType: ast.Inst, Var: iv, Where: where,
+		Body: []ast.CmdItem{ast.Stmt(incBy(local, num(1)))},
 	}
 	if g.r.Intn(100) < 40 {
 		// An action of the nested command reading the outer block's
@@ -552,11 +608,14 @@ func (g *progGen) nestedCmd() *ast.Command {
 		Body:  []ast.Stmt{incBy(g.counter(), vid(local))},
 	}
 	g.maybeSample(act)
-	return &ast.Command{EType: ast.BasicBlock, Var: bv, Body: []ast.CmdItem{
+	body := []ast.CmdItem{
 		ast.Stmt(&ast.DeclStmt{Decl: &ast.VarDecl{
 			Type: &ast.TypeSpec{Kind: token.TUINT64}, Name: local, Init: num(0),
 		}}),
 		inner,
-		act,
-	}}
+	}
+	if g.r.Intn(100) < 25 {
+		body = append(body, ast.Stmt(printStmt(str(local), vid(local))))
+	}
+	return &ast.Command{EType: ast.BasicBlock, Var: bv, Body: append(body, act)}
 }

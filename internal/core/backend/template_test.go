@@ -137,11 +137,20 @@ func TestCachedTemplateReleasesSession(t *testing.T) {
 	}
 }
 
-// TestAnalysisOutputBeforeErrorKept runs a tool whose analysis code
-// prints three times and then fails: every backend, compiled, uncached
-// and interpreted, must print those lines and report the error.
+// TestAnalysisOutputBeforeErrorKept runs tools whose analysis code
+// prints and then fails at instrumentation time — in an analysis
+// statement (a division by zero, an out-of-range vector store), in a
+// command's where clause, in an action's static where clause, and in a
+// defer-safe one, which the hoisting pass reports after the walk: every
+// backend, compiled, uncached and interpreted, must print the lines
+// printed before the failure and report the same error. A case with no
+// fixed output prints once per instruction the backend sees; its runs
+// must print what the interpreted walk prints.
 func TestAnalysisOutputBeforeErrorKept(t *testing.T) {
-	const src = `uint64 n = 0;
+	for _, c := range []struct {
+		name, src, err, out string
+	}{
+		{"analysis statement", `uint64 n = 0;
 inst I {
   print("seen");
   n = n + 1;
@@ -150,21 +159,61 @@ inst I {
     print(n / z);
   }
 }
-`
-	tool, err := engine.Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := loadVictim(t, "spin")
-	for _, b := range Backends() {
-		for _, ablate := range []Ablation{0, AblateCache, AblateCompile} {
-			var out strings.Builder
-			_, err := Run(tool, prog, b, Options{Out: &out, Ablate: ablate, Artifacts: artifacts.New(artifacts.Options{})})
-			if err == nil || err.Error() != "cinnamon: 7:13: division by zero" {
-				t.Errorf("%s ablate=%s: error = %v, want 7:13: division by zero", b, ablate, err)
-			}
-			if got := out.String(); got != "seen\nseen\nseen\n" {
-				t.Errorf("%s ablate=%s: output = %q, want three seen lines", b, ablate, got)
+`, "cinnamon: 7:13: division by zero", "seen\nseen\nseen\n"},
+		{"vector store", `vector<int> v;
+inst I {
+  print("seen");
+  v.add(1);
+  if (v.size() == 3) {
+    v[5] = 0;
+  }
+}
+`, "cinnamon: 6:6: vector index 5 out of range [0,3)", "seen\nseen\nseen\n"},
+		{"command where", `uint64 n = 0;
+inst I where (I.size / (3 - n) >= 0) {
+  print("seen");
+  n = n + 1;
+}
+`, "cinnamon: 2:22: division by zero", "seen\nseen\nseen\n"},
+		{"action where", `uint64 n = 0;
+inst I {
+  print("seen");
+  n = n + 1;
+  before I where (10 / (3 - n) > 0) {
+    n = n + 1;
+  }
+}
+`, "cinnamon: 5:22: division by zero", "seen\nseen\nseen\n"},
+		{"deferred action where", `inst I {
+  print("seen");
+  before I where (I.size / I.numops > 0) {
+    print("fired");
+  }
+}
+`, "cinnamon: 3:26: division by zero", ""},
+	} {
+		tool, err := engine.Compile(c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		prog := loadVictim(t, "loopy")
+		for _, b := range Backends() {
+			want := c.out
+			for _, ablate := range []Ablation{AblateCompile, 0, AblateCache, AblateIROpt} {
+				var out strings.Builder
+				_, err := Run(tool, prog, b, Options{Out: &out, Ablate: ablate, Artifacts: artifacts.New(artifacts.Options{})})
+				if err == nil || err.Error() != c.err {
+					t.Errorf("%s on %s ablate=%s: error = %v, want %s", c.name, b, ablate, err, c.err)
+				}
+				if want == "" {
+					want = out.String()
+					if !strings.HasPrefix(want, "seen\n") {
+						t.Errorf("%s on %s: the interpreted walk printed %q before failing", c.name, b, want)
+					}
+				}
+				if got := out.String(); got != want {
+					t.Errorf("%s on %s ablate=%s: output = %q, want %q", c.name, b, ablate, got, want)
+				}
 			}
 		}
 	}

@@ -73,10 +73,16 @@ func place(tb testing.TB, src string, prog *cfg.Program, interpret bool) (*captu
 	return pl, inst
 }
 
+// placeBB places the basic-block counting action on the loads target,
+// under the interpreter when interpret is set, and returns it.
+func placeBB(tb testing.TB, interpret bool) (*placement.Action, *engine.Instance) {
+	pl, inst := place(tb, progs.MustSource(progs.InstCountBB), buildTargetTB(tb, "src:loads"), interpret)
+	return pl.rules[0].Action, inst
+}
+
 func benchActionExec(interpret bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		pl, inst := place(b, progs.MustSource(progs.InstCountBB), buildTargetTB(b, "src:loads"), interpret)
-		a := pl.rules[0].Action
+		a, inst := placeBB(b, interpret)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -97,19 +103,40 @@ func BenchmarkActionExec(b *testing.B) {
 // TestCompiledActionExecSpeedup enforces the perf contract of the
 // closure-compilation stage: per firing, the compiled path must be at
 // least 3x cheaper than the interpreter in both time and allocations.
+// Time is compared as the median of alternating batches of firings
+// (bench.MedianTimes), allocations per firing with testing.AllocsPerRun.
 func TestCompiledActionExecSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping measurement in -short mode")
 	}
-	ir := testing.Benchmark(benchActionExec(true))
-	cr := testing.Benchmark(benchActionExec(false))
-	t.Logf("interp:   %v, %d allocs/op", ir, ir.AllocsPerOp())
-	t.Logf("compiled: %v, %d allocs/op", cr, cr.AllocsPerOp())
-	if 3*cr.NsPerOp() > ir.NsPerOp() {
-		t.Errorf("compiled %d ns/op is not 3x faster than interp %d ns/op", cr.NsPerOp(), ir.NsPerOp())
+	ia, iinst := placeBB(t, true)
+	ca, cinst := placeBB(t, false)
+	const firings = 2000
+	batch := func(a *placement.Action) func() time.Duration {
+		return func() time.Duration {
+			start := time.Now()
+			for range firings {
+				a.Exec(nil)
+			}
+			return time.Since(start)
+		}
 	}
-	if 3*cr.AllocsPerOp() > ir.AllocsPerOp() {
-		t.Errorf("compiled %d allocs/op is not 3x fewer than interp %d allocs/op", cr.AllocsPerOp(), ir.AllocsPerOp())
+	in, cn := bench.MedianTimes(201, batch(ia), batch(ca))
+	ialloc := testing.AllocsPerRun(firings, func() { ia.Exec(nil) })
+	calloc := testing.AllocsPerRun(firings, func() { ca.Exec(nil) })
+	t.Logf("interp:   %.1f ns/op, %.1f allocs/op", in/firings, ialloc)
+	t.Logf("compiled: %.1f ns/op, %.1f allocs/op", cn/firings, calloc)
+	if err := iinst.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cinst.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if 3*cn > in {
+		t.Errorf("compiled %.1f ns/op is not 3x faster than interp %.1f ns/op", cn/firings, in/firings)
+	}
+	if 3*calloc > ialloc {
+		t.Errorf("compiled %.1f allocs/op is not 3x fewer than interp %.1f allocs/op", calloc, ialloc)
 	}
 }
 

@@ -1,24 +1,25 @@
 // Package compile implements Cinnamon's closure-compilation stage: the
 // pipeline step between semantic analysis and instrumentation that turns
-// action and init/exit bodies into pre-bound Go closures over slot-resolved
-// frames.
+// action and init/exit bodies, and every command's instrumentation-time
+// analysis code, into pre-bound Go closures over slot-resolved frames.
 //
 // The tree-walking interpreter (internal/core/interp) re-dispatches on AST
-// node types and chases map-backed scope chains on every probe firing —
-// fine for the instrumentation stage, where each command body runs once per
-// control-flow element, but a real dispatch tax in the execution stage,
-// where action bodies run once per probe firing (billions of times on the
-// Figure 13 workloads). Closure compilation pays the translation cost once,
-// at tool-compile time, the same philosophy as the trace caches of the
-// dynamic frameworks Cinnamon targets:
+// node types and chases map-backed scope chains on every evaluation: in
+// the execution stage once per probe firing (billions of times on the
+// Figure 13 workloads), and in the instrumentation stage once per
+// control-flow element a command visits — a fresh scope per instance and
+// a where clause re-walked each time. Closure compilation pays the
+// translation cost once, at tool-compile time, the same philosophy as the
+// trace caches of the dynamic frameworks Cinnamon targets:
 //
 //   - a resolver pass assigns every identifier a slot: numeric body-locals
 //     become int64 registers and every other local a Value slot of the
 //     frame; free variables become cells (captured analysis data, copied by
 //     value at placement time, or shared tool globals); dynamic attributes
-//     become indices into the probe's materialized attribute slots; and
-//     numeric static attributes of a CFE variable become bind-time
-//     constants that Bind resolves once per placement;
+//     become indices into the probe's materialized attribute slots; static
+//     attributes resolve to their readers; and numeric static attributes of
+//     a CFE variable in an action body become bind-time constants that Bind
+//     resolves once per placement;
 //   - one lowering pass turns every statement and expression into a
 //     pre-bound closure whose representation follows the expression's
 //     static type: a numeric expression is an unboxed int64 operand (a leaf
@@ -33,14 +34,19 @@
 // paths. An additive body also gets a counter flush (Bound.CounterShape,
 // counter.go), which lets the VM apply n firings at once.
 //
-// Compiled bodies must be observationally identical to the interpreter —
+// A command's analysis code — its where clause, analysis statements and
+// the static where clauses of its actions — is lowered the same way over
+// one frame per command (walk.go), which the engine's walk reuses across
+// the command's CFE instances (Walk, Frame).
+//
+// Compiled code must be observationally identical to the interpreter —
 // same output, same runtime errors (message and position), same cost-model
-// numbers; the equivalence tests in this package and internal/core/backend
-// enforce this.
+// numbers, build statistics and rule tables; the equivalence tests in this
+// package and internal/core/backend and the conformance sweep enforce
+// this.
 package compile
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/core/ast"
@@ -211,17 +217,25 @@ func (b *Bound) CounterShape() (flush func(n int64), ok bool) {
 }
 
 // Program is the compiled form of a whole tool: one Body per action and per
-// init/exit block. It is immutable after Compile and safe for concurrent
-// Bind calls from parallel instrumentation runs.
+// init/exit block, and the compiled instrumentation-time walk (walk.go).
+// It is immutable after Compile and safe for concurrent Bind and NewWalk
+// calls from parallel instrumentation runs.
 type Program struct {
 	// Actions maps each action node to its compiled body.
 	Actions map[*ast.Action]*Body
 	// Inits and Exits parallel sem.Info.Inits / Info.Exits.
 	Inits, Exits []*Body
+	// Commands parallels sem.Info.Commands: each top-level command's
+	// walk step.
+	Commands []*Command
+	// commands lists every command, nested ones included, by frame
+	// index.
+	commands []*Command
 }
 
-// Compile lowers every action and init/exit body of a checked program.
-// prog must have passed sem.Check with the given info.
+// Compile lowers every action and init/exit body and every command's
+// analysis code of a checked program. prog must have passed sem.Check
+// with the given info.
 func Compile(prog *ast.Program, info *sem.Info) (*Program, error) {
 	cp := &Program{Actions: make(map[*ast.Action]*Body)}
 	rebound := arrayRebinds(prog, info)
@@ -229,11 +243,9 @@ func Compile(prog *ast.Program, info *sem.Info) (*Program, error) {
 	// before anything executes, so even a body placed earlier in source
 	// order resolves a later global. Command-scope names, by contrast,
 	// become visible in source order (see compileCommand).
-	globals := &outerScope{global: true, names: make(map[string]bool)}
-	for _, item := range prog.Items {
-		if d, ok := item.(*ast.VarDecl); ok {
-			globals.names[d.Name] = true
-		}
+	globals := &outerScope{names: make(map[string]int, len(info.Globals))}
+	for i, d := range info.Globals {
+		globals.names[d.Name] = i
 	}
 	for _, item := range prog.Items {
 		switch it := item.(type) {
@@ -242,9 +254,11 @@ func Compile(prog *ast.Program, info *sem.Info) (*Program, error) {
 		case *ast.ExitBlock:
 			cp.Exits = append(cp.Exits, compileBody(info, nil, it.Body, nil, globals, rebound))
 		case *ast.Command:
-			if err := cp.compileCommand(info, it, globals, rebound); err != nil {
+			cc, err := cp.compileCommand(info, it, globals, rebound)
+			if err != nil {
 				return nil, err
 			}
+			cp.Commands = append(cp.Commands, cc)
 		}
 	}
 	return cp, nil
@@ -307,46 +321,22 @@ func arrayRebinds(prog *ast.Program, info *sem.Info) map[string]bool {
 // global scope or one enclosing command's scope.
 type outerScope struct {
 	parent *outerScope
-	names  map[string]bool
-	global bool
+	// names maps each name to where it lives: its slot in cmd's frame,
+	// or for the global scope its index in sem.Info.Globals.
+	names map[string]int
+	// cmd is the command whose frame holds the names; nil for the
+	// global scope.
+	cmd *Command
 }
 
-func (s *outerScope) resolve(name string) (CellRef, bool) {
+// resolve finds the scope that binds name.
+func (s *outerScope) resolve(name string) (*outerScope, bool) {
 	for o := s; o != nil; o = o.parent {
-		if o.names[name] {
-			return CellRef{Name: name, Global: o.global}, true
+		if _, ok := o.names[name]; ok {
+			return o, true
 		}
 	}
-	return CellRef{}, false
-}
-
-func (cp *Program) compileCommand(info *sem.Info, cmd *ast.Command, parent *outerScope, rebound map[string]bool) error {
-	scope := &outerScope{parent: parent, names: map[string]bool{cmd.Var: true}}
-	for _, item := range cmd.Body {
-		switch it := item.(type) {
-		case *ast.Command:
-			if err := cp.compileCommand(info, it, scope, rebound); err != nil {
-				return err
-			}
-		case *ast.Action:
-			ai := info.Actions[it]
-			if ai == nil {
-				return fmt.Errorf("cinnamon: internal: unchecked action at %s", it.Pos())
-			}
-			var guard ast.Expr
-			if ai.WhereDynamic {
-				guard = it.Where
-			}
-			cp.Actions[it] = compileBody(info, ai.DynAttrs, it.Body, guard, scope, rebound)
-		case *ast.DeclStmt:
-			// Top-level analysis declarations join the command scope and
-			// are visible to (and captured by) later actions; declarations
-			// nested inside analysis if/for bodies do not escape, exactly
-			// as the interpreter scopes them.
-			scope.names[it.Decl.Name] = true
-		}
-	}
-	return nil
+	return nil, false
 }
 
 // compiler carries the per-body lowering state.
@@ -355,8 +345,14 @@ type compiler struct {
 	outer *outerScope
 
 	cells   []CellRef
-	cellIdx map[string]int
-	dyn     []sem.DynAttr
+	cellIdx map[cellKey]int
+	// locs says where each cell lives in a walk (see Command.cells).
+	locs []slotRef
+	dyn  []sem.DynAttr
+	// walk marks a command's analysis code, whose CFE cells change with
+	// every instance, so static attributes are read where they are used
+	// instead of becoming bind-time constants.
+	walk bool
 
 	// nLocals counts the Value slots defined so far; nRegs is the number
 	// of numeric locals' registers, counted up front, and nextReg the
@@ -376,8 +372,20 @@ type localScope struct {
 	names  map[string]slot
 }
 
+// cellKey identifies one free variable: the scope binding it and its
+// name. A command's analysis code can name a global and, after a
+// top-level declaration shadows it, the command's own variable.
+type cellKey struct {
+	scope *outerScope
+	name  string
+}
+
+func newCompiler(info *sem.Info, dyn []sem.DynAttr, outer *outerScope, rebound map[string]bool) *compiler {
+	return &compiler{info: info, outer: outer, cellIdx: make(map[cellKey]int), dyn: dyn, rebound: rebound}
+}
+
 func compileBody(info *sem.Info, dyn []sem.DynAttr, body []ast.Stmt, guard ast.Expr, outer *outerScope, rebound map[string]bool) *Body {
-	c := &compiler{info: info, outer: outer, cellIdx: make(map[string]int), dyn: dyn, rebound: rebound}
+	c := newCompiler(info, dyn, outer, rebound)
 	// Count the numeric locals' registers first: the constants' registers
 	// follow them.
 	ast.WalkStmts(body, func(s ast.Stmt) {
@@ -442,13 +450,19 @@ func (c *compiler) resolve(name string) (slot, bool) {
 			return sl, true
 		}
 	}
-	if ref, ok := c.outer.resolve(name); ok {
-		if i, ok := c.cellIdx[name]; ok {
+	if o, ok := c.outer.resolve(name); ok {
+		key := cellKey{o, name}
+		if i, ok := c.cellIdx[key]; ok {
 			return slot{idx: i}, true
 		}
 		i := len(c.cells)
-		c.cells = append(c.cells, ref)
-		c.cellIdx[name] = i
+		loc := slotRef{frame: -1, slot: o.names[name]}
+		if o.cmd != nil {
+			loc.frame = o.cmd.index
+		}
+		c.cells = append(c.cells, CellRef{Name: name, Global: o.cmd == nil})
+		c.locs = append(c.locs, loc)
+		c.cellIdx[key] = i
 		return slot{idx: i}, true
 	}
 	return slot{}, false

@@ -124,8 +124,17 @@ func (c *compiler) field(x *ast.FieldExpr) exprFn {
 	if o, ok := c.constOperand(x); ok {
 		return boxed(o)
 	}
+	attr, pos := c.attrOf(x), x.P
+	if cell, ok := c.cellOf(x.X); ok {
+		return func(fr *frame) (value.Value, error) {
+			cv := fr.cells[cell]
+			if cv.Kind != value.KCFE {
+				return value.Null, errf(pos, "value has no attributes")
+			}
+			return attr.of(cv.CFE)
+		}
+	}
 	base := c.val(x.X)
-	pos, name := x.P, x.Name
 	return func(fr *frame) (value.Value, error) {
 		bv, err := base(fr)
 		if err != nil {
@@ -134,7 +143,7 @@ func (c *compiler) field(x *ast.FieldExpr) exprFn {
 		if bv.Kind != value.KCFE {
 			return value.Null, errf(pos, "value has no attributes")
 		}
-		return interp.StaticAttr(bv.CFE, name)
+		return attr.of(bv.CFE)
 	}
 }
 
@@ -264,6 +273,9 @@ func (c *compiler) compare(x *ast.BinaryExpr) boolFn {
 	if lt.IsNumeric() && (rt.IsNumeric() || rt.Kind == types.Null) || lt.Kind == types.Null && rt.IsNumeric() {
 		return intCompare(x.Op, c.num(x.X), c.num(x.Y))
 	}
+	if lt.Kind == types.Opcode && rt.Kind == types.Opcode && (x.Op == token.EQ || x.Op == token.NEQ) {
+		return opCompare(x.Op == token.EQ, c.opcode(x.X), c.opcode(x.Y))
+	}
 	l, r := c.val(x.X), c.val(x.Y)
 	op := x.Op
 	return func(fr *frame) (bool, error) {
@@ -335,6 +347,69 @@ func intCompare(op token.Kind, l, r operand) boolFn {
 	return func(fr *frame) (bool, error) {
 		a, b, err := operands(fr, l, r)
 		return a >= b, err
+	}
+}
+
+// opOperand is a lowered opcode-typed expression. The only two are an
+// opcode literal, the constant op when lit is set, and an instruction's
+// opcode attribute, read in place from the instruction in cell when cell
+// >= 0. fn evaluates any other expression and is the fallback of a cell
+// that holds no instruction, which reports the attribute's error. Every
+// such expression evaluates to a KOpcode value or fails, so
+// value.Equal of two of them is the comparison of their opcodes.
+type opOperand struct {
+	lit  bool
+	op   isa.Op
+	cell int
+	fn   func(fr *frame) (isa.Op, error)
+}
+
+func (o opOperand) get(fr *frame) (isa.Op, error) {
+	if o.lit {
+		return o.op, nil
+	}
+	if o.cell >= 0 {
+		if cv := fr.cells[o.cell]; cv.Kind == value.KCFE && cv.CFE.Kind == ast.Inst {
+			return cv.CFE.Inst.Op, nil
+		}
+	}
+	return o.fn(fr)
+}
+
+// opcode lowers an opcode-typed expression.
+func (c *compiler) opcode(e ast.Expr) opOperand {
+	v := c.val(e)
+	o := opOperand{cell: -1, fn: func(fr *frame) (isa.Op, error) {
+		x, err := v(fr)
+		return x.Op, err
+	}}
+	switch x := e.(type) {
+	case *ast.OpcodeLit:
+		o.op, o.lit = interp.OpcodeFromName(x.Name)
+	case *ast.FieldExpr:
+		if cell, ok := c.cellOf(x.X); ok && strings.EqualFold(x.Name, "opcode") && c.typeOf(x.X).EType == ast.Inst {
+			o.cell = cell
+		}
+	}
+	return o
+}
+
+// opCompare returns the closure for l == r (eq) or l != r on opcodes.
+func opCompare(eq bool, l, r opOperand) boolFn {
+	if r.lit {
+		op := r.op
+		return func(fr *frame) (bool, error) {
+			a, err := l.get(fr)
+			return (a == op) == eq, err
+		}
+	}
+	return func(fr *frame) (bool, error) {
+		a, err := l.get(fr)
+		if err != nil {
+			return false, err
+		}
+		b, err := r.get(fr)
+		return (a == b) == eq, err
 	}
 }
 

@@ -195,10 +195,11 @@ func (c *compiler) dynOperand(x *ast.FieldExpr) (operand, bool) {
 }
 
 // bindConst is one bind-time constant: static attribute attr of the CFE
-// held in cell.
+// held in cell, read by read.
 type bindConst struct {
 	cell int
 	attr string
+	read attrRead
 }
 
 // resolve reads the constant from the value of its CFE cell; false when
@@ -207,20 +208,43 @@ func (k bindConst) resolve(cv *value.Value) (int64, bool) {
 	if cv.Kind != value.KCFE {
 		return 0, false
 	}
-	v, err := interp.StaticAttr(cv.CFE, k.attr)
-	if err != nil || v.Kind != value.KInt {
-		return 0, false
+	v, err := k.read.of(cv.CFE)
+	return v.Int, err == nil && v.Kind == value.KInt
+}
+
+// attrRead is a static attribute read resolved once, from the static
+// element kind of the CFE it reads.
+type attrRead struct {
+	kind ast.EType
+	name string
+	fn   interp.AttrFn
+}
+
+// attrOf resolves the static attribute x of a CFE-typed operand.
+func (c *compiler) attrOf(x *ast.FieldExpr) attrRead {
+	kind := c.typeOf(x.X).EType
+	return attrRead{kind: kind, name: x.Name, fn: interp.StaticAttrOf(kind, x.Name)}
+}
+
+// of reads the attribute of ref; an element of another kind than the
+// resolved one (or an attribute that did not resolve) takes the
+// interpreter's lookup, which reports the error.
+func (a attrRead) of(ref *value.CFERef) (value.Value, error) {
+	if a.fn == nil || ref.Kind != a.kind {
+		return interp.StaticAttr(ref, a.name)
 	}
-	return v.Int, true
+	return a.fn(ref), nil
 }
 
 // constOperand lowers a numeric static attribute of a CFE variable
-// (I.nextaddr, L.id, B.ninsts) to a bind-time constant, shared by every
-// use in the body: CFE variables cannot be assigned, so the attribute is
-// fixed for its placement. Constants take the registers after the
-// locals'; a placement whose constants do not resolve has no such
-// registers, and the operand then reads the attribute on every firing,
-// which reports its error. false for any other field.
+// (I.nextaddr, L.id, B.ninsts). In an action body it is a bind-time
+// constant, shared by every use in the body: CFE variables cannot be
+// assigned, so the attribute is fixed for its placement. Constants take
+// the registers after the locals'; a placement whose constants do not
+// resolve has no such registers, and the operand then reads the
+// attribute on every firing, which reports its error. In a command's
+// analysis code, whose CFE changes with every instance, the operand reads
+// the attribute where it is used. false for any other field.
 func (c *compiler) constOperand(x *ast.FieldExpr) (operand, bool) {
 	if !c.typeOf(x).IsNumeric() || c.typeOf(x.X).Kind != types.CFE {
 		return operand{}, false
@@ -229,25 +253,29 @@ func (c *compiler) constOperand(x *ast.FieldExpr) (operand, bool) {
 	if !ok {
 		return operand{}, false
 	}
-	attr := strings.ToLower(x.Name)
-	i := len(c.consts)
-	for j, k := range c.consts {
-		if k.cell == cell && k.attr == attr {
-			i = j
-		}
-	}
-	if i == len(c.consts) {
-		c.consts = append(c.consts, bindConst{cell: cell, attr: attr})
-	}
-	pos, name := x.P, x.Name
-	return operand{kind: leafReg, idx: c.nRegs + i, fn: func(fr *frame) (int64, error) {
+	attr, pos := c.attrOf(x), x.P
+	read := func(fr *frame) (int64, error) {
 		cv := fr.cells[cell]
 		if cv.Kind != value.KCFE {
 			return 0, errf(pos, "value has no attributes")
 		}
-		v, err := interp.StaticAttr(cv.CFE, name)
+		v, err := attr.of(cv.CFE)
 		return v.AsInt(), err
-	}}, true
+	}
+	if c.walk {
+		return exprOperand(read), true
+	}
+	lower := strings.ToLower(x.Name)
+	i := len(c.consts)
+	for j, k := range c.consts {
+		if k.cell == cell && k.attr == lower {
+			i = j
+		}
+	}
+	if i == len(c.consts) {
+		c.consts = append(c.consts, bindConst{cell: cell, attr: lower, read: attr})
+	}
+	return operand{kind: leafReg, idx: c.nRegs + i, fn: read}, true
 }
 
 // indexInt lowers a container read with numeric elements on a

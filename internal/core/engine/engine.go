@@ -12,11 +12,15 @@
 // each action (rewrite rules for Janus, snippets for Dyninst, analysis
 // calls for Pin).
 //
-// The walk over compiled bodies only records: it yields a session-free
-// Template (template.go), and every compiled session gets its rules from
+// The default walk is compiled: each command's where clause and analysis
+// code run as closures (internal/core/compile) on one frame per command,
+// reused across the command's CFE instances, so a filtered instance costs
+// no allocation. It only records: it yields a session-free Template
+// (template.go), and every compiled session gets its rules from
 // Template.Instantiate, the one place compiled bodies are bound. The
-// interpreter walk (Options.Interpret) binds as it goes; it is the
-// reference the compiled path is held to.
+// interpreter walk (Options.Interpret) evaluates the analysis code with
+// the tree-walking interpreter and binds as it goes; it is the reference
+// the compiled path is held to.
 package engine
 
 import (
@@ -40,8 +44,9 @@ import (
 type CompiledTool struct {
 	Prog *ast.Program
 	Info *sem.Info
-	// Code holds the closure-compiled action and init/exit bodies (the
-	// default execution path; Options.Interpret bypasses it).
+	// Code holds the closure-compiled action and init/exit bodies and
+	// the compiled walk (the default path; Options.Interpret bypasses
+	// it).
 	Code *compile.Program
 	Src  string
 	// labels holds each action's Label, formatted once per tool rather
@@ -99,9 +104,10 @@ type Placer interface {
 type Options struct {
 	// Out receives the tool's print() output.
 	Out io.Writer
-	// Interpret executes action and init/exit bodies with the
-	// tree-walking interpreter instead of the closure-compiled code —
-	// the reference path the equivalence tests compare against.
+	// Interpret executes the commands' analysis code, and action and
+	// init/exit bodies, with the tree-walking interpreter instead of the
+	// closure-compiled code — the reference path the equivalence tests
+	// compare against.
 	Interpret bool
 	// Obs, when non-nil, receives instrumentation-time statistics
 	// (actions placed, static-where filtered placements, pass
@@ -131,17 +137,21 @@ func (i *Instance) record(err error) {
 	}
 }
 
-// engineRun is one CFE walk. On the compiled path it binds nothing: each
-// placed action's captures are recorded for Template.Instantiate. Under
-// Options.Interpret it binds every action to the tree-walking
-// interpreter as it is placed, the reference the compiled path is held
-// to.
+// engineRun is one CFE walk. On the compiled path it binds nothing: the
+// commands' compiled analysis code runs on one frame per command (walk),
+// and each placed action's captures are recorded for
+// Template.Instantiate. Under Options.Interpret it evaluates the analysis
+// code with the tree-walking interpreter and binds every action to it as
+// it is placed, the reference the compiled path is held to.
 type engineRun struct {
 	tool *CompiledTool
 	prog *cfg.Program
 	in   *interp.Interp
 	glob *interp.Env
 	obs  *obs.Collector
+	// walk holds the compiled walk's command frames; nil under
+	// Options.Interpret.
+	walk *compile.Walk
 	// inst records the interpreted actions' runtime errors; nil on the
 	// compiled path.
 	inst *Instance
@@ -153,6 +163,9 @@ type engineRun struct {
 	// optimize gates where-clause deferral (and, downstream, the
 	// rewriting passes).
 	optimize bool
+	// placed and filtered count the action instances placed and the
+	// instances a static where clause filtered, credited to obs once.
+	placed, filtered int
 }
 
 // Instrument runs the analysis stage of the tool over the program,
@@ -237,16 +250,24 @@ func walk(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Options) (*
 		e.inst = &Instance{}
 	} else {
 		e.actions = make(map[*placement.Action]*actionRec)
+		cells := make([]*value.Value, len(tool.Info.Globals))
+		for i, d := range tool.Info.Globals {
+			cells[i] = glob.Lookup(d.Name)
+		}
+		e.walk = tool.Code.NewWalk(cells, it.Out)
 	}
 
 	// Commands map in program order; within a command, per-module in
 	// load order, per-CFE in address order.
-	for _, cmd := range tool.Info.Commands {
-		for _, mod := range placer.Modules() {
-			if err := e.runCommand(cmd, domain{module: mod}, glob); err != nil {
-				return nil, err
-			}
-		}
+	err := e.runCommands(placer.Modules())
+	if e.obs != nil && e.placed+e.filtered > 0 {
+		e.obs.MutateBuild(func(b *obs.BuildStats) {
+			b.ActionsPlaced += e.placed
+			b.StaticFiltered += e.filtered
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 	if e.inst != nil {
 		for _, b := range tool.Info.Inits {
@@ -266,6 +287,24 @@ func walk(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Options) (*
 	return e, nil
 }
 
+// runCommands maps every top-level command over every module.
+func (e *engineRun) runCommands(mods []*cfg.Module) error {
+	for i, cmd := range e.tool.Info.Commands {
+		for _, mod := range mods {
+			var err error
+			if e.walk != nil {
+				err = e.runCompiled(e.tool.Code.Commands[i], domain{module: mod})
+			} else {
+				err = e.runCommand(cmd, domain{module: mod}, e.glob)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // interpBlock runs one init/exit block on the tree-walking path, under
 // Options.Interpret.
 func (e *engineRun) interpBlock(body []ast.Stmt) func() {
@@ -282,30 +321,59 @@ type domain struct {
 	parent *value.CFERef
 }
 
+// runCompiled maps one command on the compiled walk: each instance is
+// written into the command's frame, which its where clause, analysis
+// statements, nested commands and actions read.
+func (e *engineRun) runCompiled(c *compile.Command, dom domain) error {
+	f := e.walk.Frame(c)
+	return e.instances(c.Cmd.EType, dom, f.Ref(), func() error {
+		ok, err := f.Selects()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			e.filtered++
+			return nil
+		}
+		for i, item := range c.Items {
+			switch {
+			case item.Command != nil:
+				err = e.runCompiled(item.Command, domain{parent: f.Ref()})
+			case item.Site != nil:
+				err = e.placeCompiled(f, item.Site)
+			default:
+				err = f.Exec(i)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// runCommand maps one command on the interpreter walk: each instance
+// gets its own CFE value and a fresh scope under env.
 func (e *engineRun) runCommand(cmd *ast.Command, dom domain, env *interp.Env) error {
-	refs, err := e.instances(cmd.EType, dom)
-	if err != nil {
-		return err
-	}
-	for _, ref := range refs {
+	var cur value.CFERef
+	return e.instances(cmd.EType, dom, &cur, func() error {
+		ref := cur
 		cmdEnv := interp.NewEnv(env)
-		cmdEnv.Define(cmd.Var, value.CFEVal(ref))
+		cmdEnv.Define(cmd.Var, value.CFEVal(&ref))
 		if cmd.Where != nil {
 			v, err := e.in.Eval(cmdEnv, cmd.Where)
 			if err != nil {
 				return err
 			}
 			if !v.AsBool() {
-				if e.obs != nil {
-					e.obs.MutateBuild(func(b *obs.BuildStats) { b.StaticFiltered++ })
-				}
-				continue
+				e.filtered++
+				return nil
 			}
 		}
 		for _, item := range cmd.Body {
 			switch it := item.(type) {
 			case *ast.Command:
-				if err := e.runCommand(it, domain{parent: ref}, cmdEnv); err != nil {
+				if err := e.runCommand(it, domain{parent: &ref}, cmdEnv); err != nil {
 					return err
 				}
 			case *ast.Action:
@@ -318,90 +386,108 @@ func (e *engineRun) runCommand(cmd *ast.Command, dom domain, env *interp.Env) er
 				}
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
-// instances enumerates the CFE instances of type et within the domain.
-func (e *engineRun) instances(et ast.EType, dom domain) ([]*value.CFERef, error) {
-	mk := func(r value.CFERef) *value.CFERef {
+// instances enumerates the CFE instances of type et within the domain,
+// in load and address order: each is written into *ref and then visited
+// by fn. The first error fn returns stops the enumeration.
+func (e *engineRun) instances(et ast.EType, dom domain, ref *value.CFERef, fn func() error) error {
+	visit := func(r value.CFERef) error {
 		r.Prog = e.prog
-		return &r
+		*ref = r
+		return fn()
 	}
-	var out []*value.CFERef
-	addFuncChildren := func(f *cfg.Func) {
-		switch et {
-		case ast.Loop:
+	// children visits f's loops (those directly inside loop when it is
+	// set), or the blocks bs, or their instructions.
+	children := func(f *cfg.Func, loop *cfg.Loop, bs []*cfg.Block) error {
+		if et == ast.Loop {
 			for _, l := range f.Loops {
-				out = append(out, mk(value.CFERef{Kind: ast.Loop, Loop: l, Func: f}))
+				if loop == nil || l.Parent == loop {
+					if err := visit(value.CFERef{Kind: ast.Loop, Loop: l, Func: f}); err != nil {
+						return err
+					}
+				}
 			}
-		case ast.BasicBlock:
-			for _, b := range f.Blocks {
-				out = append(out, mk(value.CFERef{Kind: ast.BasicBlock, Block: b, Func: f}))
+			return nil
+		}
+		for _, b := range bs {
+			if et == ast.BasicBlock {
+				if err := visit(value.CFERef{Kind: ast.BasicBlock, Block: b, Func: f}); err != nil {
+					return err
+				}
+				continue
 			}
-		case ast.Inst:
-			for _, b := range f.Blocks {
-				for _, in := range b.Insts {
-					out = append(out, mk(value.CFERef{Kind: ast.Inst, Inst: in, Block: b, Func: f}))
+			for _, in := range b.Insts {
+				if err := visit(value.CFERef{Kind: ast.Inst, Inst: in, Block: b, Func: f}); err != nil {
+					return err
 				}
 			}
 		}
+		return nil
 	}
 	switch {
 	case dom.module != nil:
 		if et == ast.Module {
-			return []*value.CFERef{mk(value.CFERef{Kind: ast.Module, Module: dom.module})}, nil
-		}
-		if et == ast.Func {
-			for _, f := range dom.module.Funcs {
-				out = append(out, mk(value.CFERef{Kind: ast.Func, Func: f}))
-			}
-			return out, nil
+			return visit(value.CFERef{Kind: ast.Module, Module: dom.module})
 		}
 		for _, f := range dom.module.Funcs {
-			addFuncChildren(f)
+			var err error
+			if et == ast.Func {
+				err = visit(value.CFERef{Kind: ast.Func, Func: f})
+			} else {
+				err = children(f, nil, f.Blocks)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		return out, nil
+		return nil
 	case dom.parent != nil:
 		p := dom.parent
 		switch p.Kind {
 		case ast.Module:
-			return e.instances(et, domain{module: p.Module})
+			return e.instances(et, domain{module: p.Module}, ref, fn)
 		case ast.Func:
-			addFuncChildren(p.Func)
-			return out, nil
+			return children(p.Func, nil, p.Func.Blocks)
 		case ast.Loop:
-			switch et {
-			case ast.Loop:
-				for _, l := range p.Func.Loops {
-					if l.Parent == p.Loop {
-						out = append(out, mk(value.CFERef{Kind: ast.Loop, Loop: l, Func: p.Func}))
-					}
-				}
-			case ast.BasicBlock:
-				for _, b := range p.Loop.Blocks {
-					out = append(out, mk(value.CFERef{Kind: ast.BasicBlock, Block: b, Func: p.Func}))
-				}
-			case ast.Inst:
-				for _, b := range p.Loop.Blocks {
-					for _, in := range b.Insts {
-						out = append(out, mk(value.CFERef{Kind: ast.Inst, Inst: in, Block: b, Func: p.Func}))
-					}
-				}
-			}
-			return out, nil
+			return children(p.Func, p.Loop, p.Loop.Blocks)
 		case ast.BasicBlock:
 			if et == ast.Inst {
-				for _, in := range p.Block.Insts {
-					out = append(out, mk(value.CFERef{Kind: ast.Inst, Inst: in, Block: p.Block, Func: p.Func}))
-				}
+				return children(p.Func, nil, []*cfg.Block{p.Block})
 			}
-			return out, nil
+			return nil
 		}
 	}
-	return nil, fmt.Errorf("cinnamon: internal: invalid command domain for %s", et)
+	return fmt.Errorf("cinnamon: internal: invalid command domain for %s", et)
 }
 
+// placeCompiled places one action instance on the compiled walk: its
+// static where clause is evaluated on the enclosing command's frame (see
+// decided for a defer-safe one), and its captures are recorded by slot.
+func (e *engineRun) placeCompiled(f *compile.Frame, s *compile.Site) error {
+	ai := e.tool.Info.Actions[s.Act]
+	var group *placement.WhereGroup
+	var where ast.Expr
+	if s.Act.Where != nil && !ai.WhereDynamic {
+		ok, err := f.Places(s)
+		switch {
+		case err != nil:
+			return err
+		case e.optimize && ai.WhereDeferSafe:
+			group, where = decided(ok), s.Act.Where
+		case !ok:
+			e.filtered++
+			return nil
+		}
+	}
+	a := e.newAction(s.Act, ai, group)
+	e.record(f, s, a)
+	return e.emit(s.Act, ai, f.Target(s), a, group, where)
+}
+
+// placeAction places one action instance on the interpreter walk.
 func (e *engineRun) placeAction(act *ast.Action, env *interp.Env) error {
 	ai := e.tool.Info.Actions[act]
 	if ai == nil {
@@ -411,70 +497,69 @@ func (e *engineRun) placeAction(act *ast.Action, env *interp.Env) error {
 	if slot == nil || slot.Kind != value.KCFE {
 		return fmt.Errorf("cinnamon: internal: action target %q unbound", act.Target)
 	}
-	ref := slot.CFE
 
 	// Static constraints filter at instrumentation time; dynamic ones
 	// compile into a run-time guard. With the passes enabled, a
-	// defer-safe static constraint is hoisted instead: its CFE inputs
-	// are snapshotted by value here and the decision moves to the
-	// hoisting pass, with an outcome identical to eager evaluation.
+	// defer-safe static constraint is hoisted instead (see decided).
 	var group *placement.WhereGroup
-	var whereExpr ast.Expr
+	var where ast.Expr
 	if act.Where != nil && !ai.WhereDynamic {
-		if e.optimize && e.whereDeferSafe(act.Where, env) {
-			group = e.deferWhere(act.Where, env)
-			whereExpr = act.Where
-		} else {
-			v, err := e.in.Eval(env, act.Where)
-			if err != nil {
-				return err
-			}
-			if !v.AsBool() {
-				if e.obs != nil {
-					e.obs.MutateBuild(func(b *obs.BuildStats) { b.StaticFiltered++ })
-				}
-				return nil
-			}
+		v, err := e.in.Eval(env, act.Where)
+		switch {
+		case err != nil:
+			return err
+		case e.optimize && ai.WhereDeferSafe:
+			group, where = decided(v.AsBool()), act.Where
+		case !v.AsBool():
+			e.filtered++
+			return nil
 		}
 	}
-	if group == nil && e.obs != nil {
-		e.obs.MutateBuild(func(b *obs.BuildStats) { b.ActionsPlaced++ })
-	}
+	a := e.newAction(act, ai, group)
+	a.Exec = e.interpExec(act, ai, env)
+	return e.emit(act, ai, slot.CFE, a, group, where)
+}
 
-	a := &placement.Action{
+// newAction makes the placement Action of one action instance. An
+// instance whose where clause is deferred is counted by the hoisting
+// pass instead.
+func (e *engineRun) newAction(act *ast.Action, ai *sem.ActionInfo, group *placement.WhereGroup) *placement.Action {
+	if group == nil {
+		e.placed++
+	}
+	return &placement.Action{
 		Label:       e.tool.labels[act],
 		Cost:        ai.Cost,
 		Simple:      ai.Simple,
 		Sample:      ai.Sample,
 		DynAttrs:    ai.DynAttrs,
-		NumCaptured: env.NumVarsUntil(e.glob),
+		NumCaptured: ai.NumCaptured,
 	}
-	if e.inst != nil {
-		a.Exec = e.interpExec(act, ai, env)
-	} else if err := e.record(act, env, a); err != nil {
-		return err
-	}
-	emit := func(r *placement.Rule) {
-		r.Action, r.Group, r.Where = a, group, whereExpr
+}
+
+// emit adds the rules that place a on the trigger points of the
+// action's target ref.
+func (e *engineRun) emit(act *ast.Action, ai *sem.ActionInfo, ref *value.CFERef, a *placement.Action, group *placement.WhereGroup, where ast.Expr) error {
+	add := func(r *placement.Rule) {
+		r.Action, r.Group, r.Where = a, group, where
 		e.rs.Add(r)
 	}
-
 	switch ai.TargetEType {
 	case ast.Inst:
 		trig := placement.Before
 		if ai.Canonical != ast.Before {
 			trig = placement.After
 		}
-		emit(&placement.Rule{Trigger: trig, Inst: ref.Inst, Block: ref.Block})
+		add(&placement.Rule{Trigger: trig, Inst: ref.Inst, Block: ref.Block})
 		return nil
 	case ast.BasicBlock:
 		if ai.Canonical == ast.Entry {
-			emit(&placement.Rule{Trigger: placement.BlockEntry, Block: ref.Block})
+			add(&placement.Rule{Trigger: placement.BlockEntry, Block: ref.Block})
 			return nil
 		}
 		// Block exit: immediately before the block's terminating
 		// instruction.
-		emit(&placement.Rule{Trigger: placement.Before, Inst: ref.Block.Last(), Block: ref.Block})
+		add(&placement.Rule{Trigger: placement.Before, Inst: ref.Block.Last(), Block: ref.Block})
 		return nil
 	case ast.Func:
 		f := ref.Func
@@ -482,7 +567,7 @@ func (e *engineRun) placeAction(act *ast.Action, env *interp.Env) error {
 			return nil
 		}
 		if ai.Canonical == ast.Entry {
-			emit(&placement.Rule{Trigger: placement.BlockEntry, Block: f.Blocks[0]})
+			add(&placement.Rule{Trigger: placement.BlockEntry, Block: f.Blocks[0]})
 			return nil
 		}
 		// Function exit: before every return (and halt, for the program
@@ -490,7 +575,7 @@ func (e *engineRun) placeAction(act *ast.Action, env *interp.Env) error {
 		for _, b := range f.Blocks {
 			last := b.Last()
 			if last.Op == isa.Return || last.Op == isa.Halt {
-				emit(&placement.Rule{Trigger: placement.Before, Inst: last, Block: b})
+				add(&placement.Rule{Trigger: placement.Before, Inst: last, Block: b})
 			}
 		}
 		return nil
@@ -506,59 +591,21 @@ func (e *engineRun) placeAction(act *ast.Action, env *interp.Env) error {
 			edges = l.Backs
 		}
 		for _, ed := range edges {
-			emit(&placement.Rule{Trigger: placement.Edge, From: ed.From, Block: ed.To})
+			add(&placement.Rule{Trigger: placement.Edge, From: ed.From, Block: ed.To})
 		}
 		return nil
 	}
 	return fmt.Errorf("cinnamon: internal: unplaceable action at %s", act.Pos())
 }
 
-// whereDeferSafe reports whether a static where clause may be hoisted:
-// its value must be fully determined by the by-value snapshot taken at
-// emission time. That holds when the expression reads only CFE-typed
-// variables (snapshotted), literals, and pure operators over them —
-// calls and indexing (which reach mutable analysis state or the tool
-// file system) force eager evaluation.
-func (e *engineRun) whereDeferSafe(where ast.Expr, env *interp.Env) bool {
-	safe := true
-	ast.Walk(where, func(x ast.Expr) {
-		switch n := x.(type) {
-		case *ast.Ident:
-			slot := env.Lookup(n.Name)
-			if slot == nil || slot.Kind != value.KCFE {
-				safe = false
-			}
-		case *ast.IntLit, *ast.StringLit, *ast.CharLit, *ast.BoolLit,
-			*ast.NullLit, *ast.OpcodeLit:
-		case *ast.BinaryExpr, *ast.UnaryExpr, *ast.FieldExpr, *ast.IsTypeExpr:
-		default:
-			safe = false
-		}
-	})
-	return safe
-}
-
-// deferWhere packages a defer-safe static where clause as a
-// WhereGroup: the referenced CFE variables are copied into an isolated
-// scope now, so the predicate evaluates later to exactly what eager
-// evaluation would have produced, immune to analysis-time mutation.
-func (e *engineRun) deferWhere(where ast.Expr, env *interp.Env) *placement.WhereGroup {
-	weEnv := interp.NewEnv(nil)
-	ast.Walk(where, func(x ast.Expr) {
-		if id, ok := x.(*ast.Ident); ok {
-			if slot := env.Lookup(id.Name); slot != nil {
-				weEnv.Define(id.Name, value.Copy(*slot))
-			}
-		}
-	})
-	in := e.in
-	return &placement.WhereGroup{Eval: func() (bool, error) {
-		v, err := in.Eval(weEnv, where)
-		if err != nil {
-			return false, err
-		}
-		return v.AsBool(), nil
-	}}
+// decided hands a defer-safe static where clause to the hoisting pass,
+// which places or drops every rule of the action instance. The clause
+// reads only CFE instances, which nothing changes, so the outcome keep,
+// evaluated when the action was placed, is the one the pass would
+// compute; and a clause that fails has failed there, as eager evaluation
+// (-ablate=ir-opt) does.
+func decided(keep bool) *placement.WhereGroup {
+	return &placement.WhereGroup{Eval: func() (bool, error) { return keep, nil }}
 }
 
 // interpExec builds an action executor on the tree-walking path: the
@@ -602,32 +649,24 @@ func (e *engineRun) interpExec(act *ast.Action, ai *sem.ActionInfo, env *interp.
 
 // record keeps what Template.Instantiate needs to bind the action's
 // compiled body at this placement: the value of each captured cell,
-// copied out of the walk's scope now, and the tier the body supports
+// copied out of the walk's frames now, and the tier the body supports
 // with those values — MechFast for every compiled body, which is pure
 // with respect to the machine, and MechCounter for an additive one.
-func (e *engineRun) record(act *ast.Action, env *interp.Env, a *placement.Action) error {
-	body := e.tool.Code.Actions[act]
-	if body == nil {
-		return fmt.Errorf("cinnamon: internal: uncompiled action at %s", act.Pos())
-	}
+func (e *engineRun) record(f *compile.Frame, s *compile.Site, a *placement.Action) {
+	body := s.Body
 	var caps []value.Value
 	for i, c := range body.Cells {
 		if c.Global {
 			continue
 		}
-		slot := env.Lookup(c.Name)
-		if slot == nil {
-			return fmt.Errorf("cinnamon: internal: unresolved capture %q", c.Name)
-		}
 		if caps == nil {
 			caps = make([]value.Value, len(body.Cells))
 		}
-		caps[i] = recordValue(*slot)
+		caps[i] = recordValue(*f.Capture(s, i))
 	}
 	a.Tier = placement.MechFast
 	if body.Additive(caps) {
 		a.Tier = placement.MechCounter
 	}
 	e.actions[a] = &actionRec{body: body, caps: caps}
-	return nil
 }

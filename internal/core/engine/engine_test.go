@@ -486,3 +486,39 @@ func TestCompileErrors(t *testing.T) {
 		t.Error("semantic error not surfaced")
 	}
 }
+
+// TestFilteredInstancesAllocateNothing pins the compiled walk's cost per
+// CFE instance that a command's where clause filters out: no allocation.
+// BuildTemplate of a tool whose command constraints never hold — an
+// opcode disjunction with a static attribute compared to an outer
+// analysis local in a nested command, and a block-size bound — allocates
+// no more on a program eight times the size.
+func TestFilteredInstancesAllocateNothing(t *testing.T) {
+	tool, err := Compile(`
+uint64 n = 0;
+func F {
+  uint64 k = F.ninsts;
+  inst I where ((I.opcode == Halt || I.opcode == Nop) && I.size > k) {
+    before I { n = n + 1; }
+  }
+}
+basicblock B where (B.ninsts > 1000000) {
+  entry B { n = n + 1; }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(loads int) float64 {
+		prog := loadApp(t, ".module app\n.executable\n.entry main\n.func main\n"+strings.Repeat("  load r4, [r5]\n", loads)+"  halt\n")
+		pl := &recordingPlacer{prog: prog, modules: prog.Modules}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := BuildTemplate(tool, prog, pl, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(16), allocs(128); large > small {
+		t.Errorf("BuildTemplate made %.0f allocations on 129 instructions and %.0f on 17: filtered instances allocate", large, small)
+	}
+}

@@ -125,10 +125,16 @@ func addBuildDeltas(b *obs.BuildStats, d obs.BuildStats) {
 
 // recordValue snapshots one global or captured value for the template:
 // a file handle becomes a detached handle naming its file (instantiation
-// rebinds it to the session's copy), anything else a private copy.
+// rebinds it to the session's copy), a CFE a copy of the instance it
+// names (the walk overwrites its frames' instances), anything else a
+// private copy.
 func recordValue(v value.Value) value.Value {
-	if v.Kind == value.KFile {
+	switch v.Kind {
+	case value.KFile:
 		return value.Value{Kind: value.KFile, File: &value.FileVal{Name: v.File.Name}}
+	case value.KCFE:
+		ref := *v.CFE
+		return value.CFEVal(&ref)
 	}
 	return value.Copy(v)
 }

@@ -9,99 +9,72 @@ import (
 	"repro/internal/isa"
 )
 
+// AttrFn reads one static attribute of a control-flow element of the
+// kind it was resolved for.
+type AttrFn func(ref *value.CFERef) value.Value
+
+// staticAttrs holds every static attribute reader by element kind and
+// lower-case attribute name.
+var staticAttrs = map[ast.EType]map[string]AttrFn{
+	ast.Inst: {
+		"opcode":   func(r *value.CFERef) value.Value { return value.OpcodeVal(r.Inst.Op) },
+		"addr":     func(r *value.CFERef) value.Value { return value.UintVal(r.Inst.Addr) },
+		"id":       func(r *value.CFERef) value.Value { return value.UintVal(r.Inst.Addr) },
+		"size":     func(r *value.CFERef) value.Value { return value.IntVal(int64(r.Inst.Size)) },
+		"nextaddr": func(r *value.CFERef) value.Value { return value.UintVal(r.Inst.Next()) },
+		"numops":   func(r *value.CFERef) value.Value { return value.IntVal(int64(r.Inst.NumOps())) },
+		"op1":      func(r *value.CFERef) value.Value { return value.OperandVal(r.Inst.Operand(0)) },
+		"op2":      func(r *value.CFERef) value.Value { return value.OperandVal(r.Inst.Operand(1)) },
+		"op3":      func(r *value.CFERef) value.Value { return value.OperandVal(r.Inst.Operand(2)) },
+		"trgname": func(r *value.CFERef) value.Value {
+			if tgt, ok := r.Inst.IsDirectTarget(); ok && r.Inst.Op == isa.Call {
+				return value.StrVal(r.Prog.Obj.NameAt(tgt))
+			}
+			return value.StrVal("")
+		},
+	},
+	ast.BasicBlock: {
+		"id":        func(r *value.CFERef) value.Value { return value.IntVal(int64(r.Block.ID)) },
+		"startaddr": func(r *value.CFERef) value.Value { return value.UintVal(r.Block.Start) },
+		"endaddr":   func(r *value.CFERef) value.Value { return value.UintVal(r.Block.End) },
+		"size":      func(r *value.CFERef) value.Value { return value.IntVal(int64(len(r.Block.Insts))) },
+		"ninsts":    func(r *value.CFERef) value.Value { return value.IntVal(int64(len(r.Block.Insts))) },
+	},
+	ast.Func: {
+		"id":        func(r *value.CFERef) value.Value { return value.IntVal(int64(r.Func.ID)) },
+		"name":      func(r *value.CFERef) value.Value { return value.StrVal(r.Func.Name) },
+		"startaddr": func(r *value.CFERef) value.Value { return value.UintVal(r.Func.Entry) },
+		"endaddr":   func(r *value.CFERef) value.Value { return value.UintVal(r.Func.End) },
+		"ninsts":    func(r *value.CFERef) value.Value { return value.IntVal(int64(r.Func.NumInsts())) },
+		"nblocks":   func(r *value.CFERef) value.Value { return value.IntVal(int64(len(r.Func.Blocks))) },
+		"nloops":    func(r *value.CFERef) value.Value { return value.IntVal(int64(len(r.Func.Loops))) },
+	},
+	ast.Loop: {
+		"id":        func(r *value.CFERef) value.Value { return value.IntVal(int64(r.Loop.ID)) },
+		"startaddr": func(r *value.CFERef) value.Value { return value.UintVal(r.Loop.Header.Start) },
+		"depth":     func(r *value.CFERef) value.Value { return value.IntVal(int64(r.Loop.Depth)) },
+		"nblocks":   func(r *value.CFERef) value.Value { return value.IntVal(int64(len(r.Loop.Blocks))) },
+	},
+	ast.Module: {
+		"id":           func(r *value.CFERef) value.Value { return value.IntVal(int64(r.Module.ID)) },
+		"name":         func(r *value.CFERef) value.Value { return value.StrVal(r.Module.Name()) },
+		"nfuncs":       func(r *value.CFERef) value.Value { return value.IntVal(int64(len(r.Module.Funcs))) },
+		"isexecutable": func(r *value.CFERef) value.Value { return value.BoolVal(r.Module.ID == 0) },
+	},
+}
+
+// StaticAttrOf resolves static attribute name (in any case) of the
+// elements of kind k to its reader, once; nil when there is none.
+func StaticAttrOf(k ast.EType, name string) AttrFn {
+	return staticAttrs[k][strings.ToLower(name)]
+}
+
 // StaticAttr computes a static control-flow-element attribute from the
 // recovered CFG structures. Dynamic attributes never reach here: semantic
 // analysis routes them through the probe's materialized values.
 func StaticAttr(ref *value.CFERef, name string) (value.Value, error) {
-	name = strings.ToLower(name)
-	bad := func() (value.Value, error) {
-		return value.Null, fmt.Errorf("cinnamon: %s has no static attribute %q", ref, name)
+	if fn := StaticAttrOf(ref.Kind, name); fn != nil {
+		return fn(ref), nil
 	}
-	switch ref.Kind {
-	case ast.Inst:
-		in := ref.Inst
-		switch name {
-		case "opcode":
-			return value.OpcodeVal(in.Op), nil
-		case "addr", "id":
-			return value.UintVal(in.Addr), nil
-		case "size":
-			return value.IntVal(int64(in.Size)), nil
-		case "nextaddr":
-			return value.UintVal(in.Next()), nil
-		case "numops":
-			return value.IntVal(int64(in.NumOps())), nil
-		case "op1":
-			return value.OperandVal(in.Operand(0)), nil
-		case "op2":
-			return value.OperandVal(in.Operand(1)), nil
-		case "op3":
-			return value.OperandVal(in.Operand(2)), nil
-		case "trgname":
-			if tgt, ok := in.IsDirectTarget(); ok && in.Op == isa.Call {
-				return value.StrVal(ref.Prog.Obj.NameAt(tgt)), nil
-			}
-			return value.StrVal(""), nil
-		}
-		return bad()
-	case ast.BasicBlock:
-		b := ref.Block
-		switch name {
-		case "id":
-			return value.IntVal(int64(b.ID)), nil
-		case "startaddr":
-			return value.UintVal(b.Start), nil
-		case "endaddr":
-			return value.UintVal(b.End), nil
-		case "size", "ninsts":
-			return value.IntVal(int64(len(b.Insts))), nil
-		}
-		return bad()
-	case ast.Func:
-		f := ref.Func
-		switch name {
-		case "id":
-			return value.IntVal(int64(f.ID)), nil
-		case "name":
-			return value.StrVal(f.Name), nil
-		case "startaddr":
-			return value.UintVal(f.Entry), nil
-		case "endaddr":
-			return value.UintVal(f.End), nil
-		case "ninsts":
-			return value.IntVal(int64(f.NumInsts())), nil
-		case "nblocks":
-			return value.IntVal(int64(len(f.Blocks))), nil
-		case "nloops":
-			return value.IntVal(int64(len(f.Loops))), nil
-		}
-		return bad()
-	case ast.Loop:
-		l := ref.Loop
-		switch name {
-		case "id":
-			return value.IntVal(int64(l.ID)), nil
-		case "startaddr":
-			return value.UintVal(l.Header.Start), nil
-		case "depth":
-			return value.IntVal(int64(l.Depth)), nil
-		case "nblocks":
-			return value.IntVal(int64(len(l.Blocks))), nil
-		}
-		return bad()
-	case ast.Module:
-		m := ref.Module
-		switch name {
-		case "id":
-			return value.IntVal(int64(m.ID)), nil
-		case "name":
-			return value.StrVal(m.Name()), nil
-		case "nfuncs":
-			return value.IntVal(int64(len(m.Funcs))), nil
-		case "isexecutable":
-			return value.BoolVal(m.ID == 0), nil
-		}
-		return bad()
-	}
-	return bad()
+	return value.Null, fmt.Errorf("cinnamon: %s has no static attribute %q", ref, strings.ToLower(name))
 }

@@ -112,30 +112,6 @@ func (e *Env) VarNames() map[string]struct{} {
 	return out
 }
 
-// NumVarsUntil counts the distinct variable names bound in the scopes from
-// e up to (excluding) stop — the number of values Snapshot would capture,
-// without paying for the copies.
-func (e *Env) NumVarsUntil(stop *Env) int {
-	n := 0
-	var seen map[string]bool
-	for s := e; s != nil && s != stop; s = s.parent {
-		if s.parent == stop && seen == nil {
-			// Single frame: every name is distinct.
-			return n + len(s.vars)
-		}
-		if seen == nil {
-			seen = make(map[string]bool)
-		}
-		for name := range s.vars {
-			if !seen[name] {
-				seen[name] = true
-				n++
-			}
-		}
-	}
-	return n
-}
-
 func (e *Env) lookupDyn(key string) (value.Value, bool) {
 	for s := e; s != nil; s = s.parent {
 		if s.dyn != nil {

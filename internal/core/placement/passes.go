@@ -45,9 +45,9 @@ func Apply(rs *RuleSet, cfg Config) error {
 // hoist resolves every deferred static where clause once per action
 // instance: a group that evaluates false drops all its rules (the
 // probe is never placed); one that evaluates true leaves them
-// unconditional, with their Group cleared. Group predicates close over
-// by-value CFE snapshots taken at emission time, so the outcome is
-// exactly what eager evaluation would have produced.
+// unconditional, with their Group cleared. A group's outcome is the
+// one its clause had when the action was placed, exactly what eager
+// evaluation produces.
 func hoist(rs *RuleSet, o *obs.Collector) error {
 	var hoisted, placed, filtered int
 	kept := rs.rules[:0]

@@ -183,13 +183,12 @@ func ResolveDynAttr(c *vm.Ctx, attr string) uint64 {
 }
 
 // WhereGroup is one action instance's deferred static where clause,
-// shared by every rule that instance emitted. The predicate closure
-// evaluates against a by-value snapshot of the CFE variables it
-// references, taken at emission time, so analysis-time mutation after
-// emission cannot change the outcome: hoisting is observably
-// identical to eager evaluation. The hoisting pass detaches each group
-// from its rules once evaluated, so no applied table keeps the walk's
-// state alive through Eval.
+// shared by every rule that instance emitted. The clause reads only the
+// CFE instances it names, so its outcome is fixed when the action is
+// placed: the engine evaluates it there and Eval returns that outcome,
+// which makes hoisting observably identical to eager evaluation. The
+// hoisting pass detaches each group from its rules once evaluated, so
+// no applied table keeps the walk's state alive through Eval.
 type WhereGroup struct {
 	// Eval runs the predicate once; the hoisting pass caches the
 	// outcome for the whole group.

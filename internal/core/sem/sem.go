@@ -51,6 +51,18 @@ type ActionInfo struct {
 	// attributes and must be compiled into a run-time guard. Static
 	// constraints are evaluated once, at instrumentation time.
 	WhereDynamic bool
+	// WhereDeferSafe reports a static constraint whose value is fixed by
+	// the CFE instances it names: it reads only control-flow element
+	// variables, literals and pure operators over them (no call or
+	// index, which reach mutable analysis state or the tool file
+	// system), so the where-clause hoisting pass may decide it after the
+	// walk.
+	WhereDeferSafe bool
+	// NumCaptured is the number of distinct analysis variables in scope
+	// at the action: the CFE variables and top-level declarations of the
+	// enclosing commands, the data a real backend would pass as callback
+	// arguments.
+	NumCaptured int
 	// Cost is the cost-model estimate of the action body (units).
 	Cost uint64
 	// Simple marks bodies eligible for clean-call inlining by dynamic
@@ -301,7 +313,15 @@ func (c *checker) checkAction(a *ast.Action) error {
 			return &Error{Pos: a.Where.Pos(), Msg: fmt.Sprintf("action constraint must be bool, got %s", t)}
 		}
 		ai.WhereDynamic = c.exprIsDynamic(a.Where)
+		ai.WhereDeferSafe = !ai.WhereDynamic && c.deferSafe(a.Where)
 	}
+	names := make(map[string]bool)
+	for _, s := range c.scopes[1:] {
+		for n := range s {
+			names[n] = true
+		}
+	}
+	ai.NumCaptured = len(names)
 	c.push()
 	err = c.checkStmtsIn(a.Body, actx)
 	c.pop()
@@ -344,6 +364,26 @@ func isSimpleBody(body []ast.Stmt) bool {
 		}
 	})
 	return simple
+}
+
+// deferSafe reports whether a static constraint reads only CFE
+// variables, literals and pure operators over them.
+func (c *checker) deferSafe(e ast.Expr) bool {
+	safe := true
+	ast.Walk(e, func(x ast.Expr) {
+		switch n := x.(type) {
+		case *ast.Ident:
+			if t := c.info.Types[n]; t == nil || t.Kind != types.CFE {
+				safe = false
+			}
+		case *ast.IntLit, *ast.StringLit, *ast.CharLit, *ast.BoolLit,
+			*ast.NullLit, *ast.OpcodeLit,
+			*ast.BinaryExpr, *ast.UnaryExpr, *ast.FieldExpr, *ast.IsTypeExpr:
+		default:
+			safe = false
+		}
+	})
+	return safe
 }
 
 func (c *checker) exprIsDynamic(e ast.Expr) bool {

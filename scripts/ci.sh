@@ -36,7 +36,12 @@
 #              int64 dict maps, native counted loop and fused dict
 #              bump), forwardcfi (>=12x; a numeric vector's has) and
 #              shadowstack (>=10x; a bind-time constant), by the same
-#              median method (internal/core/compile/actionexec_test.go)
+#              median method (internal/core/compile/actionexec_test.go),
+#              and the compiled instrumentation-time walk: uncached
+#              set-up of every case study on every backend on leela vs
+#              the same set-up with -ablate=compile (>=2.5x; one frame
+#              per command, compiled where clauses and analysis code;
+#              internal/bench/walk_test.go)
 #   ablate     CLI ablation smoke over one built cinnamon binary: a
 #              -stats loop-coverage run with every speed layer on and
 #              one with -ablate=compile,translate,inline,ir-opt,cache,
@@ -130,6 +135,9 @@ CINNAMON_PERF_GATE=1 go test -run TestInlinedActionSpeedup -count=1 ./internal/b
 
 echo "==> action-lowering perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestCaseStudyLoweringSpeedup -count=1 ./internal/core/compile/
+
+echo "==> compiled-walk perf gate"
+CINNAMON_PERF_GATE=1 go test -run TestCompiledWalkSpeedup -count=1 ./internal/bench/
 
 echo "==> placement-IR perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestIROptDispatchSpeedup -count=1 ./internal/core/placement/
