@@ -3,9 +3,11 @@ package bench
 import (
 	"io"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/core/artifacts"
 	"repro/internal/core/backend"
 	"repro/internal/core/engine"
 	"repro/internal/progs"
@@ -78,4 +80,56 @@ func TestCompiledWalkSpeedup(t *testing.T) {
 		}
 	}
 	t.Errorf("the compiled walk's set-up is only %.2fx faster than the interpreted walk's (want >= %.2fx)", speedup, want)
+}
+
+// TestPinPrepareBuildsNoMachine pins that a dry-run set-up builds no
+// machine on any backend: a template-hit backend.Prepare on Pin, whose
+// framework used to build its machine when it opened, may allocate at
+// most 1.5x what the same Prepare allocates on Dyninst, which builds its
+// machine only when the rewritten binary runs. Measured on leela for
+// three case studies; while Pin built its machine there, it read 17.2x,
+// 2.2x and 3.6x Dyninst's bytes per op on them (see EXPERIMENTS.md).
+func TestPinPrepareBuildsNoMachine(t *testing.T) {
+	spec, ok := workload.ByName("leela")
+	if !ok {
+		t.Fatal("no leela benchmark")
+	}
+	prog, err := BuildBenchmark(spec, testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ops, limit = 20, 1.5
+	// bytesPerOp primes a fresh artifact cache with one Prepare and
+	// returns the bytes each later, template-hit Prepare allocates.
+	bytesPerOp := func(tool *engine.CompiledTool, b string) uint64 {
+		cache := artifacts.New(artifacts.Options{})
+		opts := backend.Options{Out: io.Discard, Artifacts: cache}
+		if err := backend.Prepare(tool, prog, b, opts); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < ops; i++ {
+			if err := backend.Prepare(tool, prog, b, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if hits := cache.Stats().TemplateHits; hits != ops {
+			t.Fatalf("%s: %d template hits in %d Prepares", b, hits, ops)
+		}
+		return (after.TotalAlloc - before.TotalAlloc) / ops
+	}
+	for _, name := range []string{progs.ForwardCFI, progs.OpcodeMix, progs.UseAfterFree} {
+		tool, err := compileTool(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin, dyn := bytesPerOp(tool, backend.Pin), bytesPerOp(tool, backend.Dyninst)
+		t.Logf("%s: Pin %d B/op, Dyninst %d B/op", name, pin, dyn)
+		if float64(pin) > limit*float64(dyn) {
+			t.Errorf("%s: a template-hit Pin Prepare allocates %d B/op, %.1fx Dyninst's %d (want <= %.1fx)",
+				name, pin, float64(pin)/float64(dyn), dyn, limit)
+		}
+	}
 }

@@ -249,9 +249,9 @@ func (g *progGen) maybeSample(a *ast.Action) {
 	}
 }
 
-// afterSafe lists opcodes on which an `after` trigger is legal on every
-// backend (after a control transfer is rejected by Janus and priced
-// differently elsewhere, so the generator never emits it).
+// afterSafe lists opcodes on which an `after` trigger is legal (the
+// engine rejects an after trigger on a control transfer on every
+// backend, so the generator never emits it).
 var afterSafe = []string{"Load", "Store", "Mov", "Add", "Sub", "Mul", "Call"}
 
 // whereOpcodes adds Branch/Return for before-only constraints.

@@ -32,7 +32,6 @@ import (
 	"repro/internal/core/sem"
 	"repro/internal/core/value"
 	"repro/internal/dyninst"
-	"repro/internal/isa"
 	"repro/internal/janus"
 	"repro/internal/obs"
 	"repro/internal/pin"
@@ -196,47 +195,76 @@ func template(tool *engine.CompiledTool, prog *cfg.Program, pl engine.Placer, op
 // loop detector needs).
 const PinLoopDetectCost = 6
 
-// Run compiles the tool onto the named backend, executes the program
-// under it, and returns the machine result.
-func Run(tool *engine.CompiledTool, prog *cfg.Program, backendName string, opts Options) (*vm.Result, error) {
-	switch backendName {
-	case Pin:
-		return runPin(tool, prog, opts)
-	case Dyninst:
-		return runDyninst(tool, prog, opts)
-	case Janus:
-		return runJanus(tool, prog, opts)
-	}
-	return nil, fmt.Errorf("cinnamon: unknown backend %q (have %s)", backendName, strings.Join(Backends(), ", "))
+// placer is one backend session: newPlacer opens the backend on a
+// program, Lower records the lowered rule table, and run builds the
+// framework and its machine and executes the program. No machine exists
+// before run.
+type placer interface {
+	engine.Placer
+	run(opts Options) (*vm.Result, error)
 }
 
-// Prepare performs the instrumentation stage for the named backend
-// without executing the program: framework construction, rule-table
-// build (or cached-template instantiation) and lowering — exactly the
-// per-session startup work a scheduler does before a session's first
-// instruction. Also a dry-run validator: a tool that cannot be mapped
-// onto the backend fails here. The fleet benchmark times it to compare
-// cold and warm session startup.
-func Prepare(tool *engine.CompiledTool, prog *cfg.Program, backendName string, opts Options) error {
-	// Nothing runs here, so no controller attaches: Pin builds its
-	// machine in New, and that machine must not reach the hook.
-	opts.OnMachine = nil
-	switch backendName {
+// newPlacer opens the named backend on the program. Dyninst parses the
+// executable for rewriting here, so a binary whose control flow it cannot
+// recover is refused before any instrumentation work.
+func newPlacer(name string, prog *cfg.Program, opts Options) (placer, error) {
+	switch name {
 	case Pin:
-		_, err := instrument(tool, prog, newPinPlacer(prog, opts), opts)
-		return err
+		return &pinPlacer{
+			prog: prog, loopDetection: opts.PinLoopDetection,
+			before: make(map[uint64][]pinPlacement),
+			after:  make(map[uint64][]pinPlacement),
+			blocks: make(map[uint64][]pinPlacement),
+		}, nil
 	case Dyninst:
 		be, err := dyninst.OpenBinary(prog, opts.vmConfig())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		_, err = instrument(tool, prog, &dyninstPlacer{be: be, prog: prog}, opts)
-		return err
+		return &dyninstPlacer{be: be, prog: prog}, nil
 	case Janus:
-		_, err := instrument(tool, prog, &janusPlacer{prog: prog}, opts)
+		return &janusPlacer{prog: prog}, nil
+	}
+	return nil, fmt.Errorf("cinnamon: unknown backend %q (have %s)", name, strings.Join(Backends(), ", "))
+}
+
+// Run compiles the tool onto the named backend, executes the program
+// under it, and returns the machine result.
+func Run(tool *engine.CompiledTool, prog *cfg.Program, backendName string, opts Options) (*vm.Result, error) {
+	pl, err := newPlacer(backendName, prog, opts)
+	if err != nil {
+		return nil, err
+	}
+	inst, err := instrument(tool, prog, pl, opts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := pl.run(opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := inst.Err(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Prepare performs the instrumentation stage for the named backend
+// without executing the program: opening the backend, rule-table build
+// (or cached-template instantiation) and lowering — the per-session
+// startup work a scheduler does before it builds a session's machine.
+// It builds no machine, so Options.OnMachine is never called. Also a
+// dry-run validator: a tool that cannot be mapped onto the backend, or
+// places an after trigger on a control transfer, fails here with the
+// error Run would return. The fleet benchmark times it to compare cold
+// and warm session startup.
+func Prepare(tool *engine.CompiledTool, prog *cfg.Program, backendName string, opts Options) error {
+	pl, err := newPlacer(backendName, prog, opts)
+	if err != nil {
 		return err
 	}
-	return fmt.Errorf("cinnamon: unknown backend %q (have %s)", backendName, strings.Join(Backends(), ", "))
+	_, err = instrument(tool, prog, pl, opts)
+	return err
 }
 
 // dynSlots fills the pre-sized attribute slot buffer from raw
@@ -254,7 +282,6 @@ func dynSlots(buf []value.Value, words []uint64) []value.Value {
 // Pin backend
 
 type pinPlacer struct {
-	p    *pin.Pin
 	prog *cfg.Program
 	// loopDetection enables the Section VI-E extension (see
 	// Options.PinLoopDetection).
@@ -263,6 +290,7 @@ type pinPlacer struct {
 	before, after map[uint64][]pinPlacement
 	blocks        map[uint64][]pinPlacement
 	edges         []pinEdge
+	inits, finis  []func()
 }
 
 type pinEdge struct {
@@ -273,18 +301,6 @@ type pinEdge struct {
 type pinPlacement struct {
 	routine pin.Routine
 	args    []pin.Arg
-}
-
-// newPinPlacer opens a Pin session on the program and wraps it in an
-// empty placer.
-func newPinPlacer(prog *cfg.Program, opts Options) *pinPlacer {
-	return &pinPlacer{
-		p: pin.New(prog, opts.vmConfig()), prog: prog,
-		loopDetection: opts.PinLoopDetection,
-		before:        make(map[uint64][]pinPlacement),
-		after:         make(map[uint64][]pinPlacement),
-		blocks:        make(map[uint64][]pinPlacement),
-	}
 }
 
 func (pl *pinPlacer) Name() string           { return Pin }
@@ -317,9 +333,9 @@ func pinArgs(attrs []sem.DynAttr) ([]pin.Arg, error) {
 }
 
 // pinRoutine lowers one rule onto an analysis routine. The rule's
-// mechanism tier selects which fast surfaces the routine advertises;
-// merged rules carry one pin.Part per constituent so Pin registers and
-// prices each separately.
+// mechanism tier gives the routine its inline surface; merged rules
+// carry one pin.Part per constituent so Pin registers and prices each
+// separately.
 func pinRoutine(r *placement.Rule) (pinPlacement, error) {
 	a := r.Action
 	args, err := pinArgs(a.DynAttrs)
@@ -337,12 +353,7 @@ func pinRoutine(r *placement.Rule) (pinPlacement, error) {
 		Label:     a.Label,
 		Sample:    a.Sample,
 	}
-	switch r.Mechanism {
-	case placement.MechCounter:
-		routine.CounterFlush = a.Flush
-	case placement.MechFast:
-		routine.FastFn = routine.Fn
-	}
+	routine.Pure, routine.CounterFlush = r.Inline()
 	if parts := r.Merged; len(parts) > 0 {
 		routine.Merged = make([]pin.Part, len(parts))
 		for i, p := range parts {
@@ -352,8 +363,8 @@ func pinRoutine(r *placement.Rule) (pinPlacement, error) {
 	return pinPlacement{routine: routine, args: args}, nil
 }
 
-// Lower realizes the rule table as Pin placements: the instrumentation
-// callbacks registered by runPin look them up per instruction / trace.
+// Lower records the rule table as Pin placements: the instrumentation
+// callbacks registered by run look them up per instruction / trace.
 func (pl *pinPlacer) Lower(rs *placement.RuleSet) error {
 	for _, r := range rs.Rules() {
 		p, err := pinRoutine(r)
@@ -382,26 +393,23 @@ func (pl *pinPlacer) Lower(rs *placement.RuleSet) error {
 			pl.edges = append(pl.edges, pinEdge{r.From.Start, r.Block.Start, p})
 		}
 	}
-	for _, fn := range rs.Inits {
-		fn := fn
-		pl.p.VM().OnStart(func(*vm.Ctx) { fn() })
-	}
-	for _, fn := range rs.Finis {
-		pl.p.AddFiniFunction(fn)
-	}
+	pl.inits, pl.finis = rs.Inits, rs.Finis
 	return nil
 }
 
-func runPin(tool *engine.CompiledTool, prog *cfg.Program, opts Options) (*vm.Result, error) {
-	pl := newPinPlacer(prog, opts)
-	p := pl.p
-	inst, err := instrument(tool, prog, pl, opts)
-	if err != nil {
-		return nil, err
+// run opens a Pin session on the program and attaches the generated Pin
+// tool: one instruction-mode callback that looks up the placements
+// computed by the analysis stage, a trace-mode callback for block-entry
+// actions, and the tool's start and end code.
+func (pl *pinPlacer) run(opts Options) (*vm.Result, error) {
+	p := pin.New(pl.prog, opts.vmConfig())
+	for _, fn := range pl.inits {
+		fn := fn
+		p.VM().OnStart(func(*vm.Ctx) { fn() })
 	}
-	// The generated Pin tool: one instruction-mode callback that looks up
-	// the placements computed by the analysis stage, plus a trace-mode
-	// callback for block-entry actions.
+	for _, fn := range pl.finis {
+		p.AddFiniFunction(fn)
+	}
 	var cbErr error
 	record := func(err error) {
 		if err != nil && cbErr == nil {
@@ -435,9 +443,6 @@ func runPin(tool *engine.CompiledTool, prog *cfg.Program, opts Options) (*vm.Res
 	if cbErr != nil {
 		return nil, cbErr
 	}
-	if err := inst.Err(); err != nil {
-		return nil, err
-	}
 	return res, nil
 }
 
@@ -457,9 +462,9 @@ func (pl *dyninstPlacer) SupportsLoops() bool { return true }
 func (pl *dyninstPlacer) Modules() []*cfg.Module { return pl.prog.Modules[:1] }
 
 // dyninstSnippet lowers one rule onto a snippet call: dynamic attributes
-// become snippet argument expressions, the rule's mechanism tier selects
-// the fast surfaces, and merged rules carry one dyninst.Part per
-// constituent so the rewriter registers and prices each separately.
+// become snippet argument expressions, the rule's mechanism tier gives
+// the call its inline surface, and merged rules carry one dyninst.Part
+// per constituent so the rewriter registers and prices each separately.
 func dyninstSnippet(r *placement.Rule) (dyninst.Snippet, error) {
 	a := r.Action
 	args := make([]dyninst.Snippet, 0, len(a.DynAttrs))
@@ -490,12 +495,7 @@ func dyninstSnippet(r *placement.Rule) (dyninst.Snippet, error) {
 		Label:  a.Label,
 		Sample: a.Sample,
 	}
-	switch r.Mechanism {
-	case placement.MechCounter:
-		call.CounterFlush = a.Flush
-	case placement.MechFast:
-		call.FastFn = call.Fn
-	}
+	call.Pure, call.CounterFlush = r.Inline()
 	if parts := r.Merged; len(parts) > 0 {
 		call.Merged = make([]dyninst.Part, len(parts))
 		for i, p := range parts {
@@ -505,8 +505,8 @@ func dyninstSnippet(r *placement.Rule) (dyninst.Snippet, error) {
 	return call, nil
 }
 
-// Lower realizes the rule table as snippet insertions on the opened
-// binary; BinaryEdit.Run bakes them in before the first instruction.
+// Lower records the rule table as snippet insertions on the opened
+// binary; run bakes them in before the first instruction.
 func (pl *dyninstPlacer) Lower(rs *placement.RuleSet) error {
 	img := pl.be.Image()
 	for _, r := range rs.Rules() {
@@ -543,25 +543,8 @@ func (pl *dyninstPlacer) Lower(rs *placement.RuleSet) error {
 	return nil
 }
 
-func runDyninst(tool *engine.CompiledTool, prog *cfg.Program, opts Options) (*vm.Result, error) {
-	be, err := dyninst.OpenBinary(prog, opts.vmConfig())
-	if err != nil {
-		return nil, err
-	}
-	pl := &dyninstPlacer{be: be, prog: prog}
-	inst, err := instrument(tool, prog, pl, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := be.Run()
-	if err != nil {
-		return nil, err
-	}
-	if err := inst.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+// run writes out the rewritten binary and executes it.
+func (pl *dyninstPlacer) run(Options) (*vm.Result, error) { return pl.be.Run() }
 
 // ---------------------------------------------------------------------------
 // Janus backend
@@ -579,38 +562,16 @@ func (pl *janusPlacer) SupportsLoops() bool { return true }
 // instrumented.
 func (pl *janusPlacer) Modules() []*cfg.Module { return pl.prog.Modules[:1] }
 
-// Lower hands the rule table to the dynamic instrumenter as-is — Janus
-// consumes the placement IR natively (its rewrite-rule table is the
-// same shape) — after validating trigger points eagerly (Section
-// III-B6: "throw an error if not"); the dynamic side would otherwise
-// silently skip the rule.
+// Lower records the rule table for the dynamic instrumenter as-is:
+// Janus consumes the placement IR natively (its rewrite-rule table is the
+// same shape).
 func (pl *janusPlacer) Lower(rs *placement.RuleSet) error {
-	for _, r := range rs.Rules() {
-		if r.Trigger != placement.After {
-			continue
-		}
-		switch r.Inst.Op {
-		case isa.Branch, isa.Return, isa.Halt:
-			return fmt.Errorf("cinnamon: after-trigger invalid on %s at %#x", r.Inst.Op, r.Inst.Addr)
-		}
-	}
 	pl.rs = rs
 	return nil
 }
 
-func runJanus(tool *engine.CompiledTool, prog *cfg.Program, opts Options) (*vm.Result, error) {
-	pl := &janusPlacer{prog: prog}
-	inst, err := instrument(tool, prog, pl, opts)
-	if err != nil {
-		return nil, err
-	}
-	jt := &janus.Tool{Name: "cinnamon", Rules: pl.rs, Glue: JanusGlue}
-	res, err := janus.Run(prog, jt, opts.vmConfig())
-	if err != nil {
-		return nil, err
-	}
-	if err := inst.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+// run executes the program under Janus with the recorded table as the
+// tool's rewrite rules.
+func (pl *janusPlacer) run(opts Options) (*vm.Result, error) {
+	return janus.Run(pl.prog, &janus.Tool{Name: "cinnamon", Rules: pl.rs, Glue: JanusGlue}, opts.vmConfig())
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cfg"
 	"repro/internal/core/engine"
-	"repro/internal/dyninst"
 	"repro/internal/isa"
 	"repro/internal/obj"
 	"repro/internal/progs"
@@ -79,22 +78,14 @@ func caseStudyVictim(t *testing.T, name string) *cfg.Program {
 	return loadVictim(t, victim)
 }
 
-// placerFor opens the named backend on prog as Run would, or returns
-// nil when the backend refuses the binary.
+// placerFor opens the named backend on prog as Run does, or returns nil
+// when the backend refuses the binary.
 func placerFor(b string, prog *cfg.Program, opts Options) engine.Placer {
-	switch b {
-	case Pin:
-		return newPinPlacer(prog, opts)
-	case Dyninst:
-		be, err := dyninst.OpenBinary(prog, opts.vmConfig())
-		if err != nil {
-			return nil
-		}
-		return &dyninstPlacer{be: be, prog: prog}
-	case Janus:
-		return &janusPlacer{prog: prog}
+	pl, err := newPlacer(b, prog, opts)
+	if err != nil {
+		return nil
 	}
-	return nil
+	return pl
 }
 
 // runTool runs a case-study tool on a program under a backend and

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cfg"
+	"repro/internal/core/artifacts"
 	"repro/internal/core/engine"
 	"repro/internal/progs"
 )
@@ -414,19 +416,15 @@ inner:
 	}
 }
 
+// TestAfterOnBranchSurfacesPlacementError: the type system allows
+// `after I` in general, but no framework can instrument after a branch,
+// return or halt. The engine rejects such a rule in the final table, on
+// every backend, with the speed layers that change how the table is
+// built on and off: Prepare and Run fail with one error, before any
+// machine runs, so the tool prints nothing. An action where clause that
+// drops those instructions still runs: with the passes on it is deferred
+// and hoisted, under -ablate=ir-opt evaluated as the action is placed.
 func TestAfterOnBranchSurfacesPlacementError(t *testing.T) {
-	// The type system allows `after I` in general, but frameworks cannot
-	// instrument after a branch; the placement error must surface
-	// cleanly rather than being dropped.
-	src := `
-inst I where (I.opcode == Branch) {
-  after I { print(1); }
-}
-`
-	tool, err := engine.Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
 	app := `
 .module app
 .executable
@@ -439,10 +437,69 @@ head:
   blt r8, r7, head
   halt
 `
-	for _, b := range Backends() {
-		prog := loadSrc(t, app)
-		if _, err := Run(tool, prog, b, Options{}); err == nil {
-			t.Errorf("%s: after-on-branch placement accepted", b)
+	filtered, err := engine.Compile(`
+uint64 n = 0;
+inst I { after I where (I.opcode == Load) { n = n + 1; } }
+exit { print(n); }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, tool, wantErr string
+		prog                *cfg.Program
+	}{
+		{"branch", `inst I where (I.opcode == Branch) { after I { print(1); } }`,
+			"cinnamon: after-trigger invalid on branch at ", loadSrc(t, app)},
+		{"return", `
+uint64 n = 0;
+inst I where (I.opcode == Return) { after I { n = n + 1; } }
+exit { print(n); }
+`, "cinnamon: after-trigger invalid on ret at ", loadVictim(t, "stack_smash")},
+	}
+	cache := artifacts.New(artifacts.Options{})
+	for _, c := range cases {
+		rejected, err := engine.Compile(c.tool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantErr string
+		wantOut := map[string]string{}
+		for _, b := range Backends() {
+			for _, ablate := range []Ablation{0, AblateIROpt, AblateCompile, AblateCache} {
+				cell := c.name + " on " + b + " ablate=" + ablate.String()
+				var out strings.Builder
+				opts := Options{Out: &out, Ablate: ablate, Artifacts: cache}
+				_, runErr := Run(rejected, c.prog, b, opts)
+				for _, err := range []error{Prepare(rejected, c.prog, b, opts), runErr} {
+					switch {
+					case err == nil:
+						t.Errorf("%s: after-trigger placement accepted", cell)
+					case wantErr == "":
+						if wantErr = err.Error(); !strings.HasPrefix(wantErr, c.wantErr) {
+							t.Errorf("%s: error %q, want prefix %q", cell, wantErr, c.wantErr)
+						}
+					case err.Error() != wantErr:
+						t.Errorf("%s: error %q, want %q", cell, err, wantErr)
+					}
+				}
+				if out.Len() > 0 {
+					t.Errorf("%s: rejected tool printed %q", cell, out.String())
+				}
+
+				if err := Prepare(filtered, c.prog, b, opts); err != nil {
+					t.Errorf("%s: where-filtered Prepare: %v", cell, err)
+				}
+				out.Reset()
+				if _, err := Run(filtered, c.prog, b, opts); err != nil {
+					t.Errorf("%s: where-filtered Run: %v", cell, err)
+				}
+				if want, ok := wantOut[b]; !ok {
+					wantOut[b] = out.String()
+				} else if out.String() != want {
+					t.Errorf("%s: where-filtered tool printed %q, want %q", cell, out.String(), want)
+				}
+			}
 		}
 	}
 }

@@ -96,7 +96,9 @@ type Placer interface {
 	SupportsLoops() bool
 	// Lower realizes the optimized rule table in the framework:
 	// probes for the rules in table order, start/end code for
-	// Inits/Finis. Called once, after the optimization passes ran.
+	// Inits/Finis. Called once, after the optimization passes ran and
+	// the table was checked. The backends' Lower only records what the
+	// framework installs once it runs.
 	Lower(rs *placement.RuleSet) error
 }
 
@@ -206,7 +208,8 @@ func BuildRules(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Optio
 // walk runs the analysis stage: global initializers and command bodies
 // print to opts.Out, every command maps over its CFE instances emitting
 // rules, and the optimization passes rewrite the finished table, with
-// build statistics going to opts.Obs.
+// build statistics going to opts.Obs. A table with an after trigger on a
+// control transfer fails here, on every backend and on both walks.
 func walk(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Options) (*engineRun, error) {
 	// Preflight: backends without loop support reject loop commands (the
 	// paper's loop-coverage tool "could not be translated to Pin in its
@@ -284,7 +287,28 @@ func walk(tool *CompiledTool, prog *cfg.Program, placer Placer, opts Options) (*
 	}); err != nil {
 		return nil, err
 	}
+	// The final table is checked, after the passes: a defer-safe where
+	// clause drops its rules only when the hoisting pass resolves it.
+	if err := checkAfter(e.rs); err != nil {
+		return nil, err
+	}
 	return e, nil
+}
+
+// checkAfter rejects an after trigger on a branch, return or halt, which
+// has no fall-through to fire at on any framework — eagerly, at
+// instrumentation time (Section III-B6: "throw an error if not").
+func checkAfter(rs *placement.RuleSet) error {
+	for _, r := range rs.Rules() {
+		if r.Trigger != placement.After {
+			continue
+		}
+		switch r.Inst.Op {
+		case isa.Branch, isa.Return, isa.Halt:
+			return fmt.Errorf("cinnamon: after-trigger invalid on %s at %#x", r.Inst.Op, r.Inst.Addr)
+		}
+	}
+	return nil
 }
 
 // runCommands maps every top-level command over every module.

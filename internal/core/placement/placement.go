@@ -73,8 +73,8 @@ type Mechanism uint8
 const (
 	// MechGeneric dispatches the action's executor from a clean call.
 	MechGeneric Mechanism = iota
-	// MechFast dispatches the compiled executor from a specialized
-	// probe, which the VM may fuse into translated blocks.
+	// MechFast dispatches the compiled executor from a pure probe,
+	// which the VM may fuse into translated blocks.
 	MechFast
 	// MechCounter is an additive body: n firings are equivalent, in
 	// every observable, to Flush(n), so the VM may count firings and
@@ -230,18 +230,18 @@ type Rule struct {
 	Merged []*Rule
 }
 
-// Spec builds a fresh vm.ProbeSpec for one installation of the rule,
-// or nil for generic dispatch. Fresh per call: the VM owns each
-// spec's accumulator state, so a spec must never be shared between
-// installations.
-func (r *Rule) Spec() *vm.ProbeSpec {
+// Inline returns the inline surface every backend installs the rule's
+// probe with (vm.Probe.Pure and Flush): a compiled action is pure with
+// respect to the machine, and a promoted counter also flushes n firings
+// at once. A generic rule has neither.
+func (r *Rule) Inline() (pure bool, flush func(n int64)) {
 	switch r.Mechanism {
 	case MechCounter:
-		return &vm.ProbeSpec{Counter: true, Flush: r.Action.Flush}
+		return true, r.Action.Flush
 	case MechFast:
-		return &vm.ProbeSpec{Fn: r.Action.CtxExec()}
+		return true, nil
 	}
-	return nil
+	return false, nil
 }
 
 // InstAddr returns the rule's instruction address, or 0 for rules not

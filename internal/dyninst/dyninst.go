@@ -130,23 +130,24 @@ type FuncCallExpr struct {
 	// Label identifies the call in observability reports (optional; the
 	// Cinnamon backend sets it to the originating action).
 	Label string
-	// FastFn, when non-nil, is a specialized variant of Fn with
-	// identical observable behavior that satisfies the vm.ProbeSpec
-	// purity contract (never inserts snippets, never reads cycle
-	// counts). The rewriter hands it to the VM's action-inlining layer.
-	FastFn func(args []uint64)
+	// Pure asserts that Fn meets the vm.Probe purity contract (never
+	// inserts snippets, never reads cycle counts). When the call is a
+	// whole inserted snippet, the rewriter hands each insertion to the
+	// VM's action-inlining layer, which may fuse it into translated
+	// blocks (vm.Probe.Pure).
+	Pure bool
 	// CounterFlush, when non-nil, asserts that n invocations of the
 	// call — for any argument values — are equivalent in all
-	// observables to CounterFlush(n). Such snippets are promoted to
-	// block-local accumulators by the inline tier.
+	// observables to CounterFlush(n); it implies Pure. Such snippets are
+	// promoted to counters by the inline tier (vm.Probe.Flush).
 	CounterFlush func(n int64)
 	// Sample, when > 1, arms each insertion of the snippet with a
 	// sampling countdown baked into the trampoline: the call fires on
 	// every Sample-th hit of that placement; swallowed hits cost only the
 	// inlined gate (see vm.SampleGateCost).
 	Sample uint64
-	// Merged, when non-nil, marks a coalesced call: Fn (and the fast
-	// surfaces) describe the fused execution of the constituent
+	// Merged, when non-nil, marks a coalesced call: Fn (and its inline
+	// surface) describe the fused execution of the constituent
 	// snippets, while each Part is registered and attributed
 	// separately — one report row per constituent, one trampoline
 	// dispatch per part. Merged calls take no argument snippets and
@@ -455,28 +456,22 @@ func (be *BinaryEdit) OnInit(fn func()) { be.initFns = append(be.initFns, fn) }
 // (instrumented _fini).
 func (be *BinaryEdit) OnFini(fn func()) { be.finiFns = append(be.finiFns, fn) }
 
-// snippetSpec builds the vm.ProbeSpec for one insertion of the snippet
-// (one spec per insertion: the VM owns accumulator state). Only a bare
-// FuncCallExpr with an inline surface qualifies; the argument buffer is
-// allocated once per insertion and reused across firings.
-func snippetSpec(s Snippet) *vm.ProbeSpec {
+// probe builds the machine probe for one insertion of the snippet. A
+// bare FuncCallExpr gets one call with its inline surface and one
+// argument buffer, reused across firings (probes of one machine fire
+// sequentially); any other snippet is evaluated as a tree.
+func probe(s Snippet) vm.Probe {
 	e, ok := s.(FuncCallExpr)
 	if !ok {
-		return nil
-	}
-	if e.CounterFlush != nil {
-		return &vm.ProbeSpec{Counter: true, Flush: e.CounterFlush}
-	}
-	if e.FastFn == nil {
-		return nil
+		return vm.Probe{Fn: func(c *vm.Ctx) { s.eval(c) }}
 	}
 	args := make([]uint64, len(e.Args))
-	return &vm.ProbeSpec{Fn: func(c *vm.Ctx) {
+	return vm.Probe{Fn: func(c *vm.Ctx) {
 		for n, a := range e.Args {
 			args[n] = a.eval(c)
 		}
-		e.FastFn(args)
-	}}
+		e.Fn(args)
+	}, Pure: e.Pure, Flush: e.CounterFlush}
 }
 
 // snippetLabel extracts the report label of a snippet: the Label of the
@@ -533,7 +528,7 @@ func (be *BinaryEdit) Run() (*vm.Result, error) {
 	}
 	for _, ins := range be.insertions {
 		s := ins.snippet
-		pr := vm.Probe{Fn: func(c *vm.Ctx) { s.eval(c) }, Spec: snippetSpec(s)}
+		pr := probe(s)
 		var site vm.Site
 		var trigger string
 		switch {

@@ -334,7 +334,8 @@ func Run(prog *cfg.Program, tool *Tool, c vm.Config) (*vm.Result, error) {
 			}
 			addr := r.SiteAddr()
 			trig := triggerName(r.Trigger)
-			pr := vm.Probe{Fn: r.Action.CtxExec(), Spec: r.Spec()}
+			pr := vm.Probe{Fn: r.Action.CtxExec()}
+			pr.Pure, pr.Flush = r.Inline()
 			if parts := r.Merged; len(parts) > 0 {
 				// One merged probe, one attribution share per
 				// constituent — the report stays row-for-row identical

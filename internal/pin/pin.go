@@ -143,23 +143,23 @@ type Routine struct {
 	// Label identifies the routine in observability reports (optional;
 	// the Cinnamon backend sets it to the originating action).
 	Label string
-	// FastFn, when non-nil, is a specialized variant of Fn with
-	// identical observable behavior that satisfies the vm.ProbeSpec
-	// purity contract (never inserts calls, never reads cycle counts).
-	// Pin hands it to the VM's action-inlining layer.
-	FastFn AnalysisFn
+	// Pure asserts that Fn meets the vm.Probe purity contract (never
+	// inserts calls, never reads cycle counts), so the VM's
+	// action-inlining layer may fuse each insertion into translated
+	// blocks (vm.Probe.Pure).
+	Pure bool
 	// CounterFlush, when non-nil, asserts that n invocations of the
 	// routine — for any argument values — are equivalent in all
-	// observables to CounterFlush(n). Such routines are promoted to
-	// block-local accumulators by the inline tier.
+	// observables to CounterFlush(n); it implies Pure. Such routines are
+	// promoted to counters by the inline tier (vm.Probe.Flush).
 	CounterFlush func(n int64)
 	// Sample, when > 1, arms each insertion of the routine with a
 	// sampling countdown: the call fires on every Sample-th hit of that
 	// placement; swallowed hits cost only the inlined gate (see
 	// vm.SampleGateCost).
 	Sample uint64
-	// Merged, when non-nil, marks a coalesced routine: Fn (and the
-	// fast surfaces) describe the fused execution of the constituent
+	// Merged, when non-nil, marks a coalesced routine: Fn (and its
+	// inline surface) describe the fused execution of the constituent
 	// analysis calls, while each Part is registered and attributed
 	// separately — one report row per constituent, dispatch priced
 	// per part. Merged routines take no argument descriptors and are
@@ -446,19 +446,6 @@ func (p *Pin) analysisCall(fn AnalysisFn, args []Arg) vm.ProbeFn {
 	}
 }
 
-// routineSpec builds the vm.ProbeSpec for one insertion of the routine
-// (one spec per insertion: the VM owns accumulator state). Returns nil
-// when the routine has no inline surface.
-func (p *Pin) routineSpec(r Routine, args []Arg) *vm.ProbeSpec {
-	if r.CounterFlush != nil {
-		return &vm.ProbeSpec{Counter: true, Flush: r.CounterFlush}
-	}
-	if r.FastFn == nil {
-		return nil
-	}
-	return &vm.ProbeSpec{Fn: p.analysisCall(r.FastFn, args)}
-}
-
 // mergedShares registers each constituent of a merged routine and
 // returns the attribution shares for the one fused probe.
 func (p *Pin) mergedShares(r Routine, trigger string, addr uint64) []vm.Share {
@@ -499,11 +486,12 @@ func (p *Pin) InsertEdgeCall(from, to uint64, r Routine) error {
 	return p.vm.Add(vm.Site{When: vm.AtEdge, Addr: to, From: from}, p.probe(r, nil, obs.TriggerEdge, to))
 }
 
-// probe builds the machine probe for one insertion of the routine and
-// registers it with the attached collector — a merged routine once per
-// part, as attribution shares of one coalesced probe.
+// probe builds the machine probe for one insertion of the routine — one
+// analysis call, with the routine's inline surface — and registers it
+// with the attached collector — a merged routine once per part, as
+// attribution shares of one coalesced probe.
 func (p *Pin) probe(r Routine, args []Arg, trigger string, addr uint64) vm.Probe {
-	pr := vm.Probe{Fn: p.analysisCall(r.Fn, args), Spec: p.routineSpec(r, args)}
+	pr := vm.Probe{Fn: p.analysisCall(r.Fn, args), Pure: r.Pure, Flush: r.CounterFlush}
 	if len(r.Merged) > 0 {
 		pr.Shares = p.mergedShares(r, trigger, addr)
 		return pr

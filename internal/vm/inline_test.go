@@ -5,8 +5,9 @@ package vm
 // superinstructions must be bit-identical — counts, cycles, output,
 // trap text, obs attribution, trace ring, fuel-exhaustion tail — to
 // both the no-inline translated tier and the reference interpreter.
-// They mirror translate_test.go's matrix with every probe carrying an
-// inline spec (and deliberate mixed lists that force the generic path).
+// They mirror translate_test.go's matrix with every probe pure or a
+// promoted counter (and deliberate mixed lists that force the generic
+// path).
 
 import (
 	"bytes"
@@ -53,29 +54,28 @@ func runInlineCell(t *testing.T, prog *cfg.Program, cell inlineCell, fuel uint64
 	return mr
 }
 
-// counterSpec returns a generic body and its promoted-counter spec: the
-// body bumps the cell by delta per fire, the spec's Flush applies the
-// bumps of n firings at once. Observably identical by the ProbeSpec
-// contract.
-func counterSpec(fires map[string]int, key string, delta int64) (ProbeFn, *ProbeSpec) {
-	return func(c *Ctx) { fires[key] += int(delta) },
-		&ProbeSpec{Counter: true, Flush: func(n int64) { fires[key] += int(n * delta) }}
+// counterProbe returns p as a promoted counter: its body bumps the cell
+// by delta per fire, its Flush applies the bumps of n firings at once.
+// Observably identical by the Probe.Flush contract.
+func counterProbe(fires map[string]int, key string, delta int64, p Probe) Probe {
+	p.Fn = func(c *Ctx) { fires[key] += int(delta) }
+	p.Flush = func(n int64) { fires[key] += int(n * delta) }
+	return p
 }
 
-// fastSpec returns a body used both generically and as the specialized
-// thunk — the strongest form of the "observably identical" contract.
-func fastSpec(fires map[string]int, key string) (ProbeFn, *ProbeSpec) {
-	fn := func(c *Ctx) { fires[key]++ }
-	return fn, &ProbeSpec{Fn: fn}
+// pureProbe returns p as a pure probe whose body bumps the cell.
+func pureProbe(fires map[string]int, key string, p Probe) Probe {
+	p.Fn, p.Pure = func(c *Ctx) { fires[key]++ }, true
+	return p
 }
 
-// specProbes installs the full mix of inline shapes on a program: a
+// inlineProbes installs the full mix of inline shapes on a program: a
 // promoted counter and a generic body on the same instruction (mixed
 // list — the promoted count must flush before the generic body can
-// observe the cell), fully spec'd before+after lists on a store (the
+// observe the cell), fully pure before+after lists on a store (the
 // superinstruction-fusable shape), a pending call-after (never fused),
-// and spec'd block-entry and edge probes.
-func specProbes(t *testing.T, prog *cfg.Program) func(v *VM, fires map[string]int) {
+// and pure block-entry and edge probes.
+func inlineProbes(t *testing.T, prog *cfg.Program) func(v *VM, fires map[string]int) {
 	add := instByOp(t, prog, isa.Add, 0)
 	store := findInst(prog, isa.Store, 0)
 	call := findInst(prog, isa.Call, 0)
@@ -87,30 +87,24 @@ func specProbes(t *testing.T, prog *cfg.Program) func(v *VM, fires map[string]in
 				t.Fatal(err)
 			}
 		}
-		fn, sp := counterSpec(fires, "add-count", 2)
-		must(v.Add(Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 3, Spec: sp, Fn: fn}))
+		must(v.Add(Site{When: BeforeInst, Addr: add.Addr}, counterProbe(fires, "add-count", 2, Probe{Cost: 3})))
 		must(v.Add(Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 1, Fn: func(c *Ctx) {
 			// Generic body on the same list: a full observation point —
 			// it reads the promoted cell, which must be flushed by now.
 			fires["add-generic-saw"] = fires["add-count"]
 			fires["add-generic"]++
 		}}))
-		fn, sp = fastSpec(fires, "add-after")
-		must(v.Add(Site{When: AfterInst, Addr: add.Addr}, Probe{Cost: 2, Spec: sp, Fn: fn}))
+		must(v.Add(Site{When: AfterInst, Addr: add.Addr}, pureProbe(fires, "add-after", Probe{Cost: 2})))
 		if store != nil {
-			fn, sp = counterSpec(fires, "store-count", 1)
-			must(v.Add(Site{When: BeforeInst, Addr: store.Addr}, Probe{Cost: 2, Spec: sp, Fn: fn}))
-			fn, sp = fastSpec(fires, "store-after")
-			must(v.Add(Site{When: AfterInst, Addr: store.Addr}, Probe{Cost: 1, Spec: sp, Fn: fn}))
+			must(v.Add(Site{When: BeforeInst, Addr: store.Addr}, counterProbe(fires, "store-count", 1, Probe{Cost: 2})))
+			must(v.Add(Site{When: AfterInst, Addr: store.Addr}, pureProbe(fires, "store-after", Probe{Cost: 1})))
 		}
 		if call != nil {
 			must(v.Add(Site{When: AfterInst, Addr: call.Addr}, Probe{Cost: 4, Fn: func(c *Ctx) { fires["call-after"]++ }}))
 		}
-		fn, sp = counterSpec(fires, "entry-count", 1)
-		must(v.Add(Site{When: AtBlockEntry, Addr: blk.Start}, Probe{Cost: 1, Spec: sp, Fn: fn}))
+		must(v.Add(Site{When: AtBlockEntry, Addr: blk.Start}, counterProbe(fires, "entry-count", 1, Probe{Cost: 1})))
 		for _, pred := range blk.Preds {
-			fn, sp := fastSpec(fires, fmt.Sprintf("edge-%x", pred.Start))
-			must(v.Add(Site{When: AtEdge, Addr: blk.Start, From: pred.Start}, Probe{Cost: 1, Spec: sp, Fn: fn}))
+			must(v.Add(Site{When: AtEdge, Addr: blk.Start, From: pred.Start}, pureProbe(fires, fmt.Sprintf("edge-%x", pred.Start), Probe{Cost: 1})))
 		}
 		v.OnEnd(func(c *Ctx) {
 			// End hooks run after the final flush: the promoted cells
@@ -121,7 +115,7 @@ func specProbes(t *testing.T, prog *cfg.Program) func(v *VM, fires map[string]in
 }
 
 // TestInlineBitIdentical runs loops, calls, traps and fuel exhaustion
-// with the full spec'd probe mix and demands byte-identical observables
+// with the full inline probe mix and demands byte-identical observables
 // across inline, no-inline and interpreted cells.
 func TestInlineBitIdentical(t *testing.T) {
 	cases := []struct {
@@ -137,7 +131,7 @@ func TestInlineBitIdentical(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			prog := build(t, c.src)
-			setup := specProbes(t, prog)
+			setup := inlineProbes(t, prog)
 			ref := runInlineCell(t, prog, inlineCells[len(inlineCells)-1], c.fuel, setup)
 			for _, cell := range inlineCells[:len(inlineCells)-1] {
 				got := runInlineCell(t, prog, cell, c.fuel, setup)
@@ -152,7 +146,7 @@ func TestInlineBitIdentical(t *testing.T) {
 // cells exactly where the interpreter leaves them, at every cut point.
 func TestInlineFuelParity(t *testing.T) {
 	prog := build(t, tierCallSrc)
-	setup := specProbes(t, prog)
+	setup := inlineProbes(t, prog)
 	full := runInlineCell(t, prog, inlineCells[len(inlineCells)-1], 0, setup)
 	if full.err != "" {
 		t.Fatal(full.err)
@@ -167,11 +161,11 @@ func TestInlineFuelParity(t *testing.T) {
 }
 
 // TestInlineMidRunInvalidation is TestMidRunCacheInvalidation with every
-// probe spec'd: the translator hook of the nop block (first executed
+// probe pure or a promoted counter: the translator hook of the nop block (first executed
 // halfway through the run) installs promoted counters and fast thunks
 // into the already-translated, currently-looping head block. The cached
 // block program — including its fused superinstructions — must be
-// invalidated and rebuilt with the new specs, bit-identically to both
+// invalidated and rebuilt with the new probes, bit-identically to both
 // reference cells.
 func TestInlineMidRunInvalidation(t *testing.T) {
 	prog := build(t, invalidateSrc)
@@ -186,21 +180,17 @@ func TestInlineMidRunInvalidation(t *testing.T) {
 			if b.Start != nopBlk.Start {
 				return
 			}
-			fn, sp := counterSpec(fires, "own-before", 1)
-			if err := v.Add(Site{When: BeforeInst, Addr: nop.Addr}, Probe{Cost: 2, Spec: sp, Fn: fn}); err != nil {
+			if err := v.Add(Site{When: BeforeInst, Addr: nop.Addr}, counterProbe(fires, "own-before", 1, Probe{Cost: 2})); err != nil {
 				t.Error(err)
 			}
-			fn, sp = counterSpec(fires, "head-before", 1)
-			if err := v.Add(Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 3, Spec: sp, Fn: fn}); err != nil {
+			if err := v.Add(Site{When: BeforeInst, Addr: add.Addr}, counterProbe(fires, "head-before", 1, Probe{Cost: 3})); err != nil {
 				t.Error(err)
 			}
-			fn, sp = fastSpec(fires, "head-after")
-			if err := v.Add(Site{When: AfterInst, Addr: add.Addr}, Probe{Cost: 1, Spec: sp, Fn: fn}); err != nil {
+			if err := v.Add(Site{When: AfterInst, Addr: add.Addr}, pureProbe(fires, "head-after", Probe{Cost: 1})); err != nil {
 				t.Error(err)
 			}
 			for _, pred := range headBlk.Preds {
-				fn, sp := fastSpec(fires, "head-edge")
-				if err := v.Add(Site{When: AtEdge, Addr: headBlk.Start, From: pred.Start}, Probe{Cost: 1, Spec: sp, Fn: fn}); err != nil {
+				if err := v.Add(Site{When: AtEdge, Addr: headBlk.Start, From: pred.Start}, pureProbe(fires, "head-edge", Probe{Cost: 1})); err != nil {
 					t.Error(err)
 				}
 			}
@@ -249,8 +239,7 @@ func TestInlineMidBlockInstall(t *testing.T) {
 				return
 			}
 			installed = true
-			fn, sp := counterSpec(fires, "store-after", 1)
-			if err := v.Add(Site{When: AfterInst, Addr: store.Addr}, Probe{Cost: 1, Spec: sp, Fn: fn}); err != nil {
+			if err := v.Add(Site{When: AfterInst, Addr: store.Addr}, counterProbe(fires, "store-after", 1, Probe{Cost: 1})); err != nil {
 				t.Error(err)
 			}
 		}}); err != nil {
@@ -295,10 +284,8 @@ func TestInlineObsIdentical(t *testing.T) {
 			fst := col.RegisterProbe(obs.ProbeMeta{Label: "fast", Trigger: obs.TriggerAfter, Mechanism: obs.MechInlinedCall, Addr: store.Addr, DispatchCost: 2})
 			gen := col.RegisterProbe(obs.ProbeMeta{Label: "generic", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall, Addr: store.Addr, DispatchCost: 5})
 			fires := map[string]int{}
-			fn, sp := counterSpec(fires, "cnt", 1)
-			mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 3, ID: cnt, Spec: sp, Fn: fn})
-			fn, sp = fastSpec(fires, "fast")
-			mustAdd(t, v, Site{When: AfterInst, Addr: store.Addr}, Probe{Cost: 2, ID: fst, Spec: sp, Fn: fn})
+			mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, counterProbe(fires, "cnt", 1, Probe{Cost: 3, ID: cnt}))
+			mustAdd(t, v, Site{When: AfterInst, Addr: store.Addr}, pureProbe(fires, "fast", Probe{Cost: 2, ID: fst}))
 			mustAdd(t, v, Site{When: BeforeInst, Addr: store.Addr}, Probe{Cost: 5, ID: gen, Fn: func(c *Ctx) {}})
 		}},
 		// A promoted counter fused into the mul's step and one at block
@@ -309,8 +296,7 @@ func TestInlineObsIdentical(t *testing.T) {
 			fires := map[string]int{}
 			for _, s := range []Site{{When: BeforeInst, Addr: mul.Addr}, {When: AtBlockEntry, Addr: head.Start}} {
 				id := col.RegisterProbe(obs.ProbeMeta{Label: fmt.Sprintf("counter %d", s.When), Addr: s.Addr, DispatchCost: 3})
-				fn, sp := counterSpec(fires, fmt.Sprint(s.When), 1)
-				mustAdd(t, v, s, Probe{Cost: 3, ID: id, Spec: sp, Fn: fn})
+				mustAdd(t, v, s, counterProbe(fires, fmt.Sprint(s.When), 1, Probe{Cost: 3, ID: id}))
 			}
 		}},
 		// The same two sites, each a coalesced counter of two shares.
@@ -323,8 +309,7 @@ func TestInlineObsIdentical(t *testing.T) {
 					{ID: col.RegisterProbe(obs.ProbeMeta{Label: fmt.Sprintf("share a %d", s.When), Addr: s.Addr, DispatchCost: 2}), Cost: 2},
 					{ID: col.RegisterProbe(obs.ProbeMeta{Label: fmt.Sprintf("share b %d", s.When), Addr: s.Addr, DispatchCost: 5}), Cost: 5},
 				}
-				fn, sp := counterSpec(fires, fmt.Sprint(s.When), 2)
-				mustAdd(t, v, s, Probe{Shares: shares, Spec: sp, Fn: fn})
+				mustAdd(t, v, s, counterProbe(fires, fmt.Sprint(s.When), 2, Probe{Shares: shares}))
 			}
 		}},
 	}

@@ -135,17 +135,13 @@ func TestAttributionExactAtObservationPoints(t *testing.T) {
 						stop.Store(true)
 					}
 				}})
-				fn, sp := fastSpec(truth, "sampled")
-				mustAdd(t, v, Site{When: BeforeInst, Addr: mul.Addr}, Probe{Cost: 4, ID: reg("sampled", 4), Stride: 3, Spec: sp, Fn: fn})
-				fn, sp = fastSpec(truth, "specialized")
+				mustAdd(t, v, Site{When: BeforeInst, Addr: mul.Addr}, pureProbe(truth, "sampled", Probe{Cost: 4, ID: reg("sampled", 4), Stride: 3}))
 				add := instByOp(t, prog, isa.Add, 1)
-				mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 2, ID: reg("specialized", 2), Spec: sp, Fn: fn})
-				fn, sp = counterSpec(truth, "counter", 1)
+				mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, pureProbe(truth, "specialized", Probe{Cost: 2, ID: reg("specialized", 2)}))
 				add = instByOp(t, prog, isa.Add, 2)
-				mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, Probe{Cost: 3, ID: reg("counter", 3), Spec: sp, Fn: fn})
-				fn, sp = counterSpec(truth, "coalesced", 1)
+				mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, counterProbe(truth, "counter", 1, Probe{Cost: 3, ID: reg("counter", 3)}))
 				shares := []Share{{ID: reg("share a", 2), Cost: 2}, {ID: reg("share b", 6), Cost: 6}}
-				mustAdd(t, v, Site{When: AtBlockEntry, Addr: head.Start}, Probe{Shares: shares, Spec: sp, Fn: fn})
+				mustAdd(t, v, Site{When: AtBlockEntry, Addr: head.Start}, counterProbe(truth, "coalesced", 1, Probe{Shares: shares}))
 
 				check := func(where string) {
 					t.Helper()
@@ -329,7 +325,7 @@ head:
 //     and are attributed in one batch per flush. The baseline's body
 //     does the same tool work plus a plain-counter replica of
 //     per-firing accounting, on a machine without a collector.
-//   - counter: a promoted counter (ProbeSpec.Counter), whose firings ride
+//   - counter: a promoted counter (Probe.Flush), whose firings ride
 //     the accumulator and are attributed in one batch per flush. The
 //     baseline is the identical probe on a machine without a collector.
 //
@@ -403,10 +399,7 @@ func TestObsEnabledDispatchOverhead(t *testing.T) {
 
 	t.Run("counter", func(t *testing.T) {
 		gate(t, "observed promoted counter run", obs.MechInlinedCall, func(bool) Probe {
-			return Probe{Cost: 3, Fn: toolWork, Spec: &ProbeSpec{
-				Counter: true,
-				Flush:   func(n int64) { sink += uint64(n) },
-			}}
+			return Probe{Cost: 3, Fn: toolWork, Flush: func(n int64) { sink += uint64(n) }}
 		})
 	})
 	_ = sink

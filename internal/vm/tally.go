@@ -35,7 +35,7 @@ type tally struct {
 	// pc is the address each firing's trace event reports: the probe's
 	// site, or the fall-through for an after-probe.
 	pc uint64
-	// counter is a promoted counter's ProbeSpec.Flush (nil otherwise):
+	// counter is a promoted counter's Probe.Flush (nil otherwise):
 	// n pending fires are one counter(n).
 	counter func(n int64)
 }
@@ -84,7 +84,7 @@ func (v *VM) queue(t *tally) {
 }
 
 // flushCounters applies every promoted counter's pending fires (see
-// ProbeSpec.Flush), attributes them when a collector is attached, and
+// Probe.Flush), attributes them when a collector is attached, and
 // empties the dirty list. Flushes and attributions are additive, so
 // drain order does not affect the result.
 func (v *VM) flushCounters() {

@@ -104,8 +104,8 @@ type blockProg struct {
 // translate compiles the basic block starting at offset so of module m
 // into a blockProg and caches it. Callers must ensure m.blocks[so] != nil.
 //
-// When the inlining layer is on, probe lists whose members all carry an
-// inline spec are fused into the operation thunk as superinstructions
+// When the inlining layer is on, probe lists whose members are all pure
+// are fused into the operation thunk as superinstructions
 // (see fuseBefore/fuseAfter): the step then runs fires and operation in
 // one indirect call, and a block whose every probe fuses drops its
 // probed bit entirely, running on the lean probe-free loop.
@@ -143,7 +143,7 @@ func (v *VM) translate(m *modExec, so uint64) *blockProg {
 			}
 		}
 		if v.inline {
-			if st.before != nil && allSpecs(st.before) {
+			if st.before != nil && allPure(st.before) {
 				st.run = fuseBefore(st.before, in, st.run)
 				st.before = nil
 			}
@@ -151,11 +151,11 @@ func (v *VM) translate(m *modExec, so uint64) *blockProg {
 			// on the step: a generic before-body may install an
 			// after-probe on its own instruction, which must fire on this
 			// very execution (finishStepSlow re-reads the live list), and
-			// a fused after list would miss it. Spec'd probes never
+			// a fused after list would miss it. Pure probes never
 			// install, so a fused or empty before side is safe. Call
 			// after-fires stay generic: they fire at the fall-through via
 			// the pending mechanism, not here.
-			if st.after != nil && st.before == nil && !st.isCall && allSpecs(st.after) {
+			if st.after != nil && st.before == nil && !st.isCall && allPure(st.after) {
 				st.run = fuseAfter(st.after, in, st.run)
 				st.after = nil
 			}
@@ -171,11 +171,11 @@ func (v *VM) translate(m *modExec, so uint64) *blockProg {
 	return bp
 }
 
-// allSpecs reports whether every probe of the list carries an inline
-// spec (lists fuse whole or not at all).
-func allSpecs(ps []probe) bool {
+// allPure reports whether every probe of the list is pure (lists fuse
+// whole or not at all).
+func allPure(ps []probe) bool {
 	for i := range ps {
-		if !ps[i].spec {
+		if !ps[i].pure {
 			return false
 		}
 	}
@@ -206,7 +206,7 @@ func liveProbes(ps []probe) []probe {
 	return ps
 }
 
-// fusedFire builds the specialized thunk for one spec'd probe firing,
+// fusedFire builds the specialized thunk for one pure probe firing,
 // with its trigger constants (instruction, when) pre-folded at
 // translation time. A promoted counter reduces to an accumulator bump,
 // on an observed machine too (see count); every other probe runs the
@@ -250,7 +250,7 @@ func fusedFireAlways(p *probe, in *isa.Inst, when When) func(*VM) {
 	}
 }
 
-// fuseBefore chains spec'd before-fires ahead of the operation thunk:
+// fuseBefore chains pure before-fires ahead of the operation thunk:
 // the probe+op superinstruction.
 func fuseBefore(ps []probe, in *isa.Inst, op func(*VM) (stepRes, error)) func(*VM) (stepRes, error) {
 	if len(ps) == 1 {
@@ -272,7 +272,7 @@ func fuseBefore(ps []probe, in *isa.Inst, op func(*VM) (stepRes, error)) func(*V
 	}
 }
 
-// fuseAfter chains spec'd after-fires behind the operation thunk: the
+// fuseAfter chains pure after-fires behind the operation thunk: the
 // op+probe superinstruction. Fires run only when the operation succeeds
 // (an erroring step never reaches its after-probes) and before the
 // step-result branch, matching the generic order.

@@ -23,7 +23,10 @@
 // (Probe). Every probe carries a dispatch cost in cycle units, charged
 // when it fires; this is how the frameworks' differing instrumentation
 // mechanisms (clean calls, inlined clean calls, trampoline snippets) are
-// priced.
+// priced. A probe has one callback on every tier; its installer may
+// vouch that the callback is pure (Probe.Pure) or additive (Probe.Flush),
+// which lets the action-inlining layer fuse it into translated blocks or
+// promote it to a counter.
 //
 // Probes may additionally be tagged with an observability ID
 // (Probe.ID): when a Collector is attached via Config.Obs, every
@@ -71,40 +74,6 @@ func RuntimeExterns() map[string]uint64 {
 // ProbeFn is an instrumentation callback.
 type ProbeFn func(*Ctx)
 
-// ProbeSpec describes the inline-specialization surface of one installed
-// probe. The inline tier (enabled on the translated tier unless
-// Config.NoInline is set) may run Fn in place of the probe's generic
-// callback from specialized thunks that skip fire-context bookkeeping,
-// and may defer Counter-shaped probes entirely into a promoted
-// accumulator that is flushed at the next observation point.
-//
-// The contract the installer vouches for:
-//
-//   - Fn is observably identical to the generic callback: same stores,
-//     same output, same cost charges;
-//   - Fn is pure with respect to the machine: it never installs probes,
-//     never reads Cycles(), and depends on no Ctx state beyond what the
-//     firing trigger defines (instruction, when);
-//   - if Counter is true, n consecutive firings are equivalent — in
-//     every observable — to a single Flush(n) call.
-//
-// A promoted counter's accumulator is the pending-fire count of its
-// attribution record (see tally): a firing only bumps it (and publishes
-// its trace event when anyone is listening), and the flush applies
-// Flush(n) and, on an observed machine, attributes the n firings in
-// the same batch. Counters flush at every observation point (a
-// non-counter fire, the translator and pace hooks, traps, stop and end)
-// and with every periodic attribution flush.
-type ProbeSpec struct {
-	// Fn is the specialized callback (required unless Counter is set;
-	// counter probes are dispatched through Flush and never call Fn).
-	Fn ProbeFn
-	// Counter marks a promoted counter; Flush(n) applies the effect of
-	// n firings.
-	Counter bool
-	Flush   func(n int64)
-}
-
 type probe struct {
 	// fn is the probe's per-firing behaviour, resolved once by Add (see
 	// resolve); nil for a promoted counter, whose firing only bumps tal.
@@ -118,9 +87,10 @@ type probe struct {
 	// the probe; nil on an unobserved machine unless the probe is a
 	// promoted counter.
 	tal *tally
-	// spec marks a probe that runs its inline specialization, which
-	// block translation may fuse into the operation thunk.
-	spec bool
+	// pure marks a probe installed as Probe.Pure on an inlining
+	// machine, which block translation may fuse into the operation
+	// thunk.
+	pure bool
 }
 
 // TrapError reports a machine fault (invalid code address, division by
@@ -438,9 +408,22 @@ type Probe struct {
 	// ID attributes firings on the collector attached via Config.Obs
 	// (obs.NoProbe = untracked).
 	ID obs.ProbeID
-	// Spec, when non-nil, is the probe's inline specialization (see
-	// ProbeSpec for the contract).
-	Spec *ProbeSpec
+	// Pure vouches that Fn is pure with respect to the machine: it never
+	// installs probes, never reads Cycles(), and depends on no Ctx state
+	// beyond what the firing trigger defines (instruction, when). The
+	// action-inlining layer (the translated tier unless Config.NoInline
+	// is set) may then fuse the probe into translated blocks, running Fn
+	// from a specialized thunk that skips fire-context bookkeeping.
+	Pure bool
+	// Flush, when non-nil, vouches that n consecutive firings of Fn are
+	// equivalent, in every observable, to one Flush(n) call; it implies
+	// Pure. The inlining layer then promotes the probe to a counter: a
+	// firing only bumps the pending-fire count of its attribution record
+	// (see tally), and Flush(n) applies them at the next observation
+	// point — a non-counter fire, the translator and pace hooks, traps,
+	// stop and end — and with every periodic attribution flush, which
+	// on an observed machine attributes the n firings in the same batch.
+	Flush func(n int64)
 	// Stride samples the probe: it fires on every Stride-th hit (0 and 1
 	// mean every hit). A stride above 1 — or Config.Adaptive — attaches
 	// a control block, making the probe governable
@@ -500,25 +483,22 @@ func (v *VM) Add(s Site, p Probe) error {
 		}
 	}
 	np := probe{fn: p.Fn, cost: cost}
-	// Only the inlining layer reads specs.
-	sp := p.Spec
-	if !v.inline {
-		sp = nil
+	// Only the inlining layer reads Pure and Flush.
+	flush := p.Flush
+	if v.inline {
+		np.pure = p.Pure || flush != nil
+	} else {
+		flush = nil
 	}
-	if v.obsC != nil || sp != nil && sp.Counter {
+	if v.obsC != nil || flush != nil {
 		np.tal = &tally{id: id, cost: cost, shares: p.Shares, pc: s.Addr}
 		if s.When == AfterInst {
 			// An after-probe fires at the fall-through.
 			np.tal.pc = m.insts[off].Next()
 		}
 	}
-	if sp != nil {
-		np.spec = true
-		if sp.Counter {
-			np.fn, np.tal.counter = nil, sp.Flush
-		} else {
-			np.fn = sp.Fn
-		}
+	if flush != nil {
+		np.fn, np.tal.counter = nil, flush
 	}
 	if np.fn != nil {
 		np.fn = v.resolve(np.fn, np.tal)
@@ -590,12 +570,12 @@ func (v *VM) Mem() *Memory { return v.mem }
 // Reg returns the current value of a register.
 func (v *VM) Reg(r isa.Reg) uint64 { return v.regs[r] }
 
-// resolve returns a non-counter probe's per-firing behaviour: its body
-// (the inline specialization, when it runs one), behind the
-// promoted-counter flush on an inlining machine — the body may read
-// any cell a counter covers, install probes or observe Cycles, so it
-// is a full observation point — and followed on an observed machine by
-// the bump of its tally. A machine with neither runs the body itself.
+// resolve returns a non-counter probe's per-firing behaviour: its body,
+// behind the promoted-counter flush on an inlining machine — the body
+// may read any cell a counter covers, install probes or observe Cycles,
+// so it is a full observation point — and followed on an observed
+// machine by the bump of its tally. A machine with neither runs the
+// body itself.
 func (v *VM) resolve(body ProbeFn, t *tally) ProbeFn {
 	if v.obsC != nil {
 		return func(c *Ctx) {

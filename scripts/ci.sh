@@ -43,16 +43,18 @@
 #              per command, compiled where clauses and analysis code;
 #              internal/bench/walk_test.go)
 #   ablate     CLI ablation smoke over one built cinnamon binary: a
-#              -stats loop-coverage run with every speed layer on and
-#              one with -ablate=compile,translate,inline,ir-opt,cache,
-#              and a Forward CFI run on victim:indirect_attack and a
-#              Shadow stack run on victim:stack_smash each with and
-#              without -ablate=inline and with and without
-#              -ablate=compile (their actions stay unboxed only through
-#              the compile layer's bind-time constants and numeric
-#              vector ops), must print identical stdout and an identical
-#              first stderr line (backend, insts, cycles, exit); an
-#              unknown layer (-ablate=jit) must be rejected
+#              -stats loop-coverage run on janus with every speed layer
+#              on and one with -ablate=compile,translate,inline,ir-opt,cache,
+#              and, on each of janus, pin and dyninst (whose probe
+#              installers each lower the inline surface), a Forward CFI
+#              run on victim:indirect_attack and a Shadow stack run on
+#              victim:stack_smash each with and without -ablate=inline
+#              and with and without -ablate=compile (their actions stay
+#              unboxed only through the compile layer's bind-time
+#              constants and numeric vector ops), must print identical
+#              stdout and an identical first stderr line (backend,
+#              insts, cycles, exit); an unknown layer (-ablate=jit) must
+#              be rejected
 #   governor   one reduced-scale run of the overhead-budget experiment
 #              (experiments -exp=governor): the governor must bring
 #              three action-heavy tools under 5% and 1% budgets
@@ -146,33 +148,37 @@ echo "==> CLI ablation smoke (-ablate: every layer off vs none)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/cinnamon" ./cmd/cinnamon
-# same_run LAYERS ARGS...: a -stats run with every layer on and one with
-# the LAYERS ablated must agree on stdout and the first stderr line.
+# same_run BACKEND LAYERS ARGS...: a -stats run on BACKEND with every
+# layer on and one with the LAYERS ablated must agree on stdout and the
+# first stderr line.
 same_run() {
-	layers=$1
-	shift
-	"$tmp/cinnamon" -backend=janus -stats "$@" >"$tmp/plain.out" 2>"$tmp/plain.err"
-	"$tmp/cinnamon" -backend=janus -stats -ablate="$layers" "$@" >"$tmp/ablated.out" 2>"$tmp/ablated.err"
+	backend=$1
+	layers=$2
+	shift 2
+	"$tmp/cinnamon" -backend="$backend" -stats "$@" >"$tmp/plain.out" 2>"$tmp/plain.err"
+	"$tmp/cinnamon" -backend="$backend" -stats -ablate="$layers" "$@" >"$tmp/ablated.out" 2>"$tmp/ablated.err"
 	cmp "$tmp/plain.out" "$tmp/ablated.out"
 	plain=$(head -n 1 "$tmp/plain.err")
 	ablated=$(head -n 1 "$tmp/ablated.err")
 	case $plain in
-	backend=janus\ insts=*) ;;
+	"backend=$backend insts="*) ;;
 	*)
 		echo "unexpected -stats line for $*: $plain"
 		exit 1
 		;;
 	esac
 	if [ "$plain" != "$ablated" ]; then
-		echo "$* with -ablate=$layers differs: $ablated (want $plain)"
+		echo "$backend $* with -ablate=$layers differs: $ablated (want $plain)"
 		exit 1
 	fi
 }
-same_run compile,translate,inline,ir-opt,cache -target=victim:spin -loop=2000 @loopcoverage
-same_run inline -target=victim:indirect_attack @forwardcfi
-same_run inline -target=victim:stack_smash @shadowstack
-same_run compile -target=victim:indirect_attack @forwardcfi
-same_run compile -target=victim:stack_smash @shadowstack
+same_run janus compile,translate,inline,ir-opt,cache -target=victim:spin -loop=2000 @loopcoverage
+for b in janus pin dyninst; do
+	same_run "$b" inline -target=victim:indirect_attack @forwardcfi
+	same_run "$b" inline -target=victim:stack_smash @shadowstack
+	same_run "$b" compile -target=victim:indirect_attack @forwardcfi
+	same_run "$b" compile -target=victim:stack_smash @shadowstack
+done
 if "$tmp/cinnamon" -backend=janus -target=victim:spin -ablate=jit @loopcoverage 2>/dev/null; then
 	echo "-ablate=jit was accepted"
 	exit 1
