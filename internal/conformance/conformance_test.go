@@ -209,8 +209,10 @@ func TestSweepDeterministic(t *testing.T) {
 
 // Oracle classification on fabricated results: a tampered output in any
 // ablated cell must be exactly one illegal ablation-mismatch naming that
-// cell, and a Pin undercount on a multi-module victim must be illegal
-// (dominance is required, not just "any difference is Pin being Pin").
+// cell, an untracked firing or skip in any cell exactly one illegal
+// untracked-firing naming that cell, and a Pin undercount on a
+// multi-module victim must be illegal (dominance is required, not just
+// "any difference is Pin being Pin").
 func TestOracleFlagsTamperedResults(t *testing.T) {
 	mk := func(cell Cell) RunResult {
 		return RunResult{
@@ -245,6 +247,22 @@ func TestOracleFlagsTamperedResults(t *testing.T) {
 	}
 	if want := 3 * (len(backend.Ablations()) + 1); tampers != want {
 		t.Fatalf("tampered %d ablated cells, want %d", tampers, want)
+	}
+
+	// A firing or skip that reached no row is illegal in every cell,
+	// even where every other cell agrees.
+	for i, c := range cells {
+		tampered := make([]RunResult, len(results))
+		copy(tampered, results)
+		if i%2 == 0 {
+			tampered[i].UntrackedFires = 3
+		} else {
+			tampered[i].UntrackedSkips = 2
+		}
+		divs := Compare(tampered, Traits{})
+		if len(divs) != 1 || divs[0].Class != ClassUntracked || divs[0].Legal || divs[0].Cells[0] != c {
+			t.Errorf("untracked count in %s not flagged as one illegal untracked-firing: %v", c, divs)
+		}
 	}
 
 	// Pin undercounting on a multi-module victim is illegal even though

@@ -51,6 +51,9 @@ type RunResult struct {
 	ExitCode   uint64
 	Fires      map[string]uint64
 	TotalFires uint64
+	// UntrackedFires and UntrackedSkips count firings and sampling
+	// skips that reached no attribution row (see ClassUntracked).
+	UntrackedFires, UntrackedSkips uint64
 	// CountersPromoted is the run's BuildStats.CountersPromoted: how
 	// many placements ran as promoted counters. Not an observable the
 	// oracle compares (it is 0 with the passes off).
@@ -99,6 +102,11 @@ const (
 	// fires must equal floor(unsampled fires / N) and skips must account
 	// for every swallowed hit. Never legal.
 	ClassSampling = "sampling-mismatch"
+	// ClassUntracked: a cell counted firings or sampling skips in the
+	// collector's untracked bucket — a probe fired that registered no
+	// attribution row. Never legal: the machine registers a row for
+	// every probe it installs.
+	ClassUntracked = "untracked-firing"
 )
 
 // Divergence is one classified disagreement between two cells.
@@ -270,6 +278,7 @@ func runCell(tool *engine.CompiledTool, prog *cfg.Program, cell Cell, cache *art
 		rr.Fires[ps.Label] += ps.Fires
 	}
 	rr.TotalFires = stats.TotalFires
+	rr.UntrackedFires, rr.UntrackedSkips = stats.UntrackedFires, stats.UntrackedSkips
 	rr.CountersPromoted = stats.Build.CountersPromoted
 	return rr
 }
@@ -283,6 +292,15 @@ func Compare(results []RunResult, traits Traits) []Divergence {
 	byCell := map[Cell]RunResult{}
 	for _, r := range results {
 		byCell[r.Cell] = r
+		// Rule 0: every firing reaches a row. A registration fault
+		// every backend shares agrees across cells, so each cell is
+		// held to it on its own.
+		if r.UntrackedFires != 0 || r.UntrackedSkips != 0 {
+			divs = append(divs, Divergence{
+				Class: ClassUntracked, Cells: [2]Cell{r.Cell, r.Cell},
+				Detail: fmt.Sprintf("%d fires and %d skips reached no attribution row", r.UntrackedFires, r.UntrackedSkips),
+			})
+		}
 	}
 
 	// Rule 1: ablations are invisible. Every speed layer is

@@ -38,6 +38,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core/engine"
 	"repro/internal/obj"
+	"repro/internal/obs"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -109,6 +110,23 @@ type TemplateKey struct {
 type Lookup struct {
 	Hit     bool
 	Evicted int
+}
+
+// Record adds the lookup to a session's build statistics: one artifact
+// hit or miss, plus the evictions its insert caused. A nil collector
+// records nothing.
+func (lk Lookup) Record(col *obs.Collector) {
+	if col == nil {
+		return
+	}
+	col.MutateBuild(func(b *obs.BuildStats) {
+		if lk.Hit {
+			b.ArtifactHits++
+		} else {
+			b.ArtifactMisses++
+		}
+		b.ArtifactEvictions += lk.Evicted
+	})
 }
 
 type toolKey [sha256.Size]byte

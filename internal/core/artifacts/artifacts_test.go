@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core/engine"
+	"repro/internal/obs"
 	"repro/internal/progs"
 )
 
@@ -195,5 +196,19 @@ func TestConcurrentLookupsConverge(t *testing.T) {
 	}
 	if s := c.Stats(); s.Tools != 1 || s.Victims != 1 {
 		t.Fatalf("racing lookups left %d tools / %d victims, want 1/1", s.Tools, s.Victims)
+	}
+}
+
+// TestLookupRecord: a lookup adds one hit or one miss, plus its
+// evictions, to a session's build statistics, and a nil collector
+// records nothing.
+func TestLookupRecord(t *testing.T) {
+	col := obs.New(obs.Options{})
+	Lookup{Hit: true}.Record(col)
+	Lookup{Evicted: 2}.Record(col)
+	Lookup{}.Record(col)
+	Lookup{Hit: true}.Record(nil)
+	if b := col.Snapshot("").Build; b.ArtifactHits != 1 || b.ArtifactMisses != 2 || b.ArtifactEvictions != 2 {
+		t.Errorf("hits=%d misses=%d evictions=%d, want 1/2/2", b.ArtifactHits, b.ArtifactMisses, b.ArtifactEvictions)
 	}
 }

@@ -170,9 +170,7 @@ func template(tool *engine.CompiledTool, prog *cfg.Program, pl engine.Placer, op
 	}
 	if cache != nil {
 		if tmpl, ok := cache.Template(key); ok {
-			if opts.Obs != nil {
-				opts.Obs.MutateBuild(func(b *obs.BuildStats) { b.ArtifactHits++ })
-			}
+			artifacts.Lookup{Hit: true}.Record(opts.Obs)
 			return tmpl, nil
 		}
 	}
@@ -180,13 +178,7 @@ func template(tool *engine.CompiledTool, prog *cfg.Program, pl engine.Placer, op
 	if err != nil || cache == nil {
 		return tmpl, err
 	}
-	evicted := cache.PutTemplate(key, tmpl)
-	if opts.Obs != nil {
-		opts.Obs.MutateBuild(func(b *obs.BuildStats) {
-			b.ArtifactMisses++
-			b.ArtifactEvictions += evicted
-		})
-	}
+	artifacts.Lookup{Evicted: cache.PutTemplate(key, tmpl)}.Record(opts.Obs)
 	return tmpl, nil
 }
 
@@ -334,8 +326,8 @@ func pinArgs(attrs []sem.DynAttr) ([]pin.Arg, error) {
 
 // pinRoutine lowers one rule onto an analysis routine. The rule's
 // mechanism tier gives the routine its inline surface; merged rules
-// carry one pin.Part per constituent so Pin registers and prices each
-// separately.
+// carry one pin.Part per constituent so Pin prices each separately and
+// the machine gives each its own attribution row.
 func pinRoutine(r *placement.Rule) (pinPlacement, error) {
 	a := r.Action
 	args, err := pinArgs(a.DynAttrs)
@@ -464,7 +456,8 @@ func (pl *dyninstPlacer) Modules() []*cfg.Module { return pl.prog.Modules[:1] }
 // dyninstSnippet lowers one rule onto a snippet call: dynamic attributes
 // become snippet argument expressions, the rule's mechanism tier gives
 // the call its inline surface, and merged rules carry one dyninst.Part
-// per constituent so the rewriter registers and prices each separately.
+// per constituent so the rewriter prices each separately and the
+// machine gives each its own attribution row.
 func dyninstSnippet(r *placement.Rule) (dyninst.Snippet, error) {
 	a := r.Action
 	args := make([]dyninst.Snippet, 0, len(a.DynAttrs))

@@ -407,7 +407,8 @@ type BinaryEdit struct {
 
 // OpenBinary parses the program's executable for rewriting; Run executes
 // the rewritten binary on a machine configured by c (c.OnMachine sees the
-// machine before the insertions are baked in). It fails, like real
+// machine before the insertions are baked in, and the machine registers
+// each trampoline's attribution rows on c.Obs). It fails, like real
 // Dyninst on several SPEC benchmarks, when control-flow recovery is
 // incomplete (unresolvable indirect jumps).
 func OpenBinary(prog *cfg.Program, c vm.Config) (*BinaryEdit, error) {
@@ -456,22 +457,33 @@ func (be *BinaryEdit) OnInit(fn func()) { be.initFns = append(be.initFns, fn) }
 // (instrumented _fini).
 func (be *BinaryEdit) OnFini(fn func()) { be.finiFns = append(be.finiFns, fn) }
 
-// probe builds the machine probe for one insertion of the snippet. A
-// bare FuncCallExpr gets one call with its inline surface and one
-// argument buffer, reused across firings (probes of one machine fire
-// sequentially); any other snippet is evaluated as a tree.
+// probe builds the machine probe for one insertion of the snippet: one
+// trampoline, priced and labelled for its attribution row. A bare
+// FuncCallExpr gets one call with its inline surface and one argument
+// buffer, reused across firings (probes of one machine fire
+// sequentially), and a merged one one share per part, each with its own
+// trampoline dispatch; any other snippet is evaluated as a tree.
 func probe(s Snippet) vm.Probe {
-	e, ok := s.(FuncCallExpr)
-	if !ok {
-		return vm.Probe{Fn: func(c *vm.Ctx) { s.eval(c) }}
-	}
-	args := make([]uint64, len(e.Args))
-	return vm.Probe{Fn: func(c *vm.Ctx) {
-		for n, a := range e.Args {
-			args[n] = a.eval(c)
+	pr := vm.Probe{Fn: func(c *vm.Ctx) { s.eval(c) }, Mechanism: obs.MechSnippet}
+	if e, ok := s.(FuncCallExpr); ok {
+		args := make([]uint64, len(e.Args))
+		pr.Fn = func(c *vm.Ctx) {
+			for n, a := range e.Args {
+				args[n] = a.eval(c)
+			}
+			e.Fn(args)
 		}
-		e.Fn(args)
-	}, Pure: e.Pure, Flush: e.CounterFlush}
+		pr.Pure, pr.Flush = e.Pure, e.CounterFlush
+		if len(e.Merged) > 0 {
+			pr.Shares = make([]vm.Share, len(e.Merged))
+			for i, part := range e.Merged {
+				pr.Shares[i] = vm.Share{Label: part.Label, Mechanism: obs.MechSnippet, Cost: SnippetCost + part.Cost}
+			}
+			return pr
+		}
+	}
+	pr.Cost, pr.Label, pr.Stride = SnippetCost+s.cost(), snippetLabel(s), snippetSample(s)
+	return pr
 }
 
 // snippetLabel extracts the report label of a snippet: the Label of the
@@ -511,50 +523,19 @@ func snippetSample(s Snippet) uint64 {
 // is paid at run time.
 func (be *BinaryEdit) Run() (*vm.Result, error) {
 	machine := vm.New(be.prog, be.machine)
-	col := be.machine.Obs
-	// register records one trampoline with the attached collector.
-	register := func(label, trigger string, addr, cost uint64) obs.ProbeID {
-		if col == nil {
-			return obs.NoProbe
-		}
-		col.MutateBuild(func(b *obs.BuildStats) { b.Snippets++ })
-		return col.RegisterProbe(obs.ProbeMeta{
-			Label:        label,
-			Trigger:      trigger,
-			Mechanism:    obs.MechSnippet,
-			Addr:         addr,
-			DispatchCost: cost,
-		})
-	}
 	for _, ins := range be.insertions {
-		s := ins.snippet
-		pr := probe(s)
 		var site vm.Site
-		var trigger string
 		switch {
 		case ins.point.isEdge:
-			site, trigger = vm.Site{When: vm.AtEdge, Addr: ins.point.edge[1], From: ins.point.edge[0]}, obs.TriggerEdge
+			site = vm.Site{When: vm.AtEdge, Addr: ins.point.edge[1], From: ins.point.edge[0]}
 		case ins.point.blockAddr != 0:
-			site, trigger = vm.Site{When: vm.AtBlockEntry, Addr: ins.point.blockAddr}, obs.TriggerBlockEntry
+			site = vm.Site{When: vm.AtBlockEntry, Addr: ins.point.blockAddr}
 		case ins.when == CallBefore:
-			site, trigger = vm.Site{When: vm.BeforeInst, Addr: ins.point.instAddr}, obs.TriggerBefore
+			site = vm.Site{When: vm.BeforeInst, Addr: ins.point.instAddr}
 		default:
-			site, trigger = vm.Site{When: vm.AfterInst, Addr: ins.point.instAddr}, obs.TriggerAfter
+			site = vm.Site{When: vm.AfterInst, Addr: ins.point.instAddr}
 		}
-		if e, ok := s.(FuncCallExpr); ok && len(e.Merged) > 0 {
-			// Coalesced call: one trampoline, one attribution row per
-			// constituent part.
-			pr.Shares = make([]vm.Share, len(e.Merged))
-			for i, part := range e.Merged {
-				pc := uint64(SnippetCost) + part.Cost
-				pr.Shares[i] = vm.Share{ID: register(part.Label, trigger, site.Addr, pc), Cost: pc}
-			}
-		} else {
-			pr.Cost = SnippetCost + s.cost()
-			pr.ID = register(snippetLabel(s), trigger, site.Addr, pr.Cost)
-			pr.Stride = snippetSample(s)
-		}
-		if err := machine.Add(site, pr); err != nil {
+		if err := machine.Add(site, probe(ins.snippet)); err != nil {
 			return nil, fmt.Errorf("dyninst: %w", err)
 		}
 	}

@@ -268,16 +268,6 @@ func (s *Scheduler) Submit(spec JobSpec) (*monitor.FleetSession, error) {
 	// provenance on /sessions). The session is not running yet, so
 	// mutating build stats here is race-free.
 	col := obs.New(obs.Options{TraceCap: s.cfg.TraceCap})
-	record := func(lk artifacts.Lookup) {
-		col.MutateBuild(func(b *obs.BuildStats) {
-			if lk.Hit {
-				b.ArtifactHits++
-			} else {
-				b.ArtifactMisses++
-			}
-			b.ArtifactEvictions += lk.Evicted
-		})
-	}
 	cache := s.artifacts
 	if cache == nil {
 		// Sharing disabled: a private per-task cache still lets restart
@@ -289,12 +279,12 @@ func (s *Scheduler) Submit(spec JobSpec) (*monitor.FleetSession, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: compile tool: %v", err)
 	}
-	record(lk)
+	lk.Record(col)
 	victim, lk, err := cache.Victim(spec.Victim, spec.Loop)
 	if err != nil {
 		return nil, err
 	}
-	record(lk)
+	lk.Record(col)
 	prog := victim.Prog
 
 	if spec.Budget != "" {

@@ -229,34 +229,17 @@ type Tool struct {
 	Glue uint64
 }
 
-// dispatchCost prices one dispatch of an action: clean-call or
-// inlined base, one ArgCost per payload word, the body cost, plus the
-// configured glue.
-func dispatchCost(a *placement.Action, glue uint64) uint64 {
-	base := uint64(CleanCallCost)
+// share prices and labels one dispatch of an action for its attribution
+// row: an inlined call for a simple handler, else a clean call, costing
+// the mechanism's base, one ArgCost per payload word, the body cost and
+// the configured glue.
+func share(a *placement.Action, glue uint64) vm.Share {
+	sh := vm.Share{Label: a.Label, Mechanism: obs.MechCleanCall, Cost: CleanCallCost}
 	if a.Simple {
-		base = InlinedCallCost
+		sh.Mechanism, sh.Cost = obs.MechInlinedCall, InlinedCallCost
 	}
-	return base + uint64(a.NumCaptured)*ArgCost + a.Cost + glue
-}
-
-func mechanism(a *placement.Action) string {
-	if a.Simple {
-		return obs.MechInlinedCall
-	}
-	return obs.MechCleanCall
-}
-
-func triggerName(t placement.Trigger) string {
-	switch t {
-	case placement.After:
-		return obs.TriggerAfter
-	case placement.BlockEntry:
-		return obs.TriggerBlockEntry
-	case placement.Edge:
-		return obs.TriggerEdge
-	}
-	return obs.TriggerBefore
+	sh.Cost += uint64(a.NumCaptured)*ArgCost + a.Cost + glue
+	return sh
 }
 
 // Run executes the program under Janus: the tool's static pass runs
@@ -289,37 +272,12 @@ func Run(prog *cfg.Program, tool *Tool, c vm.Config) (*vm.Result, error) {
 	}
 
 	machine := vm.New(prog, c)
-	// register records one applied placement with the attached collector
-	// (cold path: block-translation time only).
-	register := func(a *placement.Action, trigger string, addr, cost uint64) obs.ProbeID {
-		if c.Obs == nil {
-			return obs.NoProbe
-		}
-		c.Obs.MutateBuild(func(b *obs.BuildStats) {
-			if a.Simple {
-				b.InlinedCalls++
-			} else {
-				b.CleanCalls++
-			}
-		})
-		return c.Obs.RegisterProbe(obs.ProbeMeta{
-			Label:        a.Label,
-			Trigger:      trigger,
-			Mechanism:    mechanism(a),
-			Addr:         addr,
-			DispatchCost: cost,
-		})
-	}
 	// The dynamic instrumenter: translate one block at a time, decode the
 	// block's rewrite rules, insert clean calls. The per-block lookup is
 	// keyed by the block itself — module-qualified by construction — so
 	// a same-address shared-library block never picks up the
 	// executable's rules.
-	err := machine.SetTranslator(func(b *cfg.Block) {
-		machine.Charge(BlockTranslationCost)
-		if c.Obs != nil {
-			c.Obs.NoteTranslation(BlockTranslationCost)
-		}
+	err := machine.SetTranslator(BlockTranslationCost, func(b *cfg.Block) {
 		for _, r := range rs.ByBlock(b) {
 			var site vm.Site
 			switch r.Trigger {
@@ -332,9 +290,8 @@ func Run(prog *cfg.Program, tool *Tool, c vm.Config) (*vm.Result, error) {
 			case placement.Edge:
 				site = vm.Site{When: vm.AtEdge, Addr: r.Block.Start, From: r.From.Start}
 			}
-			addr := r.SiteAddr()
-			trig := triggerName(r.Trigger)
-			pr := vm.Probe{Fn: r.Action.CtxExec()}
+			sh := share(r.Action, tool.Glue)
+			pr := vm.Probe{Fn: r.Action.CtxExec(), Cost: sh.Cost, Label: sh.Label, Mechanism: sh.Mechanism}
 			pr.Pure, pr.Flush = r.Inline()
 			if parts := r.Merged; len(parts) > 0 {
 				// One merged probe, one attribution share per
@@ -342,12 +299,9 @@ func Run(prog *cfg.Program, tool *Tool, c vm.Config) (*vm.Result, error) {
 				// to separate installation.
 				pr.Shares = make([]vm.Share, len(parts))
 				for i, p := range parts {
-					pc := dispatchCost(p.Action, tool.Glue)
-					pr.Shares[i] = vm.Share{ID: register(p.Action, trig, addr, pc), Cost: pc}
+					pr.Shares[i] = share(p.Action, tool.Glue)
 				}
 			} else {
-				pr.Cost = dispatchCost(r.Action, tool.Glue)
-				pr.ID = register(r.Action, trig, addr, pr.Cost)
 				pr.Stride = r.Action.Sample
 			}
 			// Rules that cannot be applied are skipped, as the dynamic

@@ -21,10 +21,11 @@
 // VM keeps each probe's pending fires and skips itself and calls FireN
 // and SkipN only when it flushes, while still publishing one event per
 // firing; Fire is one firing's FireN and Event together. Registration
-// (RegisterProbe) happens on cold paths only: ahead of execution for
-// the static frameworks, at block-translation time for the dynamic
-// ones. When no Collector is attached the execution substrate runs no
-// attribution code at all.
+// (RegisterProbe) happens on cold paths only: the machine registers
+// each probe it installs — ahead of execution for the static
+// frameworks, at block-translation time for the dynamic ones. When no
+// Collector is attached the execution substrate runs no attribution
+// code at all.
 //
 // # Concurrency model
 //
@@ -50,9 +51,10 @@
 // # Cross-collector attribution
 //
 // ProbeIDs carry a per-collector generation tag (see ProbeID), so an ID
-// minted by one collector and fired on another — possible when parallel
-// harnesses juggle one collector per run cell — lands in the untracked
-// bucket instead of silently incrementing an unrelated probe's slot.
+// minted by one collector and fired on another through Fire, FireN or
+// SkipN — possible when parallel harnesses juggle one collector per run
+// cell — lands in the untracked bucket instead of silently incrementing
+// an unrelated probe's slot.
 package obs
 
 import (
@@ -157,7 +159,8 @@ type probeSlot struct {
 
 // BuildStats are instrumentation-time statistics: what each layer did to
 // set the run up, before and while code was translated. All fields are
-// cold-path counters, mutated through Collector.MutateBuild.
+// cold-path counters, mutated under the collector's lock (MutateBuild,
+// NoteTranslation, and RegisterProbe for the per-mechanism counts).
 type BuildStats struct {
 	// ActionsPlaced counts compiled actions the engine handed to the
 	// backend placer.
@@ -168,13 +171,13 @@ type BuildStats struct {
 	// RulesEmitted counts Janus rewrite rules produced by the static
 	// analyzer (0 on other backends).
 	RulesEmitted int `json:"rules_emitted,omitempty"`
-	// CleanCalls and InlinedCalls count dynamic-framework call
-	// insertions by dispatch mechanism (Pin analysis calls, Janus
-	// handlers).
+	// CleanCalls and InlinedCalls count registered probe rows of the
+	// dynamic frameworks by dispatch mechanism (Pin analysis calls,
+	// Janus handlers).
 	CleanCalls   int `json:"clean_calls,omitempty"`
 	InlinedCalls int `json:"inlined_calls,omitempty"`
-	// Snippets counts Dyninst snippet insertions — trampolines baked
-	// into the rewritten binary ahead of execution.
+	// Snippets counts registered Dyninst snippet rows — trampolines
+	// baked into the rewritten binary ahead of execution.
 	Snippets int `json:"snippets,omitempty"`
 	// BlocksTranslated counts just-in-time block translations, and
 	// TranslationCycles the cycle units they were charged (Pin traces,
@@ -248,11 +251,13 @@ func New(o Options) *Collector {
 	return c
 }
 
-// RegisterProbe records a placed probe and returns its tagged ID. Cold
-// path: frameworks call it when they insert instrumentation (ahead of
-// time for the static rewriter, at translation time for the dynamic
-// frameworks). Run goroutine only. Registration past MaxProbes returns
-// NoProbe: further firings are still counted, in the untracked bucket.
+// RegisterProbe records a placed probe, counts it in the build
+// statistics under its mechanism (CleanCalls, InlinedCalls or Snippets)
+// and returns its tagged ID. Cold path: the machine calls it as it
+// installs a probe (ahead of time for the static rewriter, at
+// translation time for the dynamic frameworks). Run goroutine only.
+// Registration past MaxProbes is counted but returns NoProbe: further
+// firings are still counted, in the untracked bucket.
 func (c *Collector) RegisterProbe(m ProbeMeta) ProbeID {
 	if c.gen == 0 {
 		// Zero-value Collector: mint the generation lazily.
@@ -260,6 +265,14 @@ func (c *Collector) RegisterProbe(m ProbeMeta) ProbeID {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	switch m.Mechanism {
+	case MechCleanCall:
+		c.build.CleanCalls++
+	case MechInlinedCall:
+		c.build.InlinedCalls++
+	case MechSnippet:
+		c.build.Snippets++
+	}
 	if len(c.metas) >= MaxProbes {
 		return NoProbe
 	}

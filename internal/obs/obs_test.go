@@ -55,6 +55,23 @@ func TestRegisterAndFire(t *testing.T) {
 	}
 }
 
+// TestRegisterProbeCountsMechanisms: every registered row counts in the
+// build statistics under its mechanism, and a row naming none counts
+// nowhere.
+func TestRegisterProbeCountsMechanisms(t *testing.T) {
+	c := New(Options{})
+	for _, m := range []string{MechCleanCall, MechInlinedCall, MechCleanCall, MechSnippet, "", MechInlinedCall, MechCleanCall} {
+		c.RegisterProbe(ProbeMeta{Mechanism: m})
+	}
+	s := c.Snapshot("")
+	if b := s.Build; b.CleanCalls != 3 || b.InlinedCalls != 2 || b.Snippets != 1 {
+		t.Errorf("clean=%d inlined=%d snippets=%d, want 3/2/1", b.CleanCalls, b.InlinedCalls, b.Snippets)
+	}
+	if len(s.Probes) != 7 {
+		t.Errorf("%d rows, want 7", len(s.Probes))
+	}
+}
+
 // TestCrossCollectorFireLandsUntracked is the regression test for the
 // silent misattribution window: a ProbeID minted by collector A, whose
 // index is also in range on collector B, must land in B's untracked

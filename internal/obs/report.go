@@ -36,9 +36,10 @@ type Stats struct {
 	// untracked bucket: every firing of the run is accounted here.
 	TotalFires  uint64 `json:"total_fires"`
 	ProbeCycles uint64 `json:"probe_cycles"`
-	// UntrackedFires/UntrackedCycles accumulate firings of probes that
-	// were installed without registration (e.g. by a native tool sharing
-	// the machine).
+	// UntrackedFires/UntrackedCycles accumulate firings that reached no
+	// registered row. The machine registers a row for every probe it
+	// installs, so only a probe registered past MaxProbes, or an ID
+	// minted by another collector, lands here.
 	UntrackedFires  uint64 `json:"untracked_fires,omitempty"`
 	UntrackedCycles uint64 `json:"untracked_cycles,omitempty"`
 	// TotalSkips and UntrackedSkips aggregate sampling-gate skips the

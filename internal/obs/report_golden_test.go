@@ -19,12 +19,10 @@ func goldenStats() *Stats {
 	m1b := c.RegisterProbe(ProbeMeta{Label: "before inst @7:3", Trigger: TriggerBefore, Mechanism: MechCleanCall, Addr: 0x140, DispatchCost: 31})
 	edge := c.RegisterProbe(ProbeMeta{Label: "edge @12:1", Trigger: TriggerEdge, Mechanism: MechInlinedCall, Addr: 0x200, DispatchCost: 9})
 	snip := c.RegisterProbe(ProbeMeta{Label: "block-entry @3:1", Trigger: TriggerBlockEntry, Mechanism: MechSnippet, Addr: 0x300, DispatchCost: 14})
+	// The mechanism counts come from the registrations above.
 	c.MutateBuild(func(b *BuildStats) {
 		b.ActionsPlaced = 3
 		b.StaticFiltered = 1
-		b.CleanCalls = 2
-		b.InlinedCalls = 1
-		b.Snippets = 1
 	})
 	c.NoteTranslation(120)
 	c.NoteTranslation(95)

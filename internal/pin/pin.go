@@ -183,11 +183,13 @@ func (r Routine) mechanism() string {
 	return obs.MechCleanCall
 }
 
-func (r Routine) dispatchCost() uint64 {
+// dispatchCost prices one dispatch of a body costing body cycle units
+// under the routine's mechanism.
+func (r Routine) dispatchCost(body uint64) uint64 {
 	if r.Inlinable {
-		return InlinedCallCost + r.Cost
+		return InlinedCallCost + body
 	}
-	return CleanCallCost + r.Cost
+	return CleanCallCost + body
 }
 
 // INS is an instruction handle passed to instruction-mode instrumentation
@@ -341,7 +343,6 @@ func (i IMG) RTNs() []RTN {
 type Pin struct {
 	prog *cfg.Program
 	vm   *vm.VM
-	obs  *obs.Collector
 
 	insCbs   []func(INS)
 	traceCbs []func(TRACE)
@@ -354,9 +355,11 @@ type Pin struct {
 
 // New creates a Pin session for the program, running it on a machine
 // configured by c (c.OnMachine sees the machine before any
-// instrumentation is installed).
+// instrumentation is installed). The machine registers each inserted
+// analysis call's attribution rows on c.Obs and charges each trace
+// translation.
 func New(prog *cfg.Program, c vm.Config) *Pin {
-	return &Pin{prog: prog, vm: vm.New(prog, c), obs: c.Obs}
+	return &Pin{prog: prog, vm: vm.New(prog, c)}
 }
 
 // VM exposes the underlying machine (for tools that need raw memory
@@ -412,29 +415,6 @@ func (p *Pin) materialize(c *vm.Ctx, args []Arg, buf []uint64) []uint64 {
 	return buf
 }
 
-// register records one inserted analysis call with the attached
-// collector (cold path: instrumentation time only) and returns the probe
-// ID the VM should attribute firings to.
-func (p *Pin) register(r Routine, trigger string, addr, cost uint64) obs.ProbeID {
-	if p.obs == nil {
-		return obs.NoProbe
-	}
-	p.obs.MutateBuild(func(b *obs.BuildStats) {
-		if r.Inlinable {
-			b.InlinedCalls++
-		} else {
-			b.CleanCalls++
-		}
-	})
-	return p.obs.RegisterProbe(obs.ProbeMeta{
-		Label:        r.Label,
-		Trigger:      trigger,
-		Mechanism:    r.mechanism(),
-		Addr:         addr,
-		DispatchCost: cost,
-	})
-}
-
 // analysisCall wraps one inserted analysis call: the argument buffer is
 // allocated once per insertion and reused across firings (probes of one
 // machine fire sequentially), so steady-state dispatch allocates nothing.
@@ -446,34 +426,18 @@ func (p *Pin) analysisCall(fn AnalysisFn, args []Arg) vm.ProbeFn {
 	}
 }
 
-// mergedShares registers each constituent of a merged routine and
-// returns the attribution shares for the one fused probe.
-func (p *Pin) mergedShares(r Routine, trigger string, addr uint64) []vm.Share {
-	base := uint64(CleanCallCost)
-	if r.Inlinable {
-		base = InlinedCallCost
-	}
-	shares := make([]vm.Share, len(r.Merged))
-	for i, part := range r.Merged {
-		pc := base + part.Cost
-		pr := Routine{Label: part.Label, Cost: part.Cost, Inlinable: r.Inlinable}
-		shares[i] = vm.Share{ID: p.register(pr, trigger, addr, pc), Cost: pc}
-	}
-	return shares
-}
-
 func (p *Pin) insertCall(inst *isa.Inst, point IPoint, r Routine, args []Arg) error {
 	switch point {
 	case IPointBefore:
-		return p.vm.Add(vm.Site{When: vm.BeforeInst, Addr: inst.Addr}, p.probe(r, args, obs.TriggerBefore, inst.Addr))
+		return p.vm.Add(vm.Site{When: vm.BeforeInst, Addr: inst.Addr}, p.probe(r, args))
 	case IPointAfter:
-		return p.vm.Add(vm.Site{When: vm.AfterInst, Addr: inst.Addr}, p.probe(r, args, obs.TriggerAfter, inst.Addr))
+		return p.vm.Add(vm.Site{When: vm.AfterInst, Addr: inst.Addr}, p.probe(r, args))
 	}
 	return fmt.Errorf("pin: invalid insertion point %d", point)
 }
 
 func (p *Pin) insertBlockCall(block *cfg.Block, r Routine, args []Arg) error {
-	return p.vm.Add(vm.Site{When: vm.AtBlockEntry, Addr: block.Start}, p.probe(r, args, obs.TriggerBlockEntry, block.Start))
+	return p.vm.Add(vm.Site{When: vm.AtBlockEntry, Addr: block.Start}, p.probe(r, args))
 }
 
 // InsertEdgeCall inserts an analysis call on the control-flow edge from
@@ -483,21 +447,26 @@ func (p *Pin) insertBlockCall(block *cfg.Block, r Routine, args []Arg) error {
 // An edge has no instruction for argument descriptors to read, so the
 // call takes none.
 func (p *Pin) InsertEdgeCall(from, to uint64, r Routine) error {
-	return p.vm.Add(vm.Site{When: vm.AtEdge, Addr: to, From: from}, p.probe(r, nil, obs.TriggerEdge, to))
+	return p.vm.Add(vm.Site{When: vm.AtEdge, Addr: to, From: from}, p.probe(r, nil))
 }
 
-// probe builds the machine probe for one insertion of the routine — one
-// analysis call, with the routine's inline surface — and registers it
-// with the attached collector — a merged routine once per part, as
-// attribution shares of one coalesced probe.
-func (p *Pin) probe(r Routine, args []Arg, trigger string, addr uint64) vm.Probe {
-	pr := vm.Probe{Fn: p.analysisCall(r.Fn, args), Pure: r.Pure, Flush: r.CounterFlush}
+// probe builds the machine probe for one insertion of the routine: one
+// analysis call, with the routine's inline surface, priced and labelled
+// for its attribution row — a merged routine with one share per part,
+// each priced on its own.
+func (p *Pin) probe(r Routine, args []Arg) vm.Probe {
+	pr := vm.Probe{
+		Fn: p.analysisCall(r.Fn, args), Label: r.Label, Mechanism: r.mechanism(),
+		Pure: r.Pure, Flush: r.CounterFlush,
+	}
 	if len(r.Merged) > 0 {
-		pr.Shares = p.mergedShares(r, trigger, addr)
+		pr.Shares = make([]vm.Share, len(r.Merged))
+		for i, part := range r.Merged {
+			pr.Shares[i] = vm.Share{Label: part.Label, Mechanism: pr.Mechanism, Cost: r.dispatchCost(part.Cost)}
+		}
 		return pr
 	}
-	pr.Cost = r.dispatchCost() + uint64(len(args))*ArgCost
-	pr.ID = p.register(r, trigger, addr, pr.Cost)
+	pr.Cost = r.dispatchCost(r.Cost) + uint64(len(args))*ArgCost
 	pr.Stride = r.Sample
 	return pr
 }
@@ -527,11 +496,7 @@ func (p *Pin) Run() (*vm.Result, error) {
 	// execution. Pin observes *every* executed block, shared libraries
 	// included, and pays the JIT translation cost whether or not a tool
 	// is attached.
-	err := p.vm.SetTranslator(func(b *cfg.Block) {
-		p.vm.Charge(TraceCost)
-		if p.obs != nil {
-			p.obs.NoteTranslation(TraceCost)
-		}
+	err := p.vm.SetTranslator(TraceCost, func(b *cfg.Block) {
 		for _, cb := range p.traceCbs {
 			cb(TRACE{pin: p, block: b})
 		}

@@ -40,9 +40,8 @@ func TestSamplingStrideExactness(t *testing.T) {
 		v := New(prog, Config{AppOut: &out, Obs: col, ExecMode: m.mode, NoInline: m.noInline})
 		// The loop-head add executes 10 times.
 		addr := instByOp(t, prog, isa.Add, 0).Addr
-		id := col.RegisterProbe(obs.ProbeMeta{Label: "sampled", Trigger: obs.TriggerBefore, DispatchCost: dispatchCost})
 		fires := uint64(0)
-		if err := v.Add(Site{When: BeforeInst, Addr: addr}, Probe{Cost: dispatchCost, ID: id, Stride: 3, Fn: func(c *Ctx) { fires++ }}); err != nil {
+		if err := v.Add(Site{When: BeforeInst, Addr: addr}, Probe{Cost: dispatchCost, Label: "sampled", Stride: 3, Fn: func(c *Ctx) { fires++ }}); err != nil {
 			t.Fatal(err)
 		}
 		res, err := v.Run()
@@ -99,9 +98,8 @@ func TestSampledCallAfter(t *testing.T) {
 		col := obs.New(obs.Options{})
 		v := New(prog, Config{Obs: col, ExecMode: m.mode, NoInline: m.noInline})
 		addr := instByOp(t, prog, isa.Call, 0).Addr
-		id := col.RegisterProbe(obs.ProbeMeta{Label: "after-call", Trigger: obs.TriggerAfter, DispatchCost: 30})
 		fires := uint64(0)
-		if err := v.Add(Site{When: AfterInst, Addr: addr}, Probe{Cost: 30, ID: id, Stride: 2, Fn: func(c *Ctx) {
+		if err := v.Add(Site{When: AfterInst, Addr: addr}, Probe{Cost: 30, Label: "after-call", Stride: 2, Fn: func(c *Ctx) {
 			fires++
 			if c.RetVal() != 7 {
 				t.Errorf("%s: retval = %d, want 7", m.name, c.RetVal())
@@ -160,11 +158,11 @@ func TestDisableSuppressesPendingCallAfter(t *testing.T) {
 			callAddr := instByOp(t, prog, isa.Call, 0).Addr
 			movAddr := instByOp(t, prog, isa.Mov, 0).Addr // inside mid: runs between push and fall-through
 			retAddr := instByOp(t, prog, isa.Return, 0).Addr
-			id := col.RegisterProbe(obs.ProbeMeta{Label: "after-call", Trigger: obs.TriggerAfter, DispatchCost: 30})
 			fires := uint64(0)
-			if err := v.Add(Site{When: AfterInst, Addr: callAddr}, Probe{Cost: 30, ID: id, Fn: func(c *Ctx) { fires++ }}); err != nil {
+			if err := v.Add(Site{When: AfterInst, Addr: callAddr}, Probe{Cost: 30, Label: "after-call", Fn: func(c *Ctx) { fires++ }}); err != nil {
 				t.Fatal(err)
 			}
+			id := v.AdaptiveProbes()[0].ID
 			if err := v.Add(Site{When: BeforeInst, Addr: movAddr}, Probe{Fn: func(c *Ctx) {
 				if !v.SetProbeEnabled(id, false) {
 					t.Errorf("%s: after-call probe not adaptive", m.name)
@@ -210,11 +208,11 @@ func TestMidRunEjectAndRearmInLoop(t *testing.T) {
 		v := New(prog, Config{AppOut: &out, Obs: col, ExecMode: m.mode, NoInline: m.noInline, Adaptive: true})
 		target := instByOp(t, prog, isa.Add, 0).Addr // loop head: 10 hits
 		ctl := instByOp(t, prog, isa.Add, 1).Addr    // same block, after target
-		id := col.RegisterProbe(obs.ProbeMeta{Label: "target", Trigger: obs.TriggerBefore, DispatchCost: 26})
 		fires := uint64(0)
-		if err := v.Add(Site{When: BeforeInst, Addr: target}, Probe{Cost: 26, ID: id, Fn: func(c *Ctx) { fires++ }}); err != nil {
+		if err := v.Add(Site{When: BeforeInst, Addr: target}, Probe{Cost: 26, Label: "target", Fn: func(c *Ctx) { fires++ }}); err != nil {
 			t.Fatal(err)
 		}
+		id := v.AdaptiveProbes()[0].ID
 		iter := 0
 		if err := v.Add(Site{When: BeforeInst, Addr: ctl}, Probe{Fn: func(c *Ctx) {
 			iter++
@@ -254,16 +252,16 @@ func TestAdaptiveProbesAndStrideControl(t *testing.T) {
 	col := obs.New(obs.Options{})
 	v := New(prog, Config{Obs: col})
 	addr := instByOp(t, prog, isa.Add, 0).Addr
-	id := col.RegisterProbe(obs.ProbeMeta{Label: "p", DispatchCost: 26})
 	fires := 0
-	if err := v.Add(Site{When: BeforeInst, Addr: addr}, Probe{Cost: 26, ID: id, Stride: 4, Fn: func(c *Ctx) { fires++ }}); err != nil {
+	if err := v.Add(Site{When: BeforeInst, Addr: addr}, Probe{Cost: 26, Label: "p", Stride: 4, Fn: func(c *Ctx) { fires++ }}); err != nil {
 		t.Fatal(err)
 	}
 	infos := v.AdaptiveProbes()
 	if len(infos) != 1 {
 		t.Fatalf("AdaptiveProbes = %d entries, want 1", len(infos))
 	}
-	if in := infos[0]; in.ID != id || in.Stride != 4 || in.BaseStride != 4 || !in.Enabled {
+	id := infos[0].ID
+	if in := infos[0]; in.ID.Index() != 1 || in.Stride != 4 || in.BaseStride != 4 || !in.Enabled {
 		t.Errorf("ProbeInfo = %+v", in)
 	}
 	if !v.SetProbeStride(id, 2) {

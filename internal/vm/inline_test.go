@@ -175,7 +175,7 @@ func TestInlineMidRunInvalidation(t *testing.T) {
 	nopBlk := blockOf(t, prog, nop.Addr)
 
 	setup := func(v *VM, fires map[string]int) {
-		err := v.SetTranslator(func(b *cfg.Block) {
+		err := v.SetTranslator(0, func(b *cfg.Block) {
 			fires["translate"]++
 			if b.Start != nopBlk.Start {
 				return
@@ -280,13 +280,10 @@ func TestInlineObsIdentical(t *testing.T) {
 		{"mixed", tierCallSrc, func(t *testing.T, prog *cfg.Program, v *VM, col *obs.Collector) {
 			add := instByOp(t, prog, isa.Add, 0)
 			store := instByOp(t, prog, isa.Store, 0)
-			cnt := col.RegisterProbe(obs.ProbeMeta{Label: "counter", Trigger: obs.TriggerBefore, Mechanism: obs.MechInlinedCall, Addr: add.Addr, DispatchCost: 3})
-			fst := col.RegisterProbe(obs.ProbeMeta{Label: "fast", Trigger: obs.TriggerAfter, Mechanism: obs.MechInlinedCall, Addr: store.Addr, DispatchCost: 2})
-			gen := col.RegisterProbe(obs.ProbeMeta{Label: "generic", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall, Addr: store.Addr, DispatchCost: 5})
 			fires := map[string]int{}
-			mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, counterProbe(fires, "cnt", 1, Probe{Cost: 3, ID: cnt}))
-			mustAdd(t, v, Site{When: AfterInst, Addr: store.Addr}, pureProbe(fires, "fast", Probe{Cost: 2, ID: fst}))
-			mustAdd(t, v, Site{When: BeforeInst, Addr: store.Addr}, Probe{Cost: 5, ID: gen, Fn: func(c *Ctx) {}})
+			mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, counterProbe(fires, "cnt", 1, Probe{Cost: 3, Label: "counter", Mechanism: obs.MechInlinedCall}))
+			mustAdd(t, v, Site{When: AfterInst, Addr: store.Addr}, pureProbe(fires, "fast", Probe{Cost: 2, Label: "fast", Mechanism: obs.MechInlinedCall}))
+			mustAdd(t, v, Site{When: BeforeInst, Addr: store.Addr}, Probe{Cost: 5, Label: "generic", Mechanism: obs.MechCleanCall, Fn: func(c *Ctx) {}})
 		}},
 		// A promoted counter fused into the mul's step and one at block
 		// entry, which the observed fire loop dispatches.
@@ -295,8 +292,7 @@ func TestInlineObsIdentical(t *testing.T) {
 			head := blockOf(t, prog, mul.Addr)
 			fires := map[string]int{}
 			for _, s := range []Site{{When: BeforeInst, Addr: mul.Addr}, {When: AtBlockEntry, Addr: head.Start}} {
-				id := col.RegisterProbe(obs.ProbeMeta{Label: fmt.Sprintf("counter %d", s.When), Addr: s.Addr, DispatchCost: 3})
-				mustAdd(t, v, s, counterProbe(fires, fmt.Sprint(s.When), 1, Probe{Cost: 3, ID: id}))
+				mustAdd(t, v, s, counterProbe(fires, fmt.Sprint(s.When), 1, Probe{Cost: 3, Label: fmt.Sprintf("counter %d", s.When)}))
 			}
 		}},
 		// The same two sites, each a coalesced counter of two shares.
@@ -306,8 +302,8 @@ func TestInlineObsIdentical(t *testing.T) {
 			fires := map[string]int{}
 			for _, s := range []Site{{When: BeforeInst, Addr: mul.Addr}, {When: AtBlockEntry, Addr: head.Start}} {
 				shares := []Share{
-					{ID: col.RegisterProbe(obs.ProbeMeta{Label: fmt.Sprintf("share a %d", s.When), Addr: s.Addr, DispatchCost: 2}), Cost: 2},
-					{ID: col.RegisterProbe(obs.ProbeMeta{Label: fmt.Sprintf("share b %d", s.When), Addr: s.Addr, DispatchCost: 5}), Cost: 5},
+					{Label: fmt.Sprintf("share a %d", s.When), Cost: 2},
+					{Label: fmt.Sprintf("share b %d", s.When), Cost: 5},
 				}
 				mustAdd(t, v, s, counterProbe(fires, fmt.Sprint(s.When), 2, Probe{Shares: shares}))
 			}

@@ -14,10 +14,11 @@ import (
 	"repro/internal/obs"
 )
 
-// TestObsAttribution installs tagged and untagged probes on the same VM
-// and checks that firings and cycle costs land on the right collector
-// slots: registered probes by ID, probes without an ID in the untracked
-// bucket, with totals reconciling against the extra cycles charged.
+// TestObsAttribution installs three probes on the same VM and checks
+// that firings and cycle costs land on the rows Add registered for them:
+// a probe installed with no label or mechanism still gets a row of its
+// own, so nothing reaches the untracked bucket, and the totals reconcile
+// against the extra cycles charged.
 func TestObsAttribution(t *testing.T) {
 	prog := build(t, sumSrc)
 	f := prog.FuncByName("main")
@@ -31,17 +32,13 @@ func TestObsAttribution(t *testing.T) {
 	}
 
 	col := obs.New(obs.Options{TraceCap: 3})
-	before := col.RegisterProbe(obs.ProbeMeta{Label: "test before", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall, Addr: addInst.Addr})
-	after := col.RegisterProbe(obs.ProbeMeta{Label: "test after", Trigger: obs.TriggerAfter, Mechanism: obs.MechInlinedCall, Addr: addInst.Addr})
-
 	v := New(prog, Config{Obs: col})
-	if err := v.Add(Site{When: BeforeInst, Addr: addInst.Addr}, Probe{Cost: 5, ID: before, Fn: func(c *Ctx) {}}); err != nil {
+	if err := v.Add(Site{When: BeforeInst, Addr: addInst.Addr}, Probe{Cost: 5, Label: "test before", Mechanism: obs.MechCleanCall, Fn: func(c *Ctx) {}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Add(Site{When: AfterInst, Addr: addInst.Addr}, Probe{Cost: 7, ID: after, Fn: func(c *Ctx) {}}); err != nil {
+	if err := v.Add(Site{When: AfterInst, Addr: addInst.Addr}, Probe{Cost: 7, Label: "test after", Mechanism: obs.MechInlinedCall, Fn: func(c *Ctx) {}}); err != nil {
 		t.Fatal(err)
 	}
-	// No ID: counted, but in the untracked bucket.
 	if err := v.Add(Site{When: BeforeInst, Addr: addInst.Addr}, Probe{Cost: 2, Fn: func(c *Ctx) {}}); err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +47,9 @@ func TestObsAttribution(t *testing.T) {
 	}
 
 	s := col.Snapshot("test")
+	if len(s.Probes) != 3 {
+		t.Fatalf("%d rows, want one per installed probe", len(s.Probes))
+	}
 	// The sum loop executes its add 10 times.
 	if got := s.FiresWhere(func(p obs.ProbeStats) bool { return p.Label == "test before" }); got != 10 {
 		t.Errorf("before fires = %d, want 10", got)
@@ -57,8 +57,11 @@ func TestObsAttribution(t *testing.T) {
 	if got := s.CyclesWhere(func(p obs.ProbeStats) bool { return p.Label == "test after" }); got != 70 {
 		t.Errorf("after cycles = %d, want 70", got)
 	}
-	if s.UntrackedFires != 10 || s.UntrackedCycles != 20 {
-		t.Errorf("untracked fires=%d cycles=%d, want 10/20", s.UntrackedFires, s.UntrackedCycles)
+	if row := s.Probes[2]; row.Label != "" || row.Fires != 10 || row.Cycles != 20 {
+		t.Errorf("unlabelled row %q: fires=%d cycles=%d, want 10/20", row.Label, row.Fires, row.Cycles)
+	}
+	if s.UntrackedFires != 0 || s.UntrackedCycles != 0 {
+		t.Errorf("untracked fires=%d cycles=%d, want 0/0", s.UntrackedFires, s.UntrackedCycles)
 	}
 	if s.TotalFires != 30 {
 		t.Errorf("total fires = %d, want 30", s.TotalFires)
@@ -123,24 +126,21 @@ func TestAttributionExactAtObservationPoints(t *testing.T) {
 				}
 				v := New(prog, cfg)
 				truth := map[string]int{}
-				reg := func(label string, cost uint64) obs.ProbeID {
-					return col.RegisterProbe(obs.ProbeMeta{Label: label, DispatchCost: cost})
-				}
 				// The generic probe fires after the mul, so at every
 				// observation point its count is the number of hits the
 				// sampled probe's gate saw before the mul.
-				mustAdd(t, v, Site{When: AfterInst, Addr: mul.Addr}, Probe{Cost: 5, ID: reg("generic", 5), Fn: func(c *Ctx) {
+				mustAdd(t, v, Site{When: AfterInst, Addr: mul.Addr}, Probe{Cost: 5, Label: "generic", Fn: func(c *Ctx) {
 					truth["generic"]++
 					if pt.stop && truth["generic"] == 7777 {
 						stop.Store(true)
 					}
 				}})
-				mustAdd(t, v, Site{When: BeforeInst, Addr: mul.Addr}, pureProbe(truth, "sampled", Probe{Cost: 4, ID: reg("sampled", 4), Stride: 3}))
+				mustAdd(t, v, Site{When: BeforeInst, Addr: mul.Addr}, pureProbe(truth, "sampled", Probe{Cost: 4, Label: "sampled", Stride: 3}))
 				add := instByOp(t, prog, isa.Add, 1)
-				mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, pureProbe(truth, "specialized", Probe{Cost: 2, ID: reg("specialized", 2)}))
+				mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, pureProbe(truth, "specialized", Probe{Cost: 2, Label: "specialized"}))
 				add = instByOp(t, prog, isa.Add, 2)
-				mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, counterProbe(truth, "counter", 1, Probe{Cost: 3, ID: reg("counter", 3)}))
-				shares := []Share{{ID: reg("share a", 2), Cost: 2}, {ID: reg("share b", 6), Cost: 6}}
+				mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, counterProbe(truth, "counter", 1, Probe{Cost: 3, Label: "counter"}))
+				shares := []Share{{Label: "share a", Cost: 2}, {Label: "share b", Cost: 6}}
 				mustAdd(t, v, Site{When: AtBlockEntry, Addr: head.Start}, counterProbe(truth, "coalesced", 1, Probe{Shares: shares}))
 
 				check := func(where string) {
@@ -364,7 +364,7 @@ func TestObsEnabledDispatchOverhead(t *testing.T) {
 			p := probe(observed)
 			if observed {
 				cfg.Obs = obs.New(obs.Options{})
-				p.ID = cfg.Obs.RegisterProbe(obs.ProbeMeta{Label: "gate", Trigger: obs.TriggerBefore, Mechanism: mech, Addr: addAddr, DispatchCost: 3})
+				p.Label, p.Mechanism = "gate", mech
 			}
 			v := New(prog, cfg)
 			if err := v.Add(Site{When: BeforeInst, Addr: addAddr}, p); err != nil {

@@ -2,14 +2,21 @@ package vm
 
 import "repro/internal/obs"
 
-// Share attributes one constituent placement of a coalesced probe: a
+// Share describes one constituent placement of a coalesced probe: a
 // merged probe fires once but reports one row per constituent, each
-// with its own dispatch cost, so the attribution table is row-for-row
-// identical to installing the constituents separately. The probe's
-// total cycle charge is the sum of its shares' costs.
+// with its own label, mechanism and dispatch cost, so the attribution
+// table is row-for-row identical to installing the constituents
+// separately. The probe's total cycle charge is the sum of its shares'
+// costs.
 type Share struct {
-	ID   obs.ProbeID
-	Cost uint64
+	Label, Mechanism string
+	Cost             uint64
+}
+
+// row is the registered attribution row of one share.
+type row struct {
+	id   obs.ProbeID
+	cost uint64
 }
 
 // tally is the VM-owned attribution record of one installed probe. On
@@ -30,8 +37,8 @@ type tally struct {
 	id     obs.ProbeID
 	cost   uint64
 	// shares, when non-empty, attribute each firing of this coalesced
-	// probe to its constituent placements (cost is their sum).
-	shares []Share
+	// probe to its constituent placements' rows (cost is their sum).
+	shares []row
 	// pc is the address each firing's trace event reports: the probe's
 	// site, or the fall-through for an after-probe.
 	pc uint64
@@ -122,7 +129,7 @@ func (t *tally) attribute(o *obs.Collector) {
 			o.FireN(t.id, n, t.cost)
 		} else {
 			for _, s := range t.shares {
-				o.FireN(s.ID, n, s.Cost)
+				o.FireN(s.id, n, s.cost)
 			}
 		}
 		t.fires = 0
@@ -141,6 +148,6 @@ func (t *tally) publish(o *obs.Collector) {
 		return
 	}
 	for _, s := range t.shares {
-		o.Event(s.ID, s.Cost, t.pc)
+		o.Event(s.id, s.cost, t.pc)
 	}
 }

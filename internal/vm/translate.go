@@ -362,13 +362,7 @@ func (v *VM) runTranslated() error {
 			}
 			if v.translator != nil && m.flags[off]&flagTranslated == 0 {
 				m.flags[off] |= flagTranslated
-				// The hook is an observation point (it may read tool
-				// state and installs probes): flush promoted counters.
-				if len(v.dirty) > 0 {
-					v.flushCounters()
-				}
-				v.ctx.block = blk
-				v.translator(blk)
+				v.runTranslator(blk)
 			}
 			// Flags and probe storage are (re)read after translation, as in
 			// the interpreter: a just-translated block may have installed

@@ -274,7 +274,7 @@ func TestMidRunCacheInvalidation(t *testing.T) {
 	nopBlk := blockOf(t, prog, nop.Addr)
 
 	setup := func(v *VM, fires map[string]int) {
-		err := v.SetTranslator(func(b *cfg.Block) {
+		err := v.SetTranslator(0, func(b *cfg.Block) {
 			fires["translate"]++
 			if b.Start != nopBlk.Start {
 				return

@@ -16,21 +16,23 @@
 //
 // A translator hook is invoked the first time each basic block is about to
 // execute; dynamic frameworks (Pin, Janus's DynamoRIO side) use it to
-// instrument code just in time, paying a per-block translation cost.
+// instrument code just in time, at a per-block translation cost the
+// machine charges and notes itself (SetTranslator).
 //
 // Probes are installed through one entry point, VM.Add, which takes the
-// trigger point (Site) and the probe's callback, price and options
-// (Probe). Every probe carries a dispatch cost in cycle units, charged
-// when it fires; this is how the frameworks' differing instrumentation
-// mechanisms (clean calls, inlined clean calls, trampoline snippets) are
-// priced. A probe has one callback on every tier; its installer may
-// vouch that the callback is pure (Probe.Pure) or additive (Probe.Flush),
-// which lets the action-inlining layer fuse it into translated blocks or
-// promote it to a counter.
+// trigger point (Site) and the probe's callback, price, report label,
+// mechanism and options (Probe). Every probe carries a dispatch cost in
+// cycle units, charged when it fires; this is how the frameworks'
+// differing instrumentation mechanisms (clean calls, inlined clean calls,
+// trampoline snippets) are priced. A probe has one callback on every
+// tier; its installer may vouch that the callback is pure (Probe.Pure)
+// or additive (Probe.Flush), which lets the action-inlining layer fuse it
+// into translated blocks or promote it to a counter.
 //
-// Probes may additionally be tagged with an observability ID
-// (Probe.ID): when a Collector is attached via Config.Obs, every
-// firing is attributed to its probe — count and cycles. A firing only
+// When a Collector is attached via Config.Obs, Add registers each
+// installed probe's attribution row (one per share of a coalesced
+// probe), so a framework only decides a probe's site and price, and
+// every firing is attributed to its row — count and cycles. A firing only
 // bumps the probe's attribution record (see tally); the records reach
 // the collector in batches at the machine's flush points, so a mid-run
 // snapshot lags by at most one flush period and the final one is
@@ -253,6 +255,7 @@ type VM struct {
 	obsC   *obs.Collector
 
 	translator           func(*cfg.Block)
+	translateCost        uint64 // charged per block translation
 	startHooks, endHooks []ProbeFn
 
 	curBlock     uint64
@@ -405,9 +408,10 @@ type Probe struct {
 	Fn ProbeFn
 	// Cost is charged on each firing (cycle units).
 	Cost uint64
-	// ID attributes firings on the collector attached via Config.Obs
-	// (obs.NoProbe = untracked).
-	ID obs.ProbeID
+	// Label and Mechanism describe the probe's attribution row on the
+	// collector attached via Config.Obs (see Add): its tool-level origin
+	// and the framework's dispatch mechanism (obs.MechCleanCall, ...).
+	Label, Mechanism string
 	// Pure vouches that Fn is pure with respect to the machine: it never
 	// installs probes, never reads Cycles(), and depends on no Ctx state
 	// beyond what the firing trigger defines (instruction, when). The
@@ -431,9 +435,9 @@ type Probe struct {
 	Stride uint64
 	// Shares, when non-empty, makes this one coalesced probe attributed
 	// across its constituent placements (see Share): its cost is the sum
-	// of the shares' costs and its ID the first share's, so Cost and ID
-	// are ignored. Coalesced probes have no control block: they cannot be
-	// sampled and cannot run on an adaptive machine.
+	// of the shares' costs and its rows the shares', so Cost, Label and
+	// Mechanism are ignored. Coalesced probes have no control block: they
+	// cannot be sampled and cannot run on an adaptive machine.
 	Shares []Share
 }
 
@@ -441,6 +445,13 @@ type Probe struct {
 // site names no instruction or block of the program, when an after-probe
 // would sit on a branch, return or halt, or when a coalesced probe is
 // sampled or installed on an adaptive machine.
+//
+// On a machine with a collector, an installed probe registers its
+// attribution row: trigger s.When, address s.Addr (the instruction for
+// an after-probe, the destination block for an edge), p's label and
+// mechanism, and p.Cost as the dispatch cost — or one such row per share,
+// in share order, for a coalesced probe. A refused probe registers
+// nothing.
 func (v *VM) Add(s Site, p Probe) error {
 	if len(p.Shares) > 0 {
 		if v.adaptive {
@@ -475,13 +486,14 @@ func (v *VM) Add(s Site, p Probe) error {
 		return fmt.Errorf("vm: no probe site at trigger %d (hook program start and end with OnStart/OnEnd)", s.When)
 	}
 	off := s.Addr - m.base
-	id, cost := p.ID, p.Cost
+	cost := p.Cost
 	if len(p.Shares) > 0 {
-		id, cost = p.Shares[0].ID, 0
+		cost = 0
 		for _, sh := range p.Shares {
 			cost += sh.Cost
 		}
 	}
+	id, rows := v.register(s, p)
 	np := probe{fn: p.Fn, cost: cost}
 	// Only the inlining layer reads Pure and Flush.
 	flush := p.Flush
@@ -491,7 +503,7 @@ func (v *VM) Add(s Site, p Probe) error {
 		flush = nil
 	}
 	if v.obsC != nil || flush != nil {
-		np.tal = &tally{id: id, cost: cost, shares: p.Shares, pc: s.Addr}
+		np.tal = &tally{id: id, cost: cost, shares: rows, pc: s.Addr}
 		if s.When == AfterInst {
 			// An after-probe fires at the fall-through.
 			np.tal.pc = m.insts[off].Next()
@@ -540,15 +552,63 @@ func (v *VM) Add(s Site, p Probe) error {
 	return nil
 }
 
+// register records the attribution rows of a probe Add accepted at s —
+// the probe's own, or its shares' in share order — and returns the ID
+// its tally and control block take (the first row's) with the rows of a
+// coalesced probe. A machine without a collector registers nothing.
+func (v *VM) register(s Site, p Probe) (obs.ProbeID, []row) {
+	if v.obsC == nil {
+		return obs.NoProbe, nil
+	}
+	meta := obs.ProbeMeta{Trigger: triggerNames[s.When], Addr: s.Addr}
+	if len(p.Shares) == 0 {
+		meta.Label, meta.Mechanism, meta.DispatchCost = p.Label, p.Mechanism, p.Cost
+		return v.obsC.RegisterProbe(meta), nil
+	}
+	rows := make([]row, len(p.Shares))
+	for i, sh := range p.Shares {
+		meta.Label, meta.Mechanism, meta.DispatchCost = sh.Label, sh.Mechanism, sh.Cost
+		rows[i] = row{id: v.obsC.RegisterProbe(meta), cost: sh.Cost}
+	}
+	return rows[0].id, rows
+}
+
+// triggerNames maps each probe site's trigger to its report name.
+var triggerNames = [...]string{
+	BeforeInst:   obs.TriggerBefore,
+	AfterInst:    obs.TriggerAfter,
+	AtBlockEntry: obs.TriggerBlockEntry,
+	AtEdge:       obs.TriggerEdge,
+}
+
 // SetTranslator installs the just-in-time translation hook, called once per
 // basic block immediately before its first execution. Dynamic frameworks
-// instrument blocks from this hook. Only one translator may be installed.
-func (v *VM) SetTranslator(fn func(*cfg.Block)) error {
+// instrument blocks from this hook. Each translation costs cost cycle
+// units: the machine charges them and notes the translation on its
+// collector before it runs the hook. Only one translator may be
+// installed.
+func (v *VM) SetTranslator(cost uint64, fn func(*cfg.Block)) error {
 	if v.translator != nil {
 		return fmt.Errorf("vm: translator already installed")
 	}
-	v.translator = fn
+	v.translator, v.translateCost = fn, cost
 	return nil
+}
+
+// runTranslator translates blk on its first entry: an observation point
+// (the hook may read tool state and installs probes), so promoted
+// counters flush; then the machine charges and notes the translation and
+// runs the hook with blk as the context's block.
+func (v *VM) runTranslator(blk *cfg.Block) {
+	if len(v.dirty) > 0 {
+		v.flushCounters()
+	}
+	v.cycles += v.translateCost
+	if v.obsC != nil {
+		v.obsC.NoteTranslation(v.translateCost)
+	}
+	v.ctx.block = blk
+	v.translator(blk)
 }
 
 // OnStart registers a hook run before the first instruction.
@@ -556,9 +616,6 @@ func (v *VM) OnStart(fn ProbeFn) { v.startHooks = append(v.startHooks, fn) }
 
 // OnEnd registers a hook run after the program halts.
 func (v *VM) OnEnd(fn ProbeFn) { v.endHooks = append(v.endHooks, fn) }
-
-// Charge adds instrumentation cost (in units) to the cycle counter.
-func (v *VM) Charge(units uint64) { v.cycles += units }
 
 // Cycles returns the cycle-unit count so far.
 func (v *VM) Cycles() uint64 { return v.cycles }
@@ -722,8 +779,7 @@ func (v *VM) runInterp() error {
 			}
 			if v.translator != nil && m.flags[off]&flagTranslated == 0 {
 				m.flags[off] |= flagTranslated
-				v.ctx.block = blk
-				v.translator(blk)
+				v.runTranslator(blk)
 			}
 			// Flags and probe storage are (re)read after translation: a
 			// just-translated block may have installed probes at this very

@@ -473,10 +473,10 @@ func TestTranslatorCalledOncePerBlock(t *testing.T) {
 	prog := build(t, sumSrc)
 	v := New(prog, Config{})
 	counts := map[uint64]int{}
-	if err := v.SetTranslator(func(b *cfg.Block) { counts[b.Start]++ }); err != nil {
+	if err := v.SetTranslator(0, func(b *cfg.Block) { counts[b.Start]++ }); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.SetTranslator(func(b *cfg.Block) {}); err == nil {
+	if err := v.SetTranslator(0, func(b *cfg.Block) {}); err == nil {
 		t.Error("second SetTranslator succeeded")
 	}
 	if _, err := v.Run(); err != nil {
@@ -497,7 +497,7 @@ func TestTranslatorCanInstrument(t *testing.T) {
 	prog := build(t, sumSrc)
 	v := New(prog, Config{})
 	execBlocks := 0
-	if err := v.SetTranslator(func(b *cfg.Block) {
+	if err := v.SetTranslator(0, func(b *cfg.Block) {
 		if err := v.Add(Site{When: AtBlockEntry, Addr: b.Start}, Probe{Fn: func(c *Ctx) { execBlocks++ }}); err != nil {
 			t.Error(err)
 		}
@@ -510,6 +510,44 @@ func TestTranslatorCanInstrument(t *testing.T) {
 	// Block executions: entry(1) + loop body(10) + exit(1) = 12.
 	if execBlocks != 12 {
 		t.Errorf("block executions = %d, want 12", execBlocks)
+	}
+}
+
+// TestTranslationPricedByMachine checks that the machine prices block
+// translation on both tiers: each block's first entry charges the
+// translator's cost once, before the hook runs, and notes it on the
+// collector.
+func TestTranslationPricedByMachine(t *testing.T) {
+	const cost = 400
+	bare, err := New(build(t, sumSrc), Config{}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []ExecMode{ExecTranslated, ExecInterpreted} {
+		col := obs.New(obs.Options{})
+		v := New(build(t, sumSrc), Config{Obs: col, ExecMode: mode})
+		blocks := uint64(0)
+		if err := v.SetTranslator(cost, func(b *cfg.Block) {
+			blocks++
+			if blocks == 1 && v.Cycles() != cost {
+				t.Errorf("%s: first hook sees %d cycles, want the charge %d already paid", mode, v.Cycles(), cost)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := v.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blocks != uint64(len(build(t, sumSrc).FuncByName("main").Blocks)) {
+			t.Errorf("%s: %d translations, want one per block", mode, blocks)
+		}
+		if got := res.Cycles - bare.Cycles; got != blocks*cost {
+			t.Errorf("%s: translation charged %d cycles, want %d", mode, got, blocks*cost)
+		}
+		if b := col.Snapshot("").Build; b.BlocksTranslated != int(blocks) || b.TranslationCycles != blocks*cost {
+			t.Errorf("%s: noted %d translations costing %d, want %d costing %d", mode, b.BlocksTranslated, b.TranslationCycles, blocks, blocks*cost)
+		}
 	}
 }
 
@@ -529,9 +567,9 @@ func TestStartEndHooks(t *testing.T) {
 
 // TestProbeRegistrationErrors drives the one installer through a table:
 // every site or probe Add cannot honour is rejected and leaves the run
-// untouched (no firing, no charge, no control block), and a coalesced
-// probe on each trigger reports one attribution row per share while
-// charging the shares' sum per firing.
+// untouched (no firing, no charge, no control block, no attribution
+// row), and a coalesced probe on each trigger reports one attribution
+// row per share while charging the shares' sum per firing.
 func TestProbeRegistrationErrors(t *testing.T) {
 	const src = `
 .module a.out
@@ -597,11 +635,9 @@ head:
 		if c.coalesced {
 			perFire = 0
 			for _, cost := range shareCosts {
-				p.Shares = append(p.Shares, Share{ID: col.RegisterProbe(obs.ProbeMeta{DispatchCost: cost}), Cost: cost})
+				p.Shares = append(p.Shares, Share{Cost: cost})
 				perFire += cost
 			}
-		} else {
-			p.ID = col.RegisterProbe(obs.ProbeMeta{DispatchCost: p.Cost})
 		}
 		if err := v.Add(c.site, p); (err != nil) != (c.fires == 0) {
 			t.Errorf("%s: Add error = %v, want rejection %v", c.name, err, c.fires == 0)
@@ -621,15 +657,70 @@ head:
 		if s.UntrackedFires != 0 {
 			t.Errorf("%s: %d untracked fires", c.name, s.UntrackedFires)
 		}
+		rows := 1
+		if c.coalesced {
+			rows = len(shareCosts)
+		}
+		if c.fires == 0 {
+			rows = 0
+		}
+		if len(s.Probes) != rows {
+			t.Errorf("%s: %d attribution rows, want %d", c.name, len(s.Probes), rows)
+		}
 		for i, row := range s.Probes {
-			want := uint64(0)
-			if c.coalesced {
-				want = c.fires
-			}
-			if row.Fires != want || row.Cycles != want*row.DispatchCost {
-				t.Errorf("%s: row %d = %d fires, %d cycles; want %d, %d", c.name, i, row.Fires, row.Cycles, want, want*row.DispatchCost)
+			if row.Fires != c.fires || row.Cycles != c.fires*row.DispatchCost {
+				t.Errorf("%s: row %d = %d fires, %d cycles; want %d, %d", c.name, i, row.Fires, row.Cycles, c.fires, c.fires*row.DispatchCost)
 			}
 		}
+	}
+}
+
+// TestAddRegistersRows checks the row Add registers on each trigger: the
+// trigger's report name, the site address (an after-probe's own
+// instruction, not its fall-through; an edge's destination block), the
+// label, the mechanism and the dispatch cost — and, for a coalesced
+// probe, one row per share in share order — and that every firing lands
+// on its row.
+func TestAddRegistersRows(t *testing.T) {
+	prog := build(t, sumSrc)
+	add := instByOp(t, prog, isa.Add, 0)
+	call := instByOp(t, prog, isa.Call, 0)
+	head := blockOf(t, prog, add.Addr).Start
+	col := obs.New(obs.Options{})
+	v := New(prog, Config{Obs: col})
+	nop := func(*Ctx) {}
+	mustAdd(t, v, Site{When: BeforeInst, Addr: add.Addr}, Probe{Fn: nop, Cost: 5, Label: "before", Mechanism: obs.MechCleanCall})
+	mustAdd(t, v, Site{When: AfterInst, Addr: call.Addr}, Probe{Fn: nop, Cost: 7, Label: "after", Mechanism: obs.MechInlinedCall})
+	mustAdd(t, v, Site{When: AtBlockEntry, Addr: head}, Probe{Fn: nop, Cost: 3, Label: "entry", Mechanism: obs.MechSnippet})
+	mustAdd(t, v, Site{When: AtEdge, Addr: head, From: head}, Probe{Fn: nop, Shares: []Share{
+		{Label: "share a", Mechanism: obs.MechCleanCall, Cost: 2},
+		{Label: "share b", Mechanism: obs.MechInlinedCall, Cost: 4},
+	}})
+	if _, err := v.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		meta  obs.ProbeMeta
+		fires uint64
+	}{
+		{obs.ProbeMeta{Label: "before", Trigger: obs.TriggerBefore, Mechanism: obs.MechCleanCall, Addr: add.Addr, DispatchCost: 5}, 10},
+		{obs.ProbeMeta{Label: "after", Trigger: obs.TriggerAfter, Mechanism: obs.MechInlinedCall, Addr: call.Addr, DispatchCost: 7}, 1},
+		{obs.ProbeMeta{Label: "entry", Trigger: obs.TriggerBlockEntry, Mechanism: obs.MechSnippet, Addr: head, DispatchCost: 3}, 10},
+		{obs.ProbeMeta{Label: "share a", Trigger: obs.TriggerEdge, Mechanism: obs.MechCleanCall, Addr: head, DispatchCost: 2}, 9},
+		{obs.ProbeMeta{Label: "share b", Trigger: obs.TriggerEdge, Mechanism: obs.MechInlinedCall, Addr: head, DispatchCost: 4}, 9},
+	}
+	s := col.Snapshot("")
+	if len(s.Probes) != len(want) {
+		t.Fatalf("%d rows, want %d", len(s.Probes), len(want))
+	}
+	for i, w := range want {
+		row := s.Probes[i]
+		if row.ProbeMeta != w.meta || row.Fires != w.fires {
+			t.Errorf("row %d = %+v with %d fires, want %+v with %d", i+1, row.ProbeMeta, row.Fires, w.meta, w.fires)
+		}
+	}
+	if s.UntrackedFires != 0 {
+		t.Errorf("%d untracked fires", s.UntrackedFires)
 	}
 }
 

@@ -18,7 +18,11 @@
 #              the generated CLI reference (docs/CLI.md must match the
 #              flag registry byte for byte), the doc-example compile
 #              gate (every fenced .cin block in the docs compiles),
-#              one -stats CLI smoke run, and the probe-dispatch perf
+#              a -stats-json -trace CLI smoke run of the use-after-free
+#              monitor on janus, dyninst and pin, whose report must hold
+#              a probe row and no untracked_fires key (it is omitted
+#              when zero: every firing reached a registered row), and
+#              the probe-dispatch perf
 #              gates (non-race; see internal/vm/obs_test.go and
 #              translate_test.go): the fire loop with no collector vs
 #              the pre-observability loop, and the enabled path (a
@@ -119,9 +123,24 @@ go test -run 'TestCLIDocCurrent|TestFlagTableComplete|TestDaemonFlagTableComplet
 echo "==> doc-example compile gate (fenced .cin blocks)"
 go test -run TestDocExamplesCompile -count=1 ./cinnamon/
 
-echo "==> observability smoke (-stats -trace)"
-go run ./cmd/cinnamon -backend=janus -target=victim:uaf_bug \
-	-stats -trace=8 @useafterfree >/dev/null 2>&1
+echo "==> observability smoke (-stats-json -trace: probe rows, no untracked firings)"
+for b in janus dyninst pin; do
+	report=$(go run ./cmd/cinnamon -backend="$b" -target=victim:uaf_bug \
+		-stats-json -trace=8 @useafterfree 2>/dev/null)
+	case $report in
+	*'"dispatch_cost"'*) ;;
+	*)
+		echo "$b: -stats-json report has no probe row"
+		exit 1
+		;;
+	esac
+	case $report in
+	*'"untracked_fires"'*)
+		echo "$b: -stats-json report counts untracked firings"
+		exit 1
+		;;
+	esac
+done
 
 echo "==> disabled-path dispatch perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestObsDisabledDispatchOverhead -count=1 ./internal/vm/
