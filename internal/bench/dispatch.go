@@ -62,7 +62,7 @@ const dispatchReps = 3
 // dispatchCases are the tools measured by Dispatch: the five Table I
 // use cases, the opcode-mix profiler — an action-heavy workload (four
 // per-instruction counter probes over disjoint opcode classes) that
-// exercises the translated tier's probe+op superinstructions — and
+// exercises the counters the translated block loop bumps in place — and
 // Figure 5b's per-block instruction count, the tool behind the paper's
 // Figure 13.
 var dispatchCases = func() []struct{ label, prog string } {

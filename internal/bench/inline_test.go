@@ -18,9 +18,10 @@ import (
 // inlining must beat the same tier with inlining disabled, which runs
 // each action's one compiled executor from a clean call. The gated
 // workload is opcodemix, four counter probes firing on every
-// instruction, whose firings the layer promotes to block-local counters
-// and fuses into the translated blocks: at least 1.5x (1.9x measured on
-// a 2-vCPU host). The lowering of action bodies, which the layer no longer
+// instruction, whose firings the layer promotes to counters bumped in
+// the translated block loop: at least 2.9x (a median of 3.3x measured on
+// a 2-vCPU host, against 2.6x when each bump ran from a fused closure).
+// The lowering of action bodies, which the layer no longer
 // switches, has its own gate (TestCaseStudyLoweringSpeedup in
 // internal/core/compile).
 //
@@ -40,7 +41,7 @@ func TestInlinedActionSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = 1.5
+	const want = 2.9
 	tool, err := compileTool(progs.OpcodeMix)
 	if err != nil {
 		t.Fatal(err)

@@ -270,9 +270,9 @@ var sessionFamilies = []struct {
 	{"cinnamon_build_actions_placed", "Compiled actions handed to the backend placer.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.ActionsPlaced) }},
 	{"cinnamon_build_static_filtered", "Placements skipped by static where-constraints.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.StaticFiltered) }},
 	{"cinnamon_build_rules_emitted", "Janus rewrite rules produced by the static analyzer.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.RulesEmitted) }},
-	{"cinnamon_build_clean_calls", "Clean-call insertions by the dynamic frameworks.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.CleanCalls) }},
-	{"cinnamon_build_inlined_calls", "Inlined-call insertions by the dynamic frameworks.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.InlinedCalls) }},
-	{"cinnamon_build_snippets", "Dyninst snippet insertions.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.Snippets) }},
+	{"cinnamon_build_clean_calls", "Clean-call attribution rows registered by the dynamic frameworks, one per share of a coalesced probe.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.CleanCalls) }},
+	{"cinnamon_build_inlined_calls", "Inlined-call attribution rows registered by the dynamic frameworks, one per share of a coalesced probe.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.InlinedCalls) }},
+	{"cinnamon_build_snippets", "Dyninst snippet attribution rows, one per share of a coalesced probe.", "gauge", func(s *sessScrape) uint64 { return uint64(s.snap.Build.Snippets) }},
 	{"cinnamon_translated_blocks_total", "Just-in-time block translations.", "counter", func(s *sessScrape) uint64 { return uint64(s.snap.Build.BlocksTranslated) }},
 	{"cinnamon_translation_cycles_total", "Cycle units charged to just-in-time block translation.", "counter", func(s *sessScrape) uint64 { return s.snap.Build.TranslationCycles }},
 	{"cinnamon_trace_dropped_total", "Trace-ring events overwritten by wraparound.", "counter", func(s *sessScrape) uint64 { return s.trDropped }},

@@ -8,7 +8,7 @@ package vm
 //
 //   - Sampling is a fire-time countdown on a control block shared by
 //     every representation of the probe (interpreter lists, translated
-//     fused thunks, pending call-after batches), so both tiers see the
+//     block programs, pending call-after batches), so both tiers see the
 //     identical hit sequence and make identical fire/skip decisions.
 //   - A skipped hit charges SampleGateCost and is attributed to the
 //     probe's obs slot as a skip, preserving the residual-zero

@@ -245,6 +245,38 @@ func TestMidRunEjectAndRearmInLoop(t *testing.T) {
 	}
 }
 
+// TestRearmLaterProbeOfSameList: a probe body that re-arms a later,
+// ejected probe of its own instruction's list sees it fire in the same
+// pass, as the interpreter reads the list live — on the translated tier
+// too, whose block program had dropped the ejected probe.
+func TestRearmLaterProbeOfSameList(t *testing.T) {
+	var counts [][2]int
+	for _, m := range adaptiveModes {
+		prog := build(t, sumSrc)
+		v := New(prog, Config{Obs: obs.New(obs.Options{}), ExecMode: m.mode, NoInline: m.noInline, Adaptive: true})
+		addr := instByOp(t, prog, isa.Add, 0).Addr // loop head: 10 hits
+		var n [2]int
+		var later obs.ProbeID
+		mustAdd(t, v, Site{When: BeforeInst, Addr: addr}, Probe{Label: "arm", Fn: func(c *Ctx) {
+			if n[0]++; n[0] == 4 {
+				v.SetProbeEnabled(later, true)
+			}
+		}})
+		mustAdd(t, v, Site{When: BeforeInst, Addr: addr}, Probe{Label: "later", Fn: func(c *Ctx) { n[1]++ }})
+		later = v.AdaptiveProbes()[1].ID
+		v.OnStart(func(*Ctx) { v.SetProbeEnabled(later, false) })
+		if _, err := v.Run(); err != nil {
+			t.Fatal(err)
+		}
+		counts = append(counts, n)
+	}
+	for i, n := range counts {
+		if n != [2]int{10, 7} {
+			t.Errorf("%s: fires = %v, want [10 7] (the later probe re-armed on hit 4)", adaptiveModes[i].name, n)
+		}
+	}
+}
+
 // TestAdaptiveProbesAndStrideControl covers the introspection and
 // control API: AdaptiveProbes listing, stride override and restore.
 func TestAdaptiveProbesAndStrideControl(t *testing.T) {

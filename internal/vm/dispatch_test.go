@@ -188,14 +188,30 @@ head:
   halt
 `
 
-// BenchmarkDispatch is the headline probe-free dispatch benchmark: the
-// same workloads under both execution tiers. "tight" is a three-
-// instruction loop body (worst case for block dispatch: boundary work
-// every three instructions); "hot" is a sixteen-instruction block.
+// BenchmarkDispatch is the headline dispatch benchmark: the same
+// workloads under both execution tiers. "tight" is a three-instruction
+// loop body (worst case for block dispatch: boundary work every three
+// instructions); "hot" is a sixteen-instruction block, probe-free;
+// "counted" is the hot block with a promoted counter (a Flush probe)
+// before each of its instructions, the shape of an opcode-mix tool.
 func BenchmarkDispatch(b *testing.B) {
-	for _, c := range []struct{ name, src string }{
-		{"tight", dispatchBenchSrc},
-		{"hot", hotBlockSrc},
+	var sink int64
+	counters := func(v *VM, prog *cfg.Program) {
+		for _, in := range prog.FuncByName("main").Blocks[1].Insts {
+			if err := v.Add(Site{When: BeforeInst, Addr: in.Addr}, Probe{
+				Cost: 1, Fn: func(*Ctx) { sink++ }, Flush: func(n int64) { sink += n },
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name, src string
+		setup     func(*VM, *cfg.Program)
+	}{
+		{"tight", dispatchBenchSrc, nil},
+		{"hot", hotBlockSrc, nil},
+		{"counted", hotBlockSrc, counters},
 	} {
 		prog := buildTB(b, c.src)
 		for _, mode := range []ExecMode{ExecTranslated, ExecInterpreted} {
@@ -203,6 +219,9 @@ func BenchmarkDispatch(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					v := New(prog, Config{ExecMode: mode})
+					if c.setup != nil {
+						c.setup(v, prog)
+					}
 					if _, err := v.Run(); err != nil {
 						b.Fatal(err)
 					}

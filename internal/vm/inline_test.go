@@ -1,8 +1,8 @@
 package vm
 
 // Differential tests for the translated tier's action-inlining layer:
-// specialized probe thunks, register-promoted counters and probe+op
-// superinstructions must be bit-identical — counts, cycles, output,
+// pure probes and register-promoted counters fired from the block loop
+// must be bit-identical — counts, cycles, output,
 // trap text, obs attribution, trace ring, fuel-exhaustion tail — to
 // both the no-inline translated tier and the reference interpreter.
 // They mirror translate_test.go's matrix with every probe pure or a
@@ -73,7 +73,8 @@ func pureProbe(fires map[string]int, key string, p Probe) Probe {
 // promoted counter and a generic body on the same instruction (mixed
 // list — the promoted count must flush before the generic body can
 // observe the cell), fully pure before+after lists on a store (the
-// superinstruction-fusable shape), a pending call-after (never fused),
+// before side fired in the block loop, the after side out of line with
+// the instruction), a pending call-after,
 // and pure block-entry and edge probes.
 func inlineProbes(t *testing.T, prog *cfg.Program) func(v *VM, fires map[string]int) {
 	add := instByOp(t, prog, isa.Add, 0)
@@ -162,9 +163,9 @@ func TestInlineFuelParity(t *testing.T) {
 
 // TestInlineMidRunInvalidation is TestMidRunCacheInvalidation with every
 // probe pure or a promoted counter: the translator hook of the nop block (first executed
-// halfway through the run) installs promoted counters and fast thunks
+// halfway through the run) installs promoted counters and pure probes
 // into the already-translated, currently-looping head block. The cached
-// block program — including its fused superinstructions — must be
+// block program — including the before-lists on its steps — must be
 // invalidated and rebuilt with the new probes, bit-identically to both
 // reference cells.
 func TestInlineMidRunInvalidation(t *testing.T) {

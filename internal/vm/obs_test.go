@@ -250,30 +250,16 @@ func TestObsDisabledDispatchOverhead(t *testing.T) {
 }
 
 // medianGate is the method of every dispatch-overhead gate: it times
-// single runs of the two sides, alternating them and swapping which
-// goes first, and compares the medians of 1 001 pairs. A run takes tens
-// to hundreds of microseconds, so host drift hits both sides alike,
-// and the median shrugs off the runs a GC cycle or a preemption lands
-// in. The gate accepts the first of three attempts whose ratio of
-// current to baseline is within limit.
+// single runs of the two sides with medianRuns and compares the medians
+// of 1 001 pairs. A run takes tens to hundreds of microseconds, so host
+// drift hits both sides alike, and the median shrugs off the runs a GC
+// cycle or a preemption lands in. The gate accepts the first of three
+// attempts whose ratio of current to baseline is within limit.
 func medianGate(t *testing.T, limit float64, what string, baseline, current func() time.Duration) {
 	t.Helper()
-	median := func(d []time.Duration) float64 {
-		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-		return float64(d[len(d)/2].Nanoseconds())
-	}
-	const pairs = 1001
 	var ratio float64
 	for attempt := 0; attempt < 3; attempt++ {
-		bs, cs := make([]time.Duration, pairs), make([]time.Duration, pairs)
-		for i := 0; i < pairs; i++ {
-			if i%2 == 0 {
-				bs[i], cs[i] = baseline(), current()
-			} else {
-				cs[i], bs[i] = current(), baseline()
-			}
-		}
-		base, cur := median(bs), median(cs)
+		base, cur := medianRuns(1001, baseline, current)
 		ratio = cur / base
 		t.Logf("attempt %d: baseline %.0f ns/run, current %.0f ns/run, ratio %.4f", attempt, base, cur, ratio)
 		if ratio <= limit {
@@ -281,6 +267,25 @@ func medianGate(t *testing.T, limit float64, what string, baseline, current func
 		}
 	}
 	t.Errorf("%s is %.2f%% slower than its baseline (limit %.0f%%)", what, (ratio-1)*100, (limit-1)*100)
+}
+
+// medianRuns times pairs single runs of each side, alternating them and
+// swapping which goes first, and returns the median ns per run of a and
+// of b.
+func medianRuns(pairs int, a, b func() time.Duration) (float64, float64) {
+	median := func(d []time.Duration) float64 {
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		return float64(d[len(d)/2].Nanoseconds())
+	}
+	as, bs := make([]time.Duration, pairs), make([]time.Duration, pairs)
+	for i := 0; i < pairs; i++ {
+		if i%2 == 0 {
+			as[i], bs[i] = a(), b()
+		} else {
+			bs[i], as[i] = b(), a()
+		}
+	}
+	return median(as), median(bs)
 }
 
 // hotLoopSrc is a 2000-iteration loop whose body is ~18 instructions

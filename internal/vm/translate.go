@@ -3,31 +3,42 @@ package vm
 // This file implements the VM's block-translation execution tier: the
 // same just-in-time strategy the binary frameworks it models use
 // (DynamoRIO fragments, Pin traces). On first entry to a basic block the
-// block is compiled into a cached blockProg — a pre-decoded straight-line
-// array of operation thunks with the block's instruction probe schedule
-// fused inline at its exact trigger points and the static cycle cost
-// pre-summed — and every subsequent entry runs the cached program.
-// modFor, flag loads, probe-table lookups and the fuel check move from
-// per-instruction to per-block frequency.
+// block is decoded into a cached blockProg — one step per instruction
+// holding its operation kind, register numbers and immediate and its
+// before-probes, with the static cycle cost pre-summed — and every
+// subsequent entry runs the cached program in one loop (runSteps). The
+// loop's switch executes the common operations inline, and the loop
+// fires each step's before-probes ahead of its operation: a lone
+// promoted counter is bumped in place, other pure probes fire as they
+// are, and generic ones see the machine state synchronized first.
+// Calls, returns, halt, division and operand shapes with no inline kind
+// run through the reference interpreter's exec, and instructions with
+// after-probes through its per-instruction body, out of line
+// (stepProbed). modFor, flag loads, probe-table lookups and the fuel
+// check move from per-instruction to per-block frequency.
 //
 // The tier is required to be bit-identical to the reference interpreter
 // (runInterp): cycle totals, Result fields, obs attribution, trace
 // events, trap text and print output. The conformance oracle treats any
 // tier divergence as illegal, so every accounting shortcut below is
 // paired with a mechanism that restores exactness at each observation
-// point (probe firings, traps, dispatcher entries):
+// point (generic probe firings, traps, dispatcher entries):
 //
 //   - batched cycle/instruction accounting is flushed from the pre-summed
-//     suffix-cost array before any probe fires, so a probe body reading
-//     Cycles() sees exactly the interpreter's value;
-//   - when the remaining fuel cannot cover a whole block, a precise
-//     per-step tail runs so an out-of-fuel trap reports the exact same
-//     instruction count and PC as the interpreter;
-//   - installing a probe into an already-translated block invalidates its
-//     cached program (translators install probes mid-run); a running
-//     program notices the invalidation at its next probe boundary,
-//     finishes the current instruction with interpreter semantics and
-//     exits to the dispatcher for retranslation.
+//     suffix-cost array before any generic probe fires, so a probe body
+//     reading Cycles() sees exactly the interpreter's value; pure probes
+//     never read it;
+//   - when the remaining fuel cannot cover the rest of the block, the
+//     loop stops at the fuel boundary and traps there, with the same
+//     instruction count and PC as the interpreter's per-instruction
+//     check;
+//   - an instruction with after-probes runs the interpreter's
+//     per-instruction body, reading the live lists; a probe installed
+//     into an already-translated block invalidates its cached program
+//     (translators install probes mid-run), and a running program
+//     notices the invalidation after the generic firing that caused it,
+//     finishes that instruction with interpreter semantics and exits to
+//     the dispatcher for retranslation.
 //
 // Pending call-after probes need draining only at dispatcher entries:
 // straight-line flow cannot reach a call's fall-through without executing
@@ -38,7 +49,6 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
-	"repro/internal/obj"
 )
 
 // ExecMode selects the VM execution tier.
@@ -63,30 +73,87 @@ func (m ExecMode) String() string {
 	return fmt.Sprintf("execmode?%d", uint8(m))
 }
 
-// stepRes is a thunk's control-flow outcome.
-type stepRes uint8
+// opKind is the decoded operation of a step: an inline kind the block
+// loop executes in its switch, or one of the out-of-line kinds.
+type opKind uint8
 
 const (
-	// stepNext falls through to the following step of the block program.
-	stepNext stepRes = iota
-	// stepJump exits the block program; v.pc holds the next address.
-	stepJump
+	// opExec runs the instruction through the reference interpreter's
+	// exec: division and remainder with their trap, and operand shapes
+	// with no inline kind.
+	opExec opKind = iota
+	// opExecExit is opExec for the control transfers with no inline
+	// kind — calls, returns and halt — after which the program exits.
+	opExecExit
+	// opProbed runs an instruction with after-probes out of line, with
+	// the interpreter's per-instruction body and live probe lists (see
+	// stepProbed).
+	opProbed
+
+	opNop
+	opMovR
+	opMovI
+	opLoad
+	opStore
+	// The eight inline ALU ops with a register right-hand operand, then
+	// in the same order with an immediate one.
+	opAddR
+	opSubR
+	opMulR
+	opAndR
+	opOrR
+	opXorR
+	opShlR
+	opShrR
+	opAddI
+	opSubI
+	opMulI
+	opAndI
+	opOrI
+	opXorI
+	opShlI
+	opShrI
+	opGetPtrR
+	opGetPtrI
+	// opBranch is a conditional branch, opJump a direct and opJumpR an
+	// indirect one. A branch ends its block, so a conditional branch not
+	// taken falls through to the program's endPC.
+	opBranch
+	opJump
+	opJumpR
 )
 
-// step is one pre-decoded instruction of a block program.
+// aluKinds maps each ALU opcode with inline kinds to its
+// register-operand kind.
+var aluKinds = [...]opKind{
+	isa.Add: opAddR, isa.Sub: opSubR, isa.Mul: opMulR, isa.And: opAndR,
+	isa.Or: opOrR, isa.Xor: opXorR, isa.Shl: opShlR, isa.Shr: opShrR,
+}
+
+// step is one decoded instruction of a block program.
 type step struct {
-	run  func(*VM) (stepRes, error)
+	op   opKind
+	cond isa.Cond
+	// d is the destination (or a store's source) register, a and b the
+	// source registers (a a memory operand's base); imm is the
+	// immediate, memory offset, getptr displacement (folded with an
+	// immediate index) or branch target.
+	d, a, b isa.Reg
+	// pure is set when every probe of before is pure: the loop then
+	// fires them without synchronizing the machine state.
+	pure bool
+	imm  uint64
 	in   *isa.Inst
-	cost uint64
-	// before/after are the instruction's probe lists fused at translation
-	// time. They are exactly the live lists as long as the program is
-	// valid: any install into the block invalidates it.
-	before, after []probe
-	isCall        bool
+	// before is the before-probe list of an instruction without
+	// after-probes, fired from the block loop ahead of the operation.
+	// It is exactly the live list as long as the program is valid: any
+	// install into the block invalidates it.
+	before []probe
 }
 
 // blockProg is a translated basic block: the unit of the code cache.
 type blockProg struct {
+	m     *modExec
 	steps []step
 	// sufCost[i] holds the summed instruction cost of steps[i:], so the
 	// cost of any executed run [i,k) is one subtraction.
@@ -94,24 +161,22 @@ type blockProg struct {
 	// endPC is the fall-through address past the last instruction.
 	endPC uint64
 	// valid is cleared when a probe is installed into the block; the
-	// running program checks it after every probe boundary.
+	// running program checks it after every generic probe firing.
 	valid bool
-	// probed is set if any step carries instruction probes; probe-free
-	// programs run a leaner loop with no per-step probe checks.
-	probed bool
 }
 
 // translate compiles the basic block starting at offset so of module m
 // into a blockProg and caches it. Callers must ensure m.blocks[so] != nil.
 //
-// When the inlining layer is on, probe lists whose members are all pure
-// are fused into the operation thunk as superinstructions
-// (see fuseBefore/fuseAfter): the step then runs fires and operation in
-// one indirect call, and a block whose every probe fuses drops its
-// probed bit entirely, running on the lean probe-free loop.
+// An instruction with after-probes becomes an opProbed step. Any other
+// keeps its decoded operation, with its live before-probes on its step:
+// the block loop fires them ahead of the operation, without
+// synchronizing the machine state when the inlining layer is on and
+// every one of them is pure.
 func (v *VM) translate(m *modExec, so uint64) *blockProg {
 	insts := m.blocks[so].Insts
 	bp := &blockProg{
+		m:       m,
 		steps:   make([]step, len(insts)),
 		sufCost: make([]uint64, len(insts)+1),
 		endPC:   insts[len(insts)-1].Next(),
@@ -120,55 +185,94 @@ func (v *VM) translate(m *modExec, so uint64) *blockProg {
 	for i, in := range insts {
 		st := &bp.steps[i]
 		st.in = in
-		st.cost = instCost(in.Op)
-		st.isCall = in.Op == isa.Call
-		st.run = compileStep(in)
+		decode(st, in)
 		off := in.Addr - m.base
-		if f := m.flags[off]; f&(flagBefore|flagAfter) != 0 {
-			p := m.probes[off]
-			if f&flagBefore != 0 {
-				st.before = liveProbes(p.before)
-			}
-			if f&flagAfter != 0 {
-				if st.isCall {
-					// Call after-fires resolve at the fall-through via the
-					// pending mechanism: push the live list, so a probe
-					// re-armed while the callee runs still fires there,
-					// exactly as in the interpreter (the fire-time gate
-					// suppresses disabled ones).
-					st.after = p.after
-				} else {
-					st.after = liveProbes(p.after)
-				}
+		f := m.flags[off]
+		if f&(flagBefore|flagAfter) == 0 {
+			continue
+		}
+		p := m.probes[off]
+		var before, after []probe
+		if f&flagBefore != 0 {
+			before = liveProbes(p.before)
+		}
+		if f&flagAfter != 0 {
+			if in.Op == isa.Call {
+				// Call after-fires resolve at the fall-through via the
+				// pending mechanism, which pushes the live list, so a
+				// probe re-armed while the callee runs still fires
+				// there, exactly as in the interpreter (the fire-time
+				// gate suppresses disabled ones).
+				after = p.after
+			} else {
+				after = liveProbes(p.after)
 			}
 		}
-		if v.inline {
-			if st.before != nil && allPure(st.before) {
-				st.run = fuseBefore(st.before, in, st.run)
-				st.before = nil
-			}
-			// After-fires fuse only when no generic before-probe remains
-			// on the step: a generic before-body may install an
-			// after-probe on its own instruction, which must fire on this
-			// very execution (finishStepSlow re-reads the live list), and
-			// a fused after list would miss it. Pure probes never
-			// install, so a fused or empty before side is safe. Call
-			// after-fires stay generic: they fire at the fall-through via
-			// the pending mechanism, not here.
-			if st.after != nil && st.before == nil && !st.isCall && allPure(st.after) {
-				st.run = fuseAfter(st.after, in, st.run)
-				st.after = nil
-			}
-		}
-		if st.before != nil || st.after != nil {
-			bp.probed = true
+		if after != nil {
+			st.op = opProbed
+		} else {
+			st.before, st.pure = before, v.inline && allPure(before)
 		}
 	}
 	for i := len(insts) - 1; i >= 0; i-- {
-		bp.sufCost[i] = bp.sufCost[i+1] + bp.steps[i].cost
+		bp.sufCost[i] = bp.sufCost[i+1] + instCost(insts[i].Op)
 	}
 	m.bprogs[so] = bp
 	return bp
+}
+
+// decode sets st's operation: an inline kind with its operands, or
+// opExec or opExecExit for an instruction that runs through exec.
+func decode(st *step, in *isa.Inst) {
+	st.op = opExec
+	ops := in.Ops
+	switch in.Op {
+	case isa.Nop:
+		st.op = opNop
+	case isa.Mov:
+		st.d = ops[0].Reg
+		switch ops[1].Kind {
+		case isa.KindReg:
+			st.op, st.a = opMovR, ops[1].Reg
+		case isa.KindImm:
+			st.op, st.imm = opMovI, uint64(ops[1].Imm)
+		}
+	case isa.Load, isa.Store:
+		st.op = opLoad
+		if in.Op == isa.Store {
+			st.op = opStore
+		}
+		st.d, st.a, st.imm = ops[0].Reg, ops[1].Base, uint64(ops[1].Off)
+	case isa.Add, isa.Sub, isa.Mul, isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr:
+		st.d, st.a = ops[0].Reg, ops[1].Reg
+		switch ops[2].Kind {
+		case isa.KindReg:
+			st.op, st.b = aluKinds[in.Op], ops[2].Reg
+		case isa.KindImm:
+			st.op, st.imm = aluKinds[in.Op]+(opAddI-opAddR), uint64(ops[2].Imm)
+		}
+	case isa.GetPtr:
+		st.d, st.a = ops[0].Reg, ops[1].Reg
+		disp := uint64(ops[3].Imm)
+		switch ops[2].Kind {
+		case isa.KindReg:
+			st.op, st.b, st.imm = opGetPtrR, ops[2].Reg, disp
+		case isa.KindImm:
+			st.op, st.imm = opGetPtrI, uint64(ops[2].Imm)+disp
+		}
+	case isa.Branch:
+		switch {
+		case in.Cond != isa.Always:
+			st.op, st.cond = opBranch, in.Cond
+			st.a, st.b, st.imm = ops[0].Reg, ops[1].Reg, uint64(ops[2].Imm)
+		case ops[0].Kind == isa.KindReg:
+			st.op, st.a = opJumpR, ops[0].Reg
+		default:
+			st.op, st.imm = opJump, uint64(ops[0].Imm)
+		}
+	case isa.Call, isa.Return, isa.Halt:
+		st.op = opExecExit
+	}
 }
 
 // allPure reports whether every probe of the list is pure (lists fuse
@@ -206,107 +310,10 @@ func liveProbes(ps []probe) []probe {
 	return ps
 }
 
-// fusedFire builds the specialized thunk for one pure probe firing,
-// with its trigger constants (instruction, when) pre-folded at
-// translation time. A promoted counter reduces to an accumulator bump,
-// on an observed machine too (see count); every other probe runs the
-// behaviour Add resolved for it (see resolve), as in fire.
-// The fire sets the ctx trigger fields but does not restore them:
-// every observation of ctx (a fire, a hook) re-establishes them first.
-// Adaptive probes get the sampling gate folded in front of the fire,
-// reading the shared control block live — the same decision sequence
-// the interpreter's fire loop makes.
-func fusedFire(p *probe, in *isa.Inst, when When) func(*VM) {
-	inner := fusedFireAlways(p, in, when)
-	if ct := p.ctl; ct != nil {
-		return func(v *VM) {
-			if ct.gate(v) {
-				inner(v)
-			}
-		}
-	}
-	return inner
-}
-
-// fusedFireAlways is the unconditional fire thunk fusedFire gates.
-func fusedFireAlways(p *probe, in *isa.Inst, when When) func(*VM) {
-	cost := p.cost
-	if p.fn == nil {
-		t := p.tal
-		return func(v *VM) {
-			v.cycles += cost
-			v.count(t)
-			if v.obsC.Listening() {
-				t.publish(v.obsC)
-			}
-		}
-	}
-	fn := p.fn
-	return func(v *VM) {
-		c := &v.ctx
-		c.inst, c.when = in, when
-		v.cycles += cost
-		fn(c)
-	}
-}
-
-// fuseBefore chains pure before-fires ahead of the operation thunk:
-// the probe+op superinstruction.
-func fuseBefore(ps []probe, in *isa.Inst, op func(*VM) (stepRes, error)) func(*VM) (stepRes, error) {
-	if len(ps) == 1 {
-		f := fusedFire(&ps[0], in, BeforeInst)
-		return func(v *VM) (stepRes, error) {
-			f(v)
-			return op(v)
-		}
-	}
-	fires := make([]func(*VM), len(ps))
-	for i := range ps {
-		fires[i] = fusedFire(&ps[i], in, BeforeInst)
-	}
-	return func(v *VM) (stepRes, error) {
-		for _, f := range fires {
-			f(v)
-		}
-		return op(v)
-	}
-}
-
-// fuseAfter chains pure after-fires behind the operation thunk: the
-// op+probe superinstruction. Fires run only when the operation succeeds
-// (an erroring step never reaches its after-probes) and before the
-// step-result branch, matching the generic order.
-func fuseAfter(ps []probe, in *isa.Inst, op func(*VM) (stepRes, error)) func(*VM) (stepRes, error) {
-	if len(ps) == 1 {
-		f := fusedFire(&ps[0], in, AfterInst)
-		return func(v *VM) (stepRes, error) {
-			res, err := op(v)
-			if err != nil {
-				return res, err
-			}
-			f(v)
-			return res, nil
-		}
-	}
-	fires := make([]func(*VM), len(ps))
-	for i := range ps {
-		fires[i] = fusedFire(&ps[i], in, AfterInst)
-	}
-	return func(v *VM) (stepRes, error) {
-		res, err := op(v)
-		if err != nil {
-			return res, err
-		}
-		for _, f := range fires {
-			f(v)
-		}
-		return res, nil
-	}
-}
-
 // invalidate drops the cached program of the block owning the
 // instruction at off. A currently-running copy notices the cleared valid
-// bit at its next probe boundary and exits for retranslation.
+// bit after the generic probe firing that installed, finishes that
+// instruction and exits for retranslation.
 func (m *modExec) invalidate(off uint64) {
 	if m.bprogs == nil {
 		return // interpreted tier: no code cache
@@ -406,39 +413,139 @@ func (v *VM) runTranslated() error {
 		if bp == nil || !bp.valid {
 			bp = v.translate(m, so)
 		}
-
-		var err error
-		switch {
-		case v.insts+uint64(len(bp.steps)-idx) > v.fuel:
-			err = v.runStepsPrecise(bp, idx)
-		case bp.probed:
-			err = v.runSteps(bp, idx)
-		default:
-			err = v.runStepsClean(bp, idx)
-		}
-		if err != nil {
+		if err := v.runSteps(bp, idx); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runStepsClean executes a probe-free block program: the hot path of
-// uninstrumented code, with no per-step probe checks at all.
-func (v *VM) runStepsClean(bp *blockProg, idx int) error {
+// runSteps executes the block program from step idx. On a probe-free
+// step the loop makes one test besides the switch, which runs the inline
+// kinds in place. Cycle and instruction accounting is batched: the steps
+// since the last flush are credited in one subtraction (flushAcc)
+// before a generic probe fires or an opProbed step runs, which does its
+// own, and at every exit.
+func (v *VM) runSteps(bp *blockProg, idx int) error {
 	steps := bp.steps
-	for k := idx; k < len(steps); k++ {
-		res, err := steps[k].run(v)
-		if err != nil {
-			v.flushAcc(bp, idx, k)
-			return err
+	// Stop at the fuel boundary: the interpreter traps before the
+	// instruction the fuel cannot cover. The dispatcher has checked
+	// that the fuel covers step idx.
+	end := len(steps)
+	if left := v.fuel - v.insts; uint64(end-idx) > left {
+		end = idx + int(left)
+	}
+	r := &v.regs
+	base := idx
+	for k := idx; k < end; k++ {
+		st := &steps[k]
+		if ps := st.before; ps != nil {
+			switch p := &ps[0]; {
+			case len(ps) == 1 && p.fn == nil:
+				// A lone promoted counter is bumped in place, as fire
+				// would: gate, charge, count and, when anyone listens,
+				// publish.
+				if p.ctl == nil || p.ctl.gate(v) {
+					v.cycles += p.cost
+					v.count(p.tal)
+					if v.obsC.Listening() {
+						p.tal.publish(v.obsC)
+					}
+				}
+			case st.pure:
+				v.fire(ps, st.in, BeforeInst)
+			default:
+				v.flushAcc(bp, base, k)
+				base = k
+				if exit, err := v.fireGeneric(bp, st); exit {
+					return err
+				}
+			}
 		}
-		if res == stepJump {
-			v.flushAcc(bp, idx, k+1)
+		switch st.op {
+		case opNop:
+		case opMovR:
+			r[st.d] = r[st.a]
+		case opMovI:
+			r[st.d] = st.imm
+		case opLoad:
+			r[st.d] = v.mem.Read64(r[st.a] + st.imm)
+		case opStore:
+			v.mem.Write64(r[st.a]+st.imm, r[st.d])
+		case opAddR:
+			r[st.d] = r[st.a] + r[st.b]
+		case opSubR:
+			r[st.d] = r[st.a] - r[st.b]
+		case opMulR:
+			r[st.d] = r[st.a] * r[st.b]
+		case opAndR:
+			r[st.d] = r[st.a] & r[st.b]
+		case opOrR:
+			r[st.d] = r[st.a] | r[st.b]
+		case opXorR:
+			r[st.d] = r[st.a] ^ r[st.b]
+		case opShlR:
+			r[st.d] = r[st.a] << (r[st.b] & 63)
+		case opShrR:
+			r[st.d] = r[st.a] >> (r[st.b] & 63)
+		case opAddI:
+			r[st.d] = r[st.a] + st.imm
+		case opSubI:
+			r[st.d] = r[st.a] - st.imm
+		case opMulI:
+			r[st.d] = r[st.a] * st.imm
+		case opAndI:
+			r[st.d] = r[st.a] & st.imm
+		case opOrI:
+			r[st.d] = r[st.a] | st.imm
+		case opXorI:
+			r[st.d] = r[st.a] ^ st.imm
+		case opShlI:
+			r[st.d] = r[st.a] << (st.imm & 63)
+		case opShrI:
+			r[st.d] = r[st.a] >> (st.imm & 63)
+		case opGetPtrR:
+			r[st.d] = r[st.a] + r[st.b] + st.imm
+		case opGetPtrI:
+			r[st.d] = r[st.a] + st.imm
+		case opBranch:
+			v.pc = bp.endPC
+			if st.cond.Holds(int64(r[st.a]), int64(r[st.b])) {
+				v.pc = st.imm
+			}
+			v.flushAcc(bp, base, k+1)
 			return nil
+		case opJump:
+			v.pc = st.imm
+			v.flushAcc(bp, base, k+1)
+			return nil
+		case opJumpR:
+			v.pc = r[st.a]
+			v.flushAcc(bp, base, k+1)
+			return nil
+		case opExec, opExecExit:
+			v.pc = st.in.Addr
+			if err := v.exec(st.in); err != nil {
+				v.flushAcc(bp, base, k)
+				return err
+			}
+			if st.op == opExecExit {
+				v.flushAcc(bp, base, k+1)
+				return nil
+			}
+		default:
+			v.flushAcc(bp, base, k)
+			base = k + 1
+			if exit, err := v.stepProbed(bp, st); exit {
+				return err
+			}
 		}
 	}
-	v.flushAcc(bp, idx, len(steps))
+	v.flushAcc(bp, base, end)
+	if end < len(steps) {
+		v.pc = steps[end].in.Addr
+		return v.trap("out of fuel after %d instructions", v.insts)
+	}
 	v.pc = bp.endPC
 	return nil
 }
@@ -450,356 +557,67 @@ func (v *VM) flushAcc(bp *blockProg, base, k int) {
 	v.insts += uint64(k - base)
 }
 
-// runSteps executes the block program from step idx with accounting
-// batched between probe boundaries. The caller has verified the fuel
-// covers every remaining step.
-func (v *VM) runSteps(bp *blockProg, idx int) error {
-	steps := bp.steps
-	base := idx
-	for k := idx; k < len(steps); k++ {
-		st := &steps[k]
-		if st.before != nil {
-			// Sync accounting and PC so the probe observes exactly the
-			// interpreter's state.
-			v.flushAcc(bp, base, k)
-			base = k
-			v.pc = st.in.Addr
-			v.fire(st.before, st.in, BeforeInst)
-			if !bp.valid {
-				return v.finishStepSlow(st)
-			}
-		}
-		depthBefore := v.depth
-		res, err := st.run(v)
-		if err != nil {
-			v.flushAcc(bp, base, k)
-			return err
-		}
-		if st.after != nil {
-			v.flushAcc(bp, base, k+1)
-			base = k + 1
-			if st.isCall {
-				// Call-after probes fire at the fall-through, once the
-				// callee has returned; the dispatcher drains them.
-				v.pending = append(v.pending, pendingAfter{
-					fall: st.in.Next(), depth: depthBefore,
-					probes: st.after, inst: st.in, block: v.ctx.block,
-				})
-				return nil
-			}
-			v.pc = st.in.Next()
-			v.fire(st.after, st.in, AfterInst)
-			if !bp.valid {
-				return nil
-			}
-		}
-		if res == stepJump {
-			v.flushAcc(bp, base, k+1)
-			return nil
-		}
+// fireGeneric fires the before-list of a step whose list is generic
+// from the block loop, with the machine state synchronized (the loop
+// has credited every step before it) and the list read live, as the
+// interpreter reads it: a probe body may re-arm a later probe of the
+// list. A body may also install into this very block; then the
+// instruction finishes out of line and exit is set, so the program
+// stops for retranslation.
+func (v *VM) fireGeneric(bp *blockProg, st *step) (exit bool, err error) {
+	in := st.in
+	v.pc = in.Addr
+	off := in.Addr - bp.m.base
+	flags := bp.m.flags[off]
+	v.fire(bp.m.probes[off].before, in, BeforeInst)
+	if bp.valid {
+		return false, nil
 	}
-	v.flushAcc(bp, base, len(steps))
-	v.pc = bp.endPC
-	return nil
+	return true, v.finish(bp.m, in, flags)
 }
 
-// runStepsPrecise is the exact tail used when the remaining fuel may not
-// cover the block: per-step fuel checks and accounting reproduce the
-// interpreter's out-of-fuel trap bit for bit.
-func (v *VM) runStepsPrecise(bp *blockProg, idx int) error {
-	steps := bp.steps
-	for k := idx; k < len(steps); k++ {
-		st := &steps[k]
-		if v.insts >= v.fuel {
-			v.pc = st.in.Addr
-			return v.trap("out of fuel after %d instructions", v.insts)
-		}
-		if st.before != nil {
-			v.pc = st.in.Addr
-			v.fire(st.before, st.in, BeforeInst)
-			if !bp.valid {
-				return v.finishStepSlow(st)
-			}
-		}
-		depthBefore := v.depth
-		res, err := st.run(v)
-		if err != nil {
-			return err
-		}
-		v.cycles += st.cost
-		v.insts++
-		if st.after != nil {
-			if st.isCall {
-				v.pending = append(v.pending, pendingAfter{
-					fall: st.in.Next(), depth: depthBefore,
-					probes: st.after, inst: st.in, block: v.ctx.block,
-				})
-				return nil
-			}
-			v.pc = st.in.Next()
-			v.fire(st.after, st.in, AfterInst)
-			if !bp.valid {
-				return nil
-			}
-		}
-		if res == stepJump {
-			return nil
-		}
+// stepProbed runs an opProbed step out of line with the interpreter's
+// per-instruction body, reading the live probe lists, and its own
+// accounting (the loop has credited every step before it). exit reports
+// that the program must stop here: an error, a control transfer, or an
+// invalidated program.
+func (v *VM) stepProbed(bp *blockProg, st *step) (exit bool, err error) {
+	in := st.in
+	v.pc = in.Addr
+	off := in.Addr - bp.m.base
+	flags := bp.m.flags[off]
+	if flags&flagBefore != 0 {
+		v.fire(bp.m.probes[off].before, in, BeforeInst)
 	}
-	v.pc = bp.endPC
-	return nil
+	if err := v.finish(bp.m, in, flags); err != nil {
+		return true, err
+	}
+	return in.Op.IsControlFlow() || !bp.valid, nil
 }
 
-// finishStepSlow completes one step whose block program was invalidated
-// by its own before-probe: the instruction runs with per-step accounting
-// and a fresh read of the after list (the interpreter re-reads the list
-// at fire time), then execution exits to the dispatcher to retranslate.
-func (v *VM) finishStepSlow(st *step) error {
+// finish completes an instruction out of line as the interpreter does
+// once its before-probes have fired: the operation through exec, its
+// own accounting, then the live after-list if the flags, read before
+// the before-probes fired, have after-probes. A call's after-probes are
+// pushed pending, to fire at its fall-through once the callee returns;
+// the dispatcher drains them.
+func (v *VM) finish(m *modExec, in *isa.Inst, flags uint8) error {
 	depthBefore := v.depth
-	res, err := st.run(v)
-	if err != nil {
+	if err := v.exec(in); err != nil {
 		return err
 	}
-	v.cycles += st.cost
+	v.cycles += instCost(in.Op)
 	v.insts++
-	if st.after != nil {
-		after := st.after
-		if m := v.modFor(st.in.Addr); m != nil {
-			if p := m.probes[st.in.Addr-m.base]; p != nil {
-				after = p.after
-			}
-		}
-		if st.isCall {
+	if flags&flagAfter != 0 {
+		after := m.probes[in.Addr-m.base].after
+		if in.Op == isa.Call {
 			v.pending = append(v.pending, pendingAfter{
-				fall: st.in.Next(), depth: depthBefore,
-				probes: after, inst: st.in, block: v.ctx.block,
+				fall: in.Next(), depth: depthBefore, probes: after,
+				inst: in, block: v.ctx.block,
 			})
-			return nil
-		}
-		v.pc = st.in.Next()
-		v.fire(after, st.in, AfterInst)
-	}
-	if res == stepNext {
-		v.pc = st.in.Next()
-	}
-	return nil
-}
-
-func stepNop(*VM) (stepRes, error) { return stepNext, nil }
-
-// compileStep translates one instruction into an operation thunk with
-// operands pre-resolved. Thunks replicate exec() exactly, including trap
-// PC fidelity: any thunk that can trap restores v.pc to the
-// instruction's address first, because the interpreter traps with the
-// current instruction's PC.
-func compileStep(in *isa.Inst) func(*VM) (stepRes, error) {
-	addr := in.Addr
-	next := in.Next()
-	switch in.Op {
-	case isa.Nop:
-		return stepNop
-	case isa.Mov:
-		d := in.Ops[0].Reg
-		switch in.Ops[1].Kind {
-		case isa.KindReg:
-			s := in.Ops[1].Reg
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[s]; return stepNext, nil }
-		case isa.KindImm:
-			c := uint64(in.Ops[1].Imm)
-			return func(v *VM) (stepRes, error) { v.regs[d] = c; return stepNext, nil }
-		}
-	case isa.Load:
-		d, b, o := in.Ops[0].Reg, in.Ops[1].Base, uint64(in.Ops[1].Off)
-		return func(v *VM) (stepRes, error) { v.regs[d] = v.mem.Read64(v.regs[b] + o); return stepNext, nil }
-	case isa.Store:
-		s, b, o := in.Ops[0].Reg, in.Ops[1].Base, uint64(in.Ops[1].Off)
-		return func(v *VM) (stepRes, error) { v.mem.Write64(v.regs[b]+o, v.regs[s]); return stepNext, nil }
-	case isa.Add, isa.Sub, isa.Mul, isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr:
-		if f := compileALU(in); f != nil {
-			return f
-		}
-	case isa.Div, isa.Rem:
-		if f := compileDivRem(in); f != nil {
-			return f
-		}
-	case isa.GetPtr:
-		d, b := in.Ops[0].Reg, in.Ops[1].Reg
-		disp := uint64(in.Ops[3].Imm)
-		switch in.Ops[2].Kind {
-		case isa.KindReg:
-			i := in.Ops[2].Reg
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[b] + v.regs[i] + disp; return stepNext, nil }
-		case isa.KindImm:
-			k := uint64(in.Ops[2].Imm) + disp
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[b] + k; return stepNext, nil }
-		}
-	case isa.Branch:
-		if in.Cond != isa.Always {
-			cond := in.Cond
-			r0, r1 := in.Ops[0].Reg, in.Ops[1].Reg
-			tgt := uint64(in.Ops[2].Imm)
-			return func(v *VM) (stepRes, error) {
-				if cond.Holds(int64(v.regs[r0]), int64(v.regs[r1])) {
-					v.pc = tgt
-				} else {
-					v.pc = next
-				}
-				return stepJump, nil
-			}
-		}
-		if in.Ops[0].Kind == isa.KindReg {
-			r := in.Ops[0].Reg
-			return func(v *VM) (stepRes, error) { v.pc = v.regs[r]; return stepJump, nil }
-		}
-		tgt := uint64(in.Ops[0].Imm)
-		return func(v *VM) (stepRes, error) { v.pc = tgt; return stepJump, nil }
-	case isa.Call:
-		if in.Ops[0].Kind == isa.KindReg {
-			r := in.Ops[0].Reg
-			return func(v *VM) (stepRes, error) { return v.stepCall(addr, next, v.regs[r]) }
-		}
-		tgt := uint64(in.Ops[0].Imm)
-		return func(v *VM) (stepRes, error) { return v.stepCall(addr, next, tgt) }
-	case isa.Return:
-		return func(v *VM) (stepRes, error) {
-			sp := v.regs[isa.SP]
-			v.pc = v.mem.Read64(sp)
-			v.regs[isa.SP] = sp + 8
-			if n := len(v.blockStack); n > 0 {
-				v.curBlock = v.blockStack[n-1].addr
-				v.ctx.block = v.blockStack[n-1].blk
-				v.blockStack = v.blockStack[:n-1]
-			} else {
-				v.curBlock = 0
-				v.ctx.block = nil
-			}
-			if v.depth > 0 {
-				v.depth--
-			}
-			return stepJump, nil
-		}
-	case isa.Halt:
-		return func(v *VM) (stepRes, error) {
-			v.pc = addr
-			v.halted = true
-			return stepJump, nil
-		}
-	}
-	// Fallback for operand shapes with no specialized thunk: run the
-	// instruction through the reference interpreter step, which sets
-	// v.pc itself (so the thunk always reports a jump).
-	return func(v *VM) (stepRes, error) {
-		v.pc = addr
-		if err := v.exec(in); err != nil {
-			return stepJump, err
-		}
-		return stepJump, nil
-	}
-}
-
-// stepCall is the shared body of call thunks: intrinsic dispatch, stack
-// push, depth accounting and edge suppression, as in exec().
-func (v *VM) stepCall(addr, next, target uint64) (stepRes, error) {
-	v.pc = addr
-	if obj.IsIntrinsic(target) {
-		if err := v.intrinsic(target); err != nil {
-			return stepJump, err
-		}
-		v.pc = next
-		return stepJump, nil
-	}
-	sp := v.regs[isa.SP] - 8
-	v.regs[isa.SP] = sp
-	v.mem.Write64(sp, next)
-	v.blockStack = append(v.blockStack, frameBlock{v.curBlock, v.ctx.block})
-	v.depth++
-	if v.depth > 100000 {
-		return stepJump, v.trap("call depth exceeded")
-	}
-	v.pc = target
-	v.suppressEdge = true
-	return stepJump, nil
-}
-
-// compileALU specializes the non-trapping ALU opcodes on the right-hand
-// operand kind; it returns nil for shapes the generic fallback handles.
-func compileALU(in *isa.Inst) func(*VM) (stepRes, error) {
-	d, a := in.Ops[0].Reg, in.Ops[1].Reg
-	switch in.Ops[2].Kind {
-	case isa.KindReg:
-		b := in.Ops[2].Reg
-		switch in.Op {
-		case isa.Add:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] + v.regs[b]; return stepNext, nil }
-		case isa.Sub:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] - v.regs[b]; return stepNext, nil }
-		case isa.Mul:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] * v.regs[b]; return stepNext, nil }
-		case isa.And:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] & v.regs[b]; return stepNext, nil }
-		case isa.Or:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] | v.regs[b]; return stepNext, nil }
-		case isa.Xor:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] ^ v.regs[b]; return stepNext, nil }
-		case isa.Shl:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] << (v.regs[b] & 63); return stepNext, nil }
-		case isa.Shr:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] >> (v.regs[b] & 63); return stepNext, nil }
-		}
-	case isa.KindImm:
-		c := uint64(in.Ops[2].Imm)
-		switch in.Op {
-		case isa.Add:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] + c; return stepNext, nil }
-		case isa.Sub:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] - c; return stepNext, nil }
-		case isa.Mul:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] * c; return stepNext, nil }
-		case isa.And:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] & c; return stepNext, nil }
-		case isa.Or:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] | c; return stepNext, nil }
-		case isa.Xor:
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] ^ c; return stepNext, nil }
-		case isa.Shl:
-			sh := c & 63
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] << sh; return stepNext, nil }
-		case isa.Shr:
-			sh := c & 63
-			return func(v *VM) (stepRes, error) { v.regs[d] = v.regs[a] >> sh; return stepNext, nil }
-		}
-	}
-	return nil
-}
-
-// compileDivRem specializes Div and Rem, which trap on a zero divisor
-// with the instruction's own PC, as the interpreter does.
-func compileDivRem(in *isa.Inst) func(*VM) (stepRes, error) {
-	addr := in.Addr
-	d, a := in.Ops[0].Reg, in.Ops[1].Reg
-	isRem := in.Op == isa.Rem
-	var divisor func(*VM) uint64
-	switch in.Ops[2].Kind {
-	case isa.KindReg:
-		r := in.Ops[2].Reg
-		divisor = func(v *VM) uint64 { return v.regs[r] }
-	case isa.KindImm:
-		c := uint64(in.Ops[2].Imm)
-		divisor = func(*VM) uint64 { return c }
-	default:
-		return nil
-	}
-	return func(v *VM) (stepRes, error) {
-		b := divisor(v)
-		if b == 0 {
-			v.pc = addr
-			return stepJump, v.trap("division by zero")
-		}
-		if isRem {
-			v.regs[d] = uint64(int64(v.regs[a]) % int64(b))
 		} else {
-			v.regs[d] = uint64(int64(v.regs[a]) / int64(b))
+			v.fire(after, in, AfterInst)
 		}
-		return stepNext, nil
 	}
+	return nil
 }

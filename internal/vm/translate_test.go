@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"testing"
+	"time"
 
 	"repro/internal/cfg"
 	"repro/internal/isa"
@@ -413,42 +414,34 @@ func TestCallAfterCtxBlock(t *testing.T) {
 
 // TestTranslatedDispatchSpeedup is the perf regression gate for the
 // block-translation tier: on the probe-free hot-block workload the
-// translated tier must beat the interpreter by at least 1.5x (measured
-// headroom is ~3x; the margin absorbs CI noise). Like the other perf
-// gates it only runs when CINNAMON_PERF_GATE is set.
+// translated tier must beat the interpreter by at least 3.7x (medians
+// of 4.07x measured on a 2-vCPU host, against 3.62x when each
+// instruction ran as its own closure). Each side
+// of a pair is one whole run, building its machine inside the timed op,
+// and the gate compares the medians of 1 001 alternating pairs
+// (medianRuns), accepting the first of three attempts that clears the
+// floor. Like the other perf gates it only runs when CINNAMON_PERF_GATE
+// is set.
 func TestTranslatedDispatchSpeedup(t *testing.T) {
 	if os.Getenv("CINNAMON_PERF_GATE") == "" {
 		t.Skip("set CINNAMON_PERF_GATE=1 to run the translation perf gate")
 	}
 	prog := buildTB(t, hotBlockSrc)
-	bench := func(mode ExecMode) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				v := New(prog, Config{ExecMode: mode})
-				if _, err := v.Run(); err != nil {
-					b.Fatal(err)
-				}
+	run := func(mode ExecMode) func() time.Duration {
+		return func() time.Duration {
+			start := time.Now()
+			if _, err := New(prog, Config{ExecMode: mode}).Run(); err != nil {
+				t.Fatal(err)
 			}
+			return time.Since(start)
 		}
 	}
-	measure := func(f func(*testing.B)) float64 {
-		best := 0.0
-		for i := 0; i < 5; i++ {
-			r := testing.Benchmark(f)
-			nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
-			if best == 0 || nsPerOp < best {
-				best = nsPerOp
-			}
-		}
-		return best
-	}
-	const want = 1.5
+	const want = 3.7
 	var speedup float64
 	for attempt := 0; attempt < 3; attempt++ {
-		interp := measure(bench(ExecInterpreted))
-		trans := measure(bench(ExecTranslated))
+		interp, trans := medianRuns(1001, run(ExecInterpreted), run(ExecTranslated))
 		speedup = interp / trans
-		t.Logf("attempt %d: interpreted %.0f ns/op, translated %.0f ns/op, speedup %.2fx",
+		t.Logf("attempt %d: interpreted %.0f ns/run, translated %.0f ns/run, speedup %.2fx",
 			attempt, interp, trans, speedup)
 		if speedup >= want {
 			return

@@ -26,8 +26,8 @@
 // differing instrumentation mechanisms (clean calls, inlined clean calls,
 // trampoline snippets) are priced. A probe has one callback on every
 // tier; its installer may vouch that the callback is pure (Probe.Pure)
-// or additive (Probe.Flush), which lets the action-inlining layer fuse it
-// into translated blocks or promote it to a counter.
+// or additive (Probe.Flush), which lets the action-inlining layer fire it
+// from the translated block loop as it is or promote it to a counter.
 //
 // When a Collector is attached via Config.Obs, Add registers each
 // installed probe's attribution row (one per share of a coalesced
@@ -90,8 +90,8 @@ type probe struct {
 	// promoted counter.
 	tal *tally
 	// pure marks a probe installed as Probe.Pure on an inlining
-	// machine, which block translation may fuse into the operation
-	// thunk.
+	// machine, which the block loop may fire without synchronizing the
+	// machine state.
 	pure bool
 }
 
@@ -189,11 +189,11 @@ type Config struct {
 	// Result fields, cycle totals, obs attribution, traps and output.
 	ExecMode ExecMode
 	// NoInline disables the translated tier's action-inlining layer
-	// (specialized probe thunks, promoted counters, probe+op
-	// superinstructions); an escape hatch for debugging and differential
-	// testing. Inlining never changes observables, only host speed, so
-	// the flag has no effect on results. Ignored on the interpreted tier,
-	// which never inlines.
+	// (promoted counters bumped in the block loop, pure probes fired
+	// there without synchronizing the machine state); an escape hatch
+	// for debugging and differential testing. Inlining never changes
+	// observables, only host speed, so the flag has no effect on
+	// results. Ignored on the interpreted tier, which never inlines.
 	NoInline bool
 	// Adaptive attaches a control block to every installed probe so all
 	// of them can be downsampled, disabled and re-armed mid-run (see
@@ -231,8 +231,8 @@ type VM struct {
 	lastM *modExec
 
 	mode ExecMode
-	// inline enables the action-inlining layer: specialized probe thunks
-	// and promoted counters (translated tier only, see Config.NoInline).
+	// inline enables the action-inlining layer: pure probes and promoted
+	// counters (translated tier only, see Config.NoInline).
 	// Fixed for the whole run.
 	inline bool
 	// dirty lists promoted counters with pending fires, in first-bump
@@ -416,8 +416,8 @@ type Probe struct {
 	// installs probes, never reads Cycles(), and depends on no Ctx state
 	// beyond what the firing trigger defines (instruction, when). The
 	// action-inlining layer (the translated tier unless Config.NoInline
-	// is set) may then fuse the probe into translated blocks, running Fn
-	// from a specialized thunk that skips fire-context bookkeeping.
+	// is set) may then fire it from the block loop without synchronizing
+	// the machine state first.
 	Pure bool
 	// Flush, when non-nil, vouches that n consecutive firings of Fn are
 	// equivalent, in every observable, to one Flush(n) call; it implies

@@ -808,69 +808,127 @@ func TestMemoryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickALUMatchesGo generates random straight-line ALU programs,
-// executes them on the VM, and checks every register against a direct Go
-// evaluation of the same operations.
+// TestQuickALUMatchesGo generates random straight-line programs over
+// every operation the translated tier decodes into an inline kind or
+// sends out of line — the eight ALU ops and div/rem (a zero divisor
+// traps) with a register or an immediate operand, mov and getptr in
+// both shapes, a store-then-load round trip — ending in a conditional
+// branch, and runs each on the translated tier, on the translated tier
+// with NoInline and on the interpreter. The three runs must agree on
+// registers, cycles, instruction count and error text, and the
+// translated run must match a direct Go evaluation of the same
+// operations.
 func TestQuickALUMatchesGo(t *testing.T) {
-	type op struct {
-		mnem   string
-		rd, rs int
-		imm    int64
-		useImm bool
-		rt     int
-	}
-	eval := func(regs *[8]uint64, o op) {
-		a := regs[o.rs]
-		b := regs[o.rt]
-		if o.useImm {
-			b = uint64(o.imm)
-		}
-		var r uint64
-		switch o.mnem {
+	mnems := []string{"add", "sub", "mul", "and", "or", "xor", "shl", "shr", "div", "rem", "mov", "getptr", "storeload"}
+	alu := func(mnem string, a, b uint64) uint64 {
+		switch mnem {
 		case "add":
-			r = a + b
+			return a + b
 		case "sub":
-			r = a - b
+			return a - b
 		case "mul":
-			r = a * b
+			return a * b
 		case "and":
-			r = a & b
+			return a & b
 		case "or":
-			r = a | b
+			return a | b
 		case "xor":
-			r = a ^ b
+			return a ^ b
 		case "shl":
-			r = a << (b & 63)
+			return a << (b & 63)
 		case "shr":
-			r = a >> (b & 63)
+			return a >> (b & 63)
+		case "div":
+			return uint64(int64(a) / int64(b))
+		case "rem":
+			return uint64(int64(a) % int64(b))
 		}
-		regs[o.rd] = r
+		panic(mnem)
 	}
-	mnems := []string{"add", "sub", "mul", "and", "or", "xor", "shl", "shr"}
+	type run struct {
+		regs          [8]uint64
+		cycles, insts uint64
+		err           string
+	}
+	exec := func(prog *cfg.Program, c Config) run {
+		v := New(prog, c)
+		var out run
+		if _, err := v.Run(); err != nil {
+			out.err = err.Error()
+		}
+		for i := range out.regs {
+			out.regs[i] = v.Reg(isa.Reg(8 + i))
+		}
+		out.cycles, out.insts = v.cycles, v.insts
+		return out
+	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		var ref [8]uint64
 		src := ".module q\n.executable\n.entry main\n.func main\n"
-		// Seed registers r8..r15 with known values.
+		// Seed registers r8..r15 with large, small (shift counts on
+		// either side of 64) and zero values.
 		for i := 0; i < 8; i++ {
 			v := r.Int63()
+			switch r.Intn(4) {
+			case 0:
+				v = int64(r.Intn(130))
+			case 1:
+				v = 0
+			}
 			ref[i] = uint64(v)
 			src += fmt.Sprintf("  mov r%d, %d\n", 8+i, v)
 		}
-		for k := 0; k < 20; k++ {
-			o := op{
-				mnem: mnems[r.Intn(len(mnems))],
-				rd:   r.Intn(8), rs: r.Intn(8), rt: r.Intn(8),
-				imm: int64(r.Intn(1000)), useImm: r.Intn(2) == 0,
+		insts := uint64(8)
+		trapped := false
+		for k := 0; k < 20 && !trapped; k++ {
+			mnem := mnems[r.Intn(len(mnems))]
+			rd, rs, rt := r.Intn(8), r.Intn(8), r.Intn(8)
+			imm := int64(r.Intn(1000) - 500)
+			if r.Intn(8) == 0 {
+				imm = 0
 			}
-			if o.useImm {
-				src += fmt.Sprintf("  %s r%d, r%d, %d\n", o.mnem, 8+o.rd, 8+o.rs, o.imm)
-			} else {
-				src += fmt.Sprintf("  %s r%d, r%d, r%d\n", o.mnem, 8+o.rd, 8+o.rs, 8+o.rt)
+			useImm := r.Intn(2) == 0
+			b := ref[rt]
+			operand := fmt.Sprintf("r%d", 8+rt)
+			if useImm {
+				b, operand = uint64(imm), fmt.Sprint(imm)
 			}
-			eval(&ref, o)
+			insts++
+			switch mnem {
+			case "mov":
+				src += fmt.Sprintf("  mov r%d, %s\n", 8+rd, operand)
+				ref[rd] = b
+			case "getptr":
+				disp := int64(r.Intn(64))
+				src += fmt.Sprintf("  getptr r%d, r%d, %s, %d\n", 8+rd, 8+rs, operand, disp)
+				ref[rd] = ref[rs] + b + uint64(disp)
+			case "storeload":
+				off := 8 * (1 + r.Intn(8))
+				src += fmt.Sprintf("  store r%d, [sp-%d]\n  load r%d, [sp-%d]\n", 8+rs, off, 8+rd, off)
+				ref[rd] = ref[rs]
+				insts++
+			default:
+				src += fmt.Sprintf("  %s r%d, r%d, %s\n", mnem, 8+rd, 8+rs, operand)
+				if (mnem == "div" || mnem == "rem") && b == 0 {
+					// The trap stops the run before the instruction
+					// counts.
+					trapped = true
+					insts--
+					continue
+				}
+				ref[rd] = alu(mnem, ref[rs], b)
+			}
 		}
-		src += "  halt\n"
+		cond := isa.Cond(1 + r.Intn(6))
+		src += fmt.Sprintf("  b%s r8, r9, taken\n  mov r15, 1\n  halt\ntaken:\n  mov r15, 2\n  halt\n", cond)
+		if !trapped {
+			ref[7] = 1
+			if cond.Holds(int64(ref[0]), int64(ref[1])) {
+				ref[7] = 2
+			}
+			insts += 3
+		}
 		m, err := asm.Assemble(src)
 		if err != nil {
 			t.Log(err)
@@ -886,16 +944,18 @@ func TestQuickALUMatchesGo(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		v := New(prog, Config{})
-		if _, err := v.Run(); err != nil {
-			t.Log(err)
+		got := exec(prog, Config{})
+		if noInline := exec(prog, Config{NoInline: true}); noInline != got {
+			t.Logf("seed %d: translated %+v, no-inline %+v", seed, got, noInline)
 			return false
 		}
-		for i := 0; i < 8; i++ {
-			if v.Reg(isa.Reg(8+i)) != ref[i] {
-				t.Logf("seed %d: r%d = %#x, want %#x", seed, 8+i, v.Reg(isa.Reg(8+i)), ref[i])
-				return false
-			}
+		if interp := exec(prog, Config{ExecMode: ExecInterpreted}); interp != got {
+			t.Logf("seed %d: translated %+v, interpreted %+v", seed, got, interp)
+			return false
+		}
+		if got.regs != ref || got.insts != insts || trapped != strings.HasSuffix(got.err, "division by zero") {
+			t.Logf("seed %d: translated %+v, want registers %#x, %d instructions, trap %v", seed, got, ref, insts, trapped)
+			return false
 		}
 		return true
 	}

@@ -13,7 +13,9 @@
 #              this also exercises the parallel harness for races)
 #   bench      one smoke iteration of every table/figure benchmark at a
 #              reduced workload scale, plus one iteration of every
-#              go-test benchmark in the tree (bench-rot guard)
+#              go-test benchmark in the tree (bench-rot guard; the VM's
+#              BenchmarkDispatch includes a promoted counter on every
+#              hot instruction, so it runs the in-loop counter bump)
 #   docs       package-doc + documentation-suite gate (scripts/pkgdoc),
 #              the generated CLI reference (docs/CLI.md must match the
 #              flag registry byte for byte), the doc-example compile
@@ -30,11 +32,13 @@
 #              promoted counter, vs the same run without a collector),
 #              all timed as alternating single runs compared by median;
 #              the translated VM tier vs the interpreter on the
-#              probe-free hot-block workload, the action-inlining layer
-#              vs the inline-ablated translated tier on opcodemix
-#              (>=1.5x; promoted counters plus fusion, timed as
-#              alternating whole sessions compared by median;
-#              internal/bench/inline_test.go), and the lowering of
+#              probe-free hot-block workload (>=3.7x; decoded operations
+#              run in one switch loop, timed the same way), the
+#              action-inlining layer vs the inline-ablated translated
+#              tier on opcodemix (>=2.9x; promoted counters bumped in
+#              the block loop, timed as alternating whole sessions
+#              compared by median; internal/bench/inline_test.go), and
+#              the lowering of
 #              action bodies: case-study actions fired directly, compiled
 #              vs the interpreter, loopcoverage (>=12x; register locals,
 #              int64 dict maps, native counted loop and fused dict
