@@ -28,8 +28,8 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment: table1, fig12, fig13, pintools, attribution, dispatch, governor, fleet, all")
 	scale := flag.Float64("scale", 1.0, "workload scale (1.0 = paper-equivalent test input)")
-	benchmark := flag.String("benchmark", "leela", "benchmark for -exp=attribution and -exp=dispatch")
-	jsonOut := flag.Bool("json", false, "also write machine-readable results (BENCH_attribution.json, BENCH_dispatch.json) next to the table output")
+	benchmark := flag.String("benchmark", "leela", "benchmark for -exp=attribution, -exp=dispatch and -exp=governor")
+	jsonOut := flag.Bool("json", false, "also write machine-readable results (BENCH_attribution.json, BENCH_dispatch.json, BENCH_governor.json, BENCH_fleet.json) next to the table output")
 	sessions := flag.Int("sessions", 48, "session count for -exp=fleet")
 	workers := flag.Int("workers", 32, "worker pool size for -exp=fleet")
 	loop := flag.Int("loop", 20000, "victim loop count per session for -exp=fleet")

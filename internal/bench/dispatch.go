@@ -34,7 +34,8 @@ type DispatchRow struct {
 	// across tiers for the same cell).
 	Cycles uint64 `json:"cycles"`
 	Insts  uint64 `json:"insts"`
-	// WallNs is the best-of-three wall time of the run.
+	// WallNs is the median wall time of the cell's round-robin
+	// repetitions (see timeRoundRobin).
 	WallNs int64 `json:"wall_ns"`
 	// NsPerInst is WallNs per executed application instruction.
 	NsPerInst float64 `json:"ns_per_inst"`
@@ -55,9 +56,8 @@ type DispatchRow struct {
 	AllocsPerFire float64 `json:"allocs_per_fire"`
 }
 
-// dispatchReps is the per-cell repetition count; the fastest run is
-// reported, the standard defense against scheduler noise.
-const dispatchReps = 3
+// dispatchReps is how many round-robin repetitions time each cell.
+const dispatchReps = 15
 
 // dispatchCases are the tools measured by Dispatch: the five Table I
 // use cases, the opcode-mix profiler — an action-heavy workload (four
@@ -79,8 +79,8 @@ var dispatchCases = func() []struct{ label, prog string } {
 // baseline (the headline block-translation case: no probes, pure
 // dispatch) and the five Table I use cases under the Janus backend
 // (executable-only, supports every trigger kind including loops). Cells
-// run serially — this is a wall-clock measurement, so nothing else may
-// share the machine with it.
+// run serially, round-robin (timeRoundRobin) — this is a wall-clock
+// measurement, so nothing else may share the machine with it.
 func Dispatch(benchmark string, scale float64) ([]DispatchRow, error) {
 	spec, ok := workload.ByName(benchmark)
 	if !ok {
@@ -93,49 +93,70 @@ func Dispatch(benchmark string, scale float64) ([]DispatchRow, error) {
 	// The interpreted tier is the translate ablation.
 	tiers := []backend.Ablation{0, backend.AblateTranslate}
 
+	// Each row times its own cell; a translated tool row also reads the
+	// cell of the same session with a collector attached, as every
+	// monitored session runs.
 	var rows []DispatchRow
+	var cells, observed []*timedRun
+	var all []*timedRun
+	add := func(label string, tier backend.Ablation, run func() (*vm.Result, error)) *timedRun {
+		c := &timedRun{label: fmt.Sprintf("%s (%s)", label, tier.ExecMode()), run: run}
+		all = append(all, c)
+		return c
+	}
 	for _, tier := range tiers {
-		row, _, err := timeCell("baseline (no tool)", tier, func() (*vm.Result, error) {
+		rows = append(rows, DispatchRow{UseCase: "baseline (no tool)", Mode: tier.ExecMode().String()})
+		cells = append(cells, add("baseline (no tool)", tier, func() (*vm.Result, error) {
 			return vm.New(prog, vm.Config{ExecMode: tier.ExecMode()}).Run()
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+		}))
+		observed = append(observed, nil)
 	}
 	for _, c := range dispatchCases {
 		tool, err := compileTool(c.prog)
 		if err != nil {
 			return nil, err
 		}
-		// The translated tier once more with a collector attached. Firing
-		// counts, like the cycle counters, are deterministic and identical
-		// across tiers, so the last observed run's total serves every row
-		// of the cell.
-		var col *obs.Collector
-		observed, _, err := timeCell(c.label, 0, func() (*vm.Result, error) {
-			col = obs.New(obs.Options{})
-			return runToolCell(tool, prog, 0, col)
-		})
-		if err != nil {
-			return nil, err
+		// Firing counts, like the cycle counters, are deterministic and
+		// identical across tiers and repetitions: one observed run
+		// counts them for every row of the case.
+		col := obs.New(obs.Options{})
+		if _, err := runToolCell(tool, prog, 0, col); err != nil {
+			return nil, fmt.Errorf("bench: %s: %w", c.label, err)
 		}
 		fires := col.Snapshot(backend.Janus).FiresWhere(func(obs.ProbeStats) bool { return true })
+		obsCell := add(c.label+" observed", 0, func() (*vm.Result, error) {
+			return runToolCell(tool, prog, 0, obs.New(obs.Options{}))
+		})
 		for _, tier := range tiers {
-			row, mallocs, err := timeCell(c.label, tier, func() (*vm.Result, error) {
+			rows = append(rows, DispatchRow{UseCase: c.label, Mode: tier.ExecMode().String(), Fires: fires})
+			cells = append(cells, add(c.label, tier, func() (*vm.Result, error) {
 				return runToolCell(tool, prog, tier, nil)
-			})
-			if err != nil {
-				return nil, err
-			}
-			row.Fires = fires
-			if fires > 0 {
-				row.AllocsPerFire = float64(mallocs) / float64(fires)
-			}
+			}))
 			if tier == 0 {
-				row.ObsNsPerInst = observed.NsPerInst
+				observed = append(observed, obsCell)
+			} else {
+				observed = append(observed, nil)
 			}
-			rows = append(rows, row)
+		}
+	}
+	if err := timeRoundRobin(dispatchReps, all); err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		r, c := &rows[i], cells[i]
+		wall := c.median()
+		r.Cycles, r.Insts, r.WallNs = c.res.Cycles, c.res.Insts, wall
+		if r.Insts > 0 {
+			r.NsPerInst = float64(wall) / float64(r.Insts)
+		}
+		if wall > 0 {
+			r.CyclesPerSec = float64(r.Cycles) / (float64(wall) / 1e9)
+		}
+		if r.Fires > 0 {
+			r.AllocsPerFire = float64(c.mallocs) / float64(r.Fires)
+		}
+		if o := observed[i]; o != nil && r.Insts > 0 {
+			r.ObsNsPerInst = float64(o.median()) / float64(r.Insts)
 		}
 	}
 	return rows, nil
@@ -149,48 +170,59 @@ func runToolCell(tool *engine.CompiledTool, prog *cfg.Program, tier backend.Abla
 	})
 }
 
-func timeCell(label string, tier backend.Ablation, run func() (*vm.Result, error)) (DispatchRow, uint64, error) {
-	mode := tier.ExecMode()
-	var res *vm.Result
+// timedRun is one cell of a wall-clock table: run executes the cell
+// once, and timeRoundRobin records the rest.
+type timedRun struct {
+	label string
+	run   func() (*vm.Result, error)
+	// res is a repetition's result; every repetition's deterministic
+	// counters must agree.
+	res   *vm.Result
+	walls []time.Duration
+	// mallocs is the fewest heap allocations any repetition made.
+	mallocs uint64
+}
+
+// timeRoundRobin runs every cell reps times, round-robin — each round
+// runs every cell once, in order — so drift in the host's speed during
+// the measurement falls on every cell alike, and a cell's time is the
+// median of its repetitions (timedRun.median), which one slow
+// repetition does not move.
+func timeRoundRobin(reps int, cells []*timedRun) error {
 	var ms runtime.MemStats
-	best := int64(0)
-	var bestMallocs uint64
-	for i := 0; i < dispatchReps; i++ {
-		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
-		start := time.Now()
-		r, err := run()
-		wall := time.Since(start).Nanoseconds()
-		runtime.ReadMemStats(&ms)
-		mallocs := ms.Mallocs - before
-		if err != nil {
-			return DispatchRow{}, 0, fmt.Errorf("bench: %s (%s): %w", label, mode, err)
-		}
-		if res != nil && (res.Cycles != r.Cycles || res.Insts != r.Insts) {
-			return DispatchRow{}, 0, fmt.Errorf("bench: %s (%s): nondeterministic counters", label, mode)
-		}
-		res = r
-		if best == 0 || wall < best {
-			best = wall
-		}
-		if i == 0 || mallocs < bestMallocs {
-			bestMallocs = mallocs
+	for rep := range reps {
+		for _, c := range cells {
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			start := time.Now()
+			r, err := c.run()
+			wall := time.Since(start)
+			runtime.ReadMemStats(&ms)
+			if err != nil {
+				return fmt.Errorf("bench: %s: %w", c.label, err)
+			}
+			if c.res != nil && (c.res.Cycles != r.Cycles || c.res.Insts != r.Insts) {
+				return fmt.Errorf("bench: %s: nondeterministic counters", c.label)
+			}
+			c.res = r
+			c.walls = append(c.walls, wall)
+			if n := ms.Mallocs - before; rep == 0 || n < c.mallocs {
+				c.mallocs = n
+			}
 		}
 	}
-	row := DispatchRow{
-		UseCase: label,
-		Mode:    mode.String(),
-		Cycles:  res.Cycles,
-		Insts:   res.Insts,
-		WallNs:  best,
-	}
-	if res.Insts > 0 {
-		row.NsPerInst = float64(best) / float64(res.Insts)
-	}
-	if best > 0 {
-		row.CyclesPerSec = float64(res.Cycles) / (float64(best) / 1e9)
-	}
-	return row, bestMallocs, nil
+	return nil
+}
+
+// median returns the median wall time of the cell's repetitions, in ns.
+func (c *timedRun) median() int64 {
+	return int64(median(c.walls))
+}
+
+// median returns the median of d in ns, sorting d.
+func median(d []time.Duration) float64 {
+	slices.Sort(d)
+	return float64(d[len(d)/2].Nanoseconds())
 }
 
 // FormatDispatch renders the tier comparison, pairing each use case's
@@ -232,10 +264,6 @@ func MedianTimes(pairs int, a, b func() time.Duration) (am, bm float64) {
 		} else {
 			bs[i], as[i] = b(), a()
 		}
-	}
-	median := func(d []time.Duration) float64 {
-		slices.Sort(d)
-		return float64(d[len(d)/2].Nanoseconds())
 	}
 	return median(as), median(bs)
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core/backend"
 	"repro/internal/core/engine"
 	"repro/internal/core/parser"
+	"repro/internal/governor"
 	"repro/internal/obs"
 )
 
@@ -245,8 +246,49 @@ func TestOracleFlagsTamperedResults(t *testing.T) {
 			t.Errorf("tampered %s not flagged as one illegal ablation-mismatch: %v", c, divs)
 		}
 	}
-	if want := 3 * (len(backend.Ablations()) + 1); tampers != want {
+	// Three backends, each ungoverned and governed.
+	if want := 2 * 3 * (len(backend.Ablations()) + 1); tampers != want {
 		t.Fatalf("tampered %d ablated cells, want %d", tampers, want)
+	}
+
+	// A governed column that runs the application differently from its
+	// ungoverned twin is one illegal governed-app-mismatch, naming the
+	// default cells; its decision log is a Rule 1 observable.
+	for _, b := range []string{backend.Janus, backend.Dyninst, backend.Pin} {
+		for _, field := range []string{"insts", "exit", "err"} {
+			tampered := make([]RunResult, len(results))
+			copy(tampered, results)
+			for i, c := range cells {
+				if c.Backend != b || !c.Governed {
+					continue
+				}
+				switch field {
+				case "insts":
+					tampered[i].Insts++
+				case "exit":
+					tampered[i].ExitCode = 3
+				case "err":
+					tampered[i].Err = "vm: trap"
+				}
+			}
+			divs := Compare(tampered, Traits{})
+			want := [2]Cell{{Backend: b}, {Backend: b, Governed: true}}
+			if len(divs) != 1 || divs[0].Class != ClassGoverned || divs[0].Legal || divs[0].Cells != want {
+				t.Errorf("%s governed column with tampered %s not flagged as one illegal governed-app-mismatch: %v", b, field, divs)
+			}
+		}
+	}
+	for i, c := range cells {
+		if !c.Governed || c.Ablate == 0 {
+			continue
+		}
+		tampered := make([]RunResult, len(results))
+		copy(tampered, results)
+		tampered[i].Decisions = []governor.Decision{{Action: "eject"}}
+		divs := Compare(tampered, Traits{})
+		if len(divs) != 1 || divs[0].Class != ClassAblation || !strings.Contains(divs[0].Detail, "decision logs differ") {
+			t.Errorf("decision log of %s not flagged as one illegal ablation-mismatch: %v", c, divs)
+		}
 	}
 
 	// A firing or skip that reached no row is illegal in every cell,

@@ -13,24 +13,40 @@ import (
 	"repro/internal/core/ast"
 	"repro/internal/core/backend"
 	"repro/internal/core/engine"
+	"repro/internal/governor"
 	"repro/internal/obj"
 	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
 // Cell identifies one run configuration in the differential matrix: a
-// backend (Pin optionally with the loop-detection extension) with a set
-// of bit-identical speed layers switched off.
+// backend (Pin optionally with the loop-detection extension), optionally
+// under the overhead governor, with a set of bit-identical speed layers
+// switched off.
 type Cell struct {
 	Backend       string
 	LoopDetection bool
-	Ablate        backend.Ablation
+	// Governed runs the cell on an adaptive machine under a governor
+	// with a fixed budget and window (governedBudget, governedWindow).
+	Governed bool
+	Ablate   backend.Ablation
 }
+
+// The governed column's governor: a budget and a window small enough
+// that generated victims, which run a few thousand instructions, see
+// many pace points and decisions.
+const (
+	governedBudget = 0.01
+	governedWindow = 500
+)
 
 func (c Cell) String() string {
 	s := c.Backend
 	if c.LoopDetection {
 		s += "+loopdet"
+	}
+	if c.Governed {
+		s += "+governed"
 	}
 	if c.Ablate != 0 {
 		s += "/ablate=" + c.Ablate.String()
@@ -40,8 +56,8 @@ func (c Cell) String() string {
 
 // RunResult is everything observable about one cell's run: the error (if
 // the backend refused or failed), the tool's print output, the machine
-// counters, and per-probe fire counts keyed by the backend-stable action
-// label from the obs layer.
+// counters, per-probe fire and skip counts keyed by the backend-stable
+// action label from the obs layer, and a governed cell's decision log.
 type RunResult struct {
 	Cell       Cell
 	Err        string
@@ -50,6 +66,8 @@ type RunResult struct {
 	Insts      uint64
 	ExitCode   uint64
 	Fires      map[string]uint64
+	Skips      map[string]uint64
+	Decisions  []governor.Decision
 	TotalFires uint64
 	// UntrackedFires and UntrackedSkips count firings and sampling
 	// skips that reached no attribution row (see ClassUntracked).
@@ -107,6 +125,12 @@ const (
 	// attribution row. Never legal: the machine registers a row for
 	// every probe it installs.
 	ClassUntracked = "untracked-firing"
+	// ClassGoverned: a backend's governed default cell disagrees with
+	// its ungoverned default cell on the error, the application's
+	// instruction count or its exit code. Never legal: the governor
+	// samples and ejects probes, which must not change what the
+	// application does.
+	ClassGoverned = "governed-app-mismatch"
 )
 
 // Divergence is one classified disagreement between two cells.
@@ -210,18 +234,22 @@ func usesLoops(items []ast.TopItem) bool {
 // default cell, one cell per single-layer ablation and one with every
 // layer off, plus the same for Pin with the loop-detection extension
 // when the tool has loop commands (so Pin still participates in the
-// cross-check instead of only being skipped).
+// cross-check instead of only being skipped); then the same cells again
+// governed.
 func Cells(t Traits) []Cell {
 	bases := []Cell{{Backend: backend.Janus}, {Backend: backend.Dyninst}, {Backend: backend.Pin}}
 	if t.UsesLoops {
 		bases = append(bases, Cell{Backend: backend.Pin, LoopDetection: true})
 	}
 	var cells []Cell
-	for _, c := range bases {
-		cells = append(cells, c)
-		for _, a := range append(backend.Ablations(), backend.AblateAll) {
-			c.Ablate = a
+	for _, governed := range []bool{false, true} {
+		for _, c := range bases {
+			c.Governed = governed
 			cells = append(cells, c)
+			for _, a := range append(backend.Ablations(), backend.AblateAll) {
+				c.Ablate = a
+				cells = append(cells, c)
+			}
 		}
 	}
 	return cells
@@ -260,22 +288,36 @@ func RunPair(p *Program, v *Victim) (*PairResult, error) {
 func runCell(tool *engine.CompiledTool, prog *cfg.Program, cell Cell, cache *artifacts.Cache) RunResult {
 	var out bytes.Buffer
 	col := obs.New(obs.Options{})
-	res, err := backend.Run(tool, prog, cell.Backend, backend.Options{
+	opts := backend.Options{
 		Out:              &out,
 		PinLoopDetection: cell.LoopDetection,
 		Obs:              col,
 		Ablate:           cell.Ablate,
 		Artifacts:        cache,
-	})
-	rr := RunResult{Cell: cell, Output: out.String(), Fires: map[string]uint64{}}
+	}
+	var gov *governor.Governor
+	if cell.Governed {
+		var err error
+		gov, err = governor.New(governor.Config{Budget: governedBudget, Collector: col, Window: governedWindow})
+		if err != nil {
+			return RunResult{Cell: cell, Err: err.Error()}
+		}
+		opts.Adaptive, opts.OnMachine = true, gov.Attach
+	}
+	res, err := backend.Run(tool, prog, cell.Backend, opts)
+	rr := RunResult{Cell: cell, Output: out.String(), Fires: map[string]uint64{}, Skips: map[string]uint64{}}
 	if err != nil {
 		rr.Err = err.Error()
 		return rr
 	}
 	rr.Cycles, rr.Insts, rr.ExitCode = res.Cycles, res.Insts, res.ExitCode
+	if gov != nil {
+		rr.Decisions = gov.Decisions()
+	}
 	stats := col.Snapshot(cell.Backend)
 	for _, ps := range stats.Probes {
 		rr.Fires[ps.Label] += ps.Fires
+		rr.Skips[ps.Label] += ps.Skips
 	}
 	rr.TotalFires = stats.TotalFires
 	rr.UntrackedFires, rr.UntrackedSkips = stats.UntrackedFires, stats.UntrackedSkips
@@ -305,8 +347,9 @@ func Compare(results []RunResult, traits Traits) []Divergence {
 
 	// Rule 1: ablations are invisible. Every speed layer is
 	// bit-identical, so each ablated cell must match its backend's
-	// default cell exactly: error text, output, cycle totals and
-	// per-probe fires.
+	// default cell of its column (governed or not) exactly: error text,
+	// output, cycle totals, per-probe fires and skips, and the decision
+	// log.
 	for _, r := range results {
 		base := r.Cell
 		base.Ablate = 0
@@ -317,6 +360,38 @@ func Compare(results []RunResult, traits Traits) []Divergence {
 		if d := diffExact(a, r, true); d != "" {
 			divs = append(divs, Divergence{
 				Class: ClassAblation, Cells: [2]Cell{base, r.Cell}, Detail: d,
+			})
+		}
+	}
+
+	// Rule 4: the governor is transparent to the application. Each
+	// backend's governed default cell must fail as its ungoverned
+	// default cell does and otherwise run the same application
+	// instructions to the same exit code; Rule 1 extends this to every
+	// ablation of both columns.
+	for _, g := range results {
+		if !g.Cell.Governed || g.Cell.Ablate != 0 {
+			continue
+		}
+		twin := g.Cell
+		twin.Governed = false
+		u, ok := byCell[twin]
+		if !ok {
+			continue
+		}
+		var bad []string
+		if u.Err != g.Err {
+			bad = append(bad, fmt.Sprintf("error %q vs %q", u.Err, g.Err))
+		}
+		if u.Insts != g.Insts {
+			bad = append(bad, fmt.Sprintf("insts %d vs %d", u.Insts, g.Insts))
+		}
+		if u.ExitCode != g.ExitCode {
+			bad = append(bad, fmt.Sprintf("exit code %d vs %d", u.ExitCode, g.ExitCode))
+		}
+		if len(bad) > 0 {
+			divs = append(divs, Divergence{
+				Class: ClassGoverned, Cells: [2]Cell{twin, g.Cell}, Detail: strings.Join(bad, "; "),
 			})
 		}
 	}
@@ -433,10 +508,12 @@ func Compare(results []RunResult, traits Traits) []Divergence {
 }
 
 // diffExact compares two results field by field and describes the first
-// few differences (empty string when identical). Cycles are compared
-// only between cells of one backend (withCycles): backends price dispatch
-// differently by design, so cross-backend cycle totals never match.
-func diffExact(a, b RunResult, withCycles bool) string {
+// few differences (empty string when identical). Cycles, skips and
+// decision logs are compared only between cells of one backend
+// (sameBackend): backends price dispatch differently by design, so
+// cross-backend cycle totals never match, and a governor steers by
+// those cycles.
+func diffExact(a, b RunResult, sameBackend bool) string {
 	var out []string
 	if a.Err != b.Err {
 		out = append(out, fmt.Sprintf("error %q vs %q", a.Err, b.Err))
@@ -451,7 +528,7 @@ func diffExact(a, b RunResult, withCycles bool) string {
 	if a.ExitCode != b.ExitCode {
 		out = append(out, fmt.Sprintf("exit code %d vs %d", a.ExitCode, b.ExitCode))
 	}
-	if withCycles && a.Cycles != b.Cycles {
+	if sameBackend && a.Cycles != b.Cycles {
 		out = append(out, fmt.Sprintf("cycles %d vs %d", a.Cycles, b.Cycles))
 	}
 	for _, label := range sortedLabels(a.Fires, b.Fires) {
@@ -459,7 +536,33 @@ func diffExact(a, b RunResult, withCycles bool) string {
 			out = append(out, fmt.Sprintf("fires[%s] %d vs %d", label, a.Fires[label], b.Fires[label]))
 		}
 	}
+	if !sameBackend {
+		return strings.Join(out, "; ")
+	}
+	for _, label := range sortedLabels(a.Skips, b.Skips) {
+		if a.Skips[label] != b.Skips[label] {
+			out = append(out, fmt.Sprintf("skips[%s] %d vs %d", label, a.Skips[label], b.Skips[label]))
+		}
+	}
+	if i := firstDiff(a.Decisions, b.Decisions); i >= 0 {
+		out = append(out, fmt.Sprintf("decision logs differ at entry %d (%d vs %d decisions)",
+			i, len(a.Decisions), len(b.Decisions)))
+	}
 	return strings.Join(out, "; ")
+}
+
+// firstDiff returns the index of the first entry where two decision
+// logs differ, or -1 when they are equal.
+func firstDiff(a, b []governor.Decision) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
 }
 
 func sortedLabels(ms ...map[string]uint64) []string {

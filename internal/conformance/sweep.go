@@ -20,15 +20,18 @@ type SweepResult struct {
 	// Seeds is how many seeds actually ran (the budget may cut the
 	// sweep short).
 	Seeds int
-	// Cells is how many backend x ablation runs executed.
-	Cells int
+	// Cells is how many ungoverned backend x ablation runs executed,
+	// and GovernedCells how many governed ones.
+	Cells, GovernedCells int
+	// Decisions counts the governor decisions the governed cells took.
+	Decisions int
 	// Legal counts legal divergences by oracle class.
 	Legal map[string]int
 	// SamplingChecks counts sampled placements verified against their
 	// unsampled twins across the sweep.
 	SamplingChecks int
 	// CountersPromoted counts the placements that ran as promoted
-	// counters, summed over every cell of the sweep.
+	// counters, summed over every ungoverned cell of the sweep.
 	CountersPromoted int
 	// Failures lists every pair with an illegal divergence.
 	Failures []*PairResult
@@ -44,6 +47,7 @@ func (s *SweepResult) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d seeds, %d cells, %d sampled placements, %d counter-promoted placements, %d illegal, %d errors\n",
 		s.Seeds, s.Cells, s.SamplingChecks, s.CountersPromoted, len(s.Failures), len(s.Errors))
+	fmt.Fprintf(&b, "  governed %d cells, %d decisions\n", s.GovernedCells, s.Decisions)
 	classes := make([]string, 0, len(s.Legal))
 	for c := range s.Legal {
 		classes = append(classes, c)
@@ -71,10 +75,15 @@ func Sweep(start, n uint64, deadline time.Time) *SweepResult {
 			continue
 		}
 		res.Seeds++
-		res.Cells += len(pr.Results)
 		res.SamplingChecks += pr.SamplingChecks
 		for _, r := range pr.Results {
-			res.CountersPromoted += r.CountersPromoted
+			if r.Cell.Governed {
+				res.GovernedCells++
+				res.Decisions += len(r.Decisions)
+			} else {
+				res.Cells++
+				res.CountersPromoted += r.CountersPromoted
+			}
 		}
 		for _, d := range pr.Divergences {
 			if d.Legal {

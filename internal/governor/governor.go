@@ -39,6 +39,7 @@ package governor
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -154,19 +155,41 @@ type Governor struct {
 	m         *vm.VM
 
 	// mu guards everything below: step mutates on the run goroutine,
-	// State/Enqueue run on observer goroutines.
-	mu         sync.Mutex
-	paces      uint64
-	lastOver   float64
-	prevProbe  uint64 // collector probe cycles at previous pace
-	prevTotal  uint64 // machine cycles at previous pace
-	prevCycles []uint64
-	decisions  []Decision
-	mailbox    []Command
-	// probes caches the governed probe states as of the last pace
-	// point, so State never touches the machine from an observer
-	// goroutine (the machine's adaptive state is run-goroutine only).
-	probes []ProbeState
+	// State/Summary/Enqueue run on observer goroutines.
+	mu        sync.Mutex
+	paces     uint64
+	lastOver  float64
+	prevProbe uint64 // collector probe cycles at previous pace
+	prevTotal uint64 // machine cycles at previous pace
+	decisions []Decision
+	mailbox   []Command
+	// The pace buffers, kept across paces so that a pace allocates only
+	// while they grow: each report slot's probe cycles at this pace and
+	// at the previous one, the probes' metadata (shared with the
+	// collector), the machine's adaptive probes with, per report slot,
+	// one plus the probe's index in infos (0: not governable), and an
+	// over-budget window's candidates.
+	cycles, prevCycles []uint64
+	metas              []obs.ProbeMeta
+	infos              []vm.ProbeInfo
+	at                 []int32
+	cands              []cand
+	// probes caches the governed probe states as of the last pace point
+	// that changed them (a decision, or a new probe), so State never
+	// touches the machine from an observer goroutine (the machine's
+	// adaptive state is run-goroutine only); listed counts the report
+	// slots it covers and ejected its disabled probes.
+	probes  []ProbeState
+	listed  int
+	ejected int
+}
+
+// cand is a governable probe of an over-budget window: its report slot
+// index, its adaptive state and its projected next-window cost.
+type cand struct {
+	idx   int
+	info  vm.ProbeInfo
+	delta uint64
 }
 
 // New creates a Governor. Budget must be positive and Collector
@@ -197,40 +220,48 @@ func (g *Governor) Attach(m *vm.VM) {
 }
 
 // step is the pace hook: runs on the run goroutine at block-start
-// dispatch, every window cycles.
+// dispatch, every window cycles. It reads the probes' cycle counters;
+// the machine's adaptive state only when a command or an over-budget
+// window needs it, and labels only for logged decisions and for the
+// probe cache when a decision or a new probe changed it.
 func (g *Governor) step() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.paces++
-	s := g.col.Snapshot("")
+	var probeCycles uint64
+	g.cycles, probeCycles, g.metas = g.col.CyclesInto(g.cycles)
 	total := g.m.Cycles()
+	logged := len(g.decisions)
 
 	// Mailboxed commands first: operator intent precedes policy.
 	for _, cmd := range g.mailbox {
-		g.apply(cmd, s)
+		g.apply(cmd)
 	}
 	g.mailbox = g.mailbox[:0]
 
-	dProbe := s.ProbeCycles - g.prevProbe
+	dProbe := probeCycles - g.prevProbe
 	dTotal := total - g.prevTotal
 	if dTotal > 0 {
 		g.lastOver = float64(dProbe) / float64(dTotal)
 		if g.lastOver > g.budget {
-			g.govern(s, dTotal)
+			g.govern(dTotal)
 		}
 	}
-	if g.prevCycles == nil {
-		g.prevCycles = make([]uint64, 0, len(s.Probes))
-	}
-	g.prevCycles = g.prevCycles[:0]
-	for _, p := range s.Probes {
-		g.prevCycles = append(g.prevCycles, p.Cycles)
-	}
-	g.prevProbe, g.prevTotal = s.ProbeCycles, total
+	g.cycles, g.prevCycles = g.prevCycles, g.cycles
+	g.prevProbe, g.prevTotal = probeCycles, total
 
-	// Refresh the observer-facing probe cache with post-decision state.
+	if len(g.decisions) > logged || len(g.metas) != g.listed {
+		g.listProbes()
+	}
+}
+
+// listProbes refreshes the observer-facing probe cache with the
+// machine's post-decision state.
+func (g *Governor) listProbes() {
+	g.readProbes()
 	g.probes = g.probes[:0]
-	for _, info := range g.m.AdaptiveProbes() {
+	g.ejected = 0
+	for _, info := range g.infos {
 		idx := info.ID.Index()
 		if idx == 0 {
 			continue
@@ -241,11 +272,38 @@ func (g *Governor) step() {
 			BaseStride: info.BaseStride,
 			Enabled:    info.Enabled,
 		}
-		if idx >= 1 && idx <= len(s.Probes) {
-			ps.Label = s.Probes[idx-1].Label
+		if idx <= len(g.metas) {
+			ps.Label = g.metas[idx-1].Label
+		}
+		if !ps.Enabled {
+			g.ejected++
 		}
 		g.probes = append(g.probes, ps)
 	}
+	g.listed = len(g.metas)
+}
+
+// readProbes reads the machine's adaptive probes into infos and indexes
+// them by report slot in at (probes installed without registration are
+// not governable).
+func (g *Governor) readProbes() {
+	g.infos = g.m.AdaptiveProbes(g.infos)
+	g.at = slices.Grow(g.at[:0], len(g.metas))[:len(g.metas)]
+	clear(g.at)
+	for j, info := range g.infos {
+		if idx := info.ID.Index(); idx != 0 && idx <= len(g.at) {
+			g.at[idx-1] = int32(j + 1)
+		}
+	}
+}
+
+// probe returns the adaptive state of the probe in report slot idx, as
+// of the last readProbes, or nil when that slot is not governable.
+func (g *Governor) probe(idx int) *vm.ProbeInfo {
+	if idx < 1 || idx > len(g.at) || g.at[idx-1] == 0 {
+		return nil
+	}
+	return &g.infos[g.at[idx-1]-1]
 }
 
 // govern enforces the budget for one over-budget window. It repeatedly
@@ -256,29 +314,25 @@ func (g *Governor) step() {
 // per-probe cycle deltas this converges in O(log overshoot) decisions,
 // so a tool with hundreds of hot placements is brought under budget in
 // a handful of windows instead of one placement per window.
-func (g *Governor) govern(s *obs.Stats, dTotal uint64) {
-	byID := g.ctlIndex()
-	type cand struct {
-		idx   int
-		info  vm.ProbeInfo
-		delta uint64 // projected next-window cost
-	}
-	var cands []cand
+func (g *Governor) govern(dTotal uint64) {
+	g.readProbes()
+	g.cands = g.cands[:0]
 	var projected uint64
-	for i, p := range s.Probes {
-		info, ok := byID[i+1]
-		if !ok || !info.Enabled {
+	for i, n := range g.cycles {
+		info := g.probe(i + 1)
+		if info == nil || !info.Enabled {
 			continue
 		}
 		var prev uint64
 		if i < len(g.prevCycles) {
 			prev = g.prevCycles[i]
 		}
-		if d := p.Cycles - prev; d > 0 {
+		if d := n - prev; d > 0 {
 			projected += d
-			cands = append(cands, cand{idx: i, info: info, delta: d})
+			g.cands = append(g.cands, cand{idx: i, info: *info, delta: d})
 		}
 	}
+	cands := g.cands
 	limit := uint64(float64(dTotal) * g.budget)
 	for projected > limit {
 		worst := -1
@@ -299,7 +353,7 @@ func (g *Governor) govern(s *obs.Stats, dTotal uint64) {
 			Cycles:    g.m.Cycles(),
 			Overhead:  g.lastOver,
 			Probe:     c.idx + 1,
-			Label:     s.Probes[c.idx].Label,
+			Label:     g.metas[c.idx].Label,
 			OldStride: c.info.Stride,
 		}
 		if c.info.Stride >= g.maxStride {
@@ -323,21 +377,19 @@ func (g *Governor) govern(s *obs.Stats, dTotal uint64) {
 }
 
 // apply executes one mailboxed command.
-func (g *Governor) apply(cmd Command, s *obs.Stats) {
-	byID := g.ctlIndex()
-	info, ok := byID[cmd.Probe]
-	if !ok {
+func (g *Governor) apply(cmd Command) {
+	g.readProbes()
+	info := g.probe(cmd.Probe)
+	if info == nil {
 		return
 	}
 	d := Decision{
 		Seq:       len(g.decisions),
 		Cycles:    g.m.Cycles(),
 		Probe:     cmd.Probe,
+		Label:     g.metas[cmd.Probe-1].Label,
 		OldStride: info.Stride,
 		NewStride: info.Stride,
-	}
-	if cmd.Probe >= 1 && cmd.Probe <= len(s.Probes) {
-		d.Label = s.Probes[cmd.Probe-1].Label
 	}
 	switch cmd.Action {
 	case "rearm":
@@ -360,19 +412,6 @@ func (g *Governor) apply(cmd Command, s *obs.Stats) {
 	g.decisions = append(g.decisions, d)
 }
 
-// ctlIndex maps report slot indexes to the machine's adaptive probe
-// state (probes installed without registration are not governable).
-func (g *Governor) ctlIndex() map[int]vm.ProbeInfo {
-	infos := g.m.AdaptiveProbes()
-	byID := make(map[int]vm.ProbeInfo, len(infos))
-	for _, info := range infos {
-		if idx := info.ID.Index(); idx != 0 {
-			byID[idx] = info
-		}
-	}
-	return byID
-}
-
 // Enqueue mailboxes a control command; it is applied at the next pace
 // point, on the run goroutine. Safe from any goroutine.
 func (g *Governor) Enqueue(cmd Command) {
@@ -387,19 +426,52 @@ func (g *Governor) Enqueue(cmd Command) {
 func (g *Governor) State() State {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := State{
+	return State{
 		Budget:       g.budget,
 		Window:       g.window,
 		MaxStride:    g.maxStride,
 		Paces:        g.paces,
 		LastOverhead: g.lastOver,
+		CumOverhead:  g.cumOverhead(),
 		Probes:       append([]ProbeState(nil), g.probes...),
 		Decisions:    append([]Decision(nil), g.decisions...),
 	}
-	if g.prevTotal > 0 {
-		st.CumOverhead = float64(g.prevProbe) / float64(g.prevTotal)
+}
+
+// Summary is the scalar part of a State, with the probe list and the
+// decision log reduced to counts.
+type Summary struct {
+	Budget                    float64
+	Paces                     uint64
+	LastOverhead, CumOverhead float64
+	// Decisions counts the decision log; Ejected the probes of the
+	// probe list that are disabled.
+	Decisions, Ejected int
+}
+
+// Summary reads the governor's scalars without copying its probe list
+// or decision log: what a metrics scrape exposes. Safe from any
+// goroutine.
+func (g *Governor) Summary() Summary {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return Summary{
+		Budget:       g.budget,
+		Paces:        g.paces,
+		LastOverhead: g.lastOver,
+		CumOverhead:  g.cumOverhead(),
+		Decisions:    len(g.decisions),
+		Ejected:      g.ejected,
 	}
-	return st
+}
+
+// cumOverhead is the run-so-far attributed overhead as of the last pace
+// point (0 before the first).
+func (g *Governor) cumOverhead() float64 {
+	if g.prevTotal == 0 {
+		return 0
+	}
+	return float64(g.prevProbe) / float64(g.prevTotal)
 }
 
 // Decisions returns a copy of the replayable decision log. Safe from

@@ -1,13 +1,17 @@
 package governor_test
 
 import (
+	"io"
 	"reflect"
 	"testing"
 
 	"repro/cinnamon"
+	"repro/internal/cfg"
+	"repro/internal/core/artifacts"
 	"repro/internal/core/backend"
 	"repro/internal/core/engine"
 	"repro/internal/governor"
+	"repro/internal/obj"
 	"repro/internal/obs"
 	"repro/internal/progs"
 	"repro/internal/workload"
@@ -93,37 +97,107 @@ func TestBudgetEnforcement(t *testing.T) {
 }
 
 // TestTierDeterminism checks the governed run — cycle counts, tool
-// output and the full decision log — is identical with every speed
-// layer on, with each one switched off and with all of them off: pace
-// points hit the same machine states everywhere.
+// output, per-probe fires and skips and the full decision log — is
+// identical with every speed layer on, with each one switched off and
+// with all of them off: pace points hit the same machine states
+// everywhere. It covers the fleet's three tools on every backend that
+// accepts them (Pin has no loops).
 func TestTierDeterminism(t *testing.T) {
-	tool := compile(t, progs.InstCountBasic)
 	tgt := target(t)
-
-	var base *cinnamon.Report
-	var baseSt governor.State
-	for _, a := range append([]backend.Ablation{0, backend.AblateAll}, backend.Ablations()...) {
-		r := a.String()
-		rep, err := tool.Run(tgt, cinnamon.Janus, cinnamon.RunOptions{Budget: "5%", Ablate: r})
-		if err != nil {
-			t.Fatalf("ablate=%q: %v", r, err)
-		}
-		st := rep.Stats.Governor.(governor.State)
-		if base == nil {
-			base, baseSt = rep, st
-			if len(st.Decisions) == 0 {
-				t.Fatal("no decisions to compare")
+	for _, c := range []struct {
+		tool     string
+		backends []string
+	}{
+		{progs.InstCountBasic, []string{cinnamon.Janus, cinnamon.Dyninst, cinnamon.Pin}},
+		{progs.OpcodeMix, []string{cinnamon.Janus, cinnamon.Dyninst, cinnamon.Pin}},
+		{progs.LoopCoverage, []string{cinnamon.Janus, cinnamon.Dyninst}},
+	} {
+		tool := compile(t, c.tool)
+		for _, b := range c.backends {
+			var base *cinnamon.Report
+			var baseSt governor.State
+			for _, a := range append([]backend.Ablation{0, backend.AblateAll}, backend.Ablations()...) {
+				r := a.String()
+				rep, err := tool.Run(tgt, b, cinnamon.RunOptions{Budget: "5%", Ablate: r})
+				if err != nil {
+					t.Fatalf("%s on %s, ablate=%q: %v", c.tool, b, r, err)
+				}
+				st := rep.Stats.Governor.(governor.State)
+				if base == nil {
+					base, baseSt = rep, st
+					if len(st.Decisions) == 0 {
+						t.Fatalf("%s on %s: no decisions to compare", c.tool, b)
+					}
+					continue
+				}
+				if rep.Cycles != base.Cycles {
+					t.Errorf("%s on %s, ablate=%q: cycles %d != %d", c.tool, b, r, rep.Cycles, base.Cycles)
+				}
+				if rep.ToolOutput != base.ToolOutput {
+					t.Errorf("%s on %s, ablate=%q: tool output diverges", c.tool, b, r)
+				}
+				for i, p := range rep.Stats.Probes {
+					if q := base.Stats.Probes[i]; p.Fires != q.Fires || p.Skips != q.Skips {
+						t.Errorf("%s on %s, ablate=%q: probe %d fires/skips %d/%d != %d/%d",
+							c.tool, b, r, i+1, p.Fires, p.Skips, q.Fires, q.Skips)
+					}
+				}
+				if !reflect.DeepEqual(st.Decisions, baseSt.Decisions) {
+					t.Errorf("%s on %s, ablate=%q: decision log diverges:\n%+v\nvs\n%+v", c.tool, b, r, st.Decisions, baseSt.Decisions)
+				}
 			}
-			continue
 		}
-		if rep.Cycles != base.Cycles {
-			t.Errorf("ablate=%q: cycles %d != %d", r, rep.Cycles, base.Cycles)
+	}
+}
+
+// TestPaceAllocatesNothing pins the governor's steady state: a pace
+// reads counters into buffers it keeps, so a governed run's allocation
+// count must not grow with its pace count. Each tool runs governed on
+// janus against the spin victim looped 2 000 and 20 000 times (about
+// ten times the paces) from a warm artifact cache.
+func TestPaceAllocatesNothing(t *testing.T) {
+	cache := artifacts.New(artifacts.Options{})
+	progsAt := map[int]*cfg.Program{}
+	for _, loop := range []int{2000, 20000} {
+		m, err := workload.LoopedVictim("spin", loop)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rep.ToolOutput != base.ToolOutput {
-			t.Errorf("ablate=%q: tool output diverges", r)
+		tgt, err := cinnamon.LoadModules([]*obj.Module{m})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(st.Decisions, baseSt.Decisions) {
-			t.Errorf("ablate=%q: decision log diverges:\n%+v\nvs\n%+v", r, st.Decisions, baseSt.Decisions)
+		progsAt[loop] = tgt.Prog
+	}
+	for _, name := range []string{progs.InstCountBasic, progs.OpcodeMix, progs.LoopCoverage} {
+		c, err := engine.Compile(progs.MustSource(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var allocs [2]float64
+		var paces [2]uint64
+		for i, loop := range []int{2000, 20000} {
+			run := func() {
+				col := obs.New(obs.Options{})
+				g, err := governor.New(governor.Config{Budget: 0.05, Collector: col})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := backend.Run(c, progsAt[loop], backend.Janus, backend.Options{
+					Out: io.Discard, Obs: col, Adaptive: true, OnMachine: g.Attach, Artifacts: cache,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				paces[i] = g.Summary().Paces
+			}
+			allocs[i] = testing.AllocsPerRun(3, run)
+		}
+		t.Logf("%s: %.0f allocations at %d paces, %.0f at %d", name, allocs[0], paces[0], allocs[1], paces[1])
+		if paces[1] < 5*paces[0] {
+			t.Fatalf("%s: %d paces at loop 20 000 against %d at 2 000; the runs do not differ in paces", name, paces[1], paces[0])
+		}
+		if allocs[1] > allocs[0]+8 {
+			t.Errorf("%s: %.0f allocations at loop 20 000 against %.0f at 2 000: a pace allocates", name, allocs[1], allocs[0])
 		}
 	}
 }

@@ -98,8 +98,7 @@ type sessScrape struct {
 	subs       int
 	subDropped uint64
 	gov        *governor.Governor
-	govState   governor.State
-	govEjected int
+	govSum     governor.Summary
 }
 
 // scrapeState is the pooled state of one whole scrape: the per-session
@@ -191,13 +190,7 @@ func (ss *sessScrape) prep(s *FleetSession) {
 	ss.subs = col.Subscribers()
 	ss.subDropped = col.SubscriberDrops()
 	if ss.gov = s.Governor(); ss.gov != nil {
-		ss.govState = ss.gov.State()
-		ss.govEjected = 0
-		for _, p := range ss.govState.Probes {
-			if !p.Enabled {
-				ss.govEjected++
-			}
-		}
+		ss.govSum = ss.gov.Summary()
 	}
 }
 
@@ -286,12 +279,12 @@ var governorFamilies = []struct {
 	getU            func(*sessScrape) uint64
 	getF            func(*sessScrape) float64
 }{
-	{"cinnamon_governor_budget", "Configured probe-overhead budget (fraction of machine cycles).", "gauge", nil, func(s *sessScrape) float64 { return s.govState.Budget }},
-	{"cinnamon_governor_paces_total", "Governor evaluation points so far.", "counter", func(s *sessScrape) uint64 { return s.govState.Paces }, nil},
-	{"cinnamon_governor_overhead", "Attributed probe overhead of the most recent governor window.", "gauge", nil, func(s *sessScrape) float64 { return s.govState.LastOverhead }},
-	{"cinnamon_governor_cum_overhead", "Attributed probe overhead of the run so far.", "gauge", nil, func(s *sessScrape) float64 { return s.govState.CumOverhead }},
-	{"cinnamon_governor_decisions_total", "Control decisions taken (downsample, eject, rearm, stride).", "counter", func(s *sessScrape) uint64 { return uint64(len(s.govState.Decisions)) }, nil},
-	{"cinnamon_governor_ejected_probes", "Probes currently ejected by the governor.", "gauge", func(s *sessScrape) uint64 { return uint64(s.govEjected) }, nil},
+	{"cinnamon_governor_budget", "Configured probe-overhead budget (fraction of machine cycles).", "gauge", nil, func(s *sessScrape) float64 { return s.govSum.Budget }},
+	{"cinnamon_governor_paces_total", "Governor evaluation points so far.", "counter", func(s *sessScrape) uint64 { return s.govSum.Paces }, nil},
+	{"cinnamon_governor_overhead", "Attributed probe overhead of the most recent governor window.", "gauge", nil, func(s *sessScrape) float64 { return s.govSum.LastOverhead }},
+	{"cinnamon_governor_cum_overhead", "Attributed probe overhead of the run so far.", "gauge", nil, func(s *sessScrape) float64 { return s.govSum.CumOverhead }},
+	{"cinnamon_governor_decisions_total", "Control decisions taken (downsample, eject, rearm, stride).", "counter", func(s *sessScrape) uint64 { return uint64(s.govSum.Decisions) }, nil},
+	{"cinnamon_governor_ejected_probes", "Probes currently ejected by the governor.", "gauge", func(s *sessScrape) uint64 { return uint64(s.govSum.Ejected) }, nil},
 }
 
 // WriteFleetMetrics renders the whole fleet as one exposition document:

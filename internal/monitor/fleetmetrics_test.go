@@ -1,12 +1,20 @@
 package monitor
 
 import (
+	"io"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/cfg"
+	"repro/internal/core/backend"
+	"repro/internal/core/engine"
 	"repro/internal/governor"
+	"repro/internal/obj"
 	"repro/internal/obs"
+	"repro/internal/progs"
+	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // checkExposition validates Prometheus text-exposition conformance
@@ -150,6 +158,65 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	} {
 		if _, ok := series[name+"{"+s1("pin")+"}"]; !ok {
 			t.Errorf("family %s missing for session s1\n%s", name, text)
+		}
+	}
+}
+
+// The governor families read Governor.Summary, which must agree with
+// the State that /sessions/{id}/governor serves: after a governed run
+// that downsampled and ejected probes, each family's sample is the
+// value State gives.
+func TestGovernorFamiliesMatchState(t *testing.T) {
+	tool, err := engine.Compile(progs.MustSource(progs.OpcodeMix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := workload.LoopedVictim("spin", 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := obj.Load([]*obj.Module{m}, vm.RuntimeExterns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := cfg.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.New(obs.Options{})
+	g, err := governor.New(governor.Config{Budget: 0.01, Collector: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := backend.Run(tool, prog, backend.Janus, backend.Options{
+		Out: io.Discard, Obs: col, Adaptive: true, OnMachine: g.Attach,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f, sess := single(t, col, "janus")
+	sess.SetGovernor(g)
+	text, series := fleetScrape(t, f)
+
+	st := g.State()
+	ejected := 0
+	for _, p := range st.Probes {
+		if !p.Enabled {
+			ejected++
+		}
+	}
+	if ejected == 0 {
+		t.Fatalf("no probe ejected in %d decisions; pick a tighter budget", len(st.Decisions))
+	}
+	for name, want := range map[string]float64{
+		"cinnamon_governor_budget":          st.Budget,
+		"cinnamon_governor_paces_total":     float64(st.Paces),
+		"cinnamon_governor_overhead":        st.LastOverhead,
+		"cinnamon_governor_cum_overhead":    st.CumOverhead,
+		"cinnamon_governor_decisions_total": float64(len(st.Decisions)),
+		"cinnamon_governor_ejected_probes":  float64(ejected),
+	} {
+		if got := series[name+"{"+s1("janus")+"}"]; got != want {
+			t.Errorf("%s = %v, want %v from State\n%s", name, got, want, text)
 		}
 	}
 }

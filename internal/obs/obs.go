@@ -34,11 +34,11 @@
 //   - The run goroutine calls RegisterProbe, Fire, FireN, Event, SkipN,
 //     MutateBuild and NoteTranslation. These must not be called
 //     concurrently with each other.
-//   - Any goroutine may call Snapshot, Subscribe, Unsubscribe,
-//     NumProbes, SubscriberDrops and Subscribers at any time, including
-//     while the run is executing. This is what makes live monitoring
-//     (internal/monitor) possible: a /metrics scrape is a Snapshot taken
-//     mid-run.
+//   - Any goroutine may call Snapshot, CyclesInto, Subscribe,
+//     Unsubscribe, NumProbes, SubscriberDrops and Subscribers at any
+//     time, including while the run is executing. This is what makes
+//     live monitoring (internal/monitor) possible: a /metrics scrape is
+//     a Snapshot taken mid-run.
 //
 // Counters are read and written with atomic operations, so a mid-run
 // Snapshot is race-free and every counter in it is monotonically

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -63,6 +64,29 @@ type Stats struct {
 // indexes (1..n), matching TraceEvent.Probe.
 func (c *Collector) Snapshot(backendName string) *Stats {
 	return c.SnapshotInto(backendName, nil)
+}
+
+// CyclesInto reads every registered probe's cycle counter into dst,
+// grown as needed, and returns it with the probe-cycle total, untracked
+// cycles included: the per-row Cycles and the ProbeCycles of a
+// Snapshot, read without building a report. It also returns the
+// probes' metadata in slot order, shared with the collector, which
+// callers must not modify. It allocates only to grow dst; a controller
+// polling on the run goroutine (the overhead governor) calls it at
+// every pace point. Safe from any goroutine.
+func (c *Collector) CyclesInto(dst []uint64) ([]uint64, uint64, []ProbeMeta) {
+	c.mu.Lock()
+	metas := c.metas
+	slots := c.slots
+	c.mu.Unlock()
+	dst = slices.Grow(dst[:0], len(slots))
+	total := c.untrackedCycles.Load()
+	for i := range slots {
+		n := slots[i].cycles.Load()
+		dst = append(dst, n)
+		total += n
+	}
+	return dst, total, metas
 }
 
 // SnapshotInto is Snapshot reusing a previous report's allocations:

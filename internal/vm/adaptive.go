@@ -18,9 +18,14 @@ package vm
 //     time (zero cost when disabled), so an already-pending call-after
 //     fire is suppressed if and only if the probe is disabled at the
 //     fall-through — identically in both tiers. Disable/re-enable also
-//     invalidates the translated blocks the probe was fused into (the
-//     dual of mid-run install), so steady-state ejected probes vanish
-//     from the code cache entirely.
+//     invalidates the translated blocks a before/after probe was fused
+//     into (the dual of mid-run install), and moves the enabled count of
+//     an entry or edge probe's list, which the translated dispatcher
+//     skips while the count is zero; so a steady-state ejected probe
+//     costs the translated tier nothing (the reference interpreter
+//     reads every list live). What still costs per hit is a sampled
+//     probe's gate and a call's after-list, pushed pending whole and
+//     gated at the fall-through.
 //   - Control mutations are only legal on the run goroutine: from a
 //     probe body, a start hook, or the pace hook. The governor's HTTP
 //     re-arm commands are mailboxed and drained at pace points.
@@ -32,13 +37,33 @@ import "repro/internal/obs"
 // sub-cycle, far below any dispatch mechanism).
 const SampleGateCost = 2
 
-// ctlSite records one before/after installation point of a probe, so
-// control changes can invalidate the translated blocks the probe was
-// fused into. Entry and edge lists are read live at dispatch and need no
-// invalidation.
+// ctlSite records where a probe is installed, so a control change
+// reaches the dispatch state that depends on it: a before/after probe's
+// change invalidates the translated blocks it was fused into, an entry
+// or edge probe's moves its list's enabled count.
 type ctlSite struct {
-	m   *modExec
-	off uint64
+	m    *modExec
+	off  uint64
+	when When
+	// edge is an edge probe's index in the offset's edgeIn.
+	edge int
+}
+
+// enable applies a re-arm (on) or an eject of one of the site's probes
+// to the dispatch state.
+func (s ctlSite) enable(on bool) {
+	d := -1
+	if on {
+		d = 1
+	}
+	switch s.when {
+	case AtBlockEntry:
+		s.m.probes[s.off].entryLive += d
+	case AtEdge:
+		s.m.probes[s.off].edgeIn[s.edge].live += d
+	default:
+		s.m.invalidate(s.off)
+	}
 }
 
 // probeCtl is the shared adaptive control block of one installed probe.
@@ -54,8 +79,8 @@ type probeCtl struct {
 	id         obs.ProbeID
 	// tal is the probe's attribution record, where an observed
 	// machine counts skips.
-	tal   *tally
-	sites []ctlSite
+	tal  *tally
+	site ctlSite
 }
 
 // gate decides one hit of an adaptive probe: true means fire. Disabled
@@ -107,14 +132,6 @@ func (v *VM) newCtl(id obs.ProbeID, stride uint64, tal *tally) *probeCtl {
 	return ct
 }
 
-// invalidateSites drops the cached translated blocks the probe was fused
-// into, forcing retranslation with the new control state.
-func (ct *probeCtl) invalidateSites() {
-	for _, s := range ct.sites {
-		s.m.invalidate(s.off)
-	}
-}
-
 // ProbeInfo is the adaptive state of one installed probe.
 type ProbeInfo struct {
 	// ID is the probe's observability ID (obs.NoProbe when the machine
@@ -128,14 +145,15 @@ type ProbeInfo struct {
 }
 
 // AdaptiveProbes lists every probe carrying a control block, in
-// installation order. Run-goroutine only (probe bodies, hooks, the pace
-// hook).
-func (v *VM) AdaptiveProbes() []ProbeInfo {
-	out := make([]ProbeInfo, len(v.ctls))
-	for i, ct := range v.ctls {
-		out[i] = ProbeInfo{ID: ct.id, Stride: ct.stride, BaseStride: ct.baseStride, Enabled: ct.enabled}
+// installation order, into dst's storage (grown as needed), so a caller
+// that keeps the slice lists them without allocating. Run-goroutine
+// only (probe bodies, hooks, the pace hook).
+func (v *VM) AdaptiveProbes(dst []ProbeInfo) []ProbeInfo {
+	dst = dst[:0]
+	for _, ct := range v.ctls {
+		dst = append(dst, ProbeInfo{ID: ct.id, Stride: ct.stride, BaseStride: ct.baseStride, Enabled: ct.enabled})
 	}
-	return out
+	return dst
 }
 
 // SetProbeStride sets the sampling stride of the adaptive probe with the
@@ -159,8 +177,10 @@ func (v *VM) SetProbeStride(id obs.ProbeID, stride uint64) bool {
 // with the given observability ID; reports whether the probe was found.
 // The change takes effect at the probe's next hit — a pending call-after
 // fire is suppressed iff the probe is disabled when the fall-through is
-// reached — and invalidates the translated blocks the probe is fused
-// into. Re-arming resets the sampling countdown. Run-goroutine only.
+// reached — and it is the only path that changes dispatch state on
+// ejection: it invalidates the translated blocks a before/after probe
+// is fused into, or moves the enabled count of an entry or edge probe's
+// list. Re-arming resets the sampling countdown. Run-goroutine only.
 func (v *VM) SetProbeEnabled(id obs.ProbeID, enabled bool) bool {
 	ct := v.ctlByID[id]
 	if ct == nil {
@@ -169,7 +189,7 @@ func (v *VM) SetProbeEnabled(id obs.ProbeID, enabled bool) bool {
 	if ct.enabled != enabled {
 		ct.enabled = enabled
 		ct.count = ct.stride
-		ct.invalidateSites()
+		ct.site.enable(enabled)
 	}
 	return true
 }

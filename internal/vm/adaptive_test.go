@@ -162,7 +162,7 @@ func TestDisableSuppressesPendingCallAfter(t *testing.T) {
 			if err := v.Add(Site{When: AfterInst, Addr: callAddr}, Probe{Cost: 30, Label: "after-call", Fn: func(c *Ctx) { fires++ }}); err != nil {
 				t.Fatal(err)
 			}
-			id := v.AdaptiveProbes()[0].ID
+			id := v.AdaptiveProbes(nil)[0].ID
 			if err := v.Add(Site{When: BeforeInst, Addr: movAddr}, Probe{Fn: func(c *Ctx) {
 				if !v.SetProbeEnabled(id, false) {
 					t.Errorf("%s: after-call probe not adaptive", m.name)
@@ -212,7 +212,7 @@ func TestMidRunEjectAndRearmInLoop(t *testing.T) {
 		if err := v.Add(Site{When: BeforeInst, Addr: target}, Probe{Cost: 26, Label: "target", Fn: func(c *Ctx) { fires++ }}); err != nil {
 			t.Fatal(err)
 		}
-		id := v.AdaptiveProbes()[0].ID
+		id := v.AdaptiveProbes(nil)[0].ID
 		iter := 0
 		if err := v.Add(Site{When: BeforeInst, Addr: ctl}, Probe{Fn: func(c *Ctx) {
 			iter++
@@ -263,7 +263,7 @@ func TestRearmLaterProbeOfSameList(t *testing.T) {
 			}
 		}})
 		mustAdd(t, v, Site{When: BeforeInst, Addr: addr}, Probe{Label: "later", Fn: func(c *Ctx) { n[1]++ }})
-		later = v.AdaptiveProbes()[1].ID
+		later = v.AdaptiveProbes(nil)[1].ID
 		v.OnStart(func(*Ctx) { v.SetProbeEnabled(later, false) })
 		if _, err := v.Run(); err != nil {
 			t.Fatal(err)
@@ -273,6 +273,124 @@ func TestRearmLaterProbeOfSameList(t *testing.T) {
 	for i, n := range counts {
 		if n != [2]int{10, 7} {
 			t.Errorf("%s: fires = %v, want [10 7] (the later probe re-armed on hit 4)", adaptiveModes[i].name, n)
+		}
+	}
+}
+
+// TestEjectEntryAndEdgeListsMidRun ejects every probe of a block-entry
+// list and of an edge list from a probe body inside the loop, then
+// re-arms them: fires, skips and cycles are hand-counted and identical
+// on every tier, whose dispatcher skips a list with no enabled probe.
+func TestEjectEntryAndEdgeListsMidRun(t *testing.T) {
+	type result struct {
+		fires, skips [4]uint64
+		probeCycles  uint64
+		total        uint64
+	}
+	var results []result
+	for _, m := range adaptiveModes {
+		prog := build(t, sumSrc)
+		col := obs.New(obs.Options{})
+		v := New(prog, Config{Obs: col, ExecMode: m.mode, NoInline: m.noInline, Adaptive: true})
+		head := instByOp(t, prog, isa.Add, 0).Addr // loop head: 10 entries, 9 back edges
+		ctl := instByOp(t, prog, isa.Add, 1).Addr  // same block, after the entry fires
+		noop := func(*Ctx) {}
+		mustAdd(t, v, Site{When: AtBlockEntry, Addr: head}, Probe{Cost: 10, Label: "e1", Fn: noop})
+		mustAdd(t, v, Site{When: AtBlockEntry, Addr: head}, Probe{Cost: 20, Label: "e2", Stride: 2, Fn: noop})
+		mustAdd(t, v, Site{When: AtEdge, Addr: head, From: head}, Probe{Cost: 30, Label: "g1", Fn: noop})
+		mustAdd(t, v, Site{When: AtEdge, Addr: head, From: head}, Probe{Cost: 40, Label: "g2", Fn: noop})
+		infos := v.AdaptiveProbes(nil)
+		iter := 0
+		mustAdd(t, v, Site{When: BeforeInst, Addr: ctl}, Probe{Label: "ctl", Fn: func(*Ctx) {
+			iter++
+			if iter == 3 || iter == 7 {
+				for _, in := range infos {
+					v.SetProbeEnabled(in.ID, iter == 7)
+				}
+			}
+		}})
+		res, err := v.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := col.Snapshot("")
+		var r result
+		for i := range r.fires {
+			r.fires[i], r.skips[i] = s.Probes[i].Fires, s.Probes[i].Skips
+		}
+		r.probeCycles, r.total = s.ProbeCycles, res.Cycles
+		// Entries fire in iterations 1-3 (ejected during 3, after the
+		// entry fired) and 8-10 (re-armed during 7); the back edge enters
+		// iterations 2-10, so it fires in 2-3 and 8-10. e2 samples every
+		// second hit and re-arming restarts its countdown: skip, fire,
+		// skip, then skip, fire, skip.
+		want := result{fires: [4]uint64{6, 2, 5, 5}, skips: [4]uint64{0, 4, 0, 0}}
+		want.probeCycles = 6*10 + 2*20 + 4*SampleGateCost + 5*30 + 5*40
+		if r.fires != want.fires || r.skips != want.skips || r.probeCycles != want.probeCycles {
+			t.Errorf("%s: fires %v skips %v probe cycles %d, want %v %v %d",
+				m.name, r.fires, r.skips, r.probeCycles, want.fires, want.skips, want.probeCycles)
+		}
+		results = append(results, r)
+	}
+	for i := 1; i < len(results); i++ {
+		if results[i] != results[0] {
+			t.Errorf("%s diverges from %s: %+v vs %+v",
+				adaptiveModes[i].name, adaptiveModes[0].name, results[i], results[0])
+		}
+	}
+}
+
+// TestEdgeRearmsEntryOfSameBlock: an edge probe that re-arms an ejected
+// entry probe of its destination block sees it fire on the same
+// dispatch, since the entry list is consulted after the edge list
+// fired.
+func TestEdgeRearmsEntryOfSameBlock(t *testing.T) {
+	for _, m := range adaptiveModes {
+		prog := build(t, sumSrc)
+		v := New(prog, Config{Obs: obs.New(obs.Options{}), ExecMode: m.mode, NoInline: m.noInline, Adaptive: true})
+		head := instByOp(t, prog, isa.Add, 0).Addr
+		entries, edges := 0, 0
+		mustAdd(t, v, Site{When: AtBlockEntry, Addr: head}, Probe{Label: "entry", Fn: func(*Ctx) { entries++ }})
+		entry := v.AdaptiveProbes(nil)[0].ID
+		mustAdd(t, v, Site{When: AtEdge, Addr: head, From: head}, Probe{Label: "edge", Fn: func(*Ctx) {
+			// The fourth back edge enters iteration 5.
+			if edges++; edges == 4 {
+				v.SetProbeEnabled(entry, true)
+			}
+		}})
+		v.OnStart(func(*Ctx) { v.SetProbeEnabled(entry, false) })
+		if _, err := v.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if entries != 6 || edges != 9 {
+			t.Errorf("%s: entry fired %d times and edge %d, want 6 (iterations 5-10) and 9", m.name, entries, edges)
+		}
+	}
+}
+
+// TestRearmLaterEntryProbeOfSameList is TestRearmLaterProbeOfSameList
+// for a block-entry list: while one probe of the list is enabled the
+// whole list is read live, so the later probe fires in the same pass.
+func TestRearmLaterEntryProbeOfSameList(t *testing.T) {
+	for _, m := range adaptiveModes {
+		prog := build(t, sumSrc)
+		v := New(prog, Config{Obs: obs.New(obs.Options{}), ExecMode: m.mode, NoInline: m.noInline, Adaptive: true})
+		head := instByOp(t, prog, isa.Add, 0).Addr // 10 entries
+		var n [2]int
+		var later obs.ProbeID
+		mustAdd(t, v, Site{When: AtBlockEntry, Addr: head}, Probe{Label: "arm", Fn: func(*Ctx) {
+			if n[0]++; n[0] == 4 {
+				v.SetProbeEnabled(later, true)
+			}
+		}})
+		mustAdd(t, v, Site{When: AtBlockEntry, Addr: head}, Probe{Label: "later", Fn: func(*Ctx) { n[1]++ }})
+		later = v.AdaptiveProbes(nil)[1].ID
+		v.OnStart(func(*Ctx) { v.SetProbeEnabled(later, false) })
+		if _, err := v.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n != [2]int{10, 7} {
+			t.Errorf("%s: fires = %v, want [10 7] (the later probe re-armed on entry 4)", m.name, n)
 		}
 	}
 }
@@ -288,7 +406,7 @@ func TestAdaptiveProbesAndStrideControl(t *testing.T) {
 	if err := v.Add(Site{When: BeforeInst, Addr: addr}, Probe{Cost: 26, Label: "p", Stride: 4, Fn: func(c *Ctx) { fires++ }}); err != nil {
 		t.Fatal(err)
 	}
-	infos := v.AdaptiveProbes()
+	infos := v.AdaptiveProbes(nil)
 	if len(infos) != 1 {
 		t.Fatalf("AdaptiveProbes = %d entries, want 1", len(infos))
 	}
@@ -299,13 +417,13 @@ func TestAdaptiveProbesAndStrideControl(t *testing.T) {
 	if !v.SetProbeStride(id, 2) {
 		t.Fatal("SetProbeStride: probe not found")
 	}
-	if in := v.AdaptiveProbes()[0]; in.Stride != 2 || in.BaseStride != 4 {
+	if in := v.AdaptiveProbes(nil)[0]; in.Stride != 2 || in.BaseStride != 4 {
 		t.Errorf("after override: %+v", in)
 	}
 	if !v.SetProbeStride(id, 0) {
 		t.Fatal("SetProbeStride(0): probe not found")
 	}
-	if in := v.AdaptiveProbes()[0]; in.Stride != 4 {
+	if in := v.AdaptiveProbes(nil)[0]; in.Stride != 4 {
 		t.Errorf("stride restore: %+v", in)
 	}
 	if v.SetProbeStride(obs.ProbeID(999), 2) {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/isa"
 	"repro/internal/obj"
+	"repro/internal/obs"
 )
 
 func buildTB(tb testing.TB, srcs ...string) *cfg.Program {
@@ -193,7 +194,10 @@ head:
 // loop body (worst case for block dispatch: boundary work every three
 // instructions); "hot" is a sixteen-instruction block, probe-free;
 // "counted" is the hot block with a promoted counter (a Flush probe)
-// before each of its instructions, the shape of an opcode-mix tool.
+// before each of its instructions, the shape of an opcode-mix tool;
+// "ejected" is the tight loop on an adaptive, observed machine with an
+// entry probe on the loop block and one on its back edge, both ejected
+// at start, which the translated tier should run as fast as "tight".
 func BenchmarkDispatch(b *testing.B) {
 	var sink int64
 	counters := func(v *VM, prog *cfg.Program) {
@@ -205,20 +209,39 @@ func BenchmarkDispatch(b *testing.B) {
 			}
 		}
 	}
+	ejected := func(v *VM, prog *cfg.Program) {
+		head := prog.FuncByName("main").Blocks[1].Start
+		for _, s := range []Site{{When: AtBlockEntry, Addr: head}, {When: AtEdge, Addr: head, From: head}} {
+			if err := v.Add(s, Probe{Cost: 1, Fn: func(*Ctx) { sink++ }}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, p := range v.AdaptiveProbes(nil) {
+			v.SetProbeEnabled(p.ID, false)
+		}
+	}
 	for _, c := range []struct {
 		name, src string
 		setup     func(*VM, *cfg.Program)
+		// adaptive runs the case on an adaptive machine with a
+		// collector, whose probes can be ejected.
+		adaptive bool
 	}{
-		{"tight", dispatchBenchSrc, nil},
-		{"hot", hotBlockSrc, nil},
-		{"counted", hotBlockSrc, counters},
+		{"tight", dispatchBenchSrc, nil, false},
+		{"hot", hotBlockSrc, nil, false},
+		{"counted", hotBlockSrc, counters, false},
+		{"ejected", dispatchBenchSrc, ejected, true},
 	} {
 		prog := buildTB(b, c.src)
 		for _, mode := range []ExecMode{ExecTranslated, ExecInterpreted} {
 			b.Run(c.name+"/"+mode.String(), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					v := New(prog, Config{ExecMode: mode})
+					cfgv := Config{ExecMode: mode}
+					if c.adaptive {
+						cfgv.Adaptive, cfgv.Obs = true, obs.New(obs.Options{})
+					}
+					v := New(prog, cfgv)
 					if c.setup != nil {
 						c.setup(v, prog)
 					}

@@ -48,6 +48,7 @@ package vm
 import (
 	"fmt"
 
+	"repro/internal/cfg"
 	"repro/internal/isa"
 )
 
@@ -375,22 +376,7 @@ func (v *VM) runTranslated() error {
 			// the interpreter: a just-translated block may have installed
 			// probes at this very offset.
 			if flags := m.flags[off]; flags&(flagEdgeTo|flagBlockEntry) != 0 {
-				op := m.probes[off]
-				in := m.insts[off]
-				if !v.suppressEdge && flags&flagEdgeTo != 0 {
-					for i := range op.edgeIn {
-						if op.edgeIn[i].from == v.curBlock {
-							v.ctx.block = blk
-							v.fire(op.edgeIn[i].probes, in, AtEdge)
-							break
-						}
-					}
-				}
-				v.curBlock = v.pc
-				v.ctx.block = blk
-				if flags&flagBlockEntry != 0 {
-					v.fire(op.entry, in, AtBlockEntry)
-				}
+				v.fireBlockLists(m, off, blk, flags)
 			} else {
 				v.curBlock = v.pc
 				v.ctx.block = blk
@@ -418,6 +404,33 @@ func (v *VM) runTranslated() error {
 		}
 	}
 	return nil
+}
+
+// fireBlockLists fires the edge and entry lists of the block starting
+// at off, as the translated dispatcher reaches it. A list with no
+// enabled probe is skipped. Each count is read as its list is about to
+// fire, so an edge probe that re-arms an entry probe sees it fire on
+// this very dispatch; a list with one enabled probe fires whole, read
+// live, as the interpreter reads it.
+func (v *VM) fireBlockLists(m *modExec, off uint64, blk *cfg.Block, flags uint8) {
+	op := m.probes[off]
+	in := m.insts[off]
+	if !v.suppressEdge && flags&flagEdgeTo != 0 {
+		for i := range op.edgeIn {
+			if e := &op.edgeIn[i]; e.from == v.curBlock {
+				if e.live > 0 {
+					v.ctx.block = blk
+					v.fire(e.probes, in, AtEdge)
+				}
+				break
+			}
+		}
+	}
+	v.curBlock = v.pc
+	v.ctx.block = blk
+	if flags&flagBlockEntry != 0 && op.entryLive > 0 {
+		v.fire(op.entry, in, AtBlockEntry)
+	}
 }
 
 // runSteps executes the block program from step idx. On a probe-free

@@ -149,15 +149,21 @@ type modExec struct {
 // (block-start offsets only).
 type offProbes struct {
 	before, after, entry []probe
+	// entryLive counts the enabled probes of entry; the translated
+	// dispatcher skips the list while it is zero.
+	entryLive int
 	// edgeIn lists edge probes by predecessor block; the hot loop scans
 	// it linearly (blocks rarely have more than two instrumented
-	// predecessors) instead of hashing a [2]uint64 key.
+	// predecessors) instead of hashing a [2]uint64 key. Entries are only
+	// appended, so an index names one edge for the machine's lifetime.
 	edgeIn []edgeProbes
 }
 
 type edgeProbes struct {
 	from   uint64
 	probes []probe
+	// live counts the enabled probes of the list, like entryLive.
+	live int
 }
 
 // probesAt returns the probe storage for the offset, allocating it on
@@ -519,13 +525,11 @@ func (v *VM) Add(s Site, p Probe) error {
 		np.ctl = v.newCtl(id, p.Stride, np.tal)
 	}
 	ps := m.probesAt(off)
+	site := ctlSite{m: m, off: off, when: s.When}
 	switch s.When {
 	case BeforeInst, AfterInst:
 		// Before/after probes are fused into translated blocks: drop the
-		// cached block, and let control changes find it again.
-		if np.ctl != nil {
-			np.ctl.sites = append(np.ctl.sites, ctlSite{m: m, off: off})
-		}
+		// cached block; control changes drop it again.
 		if s.When == BeforeInst {
 			ps.before = append(ps.before, np)
 			m.flags[off] |= flagBefore
@@ -535,19 +539,30 @@ func (v *VM) Add(s Site, p Probe) error {
 		}
 		m.invalidate(off)
 	case AtBlockEntry:
-		// Entry and edge lists are read live at dispatch, so neither
-		// installation nor control changes need block invalidation.
+		// Entry and edge lists are read live at dispatch and need no
+		// block invalidation; the dispatcher reads their enabled counts,
+		// which control changes move.
 		ps.entry = append(ps.entry, np)
+		ps.entryLive++
 		m.flags[off] |= flagBlockEntry
 	case AtEdge:
 		m.flags[off] |= flagEdgeTo
+		site.edge = len(ps.edgeIn)
 		for i := range ps.edgeIn {
 			if ps.edgeIn[i].from == s.From {
-				ps.edgeIn[i].probes = append(ps.edgeIn[i].probes, np)
-				return nil
+				site.edge = i
+				break
 			}
 		}
-		ps.edgeIn = append(ps.edgeIn, edgeProbes{from: s.From, probes: []probe{np}})
+		if site.edge == len(ps.edgeIn) {
+			ps.edgeIn = append(ps.edgeIn, edgeProbes{from: s.From})
+		}
+		e := &ps.edgeIn[site.edge]
+		e.probes = append(e.probes, np)
+		e.live++
+	}
+	if np.ctl != nil {
+		np.ctl.site = site
 	}
 	return nil
 }

@@ -643,7 +643,7 @@ head:
 			t.Errorf("%s: Add error = %v, want rejection %v", c.name, err, c.fires == 0)
 			continue
 		}
-		if c.fires == 0 && len(v.AdaptiveProbes()) != 0 {
+		if c.fires == 0 && len(v.AdaptiveProbes(nil)) != 0 {
 			t.Errorf("%s: rejected probe left a control block", c.name)
 		}
 		res, err := v.Run()

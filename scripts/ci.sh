@@ -49,7 +49,13 @@
 #              set-up of every case study on every backend on leela vs
 #              the same set-up with -ablate=compile (>=2.5x; one frame
 #              per command, compiled where clauses and analysis code;
-#              internal/bench/walk_test.go)
+#              internal/bench/walk_test.go), and governed sessions:
+#              loopcoverage vs instcount_basic on the fleet's looped
+#              spin victim under a 5% budget (<=1.4x; an ejected entry
+#              probe leaves block dispatch and a pace allocates
+#              nothing; internal/bench/governor_test.go, whose
+#              allocation pin TestPaceAllocatesNothing in
+#              internal/governor runs in the race suite above)
 #   ablate     CLI ablation smoke over one built cinnamon binary: a
 #              -stats loop-coverage run on janus with every speed layer
 #              on and one with -ablate=compile,translate,inline,ir-opt,cache,
@@ -84,7 +90,8 @@
 #   conform    differential conformance sweep (cmd/conformance): 200
 #              seeded generated (program, victim) pairs cross-checked
 #              over all three backends, each with every single-layer
-#              ablation and with every layer off; any
+#              ablation and with every layer off, ungoverned and under
+#              the overhead governor; any
 #              divergence the oracle cannot classify as one of the
 #              paper's legal divergences fails the gate. The checked-in
 #              regression corpus replays inside `go test` above.
@@ -163,6 +170,9 @@ CINNAMON_PERF_GATE=1 go test -run TestCaseStudyLoweringSpeedup -count=1 ./intern
 
 echo "==> compiled-walk perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestCompiledWalkSpeedup -count=1 ./internal/bench/
+
+echo "==> governed-session perf gate"
+CINNAMON_PERF_GATE=1 go test -run TestGovernedSessionGate -count=1 ./internal/bench/
 
 echo "==> placement-IR perf gate"
 CINNAMON_PERF_GATE=1 go test -run TestIROptDispatchSpeedup -count=1 ./internal/core/placement/
